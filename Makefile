@@ -3,7 +3,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test docs-check bench-kernel bench-kernel-quick bench-dynamic \
 	bench-storage bench-storage-quick bench-tiered bench-tiered-quick \
-	bench-serving bench-serving-quick bench-search bench-search-quick bench
+	bench-serving bench-serving-quick bench-search bench-search-quick bench \
+	bench-smoke
 
 # Tier-1 verification: the full test suite (includes the quick-mode
 # benchmark harnesses and the docs-check gate).
@@ -72,3 +73,10 @@ bench-search-quick:
 
 bench: bench-kernel bench-dynamic bench-storage bench-tiered bench-serving \
 	bench-search
+
+# Smoke run of the repository benchmark (perfbench/run.py --smoke: every
+# workload at tiny sizes, end to end and traced, every BENCHMARK.json metric
+# emitted, the oracle gate passed).  Kept out of tier-1 collection because it
+# launches servers for about half a minute; CI runs it on the numpy leg.
+bench-smoke:
+	$(PYTHON) -m pytest -q perfbench/check_perfbench.py

@@ -78,6 +78,7 @@ __all__ = list(pykernel.__all__) + [
     "available_backends",
     "as_int_list",
     "int_words_view",
+    "array_module",
 ]
 
 #: Every public name a backend module must implement (the backend contract).
@@ -156,6 +157,17 @@ def active_backend() -> str:
 def available_backends() -> Tuple[str, ...]:
     """Names of the registered backends, ``"python"`` always first."""
     return tuple(sorted(_BACKENDS, key=_KNOWN_BACKENDS.index))
+
+
+def array_module():
+    """The numpy module while the numpy backend is active, else ``None``.
+
+    A façade-only helper for structure code that keeps batch state in
+    backend-native arrays *between* kernel calls (masking and concatenating
+    the live rows of a multi-step walk); under the python backend such code
+    takes its list path instead.
+    """
+    return npkernel.np if _active_name == "numpy" else None
 
 
 def as_int_list(sequence) -> List[int]:
@@ -291,3 +303,39 @@ def rank_many_packed(handle, bit: int, positions: Sequence[int]):
 def select_many_packed(handle, bit: int, indexes: Sequence[int]):
     """``select(bit, idx)`` for each index via a prepared handle."""
     return _active.select_many_packed(handle, bit, indexes)
+
+
+def prepare_rrr(
+    classes: Sequence[int],
+    offset_words: Sequence[int],
+    sample_rank: Sequence[int],
+    sample_offset_pos: Sequence[int],
+    length: int,
+    block_size: int,
+    sample_rate: int,
+):
+    """Opaque handle for :func:`rrr_rank_many` over RRR bitvector fields."""
+    return _active.prepare_rrr(
+        classes,
+        offset_words,
+        sample_rank,
+        sample_offset_pos,
+        length,
+        block_size,
+        sample_rate,
+    )
+
+
+def rrr_rank_many(handle, bit: int, positions: Sequence[int]):
+    """``rank(bit, pos)`` at each of ``positions`` via a prepared RRR handle."""
+    return _active.rrr_rank_many(handle, bit, positions)
+
+
+def prepare_fields(words: Sequence[int], width: int):
+    """Opaque handle for :func:`fields_many` over LSB-packed fields."""
+    return _active.prepare_fields(words, width)
+
+
+def fields_many(handle, indexes: Sequence[int]):
+    """The fixed-width fields at each of ``indexes`` via a prepared handle."""
+    return _active.fields_many(handle, indexes)

@@ -11,7 +11,9 @@ backends" section of docs/ARCHITECTURE.md) over ``uint64`` word arrays:
 * batched directory lookups for ``rank_many_packed`` / ``access_many_packed``
   with one fancy-indexing gather per batch;
 * ``searchsorted``-based word location plus a fully vectorised byte-table
-  in-word select for ``select_many_packed`` / ``select_in_word_many``.
+  in-word select for ``select_many_packed`` / ``select_in_word_many``;
+* a vectorised superblock walk, two-word offset extraction and
+  set-bit-jumping block decode for ``rrr_rank_many``.
 
 Exchange format: the same MSB-first left-aligned 64-bit packed words as the
 python backend (:mod:`repro.bits.kernel.pykernel`).  Bulk functions accept
@@ -76,6 +78,12 @@ if HAVE_NUMPY:
     _SIX = np.uint64(6)
     _SIXTY_THREE = np.uint64(63)
     _SIXTY_FOUR = np.uint64(64)
+    _ONE = np.uint64(1)
+    # C(m, k) at flat index k * 65 + m for k, m <= 64 (every value fits
+    # int64): the vector twin of the python backend's binomial columns for
+    # RRR decoding.
+    _BINOMIAL_STRIDE = WORD + 1
+    _BINOMIAL_FLAT = np.array(pykernel._BINOMIAL_COLUMNS, dtype=np.int64).ravel()
     # Vector twins of the four-Russians tables: select-in-byte and per-byte
     # popcounts, both indexable by whole arrays at once.
     _SELECT_IN_BYTE_NP = np.frombuffer(
@@ -558,3 +566,203 @@ def select_many_packed(handle, bit: int, indexes: Sequence[int]):
     word_arr = (handle.words if bit else handle.inv_words)[word_index]
     offsets = _select_in_words_vec(word_arr, rel)
     return _mirror((word_index << 6) + offsets, indexes)
+
+
+# ----------------------------------------------------------------------
+# Prepared batch rank over an RRR (class, offset) block encoding
+# ----------------------------------------------------------------------
+class _RRRArrays:
+    """Opaque numpy-backend handle behind :func:`rrr_rank_many`."""
+
+    __slots__ = (
+        "classes",
+        "words",
+        "sample_rank",
+        "sample_offset_pos",
+        "length",
+        "block_size",
+        "sample_rate",
+        "widths",
+        "ones",
+    )
+
+    def __init__(self, classes, words, sample_rank, sample_offset_pos,
+                 length, block_size, sample_rate, widths) -> None:
+        self.classes = classes
+        self.words = words
+        self.sample_rank = sample_rank
+        self.sample_offset_pos = sample_offset_pos
+        self.length = length
+        self.block_size = block_size
+        self.sample_rate = sample_rate
+        self.widths = widths
+        self.ones = int(classes.sum())
+
+
+def prepare_rrr(
+    classes: Sequence[int],
+    offset_words: Sequence[int],
+    sample_rank: Sequence[int],
+    sample_offset_pos: Sequence[int],
+    length: int,
+    block_size: int,
+    sample_rate: int,
+):
+    """Build the opaque array handle consumed by :func:`rrr_rank_many`.
+
+    One ``int64`` conversion of the classes and samples and a padded
+    ``uint64`` copy of the offset words (two zero words, so every two-word
+    offset read stays in bounds); nothing is re-encoded.  Only valid with
+    this backend; structures re-prepare when the active backend changes.
+    """
+    words = _as_word_array(offset_words)
+    padded = np.zeros(words.size + 2, dtype=np.uint64)
+    padded[: words.size] = words
+    widths = np.array(pykernel._rrr_offset_widths(block_size), dtype=np.int64)
+    return _RRRArrays(
+        np.asarray(classes, dtype=np.int64),
+        padded,
+        np.asarray(sample_rank, dtype=np.int64),
+        np.asarray(sample_offset_pos, dtype=np.int64),
+        length,
+        block_size,
+        sample_rate,
+        widths,
+    )
+
+
+def _rrr_prefix_ones(offsets, classes, prefix, block_size: int):
+    """Ones among the first ``prefix`` bits of RRR blocks ``(class, offset)``.
+
+    The batch twin of the python backend's set-bit jump: with
+    ``T = C(B, k) - offset`` the next set bit is at ``B - 1 - m`` for the
+    largest ``m`` with ``C(m, k) < T`` (hockey-stick identity), found by a
+    branch-free binary search over the binomial column.  One round per set
+    bit, every block of the batch advancing together; a block leaves the
+    loop at its first set bit at or past ``prefix``.  ``C(m, k) >= T`` holds
+    for every ``m`` past the previous jump (and past ``B`` in the first
+    round), so the search needs no range check.  Blocks denser than half
+    full walk their complement (class ``B - k``, offset
+    ``C(B, k) - 1 - offset``) and count zeros, so at most ``B / 2`` rounds
+    run.
+    """
+    dense = 2 * classes > block_size
+    k = np.where(dense, block_size - classes, classes)
+    remaining = np.where(
+        dense, offsets + 1, _BINOMIAL_FLAT[classes * _BINOMIAL_STRIDE + block_size]
+        - offsets
+    )
+    count = np.zeros(classes.size, dtype=np.int64)
+    steps = [1 << s for s in reversed(range(block_size.bit_length()))]
+    # The set bit at ``B - 1 - m`` lies inside the prefix iff ``m > floor``.
+    floor = block_size - 1 - prefix
+    live = np.flatnonzero((k > 0) & (prefix > 0))
+    while live.size:
+        k_live = k[live]
+        target = remaining[live]
+        row = k_live * _BINOMIAL_STRIDE
+        m = np.zeros(live.size, dtype=np.int64)
+        for step in steps:
+            candidate = m + step
+            m = np.where(_BINOMIAL_FLAT[row + candidate] < target, candidate, m)
+        inside = m > floor[live]
+        live = live[inside]
+        count[live] += 1
+        remaining[live] = target[inside] - _BINOMIAL_FLAT[row[inside] + m[inside]]
+        k[live] = k_live[inside] - 1
+        live = live[k_live[inside] > 1]
+    return np.where(dense, prefix - count, count)
+
+
+def rrr_rank_many(handle, bit: int, positions: Sequence[int]):
+    """``rank(bit, pos)`` at each position of an RRR bitvector, vectorised.
+
+    Three whole-batch passes and no sort: the superblock walk adds the
+    classes and offset widths of the blocks before each query's block
+    inside its superblock (``sample_rate - 1`` gathers at most), one
+    two-word read per query extracts its block's offset, and
+    :func:`_rrr_prefix_ones` counts the ones before the query inside it.
+    Amortised O(sample_rate + B / 2) array operations per batch; array in,
+    array out.  The caller validates ``0 <= pos <= length``.
+    """
+    pos = np.asarray(positions, dtype=np.int64)
+    ones = np.full(pos.size, handle.ones, dtype=np.int64)
+    inside = np.flatnonzero(pos < handle.length)
+    if inside.size:
+        block_size = handle.block_size
+        query = pos[inside]
+        block = query // block_size
+        prefix = query - block * block_size
+        sample = block // handle.sample_rate
+        walked = sample * handle.sample_rate
+        rank_before = handle.sample_rank[sample]
+        offset_pos = handle.sample_offset_pos[sample]
+        for _ in range(int((block - walked).max())):
+            behind = walked < block
+            classes = np.where(behind, handle.classes[walked], 0)
+            rank_before = rank_before + classes
+            offset_pos = offset_pos + handle.widths[classes]
+            walked = walked + behind
+        classes = handle.classes[block]
+        width = handle.widths[classes].astype(np.uint64)
+        word_index = offset_pos >> 6
+        shift = (offset_pos & 63).astype(np.uint64)
+        top = (handle.words[word_index] << shift) | (
+            (handle.words[word_index + 1] >> _ONE) >> (_SIXTY_THREE - shift)
+        )
+        offsets = ((top >> _ONE) >> (_SIXTY_THREE - width)).astype(np.int64)
+        ones[inside] = rank_before + _rrr_prefix_ones(
+            offsets, classes, prefix, block_size
+        )
+    if bit:
+        return _mirror(ones, positions)
+    return _mirror(pos - ones, positions)
+
+
+# ----------------------------------------------------------------------
+# Prepared gathers over LSB-packed fixed-width fields
+# ----------------------------------------------------------------------
+class _PackedFieldArrays:
+    """Opaque numpy-backend handle behind :func:`fields_many`."""
+
+    __slots__ = ("words", "width", "mask")
+
+    def __init__(self, words, width) -> None:
+        self.words = words
+        self.width = width
+        self.mask = np.uint64((1 << width) - 1)
+
+
+def prepare_fields(words: Sequence[int], width: int):
+    """Build the opaque array handle consumed by :func:`fields_many`.
+
+    A ``uint64`` copy of the LSB-packed words with one zero pad word, so the
+    two-word read of a field in the last word stays in bounds.  Only valid
+    with this backend.
+    """
+    arr = _as_word_array(words)
+    padded = np.zeros(arr.size + 1, dtype=np.uint64)
+    padded[: arr.size] = arr
+    return _PackedFieldArrays(padded, width)
+
+
+def fields_many(handle, indexes: Sequence[int]):
+    """The fields at each of ``indexes``: two gathers, shifts and a mask.
+
+    Amortised O(1) per query with a constant far below the python loop's;
+    array in, array out (``int64`` below 64-bit fields).  The caller
+    validates indexes.
+    """
+    idx = np.asarray(indexes, dtype=np.int64)
+    width = handle.width
+    if width == 0:
+        return _mirror(np.zeros(idx.size, dtype=np.int64), indexes)
+    start = idx * width
+    word_index = start >> 6
+    shift = (start & 63).astype(np.uint64)
+    low = handle.words[word_index] >> shift
+    high = (handle.words[word_index + 1] << _ONE) << (_SIXTY_THREE - shift)
+    values = (low | high) & handle.mask
+    if width < WORD:
+        values = values.astype(np.int64)
+    return _mirror(values, indexes)

@@ -21,8 +21,9 @@ Conventions
   big-endian (``struct`` format ``>Q``).
 * Contract functions are pure: they never mutate their arguments and their
   returned containers are freshly allocated.  Opaque handles
-  (:func:`prepare_rank_select`, :func:`prepare_symbols`) alias their inputs,
-  so callers must not mutate a sequence after preparing a handle from it.
+  (:func:`prepare_rank_select`, :func:`prepare_symbols`,
+  :func:`prepare_rrr`, :func:`prepare_fields`) alias their inputs, so
+  callers must not mutate a sequence after preparing a handle from it.
 
 The kernel never scans bit by bit: the in-word ``select`` walks bytes through
 a precomputed 256-entry table, bulk packing goes through
@@ -34,8 +35,9 @@ from __future__ import annotations
 
 import struct
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
+from math import comb
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
@@ -75,6 +77,10 @@ __all__ = [
     "access_many_packed",
     "rank_many_packed",
     "select_many_packed",
+    "prepare_rrr",
+    "rrr_rank_many",
+    "prepare_fields",
+    "fields_many",
 ]
 
 WORD = 64
@@ -775,4 +781,207 @@ def select_many_packed(handle, bit: int, indexes: Sequence[int]) -> List[int]:
         for i, offset in zip(range(at, group_end), offsets):
             out[order[i]] = base + offset
         at = group_end
+    return out
+
+
+# ----------------------------------------------------------------------
+# Prepared batch rank over an RRR (class, offset) block encoding
+# ----------------------------------------------------------------------
+# Column ``k`` lists C(m, k) for m = 0..64: ascending in ``m`` (zeros below
+# ``k``), so one ``bisect`` finds the next set bit of an RRR block.
+_BINOMIAL_COLUMNS: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(comb(m, k) for m in range(WORD + 1)) for k in range(WORD + 1)
+)
+
+
+def _rrr_offset_widths(block_size: int) -> List[int]:
+    """Offset bits of each RRR block class: ``ceil(log2 C(B, k))``."""
+    return [
+        (_BINOMIAL_COLUMNS[cls][block_size] - 1).bit_length()
+        for cls in range(block_size + 1)
+    ]
+
+
+def _rrr_decode_block(offset: int, block_size: int, cls: int) -> int:
+    """The ``block_size``-bit block value with RRR ``(cls, offset)``.
+
+    The enumeration lists blocks in descending value order, so with
+    ``T = C(B, k) - offset`` the next set bit sits at ``B - 1 - m`` for the
+    largest ``m`` with ``C(m, k) < T`` -- the hockey-stick identity
+    ``sum_{m=a..b} C(m, k - 1) = C(b + 1, k) - C(a, k)`` sums away the run
+    of zeros before it in one step.  Each set bit is then one ``bisect``,
+    O(k log B) per block instead of a B-step descent.  Blocks denser than
+    half full decode their complement (class ``B - k``, offset
+    ``C(B, k) - 1 - offset``), so at most ``B / 2`` jumps run.
+    """
+    total = _BINOMIAL_COLUMNS[cls][block_size]
+    if 2 * cls > block_size:
+        full = (1 << block_size) - 1
+        return full ^ _rrr_decode_block(
+            total - 1 - offset, block_size, block_size - cls
+        )
+    remaining = total - offset
+    value = 0
+    for k in range(cls, 0, -1):
+        column = _BINOMIAL_COLUMNS[k]
+        m = bisect_left(column, remaining) - 1
+        value |= 1 << m
+        remaining -= column[m]
+    return value
+
+
+class _RRRDirectory:
+    """Opaque python-backend handle behind :func:`rrr_rank_many`."""
+
+    __slots__ = (
+        "classes",
+        "offset_words",
+        "sample_rank",
+        "sample_offset_pos",
+        "length",
+        "block_size",
+        "sample_rate",
+        "widths",
+        "ones",
+    )
+
+    def __init__(self, classes, offset_words, sample_rank, sample_offset_pos,
+                 length, block_size, sample_rate) -> None:
+        self.classes = classes
+        self.offset_words = offset_words
+        self.sample_rank = sample_rank
+        self.sample_offset_pos = sample_offset_pos
+        self.length = length
+        self.block_size = block_size
+        self.sample_rate = sample_rate
+        self.widths = _rrr_offset_widths(block_size)
+        last = (len(classes) - 1) // sample_rate * sample_rate
+        self.ones = (
+            sample_rank[-1] + sum(classes[last:]) if len(classes) else 0
+        )
+
+
+def prepare_rrr(
+    classes: Sequence[int],
+    offset_words: Sequence[int],
+    sample_rank: Sequence[int],
+    sample_offset_pos: Sequence[int],
+    length: int,
+    block_size: int,
+    sample_rate: int,
+):
+    """Build the opaque handle consumed by :func:`rrr_rank_many`.
+
+    The arguments are the fields of an RRR bitvector as stored: per-block
+    classes, the MSB-first packed offset stream, and the per-superblock
+    samples of ones and offset-stream positions (one sample every
+    ``sample_rate`` blocks).  Nothing is re-encoded; the handle aliases its
+    inputs (do not mutate them afterwards) and is only valid with the
+    backend that created it.
+    """
+    return _RRRDirectory(classes, offset_words, sample_rank,
+                         sample_offset_pos, length, block_size, sample_rate)
+
+
+def rrr_rank_many(handle, bit: int, positions: Sequence[int]) -> List[int]:
+    """``rank(bit, pos)`` at each position of an RRR bitvector, batched.
+
+    The positions are sorted once and the block directory is walked
+    monotonically: a superblock jump only when a query leaves the current
+    superblock, and each touched block is (class, offset) decoded exactly
+    once, however many queries land in it.  Amortised O(q log q + B) for
+    B touched blocks, against one superblock walk plus one block decode
+    per query for the scalar loop.  The caller validates
+    ``0 <= pos <= length``; the result is always a plain list.
+    """
+    # Plain ints throughout: a numpy scalar shift count would overflow
+    # against the 64-bit block word.
+    positions = list(map(int, _plain_ints(positions)))
+    out = [0] * len(positions)
+    classes = handle.classes
+    widths = handle.widths
+    words = handle.offset_words
+    block_size = handle.block_size
+    sample_rate = handle.sample_rate
+    length = handle.length
+    total = handle.ones
+    current = -1
+    word = rank_before = walked = offset_pos = 0
+    for index in sorted(range(len(positions)), key=positions.__getitem__):
+        pos = positions[index]
+        if pos >= length:
+            ones = total
+        else:
+            block, prefix = divmod(pos, block_size)
+            if block != current:
+                if current < 0 or block // sample_rate != current // sample_rate:
+                    sample = block // sample_rate
+                    walked = sample * sample_rate
+                    rank_before = handle.sample_rank[sample]
+                    offset_pos = handle.sample_offset_pos[sample]
+                while walked < block:
+                    cls = classes[walked]
+                    rank_before += cls
+                    offset_pos += widths[cls]
+                    walked += 1
+                cls = classes[block]
+                offset = extract_bits_value(
+                    words, offset_pos, offset_pos + widths[cls]
+                )
+                word = _rrr_decode_block(offset, block_size, cls) << (
+                    WORD - block_size
+                )
+                current = block
+            ones = rank_before + (word >> (WORD - prefix)).bit_count()
+        out[index] = ones if bit else pos - ones
+    return out
+
+
+# ----------------------------------------------------------------------
+# Prepared gathers over LSB-packed fixed-width fields
+# ----------------------------------------------------------------------
+class _PackedFields:
+    """Opaque python-backend handle behind :func:`fields_many`."""
+
+    __slots__ = ("words", "width")
+
+    def __init__(self, words, width) -> None:
+        self.words = words
+        self.width = width
+
+
+def prepare_fields(words: Sequence[int], width: int):
+    """Build the opaque handle consumed by :func:`fields_many`.
+
+    ``words`` holds fixed-width unsigned fields packed LSB-first (field
+    ``i`` occupies stream bits ``[i * width, (i + 1) * width)``, stream bit
+    ``j`` being bit ``j % 64`` of word ``j // 64``) -- the
+    :class:`~repro.bits.packed.PackedIntVector` layout, which differs from
+    the MSB-first bit-vector words.  The handle aliases ``words`` and is
+    only valid with the backend that created it.
+    """
+    return _PackedFields(words, width)
+
+
+def fields_many(handle, indexes: Sequence[int]) -> List[int]:
+    """The fields at each of ``indexes`` via a prepared handle.
+
+    Amortised O(1) per query: at most two word reads and a mask each,
+    inside one list comprehension.  The caller validates indexes; the
+    result is always a plain list.
+    """
+    indexes = list(map(int, _plain_ints(indexes)))
+    width = handle.width
+    if width == 0:
+        return [0] * len(indexes)
+    words = handle.words
+    mask = (1 << width) - 1
+    out = []
+    append = out.append
+    for index in indexes:
+        word_index, offset = divmod(index * width, WORD)
+        value = words[word_index] >> offset
+        if offset + width > WORD:
+            value |= words[word_index + 1] << (WORD - offset)
+        append(value & mask)
     return out

@@ -10,17 +10,22 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Sequence
 
+from repro.bits import kernel
 from repro.exceptions import OutOfBoundsError
 
 __all__ = ["PackedIntVector"]
 
 _WORD = 64
 
+# Below this many indexes ``get_many`` loops ``__getitem__`` instead of
+# paying for a kernel batch call.
+_SMALL_BATCH = 32
+
 
 class PackedIntVector:
     """A static array of fixed-width unsigned integers packed into words."""
 
-    __slots__ = ("_width", "_length", "_words")
+    __slots__ = ("_width", "_length", "_words", "_batch_handle", "_batch_backend")
 
     def __init__(self, width: int, values: Iterable[int] = ()) -> None:
         if width < 0 or width > _WORD:
@@ -28,6 +33,8 @@ class PackedIntVector:
         self._width = width
         self._length = 0
         self._words: List[int] = []
+        self._batch_handle = None
+        self._batch_backend = None
         for value in values:
             self.append(value)
 
@@ -45,6 +52,7 @@ class PackedIntVector:
         width = self._width
         if value < 0 or (width < _WORD and value >> width):
             raise ValueError(f"value {value} does not fit in {width} bits")
+        self._batch_backend = None  # the batch handle aliases stale words
         if width == 0:
             self._length += 1
             return
@@ -76,6 +84,34 @@ class PackedIntVector:
         if spill > 0:
             value |= self._words[word_index + 1] << (width - spill)
         return value & ((1 << width) - 1)
+
+    def get_many(self, indexes: Sequence[int]):
+        """The values at each of ``indexes`` (non-negative), batch-amortised.
+
+        Validation is one min/max pass; small list batches loop
+        ``__getitem__``, larger ones are one kernel ``fields_many`` gather
+        over a lazily prepared handle -- amortised O(1) per index, two
+        whole-array word gathers under numpy.  Array inputs come back as
+        arrays under the numpy backend, as lists under python.
+        """
+        if isinstance(indexes, (list, tuple)) and len(indexes) < _SMALL_BATCH:
+            return [self[index] for index in indexes]
+        if len(indexes) == 0:
+            return []
+        if isinstance(indexes, (list, tuple)):
+            lo, hi = min(indexes), max(indexes)
+        else:
+            lo, hi = indexes.min(), indexes.max()
+        if lo < 0 or hi >= self._length:
+            bad = next(i for i in indexes if not 0 <= i < self._length)
+            raise OutOfBoundsError(
+                f"index {bad} out of range for length {self._length}"
+            )
+        backend = kernel.active_backend()
+        if self._batch_backend != backend:
+            self._batch_handle = kernel.prepare_fields(self._words, self._width)
+            self._batch_backend = backend
+        return kernel.fields_many(self._batch_handle, indexes)
 
     def __iter__(self) -> Iterator[int]:
         for index in range(self._length):
@@ -111,6 +147,8 @@ class PackedIntVector:
         self._width = width
         self._length = length
         self._words = words
+        self._batch_handle = None
+        self._batch_backend = None
         return self
 
     def __repr__(self) -> str:

@@ -15,7 +15,7 @@ bitvector (Theorem 4.5).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, List, Sequence, Union
 
 from repro.bits import kernel
 from repro.bits.bitstring import Bits
@@ -36,13 +36,22 @@ from repro.bits.kernel import (
     select_in_word,
     select_in_word_many,
 )
-from repro.bitvector.base import StaticBitVector, validate_select_indexes
+from repro.bitvector.base import (
+    StaticBitVector,
+    batch_min_max,
+    normalize_batch,
+    validate_select_indexes,
+)
 from repro.exceptions import OutOfBoundsError
 
 __all__ = ["RRRBitVector", "IncrementalRRRBuilder"]
 
 _DEFAULT_BLOCK = 63
 _DEFAULT_SAMPLE = 8
+
+# Below this many queries a kernel batch call costs more than it saves; such
+# batches loop the scalar paths.
+_SMALL_BATCH = 32
 
 
 class RRRBitVector(StaticBitVector):
@@ -71,6 +80,8 @@ class RRRBitVector(StaticBitVector):
         "_sample_offset_pos",
         "_ones",
         "_width_by_class",
+        "_batch_handle",
+        "_batch_backend",
     )
 
     def __init__(
@@ -165,6 +176,8 @@ class RRRBitVector(StaticBitVector):
         self._sample_offset_pos = sample_offset_pos
         self._ones = ones_so_far
         self._offset_starts = None  # computed lazily only for repr/debug
+        self._batch_handle = None
+        self._batch_backend = None
 
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
@@ -211,6 +224,8 @@ class RRRBitVector(StaticBitVector):
         self._sample_rank = image.int64(prefix + "srank")
         self._sample_offset_pos = image.int64(prefix + "spos")
         self._offset_starts = None
+        self._batch_handle = None
+        self._batch_backend = None
         return self
 
     @property
@@ -224,6 +239,22 @@ class RRRBitVector(StaticBitVector):
     @property
     def ones(self) -> int:
         return self._ones
+
+    def _handle(self):
+        """The kernel backend's batch-rank handle, re-prepared on backend switch."""
+        backend = kernel.active_backend()
+        if self._batch_backend != backend:
+            self._batch_handle = kernel.prepare_rrr(
+                self._class_list,
+                self._offset_words,
+                self._sample_rank,
+                self._sample_offset_pos,
+                self._length,
+                self._block_size,
+                self._sample_rate,
+            )
+            self._batch_backend = backend
+        return self._batch_handle
 
     # ------------------------------------------------------------------
     def _decode_block(self, block_index: int, offset_pos: int) -> int:
@@ -343,6 +374,59 @@ class RRRBitVector(StaticBitVector):
             offset_pos += self._width_by_class[cls]
             block_index += 1
         raise AssertionError("select directory inconsistent")  # pragma: no cover
+
+    # ------------------------------------------------------------------
+    # Batch query paths
+    # ------------------------------------------------------------------
+    def access_many(self, positions: Sequence[int]) -> List[int]:
+        """Bits at each position, as one kernel rank pair.
+
+        ``bit(pos) = rank1(pos + 1) - rank1(pos)``: both ranks of every
+        query go through a single ``rrr_rank_many`` call, so the batch costs
+        what :meth:`rank_many` costs on ``2 q`` positions -- amortised
+        O(q log q + B) over B touched blocks on the python backend, a few
+        whole-array passes under numpy.  Small list batches loop the scalar
+        :meth:`access`.
+        """
+        if isinstance(positions, (list, tuple)) and len(positions) < _SMALL_BATCH:
+            return [self.access(pos) for pos in positions]
+        positions = kernel.as_int_list(normalize_batch(positions))
+        if not positions:
+            return []
+        if min(positions) < 0 or max(positions) >= self._length:
+            bad = next(p for p in positions if not 0 <= p < self._length)
+            raise OutOfBoundsError(
+                f"position {bad} out of range for length {self._length}"
+            )
+        count = len(positions)
+        ranks = kernel.rrr_rank_many(
+            self._handle(), 1, positions + [pos + 1 for pos in positions]
+        )
+        return [after - before for before, after in zip(ranks, ranks[count:])]
+
+    def rank_many(self, bit: int, positions: Sequence[int]):
+        """``rank(bit, pos)`` per position via the kernel's batched RRR rank.
+
+        One ``rrr_rank_many`` call answers the batch: a sorted block walk
+        decoding each touched block once on the python backend (amortised
+        O(q log q + B) over B touched blocks), a vectorised superblock walk
+        plus set-bit-jumping block decode under numpy.  Small list batches
+        loop the scalar :meth:`rank`.  Array inputs come back as arrays
+        under the numpy backend, as lists under python.
+        """
+        if isinstance(positions, (list, tuple)) and len(positions) < _SMALL_BATCH:
+            return [self.rank(bit, pos) for pos in positions]
+        self._check_bit(bit)
+        positions = normalize_batch(positions)
+        if len(positions) == 0:
+            return []
+        lo, hi = batch_min_max(positions)
+        if lo < 0 or hi > self._length:
+            bad = next(p for p in positions if not 0 <= p <= self._length)
+            raise OutOfBoundsError(
+                f"rank position {bad} out of range for length {self._length}"
+            )
+        return kernel.rrr_rank_many(self._handle(), bit, positions)
 
     def _sample_count_before(self, bit: int, sample_index: int) -> int:
         """Occurrences of ``bit`` before sample ``sample_index``."""
@@ -496,6 +580,8 @@ class RRRBitVector(StaticBitVector):
         self._sample_offset_pos = sample_offset_pos
         self._ones = ones_so_far
         self._offset_starts = None
+        self._batch_handle = None
+        self._batch_backend = None
         return self
 
     # ------------------------------------------------------------------

@@ -15,17 +15,28 @@ here:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, List, Sequence
 
+from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
 from repro.bits.kernel import as_int_list, one_positions, pack_value
 from repro.bits.packed import PackedIntVector
-from repro.bitvector.base import StaticBitVector
+from repro.bitvector.base import (
+    StaticBitVector,
+    batch_min_max,
+    normalize_batch,
+    validate_select_indexes,
+)
 from repro.bitvector.plain import PlainBitVector
 from repro.exceptions import OutOfBoundsError
 
 __all__ = ["EliasFanoSequence", "SparseBitVector"]
+
+# Below this many queries the batch paths loop the scalar queries instead of
+# paying for kernel batch calls.
+_SMALL_BATCH = 32
 
 
 class EliasFanoSequence:
@@ -124,20 +135,101 @@ class EliasFanoSequence:
         return (high << self._low_width) | low
 
     def rank(self, value: int) -> int:
-        """Number of stored values strictly smaller than ``value``."""
-        if value <= 0:
+        """Number of stored values strictly smaller than ``value``.
+
+        The textbook Elias-Fano rank: ``select0`` on the high part finds
+        where ``value``'s bucket (its high bits) starts and ends, and a
+        binary search over that bucket's low bits finishes -- two selects
+        plus O(log bucket) low reads.
+        """
+        if value <= 0 or self._n == 0:
             return 0
-        if self._n == 0:
-            return 0
-        # Binary search; the sequence is monotone.
-        lo, hi = 0, self._n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.select(mid) < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        bucket = value >> self._low_width
+        last_bucket = len(self._high) - self._n  # zeros of the high part
+        if bucket > last_bucket:
+            return self._n
+        start = self._high.select0(bucket - 1) - bucket + 1 if bucket else 0
+        if bucket == last_bucket:
+            stop = self._n
+        else:
+            stop = self._high.select0(bucket) - bucket
+        if not self._low_width:
+            return start
+        mask = (1 << self._low_width) - 1
+        return bisect_left(self._low, value & mask, start, stop)
+
+    def select_many(self, indexes: Sequence[int]) -> List[int]:
+        """The ``index``-th value for each of ``indexes``, in input order.
+
+        One kernel ``select_many`` over the high part gives every bucket,
+        one ``fields_many`` gather the low bits: amortised O(1) per index
+        beyond the two batch calls.  Small list batches loop :meth:`select`.
+        """
+        if isinstance(indexes, (list, tuple)) and len(indexes) < _SMALL_BATCH:
+            return [self.select(index) for index in indexes]
+        indexes = as_int_list(normalize_batch(indexes))
+        if not indexes:
+            return []
+        if min(indexes) < 0 or max(indexes) >= self._n:
+            bad = next(i for i in indexes if not 0 <= i < self._n)
+            raise OutOfBoundsError(f"index {bad} out of range for {self._n} values")
+        highs = self._high.select_many(1, indexes)
+        lows = self._low.get_many(indexes)
+        width = self._low_width
+        return [
+            ((high - index) << width) | low
+            for high, index, low in zip(highs, indexes, lows)
+        ]
+
+    def rank_many(self, values: Sequence[int]):
+        """``rank(value)`` for each of ``values``, in input order.
+
+        Under numpy the textbook rank runs batch-wide: two kernel
+        ``select_many(0, .)`` calls bound every value's bucket and a
+        vectorised binary search over ``fields_many`` low-bit gathers
+        finishes, O(log max-bucket) gathers per batch -- amortised O(1)
+        array work per value.  Under the python backend, and for small list
+        batches, this is the scalar :meth:`rank` loop.
+        """
+        values = normalize_batch(values)
+        np = kernel.array_module()
+        if np is None or (
+            isinstance(values, (list, tuple)) and len(values) < _SMALL_BATCH
+        ):
+            return [self.rank(value) for value in values]
+        if len(values) == 0:
+            return []
+        try:
+            query = np.asarray(values, dtype=np.int64)
+        except OverflowError:  # values past int64: only the scalar rank fits
+            return [self.rank(value) for value in values]
+        out = np.zeros(query.size, dtype=np.int64)
+        if self._n:
+            width = self._low_width
+            last_bucket = len(self._high) - self._n
+            bucket = query >> width
+            out[bucket > last_bucket] = self._n
+            inside = np.flatnonzero((query > 0) & (bucket <= last_bucket))
+            bucket = bucket[inside]
+            after = np.flatnonzero(bucket > 0)
+            lo = np.zeros(inside.size, dtype=np.int64)
+            lo[after] = (
+                self._high.select_many(0, bucket[after] - 1) - bucket[after] + 1
+            )
+            hi = np.full(inside.size, self._n, dtype=np.int64)
+            before = np.flatnonzero(bucket < last_bucket)
+            hi[before] = self._high.select_many(0, bucket[before]) - bucket[before]
+            if width:
+                target = query[inside] & ((1 << width) - 1)
+                live = np.flatnonzero(lo < hi)
+                while live.size:
+                    mid = (lo[live] + hi[live]) >> 1
+                    less = self._low.get_many(mid) < target[live]
+                    lo[live] = np.where(less, mid + 1, lo[live])
+                    hi[live] = np.where(less, hi[live], mid)
+                    live = live[lo[live] < hi[live]]
+            out[inside] = lo
+        return out if isinstance(values, np.ndarray) else out.tolist()
 
     def predecessor(self, value: int) -> int:
         """Largest index ``i`` with ``self[i] <= value``; raises if none exists."""
@@ -235,6 +327,48 @@ class SparseBitVector(StaticBitVector):
             else:
                 hi = mid
         return lo
+
+    def rank_many(self, bit: int, positions: Sequence[int]):
+        """``rank(bit, pos)`` per position via the batched Elias-Fano rank.
+
+        Range-checked all-or-nothing, then one
+        :meth:`EliasFanoSequence.rank_many` (amortised O(1) array work per
+        position under numpy, the scalar loop otherwise).  Array inputs come
+        back as arrays under the numpy backend.
+        """
+        if isinstance(positions, (list, tuple)) and len(positions) < _SMALL_BATCH:
+            return [self.rank(bit, pos) for pos in positions]
+        self._check_bit(bit)
+        positions = normalize_batch(positions)
+        if len(positions) == 0:
+            return []
+        lo, hi = batch_min_max(positions)
+        if lo < 0 or hi > self._length:
+            bad = next(p for p in positions if not 0 <= p <= self._length)
+            raise OutOfBoundsError(
+                f"rank position {bad} out of range for length {self._length}"
+            )
+        ones = self._positions.rank_many(positions)
+        if bit:
+            return ones
+        if isinstance(ones, list):
+            return [pos - one for pos, one in zip(positions, ones)]
+        return positions - ones
+
+    def select_many(self, bit: int, indexes: Sequence[int]):
+        """``select(bit, idx)`` for each index, in input order.
+
+        Ones are the stored positions themselves: one
+        :meth:`EliasFanoSequence.select_many` (a kernel high-part select
+        plus a low-bit gather, amortised O(1) per index).  Zeros are an
+        unamortised loop of the scalar binary-search :meth:`select`.
+        """
+        self._check_bit(bit)
+        total = len(self._positions) if bit else self._length - len(self._positions)
+        indexes = validate_select_indexes(indexes, total, bit)
+        if not bit:
+            return [self.select(0, idx) for idx in indexes]
+        return self._positions.select_many(indexes)
 
     def size_in_bits(self) -> int:
         return self._positions.size_in_bits() + 64

@@ -11,7 +11,8 @@ roughly the character entropy of the text while answering
 * ``locate(pattern)`` -- all occurrence positions, via a sampled suffix
   array (``sa_sample`` is the space/time knob: one stored position every
   ``sa_sample`` text positions, at most ``sa_sample - 1`` batched LF steps
-  per occurrence);
+  per occurrence, each one rank pair on the marked rows plus one
+  ``inverse_select_many`` descent);
 * ``extract(start, stop)`` -- any text slice, via inverse-suffix-array
   samples (at most ``sa_sample`` extra LF steps past the slice).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bits import kernel
 from repro.bits.packed import PackedIntVector
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
@@ -36,11 +38,16 @@ __all__ = ["FMIndex"]
 
 _TERMINATOR = 0  # code of the appended sentinel; smaller than every character
 
+# Below this many occurrences ``locate`` walks its rows as python lists; more
+# keep them as backend-native arrays under the numpy backend.
+_SMALL_BATCH = 32
+
 #: Node bitvector flavours for the BWT wavelet tree.  Backward search is
 #: rank-bound, so the default is the plain vector whose ``rank_many`` is
 #: kernel-vectorised (one gather + popcount for a whole batch); the Huffman
 #: shape already holds total node bits near ``n * H0``.  The ``rrr`` flavour
-#: trades batched rank speed for compressed nodes.
+#: compresses the nodes; its batched ranks go through the kernel's RRR
+#: block decode instead of a word gather.
 _BWT_BITVECTORS = {"plain": PlainBitVector, "rrr": RRRBitVector}
 
 
@@ -58,9 +65,9 @@ class FMIndex:
         ``~2 * 64 / 32 = 4`` bits per character of sampled positions.
     bitvector:
         Node bitvector flavour of the BWT wavelet tree: ``"plain"``
-        (default; kernel-vectorised batched ranks, ~``n * H0`` total node
-        bits from the Huffman shape alone) or ``"rrr"`` (compressed nodes,
-        scalar-speed ranks).
+        (default; word-gather batched ranks, ~``n * H0`` total node bits
+        from the Huffman shape alone) or ``"rrr"`` (compressed nodes,
+        batched ranks through the kernel's RRR block decode).
 
     Examples
     --------
@@ -298,39 +305,57 @@ class FMIndex:
         Each of the ``occ`` matching rows walks the LF mapping until it hits
         a sampled row (< ``sa_sample`` steps, since LF decrements the text
         position and every ``sa_sample``-th position is sampled).  The walks
-        advance together: one ``access_many`` over all live rows plus one
-        ``rank_many`` per distinct BWT symbol per step, instead of
-        ``occ * sa_sample`` scalar walks.
+        advance together; per step, one ``rank_many`` over ``rows`` and
+        ``rows + 1`` on the marked-rows vector yields each row's mark (the
+        rank difference) and sample index, and one ``inverse_select_many``
+        on the BWT tree yields ``BWT[row]`` and its rank -- the LF step
+        ``C[c] + rank_c(row)`` -- from a single descent.  Under the numpy
+        backend the live rows stay int64 arrays from step to step.
         """
         self._check_pattern(pattern)
         low, high = self._interval(pattern)
-        positions: List[Optional[int]] = [None] * (high - low)
-        pending = [(row, slot, 0) for slot, row in enumerate(range(low, high))]
-        while pending:
-            marks = self._marked.access_many([row for row, _, _ in pending])
-            resolved = [state for state, mark in zip(pending, marks) if mark]
-            if resolved:
-                sample_indexes = self._marked.rank_many(
-                    1, [row for row, _, _ in resolved]
-                )
-                for (_, slot, steps), index in zip(resolved, sample_indexes):
-                    positions[slot] = self._samples[index] + steps
-            pending = [state for state, mark in zip(pending, marks) if not mark]
+        np = kernel.array_module()
+        if np is not None and high - low >= _SMALL_BATCH:
+            return self._locate_arrays(np, low, high)
+        positions: List[int] = []
+        rows = list(range(low, high))
+        steps = 0
+        while rows:
+            count = len(rows)
+            ranks = self._marked.rank_many(1, rows + [row + 1 for row in rows])
+            pending = []
+            for row, before, after in zip(rows, ranks, ranks[count:]):
+                if after != before:
+                    positions.append(self._samples[before] + steps)
+                else:
+                    pending.append(row)
             if not pending:
                 break
-            symbols = self._bwt.access_many([row for row, _, _ in pending])
-            by_code: Dict[int, List[Tuple[int, int, int]]] = {}
-            for state, code in zip(pending, symbols):
-                by_code.setdefault(code, []).append(state)
-            pending = []
-            for code, group in by_code.items():
-                ranks = self._bwt.rank_many(code, [row for row, _, _ in group])
-                base = self._c_table[code]
-                pending.extend(
-                    (base + rank, slot, steps + 1)
-                    for (_, slot, steps), rank in zip(group, ranks)
-                )
+            codes, ranks = self._bwt.inverse_select_many(pending)
+            c_table = self._c_table
+            rows = [c_table[code] + rank for code, rank in zip(codes, ranks)]
+            steps += 1
         return sorted(positions)
+
+    def _locate_arrays(self, np, low: int, high: int) -> List[int]:
+        """:meth:`locate`'s LF walk with the live rows as int64 arrays."""
+        c_table = np.asarray(self._c_table, dtype=np.int64)
+        found = []
+        rows = np.arange(low, high, dtype=np.int64)
+        steps = 0
+        while rows.size:
+            ranks = self._marked.rank_many(1, np.concatenate((rows, rows + 1)))
+            before = ranks[: rows.size]
+            marked = ranks[rows.size :] != before
+            if marked.any():
+                found.append(self._samples.get_many(before[marked]) + steps)
+                rows = rows[~marked]
+                if not rows.size:
+                    break
+            codes, ranks = self._bwt.inverse_select_many(rows)
+            rows = c_table[codes] + ranks
+            steps += 1
+        return np.sort(np.concatenate(found)).tolist()
 
     def extract(self, start: int, stop: int) -> str:
         """The text slice ``[start, stop)``, decoded from the BWT.
@@ -359,8 +384,8 @@ class FMIndex:
         out: List[str] = []
         position = anchor
         while position > start:
-            code = self._bwt.access(row)
-            row = self._c_table[code] + self._bwt.rank(code, row)
+            code, rank = self._bwt.inverse_select(row)
+            row = self._c_table[code] + rank
             position -= 1
             if position < stop:
                 out.append(alphabet[code - 1])

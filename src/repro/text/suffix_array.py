@@ -26,17 +26,6 @@ from repro.bits import kernel
 __all__ = ["suffix_array", "bwt_from_suffix_array"]
 
 
-def _numpy_or_none():
-    """The numpy module when the active kernel backend is numpy, else None."""
-    if kernel.active_backend() != "numpy":
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - backend registration implies numpy
-        return None
-    return numpy
-
-
 def _suffix_array_numpy(np, codes: Sequence[int]) -> List[int]:
     n = len(codes)
     rank = np.asarray(codes, dtype=np.int64)
@@ -105,7 +94,7 @@ def suffix_array(codes: Sequence[int]) -> List[int]:
     for code in codes:
         if code < 0:
             raise ValueError("suffix-array codes must be non-negative integers")
-    np = _numpy_or_none()
+    np = kernel.array_module()
     if np is not None:
         return _suffix_array_numpy(np, codes)
     return _suffix_array_python(codes)

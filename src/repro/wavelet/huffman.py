@@ -14,12 +14,21 @@ import heapq
 from collections import Counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.bits import kernel
 from repro.bits.bitstring import Bits
-from repro.bitvector.base import validate_select_indexes
+from repro.bitvector.base import (
+    batch_min_max,
+    normalize_batch,
+    validate_select_indexes,
+)
 from repro.bitvector.rrr import RRRBitVector
 from repro.exceptions import OutOfBoundsError, ValueNotFoundError
 
 __all__ = ["HuffmanWaveletTree", "huffman_codes"]
+
+# Below this many queries the array descent of ``inverse_select_many`` costs
+# more in conversions than it saves; such batches take the list descent.
+_SMALL_BATCH = 32
 
 
 def huffman_codes(frequencies: Dict[Hashable, int]) -> Dict[Hashable, Bits]:
@@ -80,6 +89,12 @@ class HuffmanWaveletTree:
         self._codes = huffman_codes(Counter(data))
         self._factory = bitvector_factory
         self._root = self._build(data, 0) if data else None
+        # Integer symbols (FM-index character codes) may ride the numpy
+        # array descent; any other symbol type keeps the list descent.
+        self._int_symbols = all(
+            type(symbol) is int and -(1 << 63) <= symbol < 1 << 63
+            for symbol in self._codes
+        )
 
     def _build(self, data: List[Hashable], depth: int) -> _CodeNode:
         node = _CodeNode()
@@ -111,6 +126,15 @@ class HuffmanWaveletTree:
 
     def access(self, pos: int) -> Hashable:
         """The symbol at position ``pos``."""
+        return self.inverse_select(pos)[0]
+
+    def inverse_select(self, pos: int) -> Tuple[Hashable, int]:
+        """``(symbol, rank(symbol, pos))`` for the symbol at ``pos``.
+
+        One root-to-leaf descent: the position the walk carries into the
+        leaf is exactly the symbol's rank, so this pair costs what
+        :meth:`access` costs.  It is the FM-index LF step.
+        """
         if not 0 <= pos < self._size:
             raise OutOfBoundsError(f"position {pos} out of range for length {self._size}")
         node = self._root
@@ -118,7 +142,7 @@ class HuffmanWaveletTree:
             bit = node.bitvector.access(pos)
             pos = node.bitvector.rank(bit, pos)
             node = node.children[bit]
-        return node.symbol
+        return node.symbol, pos
 
     def rank(self, symbol: Hashable, pos: int) -> int:
         """Occurrences of ``symbol`` in positions ``[0, pos)``."""
@@ -172,52 +196,100 @@ class HuffmanWaveletTree:
     def access_many(self, positions: Sequence[int]) -> List[Hashable]:
         """The symbols at each of ``positions``.
 
-        Queries descend the code trie in groups: each touched node is
-        visited once per batch with one ``access_many``/``rank_many`` pair
-        on its bitvector, so node and attribute overhead is amortised over
-        the whole batch instead of paid per query.
+        The first half of :meth:`inverse_select_many` -- one grouped
+        descent, each touched node visited once per batch -- so the cost
+        amortises the same way.
         """
-        if not isinstance(positions, (list, tuple)):
-            positions = list(positions)
-        for pos in positions:
-            if not 0 <= pos < self._size:
-                raise OutOfBoundsError(
-                    f"position {pos} out of range for length {self._size}"
-                )
-        if not positions:
-            return []
-        out: List[Optional[Hashable]] = [None] * len(positions)
-        stack: List[Tuple[_CodeNode, List[Tuple[int, int]]]] = [
-            (self._root, list(enumerate(positions)))
-        ]
+        return self.inverse_select_many(positions)[0]
+
+    def inverse_select_many(self, positions: Sequence[int]):
+        """``(symbols, ranks)``: the symbol at each position and its rank there.
+
+        ``ranks[i] = rank(symbols[i], positions[i])``, both from one
+        grouped descent: each touched node is visited once per batch with
+        one ``access_many``/``rank_many`` pair on its bitvector, and the
+        positions the queries carry into their leaves are the ranks.
+        Amortised O(node passes) batch calls against ``q`` scalar
+        descents.  Under the numpy backend a tree over integer symbols runs
+        the descent on index/position arrays (no per-query python work);
+        an array input then gets arrays back, a list input lists.
+        """
+        positions = normalize_batch(positions)
+        count = len(positions)
+        if count == 0:
+            return [], []
+        lo, hi = batch_min_max(positions)
+        if lo < 0 or hi >= self._size:
+            bad = next(p for p in positions if not 0 <= p < self._size)
+            raise OutOfBoundsError(
+                f"position {bad} out of range for length {self._size}"
+            )
+        np = kernel.array_module()
+        if np is not None and self._int_symbols:
+            if isinstance(positions, np.ndarray):
+                return self._inverse_select_arrays(np, positions)
+            if count >= _SMALL_BATCH:
+                symbols, ranks = self._inverse_select_arrays(np, positions)
+                return symbols.tolist(), ranks.tolist()
+        symbols: List[Optional[Hashable]] = [None] * count
+        ranks = [0] * count
+        stack = [(self._root, list(range(count)), kernel.as_int_list(positions))]
         while stack:
-            node, queries = stack.pop()
+            node, slots, pos_list = stack.pop()
             if node.is_leaf:
                 symbol = node.symbol
-                for index, _ in queries:
-                    out[index] = symbol
+                for slot, rank in zip(slots, pos_list):
+                    symbols[slot] = symbol
+                    ranks[slot] = rank
                 continue
             vector = node.bitvector
-            pos_list = [pos for _, pos in queries]
             bits = vector.access_many(pos_list)
             # One rank_many(0) pass serves both children: rank(1, pos) is
             # just pos - rank(0, pos).
             zero_ranks = vector.rank_many(0, pos_list)
-            lefts = [
-                (index, rank)
-                for (index, _), bit, rank in zip(queries, bits, zero_ranks)
-                if not bit
-            ]
-            rights = [
-                (index, pos - rank)
-                for (index, pos), bit, rank in zip(queries, bits, zero_ranks)
-                if bit
-            ]
-            if lefts:
-                stack.append((node.children[0], lefts))
-            if rights:
-                stack.append((node.children[1], rights))
-        return out
+            left_slots, left_pos, right_slots, right_pos = [], [], [], []
+            for slot, pos, bit, zeros in zip(slots, pos_list, bits, zero_ranks):
+                if bit:
+                    right_slots.append(slot)
+                    right_pos.append(pos - zeros)
+                else:
+                    left_slots.append(slot)
+                    left_pos.append(zeros)
+            if left_slots:
+                stack.append((node.children[0], left_slots, left_pos))
+            if right_slots:
+                stack.append((node.children[1], right_slots, right_pos))
+        return symbols, ranks
+
+    def _inverse_select_arrays(self, np, positions):
+        """The grouped descent of :meth:`inverse_select_many` on int64 arrays."""
+        count = len(positions)
+        symbols = np.empty(count, dtype=np.int64)
+        ranks = np.empty(count, dtype=np.int64)
+        stack = [
+            (
+                self._root,
+                np.arange(count, dtype=np.int64),
+                np.asarray(positions, dtype=np.int64),
+            )
+        ]
+        while stack:
+            node, slots, pos = stack.pop()
+            if node.is_leaf:
+                symbols[slots] = node.symbol
+                ranks[slots] = pos
+                continue
+            vector = node.bitvector
+            ones = np.asarray(vector.access_many(pos), dtype=bool)
+            zeros = np.asarray(vector.rank_many(0, pos), dtype=np.int64)
+            if not ones.all():
+                left = ~ones
+                stack.append((node.children[0], slots[left], zeros[left]))
+            if ones.any():
+                stack.append(
+                    (node.children[1], slots[ones], pos[ones] - zeros[ones])
+                )
+        return symbols, ranks
 
     def rank_many(self, symbol: Hashable, positions: Sequence[int]) -> List[int]:
         """``rank(symbol, pos)`` for each of ``positions``.

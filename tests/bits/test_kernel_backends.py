@@ -400,3 +400,20 @@ def test_structures_follow_backend_switch():
         assert kernel.as_int_list(sel_numpy) == sel_python
     finally:
         kernel.use_backend(start)
+
+
+@requires_numpy
+@pytest.mark.parametrize("width", [0, 1, 5, 17, 32, 63, 64])
+def test_field_gathers_agree(width):
+    """``fields_many`` reads the LSB-packed ``PackedIntVector`` layout the
+    same way on both backends, including fields that straddle two words and
+    full 64-bit fields."""
+    from repro.bits.packed import PackedIntVector
+
+    rng = random.Random(width)
+    values = [rng.getrandbits(width) if width else 0 for _ in range(500)]
+    vector = PackedIntVector(width, values)
+    indexes = [rng.randrange(500) for _ in range(300)] + [0, 499]
+    py = pykernel.fields_many(pykernel.prepare_fields(vector._words, width), indexes)
+    np_ = npkernel.fields_many(npkernel.prepare_fields(vector._words, width), indexes)
+    assert py == norm(np_) == [values[i] for i in indexes]

@@ -1,8 +1,11 @@
 """Tests for PackedIntVector."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bits import kernel
 from repro.bits.packed import PackedIntVector
 from repro.exceptions import OutOfBoundsError
 
@@ -64,3 +67,24 @@ class TestPackedIntVector:
         assert vector.to_list() == values
         for index in range(len(values)):
             assert vector[index] == values[index]
+
+
+@pytest.mark.parametrize("backend", kernel.available_backends())
+def test_get_many_matches_getitem(backend):
+    rng = random.Random(9)
+    previous = kernel.use_backend(backend)
+    try:
+        for width in (0, 3, 13, 64):
+            values = [rng.getrandbits(width) if width else 0 for _ in range(400)]
+            vector = PackedIntVector(width, values)
+            indexes = [rng.randrange(400) for _ in range(100)]
+            assert vector.get_many(indexes) == [values[i] for i in indexes]
+            assert vector.get_many(indexes[:3]) == [values[i] for i in indexes[:3]]
+            assert vector.get_many([]) == []
+            with pytest.raises(OutOfBoundsError):
+                vector.get_many(indexes + [400])
+            # Appending after a batch call must not serve stale words.
+            vector.append(values[0])
+            assert vector.get_many(list(range(400, 401)) * 40) == [values[0]] * 40
+    finally:
+        kernel.use_backend(previous)

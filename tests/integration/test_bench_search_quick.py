@@ -50,10 +50,12 @@ def test_bench_search_quick_mode():
 
 def test_full_size_payload_backs_the_batched_claim():
     """The committed BENCH_search.json must show batched backward search
-    >= 2x over the scalar rank-pair loop (the PR's acceptance claim)."""
+    >= 2x over the scalar rank-pair loop (the PR's acceptance claim), and
+    record the locate ratio with enough precision to be nonzero."""
     import json
 
     bench_json = BENCH_PATH.parent.parent / "BENCH_search.json"
     payload = json.loads(bench_json.read_text())
     assert payload["quick"] is False
     assert payload["backward_search"]["speedup"] >= 2.0
+    assert payload["locate"]["speedup"] > 0

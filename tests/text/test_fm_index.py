@@ -9,6 +9,7 @@ inside the property strategies.
 """
 
 import contextlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,3 +177,26 @@ def test_sa_sample_is_pure_space_time_knob(backend):
                 == sparse.locate(pattern)
             )
         assert dense.size_in_bits() > sparse.size_in_bits()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_locate_above_the_small_batch_threshold(backend, kind):
+    """Occurrence counts far past ``_SMALL_BATCH`` take the batched LF walk
+    (int64 arrays under numpy, lists under python); every sampling rate and
+    both node flavours must still match the ``str.find`` oracle, and
+    ``extract`` (one scalar ``inverse_select`` per character) must rebuild
+    the text."""
+    from repro.text.fm_index import _SMALL_BATCH
+
+    rng = random.Random(len(kind))
+    text = "".join(rng.choice("abc") for _ in range(3_000)) + "\x00ab" * 40
+    patterns = ["a", "ab", "abc", "ca", "\x00a", "cccc"]
+    with active_backend(backend):
+        for sa_sample in (1, 5, 32):
+            fm = FMIndex(text, sa_sample=sa_sample, bitvector=kind)
+            for pattern in patterns:
+                expected = naive_locate(text, pattern)
+                assert len(expected) > _SMALL_BATCH or pattern == "cccc"
+                assert fm.locate(pattern) == expected, (sa_sample, pattern)
+        assert fm.extract(0, len(text)) == text
