@@ -40,7 +40,7 @@ from repro.bitvector.base import (
     normalize_batch,
     validate_select_indexes,
 )
-from repro.exceptions import OutOfBoundsError
+from repro.exceptions import OutOfBoundsError, SerializationError
 
 __all__ = ["PlainBitVector"]
 
@@ -162,6 +162,12 @@ class PlainBitVector(StaticBitVector):
         self._word_cum = image.uint16(prefix + "wcum")
         self._word_abs_cum = image.int64(prefix + "acum")
         self._word_abs_zero_cum = image.int64(prefix + "zcum")
+        words = len(self._words)
+        if len(self._word_pop) != words or len(self._word_cum) != words + 1:
+            raise SerializationError(
+                f"image sections {prefix}wpop/wcum do not match the "
+                f"vector's {words} words"
+            )
         self._batch_handle = None
         self._batch_backend = None
         return self

@@ -42,7 +42,7 @@ from repro.bitvector.base import (
     normalize_batch,
     validate_select_indexes,
 )
-from repro.exceptions import OutOfBoundsError
+from repro.exceptions import OutOfBoundsError, SerializationError
 
 __all__ = ["RRRBitVector", "IncrementalRRRBuilder"]
 
@@ -220,6 +220,12 @@ class RRRBitVector(StaticBitVector):
         self._offset_len = int(meta["offset_len"])
         self._width_by_class = offset_width_table(self._block_size)
         self._class_list = image.section(prefix + "cls")
+        blocks = -(-self._length // self._block_size)
+        if len(self._class_list) != blocks:
+            raise SerializationError(
+                f"image section {prefix}cls holds {len(self._class_list)} "
+                f"block classes, the vector has {blocks} blocks"
+            )
         self._offset_words = image.words(prefix + "off")
         self._sample_rank = image.int64(prefix + "srank")
         self._sample_offset_pos = image.int64(prefix + "spos")

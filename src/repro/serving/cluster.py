@@ -9,6 +9,10 @@ shard, each mmapping its slice from the RWT2 images the manifest names
 (:mod:`repro.storage.shards`) and running the ordinary single-process
 server over it.  The topology:
 
+* **One tick loop.**  The supervisor is a
+  :class:`~repro.serving.shard.TickLoop`, the same queue, pump, gather
+  window, deadlines and admission checks as a single-process shard; only
+  the two steps of a tick differ.
 * **Reads scatter-gather.**  Concurrent reads park on the supervisor's
   queue and drain in ticks; each tick the
   :class:`~repro.serving.router.ClusterRouter` decomposes the batch into
@@ -18,13 +22,14 @@ server over it.  The topology:
   supervisor's authoritative version.
 * **Writes have one owner.**  Every ``append``/``extend`` routes to the
   *tail* worker (the only process whose columns open appendable), applied
-  strictly in queue order.  Each write is journaled in the supervisor
+  strictly in queue order; the tail worker funds the server's
+  ``compact_budget`` per write tick.  Each write is journaled in the supervisor
   *before* it is sent, which makes recovery exact: a respawned worker is
   its image plus a journal replay, so an acknowledged write can neither
   be lost nor applied twice, and in-flight writes interrupted by a crash
   are recovered by the replay itself.
-* **Supervision.**  Each worker's stdout is a control pipe (``ready``
-  handshake, optional heartbeats); a watcher task notices process death
+* **Supervision.**  Each worker's stdout is a control pipe (the ``ready``
+  handshake); a watcher task notices process death
   and triggers a bounded restart with exponential backoff
   (``restart_backoff * 2**attempt`` -- zero in the deterministic tests,
   so recovery needs no wall-clock sleeps).  Reads hitting a dead worker
@@ -44,30 +49,39 @@ import asyncio
 import json
 import os
 import sys
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.exceptions import ReproError
 from repro.serving.metrics import merge_snapshots
 from repro.serving.protocol import (
-    ADMIN_OPS,
-    READ_OPS,
-    WRITE_OPS,
     Request,
     encode_error,
     encode_frame,
     encode_request,
     encode_result,
-    error_code_for_exception,
     error_message,
 )
 from repro.serving.router import ClusterRouter, PartitionMap
 from repro.serving.server import FrameServer, NDJSONClient, ServerConfig
+from repro.serving.shard import TickLoop
 from repro.storage.shards import load_manifest
 
-__all__ = ["ClusterConfig", "ClusterError", "ClusterSupervisor", "LIVE_WORKER_PIDS"]
+__all__ = [
+    "ClusterConfig",
+    "ClusterError",
+    "ClusterSupervisor",
+    "LIVE_WORKER_PIDS",
+    "WORKER_COALESCE_WINDOW",
+    "WORKER_PIPELINE_DEPTH",
+]
+
+# Frames the supervisor keeps in flight on its one connection per worker;
+# each worker's server admits as many per connection.
+WORKER_PIPELINE_DEPTH = 64
+# The worker pump's gather window (loop turns): the supervisor's pipelined
+# subrequests reach a worker staggered across selector passes.
+WORKER_COALESCE_WINDOW = 2
 
 # Module-level registry of spawned worker pids, maintained across spawn and
 # reap.  The test suite's orphan-reaper fixture sweeps it after every test,
@@ -81,28 +95,21 @@ class ClusterError(ReproError):
 
 @dataclass
 class ClusterConfig:
-    """Cluster-level tunables (process topology, not transports)."""
+    """Cluster-level tunables (process topology, not transports).
+
+    Worker sockets live in ``image_dir``; the workers' own serving
+    tunables come from the supervisor's
+    :class:`~repro.serving.server.ServerConfig` (``compact_budget``) or are
+    the fixed ``WORKER_*`` constants.
+    """
 
     image_dir: str = ""
-    socket_dir: Optional[str] = None   # default: image_dir
     restart_backoff: float = 0.05      # seconds; doubles per attempt; 0 in tests
     max_restarts: int = 5              # per worker, before it is marked failed
-    worker_pipeline: int = 64          # in-flight frames per worker connection
-    worker_coalesce_window: int = 2    # the workers' pump gather window
-    worker_compact_budget: Optional[int] = None
-    heartbeat_interval: float = 0.0    # control-pipe heartbeats (0: off)
-    python_executable: Optional[str] = None
     # Deterministic test seam: worker index -> JSON-safe fault spec list
     # (FaultInjector.from_specs), applied to generation 0 only so a
     # respawned worker comes back healthy.
     fault_scripts: Dict[int, List[Dict[str, Any]]] = field(default_factory=dict)
-
-
-@dataclass
-class _Pending:
-    request: Request
-    future: "asyncio.Future[bytes]"
-    deadline: Optional[float] = None
 
 
 class _WorkerHandle:
@@ -119,7 +126,6 @@ class _WorkerHandle:
         self.shutting = False
         self.ready = asyncio.Event()
         self.lock = asyncio.Lock()
-        self.last_heartbeat: Optional[float] = None
         self.control_task: Optional["asyncio.Task"] = None
         self.watch_task: Optional["asyncio.Task"] = None
 
@@ -130,12 +136,17 @@ class _WorkerHandle:
             "restarts": self.restarts,
             "ready": self.ready.is_set() and not self.failed,
             "failed": self.failed,
-            "last_heartbeat": self.last_heartbeat,
         }
 
 
-class ClusterSupervisor(FrameServer):
-    """Serve one manifest's shard images through N worker processes."""
+class ClusterSupervisor(FrameServer, TickLoop):
+    """Serve one manifest's shard images through N worker processes.
+
+    One :class:`~repro.serving.shard.TickLoop` serves every column: a tick
+    journals and forwards its writes to the tail worker, then answers its
+    reads through one :class:`~repro.serving.router.ClusterRouter` per
+    column.
+    """
 
     def __init__(
         self,
@@ -144,7 +155,16 @@ class ClusterSupervisor(FrameServer):
         *,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        super().__init__(config)
+        FrameServer.__init__(self, config)
+        TickLoop.__init__(
+            self,
+            coalesce=self.config.coalesce,
+            coalesce_window=self.config.coalesce_window,
+            max_pending=self.config.max_pending,
+            request_timeout=self.config.request_timeout,
+            clock=clock,
+            metrics=self.metrics,
+        )
         self.cluster = cluster if cluster is not None else ClusterConfig()
         if not self.cluster.image_dir:
             raise ValueError("ClusterConfig.image_dir is required")
@@ -169,20 +189,14 @@ class ClusterSupervisor(FrameServer):
         self._journal: Dict[str, List[List[str]]] = {
             name: [] for name in self.columns
         }
-        socket_dir = self.cluster.socket_dir or self.cluster.image_dir
         self._workers = [
             _WorkerHandle(
-                index, os.path.join(socket_dir, f"worker-{index}.sock")
+                index,
+                os.path.join(self.cluster.image_dir, f"worker-{index}.sock"),
             )
             for index in range(self.num_workers)
         ]
         self.total_restarts = 0
-        self._clock = clock if clock is not None else time.monotonic
-        self._reads: Deque[_Pending] = deque()
-        self._writes: Deque[_Pending] = deque()
-        self._wakeup: Optional[asyncio.Event] = None
-        self._pump_task: Optional["asyncio.Task"] = None
-        self._draining = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -197,33 +211,23 @@ class ClusterSupervisor(FrameServer):
         await super().start()
 
     async def _drain(self) -> None:
-        self._draining = True
-        if self._wakeup is not None:
-            self._wakeup.set()
-        if self._pump_task is not None:
-            await self._pump_task
-            self._pump_task = None
+        await self.drain()
         await self._shutdown_workers()
 
     # ------------------------------------------------------------------
     # Worker processes
     # ------------------------------------------------------------------
     def _command(self, handle: _WorkerHandle) -> List[str]:
-        python = self.cluster.python_executable or sys.executable
         command = [
-            python,
+            sys.executable,
             "-m",
             "repro.serving.worker",
             "--dir", self.cluster.image_dir,
             "--worker", str(handle.index),
             "--socket", handle.socket_path,
-            "--coalesce-window", str(self.cluster.worker_coalesce_window),
-            "--pipeline-depth", str(self.cluster.worker_pipeline),
         ]
-        if self.cluster.worker_compact_budget is not None:
-            command += ["--compact-budget", str(self.cluster.worker_compact_budget)]
-        if self.cluster.heartbeat_interval > 0:
-            command += ["--heartbeat", str(self.cluster.heartbeat_interval)]
+        if self.config.compact_budget is not None:
+            command += ["--compact-budget", str(self.config.compact_budget)]
         script = self.cluster.fault_scripts.get(handle.index)
         if script and handle.generation == 0:
             command += ["--fault-script", json.dumps(script)]
@@ -254,7 +258,7 @@ class ClusterSupervisor(FrameServer):
             if event.get("event") == "ready":
                 break
         handle.client = await NDJSONClient.connect(
-            handle.socket_path, max_inflight=self.cluster.worker_pipeline
+            handle.socket_path, max_inflight=WORKER_PIPELINE_DEPTH
         )
         loop = asyncio.get_running_loop()
         handle.control_task = loop.create_task(self._drain_control(handle))
@@ -263,18 +267,10 @@ class ClusterSupervisor(FrameServer):
         )
 
     async def _drain_control(self, handle: _WorkerHandle) -> None:
-        """Consume the worker's control pipe (heartbeats) until EOF."""
+        """Consume the worker's control pipe until EOF, so it never fills."""
         assert handle.proc is not None and handle.proc.stdout is not None
-        while True:
-            line = await handle.proc.stdout.readline()
-            if not line:
-                return
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if event.get("event") == "heartbeat":
-                handle.last_heartbeat = self._clock()
+        while await handle.proc.stdout.readline():
+            pass
 
     async def _watch_exit(self, handle: _WorkerHandle, generation: int) -> None:
         """Notice a worker death and trigger its restart."""
@@ -429,137 +425,42 @@ class ClusterSupervisor(FrameServer):
         return response["result"]
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # The two steps of a tick
     # ------------------------------------------------------------------
-    async def dispatch(self, request: Request) -> bytes:
-        """Answer one validated request: admin inline, reads and writes
-        through the supervisor's coalescing pump."""
-        if request.op in ADMIN_OPS:
-            self.metrics.record_request(request.op)
-            if request.op == "ping":
-                return encode_result(request.id, "pong")
-            return encode_result(request.id, await self.cluster_stats())
-        if self._stopping or self._draining:
-            self.metrics.record_error("shutting_down")
-            return encode_error(request.id, "shutting_down", "server is draining")
-        if request.shard not in self.routers:
-            self.metrics.record_error("unknown_shard")
-            return encode_error(
-                request.id,
-                "unknown_shard",
-                f"no shard named {request.shard!r}: "
-                f"serving {sorted(self.routers)}",
-            )
-        self.metrics.record_request(request.op)
-        if len(self._reads) + len(self._writes) >= self.config.max_pending:
-            self.metrics.record_error("overloaded")
-            return encode_error(
-                request.id,
-                "overloaded",
-                f"shard {request.shard!r} queue is full "
-                f"({self.config.max_pending} pending)",
-            )
-        self._ensure_pump()
-        started = self._clock()
-        deadline = (
-            started + self.config.request_timeout
-            if self.config.request_timeout is not None
-            else None
-        )
-        pending = _Pending(
-            request, asyncio.get_running_loop().create_future(), deadline
-        )
-        if request.op in WRITE_OPS:
-            self._writes.append(pending)
-        else:
-            assert request.op in READ_OPS, request.op
-            self._reads.append(pending)
-        assert self._wakeup is not None
-        self._wakeup.set()
-        frame = await pending.future
-        self.metrics.record_latency(request.op, self._clock() - started)
-        if frame.startswith(b'{"error"'):
-            self.metrics.record_error(json.loads(frame)["error"]["code"])
-        return frame
+    def _loops(self) -> Dict[str, TickLoop]:
+        return dict.fromkeys(self.routers, self)
 
-    # ------------------------------------------------------------------
-    # The supervisor pump: one tick = drained writes, one routed read batch
-    # ------------------------------------------------------------------
-    def _ensure_pump(self) -> None:
-        if self._wakeup is None:
-            self._wakeup = asyncio.Event()
-        if self._pump_task is None or self._pump_task.done():
-            self._pump_task = asyncio.get_running_loop().create_task(
-                self._pump(), name="repro-cluster-pump"
-            )
+    async def _stats_op(self) -> Dict[str, Any]:
+        return await self.cluster_stats()
 
-    async def _pump(self) -> None:
-        while True:
-            if not self._reads and not self._writes:
-                if self._draining:
-                    return
-                assert self._wakeup is not None
-                self._wakeup.clear()
-                if not self._reads and not self._writes:
-                    if self._draining:
-                        return
-                    await self._wakeup.wait()
-                continue
-            self.metrics.record_tick()
-            await self._gather_window()
-            await self._tick()
+    async def _apply_writes(self, requests: List[Request]) -> List[bytes]:
+        """Journal and forward each write to the tail worker, in order."""
+        return [await self._apply_write(request) for request in requests]
 
-    async def _gather_window(self) -> None:
-        # Same idiom as IndexShard._gather_window: let staggered arrivals
-        # join the tick, stop as soon as the queue stops growing.
-        if self.config.coalesce_window <= 0:
-            return
-        for _ in range(self.config.coalesce_window):
-            before = len(self._reads) + len(self._writes)
-            await asyncio.sleep(0)
-            if len(self._reads) + len(self._writes) == before:
-                break
+    async def _answer_reads(self, requests: List[Request]) -> List[bytes]:
+        """Route the batch per column, answering the columns concurrently."""
+        by_column: Dict[str, List[int]] = {}
+        for slot, request in enumerate(requests):
+            by_column.setdefault(request.shard, []).append(slot)
+        frames: List[bytes] = [b""] * len(requests)
 
-    async def _tick(self) -> None:
-        now = self._clock()
-        while self._writes:
-            pending = self._writes.popleft()
-            if self._expire(pending, now):
-                continue
-            await self._apply_write(pending)
-
-        if not self._reads:
-            return
-        batch = list(self._reads)
-        self._reads.clear()
-        live = [p for p in batch if not self._expire(p, now)]
-        if not live:
-            return
-        by_column: Dict[str, List[_Pending]] = {}
-        for pending in live:
-            by_column.setdefault(pending.request.shard, []).append(pending)
-
-        async def answer(name: str, members: List[_Pending]) -> None:
+        async def answer(name: str, slots: List[int]) -> None:
+            members = [requests[slot] for slot in slots]
             try:
-                frames = await self.routers[name].answer(
-                    [p.request for p in members], self.versions[name]
+                answered = await self.routers[name].answer(
+                    members, self.versions[name]
                 )
             except Exception as error:
-                code = error_code_for_exception(error)
-                message = error_message(error)
-                for pending in members:
-                    self._resolve(
-                        pending, encode_error(pending.request.id, code, message)
-                    )
-                return
-            for pending, frame in zip(members, frames):
-                self._resolve(pending, frame)
+                answered = self._error_frames(members, error)
+            for slot, frame in zip(slots, answered):
+                frames[slot] = frame
 
         await asyncio.gather(
-            *(answer(name, members) for name, members in by_column.items())
+            *(answer(name, slots) for name, slots in by_column.items())
         )
+        return frames
 
-    async def _apply_write(self, pending: _Pending) -> None:
+    async def _apply_write(self, request: Request) -> bytes:
         """One journaled write to the tail worker, recovered if it crashes.
 
         The journal entry is appended *before* the send: from that moment
@@ -567,12 +468,8 @@ class ClusterSupervisor(FrameServer):
         crash at any point recovers it through the replay -- the response
         the client gets is correct in either world, exactly once.
         """
-        request = pending.request
         name = request.shard
-        if request.op == "append":
-            values = [request.args["value"]]
-        else:
-            values = list(request.args["values"])
+        values = self._write_values(request)
         handle = self._workers[self.partition.tail]
         self._journal[name].append(values)
         self.versions[name] += len(values)
@@ -600,46 +497,15 @@ class ClusterSupervisor(FrameServer):
                     self._journal[name].pop()
                     self.versions[name] -= len(values)
                     error = response["error"]
-                    self._resolve(
-                        pending,
-                        encode_error(
-                            request.id, error["code"], error["message"]
-                        ),
-                    )
-                    return
+                    return encode_error(request.id, error["code"], error["message"])
                 break
         except ClusterError as error:
             # Tail worker dead past its restart budget: the write cannot
             # be served; undo the journal entry and degrade loudly.
             self._journal[name].pop()
             self.versions[name] -= len(values)
-            self._resolve(
-                pending,
-                encode_error(request.id, "internal", error_message(error)),
-            )
-            return
-        self._resolve(
-            pending,
-            encode_result(request.id, {"appended": len(values)}, version),
-        )
-
-    def _expire(self, pending: _Pending, now: float) -> bool:
-        if pending.deadline is not None and now > pending.deadline:
-            self._resolve(
-                pending,
-                encode_error(
-                    pending.request.id,
-                    "timeout",
-                    f"request expired after {self.config.request_timeout}s in queue",
-                ),
-            )
-            return True
-        return False
-
-    @staticmethod
-    def _resolve(pending: _Pending, frame: bytes) -> None:
-        if not pending.future.done():
-            pending.future.set_result(frame)
+            return encode_error(request.id, "internal", error_message(error))
+        return encode_result(request.id, {"appended": len(values)}, version)
 
     # ------------------------------------------------------------------
     # Introspection

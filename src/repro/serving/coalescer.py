@@ -14,7 +14,12 @@ distinct key:
 Requests that fail validation (positions past the snapshot, select indexes
 past the occurrence count) get their typed error frame individually and do
 not poison the rest of the batch; the error messages are exactly the ones
-the scalar :class:`~repro.db.column.ColumnSnapshot` calls raise.
+the scalar :class:`~repro.db.column.ColumnSnapshot` calls raise.  The
+grouping (:func:`group_reads`) and the per-request checks
+(:func:`check_group`) are shared with the cluster's
+:class:`~repro.serving.router.ClusterRouter`, which validates against its
+gathered totals instead of a local snapshot -- so each error message is
+written exactly once.
 
 The function is deliberately the *only* read path: with coalescing disabled
 the server still calls :func:`run_read_tick` with singleton batches, so a
@@ -27,21 +32,97 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.interface import check_select_prefix_index
+from repro.exceptions import OutOfBoundsError
 from repro.serving.metrics import ServingMetrics
 from repro.serving.protocol import READ_OPS, Request, encode_error, encode_result
 
-__all__ = ["run_read_tick"]
+__all__ = ["POSITION_OPS", "check_group", "group_reads", "run_read_tick"]
+
+# Ops whose argument is a position checked against the sequence length; the
+# select ops check an index against an occurrence total instead.
+POSITION_OPS = frozenset({"access", "rank", "rank_prefix"})
 
 
-def _scatter_ok(
-    frames: List[Optional[bytes]],
+def group_reads(requests: Sequence[Request]) -> Dict[Tuple[str, Any], List[int]]:
+    """Bucket one tick's reads by ``(op, key)``: the coalescing unit.
+
+    ``key`` is the ``value`` (rank / select), the ``prefix`` (rank_prefix /
+    select_prefix), or None (access).  Returns the request slots of each
+    group in input order, groups in order of first appearance.  O(q).
+    """
+    groups: Dict[Tuple[str, Any], List[int]] = {}
+    for slot, request in enumerate(requests):
+        op = request.op
+        assert op in READ_OPS, op
+        if op == "access":
+            key = None
+        elif op in ("rank", "select"):
+            key = request.args["value"]
+        else:
+            key = request.args["prefix"]
+        groups.setdefault((op, key), []).append(slot)
+    return groups
+
+
+def check_group(
+    op: str,
+    key: Any,
     slots: Sequence[int],
-    ids: Sequence[Any],
-    results: Sequence[Any],
-    version: int,
-) -> None:
-    for slot, request_id, result in zip(slots, ids, results):
-        frames[slot] = encode_result(request_id, result, version)
+    requests: Sequence[Request],
+    bound: int,
+    frames: List[Optional[bytes]],
+) -> Tuple[List[int], List[int]]:
+    """Validate one ``(op, key)`` group against its bound.
+
+    ``bound`` is the sequence length for :data:`POSITION_OPS` and the
+    occurrence total of ``key`` (select) or of elements with prefix ``key``
+    (select_prefix) for the select ops.  Each rejected request gets its
+    typed error frame written into ``frames`` -- with the exact message the
+    scalar snapshot call raises -- and the rest come back as ``(slots,
+    arguments)``: positions, or select indexes.  O(len(slots)).
+    """
+    ok_slots: List[int] = []
+    ok_args: List[int] = []
+    field = "pos" if op in POSITION_OPS else "idx"
+    for slot in slots:
+        request = requests[slot]
+        arg = request.args[field]
+        problem = _problem(op, key, arg, bound)
+        if problem is None:
+            ok_slots.append(slot)
+            ok_args.append(arg)
+        else:
+            frames[slot] = encode_error(request.id, *problem)
+    return ok_slots, ok_args
+
+
+def _problem(op: str, key: Any, arg: int, bound: int) -> Optional[Tuple[str, str]]:
+    """The ``(code, message)`` rejecting one argument, or None if it is valid."""
+    if op in POSITION_OPS:
+        # Rank positions may equal the length; access positions may not.
+        limit = bound if op == "access" else bound + 1
+        if 0 <= arg < limit:
+            return None
+        what = "position" if op == "access" else "rank position"
+        return "out_of_bounds", f"{what} {arg} out of range for length {bound}"
+    if op == "select":
+        if arg < 0:
+            return "out_of_bounds", "select index must be non-negative"
+        if bound == 0:
+            return "value_not_found", f"value {key!r} does not occur in the sequence"
+        if arg >= bound:
+            return (
+                "out_of_bounds",
+                f"select index {arg} out of range: only {bound} occurrences",
+            )
+        return None
+    if bound == 0:
+        return "value_not_found", f"no element has prefix {key!r}"
+    try:
+        check_select_prefix_index(key, arg, bound)
+    except OutOfBoundsError as error:
+        return "out_of_bounds", str(error)
+    return None
 
 
 def run_read_tick(
@@ -58,132 +139,25 @@ def run_read_tick(
     """
     frames: List[Optional[bytes]] = [None] * len(requests)
     version = snapshot.version
-
-    # Bucket by (op, group key); validation happens per group below.
-    groups: Dict[Tuple[str, Any], Tuple[List[int], List[Request]]] = {}
-    for slot, request in enumerate(requests):
-        assert request.op in READ_OPS, request.op
-        if request.op == "access":
-            key: Tuple[str, Any] = ("access", None)
-        elif request.op in ("rank", "select"):
-            key = (request.op, request.args["value"])
+    for (op, key), slots in group_reads(requests).items():
+        # Select groups validate against one pinned-count rank per group.
+        if op == "select":
+            bound = snapshot.rank(key, version)
+        elif op == "select_prefix":
+            bound = snapshot.rank_prefix(key, version)
         else:
-            key = (request.op, request.args["prefix"])
-        slots, members = groups.setdefault(key, ([], []))
-        slots.append(slot)
-        members.append(request)
-
-    for (op, group_key), (slots, members) in groups.items():
-        ok_slots: List[int] = []
-        ok_ids: List[Any] = []
-        ok_args: List[int] = []
-
+            bound = version
+        ok_slots, args = check_group(op, key, slots, requests, bound, frames)
+        if not args:
+            continue
         if op == "access":
-            for slot, request in zip(slots, members):
-                pos = request.args["pos"]
-                if not 0 <= pos < version:
-                    frames[slot] = encode_error(
-                        request.id,
-                        "out_of_bounds",
-                        f"position {pos} out of range for length {version}",
-                    )
-                    continue
-                ok_slots.append(slot)
-                ok_ids.append(request.id)
-                ok_args.append(pos)
-            if ok_args:
-                results = snapshot.access_many(ok_args)
-                _scatter_ok(frames, ok_slots, ok_ids, results, version)
-
-        elif op == "rank":
-            for slot, request in zip(slots, members):
-                pos = request.args["pos"]
-                if not 0 <= pos <= version:
-                    frames[slot] = encode_error(
-                        request.id,
-                        "out_of_bounds",
-                        f"rank position {pos} out of range for length {version}",
-                    )
-                    continue
-                ok_slots.append(slot)
-                ok_ids.append(request.id)
-                ok_args.append(pos)
-            if ok_args:
-                results = snapshot.rank_many(group_key, ok_args)
-                _scatter_ok(frames, ok_slots, ok_ids, results, version)
-
-        elif op == "rank_prefix":
-            for slot, request in zip(slots, members):
-                pos = request.args["pos"]
-                if not 0 <= pos <= version:
-                    frames[slot] = encode_error(
-                        request.id,
-                        "out_of_bounds",
-                        f"rank position {pos} out of range for length {version}",
-                    )
-                    continue
-                ok_slots.append(slot)
-                ok_ids.append(request.id)
-                ok_args.append(pos)
-            if ok_args:
-                results = snapshot.rank_prefix_many(group_key, ok_args)
-                _scatter_ok(frames, ok_slots, ok_ids, results, version)
-
-        elif op == "select":
-            # One pinned-count rank for the whole group, then per-request
-            # index validation with the scalar path's exact messages.
-            total = snapshot.rank(group_key, version)
-            for slot, request in zip(slots, members):
-                idx = request.args["idx"]
-                if idx < 0:
-                    frames[slot] = encode_error(
-                        request.id, "out_of_bounds",
-                        "select index must be non-negative",
-                    )
-                elif total == 0:
-                    frames[slot] = encode_error(
-                        request.id, "value_not_found",
-                        f"value {group_key!r} does not occur in the sequence",
-                    )
-                elif idx >= total:
-                    frames[slot] = encode_error(
-                        request.id, "out_of_bounds",
-                        f"select index {idx} out of range: only {total} occurrences",
-                    )
-                else:
-                    ok_slots.append(slot)
-                    ok_ids.append(request.id)
-                    ok_args.append(idx)
-            if ok_args:
-                results = snapshot.select_many(group_key, ok_args)
-                _scatter_ok(frames, ok_slots, ok_ids, results, version)
-
-        else:  # select_prefix
-            matches = snapshot.rank_prefix(group_key, version)
-            for slot, request in zip(slots, members):
-                idx = request.args["idx"]
-                if matches == 0:
-                    frames[slot] = encode_error(
-                        request.id, "value_not_found",
-                        f"no element has prefix {group_key!r}",
-                    )
-                    continue
-                try:
-                    check_select_prefix_index(group_key, idx, matches)
-                except Exception as error:
-                    frames[slot] = encode_error(
-                        request.id, "out_of_bounds", str(error)
-                    )
-                    continue
-                ok_slots.append(slot)
-                ok_ids.append(request.id)
-                ok_args.append(idx)
-            if ok_args:
-                results = snapshot.select_prefix_many(group_key, ok_args)
-                _scatter_ok(frames, ok_slots, ok_ids, results, version)
-
-        if metrics is not None and ok_args:
-            metrics.record_batch(op, len(ok_args))
+            results = snapshot.access_many(args)
+        else:
+            results = getattr(snapshot, f"{op}_many")(key, args)
+        for slot, result in zip(ok_slots, results):
+            frames[slot] = encode_result(requests[slot].id, result, version)
+        if metrics is not None:
+            metrics.record_batch(op, len(args))
 
     assert all(frame is not None for frame in frames)
     return frames  # type: ignore[return-value]

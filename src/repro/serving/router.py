@@ -53,14 +53,9 @@ from typing import (
     Tuple,
 )
 
-from repro.core.interface import check_select_prefix_index
+from repro.serving.coalescer import POSITION_OPS, check_group, group_reads
 from repro.serving.metrics import ServingMetrics
-from repro.serving.protocol import (
-    READ_OPS,
-    Request,
-    encode_error,
-    encode_result,
-)
+from repro.serving.protocol import Request, encode_result
 
 __all__ = ["ClusterRouter", "PartitionMap"]
 
@@ -284,177 +279,96 @@ class ClusterRouter:
 
         Returns one response frame per request, aligned with the input
         order, byte-identical to what the unsharded server would emit for
-        the same requests at the same version: validation happens here
-        with the exact scalar-path messages, scalar work scatters to the
-        owning shards (at most two rounds: counts, then locates), and the
-        supervisor-authoritative ``version`` stamps every success frame.
+        the same requests at the same version: grouping and validation are
+        the coalescer's own (:func:`~repro.serving.coalescer.group_reads`,
+        :func:`~repro.serving.coalescer.check_group`), scalar work scatters
+        to the owning shards (at most two rounds: counts, then locates),
+        and the supervisor-authoritative ``version`` stamps every success
+        frame.
         """
         part = self.partition
         tail = part.tail
         frames: List[Optional[bytes]] = [None] * len(requests)
 
-        # Bucket by (op, group key) -- the same grouping as run_read_tick.
-        groups: Dict[Tuple[str, Any], Tuple[List[int], List[Request]]] = {}
-        for slot, request in enumerate(requests):
-            assert request.op in READ_OPS, request.op
-            if request.op == "access":
-                key: Tuple[str, Any] = ("access", None)
-            elif request.op in ("rank", "select"):
-                key = (request.op, request.args["value"])
-            else:
-                key = (request.op, request.args["prefix"])
-            slots, members = groups.setdefault(key, ([], []))
-            slots.append(slot)
-            members.append(request)
-
-        # Round 1: validation + everything that needs no prior counts
-        # (access, rank partials) + every count a select group will need.
+        # Round 1: every position op (access, rank partials) plus every
+        # count a select group will need.
         round1 = _Round()
-        select_groups: List[Tuple[str, str, str, List[int], List[Request]]] = []
-
-        for (op, group_key), (slots, members) in groups.items():
-            if op == "access":
-                for slot, request in zip(slots, members):
-                    pos = request.args["pos"]
-                    if not 0 <= pos < version:
-                        frames[slot] = encode_error(
-                            request.id,
-                            "out_of_bounds",
-                            f"position {pos} out of range for length {version}",
-                        )
-                        continue
-                    owner = part.owner_of(pos)
-                    round1.add(
-                        owner,
-                        {
-                            "op": "access",
-                            "shard": self.column,
-                            "pos": pos - part.base_of(owner),
-                        },
-                        ("req", slot),
-                    )
-            elif op in ("rank", "rank_prefix"):
-                field = self._count_field(op)
-                for slot, request in zip(slots, members):
-                    pos = request.args["pos"]
-                    if not 0 <= pos <= version:
-                        frames[slot] = encode_error(
-                            request.id,
-                            "out_of_bounds",
-                            f"rank position {pos} out of range for length {version}",
-                        )
-                        continue
-                    boundary = part.boundary_of(pos)
-                    self._need_frozen_counts(round1, op, group_key, boundary)
-                    round1.add(
-                        boundary,
-                        {
+        positional: List[Tuple[str, Any, List[int], List[int]]] = []
+        select_groups: List[Tuple[str, str, str, List[int]]] = []
+        for (op, key), slots in group_reads(requests).items():
+            if op in POSITION_OPS:
+                ok_slots, positions = check_group(
+                    op, key, slots, requests, version, frames
+                )
+                owners = []
+                for slot, pos in zip(ok_slots, positions):
+                    if op == "access":
+                        owner = part.owner_of(pos)
+                        payload = {"op": "access", "shard": self.column}
+                    else:
+                        owner = part.boundary_of(pos)
+                        self._need_frozen_counts(round1, op, key, owner)
+                        payload = {
                             "op": op,
                             "shard": self.column,
-                            field: group_key,
-                            "pos": pos - part.base_of(boundary),
-                        },
-                        ("req", slot),
-                    )
+                            self._count_field(op): key,
+                        }
+                    payload["pos"] = pos - part.base_of(owner)
+                    round1.add(owner, payload, ("req", slot))
+                    owners.append(owner)
+                positional.append((op, key, ok_slots, owners))
             else:  # select / select_prefix: counts now, locates in round 2
                 kind = "rank" if op == "select" else "rank_prefix"
-                self._need_frozen_counts(round1, kind, group_key, tail)
-                self._need_tail_count(round1, kind, group_key, version)
-                select_groups.append((op, kind, group_key, slots, members))
+                self._need_frozen_counts(round1, kind, key, tail)
+                self._need_tail_count(round1, kind, key, version)
+                select_groups.append((op, kind, key, slots))
 
         if self.metrics is not None and round1.width:
             self.metrics.record_batch("scatter", round1.width)
         gathered = await round1.run(self._fetch)
         self._absorb_counts(gathered, version)
 
-        for (op, group_key), (slots, members) in groups.items():
-            if op == "access":
-                for slot, request in zip(slots, members):
-                    if frames[slot] is None:
-                        frames[slot] = encode_result(
-                            request.id, gathered[("req", slot)], version
-                        )
-            elif op in ("rank", "rank_prefix"):
-                for slot, request in zip(slots, members):
-                    if frames[slot] is not None:
-                        continue
-                    boundary = part.boundary_of(request.args["pos"])
-                    below = self._counts_below(op, group_key, boundary)
-                    frames[slot] = encode_result(
-                        request.id, below + gathered[("req", slot)], version
-                    )
+        for op, key, ok_slots, owners in positional:
+            for slot, owner in zip(ok_slots, owners):
+                result = gathered[("req", slot)]
+                if op != "access":
+                    result += self._counts_below(op, key, owner)
+                frames[slot] = encode_result(requests[slot].id, result, version)
 
         # Round 2: validate select indexes against the gathered totals,
         # then locate each hit inside its owning shard.
         round2 = _Round()
-        located: List[Tuple[int, Request, int]] = []
-        for op, kind, group_key, slots, members in select_groups:
-            counts = [
-                self._frozen_counts[(kind, group_key, shard)]
-                for shard in range(tail)
-            ]
-            counts.append(self._tail_counts[(kind, group_key)][1])
+        located: List[Tuple[int, int]] = []
+        for op, kind, key, slots in select_groups:
             cumulative = [0]
-            for count in counts:
+            for shard in range(tail):
+                count = self._frozen_counts[(kind, key, shard)]
                 cumulative.append(cumulative[-1] + count)
-            total = cumulative[-1]
-            field = self._count_field(kind)
-            for slot, request in zip(slots, members):
-                idx = request.args["idx"]
-                if op == "select":
-                    if idx < 0:
-                        frames[slot] = encode_error(
-                            request.id, "out_of_bounds",
-                            "select index must be non-negative",
-                        )
-                        continue
-                    if total == 0:
-                        frames[slot] = encode_error(
-                            request.id, "value_not_found",
-                            f"value {group_key!r} does not occur in the sequence",
-                        )
-                        continue
-                    if idx >= total:
-                        frames[slot] = encode_error(
-                            request.id, "out_of_bounds",
-                            f"select index {idx} out of range: "
-                            f"only {total} occurrences",
-                        )
-                        continue
-                else:
-                    if total == 0:
-                        frames[slot] = encode_error(
-                            request.id, "value_not_found",
-                            f"no element has prefix {group_key!r}",
-                        )
-                        continue
-                    try:
-                        check_select_prefix_index(group_key, idx, total)
-                    except Exception as error:
-                        frames[slot] = encode_error(
-                            request.id, "out_of_bounds", str(error)
-                        )
-                        continue
+            cumulative.append(cumulative[-1] + self._tail_counts[(kind, key)][1])
+            ok_slots, indexes = check_group(
+                op, key, slots, requests, cumulative[-1], frames
+            )
+            for slot, idx in zip(ok_slots, indexes):
                 owner = bisect_right(cumulative, idx) - 1
                 round2.add(
                     owner,
                     {
                         "op": op,
                         "shard": self.column,
-                        field: group_key,
+                        self._count_field(kind): key,
                         "idx": idx - cumulative[owner],
                     },
                     ("req", slot),
                 )
-                located.append((slot, request, owner))
+                located.append((slot, owner))
 
         if round2.width:
             if self.metrics is not None:
                 self.metrics.record_batch("scatter", round2.width)
             gathered = await round2.run(self._fetch)
-            for slot, request, owner in located:
+            for slot, owner in located:
                 frames[slot] = encode_result(
-                    request.id,
+                    requests[slot].id,
                     gathered[("req", slot)] + part.base_of(owner),
                     version,
                 )

@@ -49,7 +49,7 @@ from repro.serving.protocol import (
     encode_error,
     encode_result,
 )
-from repro.serving.shard import IndexShard
+from repro.serving.shard import IndexShard, TickLoop
 
 __all__ = ["FrameServer", "IndexServer", "NDJSONClient", "ServerConfig"]
 
@@ -75,10 +75,12 @@ class ServerConfig:
 class FrameServer:
     """Transport + lifecycle shared by the serving front ends.
 
-    Subclasses implement :meth:`dispatch` (answer one validated request with
-    one response frame) and :meth:`stats` (the ``GET /stats`` payload), and
-    may override :meth:`_drain` to finish queued work during a graceful
-    :meth:`stop`.
+    :meth:`dispatch` answers admin ops inline and hands every shard op to
+    the :class:`~repro.serving.shard.TickLoop` serving its shard.
+    Subclasses implement :meth:`_loops` (shard name -> loop) and
+    :meth:`stats` (the ``GET /stats`` payload), and may override
+    :meth:`_stats_op` (the ``stats`` op payload) and :meth:`_drain` (finish
+    queued work during a graceful :meth:`stop`).
     """
 
     def __init__(
@@ -97,16 +99,51 @@ class FrameServer:
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
-    async def dispatch(self, request: Request) -> bytes:
-        """Answer one validated request with one response frame."""
+    def _loops(self) -> Dict[str, TickLoop]:
+        """Shard name -> the tick loop that serves its requests."""
         raise NotImplementedError
 
     def stats(self) -> Dict[str, Any]:
         """The full ``stats`` payload served by ``GET /stats``."""
         raise NotImplementedError
 
+    async def _stats_op(self) -> Dict[str, Any]:
+        """The payload of the ``stats`` op (default: :meth:`stats`)."""
+        return self.stats()
+
     async def _drain(self) -> None:
         """Finish queued work during a graceful stop (subclass hook)."""
+
+    # ------------------------------------------------------------------
+    # Dispatch
+    # ------------------------------------------------------------------
+    async def dispatch(self, request: Request) -> bytes:
+        """Answer one validated request with one response frame.
+
+        Admin ops answer inline; shard ops go to the tick loop serving the
+        frame's ``shard`` (``shutting_down`` once :meth:`stop` began,
+        ``unknown_shard`` for a name no loop serves).
+        """
+        if request.op in ADMIN_OPS:
+            self.metrics.record_request(request.op)
+            if request.op == "ping":
+                return encode_result(request.id, "pong")
+            return encode_result(request.id, await self._stats_op())
+        if self._stopping:
+            self.metrics.record_error("shutting_down")
+            return encode_error(
+                request.id, "shutting_down", "server is draining"
+            )
+        loops = self._loops()
+        loop = loops.get(request.shard)
+        if loop is None:
+            self.metrics.record_error("unknown_shard")
+            return encode_error(
+                request.id,
+                "unknown_shard",
+                f"no shard named {request.shard!r}: serving {sorted(loops)}",
+            )
+        return await loop.submit(request)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -393,31 +430,8 @@ class IndexServer(FrameServer):
         for shard in self.shards.values():
             await shard.drain()
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    async def dispatch(self, request: Request) -> bytes:
-        """Route one validated request to its shard (or answer it inline)."""
-        if request.op in ADMIN_OPS:
-            self.metrics.record_request(request.op)
-            if request.op == "ping":
-                return encode_result(request.id, "pong")
-            return encode_result(request.id, self.stats())
-        if self._stopping:
-            self.metrics.record_error("shutting_down")
-            return encode_error(
-                request.id, "shutting_down", "server is draining"
-            )
-        shard = self.shards.get(request.shard)
-        if shard is None:
-            self.metrics.record_error("unknown_shard")
-            return encode_error(
-                request.id,
-                "unknown_shard",
-                f"no shard named {request.shard!r}: "
-                f"serving {sorted(self.shards)}",
-            )
-        return await shard.submit(request)
+    def _loops(self) -> Dict[str, TickLoop]:
+        return self.shards
 
     def stats(self) -> Dict[str, Any]:
         """The full ``stats`` payload: per-shard state plus server metrics."""

@@ -11,7 +11,7 @@ channels:
 
 * **stdout is the control pipe** -- one JSON line per event: a ``ready``
   handshake once the socket is listening (the supervisor waits for it
-  before routing), then optional periodic ``heartbeat`` lines;
+  before routing), and a ``stopped`` line on the way out;
 * **the unix socket is the data plane** -- the supervisor holds one
   pipelined NDJSON connection per worker, and the worker's own coalescer
   turns the pipelined scalar subrequests back into ``*_many`` batches.
@@ -33,6 +33,7 @@ import signal
 import sys
 from typing import Optional
 
+from repro.serving.cluster import WORKER_COALESCE_WINDOW, WORKER_PIPELINE_DEPTH
 from repro.serving.faults import FaultInjector
 from repro.serving.server import IndexServer, ServerConfig
 from repro.storage.shards import load_manifest, open_worker_columns
@@ -51,10 +52,7 @@ async def run_worker(
     worker: int,
     socket_path: str,
     *,
-    coalesce_window: int = 2,
-    pipeline_depth: int = 64,
     compact_budget: Optional[int] = None,
-    heartbeat: float = 0.0,
     fault_script: Optional[str] = None,
 ) -> int:
     """Serve one worker's shard slice until SIGTERM/SIGINT (returns exit code)."""
@@ -66,8 +64,8 @@ async def run_worker(
 
     config = ServerConfig(
         unix_path=socket_path,
-        coalesce_window=coalesce_window,
-        pipeline_depth=pipeline_depth,
+        coalesce_window=WORKER_COALESCE_WINDOW,
+        pipeline_depth=WORKER_PIPELINE_DEPTH,
         compact_budget=compact_budget,
     )
     server = IndexServer(columns, config, faults=faults)
@@ -88,23 +86,9 @@ async def run_worker(
             name for name, column in columns.items() if column.appendable
         ),
     )
-
-    async def beat() -> None:
-        seq = 0
-        while True:
-            await asyncio.sleep(heartbeat)
-            seq += 1
-            _emit("heartbeat", worker=worker, seq=seq)
-
-    heartbeat_task = (
-        asyncio.get_running_loop().create_task(beat()) if heartbeat > 0 else None
-    )
     try:
         await stop.wait()
     finally:
-        if heartbeat_task is not None:
-            heartbeat_task.cancel()
-            await asyncio.gather(heartbeat_task, return_exceptions=True)
         await server.stop()
         _emit("stopped", worker=worker)
     return 0
@@ -119,13 +103,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--dir", required=True, help="shard image directory")
     parser.add_argument("--worker", type=int, required=True, help="worker index")
     parser.add_argument("--socket", required=True, help="unix socket path")
-    parser.add_argument("--coalesce-window", type=int, default=2)
-    parser.add_argument("--pipeline-depth", type=int, default=64)
     parser.add_argument("--compact-budget", type=int, default=None)
-    parser.add_argument(
-        "--heartbeat", type=float, default=0.0,
-        help="seconds between control-pipe heartbeat lines (0: off)",
-    )
     parser.add_argument(
         "--fault-script", default=None,
         help="JSON fault spec list (FaultInjector.from_specs)",
@@ -136,10 +114,7 @@ def main(argv: Optional[list] = None) -> int:
             args.dir,
             args.worker,
             args.socket,
-            coalesce_window=args.coalesce_window,
-            pipeline_depth=args.pipeline_depth,
             compact_budget=args.compact_budget,
-            heartbeat=args.heartbeat,
             fault_script=args.fault_script,
         )
     )

@@ -23,7 +23,7 @@ policies -- but :func:`load` must decode and rebuild every directory.
 
 **RWT2** (:func:`~repro.storage.image.save_image` /
 :func:`~repro.storage.image.open_image`) is the "frozen image": the physical
-word arrays and rank/select directories dumped verbatim in page-aligned
+word arrays and rank/select directories dumped verbatim in 8-byte-aligned
 sections, memory-mapped back with zero-copy views, so a cold open costs
 O(sections) regardless of index size and worker processes share one page
 cache.  :func:`load` and :func:`loads` sniff the magic and accept both.

@@ -3,7 +3,7 @@
 While the RWT1 logical format (:mod:`repro.storage.format`) serialises the
 *content* of a structure and rebuilds every directory on load, RWT2 dumps
 each frozen structure's kernel word arrays, rank/select directories and trie
-topology bitvectors verbatim -- little-endian uint64, one 4096-byte-aligned
+topology bitvectors verbatim -- little-endian uint64, one 8-byte-aligned
 section per array, a JSON section table in the header and a CRC-32 per
 section.  :func:`open_image` memory-maps the file and hands every structure
 field a zero-copy view of the mapped bytes (``np.frombuffer`` under the
@@ -18,15 +18,22 @@ File layout::
     offset 8   : header JSON length, uint64 LE      (8 bytes)
     offset 16  : header JSON CRC-32, uint32 LE      (4 bytes)
     offset 20  : header JSON  {"type", "meta", "sections"}
-    ...        : zero padding to the next 4096-byte boundary (= data_start)
-    data_start : sections, each starting at a 4096-byte-aligned offset
+    ...        : zero padding to the next 8-byte boundary (= data_start)
+    data_start : sections in table order, each starting where the previous
+                 one ends, rounded up to 8 bytes; the file ends the same way
 
 Section table entries are ``[name, offset_relative_to_data_start, length,
 crc32]``; offsets are relative so the header can be sized before any
-absolute offset is known.  Aliasing rule: everything returned by the loader
-is read-only and aliases the mapped buffer -- the buffer stays alive as
-long as any loaded structure does, and mutating the file while views exist
-is undefined behaviour.  See docs/ARCHITECTURE.md, "Storage".
+absolute offset is known.  The uint64 views need only 8-byte alignment (an
+mmap starts on a page boundary), so padding costs at most 7 bytes a
+section.  The reader accepts exactly the layout the writer produces -- a
+well-formed table of unique names, canonical offsets, a file ending after
+the last section -- plus stored sizes that agree with the structures, all
+checked in O(sections) at open; ``verify=True`` adds the per-section CRCs.
+Aliasing rule: everything returned by the loader is read-only and aliases
+the mapped buffer -- the buffer stays alive as long as any loaded structure
+does, and mutating the file while views exist is undefined behaviour.  See
+docs/ARCHITECTURE.md, "Storage".
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from repro.core.tiers import TieredWaveletTrie, freeze_trie
 from repro.db.column import CompressedColumn
 from repro.db.table import ColumnStore
 from repro.exceptions import SerializationError
+from repro.storage.serializers import validate_size
 from repro.tries.binarize import (
     BytesCodec,
     FixedWidthIntCodec,
@@ -59,7 +67,7 @@ from repro.tries.binarize import (
 __all__ = [
     "IMAGE_MAGIC",
     "IMAGE_VERSION",
-    "PAGE",
+    "SECTION_ALIGN",
     "ImageWriter",
     "FrozenImage",
     "freeze",
@@ -70,15 +78,15 @@ __all__ = [
 ]
 
 IMAGE_MAGIC = b"RWT2"
-IMAGE_VERSION = 1
-PAGE = 4096
+IMAGE_VERSION = 2
+SECTION_ALIGN = 8
 
 # magic + u32 version + u64 header length + u32 header CRC.
 _HEADER_FIXED = 20
 
 
 def _align(offset: int) -> int:
-    return (offset + PAGE - 1) & ~(PAGE - 1)
+    return (offset + SECTION_ALIGN - 1) & ~(SECTION_ALIGN - 1)
 
 
 def _le_bytes(typecode: str, values) -> bytes:
@@ -133,7 +141,7 @@ class ImageWriter:
         self._add(name, bytes(data))
 
     def tobytes(self, type_name: str, meta: dict) -> bytes:
-        """Assemble the complete RWT2 file image."""
+        """Assemble the complete RWT2 file image (one copy of the data)."""
         table: List[List[Any]] = []
         relative = 0
         for name, data in self._sections:
@@ -143,25 +151,36 @@ class ImageWriter:
             {"type": type_name, "meta": meta, "sections": table},
             separators=(",", ":"),
         ).encode("utf-8")
-        data_start = _align(_HEADER_FIXED + len(header))
-        out = bytearray(data_start + relative)
-        out[0:4] = IMAGE_MAGIC
-        out[4:8] = IMAGE_VERSION.to_bytes(4, "little")
-        out[8:16] = len(header).to_bytes(8, "little")
-        out[16:20] = (zlib.crc32(header) & 0xFFFFFFFF).to_bytes(4, "little")
-        out[_HEADER_FIXED : _HEADER_FIXED + len(header)] = header
-        for (name, data), entry in zip(self._sections, table):
-            offset = data_start + entry[1]
-            out[offset : offset + len(data)] = data
-        return bytes(out)
+        parts = [
+            IMAGE_MAGIC,
+            IMAGE_VERSION.to_bytes(4, "little"),
+            len(header).to_bytes(8, "little"),
+            (zlib.crc32(header) & 0xFFFFFFFF).to_bytes(4, "little"),
+            header,
+            _padding(_HEADER_FIXED + len(header)),
+        ]
+        for _, data in self._sections:
+            parts.append(data)
+            parts.append(_padding(len(data)))
+        return b"".join(parts)
 
 
-def _scalar_view(view: memoryview, typecode: str, itemsize: int):
-    """Cast a section to an int-yielding fixed-width read-only view."""
+def _padding(length: int) -> bytes:
+    """The zero bytes that round ``length`` up to the section alignment."""
+    return bytes(_align(length) - length)
+
+
+def _check_itemsize(view: memoryview, itemsize: int) -> memoryview:
     if view.nbytes % itemsize:
         raise SerializationError(
             f"section length {view.nbytes} is not a multiple of {itemsize}"
         )
+    return view
+
+
+def _scalar_view(view: memoryview, typecode: str, itemsize: int):
+    """Cast a section to an int-yielding fixed-width read-only view."""
+    _check_itemsize(view, itemsize)
     if sys.byteorder == "little":
         return view.cast(typecode)
     count = view.nbytes // itemsize  # pragma: no cover - big-endian only
@@ -225,19 +244,55 @@ class FrozenImage:
             raise SerializationError(
                 f"{source}: header is missing required fields ({error})"
             ) from error
+        if not (
+            isinstance(self.type_name, str)
+            and isinstance(self.meta, dict)
+            and isinstance(entries, list)
+        ):
+            raise SerializationError(
+                f"{source}: header needs a string type, an object meta and "
+                "a section list"
+            )
+        # Always-on (cheap) table checks, run even when per-section CRCs are
+        # not verified: every entry well-formed and uniquely named, and the
+        # sections laid out exactly as the writer lays them out.
         data_start = _align(_HEADER_FIXED + header_length)
         self._sections: Dict[str, Tuple[int, int, int]] = {}
+        end = 0  # canonical offset of the next section, relative
         for entry in entries:
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 4
+                and isinstance(entry[0], str)
+                and all(type(field) is int for field in entry[1:])
+            ):
+                raise SerializationError(
+                    f"{source}: malformed section entry {entry!r} "
+                    "(expected [name, offset, length, crc32])"
+                )
             name, relative, length, crc = entry
-            offset = data_start + int(relative)
-            # Always-on (cheap) truncation check: the section table must fit
-            # inside the file even when per-section CRCs are not verified.
-            if offset + int(length) > total:
+            if name in self._sections:
+                raise SerializationError(
+                    f"{source}: duplicate section name {name!r}"
+                )
+            if relative != end or length < 0:
+                raise SerializationError(
+                    f"{source}: section {name!r} at offset {relative} with "
+                    f"length {length} breaks the layout (expected offset {end})"
+                )
+            offset = data_start + relative
+            if offset + length > total:
                 raise SerializationError(
                     f"{source}: section {name!r} is truncated "
-                    f"(needs bytes up to {offset + int(length)}, file has {total})"
+                    f"(needs bytes up to {offset + length}, file has {total})"
                 )
-            self._sections[name] = (offset, int(length), int(crc))
+            self._sections[name] = (offset, length, crc)
+            end = _align(relative + length)
+        if data_start + end != total:
+            raise SerializationError(
+                f"{source}: file has {total} bytes, its section table "
+                f"describes {data_start + end}"
+            )
         if verify:
             self.verify_checksums()
 
@@ -257,7 +312,7 @@ class FrozenImage:
 
     def words(self, name: str):
         """A section as an int-yielding uint64 word view (kernel layout)."""
-        return kernel.int_words_view(self.section(name))
+        return kernel.int_words_view(_check_itemsize(self.section(name), 8))
 
     def int64(self, name: str):
         """A section as an int-yielding signed 64-bit view."""
@@ -375,9 +430,17 @@ def _write_static_trie(trie: WaveletTrie, sink: ImageWriter) -> dict:
     }
 
 
+def _open_static_trie(
+    image: FrozenImage, prefix: str, meta: dict, codec: StringCodec
+) -> WaveletTrie:
+    trie = WaveletTrie.from_words_image(image, prefix, meta, codec=codec)
+    validate_size(trie, len(trie))
+    return trie
+
+
 def _load_static_trie(image: FrozenImage) -> WaveletTrie:
-    return WaveletTrie.from_words_image(
-        image, "", image.meta["trie"], codec=_codec_from_meta(image.meta["codec"])
+    return _open_static_trie(
+        image, "", image.meta["trie"], _codec_from_meta(image.meta["codec"])
     )
 
 
@@ -389,9 +452,23 @@ def _write_succinct_trie(trie: SuccinctWaveletTrie, sink: ImageWriter) -> dict:
 
 
 def _load_succinct_trie(image: FrozenImage) -> SuccinctWaveletTrie:
-    return SuccinctWaveletTrie.from_words_image(
+    trie = SuccinctWaveletTrie.from_words_image(
         image, "", image.meta["trie"], codec=_codec_from_meta(image.meta["codec"])
     )
+    # The stored size must match the root bitvector, as for pointer tries;
+    # a leaf root (a constant sequence) carries none to check against.
+    if trie._dfuds is None:
+        root_length = 0
+    elif trie._is_internal.access(0):
+        root_length = len(trie._bitvectors[0])
+    else:
+        return trie
+    if root_length != len(trie):
+        raise SerializationError(
+            f"stored size {len(trie)} does not match root bitvector length "
+            f"{root_length}"
+        )
+    return trie
 
 
 def _write_tiered_trie(trie: TieredWaveletTrie, sink: ImageWriter) -> dict:
@@ -416,7 +493,7 @@ def _write_tiered_trie(trie: TieredWaveletTrie, sink: ImageWriter) -> dict:
 def _load_tiered_trie(image: FrozenImage) -> TieredWaveletTrie:
     codec = _codec_from_meta(image.meta["codec"])
     tiers = [
-        WaveletTrie.from_words_image(image, f"t{position}.", meta, codec=codec)
+        _open_static_trie(image, f"t{position}.", meta, codec)
         for position, meta in enumerate(image.meta["tiers"])
     ]
     return TieredWaveletTrie._from_parts(
@@ -447,8 +524,8 @@ def _column_meta(column: CompressedColumn, sink: ImageWriter, prefix: str) -> di
 
 def _column_from_meta(image: FrozenImage, meta: dict, prefix: str) -> CompressedColumn:
     column = CompressedColumn(meta["name"], appendable=False)
-    column._index = WaveletTrie.from_words_image(
-        image, prefix, meta["trie"], codec=_codec_from_meta(meta["codec"])
+    column._index = _open_static_trie(
+        image, prefix, meta["trie"], _codec_from_meta(meta["codec"])
     )
     column._appendable = False
     return column
@@ -480,6 +557,12 @@ def _load_store(image: FrozenImage) -> ColumnStore:
         meta["name"]: _column_from_meta(image, meta, f"c{position}.")
         for position, meta in enumerate(metas)
     }
+    for column in store._columns.values():
+        if len(column) != store._row_count:
+            raise SerializationError(
+                f"column {column.name!r} has {len(column)} rows, "
+                f"table header says {store._row_count}"
+            )
     return store
 
 
@@ -566,4 +649,14 @@ def _load_from_image(image: FrozenImage):
             f"unknown frozen-image type {image.type_name!r} "
             f"(this build reads {sorted(_IMAGE_LOADERS)})"
         )
-    return loader(image)
+    try:
+        return loader(image)
+    except SerializationError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as error:
+        # A header that passed its CRC but whose meta does not describe a
+        # structure of this type (missing or mistyped fields).
+        raise SerializationError(
+            f"{image._source}: malformed {image.type_name!r} image meta "
+            f"({type(error).__name__}: {error})"
+        ) from error

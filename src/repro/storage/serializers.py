@@ -57,6 +57,7 @@ from repro.tries.binarize import (
 __all__ = [
     "TYPE_TAGS",
     "read_object",
+    "validate_size",
     "write_object",
 ]
 
@@ -173,7 +174,7 @@ def _read_static_trie(reader: ByteReader) -> WaveletTrie:
     trie = WaveletTrie([], codec=codec, bitvector=kind)
     trie._root = _read_node(reader, factories[kind])
     trie._size = size
-    _validate_size(trie, size)
+    validate_size(trie, size)
     return trie
 
 
@@ -197,7 +198,7 @@ def _read_append_only_trie(reader: ByteReader) -> AppendOnlyWaveletTrie:
     trie = AppendOnlyWaveletTrie([], codec=codec, block_size=block_size)
     trie._root = _read_node(reader, factory)
     trie._size = size
-    _validate_size(trie, size)
+    validate_size(trie, size)
     return trie
 
 
@@ -220,11 +221,11 @@ def _read_dynamic_trie(reader: ByteReader) -> DynamicWaveletTrie:
 
     trie._root = _read_node(reader, factory)
     trie._size = size
-    _validate_size(trie, size)
+    validate_size(trie, size)
     return trie
 
 
-def _validate_size(trie, size: int) -> None:
+def validate_size(trie, size: int) -> None:
     """Cross-check the stored element count against the root bitvector."""
     root = trie.root
     if root is None:

@@ -35,7 +35,7 @@ from repro.storage import (
     open_image,
     save_image,
 )
-from repro.storage.image import PAGE, FrozenImage
+from repro.storage.image import SECTION_ALIGN, FrozenImage
 from repro.tries.binarize import FixedWidthIntCodec
 
 
@@ -247,10 +247,10 @@ class TestImageValidation:
             loads_image(bytes(corrupted))
 
     def test_truncated_section_always_detected(self, image_bytes):
-        # Cutting the last page off violates the section-table bounds check,
-        # which runs even with verify=False.
+        # Cutting the last aligned word off violates the section-table
+        # bounds check, which runs even with verify=False.
         with pytest.raises(SerializationError, match="truncated"):
-            loads_image(image_bytes[:-PAGE])
+            loads_image(image_bytes[:-SECTION_ALIGN])
 
     def test_flipped_section_bit_fails_named_crc(self, image_bytes):
         image = FrozenImage(image_bytes)
@@ -279,17 +279,18 @@ class TestImageValidation:
         with pytest.raises(SerializationError):
             open_image(path)
 
-    def test_sections_are_page_aligned_and_read_only(self, image_bytes):
+    def test_sections_are_word_aligned_and_read_only(self, image_bytes):
         image = FrozenImage(image_bytes)
+        assert SECTION_ALIGN == 8
         for name in image.section_names():
             offset, _, _ = image._sections[name]
-            assert offset % PAGE == 0
+            assert offset % SECTION_ALIGN == 0
             assert image.section(name).readonly
 
     def test_mmap_pagesize_divides_page(self):
-        # The format's alignment promise only holds if the OS page size
-        # divides the section alignment.
-        assert PAGE % mmap.PAGESIZE == 0 or mmap.PAGESIZE % PAGE == 0
+        # The format's alignment promise only holds if the mapping's start
+        # (a page boundary) is itself section-aligned.
+        assert SECTION_ALIGN % mmap.PAGESIZE == 0 or mmap.PAGESIZE % SECTION_ALIGN == 0
 
 
 class TestFreeze:

@@ -182,10 +182,13 @@ def test_kernel_contract_table_matches_architecture_doc():
 
 def test_serving_section_matches_the_code():
     """The ARCHITECTURE.md "Serving" section must exist and name the serving
-    layer's moving parts (server, shard, tick function, snapshot, fault seam,
-    metrics) plus *every* wire error code -- so adding a code or renaming a
-    component forces the doc to follow."""
-    from repro.serving import protocol
+    layer's moving parts (server, shard, tick loop and function, snapshot,
+    fault seam, metrics), *every* wire error code and *every* field of
+    ``ServerConfig`` and ``ClusterConfig`` -- so adding a code, an option or
+    renaming a component forces the doc to follow."""
+    import dataclasses
+
+    from repro.serving import ClusterConfig, ServerConfig, protocol
 
     text = ARCHITECTURE_MD.read_text(encoding="utf-8")
     assert "## Serving" in text, "Serving section missing"
@@ -193,7 +196,9 @@ def test_serving_section_matches_the_code():
     for name in (
         "IndexServer",
         "IndexShard",
+        "TickLoop",
         "run_read_tick",
+        "check_group",
         "ColumnSnapshot",
         "FaultInjector.before_batch",
         "ServingMetrics",
@@ -220,6 +225,11 @@ def test_serving_section_matches_the_code():
         assert f"`{code}`" in section, (
             f"error code '{code}' missing from the Serving section"
         )
+    for config in (ServerConfig, ClusterConfig):
+        for field in dataclasses.fields(config):
+            assert f"`{field.name}`" in section, (
+                f"{config.__name__}.{field.name} missing from the Serving section"
+            )
 
 
 def test_full_text_search_section_matches_the_code():
