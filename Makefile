@@ -14,8 +14,10 @@ test:
 # Documentation gate: fails when a public class (or module) in src/repro
 # lacks a docstring, a *_many batch method does not state its amortised
 # complexity, a public kernel function exists in one backend but not the
-# other, or the ARCHITECTURE.md backend-contract table drifts from
-# kernel.KERNEL_CONTRACT.  Also run as part of `make test`.
+# other, the ARCHITECTURE.md backend-contract table drifts from
+# kernel.KERNEL_CONTRACT, or README.md, docs/API.md or docs/ARCHITECTURE.md
+# backticks a class name that no repro module defines.  Also run as part of
+# `make test`.
 docs-check:
 	$(PYTHON) -m pytest -q tests/test_docstrings.py
 

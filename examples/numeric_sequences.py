@@ -3,35 +3,39 @@
 
 A sequence of 64-bit integers with a small working alphabet cannot be handled
 by a classic dynamic Wavelet Tree without building the full universe tree
-(depth 64).  The Section 6 construction hashes values with a random odd
-multiplier, stores the hashes LSB-first in a dynamic Wavelet Trie, and the
-resulting tree is balanced around log2(|working alphabet|) with high
-probability -- regardless of the universe.
+(depth 64).  A dynamic Wavelet Trie on the raw 64-bit encoding only stores
+the working alphabet, but its height depends on which values they are: on
+the powers of two every value branches off the all-zeros spine at its own
+depth, so the trie is as tall as the alphabet is large.  The Section 6
+construction hashes values with a random odd multiplier and stores the
+hashes MSB-first (the high-order bits of the product are the ones that tell
+values apart) in a dynamic Wavelet Trie, and the resulting tree is balanced
+around log2(|working alphabet|) with high probability -- whatever the
+values and the universe.
 
 Run with:  python examples/numeric_sequences.py
 """
 
 import math
+import random
 
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.tries.binarize import FixedWidthIntCodec
 from repro.wavelet import BalancedDynamicWaveletTree
-from repro.workloads import IntegerSequenceGenerator
 
 
 def main() -> None:
     universe = 2 ** 64
-    generator = IntegerSequenceGenerator(
-        universe=universe, alphabet_size=64, clustered=True, seed=11
-    )
-    values = generator.generate(2000)
+    rng = random.Random(7)
+    alphabet = [1 << k for k in range(60)]
+    values = [rng.choice(alphabet) for _ in range(2000)]
     distinct = len(set(values))
     print(f"universe                   : 2^64")
     print(f"sequence length            : {len(values)}")
-    print(f"working alphabet           : {distinct} distinct values (clustered)")
+    print(f"working alphabet           : {distinct} distinct powers of two")
     print()
 
-    balanced = BalancedDynamicWaveletTree(universe=universe, values=values, seed=7)
+    balanced = BalancedDynamicWaveletTree(universe=universe, values=values, seed=5)
     print("=== hashed (Section 6) dynamic Wavelet Tree ===")
     print(f"max path height            : {balanced.max_height()}")
     print(f"average height             : {balanced.average_height():.2f}")
@@ -39,12 +43,10 @@ def main() -> None:
     print(f"log2(universe)             : {math.log2(universe):.0f}")
     print()
 
-    # The unhashed trie on raw fixed-width integers: clustered values share
-    # long prefixes, so the trie degenerates towards the universe depth.
-    raw = DynamicWaveletTrie(codec=FixedWidthIntCodec(64))
-    for value in values:
-        raw.append(value)
-    raw_height = _height(raw)
+    # The unhashed trie on the raw fixed-width integers degenerates: its
+    # height grows with the alphabet, not with its logarithm.
+    raw = DynamicWaveletTrie(values, codec=FixedWidthIntCodec(64))
+    raw_height = max(raw.height_of(value) for value in set(values))
     print("=== unhashed trie on the raw 64-bit encoding (for contrast) ===")
     print(f"max path height            : {raw_height}")
     print()
@@ -57,21 +59,6 @@ def main() -> None:
     print(f"inserted 123456789 at 10; access(10) = {balanced.access(10)}")
     removed = balanced.delete(10)
     print(f"deleted it again (was {removed})")
-
-
-def _height(trie: DynamicWaveletTrie) -> int:
-    best = 0
-    stack = [(trie.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node is None:
-            continue
-        if node.is_leaf:
-            best = max(best, depth)
-            continue
-        stack.append((node.children[0], depth + 1))
-        stack.append((node.children[1], depth + 1))
-    return best
 
 
 if __name__ == "__main__":

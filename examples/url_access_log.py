@@ -11,7 +11,7 @@ Run with:  python examples/url_access_log.py
 """
 
 from repro.analysis import compute_bounds
-from repro.db import AccessLogStore
+from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.workloads import UrlLogGenerator
 
 
@@ -19,49 +19,54 @@ def main() -> None:
     generator = UrlLogGenerator(domains=40, depth=4, branching=5, seed=2024)
     entries = generator.generate(5000)
 
-    store = AccessLogStore()
-    for tick, url in enumerate(entries):
-        store.append(url, timestamp=tick)
+    log = AppendOnlyWaveletTrie()
+    for url in entries:
+        log.append(url)
 
-    print(f"log size            : {len(store)} accesses")
-    print(f"compressed index    : {store.size_in_bits() / 8 / 1024:.1f} KiB")
+    print(f"log size            : {len(log)} accesses")
+    print(f"compressed index    : {log.size_in_bits() / 8 / 1024:.1f} KiB")
     raw_bytes = sum(len(url) for url in entries)
     print(f"raw log             : {raw_bytes / 1024:.1f} KiB")
     bounds = compute_bounds(entries)
     print(f"lower bound LB      : {bounds.lb_bits / 8 / 1024:.1f} KiB")
     print()
 
-    # "Winter vacation" = the middle 40% of the log.
-    start_time, end_time = 1500, 3500
-    print(f"=== window [{start_time}, {end_time}) ===")
+    # "Winter vacation" = the middle 40% of the log.  One access per tick,
+    # so the time window is the position range [start, stop).
+    start, stop = 1500, 3500
+    print(f"=== window [{start}, {stop}) ===")
 
-    top_domains = {}
+    per_domain = {}
     for domain in generator.domains()[:10]:
         prefix = f"http://{domain}/"
-        top_domains[domain] = store.count_prefix(prefix, start_time, end_time)
-    ranked = sorted(top_domains.items(), key=lambda item: -item[1])[:5]
+        per_domain[domain] = log.rank_prefix(prefix, stop) - log.rank_prefix(
+            prefix, start
+        )
+    ranked = sorted(per_domain.items(), key=lambda item: -item[1])[:5]
     print("accesses per domain (top 5 by RankPrefix):")
     for domain, count in ranked:
         print(f"  {domain:<28} {count:5d}")
     print()
 
     print("top 5 individual URLs in the window (best-first top-k):")
-    for url, count in store.top_urls(5, start_time, end_time):
+    for url, count in log.top_k_in_range(start, stop, 5):
         print(f"  {count:5d}  {url}")
     print()
 
     busiest_domain = ranked[0][0]
     prefix = f"http://{busiest_domain}/"
-    distinct = store.distinct_urls(start_time, end_time, prefix=prefix)
+    distinct = log.distinct_in_range(start, stop, prefix=prefix)
     print(f"distinct URLs under {busiest_domain}: {len(distinct)}")
-    majority = store.majority_url(start_time, end_time, prefix=prefix)
+    majority = log.range_majority(start, stop, prefix=prefix)
     print(f"majority URL under that domain      : {majority}")
     print()
 
-    first_hits = store.accesses_under(prefix, start_time, end_time, limit=3)
+    # SelectPrefix jumps straight to the k-th access under the domain.
+    before = log.rank_prefix(prefix, start)
     print("first three accesses under that domain in the window:")
-    for timestamp, url in first_hits:
-        print(f"  t={timestamp:5d}  {url}")
+    for k in range(min(3, ranked[0][1])):
+        position = log.select_prefix(prefix, before + k)
+        print(f"  t={position:5d}  {log.access(position)}")
 
 
 if __name__ == "__main__":

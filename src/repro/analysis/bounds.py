@@ -72,7 +72,7 @@ class SequenceBounds:
     """h̃ * n: the total length of all node bitvectors."""
 
     def as_dict(self) -> Dict[str, float]:
-        """Render as a flat dictionary (used by the benchmark reports)."""
+        """Render as a flat dictionary (``bounds`` in ``info --bounds --json``)."""
         return {
             "n": self.length,
             "distinct": self.distinct,

@@ -1,12 +1,15 @@
 """Related-work baselines for indexed sequences of strings.
 
 The paper's introduction (and "Related work") lists the three ways indexed
-string sequences are stored today; each is implemented here so the benchmark
-harness can compare them with the Wavelet Trie on the same workloads:
+string sequences are stored today; each is implemented here so the tests can
+compare them with the Wavelet Trie on the same workloads
+(``TestCrossImplementationAgreement`` for answers,
+``test_space_ranking_of_approaches`` for space):
 
 1. :class:`~repro.baselines.dict_wavelet.DictWaveletSequence` -- map the
    strings to integers through a dictionary and index the integer sequence
-   with a Wavelet Tree (static alphabet, no SelectPrefix);
+   with a Wavelet Tree (static alphabet; SelectPrefix only by a binary
+   search over RankPrefix);
 2. :class:`~repro.baselines.text_collection.TextCollectionSequence` -- the
    "Dynamic Text Collection" style: concatenate the strings with separators
    and compress the resulting text (character-level entropy only);

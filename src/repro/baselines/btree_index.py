@@ -178,8 +178,7 @@ class BTreeSequenceIndex(IndexedStringSequence):
 
     def rank(self, value: str, pos: int) -> int:
         """Counting scan over the index entries of ``value`` (no O(1) rank)."""
-        if not 0 <= pos <= len(self._values):
-            raise OutOfBoundsError(f"position {pos} out of range")
+        self._check_rank_pos(pos)
         count = 0
         for key_value, key_pos in self._tree.iterate_from((value, -1)):
             if key_value != value:
@@ -201,6 +200,7 @@ class BTreeSequenceIndex(IndexedStringSequence):
         )
 
     def rank_prefix(self, prefix: str, pos: int) -> int:
+        self._check_rank_pos(pos)
         count = 0
         for key_value, key_pos in self._tree.iterate_from((prefix, -1)):
             if not key_value.startswith(prefix):
@@ -219,6 +219,10 @@ class BTreeSequenceIndex(IndexedStringSequence):
         positions.sort()
         check_select_prefix_index(prefix, idx, len(positions))
         return positions[idx]
+
+    def _check_rank_pos(self, pos: int) -> None:
+        if not 0 <= pos <= len(self._values):
+            raise OutOfBoundsError(f"position {pos} out of range")
 
     # ------------------------------------------------------------------
     def append(self, value: str) -> None:

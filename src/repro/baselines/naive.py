@@ -3,7 +3,7 @@
 Every operation is implemented by scanning an explicit Python list.  The class
 is deliberately simple -- it is the *oracle* the property-based tests compare
 the Wavelet Trie (and the other baselines) against, and the uncompressed
-yardstick in the space benchmarks.
+yardstick of the Table 1 space checks in ``tests/core/test_paper_costs.py``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ paper calls "Dynamic Text Collection" (Makinen & Navarro): it compresses only
 to the *character* entropy of the text -- it cannot exploit whole-string
 repetitions -- and every sequence operation must reconstruct or scan strings
 character by character, so both space and time are worse than the Wavelet
-Trie on string-heavy workloads.  That contrast is what the ``RW-BASE``
-benchmark measures.
+Trie on string-heavy workloads.  ``test_space_ranking_of_approaches`` in
+``tests/integration/test_end_to_end.py`` checks the space half.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ sub-linear time when ``b = 1`` (the number of codes is the number of 1s,
 Remark 4.2).  This implementation exists for exactly that comparison: it
 shares the balanced-tree machinery of :class:`~repro.bitvector.dynamic.
 DynamicBitVector` but stores *gaps*, and its ``init_run`` genuinely degrades
-to linear work for runs of ones, which the ``ABL-INIT`` benchmark measures.
+to linear work for runs of ones, which
+``tests/bitvector/test_gap.py::TestGapEncodedBitVector::test_init_run_asymmetry``
+checks.
 """
 
 from __future__ import annotations

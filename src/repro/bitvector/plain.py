@@ -4,9 +4,10 @@
 kernel's two-level rank directory -- cumulative popcounts per 8-word
 superblock and per-word popcount bytes -- giving O(1) ``rank`` and O(log n)
 ``select``.  All word-level work is delegated to :mod:`repro.bits.kernel`, so
-no query path ever scans bit by bit.  It is the uncompressed baseline for the
-ablation benchmark (``ABL-BV`` in DESIGN.md) and the workhorse inside other
-encodings.
+no query path ever scans bit by bit.  It is the uncompressed baseline among
+the static trie's node bitvectors (compared with RRR and RLE by
+``tests/core/test_static_trie.py::TestSpaceAccounting``) and the workhorse
+inside other encodings.
 
 CPython dispatch note
 ---------------------

@@ -3,7 +3,7 @@
 ``RLE + gamma`` is the encoding the paper adopts for the node bitvectors of the
 fully dynamic Wavelet Trie (Section 4.2, following Foschini et al.).  This
 module provides the *static* variant, used for space comparisons and as the
-frozen representation in the ablation benchmark; the dynamic variant lives in
+static trie's ``bitvector="rle"`` node encoding; the dynamic variant lives in
 :mod:`repro.bitvector.dynamic`.
 
 The bitvector ``0^{r0} 1^{r1} 0^{r2} ...`` is stored as the gamma codes of the

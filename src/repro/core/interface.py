@@ -4,8 +4,8 @@ This is the problem statement of the paper's introduction: a sequence
 ``S = <s_0, ..., s_{n-1}>`` supporting random access, counting and searching,
 both exact and by prefix, and optionally updates.  Every implementation in
 this package -- the three Wavelet Trie variants and the related-work
-baselines -- implements this interface, which is what makes the benchmark
-harness able to compare them uniformly.
+baselines -- implements this interface, which is what lets the differential
+tests compare them uniformly.
 
 Positions, ranks and indices are 0-based throughout:
 

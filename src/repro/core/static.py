@@ -51,8 +51,7 @@ class WaveletTrie(WaveletTrieBase):
         Binarisation codec (defaults to UTF-8 + NUL terminator).
     bitvector:
         Which static bitvector to store in the internal nodes: ``"rrr"``
-        (default, the paper's choice), ``"plain"`` or ``"rle"`` -- the knob
-        used by the ablation benchmark.
+        (default, the paper's choice), ``"plain"`` or ``"rle"``.
 
     Examples
     --------

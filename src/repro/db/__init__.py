@@ -1,22 +1,16 @@
-"""Column-store and log-analytics layer built on the Wavelet Trie.
+"""Column-store and document-search layer built on the Wavelet Trie.
 
 The paper motivates the compressed indexed sequence of strings with
 column-oriented databases and log processing.  This package provides the thin
-application layer that turns the Wavelet Trie primitives into those use
-cases:
+application layer for the column-store case, and for full-text search over
+the same logs.  A log needs no layer of its own: an
+:class:`~repro.core.append_only.AppendOnlyWaveletTrie` is one, with a time
+window as a position range.
 
 * :class:`~repro.db.column.CompressedColumn` -- one column, static or
   append-only, with equality/prefix filters and per-range statistics;
 * :class:`~repro.db.table.ColumnStore` -- a table of named columns with
   row-level append and multi-column filters;
-* :class:`~repro.db.query.Query` / :class:`~repro.db.query.Predicate` -- a
-  fluent conjunctive query layer (selectivity-ordered plans, limit pushdown,
-  EXPLAIN) over a :class:`ColumnStore`;
-* :class:`~repro.db.log_store.AccessLogStore` -- an append-only access log
-  with time-window analytics (top domains, counts per prefix, majority);
-* :class:`~repro.db.graph_store.TemporalGraphStore` -- an evolving binary
-  relation (the paper's social-network example) with on-the-fly adjacency
-  snapshots and per-window deltas;
 * :mod:`repro.db.partition` -- position-range partitioning of columns for
   the multi-process serving cluster (balanced ranges, shard slicing);
 * :class:`~repro.db.doc_store.DocumentStore` -- FM-index-backed full-text
@@ -25,21 +19,14 @@ cases:
 
 from repro.db.column import ColumnSnapshot, CompressedColumn
 from repro.db.doc_store import DocumentStore
-from repro.db.graph_store import TemporalGraphStore
-from repro.db.log_store import AccessLogStore
 from repro.db.partition import as_column_dict, partition_ranges, slice_column
-from repro.db.query import Predicate, Query
 from repro.db.table import ColumnStore
 
 __all__ = [
-    "AccessLogStore",
     "ColumnSnapshot",
     "ColumnStore",
     "CompressedColumn",
     "DocumentStore",
-    "Predicate",
-    "Query",
-    "TemporalGraphStore",
     "as_column_dict",
     "partition_ranges",
     "slice_column",

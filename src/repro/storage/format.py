@@ -53,10 +53,8 @@ _CHUNK = 1 << 20
 def dumps(obj: Any) -> bytes:
     """Serialise ``obj`` to RWT1 bytes.
 
-    Supported types are the three Wavelet Trie variants,
-    :class:`~repro.db.column.CompressedColumn`,
-    :class:`~repro.db.table.ColumnStore` and
-    :class:`~repro.db.log_store.AccessLogStore`.
+    Supported types are listed in
+    :data:`~repro.storage.serializers.TYPE_TAGS`.
     """
     type_tag, payload = write_object(obj)
     writer = ByteWriter()

@@ -16,7 +16,7 @@ Supported types (see :data:`TYPE_TAGS`): the three Wavelet Trie variants,
 the LSM-style :class:`~repro.core.tiers.TieredWaveletTrie` (frozen tiers as
 nested static-trie payloads plus the live dynamic tail),
 :class:`~repro.db.column.CompressedColumn`, :class:`~repro.db.table.ColumnStore`,
-:class:`~repro.db.log_store.AccessLogStore`, and the full-text structures
+and the full-text structures
 :class:`~repro.text.fm_index.FMIndex` (BWT codes plus the sampled suffix
 array; the loader rebuilds the wavelet tree without re-running suffix
 sorting) and :class:`~repro.db.doc_store.DocumentStore`.
@@ -41,7 +41,6 @@ from repro.bits.packed import PackedIntVector
 from repro.bitvector.sparse import SparseBitVector
 from repro.db.column import CompressedColumn
 from repro.db.doc_store import DocumentStore
-from repro.db.log_store import AccessLogStore
 from repro.db.table import ColumnStore
 from repro.exceptions import SerializationError
 from repro.storage.varint import ByteReader, ByteWriter, bits_to_runs
@@ -300,35 +299,6 @@ def _read_column_store(reader: ByteReader) -> ColumnStore:
     return store
 
 
-def _write_access_log(writer: ByteWriter, log: AccessLogStore) -> None:
-    writer.write_u8(TYPE_TAGS[AppendOnlyWaveletTrie])
-    _write_append_only_trie(writer, log._index)
-    writer.write_uvarint(len(log._timestamps))
-    previous = 0
-    for timestamp in log._timestamps:
-        writer.write_uvarint(timestamp - previous)  # delta coding; non-decreasing
-        previous = timestamp
-
-
-def _read_access_log(reader: ByteReader) -> AccessLogStore:
-    tag = reader.read_u8()
-    if tag != TYPE_TAGS[AppendOnlyWaveletTrie]:
-        raise SerializationError(f"unexpected access-log index tag {tag}")
-    index = _read_append_only_trie(reader)
-    count = reader.read_uvarint()
-    if count != len(index):
-        raise SerializationError(
-            f"access log has {len(index)} entries but {count} timestamps"
-        )
-    timestamps = []
-    current = 0
-    for _ in range(count):
-        current += reader.read_uvarint()
-        timestamps.append(current)
-    log = AccessLogStore()
-    log._index = index
-    log._timestamps = timestamps
-    return log
 def _write_tiered_trie(writer: ByteWriter, trie: TieredWaveletTrie) -> None:
     # The in-flight sealing tier (if any) is written as a static tier: its
     # content is sealed, so freezing it eagerly changes no logical state.
@@ -455,7 +425,7 @@ TYPE_TAGS: Dict[type, int] = {
     DynamicWaveletTrie: 3,
     CompressedColumn: 4,
     ColumnStore: 5,
-    AccessLogStore: 6,
+    # 6: retired with AccessLogStore (an append-only trie plus timestamps).
     TieredWaveletTrie: 7,
     FMIndex: 8,
     DocumentStore: 9,
@@ -467,7 +437,6 @@ _WRITERS: Dict[type, Callable[[ByteWriter, Any], None]] = {
     DynamicWaveletTrie: _write_dynamic_trie,
     CompressedColumn: _write_column,
     ColumnStore: _write_column_store,
-    AccessLogStore: _write_access_log,
     TieredWaveletTrie: _write_tiered_trie,
     FMIndex: _write_fm_index,
     DocumentStore: _write_doc_store,
@@ -479,7 +448,6 @@ _READERS: Dict[int, Callable[[ByteReader], Any]] = {
     TYPE_TAGS[DynamicWaveletTrie]: _read_dynamic_trie,
     TYPE_TAGS[CompressedColumn]: _read_column,
     TYPE_TAGS[ColumnStore]: _read_column_store,
-    TYPE_TAGS[AccessLogStore]: _read_access_log,
     TYPE_TAGS[TieredWaveletTrie]: _read_tiered_trie,
     TYPE_TAGS[FMIndex]: _read_fm_index,
     TYPE_TAGS[DocumentStore]: _read_doc_store,

@@ -1,14 +1,16 @@
-"""Partial-sum structures used to delimit variable-length encodings.
+"""Partial sums used to delimit variable-length pieces of one bitvector.
 
-The static Wavelet Trie stores the node labels concatenated in one bitvector
-``L`` and the per-node RRR encodings concatenated in another; both need a
-partial-sum structure to find where the ``i``-th piece starts (paper
-Section 3, cost ``B(e, |L| + e) + o(...)`` bits).
+The paper's static Wavelet Trie (Section 3) concatenates the node labels
+into one bitvector ``L`` and the per-node RRR encodings into another, and
+delimits each with a partial-sum structure that finds where the ``i``-th
+piece starts (cost ``B(e, |L| + e) + o(...)`` bits).
+:class:`~repro.core.succinct_static.SuccinctWaveletTrie` concatenates the
+labels this way.  It still keeps one RRR bitvector per internal node, so
+for the encodings the space reports only charge the delimiters that a
+concatenation would need.
 
-* :class:`StaticPartialSums` -- immutable; an Elias-Fano sequence over the
-  cumulative sums, matching the paper's space bound up to lower-order terms.
-* :class:`PartialSums` -- dynamic; a growable Fenwick-backed variant used by
-  the append-only structures.
+:class:`StaticPartialSums` stores the cumulative sums as an Elias-Fano
+sequence, matching the paper's space bound up to lower-order terms.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from typing import Iterable, List
 
 from repro.bitvector.sparse import EliasFanoSequence
 from repro.exceptions import OutOfBoundsError
-from repro.succinct.fenwick import FenwickTree
 
-__all__ = ["PartialSums", "StaticPartialSums"]
+__all__ = ["StaticPartialSums"]
 
 
 class StaticPartialSums:
@@ -92,74 +93,3 @@ class StaticPartialSums:
     def size_in_bits(self) -> int:
         """Encoded size in bits."""
         return self._cumulative.size_in_bits()
-
-
-class PartialSums:
-    """Dynamic partial sums supporting append and point updates.
-
-    Backed by a doubling Fenwick tree; used by the append-only Wavelet Trie
-    bookkeeping where the number of pieces grows over time.
-    """
-
-    __slots__ = ("_fenwick", "_count")
-
-    def __init__(self, lengths: Iterable[int] = ()) -> None:
-        initial = list(lengths)
-        capacity = max(8, len(initial))
-        self._fenwick = FenwickTree([0] * capacity)
-        self._count = 0
-        for length in initial:
-            self.append(length)
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def total(self) -> int:
-        """Sum of all lengths."""
-        return self._fenwick.prefix_sum(self._count)
-
-    def append(self, length: int) -> None:
-        """Append a new piece of the given length."""
-        if length < 0:
-            raise ValueError("lengths must be non-negative")
-        if self._count == len(self._fenwick):
-            self._grow()
-        self._fenwick.add(self._count, length)
-        self._count += 1
-
-    def _grow(self) -> None:
-        values = self._fenwick.to_list()[: self._count]
-        self._fenwick = FenwickTree(values + [0] * max(8, len(values)))
-
-    def add(self, index: int, delta: int) -> None:
-        """Add ``delta`` to the length of piece ``index``."""
-        if not 0 <= index < self._count:
-            raise OutOfBoundsError(f"index {index} out of range for {self._count} pieces")
-        self._fenwick.add(index, delta)
-
-    def start(self, index: int) -> int:
-        """Sum of the first ``index`` lengths."""
-        if not 0 <= index <= self._count:
-            raise OutOfBoundsError(f"index {index} out of range for {self._count} pieces")
-        return self._fenwick.prefix_sum(index)
-
-    def length(self, index: int) -> int:
-        """Length of piece ``index``."""
-        if not 0 <= index < self._count:
-            raise OutOfBoundsError(f"index {index} out of range for {self._count} pieces")
-        return self._fenwick.range_sum(index, index + 1)
-
-    def find(self, pos: int) -> int:
-        """Index of the piece containing global offset ``pos``."""
-        if not 0 <= pos < self.total:
-            raise OutOfBoundsError(f"offset {pos} out of range for total {self.total}")
-        return self._fenwick.search(pos)
-
-    def to_list(self) -> List[int]:
-        """Materialise the piece lengths."""
-        return [self.length(index) for index in range(self._count)]
-
-    def size_in_bits(self, word: int = 64) -> int:
-        """Space used by the Fenwick backing store."""
-        return self._fenwick.size_in_bits(word)

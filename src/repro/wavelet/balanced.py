@@ -17,12 +17,13 @@ multiplication by an odd constant).  The trie therefore consumes the hash from
 the most significant bit downwards, so the distinguishing bits sit at the top
 of the trie and the height bound of Theorem 6.2 holds even for such
 pathological alphabets; this is the robust reading of the paper's LSB-to-MSB
-phrasing and is exercised by the ``S6-BALANCED`` benchmark.
+phrasing, checked by ``test_pathological_alphabet_stays_balanced`` in
+``tests/wavelet/test_dynamic_and_balanced.py``.
 
 :class:`BalancedDynamicWaveletTree` packages the scheme: it exposes the
 standard ``access``/``rank``/``select``/``insert``/``delete``/``append`` on
 integer values in ``[0, universe)``, and reports the observed trie height so
-the ``S6-BALANCED`` experiment can check the theorem's bound.
+the same tests can check the theorem's bound.
 """
 
 from __future__ import annotations

@@ -11,8 +11,15 @@ from repro.baselines import (
     TextCollectionSequence,
 )
 from repro.baselines.btree_index import BTree
+from repro.core.append_only import AppendOnlyWaveletTrie
+from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
-from repro.exceptions import InvalidOperationError, OutOfBoundsError, ValueNotFoundError
+from repro.exceptions import (
+    InvalidOperationError,
+    OutOfBoundsError,
+    ReproError,
+    ValueNotFoundError,
+)
 
 
 class TestNaiveOracle:
@@ -189,20 +196,52 @@ class TestTextCollectionSequence:
         assert trie.bitvector_bits() < baseline.size_in_bits()
 
 
+def error_class(call):
+    """The class of the library error ``call()`` raises, or None."""
+    try:
+        call()
+    except ReproError as error:
+        return type(error)
+    return None
+
+
 class TestCrossImplementationAgreement:
     @given(st.lists(st.sampled_from(["a", "ab", "b", "ba", "abc"]), min_size=1, max_size=40))
     @settings(max_examples=30, deadline=None)
     def test_all_implementations_agree(self, values):
         implementations = [
             WaveletTrie(values),
+            AppendOnlyWaveletTrie(values),
+            DynamicWaveletTrie(values),
             DictWaveletSequence(values),
             BTreeSequenceIndex(values),
             TextCollectionSequence(values),
         ]
         naive = NaiveIndexedSequence(values)
+        n = len(values)
         for implementation in implementations:
-            assert len(implementation) == len(values)
-            for pos in range(len(values)):
+            assert len(implementation) == n
+            for pos in range(n):
                 assert implementation.access(pos) == naive.access(pos)
             for value in set(values):
-                assert implementation.rank(value, len(values)) == naive.count(value)
+                assert implementation.rank(value, n) == naive.count(value)
+            for prefix in ["", "a", "ab", "b"]:
+                for pos in range(n + 1):
+                    assert implementation.rank_prefix(prefix, pos) == naive.rank_prefix(
+                        prefix, pos
+                    )
+                for pos in (-1, n + 1):
+                    assert error_class(
+                        lambda: implementation.rank_prefix(prefix, pos)
+                    ) is error_class(lambda: naive.rank_prefix(prefix, pos))
+                matches = naive.rank_prefix(prefix, n)
+                if not matches:
+                    continue  # the tries report an absent prefix as not found
+                for idx in range(matches):
+                    assert implementation.select_prefix(prefix, idx) == naive.select_prefix(
+                        prefix, idx
+                    )
+                for idx in (-1, matches):
+                    assert error_class(
+                        lambda: implementation.select_prefix(prefix, idx)
+                    ) is error_class(lambda: naive.select_prefix(prefix, idx))

@@ -1,7 +1,7 @@
 """Property tests of the trie-layer batch paths against the naive oracle.
 
-``select_many`` and ``insert_many`` on the growable Wavelet Tries (and the
-fixed-alphabet dynamic Wavelet Tree) must agree with
+``select_many`` and ``insert_many`` on the growable Wavelet Tries must agree
+with
 :class:`~repro.baselines.naive.NaiveIndexedSequence` under sustained churn --
 interleaved bulk inserts, scalar deletes (which shrink the Patricia topology)
 and batch queries, with previously unseen keys arriving mid-stream.
@@ -15,7 +15,6 @@ from repro.baselines.naive import NaiveIndexedSequence
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.exceptions import InvalidOperationError, OutOfBoundsError
-from repro.wavelet.dynamic_wavelet_tree import FixedAlphabetDynamicWaveletTree
 
 
 def check_against_oracle(trie, oracle, rng, probes=4):
@@ -87,29 +86,3 @@ class TestAppendOnlyTrieBatch:
         trie.extend(values)
         oracle = NaiveIndexedSequence(values)
         check_against_oracle(trie, oracle, rng, probes=5)
-
-
-class TestFixedAlphabetBatch:
-    def test_insert_many_select_many_vs_naive(self):
-        rng = random.Random(99)
-        alphabet = list("abcde")
-        tree = FixedAlphabetDynamicWaveletTree(alphabet)
-        oracle = NaiveIndexedSequence()
-        for _ in range(30):
-            position = rng.randint(0, len(oracle))
-            chunk = [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
-            tree.insert_many(chunk, position)
-            for offset, value in enumerate(chunk):
-                oracle.insert(value, position + offset)
-            if len(oracle) and rng.random() < 0.4:
-                victim = rng.randrange(len(oracle))
-                assert tree.delete(victim) == oracle.delete(victim)
-            if len(oracle):
-                value = rng.choice(oracle.to_list())
-                total = oracle.count(value)
-                indexes = list(range(total))
-                rng.shuffle(indexes)
-                assert tree.select_many(value, indexes) == [
-                    oracle.select(value, idx) for idx in indexes
-                ]
-        assert tree.to_list() == oracle.to_list()

@@ -1,0 +1,363 @@
+"""The paper's cost claims (Table 1, Section 5) as exact call counts.
+
+Table 1 bounds every query and update by ``O(|s| + h_s)`` node visits: a
+constant number of bitvector operations per internal node on the path of
+``s``, whatever the sequence length n.  The dynamic flavour pays its
+``log n`` inside those operations, in the depth of each node's run treap.
+Section 5's range algorithms spend one rank per traversed node instead of
+one per element.
+
+Timings cannot check these claims exactly, so this module counts the
+trie's outermost calls into its node bitvectors instead.  A test-local
+wrapper, :class:`CountingBitVector`, sits between every internal node and
+its bitvector, and every ``Init`` of a new node goes through it too.  The
+inputs are a seeded URL sweep in which every n has the same distinct set:
+the distinct values first, then a prefix of one log.  So the trie shape,
+and with it every path, is the same at every n.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from collections import Counter
+
+import pytest
+
+from repro.analysis import compute_bounds
+from repro.baselines import NaiveIndexedSequence
+from repro.core.append_only import AppendOnlyWaveletTrie
+from repro.core.dynamic import DynamicWaveletTrie
+from repro.core.static import WaveletTrie
+from repro.workloads import ColumnGenerator, UrlLogGenerator
+
+SIZES = (500, 2000, 8000)
+
+FLAVOURS = {
+    "static": WaveletTrie,
+    "append-only": AppendOnlyWaveletTrie,
+    "dynamic": DynamicWaveletTrie,
+}
+
+_LOG = UrlLogGenerator(domains=10, depth=2, branching=2, seed=1234).generate(
+    max(SIZES)
+)
+DISTINCT = list(dict.fromkeys(_LOG))
+
+
+def url_sweep(n):
+    """n URLs whose distinct set is :data:`DISTINCT` at every n."""
+    return DISTINCT + _LOG[: n - len(DISTINCT)]
+
+
+class CountingBitVector:
+    """Forwards to a node bitvector and counts each call made into it.
+
+    Calls the bitvector makes into itself are not seen, so the count is
+    the trie's own work: its outermost bitvector calls.
+    """
+
+    __slots__ = ("_inner", "_calls")
+
+    def __init__(self, inner, calls):
+        self._inner = inner
+        self._calls = calls
+
+    def __len__(self):
+        self._calls["__len__"] += 1
+        return len(self._inner)
+
+    def __getattr__(self, name):
+        attribute = getattr(self._inner, name)
+        if not callable(attribute):
+            return attribute
+        calls = self._calls
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return attribute(*args, **kwargs)
+
+        return counted
+
+
+def count_calls(trie):
+    """Wrap every node bitvector of ``trie``, and every later ``Init``.
+
+    Returns the live :class:`Counter` of calls by method name.
+    """
+    calls = Counter()
+    for node in trie.nodes():
+        if not node.is_leaf:
+            node.bitvector = CountingBitVector(node.bitvector, calls)
+    if hasattr(trie, "_new_constant_bitvector"):
+        init = trie._new_constant_bitvector
+
+        def counted_init(bit, length):
+            calls["init_run"] += 1
+            return CountingBitVector(init(bit, length), calls)
+
+        trie._new_constant_bitvector = counted_init
+    return calls
+
+
+def measure(calls, operation):
+    """Run ``operation()``; return its result and the calls it made."""
+    calls.clear()
+    result = operation()
+    return result, Counter(calls)
+
+
+def path_nodes(trie, value):
+    """The internal nodes on the root-to-leaf path of ``value``."""
+    _, ancestors = trie._path_of(trie.codec.to_bits(value))
+    return [node for node, _ in ancestors]
+
+
+def prefix_path_nodes(trie, prefix):
+    """The internal nodes above the node that holds ``prefix``."""
+    _, ancestors = trie._prefix_node(trie.codec.prefix_to_bits(prefix))
+    return [node for node, _ in ancestors]
+
+
+def traversed_nodes(trie, values, skip=0):
+    """Internal nodes on the paths of ``values``, minus each path's first ``skip``."""
+    return {
+        id(node)
+        for value in set(values)
+        for node in path_nodes(trie, value)[skip:]
+    }
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """``{(flavour, n): (trie, calls)}``, wrapped, for the read-only tests."""
+    built = {}
+    for flavour, factory in FLAVOURS.items():
+        for n in SIZES:
+            trie = factory(url_sweep(n))
+            built[flavour, n] = trie, count_calls(trie)
+    return built
+
+
+# ----------------------------------------------------------------------
+# Table 1, queries: O(|s| + h_s), flat in n
+# ----------------------------------------------------------------------
+PROBES = random.Random(7).sample(DISTINCT, 20)
+
+# Total calls of the 20 probes per operation, at every n and on every
+# flavour: the Patricia trie over DISTINCT fixes every path.
+PROBE_TOTALS = {
+    "access": Counter({"access": 122, "rank": 122}),
+    "rank": Counter({"rank": 122}),
+    "select": Counter({"select": 122, "count": 20}),
+    "rank_prefix": Counter({"rank": 95}),
+    "select_prefix": Counter({"select": 95, "count": 20}),
+}
+
+
+def directory_of(url):
+    """The probe prefix: ``url`` up to and including its last ``/``."""
+    return url[: url.rindex("/") + 1]
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_queries_cost_two_calls_per_path_node_at_every_n(sweep, flavour):
+    for n in SIZES:
+        trie, calls = sweep[flavour, n]
+        values = url_sweep(n)
+        totals = {op: Counter() for op in PROBE_TOTALS}
+        for value in PROBES:
+            position = DISTINCT.index(value)
+            height = len(path_nodes(trie, value))
+            prefix = directory_of(value)
+            above = len(prefix_path_nodes(trie, prefix))
+            probes = {
+                "access": (lambda: trie.access(position), value,
+                           Counter({"access": height, "rank": height})),
+                "rank": (lambda: trie.rank(value, n), values.count(value),
+                         Counter({"rank": height})),
+                "select": (lambda: trie.select(value, 0), position,
+                           Counter({"select": height, "count": 1})),
+                "rank_prefix": (
+                    lambda: trie.rank_prefix(prefix, n),
+                    sum(1 for v in values if v.startswith(prefix)),
+                    Counter({"rank": above}),
+                ),
+                "select_prefix": (
+                    lambda: trie.select_prefix(prefix, 0),
+                    next(i for i, v in enumerate(values) if v.startswith(prefix)),
+                    Counter({"select": above, "count": 1 if above else 0}),
+                ),
+            }
+            for op, (operation, expected, expected_calls) in probes.items():
+                result, made = measure(calls, operation)
+                assert result == expected, (flavour, n, op, value)
+                assert made == expected_calls, (flavour, n, op, value)
+                path = above if op.endswith("_prefix") else height
+                assert sum(made.values()) <= 2 * path
+                totals[op] += made
+        assert totals == PROBE_TOTALS, (flavour, n)
+
+
+# ----------------------------------------------------------------------
+# Table 1, dynamic: the log n lives in the run treaps
+# ----------------------------------------------------------------------
+def test_dynamic_run_treaps_are_logarithmically_deep(sweep):
+    for n in SIZES:
+        trie, _ = sweep["dynamic", n]
+        depth = max(
+            node.bitvector.tree_depth() for node in trie.nodes() if not node.is_leaf
+        )
+        assert depth <= 3 * math.log2(n), (n, depth)
+
+
+# ----------------------------------------------------------------------
+# Table 1, updates: O(|s| + h_s) calls, plus one Init for a new value
+# ----------------------------------------------------------------------
+NEW_URL = "http://www.brand-new.example/path"
+
+# Frequent at the smallest n, hence at every n: each sweep extends the last.
+FREQUENT = Counter(url_sweep(min(SIZES))).most_common(1)[0][0]
+
+
+def test_append_only_append_costs_one_call_per_path_node_at_every_n():
+    value = FREQUENT
+    seen = []
+    for n in SIZES:
+        trie = AppendOnlyWaveletTrie(url_sweep(n))
+        calls = count_calls(trie)
+        height = len(path_nodes(trie, value))
+        _, existing = measure(calls, lambda: trie.append(value))
+        assert existing == Counter({"append": height})
+        _, new = measure(calls, lambda: trie.append(NEW_URL))
+        # The split node's length comes from one count on its parent; the
+        # new internal node is an offset-Init.
+        new_height = len(path_nodes(trie, NEW_URL))
+        assert new == Counter({"count": 1, "init_run": 1, "append": new_height})
+        assert [trie.access(n), trie.access(n + 1)] == [value, NEW_URL]
+        seen.append((existing, new))
+    assert seen.count(seen[0]) == len(seen)
+
+
+def test_dynamic_insert_and_delete_cost_is_flat_in_n():
+    value = FREQUENT
+    seen = []
+    for n in SIZES:
+        values = url_sweep(n)
+        trie = DynamicWaveletTrie(values)
+        nodes_before = trie.node_count()
+        calls = count_calls(trie)
+        position = n // 2
+        height = len(path_nodes(trie, value))
+
+        _, insert = measure(calls, lambda: trie.insert(value, position))
+        assert insert == Counter({"insert": height, "rank": height})
+        removed, delete = measure(calls, lambda: trie.delete(position))
+        assert removed == value
+        assert delete == Counter(
+            {"access": height, "rank": height, "delete": height, "count": 1}
+        )
+
+        _, insert_new = measure(calls, lambda: trie.insert(NEW_URL, position))
+        new_height = len(path_nodes(trie, NEW_URL))
+        assert insert_new == Counter(
+            {"count": 1, "init_run": 1, "insert": new_height, "rank": new_height}
+        )
+        assert trie.node_count() == nodes_before + 2
+        # Deleting the last occurrence merges the split back (Table 1 dagger).
+        removed, delete_last = measure(calls, lambda: trie.delete(position))
+        assert removed == NEW_URL
+        assert delete_last == Counter(
+            {"access": new_height, "rank": new_height, "delete": new_height,
+             "count": 1}
+        )
+        assert trie.node_count() == nodes_before
+        assert trie.to_list() == values
+        seen.append((insert, delete, insert_new, delete_last))
+    assert seen.count(seen[0]) == len(seen)
+
+
+# ----------------------------------------------------------------------
+# Table 1, space
+# ----------------------------------------------------------------------
+SPACE_INPUTS = {
+    "urls-4000": lambda: UrlLogGenerator(
+        domains=10, depth=2, branching=2, seed=1234
+    ).generate(4000),
+    "column-4000": lambda: ColumnGenerator(
+        cardinality=32, zipf_exponent=1.1, seed=99
+    ).generate(4000),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SPACE_INPUTS))
+def test_space_tracks_the_table_1_bounds(workload):
+    values = SPACE_INPUTS[workload]()
+    bounds = compute_bounds(values)
+    raw_bits = sum(len(value.encode()) * 8 for value in values)
+    naive_bits = NaiveIndexedSequence(values).size_in_bits()
+    sizes = {}
+    for flavour, factory in FLAVOURS.items():
+        trie = factory(values)
+        sizes[flavour] = trie.size_in_bits()
+        assert (
+            trie.bitvector_bits()
+            <= 4.0 * bounds.entropy_bits + 200 * trie.node_count()
+        ), flavour
+        assert sizes[flavour] < raw_bits + bounds.pt_bits, flavour
+        assert trie.label_bits() == bounds.label_bits, flavour
+        assert sizes[flavour] < naive_bits, flavour
+    assert sizes["static"] <= sizes["append-only"]
+
+
+# ----------------------------------------------------------------------
+# Section 5: one rank per traversed node, not per element
+# ----------------------------------------------------------------------
+WINDOWS = ((1000, 1400), (2000, 3600))
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_iter_range_calls_are_bounded_by_traversed_nodes(sweep, flavour):
+    n = max(SIZES)
+    trie, calls = sweep[flavour, n]
+    values = url_sweep(n)
+    internal = sum(1 for node in trie.nodes() if not node.is_leaf)
+    for start, stop in WINDOWS:
+        window = values[start:stop]
+        traversed = len(traversed_nodes(trie, window))
+        rows, made = measure(calls, lambda: list(trie.iter_range(start, stop)))
+        assert rows == window
+        # One rank pair and one bit iterator per traversed node.
+        assert made == Counter({"rank_many": traversed, "iter_range": traversed})
+        assert traversed <= internal
+        heights = sum(len(path_nodes(trie, value)) for value in window)
+        _, loop = measure(
+            calls, lambda: [trie.access(pos) for pos in range(start, stop)]
+        )
+        assert loop == Counter({"access": heights, "rank": heights})
+        assert sum(made.values()) * 10 < sum(loop.values())
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_distinct_in_range_makes_one_rank_many_per_visited_node(sweep, flavour):
+    n = max(SIZES)
+    trie, calls = sweep[flavour, n]
+    values = url_sweep(n)
+    for start, stop in WINDOWS:
+        window = values[start:stop]
+        distinct, made = measure(calls, lambda: trie.distinct_in_range(start, stop))
+        assert dict(distinct) == Counter(window)
+        assert made == Counter({"rank_many": len(traversed_nodes(trie, window))})
+
+        prefix = directory_of(window[0])
+        under = [value for value in window if value.startswith(prefix)]
+        above = len(prefix_path_nodes(trie, prefix))
+        distinct, made = measure(
+            calls, lambda: trie.distinct_in_range(start, stop, prefix=prefix)
+        )
+        assert dict(distinct) == Counter(under)
+        # The prefix walk maps both ends down with one rank each per node.
+        assert made == Counter(
+            {"rank": 2 * above,
+             "rank_many": len(traversed_nodes(trie, under, skip=above))}
+        )

@@ -146,7 +146,7 @@ class TestSpaceAccounting:
         # For skewed data the RRR node bitvectors win over the plain ones;
         # RLE pays a per-node sampling overhead that matters on the short
         # bitvectors of this small workload, so only a loose factor is
-        # asserted there (the ABL-BV benchmark studies the real trade-off).
+        # asserted there.
         assert sizes["rrr"] < sizes["plain"]
         assert sizes["rle"] < 2.0 * sizes["plain"]
 

@@ -1,11 +1,11 @@
-"""Tests for the column-store / log-analytics application layer."""
+"""Tests for the column-store application layer."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from repro.db import AccessLogStore, ColumnStore, CompressedColumn
+from repro.db import ColumnStore, CompressedColumn
 from repro.exceptions import InvalidOperationError, OutOfBoundsError
 
 
@@ -140,60 +140,3 @@ class TestColumnStore:
     def test_size_reporting(self):
         table, _ = self.build(60)
         assert table.size_in_bits() > 0
-
-
-class TestAccessLogStore:
-    def build(self, url_log):
-        store = AccessLogStore()
-        for tick, url in enumerate(url_log[:300]):
-            store.append(url, timestamp=tick * 5)
-        return store
-
-    def test_window_translation(self, url_log):
-        store = self.build(url_log)
-        assert store.window(0, 5 * 300) == (0, 300)
-        assert store.window(50, 100) == (10, 20)
-        assert store.window(10_000, 20_000) == (300, 300)
-
-    def test_timestamps_must_be_monotone(self):
-        store = AccessLogStore()
-        store.append("/a", 10)
-        with pytest.raises(ValueError):
-            store.append("/b", 5)
-
-    def test_default_timestamps(self):
-        store = AccessLogStore()
-        store.append("/a")
-        store.append("/b")
-        assert store.entry(1) == (1, "/b")
-
-    def test_windowed_analytics_match_reference(self, url_log):
-        store = self.build(url_log)
-        values = url_log[:300]
-        start_time, end_time = 250, 1000
-        low, high = store.window(start_time, end_time)
-        window_values = values[low:high]
-        domain = values[0].split("/")[2]
-        prefix = f"http://{domain}/"
-        assert store.count_prefix(prefix, start_time, end_time) == sum(
-            1 for v in window_values if v.startswith(prefix)
-        )
-        assert store.count_url(values[0], start_time, end_time) == window_values.count(values[0])
-        counter = Counter(window_values)
-        top = store.top_urls(3, start_time, end_time)
-        assert top[0][1] == counter.most_common(1)[0][1]
-        distinct = dict(store.distinct_urls(start_time, end_time))
-        assert distinct == dict(counter)
-        majority = store.majority_url(start_time, end_time)
-        best, best_count = counter.most_common(1)[0]
-        assert majority == ((best, best_count) if best_count > len(window_values) / 2 else None)
-        accesses = store.accesses_under(prefix, start_time, end_time, limit=5)
-        expected_positions = [i for i in range(low, high) if values[i].startswith(prefix)][:5]
-        assert [url for _, url in accesses] == [values[i] for i in expected_positions]
-        assert [ts for ts, _ in accesses] == [i * 5 for i in expected_positions]
-
-    def test_empty_windows(self, url_log):
-        store = self.build(url_log)
-        assert store.top_urls(3, 5000, 5000) == []
-        assert store.distinct_urls(9999, 10000) == []
-        assert store.majority_url(9999, 10000) is None

@@ -1,43 +1,41 @@
 """Cross-module integration: ingest -> persist -> reload -> query -> analytics.
 
 These tests chain the application layers the way a downstream user would:
-workload generators feed the database layer, the indexes are persisted with
-:mod:`repro.storage`, reloaded, queried through the declarative query layer
-and the CLI, and the analytics answers are cross-checked against plain-Python
-oracles.
+workload generators feed the tries and the column store, the indexes are
+persisted with :mod:`repro.storage`, reloaded, queried through the library
+and the CLI, and the analytics answers are cross-checked against
+plain-Python oracles.
 """
 
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.db import AccessLogStore, ColumnStore, Query, TemporalGraphStore
+from repro.core.append_only import AppendOnlyWaveletTrie
+from repro.db import ColumnStore
 from repro.storage import dumps, load, loads, save
-from repro.workloads import EdgeStreamGenerator, UrlLogGenerator
+from repro.workloads import UrlLogGenerator
 
 
 class TestLogPipeline:
     def test_ingest_persist_reload_analyze(self, tmp_path):
         urls = UrlLogGenerator(domains=8, depth=2, branching=3, seed=55).generate(600)
-        log = AccessLogStore()
-        for tick, url in enumerate(urls):
-            log.append(url, timestamp=tick)
+        log = AppendOnlyWaveletTrie()
+        for url in urls:
+            log.append(url)
 
         path = tmp_path / "log.wt"
         save(log, path)
         restored = load(path)
+        assert restored.to_list() == urls
 
         # Windowed analytics agree with a plain recount of the raw list.
         window = (150, 450)
-        low, high = restored.window(*window)
-        assert (low, high) == (150, 450)
         domain = urls[200].split("/")[2]
         prefix = f"http://{domain}"
         expected = sum(1 for url in urls[150:450] if url.startswith(prefix))
-        assert restored.count_prefix(prefix, *window) == expected
+        assert restored.range_count_prefix(prefix, *window) == expected
 
-        top = restored.top_urls(3, *window)
+        top = restored.top_k_in_range(*window, 3)
         recount = {}
         for url in urls[150:450]:
             recount[url] = recount.get(url, 0) + 1
@@ -78,40 +76,14 @@ class TestColumnStorePipeline:
             )
         restored = loads(dumps(store))
 
-        query = (
-            Query(restored)
-            .where_eq("status", "500")
-            .where_eq("method", "POST")
-            .select("url", "status")
-        )
+        positions = restored.filter({"status": "500", "method": "POST"})
         expected = [
             {"url": urls[index], "status": "500"}
             for index in range(400)
             if index % 17 == 0 and index % 5 == 0
         ]
-        assert query.rows() == expected
+        assert restored.project(positions, ["url", "status"]) == expected
 
-        grouped = dict(Query(restored).in_rows(0, 100).group_by_count("method"))
+        grouped = dict(restored.group_by_count("method", 0, 100))
         assert grouped["POST"] == len([i for i in range(100) if i % 5 == 0])
         assert grouped["GET"] == 100 - grouped["POST"]
-
-
-class TestGraphPipeline:
-    def test_snapshots_from_generated_stream(self):
-        generator = EdgeStreamGenerator(initial_vertices=5, seed=3)
-        graph = TemporalGraphStore()
-        oracle = {}
-        for tick in range(500):
-            src, dst = generator.generate_edge()
-            graph.add_edge(src, dst, timestamp=tick)
-            oracle.setdefault(src, set()).add(dst)
-
-        # Full-history snapshot equals the oracle adjacency sets.
-        for vertex in list(oracle)[:8]:
-            assert set(graph.neighbors_at(vertex, 500)) == oracle[vertex]
-
-        # Per-window activity sums to the number of events.
-        total_activity = sum(
-            count for _, count in graph.active_vertices(0, 500)
-        )
-        assert total_activity == 500

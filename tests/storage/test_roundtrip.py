@@ -8,7 +8,7 @@ from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.core.tiers import TieredWaveletTrie
-from repro.db import AccessLogStore, ColumnStore, CompressedColumn
+from repro.db import ColumnStore, CompressedColumn
 from repro.storage import dumps, load, loads, save
 from repro.tries.binarize import BytesCodec, FixedWidthIntCodec
 from repro.bits.bitstring import Bits
@@ -208,18 +208,6 @@ class TestDatabaseLayerRoundtrip:
         assert restored.filter_eq("status", "404") == store.filter_eq("status", "404")
         restored.append_row({"url": "http://new/", "status": "500"})
         assert len(restored) == 61
-
-    def test_access_log_store(self, url_log):
-        log = AccessLogStore()
-        for index, url in enumerate(url_log[:70]):
-            log.append(url, timestamp=index * 10)
-        restored = loads(dumps(log))
-        assert len(restored) == 70
-        assert restored.entry(33) == log.entry(33)
-        assert restored.window(100, 300) == log.window(100, 300)
-        assert restored.top_urls(3, 0, 700) == log.top_urls(3, 0, 700)
-        restored.append("http://later.example/", timestamp=9999)
-        assert len(restored) == 71
 
 
 class TestFileRoundtrip:

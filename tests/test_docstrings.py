@@ -4,9 +4,11 @@ Run directly (``pytest tests/test_docstrings.py``) or via ``make docs-check``.
 The walk imports every module under :mod:`repro`, so an import-time error in
 any module also fails this gate.  Also enforces the kernel backend contract:
 every public kernel function must exist in *both* backend modules and appear
-in the contract table of docs/ARCHITECTURE.md.
+in the contract table of docs/ARCHITECTURE.md.  And every class name that
+README.md, docs/API.md and docs/ARCHITECTURE.md cite must exist.
 """
 
+import builtins
 import importlib
 import inspect
 import pkgutil
@@ -81,7 +83,8 @@ def test_every_batch_api_method_states_its_cost():
 # ----------------------------------------------------------------------
 # Kernel backend contract (docs/ARCHITECTURE.md, "Kernel backends")
 # ----------------------------------------------------------------------
-ARCHITECTURE_MD = Path(__file__).resolve().parent.parent / "docs" / "ARCHITECTURE.md"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+ARCHITECTURE_MD = REPO_ROOT / "docs" / "ARCHITECTURE.md"
 
 
 def test_kernel_backends_export_the_same_contract():
@@ -268,3 +271,34 @@ def test_full_text_search_section_matches_the_code():
     import inspect
 
     assert "sa_sample" in inspect.signature(FMIndex).parameters
+
+
+# ----------------------------------------------------------------------
+# Names the user-facing docs cite must exist
+# ----------------------------------------------------------------------
+DOCUMENTS = ("README.md", "docs/API.md", "docs/ARCHITECTURE.md")
+
+# The paper's notation and environment names, written like class names.
+NOTATION = {
+    "Access", "Rank", "Select", "Init", "H0", "LB", "PT", "Sset",
+    "PYTHONPATH", "DIR",
+}
+
+
+def test_backticked_class_names_exist():
+    """A backticked class-style name must exist: a capitalised run of two or
+    more letters and digits that ends its span or is followed by a call or
+    an attribute (``WaveletTrie``, ``FMIndex(text)``,
+    ``ClusterConfig.max_restarts``).  It must be defined at module level by
+    some ``repro`` module, or be a builtin or the paper's notation -- so a
+    renamed or deleted class cannot stay in the docs."""
+    defined = set(dir(builtins)) | NOTATION
+    for module in iter_repro_modules():
+        defined.update(vars(module))
+    missing = set()
+    for document in DOCUMENTS:
+        text = (REPO_ROOT / document).read_text(encoding="utf-8")
+        for name in re.findall(r"`([A-Z][A-Za-z0-9]+)(?=[`(.])", text):
+            if name not in defined:
+                missing.add(f"{document}: {name}")
+    assert not missing, f"docs name undefined classes: {sorted(missing)}"

@@ -1,5 +1,5 @@
-"""Tests for the fixed-alphabet dynamic Wavelet Tree and the Section 6
-probabilistically balanced dynamic Wavelet Tree (Theorem 6.2)."""
+"""Tests for the Section 6 probabilistically balanced dynamic Wavelet Tree
+(Theorem 6.2)."""
 
 import math
 import random
@@ -7,60 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import OutOfBoundsError, ValueNotFoundError
-from repro.wavelet import BalancedDynamicWaveletTree, FixedAlphabetDynamicWaveletTree
+from repro.exceptions import OutOfBoundsError
+from repro.wavelet import BalancedDynamicWaveletTree
 from repro.workloads import IntegerSequenceGenerator
-
-
-class TestFixedAlphabetDynamicWaveletTree:
-    def test_append_access_rank_select(self):
-        tree = FixedAlphabetDynamicWaveletTree(["red", "green", "blue"])
-        data = ["red", "blue", "red", "green", "blue", "red"]
-        for value in data:
-            tree.append(value)
-        assert tree.to_list() == data
-        assert tree.rank("red", 4) == 2
-        assert tree.select("blue", 1) == 4
-        assert tree.count("green") == 1
-
-    def test_insert_delete(self):
-        tree = FixedAlphabetDynamicWaveletTree(["a", "b"], values=["a", "a", "b"])
-        tree.insert("b", 1)
-        assert tree.to_list() == ["a", "b", "a", "b"]
-        assert tree.delete(2) == "a"
-        assert tree.to_list() == ["a", "b", "b"]
-
-    def test_unknown_symbol_rejected(self):
-        """The limitation the Wavelet Trie removes: the alphabet cannot grow."""
-        tree = FixedAlphabetDynamicWaveletTree(["a", "b"])
-        tree.append("a")
-        with pytest.raises(ValueNotFoundError):
-            tree.append("c")
-        with pytest.raises(ValueNotFoundError):
-            tree.rank("c", 1)
-
-    def test_empty_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            FixedAlphabetDynamicWaveletTree([])
-
-    def test_randomised_against_list(self):
-        rng = random.Random(12)
-        alphabet = [f"s{i}" for i in range(9)]
-        tree = FixedAlphabetDynamicWaveletTree(alphabet)
-        reference = []
-        for _ in range(400):
-            action = rng.random()
-            if action < 0.6 or not reference:
-                value = rng.choice(alphabet)
-                position = rng.randint(0, len(reference))
-                tree.insert(value, position)
-                reference.insert(position, value)
-            else:
-                position = rng.randrange(len(reference))
-                assert tree.delete(position) == reference.pop(position)
-        assert tree.to_list() == reference
-        for value in alphabet:
-            assert tree.count(value) == reference.count(value)
 
 
 class TestBalancedDynamicWaveletTree:

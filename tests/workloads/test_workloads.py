@@ -6,7 +6,6 @@ import pytest
 
 from repro.workloads import (
     ColumnGenerator,
-    EdgeStreamGenerator,
     IntegerSequenceGenerator,
     QueryLogGenerator,
     UrlLogGenerator,
@@ -96,16 +95,3 @@ class TestOtherGenerators:
     def test_integer_generator_validation(self):
         with pytest.raises(ValueError):
             IntegerSequenceGenerator(universe=10, alphabet_size=11)
-
-    def test_edge_stream(self):
-        generator = EdgeStreamGenerator(seed=7)
-        edges = generator.generate(200)
-        assert len(edges) == 200
-        assert all(" -> " in edge for edge in edges)
-        sources = {edge.split(" -> ")[0] for edge in edges}
-        assert all(source.startswith("http://sn.example/user/") for source in sources)
-        assert EdgeStreamGenerator(seed=7).generate(200) == edges
-
-    def test_edge_stream_validation(self):
-        with pytest.raises(ValueError):
-            EdgeStreamGenerator(initial_vertices=1)
