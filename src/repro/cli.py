@@ -496,7 +496,9 @@ def _serve_cluster(args: argparse.Namespace, column, config) -> int:
     if args.image_dir is not None:
         image_dir = args.image_dir
         manifest_path = os.path.join(image_dir, MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
+        if os.path.exists(manifest_path):
+            _check_reused_images(image_dir, args, len(column))
+        else:
             export_shard_images({args.shard: column}, image_dir, args.workers)
     else:
         image_dir = tempfile.mkdtemp(prefix="repro-cluster-")
@@ -542,6 +544,27 @@ def _serve_cluster(args: argparse.Namespace, column, config) -> int:
 
     asyncio.run(run())
     return 0
+
+
+def _check_reused_images(image_dir: str, args: argparse.Namespace, rows: int) -> None:
+    """Refuse an ``--image-dir`` whose manifest does not match this serve.
+
+    Compares the worker count, the column names and the total row count;
+    a source of the same shape but different content is not detected.
+    """
+    from repro.storage.shards import load_manifest
+
+    manifest = load_manifest(image_dir)
+    workers = manifest["workers"]
+    columns = manifest["columns"]
+    total = manifest["partition"]["bounds"][-1]
+    if (workers, columns, total) != (args.workers, [args.shard], rows):
+        raise ReproError(
+            f"--image-dir {image_dir} holds shard images of {total:,} rows in "
+            f"column(s) {columns} across {workers} workers, but this serve has "
+            f"{rows:,} rows in column {args.shard!r} across {args.workers} "
+            f"workers; remove {image_dir} or pass another --image-dir"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -862,7 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--image-dir",
         default=None,
         help="directory for the cluster's shard images / manifest "
-        "(reused if it already holds a manifest; default: a temp dir)",
+        "(reused if its manifest matches --workers, --shard and the row "
+        "count, else an error; default: a temp dir)",
     )
     add_common(serve)
     serve.set_defaults(handler=_cmd_serve)

@@ -1,89 +1,131 @@
-"""Bulk construction of a Wavelet Trie from a sequence (Definition 3.1).
+"""Bulk construction of a static Wavelet Trie (Definition 3.1).
 
-The builder follows the recursive definition: the root label is the longest
-common prefix of the sequence, the root bitvector records the bit following
-the prefix in each element, and the two children are built on the projected
-subsequences.  The implementation is iterative (explicit work stack), so deep
-tries -- long URLs produce paths hundreds of bits deep -- never hit Python's
-recursion limit.
+By Definition 3.1 the trie's shape is the Patricia trie of the distinct
+binarised values, and each node's bitvector is the stable split of its
+subsequence by the bit after its label.  So the builder binarises every
+distinct value once (:func:`distinct_codes`), sorts the distinct codes and
+replaces every row by the rank of its code in that order.  A node is then a
+contiguous rank range ``[lo, hi)``:
+
+* its label is the longest common prefix of the range's first and last
+  codes, minus the bits consumed above it;
+* its branch bit is ``rank >= split``, where ``split`` is the first rank
+  whose bit after the label is 1 (a binary search);
+* its bitvector and the two children's rank arrays come from one
+  ``kernel.partition_by_pivot`` call, the wavelet-tree build of Grossi,
+  Gupta & Vitter, vectorised under the numpy backend.
+
+The work stack is explicit, so deep tries -- long URLs produce paths
+hundreds of bits deep -- never hit Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.bits import kernel
 from repro.bits.bitstring import Bits
 from repro.core.node import WaveletTrieNode
 from repro.exceptions import BinarizationError
 
-__all__ = ["build_wavelet_trie_nodes"]
-
-BitvectorFactory = Callable[[Sequence[int]], object]
+__all__ = ["build_wavelet_trie_nodes", "distinct_codes"]
 
 
-def _longest_common_prefix(sequence: Sequence[Bits]) -> int:
-    """Length of the longest common prefix of all elements."""
-    first = sequence[0]
-    lcp = len(first)
-    for item in sequence[1:]:
-        lcp = min(lcp, first.lcp_length(item))
-        if lcp == 0:
-            break
-    return lcp
+def distinct_codes(
+    values: Iterable[Any], encode: Callable[[Any], Bits]
+) -> Tuple[List[Bits], List[int]]:
+    """Binarise ``values`` once per distinct value.
+
+    Returns ``(codes, rows)``: the distinct binarised values in order of
+    first occurrence, and each row's index into ``codes``.  Rows are keyed
+    by ``(type(value), value)``, so values that compare equal across types
+    (``1``, ``True`` and ``1.0``) are each passed to ``encode`` and keep
+    its type checks; keys whose encodings are equal then share one code.
+    Unhashable values (a ``bytearray``) are encoded once per row.
+    """
+    code_of_key: Dict[tuple, int] = {}
+    code_of_bits: Dict[Bits, int] = {}
+    rows: List[int] = []
+    for value in values:
+        key = (type(value), value)
+        try:
+            code = code_of_key.get(key)
+        except TypeError:  # unhashable: no key, encode this row
+            key = code = None
+        if code is None:
+            code = code_of_bits.setdefault(encode(value), len(code_of_bits))
+            if key is not None:
+                code_of_key[key] = code
+        rows.append(code)
+    return list(code_of_bits), rows
+
+
+def _sort_key(bits: Bits) -> Tuple[bytes, int]:
+    """A key whose order is the lexicographic order of bit-strings.
+
+    The bits are zero-padded to whole bytes; the padding can only tie a
+    value with one it is a prefix of, and the length puts the prefix first.
+    """
+    pad = -len(bits) % 8
+    return (bits.value << pad).to_bytes((len(bits) + pad) // 8, "big"), len(bits)
 
 
 def build_wavelet_trie_nodes(
-    encoded: Sequence[Bits],
-    bitvector_factory: BitvectorFactory,
+    codes: Sequence[Bits], rows: Sequence[int], bitvector_factory
 ) -> Optional[WaveletTrieNode]:
-    """Build the node tree of ``WT(S)`` for the binarised sequence ``encoded``.
+    """Build the node tree of ``WT(S)`` from distinct codes and row indexes.
 
-    ``bitvector_factory`` receives the list of branching bits of one node and
-    returns the bitvector object stored there (RRR for the static trie, a
-    dynamic bitvector for bulk-loading the dynamic variants).
+    ``codes`` are the distinct binarised values and ``rows[i]`` the index
+    of row ``i``'s code, as :func:`distinct_codes` returns them.
+    ``bitvector_factory.from_words(words, length)`` builds each internal
+    node's bitvector from its packed branch bits.
 
-    Raises :class:`BinarizationError` if the underlying string set is not
-    prefix-free (which the codecs guarantee by construction).
+    Raises :class:`BinarizationError` if the codes are not prefix-free
+    (which the codecs guarantee by construction).
     """
-    if not encoded:
+    if not rows:
         return None
+    order = sorted(range(len(codes)), key=lambda index: _sort_key(codes[index]))
+    ordered = [codes[index] for index in order]
+    # A proper prefix sorts immediately before a value that extends it, so
+    # checking adjacent pairs checks the whole set.
+    for shorter, longer in zip(ordered, ordered[1:]):
+        if longer.startswith(shorter):
+            raise BinarizationError("the binarised string set is not prefix-free")
+    rank_of = [0] * len(codes)
+    for rank, index in enumerate(order):
+        rank_of[index] = rank
+    symbols = kernel.prepare_symbols([rank_of[code] for code in rows])
 
-    root_holder: List[Optional[WaveletTrieNode]] = [None]
-    # Work items: (subsequence, parent node, branching bit under the parent).
-    stack: List[tuple] = [(list(encoded), None, 0)]
+    root: Optional[WaveletTrieNode] = None
+    # Work items: (rank range, bits consumed above, the range's rows as
+    # ranks, parent node, branching bit under the parent).
+    stack: List[tuple] = [(0, len(ordered), 0, symbols, None, 0)]
     while stack:
-        sequence, parent, parent_bit = stack.pop()
-        first = sequence[0]
-        lcp = _longest_common_prefix(sequence)
-        if lcp == len(first):
-            # `first` is a prefix of every element; with a prefix-free set
-            # this means the subsequence is constant -> leaf node.
-            for item in sequence:
-                if len(item) != len(first):
-                    raise BinarizationError(
-                        "the binarised string set is not prefix-free"
-                    )
-            node = WaveletTrieNode(label=first)
+        lo, hi, depth, symbols, parent, parent_bit = stack.pop()
+        first = ordered[lo]
+        if hi - lo == 1:
+            node = WaveletTrieNode(label=first.suffix_from(depth))
         else:
-            alpha = first.prefix(lcp)
-            branch_bits = [item[lcp] for item in sequence]
-            node = WaveletTrieNode(
-                label=alpha, bitvector=bitvector_factory(branch_bits)
-            )
-            left: List[Bits] = []
-            right: List[Bits] = []
-            for item, bit in zip(sequence, branch_bits):
-                suffix = item.suffix_from(lcp + 1)
-                if bit:
-                    right.append(suffix)
+            lcp = first.lcp_length(ordered[hi - 1])
+            # The bit at ``lcp`` is 0 on ``first`` and 1 on the last value,
+            # and sorted order makes it monotone in between.
+            split, upper = lo + 1, hi - 1
+            while split < upper:
+                middle = (split + upper) // 2
+                if ordered[middle][lcp]:
+                    upper = middle
                 else:
-                    left.append(suffix)
-            if not left or not right:  # pragma: no cover - lcp is maximal
-                raise AssertionError("both children of a split must be non-empty")
-            stack.append((right, node, 1))
-            stack.append((left, node, 0))
+                    split = middle + 1
+            words, length, zeros, ones = kernel.partition_by_pivot(symbols, split)
+            node = WaveletTrieNode(
+                label=first.slice(depth, lcp),
+                bitvector=bitvector_factory.from_words(words, length),
+            )
+            stack.append((split, hi, lcp + 1, ones, node, 1))
+            stack.append((lo, split, lcp + 1, zeros, node, 0))
         if parent is None:
-            root_holder[0] = node
+            root = node
         else:
             parent.attach(parent_bit, node)
-    return root_holder[0]
+    return root

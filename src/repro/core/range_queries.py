@@ -22,8 +22,11 @@ codec), so the analytics read naturally in the database-style examples.
 from __future__ import annotations
 
 import heapq
+from itertools import compress
+from operator import not_
 from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.bits import kernel
 from repro.bits.bitstring import Bits
 from repro.exceptions import OutOfBoundsError
 
@@ -42,45 +45,63 @@ class RangeQueryMixin:
     # Sequential access (paper Section 5, "Sequential access")
     # ------------------------------------------------------------------
     def iter_range(self, start: int, stop: int) -> Iterator[Any]:
-        """Yield the elements at positions ``[start, stop)`` in order.
+        """The elements at positions ``[start, stop)``, in order.
 
-        Uses one iterator per traversed node, so extracting ``r - l`` strings
-        costs one rank per traversed node plus O(1) amortised work per output
-        bit, as in the paper's analysis.
+        A top-down walk over arrays: every traversed internal node makes one
+        ``rank_many`` call (the children's ranges) and one ``iter_range``
+        call over its bits, which route the range's rows to its children.
+        Rows are routed with array operations (numpy under the numpy kernel
+        backend, lists otherwise) and each distinct leaf is decoded once, so
+        extracting ``r - l`` strings costs one rank per traversed node plus
+        O(1) amortised work per row and level, as in the paper's analysis.
+        The range is materialised (one int per row) before it is returned.
         """
         self._check_range(start, stop)
         if start >= stop or self._root is None:
-            return
-        for bits in self._iter_range_bits(self._root, start, stop, Bits.empty()):
-            yield self._codec.from_bits(bits)
-
-    def _iter_range_bits(
-        self, node, start: int, stop: int, prefix: Bits
-    ) -> Iterator[Bits]:
-        current = prefix + node.label
-        if node.is_leaf:
-            for _ in range(stop - start):
-                yield current
-            return
-        vector = node.bitvector
-        left_lo, left_hi = vector.rank_many(0, (start, stop))
-        right_lo = start - left_lo
-        right_hi = stop - left_hi
-        left_iter: Optional[Iterator[Bits]] = None
-        right_iter: Optional[Iterator[Bits]] = None
-        for bit in vector.iter_range(start, stop):
-            if bit == 0:
-                if left_iter is None:
-                    left_iter = self._iter_range_bits(
-                        node.children[0], left_lo, left_hi, current.appended(0)
-                    )
-                yield next(left_iter)
+            return iter(())
+        np = kernel.array_module()
+        width = stop - start
+        leaf_values: List[Any] = []
+        if np is not None:
+            leaf_of_row = np.empty(width, dtype=np.int64)
+            rows = np.arange(width)
+        else:
+            leaf_of_row = [0] * width
+            rows = list(range(width))
+        stack = [(self._root, start, stop, Bits.empty(), rows)]
+        while stack:
+            node, lo, hi, prefix, rows = stack.pop()
+            current = prefix + node.label
+            if node.is_leaf:
+                leaf = len(leaf_values)
+                leaf_values.append(self._codec.from_bits(current))
+                if np is not None:
+                    leaf_of_row[rows] = leaf
+                else:
+                    for row in rows:
+                        leaf_of_row[row] = leaf
+                continue
+            vector = node.bitvector
+            left_lo, left_hi = vector.rank_many(0, (lo, hi))
+            if np is not None:
+                ones = np.fromiter(vector.iter_range(lo, hi), dtype=bool, count=hi - lo)
+                left_rows, right_rows = rows[~ones], rows[ones]
             else:
-                if right_iter is None:
-                    right_iter = self._iter_range_bits(
-                        node.children[1], right_lo, right_hi, current.appended(1)
-                    )
-                yield next(right_iter)
+                ones = list(vector.iter_range(lo, hi))
+                right_rows = list(compress(rows, ones))
+                left_rows = list(compress(rows, map(not_, ones)))
+            if left_hi > left_lo:
+                stack.append(
+                    (node.children[0], left_lo, left_hi, current.appended(0), left_rows)
+                )
+            if hi - left_hi > lo - left_lo:
+                stack.append(
+                    (node.children[1], lo - left_lo, hi - left_hi,
+                     current.appended(1), right_rows)
+                )
+        if np is not None:
+            leaf_of_row = leaf_of_row.tolist()
+        return iter([leaf_values[leaf] for leaf in leaf_of_row])
 
     # ------------------------------------------------------------------
     # Distinct values in range
@@ -101,9 +122,7 @@ class RangeQueryMixin:
         node, lo, hi, accumulated = self._range_at_prefix(start, stop, prefix)
         if node is None or lo >= hi:
             return []
-        results: List[Tuple[Any, int]] = []
-        self._collect_distinct(node, lo, hi, accumulated, results)
-        return results
+        return self._collect(node, lo, hi, accumulated, 1)
 
     def _range_at_prefix(self, start: int, stop: int, prefix: Any):
         """Map a position range at the root to the node of ``prefix``.
@@ -131,25 +150,6 @@ class RangeQueryMixin:
             accumulated = (accumulated + label).appended(bit)
             remaining = remaining.suffix_from(len(label) + 1)
             node = node.children[bit]
-
-    def _collect_distinct(
-        self, node, lo: int, hi: int, prefix: Bits, out: List[Tuple[Any, int]]
-    ) -> None:
-        current = prefix + node.label
-        if node.is_leaf:
-            out.append((self._codec.from_bits(current), hi - lo))
-            return
-        vector = node.bitvector
-        left_lo, left_hi = vector.rank_many(0, (lo, hi))
-        right_lo, right_hi = lo - left_lo, hi - left_hi
-        if left_hi > left_lo:
-            self._collect_distinct(
-                node.children[0], left_lo, left_hi, current.appended(0), out
-            )
-        if right_hi > right_lo:
-            self._collect_distinct(
-                node.children[1], right_lo, right_hi, current.appended(1), out
-            )
 
     def count_distinct_in_range(self, start: int, stop: int, prefix: Any = None) -> int:
         """Number of distinct values in ``[start, stop)`` (optionally under a prefix)."""
@@ -214,30 +214,32 @@ class RangeQueryMixin:
         node, lo, hi, accumulated = self._range_at_prefix(start, stop, prefix)
         if node is None or hi - lo < threshold:
             return []
-        results: List[Tuple[Any, int]] = []
-        self._collect_frequent(node, lo, hi, accumulated, threshold, results)
-        return results
+        return self._collect(node, lo, hi, accumulated, threshold)
 
-    def _collect_frequent(
-        self, node, lo: int, hi: int, prefix: Bits, threshold: int,
-        out: List[Tuple[Any, int]],
-    ) -> None:
-        current = prefix + node.label
-        if node.is_leaf:
-            if hi - lo >= threshold:
-                out.append((self._codec.from_bits(current), hi - lo))
-            return
-        vector = node.bitvector
-        left_lo, left_hi = vector.rank_many(0, (lo, hi))
-        right_lo, right_hi = lo - left_lo, hi - left_hi
-        if left_hi - left_lo >= threshold:
-            self._collect_frequent(
-                node.children[0], left_lo, left_hi, current.appended(0), threshold, out
-            )
-        if right_hi - right_lo >= threshold:
-            self._collect_frequent(
-                node.children[1], right_lo, right_hi, current.appended(1), threshold, out
-            )
+    def _collect(
+        self, node, lo: int, hi: int, prefix: Bits, threshold: int
+    ) -> List[Tuple[Any, int]]:
+        """``(value, count)`` of the leaves under ``node`` whose count in
+        ``[lo, hi)`` reaches ``threshold``, in trie DFS order (0-child
+        first).  One ``rank_many`` per visited internal node; a subtree is
+        entered only while its range holds at least ``threshold`` rows.
+        """
+        out: List[Tuple[Any, int]] = []
+        stack = [(node, lo, hi, prefix)]
+        while stack:
+            node, lo, hi, prefix = stack.pop()
+            current = prefix + node.label
+            if node.is_leaf:
+                if hi - lo >= threshold:
+                    out.append((self._codec.from_bits(current), hi - lo))
+                continue
+            left_lo, left_hi = node.bitvector.rank_many(0, (lo, hi))
+            right_lo, right_hi = lo - left_lo, hi - left_hi
+            if right_hi - right_lo >= threshold:
+                stack.append((node.children[1], right_lo, right_hi, current.appended(1)))
+            if left_hi - left_lo >= threshold:
+                stack.append((node.children[0], left_lo, left_hi, current.appended(0)))
+        return out
 
     def top_k_in_range(
         self, start: int, stop: int, k: int, prefix: Any = None

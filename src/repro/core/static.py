@@ -23,7 +23,7 @@ from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rle import RLEBitVector
 from repro.bitvector.rrr import RRRBitVector
 from repro.core.base import WaveletTrieBase
-from repro.core.builder import build_wavelet_trie_nodes
+from repro.core.builder import build_wavelet_trie_nodes, distinct_codes
 from repro.core.node import WaveletTrieNode
 from repro.exceptions import ImmutableStructureError, SerializationError
 from repro.succinct.dfuds import DFUDSTree
@@ -77,11 +77,7 @@ class WaveletTrie(WaveletTrieBase):
                 f"expected one of {sorted(_BITVECTOR_FACTORIES)}"
             )
         self._bitvector_kind = bitvector
-        factory = _BITVECTOR_FACTORIES[bitvector]
-        values = list(values)
-        encoded = [self._codec.to_bits(value) for value in values]
-        self._root = build_wavelet_trie_nodes(encoded, factory)
-        self._size = len(encoded)
+        self._build(values, self._codec.to_bits)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -93,11 +89,15 @@ class WaveletTrie(WaveletTrieBase):
     ) -> "WaveletTrie":
         """Build directly from already-binarised values (testing/benchmarks)."""
         trie = cls([], codec=codec, bitvector=bitvector)
-        trie._root = build_wavelet_trie_nodes(
-            list(encoded), _BITVECTOR_FACTORIES[bitvector]
-        )
-        trie._size = len(encoded)
+        trie._build(encoded, lambda bits: bits)
         return trie
+
+    def _build(self, values: Iterable[Any], encode) -> None:
+        codes, rows = distinct_codes(values, encode)
+        self._root = build_wavelet_trie_nodes(
+            codes, rows, _BITVECTOR_FACTORIES[self._bitvector_kind]
+        )
+        self._size = len(rows)
 
     @property
     def bitvector_kind(self) -> str:

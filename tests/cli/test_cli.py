@@ -5,6 +5,7 @@ stdout with capsys and checks both the human-readable and the ``--json``
 output modes.
 """
 
+import asyncio
 import json
 
 import pytest
@@ -475,3 +476,79 @@ class TestSaveImageFailurePath:
         )
         out = tmp_path / "copy.wt"
         assert main(["save", str(rle_path), "-o", str(out), "--json"]) == 0
+
+
+class TestServeReusedImageDir:
+    """``serve --workers N --image-dir DIR`` reuses DIR only when its manifest
+    matches the worker count, the shard name and the row count."""
+
+    @pytest.fixture()
+    def serving(self, monkeypatch):
+        """Stub the event loop: record each serve instead of running it."""
+        served = []
+
+        def fake_run(coroutine):
+            coroutine.close()
+            served.append(True)
+
+        monkeypatch.setattr(asyncio, "run", fake_run)
+        return served
+
+    @pytest.fixture()
+    def image_dir(self, tmp_path, url_log, serving, capsys):
+        """DIR holding 2-worker shard images of a 100-row index."""
+        source = tmp_path / "a.log"
+        source.write_text("\n".join(url_log[:100]) + "\n", encoding="utf-8")
+        index = tmp_path / "a.wt"
+        assert main(["build", str(source), "-o", str(index)]) == 0
+        directory = tmp_path / "shards"
+        assert self.serve(index, directory, "--workers", "2") == 0
+        assert serving == [True]
+        serving.clear()
+        capsys.readouterr()
+        return index, directory
+
+    @staticmethod
+    def serve(index, directory, *extra):
+        return main(
+            ["serve", str(index), "--socket", str(directory) + ".sock",
+             "--image-dir", str(directory), *extra]
+        )
+
+    @staticmethod
+    def assert_refused(capsys, serving, code, directory):
+        """Exit 1 before serving, with an error naming DIR and the fix."""
+        assert code == 1
+        assert serving == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --image-dir {directory} holds shard images of 100 rows")
+        assert f"remove {directory} or pass another --image-dir" in err
+        return err
+
+    def test_matching_manifest_is_reused(self, image_dir, serving):
+        index, directory = image_dir
+        assert self.serve(index, directory, "--workers", "2") == 0
+        assert serving == [True]
+
+    def test_other_worker_count_is_refused(self, image_dir, serving, capsys):
+        index, directory = image_dir
+        code = self.serve(index, directory, "--workers", "3")
+        err = self.assert_refused(capsys, serving, code, directory)
+        assert "across 2 workers" in err and "across 3 workers" in err
+
+    def test_other_shard_name_is_refused(self, image_dir, serving, capsys):
+        index, directory = image_dir
+        code = self.serve(index, directory, "--workers", "2", "--shard", "urls")
+        err = self.assert_refused(capsys, serving, code, directory)
+        assert "['default']" in err and "column 'urls'" in err
+
+    def test_other_row_count_is_refused(self, image_dir, serving, tmp_path, url_log, capsys):
+        _, directory = image_dir
+        source = tmp_path / "b.log"
+        source.write_text("\n".join(url_log[:30]) + "\n", encoding="utf-8")
+        index = tmp_path / "b.wt"
+        assert main(["build", str(source), "-o", str(index)]) == 0
+        capsys.readouterr()
+        code = self.serve(index, directory, "--workers", "2")
+        err = self.assert_refused(capsys, serving, code, directory)
+        assert "30 rows" in err

@@ -8,11 +8,12 @@ differ only in their last bit, and the error paths of the binarisation codecs.
 import pytest
 
 from repro.baselines import NaiveIndexedSequence
+from repro.bits.bitstring import Bits
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.exceptions import BinarizationError, OutOfBoundsError, ValueNotFoundError
-from repro.tries.binarize import BytesCodec, Utf8Codec
+from repro.tries.binarize import BytesCodec, FixedWidthIntCodec, Utf8Codec
 
 ALL_VARIANTS = [WaveletTrie, AppendOnlyWaveletTrie, DynamicWaveletTrie]
 
@@ -98,6 +99,19 @@ class TestBoundaryValues:
         with pytest.raises(BinarizationError):
             trie.rank(123, 1)
 
+    @pytest.mark.parametrize("values", [[1, True], [1, 1.0]])
+    def test_codec_checks_values_equal_to_an_accepted_one(self, cls, values):
+        # True == 1 == 1.0, but only the int is a FixedWidthIntCodec value.
+        with pytest.raises(BinarizationError):
+            cls(values, codec=FixedWidthIntCodec(4))
+
+    def test_bytes_codec_accepts_unhashable_bytearray(self, cls):
+        values = [bytearray(b"ab"), b"ab", bytearray(b"a")]
+        trie = cls(values, codec=BytesCodec())
+        assert trie.node_count() == 3
+        assert trie.to_list() == [b"ab", b"ab", b"a"]
+        assert list(trie.iter_range(0, 3)) == [b"ab", b"ab", b"a"]
+
     def test_utf8_codec_rejects_nul(self, cls):
         with pytest.raises(BinarizationError):
             cls(["contains\x00nul"])
@@ -127,6 +141,11 @@ class TestBoundaryValues:
 
 
 class TestStaticSpecific:
+    @pytest.mark.parametrize("order", [("0", "01"), ("01", "0")])
+    def test_builder_rejects_a_prefix_in_either_order(self, order):
+        with pytest.raises(BinarizationError):
+            WaveletTrie.from_bits_sequence([Bits.from_string(bits) for bits in order])
+
     def test_mixed_length_huge_sequence_digest(self):
         # A mildly larger build to exercise RRR block boundaries (63-bit blocks).
         values = [f"k{i % 97:02d}" for i in range(4000)]

@@ -4,12 +4,14 @@ Hypothesis drives random sequences (and for the dynamic variant random edit
 scripts); every primitive of the paper is compared with the list-based oracle.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import NaiveIndexedSequence
+from repro.bits import kernel
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
+from repro.workloads import ColumnGenerator, UrlLogGenerator
 
 # Short hierarchical strings: plenty of shared prefixes and repetitions.
 values_strategy = st.lists(
@@ -22,6 +24,14 @@ values_strategy = st.lists(
 )
 
 prefix_strategy = st.sampled_from(["", "a", "ab", "a/", "net/", "com/x", "zzz"])
+
+
+def preorder(trie):
+    """Every node's label and bits (None at a leaf), in preorder."""
+    return [
+        (node.label, None if node.is_leaf else node.bitvector.to_list())
+        for node in trie.nodes()
+    ]
 
 
 def check_against_oracle(trie, values):
@@ -89,13 +99,23 @@ class TestAppendOnlyProperties:
         check_against_oracle(trie, values)
 
     @given(values_strategy)
+    @example(UrlLogGenerator(seed=3).generate(3000))
+    @example(ColumnGenerator(cardinality=64, zipf_exponent=1.1, seed=1).generate(3000))
+    @example(["", "a", "", "ab", "a", "abc", "", "ab/x", "abc"])
     @settings(max_examples=30, deadline=None)
     def test_equivalent_to_static_bulk_load(self, values):
-        incremental = AppendOnlyWaveletTrie(values, block_size=64)
-        static = WaveletTrie(values)
-        assert incremental.to_list() == static.to_list()
-        assert incremental.node_count() == static.node_count()
-        assert incremental.average_height() == static.average_height()
+        # The static bulk build must equal both incremental builds node for
+        # node -- labels and node bits, in preorder -- on either backend.
+        for backend in kernel.available_backends():
+            previous = kernel.use_backend(backend)
+            try:
+                static = WaveletTrie(values)
+                expected = preorder(static)
+                assert preorder(AppendOnlyWaveletTrie(values, block_size=64)) == expected
+                assert preorder(DynamicWaveletTrie(values)) == expected
+                assert static.to_list() == values
+            finally:
+                kernel.use_backend(previous)
 
 
 # Edit scripts for the dynamic variant: (operation, value_index, position_seed)

@@ -8,7 +8,9 @@ from repro.baselines import NaiveIndexedSequence
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
+from repro.db.column import CompressedColumn
 from repro.exceptions import OutOfBoundsError
+from repro.storage.shards import export_shard_images, open_worker_columns
 
 VARIANTS = [
     ("static", lambda values: WaveletTrie(values)),
@@ -144,3 +146,32 @@ class TestEmptySequence:
         assert trie.distinct_in_range(0, 0) == []
         assert trie.range_majority(0, 0) is None
         assert trie.top_k_in_range(0, 0, 5) == []
+
+
+# 1,199 nested prefixes: a Patricia chain of height 1,198, taller than
+# Python's default recursion limit.
+CHAIN = ["a" * length for length in range(1, 1200)]
+
+
+@pytest.mark.parametrize("factory", [f for _, f in VARIANTS], ids=[n for n, _ in VARIANTS])
+def test_range_scans_on_a_trie_deeper_than_the_recursion_limit(factory):
+    trie = factory(CHAIN)
+    assert trie.height_of(CHAIN[-1]) == len(CHAIN) - 1
+    assert list(trie.iter_range(0, len(CHAIN))) == CHAIN
+    assert list(trie.iter_range(7, 1000)) == CHAIN[7:1000]
+    assert trie.distinct_in_range(0, len(CHAIN)) == [(value, 1) for value in CHAIN]
+    assert trie.distinct_in_range(3, 9, prefix="aaaaa") == [
+        (value, 1) for value in CHAIN[4:9]
+    ]
+    assert trie.frequent_in_range(0, len(CHAIN), 1) == [(value, 1) for value in CHAIN]
+    assert trie.frequent_in_range(0, len(CHAIN), 2) == []
+
+
+def test_shard_export_of_a_trie_deeper_than_the_recursion_limit(tmp_path):
+    column = CompressedColumn("chain", CHAIN, appendable=False)
+    manifest = export_shard_images({"chain": column}, tmp_path, 2)
+    rows = []
+    for worker in range(manifest["workers"]):
+        shard = open_worker_columns(tmp_path, manifest, worker)["chain"]
+        rows.extend(shard.values())
+    assert rows == CHAIN
