@@ -169,6 +169,18 @@ class PlainBitVector(StaticBitVector):
                 f"image sections {prefix}wpop/wcum do not match the "
                 f"vector's {words} words"
             )
+        # The meta's length against the arrays: the word count, and the
+        # final ones and zeros sentinels, which sum to the length exactly.
+        if (
+            words != -(-self._length // 64)
+            or len(self._word_abs_cum) != words + 1
+            or len(self._word_abs_zero_cum) != words + 1
+            or self._word_abs_cum[-1] + self._word_abs_zero_cum[-1] != self._length
+        ):
+            raise SerializationError(
+                f"image meta for {prefix} says {self._length} bits, its "
+                f"sections hold {words} words"
+            )
         self._batch_handle = None
         self._batch_backend = None
         return self

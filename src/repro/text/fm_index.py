@@ -232,8 +232,8 @@ class FMIndex:
     def _interval_scalar(self, pattern: str) -> Tuple[int, int]:
         """The unbatched backward search: two scalar ranks per character.
 
-        Kept as the measured baseline of the batched path (see
-        ``benchmarks/bench_search.py``); results are identical.
+        Kept as the measured baseline of the batched path (the ``search``
+        case of ``benchmarks/run.py``); results are identical.
         """
         low, high = 0, len(self._bwt)
         for char in reversed(pattern):

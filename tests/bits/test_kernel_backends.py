@@ -417,3 +417,30 @@ def test_field_gathers_agree(width):
     py = pykernel.fields_many(pykernel.prepare_fields(vector._words, width), indexes)
     np_ = npkernel.fields_many(npkernel.prepare_fields(vector._words, width), indexes)
     assert py == norm(np_) == [values[i] for i in indexes]
+
+
+@requires_numpy
+def test_wavelet_tree_built_under_each_backend_answers_alike():
+    """The whole-structure build (``partition_by_pivot`` + ``from_words``
+    per node) gives the same tree under either backend."""
+    from repro.wavelet.wavelet_tree import WaveletTree
+
+    rng = random.Random(29)
+    symbols = [rng.randrange(64) for _ in range(3000)]
+    probe = [rng.randrange(len(symbols)) for _ in range(200)]
+    answers = []
+    start = kernel.active_backend()
+    try:
+        for name in ("python", "numpy"):
+            kernel.use_backend(name)
+            tree = WaveletTree(symbols, alphabet_size=64, bitvector="plain")
+            answers.append(
+                (
+                    kernel.as_int_list(tree.access_many(probe)),
+                    [tree.rank(symbol, 1500) for symbol in range(64)],
+                )
+            )
+    finally:
+        kernel.use_backend(start)
+    assert answers[0] == answers[1]
+    assert answers[0][0] == [symbols[p] for p in probe]

@@ -4,7 +4,9 @@
 with
 :class:`~repro.baselines.naive.NaiveIndexedSequence` under sustained churn --
 interleaved bulk inserts, scalar deletes (which shrink the Patricia topology)
-and batch queries, with previously unseen keys arriving mid-stream.
+and batch queries, with previously unseen keys arriving mid-stream.  The
+bulk ``extend`` and every batched query must also equal the scalar loop
+they replace, structure included.
 """
 
 import random
@@ -86,3 +88,40 @@ class TestAppendOnlyTrieBatch:
         trie.extend(values)
         oracle = NaiveIndexedSequence(values)
         check_against_oracle(trie, oracle, rng, probes=5)
+
+
+def skewed_urls(rng, n, distinct):
+    keys = [f"/host{i % 17}/path/{i}" for i in range(distinct)]
+    return [keys[int(distinct * rng.random() ** 2)] for _ in range(n)]
+
+
+class TestBulkEqualsScalar:
+    @pytest.mark.parametrize("cls", [DynamicWaveletTrie, AppendOnlyWaveletTrie])
+    def test_extend_equals_appends(self, cls):
+        values = skewed_urls(random.Random(2), 800, 60)
+        bulk = cls()
+        bulk.extend(values)
+        scalar = cls()
+        for value in values:
+            scalar.append(value)
+        assert bulk.to_list() == scalar.to_list() == values
+        assert bulk.node_count() == scalar.node_count()
+
+    def test_batched_queries_equal_scalar_queries(self):
+        values = skewed_urls(random.Random(2), 800, 60)
+        trie = DynamicWaveletTrie(values)
+        rng = random.Random(7)
+        probe, prefix = values[0], "/host3/"
+        positions = [rng.randrange(len(values) + 1) for _ in range(200)]
+        assert trie.rank_many(probe, positions) == [trie.rank(probe, p) for p in positions]
+        assert trie.rank_prefix_many(prefix, positions) == [
+            trie.rank_prefix(prefix, p) for p in positions
+        ]
+        cells = [rng.randrange(len(values)) for _ in range(200)]
+        assert trie.access_many(cells) == [trie.access(p) for p in cells]
+        indexes = [rng.randrange(trie.count(probe)) for _ in range(200)]
+        assert trie.select_many(probe, indexes) == [trie.select(probe, i) for i in indexes]
+        indexes = [rng.randrange(trie.count_prefix(prefix)) for _ in range(200)]
+        assert trie.select_prefix_many(prefix, indexes) == [
+            trie.select_prefix(prefix, i) for i in indexes
+        ]

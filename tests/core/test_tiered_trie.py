@@ -21,6 +21,7 @@ from repro.exceptions import (
     OutOfBoundsError,
     ValueNotFoundError,
 )
+from repro.workloads import ColumnGenerator
 
 PREFIXES = ["http://", "http://dom", "", "zzz"]
 
@@ -106,6 +107,44 @@ class TestTieredDifferential:
             )
         assert tiered.distinct_count() == dynamic.distinct_count()
         assert sorted(tiered.distinct_values()) == sorted(dynamic.distinct_values())
+
+    def test_matches_dynamic_trie_on_a_stream_across_seals(self):
+        """After a major compaction, writes and 64-wide batch queries in one
+        stream that crosses several seals answer as on a dynamic trie."""
+        generator = ColumnGenerator(cardinality=64, zipf_exponent=1.1, seed=7)
+        values = generator.generate(2_000)
+        population = generator.distinct_values()
+        tiered = TieredWaveletTrie(values, active_capacity=48, compact_budget=4)
+        tiered.compact(merge=True)
+        dynamic = DynamicWaveletTrie(values)
+        rng = random.Random(99)
+        for _ in range(300):
+            kind = rng.choice(["write", "write", "rank", "prefix", "access", "select"])
+            positions = [rng.randrange(len(dynamic)) for _ in range(64)]
+            if kind == "write":
+                value = rng.choice(population)
+                tiered.append(value)
+                dynamic.append(value)
+            elif kind == "rank":
+                value = population[rng.randrange(8)]
+                assert tiered.rank_many(value, positions) == dynamic.rank_many(
+                    value, positions
+                )
+            elif kind == "prefix":
+                prefix = rng.choice(["emea/", "amer/", "apac/", "emea/pisa"])
+                assert tiered.rank_prefix_many(
+                    prefix, positions
+                ) == dynamic.rank_prefix_many(prefix, positions)
+            elif kind == "access":
+                assert tiered.access_many(positions) == dynamic.access_many(positions)
+            else:
+                value = population[0]
+                indexes = [rng.randrange(dynamic.count(value)) for _ in range(64)]
+                assert tiered.select_many(value, indexes) == dynamic.select_many(
+                    value, indexes
+                )
+        assert tiered.tier_count > 2  # the writes crossed seals
+        assert tiered.to_list() == dynamic.to_list()
 
     def test_mid_compaction_queries_use_the_sealed_tier(self, url_log):
         """With a freeze in flight the sealed dynamic trie keeps serving:

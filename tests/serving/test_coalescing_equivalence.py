@@ -213,3 +213,34 @@ class TestServerEquivalence:
 
         _, metrics = asyncio.run(main())
         assert max(metrics.max_batch.values()) == 1
+
+    def test_concurrent_appends_coalesce_into_bulk_extends(self, tmp_path):
+        """Appends from many connections land exactly once each, and the
+        tick loop turns them into fewer bulk ``extend`` calls than appends."""
+        column = CompressedColumn("burst", ["seed"], tiered=True)
+        path = str(tmp_path / "writes.sock")
+
+        async def main():
+            server = IndexServer(column, ServerConfig(unix_path=path, compact_budget=8))
+            await server.start()
+            try:
+                clients = [await NDJSONClient.connect(path) for _ in range(4)]
+
+                async def writer(client, lane):
+                    for i in range(25):
+                        response = await client.call(op="append", value=f"w{lane}-{i}")
+                        assert response["ok"], response
+
+                await asyncio.gather(*(writer(c, lane) for lane, c in enumerate(clients)))
+                for client in clients:
+                    await client.close()
+                return server.metrics.batches["write"]
+            finally:
+                await server.stop()
+
+        bulk_extends = asyncio.run(main())
+        assert len(column) == 101
+        assert sorted(column.index.to_list()[1:]) == sorted(
+            f"w{lane}-{i}" for lane in range(4) for i in range(25)
+        )
+        assert bulk_extends < 100

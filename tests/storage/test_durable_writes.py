@@ -1,0 +1,64 @@
+"""Saves are durable: fsync the file, rename it into place, fsync the directory.
+
+``os.replace`` alone is atomic but not durable: after a power loss the
+renamed file can be empty, because neither its data nor the directory
+entry reached the disk.  Every writer of an index file -- RWT1 ``save``,
+RWT2 ``save_image`` and the cluster manifest of ``export_shard_images`` --
+must fsync the temporary file before the rename and the directory after
+it.  The test logs the real calls in order, with no timing involved.
+"""
+
+import os
+import stat
+
+import pytest
+
+from repro.db.column import CompressedColumn
+from repro.core.static import WaveletTrie
+from repro.storage import save, save_image
+from repro.storage.shards import MANIFEST_NAME, export_shard_images
+
+VALUES = [f"/a/{i % 7}" for i in range(300)]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    log = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        log.append(("fsync", kind))
+        real_fsync(fd)
+
+    def replace(source, target):
+        log.append(("replace", os.path.basename(target)))
+        real_replace(source, target)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return log
+
+
+def durable(name):
+    return [("fsync", "file"), ("replace", name), ("fsync", "dir")]
+
+
+def test_rwt1_save_is_durable(tmp_path, calls):
+    save(WaveletTrie(VALUES), tmp_path / "index.rwt1")
+    assert calls == durable("index.rwt1")
+
+
+def test_rwt2_save_image_is_durable(tmp_path, calls):
+    save_image(WaveletTrie(VALUES), tmp_path / "index.rwt2")
+    assert calls == durable("index.rwt2")
+
+
+def test_shard_export_writes_images_then_manifest_durably(tmp_path, calls):
+    column = CompressedColumn("default", VALUES, appendable=False)
+    export_shard_images({"default": column}, tmp_path / "shards", 2)
+    assert calls == durable("c0-w0.rwt2") + durable("c0-w1.rwt2") + durable(
+        MANIFEST_NAME
+    )
+    leftovers = [name for name in os.listdir(tmp_path / "shards") if ".tmp" in name]
+    assert not leftovers

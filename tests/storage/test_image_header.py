@@ -9,7 +9,9 @@ row counts agree with the structures.  The property here rewrites real
 images' headers (recomputing the header CRC) and requires every mutation to
 raise :class:`SerializationError` or to open an index equal to the
 original -- with ``verify=False``, so the CRCs of the sections never help.
-Per-bitvector meta fields are not mutated; ``verify=True`` stays the
+The mutations reach every field of each node bitvector's meta too
+(``length``, ``ones``, ``block_size``, ``sample_rate``, ``offset_len``),
+which the open checks against the mapped arrays; ``verify=True`` stays the
 content check.
 """
 
@@ -26,7 +28,13 @@ from repro.core.tiers import TieredWaveletTrie
 from repro.db.column import CompressedColumn
 from repro.db.table import ColumnStore
 from repro.exceptions import SerializationError
-from repro.storage import IMAGE_MAGIC, IMAGE_VERSION, dumps_image, loads_image
+from repro.storage import (
+    IMAGE_MAGIC,
+    IMAGE_VERSION,
+    dumps_image,
+    loads_image,
+    open_image,
+)
 from repro.storage.image import SECTION_ALIGN, FrozenImage
 from repro.workloads.urls import UrlLogGenerator
 
@@ -154,28 +162,53 @@ def _mutate_table(header, draw):
         header["sections"] = draw(ODD_VALUES)
 
 
-def _size_fields(meta, path=()):
-    """Paths to every stored size / row count in a meta tree (not bitvectors)."""
+def _int_fields(meta, keys, path=()):
+    """Paths to every int stored under one of ``keys`` in a meta tree."""
     if isinstance(meta, dict):
         for key, value in meta.items():
-            if key in ("size", "row_count") and isinstance(value, int):
+            if key in keys and isinstance(value, int):
                 yield path + (key,)
-            elif key != "bitvectors":
-                yield from _size_fields(value, path + (key,))
+            else:
+                yield from _int_fields(value, keys, path + (key,))
     elif isinstance(meta, list):
         for position, value in enumerate(meta):
-            yield from _size_fields(value, path + (position,))
+            yield from _int_fields(value, keys, path + (position,))
+
+
+def _bitvector_fields(meta, path=()):
+    """Paths to every field of every node bitvector's meta."""
+    if isinstance(meta, dict):
+        for key, value in meta.items():
+            if key == "bitvectors":
+                yield from _int_fields(value, BITVECTOR_FIELDS, path + (key,))
+            else:
+                yield from _bitvector_fields(value, path + (key,))
+    elif isinstance(meta, list):
+        for position, value in enumerate(meta):
+            yield from _bitvector_fields(value, path + (position,))
+
+
+BITVECTOR_FIELDS = ("length", "ones", "block_size", "sample_rate", "offset_len")
 
 
 def _mutate_meta(header, draw):
-    paths = list(_size_fields(header["meta"]))
-    kind = draw(st.sampled_from(["size", "empty", "replace", "type"]))
-    if kind == "size" and paths:
+    kind = draw(st.sampled_from(["size", "bitvector", "empty", "replace", "type"]))
+    if kind == "size":
+        paths = list(_int_fields(header["meta"], ("size", "row_count")))
+    else:
+        paths = list(_bitvector_fields(header["meta"]))
+    if kind in ("size", "bitvector") and paths:
         *parents, last = draw(st.sampled_from(paths))
         node = header["meta"]
         for key in parents:
             node = node[key]
-        node[last] = draw(st.one_of(st.integers(-3, 400), ODD_VALUES))
+        node[last] = draw(
+            st.one_of(
+                st.integers(-3, 400),
+                st.integers(-9, 9).map(lambda delta: node[last] + delta),
+                ODD_VALUES,
+            )
+        )
     elif kind == "empty":
         header["meta"] = {}
     elif kind == "replace":
@@ -191,7 +224,7 @@ class TestRewrittenHeaders:
         assert _join(header, body) == data
         assert _fingerprint(loads_image(_join(header, body))) == expected
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=125, deadline=None)
     @given(st.data())
     def test_mutated_header_raises_or_opens_the_original(self, image, data):
         raw, expected = image
@@ -257,6 +290,44 @@ class TestStoredSizes:
         header["meta"] = {}
         with pytest.raises(SerializationError, match="malformed"):
             loads_image(_join(header, body))
+
+
+def _with_node_meta(field, value, node=0):
+    """A static RRR trie image whose ``node``'s bitvector meta says ``value``."""
+    header, body = _split(dumps_image(WaveletTrie(VALUES)))
+    header["meta"]["trie"]["bitvectors"][node][field] = value
+    return _join(header, body)
+
+
+class TestBitvectorMeta:
+    def test_zero_block_size_is_rejected_at_open(self, tmp_path):
+        path = tmp_path / "zero-block.rwt2"
+        path.write_bytes(_with_node_meta("block_size", 0))
+        with pytest.raises(SerializationError, match="block size 0"):
+            open_image(path)
+
+    def test_zero_sample_rate_is_rejected_at_open(self, tmp_path):
+        path = tmp_path / "zero-sample.rwt2"
+        path.write_bytes(_with_node_meta("sample_rate", 0))
+        with pytest.raises(SerializationError, match="sample rate 0"):
+            open_image(path)
+
+    def test_ones_must_match_the_classes(self):
+        header, _ = _split(dumps_image(WaveletTrie(VALUES)))
+        ones = header["meta"]["trie"]["bitvectors"][0]["ones"]
+        with pytest.raises(SerializationError, match=f"says {ones + 1} ones"):
+            loads_image(_with_node_meta("ones", ones + 1))
+
+    def test_one_node_cannot_change_its_block_size_alone(self):
+        # 62 keeps a short node's block count and offset widths, so only
+        # its siblings can tell.
+        header, _ = _split(dumps_image(WaveletTrie(VALUES)))
+        short = min(
+            range(len(header["meta"]["trie"]["bitvectors"])),
+            key=lambda rank: header["meta"]["trie"]["bitvectors"][rank]["length"],
+        )
+        with pytest.raises(SerializationError, match="disagree on block size"):
+            loads_image(_with_node_meta("block_size", 62, node=short))
 
 
 def test_image_size_is_header_plus_word_aligned_sections():

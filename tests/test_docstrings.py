@@ -4,13 +4,15 @@ Run directly (``pytest tests/test_docstrings.py``) or via ``make docs-check``.
 The walk imports every module under :mod:`repro`, so an import-time error in
 any module also fails this gate.  Also enforces the kernel backend contract:
 every public kernel function must exist in *both* backend modules and appear
-in the contract table of docs/ARCHITECTURE.md.  And every class name that
-README.md, docs/API.md and docs/ARCHITECTURE.md cite must exist.
+in the contract table of docs/ARCHITECTURE.md.  And every class name and
+every ``BENCH.json`` row that README.md, docs/API.md and docs/ARCHITECTURE.md
+cite must exist.
 """
 
 import builtins
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -258,7 +260,7 @@ def test_full_text_search_section_matches_the_code():
         "LF mapping",
         "Burrows",
         "backward search",
-        "BENCH_search.json",
+        "BENCH.json",
         "search build",
         "SparseBitVector",
         "terminator",
@@ -302,3 +304,22 @@ def test_backticked_class_names_exist():
             if name not in defined:
                 missing.add(f"{document}: {name}")
     assert not missing, f"docs name undefined classes: {sorted(missing)}"
+
+
+def test_cited_bench_rows_exist():
+    """A backticked ``case.name`` whose case is a benchmark case
+    (```search.backward_speedup```) must name a row of ``BENCH.json``, so a
+    figure the docs quote cannot outlive its measurement."""
+    rows = json.loads((REPO_ROOT / "BENCH.json").read_text(encoding="utf-8"))["rows"]
+    names = {f"{row['case']}.{row['name']}" for row in rows}
+    cases = "|".join(sorted({row["case"] for row in rows}))
+    cited = set()
+    missing = set()
+    for document in DOCUMENTS:
+        text = (REPO_ROOT / document).read_text(encoding="utf-8")
+        for name in re.findall(rf"`((?:{cases})\.[a-z0-9_]+)`", text):
+            cited.add(name)
+            if name not in names:
+                missing.add(f"{document}: {name}")
+    assert not missing, f"docs cite BENCH.json rows that do not exist: {sorted(missing)}"
+    assert cited, "the docs cite no BENCH.json row at all"
