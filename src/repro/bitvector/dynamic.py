@@ -19,9 +19,11 @@ the gamma code lengths of the runs, i.e. O(n H0) bits as in Theorem 4.9.
 Bulk paths (PR 2)
 -----------------
 Construction and bulk appends never go bit by bit: ``extend`` (the amortised
-``Append`` of the paper) extracts maximal runs through the word-level kernel
-(:func:`repro.bits.kernel.runs_of_value`) and builds a treap over them in
-O(r) with a right-spine Cartesian construction, then merges it in O(log r).
+``Append`` of the paper) takes the maximal runs from
+:func:`repro.bitvector.rle.runs_of` -- one Python grouping pass over a list,
+the word-level kernel for a :class:`Bits` payload -- and builds a treap over
+them in O(r) with a right-spine Cartesian construction, then merges it in
+O(log r).
 ``iter_runs(start, stop)`` descends the tree to the first overlapping run, so
 a short slice near the end no longer pays for every run before it, and the
 batch queries ``access_many``/``rank_many`` answer q sorted queries in one
@@ -481,13 +483,12 @@ class DynamicBitVector(BitVector):
     def insert_many(self, pos: int, bits: Union[Bits, Iterable[int]]) -> None:
         """Insert every bit of ``bits``, the first landing at position ``pos``.
 
-        Bulk ``Insert``: the payload is decomposed into maximal runs by the
-        word-level kernel (:func:`repro.bits.kernel.runs_of_value`), the treap
-        is split *once* at ``pos``, a treap over the new runs is bulk-built in
-        O(r_new) with the right-spine construction, and the two merges (with
-        boundary coalescing) finish in O(log r) -- amortised O(k / 8 + r_new +
-        log r) for k bits, instead of k root-to-leaf insertions costing
-        O(k log r).
+        Bulk ``Insert``: the payload is decomposed into maximal runs by
+        :func:`~repro.bitvector.rle.runs_of`, the treap is split *once* at
+        ``pos``, a treap over the new runs is bulk-built in O(r_new) with the
+        right-spine construction, and the two merges (with boundary
+        coalescing) finish in O(log r) -- amortised O(k + r_new + log r) for
+        k bits, instead of k root-to-leaf insertions costing O(k log r).
         """
         self.insert_runs(pos, runs_of(bits))
 
@@ -590,11 +591,12 @@ class DynamicBitVector(BitVector):
     def extend(self, bits: Union[Bits, Iterable[int]]) -> None:
         """Append every bit of ``bits`` (bulk ``Append``).
 
-        Never bit by bit: a :class:`Bits` payload is decomposed into maximal
-        runs by the word-level kernel, any other iterable is grouped into
-        runs (truthy values count as 1, as in ``Bits.from_iterable``); either
-        way a treap over the new runs is built in O(r) and merged at the end
-        in O(log r), instead of n per-bit walks down the right spine.
+        Never bit by bit down the treap: :func:`~repro.bitvector.rle.runs_of`
+        groups a list in one Python pass (truthy values count as 1, as in
+        ``Bits.from_iterable``) and decomposes a :class:`Bits` payload with
+        the word-level kernel; either way a treap over the new runs is built
+        in O(r) and merged at the end in O(log r), instead of n per-bit walks
+        down the right spine.
         """
         self.append_runs(runs_of(bits))
 

@@ -34,15 +34,36 @@ _DEFAULT_SAMPLE = 32
 def runs_of(bits: Union[Bits, Iterable[int]]) -> List[Tuple[int, int]]:
     """Return the maximal runs of ``bits`` as a list of ``(bit, length)`` pairs.
 
-    Word-parallel under every input shape: a :class:`Bits` payload goes
-    through the kernel's xor-shift boundary extraction, and any other
-    iterable is bulk-packed by the kernel backend first and then run-decoded
-    from the packed words -- never a per-bit Python comparison loop.
+    A :class:`Bits` payload goes through the kernel's xor-shift boundary
+    extraction.  Any other iterable is grouped in one Python pass, truthy
+    items counting as 1 as in ``Bits.from_iterable``: on a 2-vCPU Xeon with
+    Python 3.11 that pass beat packing a list into words and decoding the
+    runs back, under both kernel backends, at every size from 1 to 10^6
+    bits -- about 1 us against 5-17 us for 16 bits, the size a batched trie
+    append hands one node.
     """
     if isinstance(bits, Bits):
         return runs_of_value(bits.value, len(bits))
-    words, length = kernel.pack_bits(bits)
-    return kernel.runs_of_words(words, length)
+    return _group_runs(bits)
+
+
+def _group_runs(items: Iterable[object]) -> List[Tuple[int, int]]:
+    """The maximal runs of the truth values of ``items``, in one pass."""
+    runs: List[Tuple[int, int]] = []
+    previous = -1
+    length = 0
+    for item in items:
+        bit = 1 if item else 0
+        if bit == previous:
+            length += 1
+        else:
+            if length:
+                runs.append((previous, length))
+            previous = bit
+            length = 1
+    if length:
+        runs.append((previous, length))
+    return runs
 
 
 class RLEBitVector(StaticBitVector):

@@ -83,10 +83,12 @@ class AppendOnlyWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
     def extend(self, values: Iterable[Any]) -> None:
         """Append every element of ``values`` in order (bulk paper Append).
 
-        Batch-amortised: one trie descent per distinct value per topology
-        epoch, with per-node bits buffered and flushed through the
-        append-only bitvectors' word-level ``extend`` (blocks freeze from
-        packed payloads, not single-bit shifts).
+        Batch-amortised: at most one trie descent per distinct value per
+        topology epoch, none for a value the trie's path cache routes, with
+        per-node bits buffered and flushed through the append-only
+        bitvectors' word-level ``extend`` (blocks freeze from packed
+        payloads, not single-bit shifts).  All or nothing: a value the codec
+        rejects raises before any row lands.
         """
         self._extend_batched(values)
 

@@ -71,10 +71,13 @@ class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
     def extend(self, values: Iterable[Any]) -> None:
         """Append every element of ``values`` in order (bulk paper Append).
 
-        Batch-amortised like the append-only variant: per-node bits are
-        buffered between topology changes and flushed through the RLE
-        bitvectors' bulk ``extend`` (kernel run extraction + O(r) treap
-        build), so bulk construction never walks the treap once per bit.
+        Batch-amortised like the append-only variant: a value the trie's
+        path cache routes costs no codec call and no descent, and per-node
+        bits are buffered between topology changes and flushed through the
+        RLE bitvectors' bulk ``extend`` (one grouping pass into runs + O(r)
+        treap build), so bulk construction never walks the treap once per
+        bit.  All or nothing: a value the codec rejects raises before any
+        row lands.
         """
         self._extend_batched(values)
 
@@ -176,7 +179,7 @@ class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
             internal.bitvector.delete(node_position)
         self._size -= 1
         if self._size == 0:
-            self._root = None
+            self._reset_root()
             return value
         if path:
             parent, leaf_bit, _ = path[-1]
@@ -236,7 +239,7 @@ class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
                     )
         self._size -= len(positions)
         if self._size == 0:
-            self._root = None
+            self._reset_root()
             return results
         for node, bit in prune:
             self._prune_empty_child(node, bit)

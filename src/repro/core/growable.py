@@ -9,26 +9,40 @@ the sibling.
 
 This mixin implements those structural changes once; subclasses only supply
 ``_new_constant_bitvector`` (the ``Init`` of their bitvector type).  It also
-hosts the shared bulk ``Append`` path (:meth:`_extend_batched`): between
-topology changes the per-node branching bits are buffered in plain lists and
-flushed through each bitvector's bulk ``extend``, so a batch of appends pays
-one trie descent per *distinct* key (per topology epoch) instead of one per
-element, and the node bitvectors grow word-at-a-time instead of bit-at-a-time.
+hosts the shared bulk ``Append`` path (:meth:`_extend_batched`).  Each trie
+keeps one path cache that lives across ``extend`` calls: it maps
+``(type(value), value)`` to the value's binarised key and root-to-leaf path,
+and every topology change clears it (a split, a merge, a reset of the root).
+Between topology changes the per-node branching bits are buffered in plain
+lists and flushed through each bitvector's bulk ``extend``, so a batch of
+values the trie already routes pays no codec call and no trie descent: one
+list append per element and path node, and one ``extend`` per touched node.
+A batch is all or nothing: every value is binarised before the first
+mutation, so a value the codec rejects raises with the trie unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bits.bitstring import Bits
 from repro.core.node import WaveletTrieNode
 from repro.exceptions import BinarizationError
+from repro.tries.binarize import StringCodec
 
 __all__ = ["GrowableTopologyMixin"]
 
 
 class GrowableTopologyMixin:
     """Patricia-trie split/merge operations shared by the dynamic variants."""
+
+    def __init__(self, codec: Optional[StringCodec] = None) -> None:
+        super().__init__(codec)
+        # (type(value), value) -> (binarised key, [(node, branching bit)]),
+        # for values routed by ``extend``; cleared on every topology change.
+        self._path_cache: Dict[
+            Any, Tuple[Bits, List[Tuple[WaveletTrieNode, int]]]
+        ] = {}
 
     # Subclasses provide _root, _size and this factory.
     def _new_constant_bitvector(self, bit: int, length: int):
@@ -46,6 +60,7 @@ class GrowableTopologyMixin:
         """
         if self._root is None:
             self._root = WaveletTrieNode(label=key)
+            self._path_cache.clear()
             return True
         node = self._root
         depth = 0
@@ -79,6 +94,11 @@ class GrowableTopologyMixin:
             self._split_node(node, lcp, remaining)
             return True
 
+    def _reset_root(self) -> None:
+        """Empty the topology: no root, and no cached path into the old one."""
+        self._root = None
+        self._path_cache.clear()
+
     def _split_node(self, node: WaveletTrieNode, lcp: int, remaining: Bits) -> WaveletTrieNode:
         """Split ``node`` at label offset ``lcp``; add a new leaf for ``remaining``.
 
@@ -105,6 +125,7 @@ class GrowableTopologyMixin:
             new_internal.parent_bit = 0
         else:
             parent.attach(parent_bit, new_internal)
+        self._path_cache.clear()
         return new_internal
 
     # ------------------------------------------------------------------
@@ -125,6 +146,7 @@ class GrowableTopologyMixin:
             sibling.parent_bit = 0
         else:
             grandparent.attach(parent.parent_bit, sibling)
+        self._path_cache.clear()
         return True
 
     def _prune_empty_child(self, parent: WaveletTrieNode, bit: int) -> bool:
@@ -143,60 +165,89 @@ class GrowableTopologyMixin:
         return self._remove_leaf_if_last(parent, bit)
 
     # ------------------------------------------------------------------
+    def _binarise(self, values) -> List[Tuple[Any, Bits]]:
+        """Route and binarise ``values`` without changing the trie.
+
+        Returns one ``(route, key)`` pair per value, shared by equal routes:
+        the route is ``(type(value), value)``, or the binarised key itself
+        for an unhashable value, and the key is the binarised value.  A
+        route the path cache holds takes its key from there, so only values
+        the trie has not routed yet reach the codec.  Keying by type keeps
+        ``True`` and ``1.0`` apart from ``1``: the codec sees each, as
+        ``append`` would.  A value the codec rejects raises here, before any
+        mutation.
+        """
+        cache = self._path_cache
+        to_bits = self._codec.to_bits
+        pairs: Dict[Any, Tuple[Any, Bits]] = {}
+        routed: List[Tuple[Any, Bits]] = []
+        for value in values:
+            route = (type(value), value)
+            try:
+                pair = pairs.get(route)
+            except TypeError:  # unhashable value: its key is its route
+                key = to_bits(value)
+                pair = (key, key)
+            else:
+                if pair is None:
+                    entry = cache.get(route)
+                    key = entry[0] if entry is not None else to_bits(value)
+                    pair = pairs[route] = (route, key)
+            routed.append(pair)
+        return routed
+
     def _extend_batched(self, values) -> None:
         """Bulk ``Append`` of ``values`` (paper Append, batch-amortised).
 
-        Per-node branching bits are buffered and flushed through the
-        bitvectors' bulk ``extend`` whenever the Patricia topology is about
-        to change (a previously unseen key needs a split, which must observe
-        up-to-date bitvector counts) and once at the end.  Root-to-leaf
-        paths are cached per distinct binarised key and invalidated on every
-        topology change, so n appends of d distinct values cost O(d) trie
-        descents per topology epoch plus O(1) list appends per node level.
+        All or nothing: :meth:`_binarise` encodes the whole batch before
+        :meth:`_extend_routed` makes the first mutation.
         """
-        key_cache: Dict[Any, Bits] = {}
-        paths: Dict[Bits, List[Tuple[WaveletTrieNode, int]]] = {}
-        buffers: Dict[int, Tuple[WaveletTrieNode, List[int]]] = {}
+        self._extend_routed(self._binarise(values))
+
+    def _extend_routed(self, routed: List[Tuple[Any, Bits]]) -> None:
+        """Append the rows of ``routed``, the pairs :meth:`_binarise` made.
+
+        Each row's path comes from the path cache, or from one descent that
+        fills it.  The rows' branching bits are buffered per node and
+        flushed through the bitvectors' bulk ``extend`` whenever the
+        Patricia topology is about to change (a previously unseen key needs
+        a split, which must observe up-to-date bitvector counts) and once at
+        the end.  So n appends of d distinct values cost at most d descents
+        per topology epoch, none for a value the cache already routes, plus
+        O(1) list appends per node level.
+        """
+        cache = self._path_cache
+        buffers: Dict[WaveletTrieNode, List[int]] = {}
         pending = 0
 
         def flush() -> None:
             nonlocal pending
-            for node, bits in buffers.values():
+            for node, bits in buffers.items():
                 node.bitvector.extend(bits)
             buffers.clear()
             self._size += pending
             pending = 0
 
-        for value in values:
-            try:
-                key = key_cache.get(value)
-            except TypeError:  # unhashable value: encode without caching
-                key = None
-            if key is None:
-                key = self._codec.to_bits(value)
-                try:
-                    key_cache[value] = key
-                except TypeError:
-                    pass
-            path = paths.get(key)
-            if path is None:
-                located = self._path_of(key) if self._root is not None else None
+        for route, key in routed:
+            entry = cache.get(route)
+            if entry is None:
+                located = self._path_of(key)
                 if located is not None:
                     path = located[1]  # the (node, branching_bit) ancestors
                 else:
                     # Topology will change: flush so the split's Init sees
-                    # the true subsequence lengths, then drop stale paths.
+                    # the true subsequence lengths (the split clears the
+                    # cache).
                     flush()
                     self._ensure_key(key)
-                    paths.clear()
                     path = list(self._walk_for_update(key))
-                paths[key] = path
-            for node, bit in path:
-                entry = buffers.get(id(node))
-                if entry is None:
-                    buffers[id(node)] = (node, [bit])
+                entry = cache[route] = (key, path)
+            for node, bit in entry[1]:
+                bits = buffers.get(node)
+                if bits is None:
+                    buffers[node] = [bit]
                 else:
-                    entry[1].append(bit)
+                    bits.append(bit)
             pending += 1
         flush()
 

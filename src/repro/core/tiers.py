@@ -903,18 +903,30 @@ class TieredWaveletTrie(IndexedStringSequence):
         self._after_write(1)
 
     def extend(self, values: Iterable[Any]) -> None:
-        """Bulk append, chunked so sealing happens on capacity boundaries."""
-        values = list(values)
+        """Bulk append, chunked so sealing happens on capacity boundaries.
+
+        All or nothing: the tail binarises the whole batch once, before the
+        first chunk lands (values its path cache routes skip the codec), so
+        a value the codec rejects leaves no chunk applied and no seal
+        started.  The binarised pairs stay valid across a seal: every tail
+        shares this trie's codec.
+        """
+        routed = self._active._binarise(values)
         cursor = 0
-        while cursor < len(values):
+        while cursor < len(routed):
             self._maybe_seal()
             room = self.active_capacity - len(self._active)
             if room <= 0:
                 # A seal is already in flight: overshoot in bounded chunks.
                 room = self.active_capacity
-            chunk = values[cursor : cursor + room]
-            self._active.extend(chunk)
-            self._size += len(chunk)
+            chunk = routed[cursor : cursor + room]
+            tail = self._active
+            before = len(tail)
+            try:
+                tail._extend_routed(chunk)
+            finally:
+                # Rows a failing chunk flushed before it raised still count.
+                self._size += len(tail) - before
             cursor += len(chunk)
             self._maybe_seal()
             self._advance(self.compact_budget * len(chunk))

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.exceptions import (
+    BinarizationError,
     InvalidOperationError,
     OutOfBoundsError,
     ReproError,
@@ -82,7 +83,7 @@ OP_FIELDS: Dict[str, Dict[str, type]] = {
 
 ERROR_CODES = frozenset(
     {
-        "malformed",        # frame is not a JSON object / bad field types
+        "malformed",        # not a JSON object / bad field types / value the codec rejects
         "oversized",        # frame exceeds the configured byte limit
         "bad_request",      # unknown op / missing argument
         "unknown_shard",    # the named shard is not served here
@@ -110,6 +111,8 @@ def error_code_for_exception(error: BaseException) -> str:
     """The wire error code for a library exception (closed mapping)."""
     if isinstance(error, ProtocolError):
         return error.code
+    if isinstance(error, BinarizationError):
+        return "malformed"  # a value the column's codec cannot encode
     if isinstance(error, OutOfBoundsError):
         return "out_of_bounds"
     if isinstance(error, ValueNotFoundError):

@@ -349,12 +349,36 @@ class IndexShard(TickLoop):
     async def _apply_writes(self, requests: List[Request]) -> List[bytes]:
         """Coalesce this tick's appends into one bulk ``extend``.
 
-        Amortised: one ``extend`` (one buffered descent per distinct key in
-        the tiered/append-only index) absorbs every write queued this tick,
-        then one budgeted ``compact_step`` keeps tier fan-out bounded -- all
-        off the read path.  Per-request versions are assigned as if the
-        writes ran serially in queue order.
+        Amortised: one ``extend`` (no descent for a value the tail's path
+        cache routes) absorbs every write queued this tick, then one
+        budgeted ``compact_step`` keeps tier fan-out bounded -- all off the
+        read path.  Per-request versions are assigned as if the writes ran
+        serially in queue order.  A value the codec rejects makes the
+        combined ``extend`` raise before any row lands; when nothing landed
+        the requests are applied one at a time, so only the bad ones fail
+        and every frame is the one a serial server sends.  An error raised
+        after rows landed fails the whole tick.
         """
+        before = len(self.column)
+        try:
+            frames = self._extend(requests)
+        except Exception as error:
+            if len(requests) == 1 or len(self.column) != before:
+                return self._error_frames(requests, error)
+            frames = []
+            for request in requests:
+                try:
+                    frames += self._extend([request])
+                except Exception as alone:
+                    frames += self._error_frames([request], alone)
+        if self.compact_budget is not None and hasattr(
+            self.column.index, "compact_step"
+        ):
+            self.column.index.compact_step(self.compact_budget)
+        return frames
+
+    def _extend(self, requests: List[Request]) -> List[bytes]:
+        """One ``extend`` of every row ``requests`` add; a frame per request."""
         counts = []
         combined: List[str] = []
         for request in requests:
@@ -362,14 +386,7 @@ class IndexShard(TickLoop):
             combined.extend(values)
             counts.append(len(values))
         version = len(self.column)
-        try:
-            self.column.extend(combined)
-        except Exception as error:
-            return self._error_frames(requests, error)
-        if self.compact_budget is not None and hasattr(
-            self.column.index, "compact_step"
-        ):
-            self.column.index.compact_step(self.compact_budget)
+        self.column.extend(combined)
         self.metrics.record_batch("write", len(combined))
         frames = []
         for request, count in zip(requests, counts):

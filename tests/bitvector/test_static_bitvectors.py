@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.entropy import binomial_lower_bound
+from repro.bits import kernel
 from repro.bits.bitstring import Bits
 from repro.bitvector import (
     EliasFanoSequence,
@@ -158,11 +159,36 @@ class TestRRRSpecifics:
                 assert other.rank(1, pos) == reference.rank(1, pos)
 
 
+@pytest.fixture(params=kernel.available_backends())
+def backend(request):
+    previous = kernel.use_backend(request.param)
+    yield request.param
+    kernel.use_backend(previous)
+
+
 class TestRLESpecifics:
     def test_runs_of(self):
         assert runs_of([1, 1, 0, 0, 0, 1]) == [(1, 2), (0, 3), (1, 1)]
         assert runs_of([]) == []
         assert runs_of(Bits.from_string("0001")) == [(0, 3), (1, 1)]
+
+    def test_runs_of_a_list_equals_the_kernel_runs(self, backend):
+        """Lists and tuples are grouped in one Python pass; a :class:`Bits`
+        payload goes through the kernel.  Both must agree on every input,
+        truthy items that are not 0 or 1 included."""
+        rng = random.Random(41)
+        for length in range(1001):
+            items = []
+            while len(items) < length:
+                items += [rng.getrandbits(1)] * rng.randint(1, 9)
+            items = items[:length]
+            expected = runs_of(Bits.from_iterable(items))
+            assert runs_of(items) == expected, length
+            assert runs_of(tuple(items)) == expected, length
+        odd = [2, None, "", 0.0, 1, 0, "0", 0.5, -1, False, True]
+        for _ in range(200):
+            items = rng.choices(odd, k=rng.randint(0, 40))
+            assert runs_of(items) == runs_of(Bits.from_iterable(items)), items
 
     def test_run_count_and_runs_roundtrip(self, bursty_bits):
         vector = RLEBitVector(bursty_bits)

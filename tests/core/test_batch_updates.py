@@ -6,7 +6,8 @@ with
 interleaved bulk inserts, scalar deletes (which shrink the Patricia topology)
 and batch queries, with previously unseen keys arriving mid-stream.  The
 bulk ``extend`` and every batched query must also equal the scalar loop
-they replace, structure included.
+they replace, structure included, and an ``extend`` holding a value the
+codec rejects must change nothing.
 """
 
 import random
@@ -16,7 +17,13 @@ import pytest
 from repro.baselines.naive import NaiveIndexedSequence
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
-from repro.exceptions import InvalidOperationError, OutOfBoundsError
+from repro.core.tiers import TieredWaveletTrie
+from repro.exceptions import (
+    BinarizationError,
+    InvalidOperationError,
+    OutOfBoundsError,
+    ValueNotFoundError,
+)
 
 
 def check_against_oracle(trie, oracle, rng, probes=4):
@@ -125,3 +132,36 @@ class TestBulkEqualsScalar:
         assert trie.select_prefix_many(prefix, indexes) == [
             trie.select_prefix(prefix, i) for i in indexes
         ]
+
+
+GROWABLE = {
+    "dynamic": DynamicWaveletTrie,
+    "append-only": AppendOnlyWaveletTrie,
+    # Four rows of tail: the rejected batch below crosses a seal.
+    "tiered": lambda values: TieredWaveletTrie(values, active_capacity=4),
+}
+
+
+def state_of(trie):
+    """Everything a rejected ``extend`` must leave as it was."""
+    tiers = trie.tier_info() if hasattr(trie, "tier_info") else None
+    return trie.to_list(), len(trie), trie.node_count(), tiers
+
+
+class TestRejectedExtendChangesNothing:
+    @pytest.mark.parametrize("bad", [5, "bad\x00"])
+    @pytest.mark.parametrize("flavour", sorted(GROWABLE))
+    def test_a_value_the_codec_rejects_changes_nothing(self, flavour, bad):
+        trie = GROWABLE[flavour](["x"])
+        trie.extend(["x", "y"])  # warms the path cache
+        before = state_of(trie)
+        # Unseen values ahead of the bad one would split nodes and flush.
+        with pytest.raises(BinarizationError):
+            trie.extend(["a", "x", "b", bad])
+        assert state_of(trie) == before
+        for value in ("a", "b"):
+            with pytest.raises(ValueNotFoundError):
+                trie.select(value, 0)
+        trie.extend(["a", "x", "b"])
+        assert trie.to_list() == ["x", "x", "y", "a", "x", "b"]
+        assert trie.select("b", 0) == 5

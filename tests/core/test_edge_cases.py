@@ -104,6 +104,11 @@ class TestBoundaryValues:
         # True == 1 == 1.0, but only the int is a FixedWidthIntCodec value.
         with pytest.raises(BinarizationError):
             cls(values, codec=FixedWidthIntCodec(4))
+        if cls is not WaveletTrie:  # the growable tries also batch-append
+            trie = cls(codec=FixedWidthIntCodec(4))
+            with pytest.raises(BinarizationError):
+                trie.extend(values)
+            assert trie.to_list() == []
 
     def test_bytes_codec_accepts_unhashable_bytearray(self, cls):
         values = [bytearray(b"ab"), b"ab", bytearray(b"a")]

@@ -5,7 +5,8 @@ constant number of bitvector operations per internal node on the path of
 ``s``, whatever the sequence length n.  The dynamic flavour pays its
 ``log n`` inside those operations, in the depth of each node's run treap.
 Section 5's range algorithms spend one rank per traversed node instead of
-one per element.
+one per element.  A batched Append of values the trie already routes makes
+one bulk append per touched node, with no descent.
 
 Timings cannot check these claims exactly, so this module counts the
 trie's outermost calls into its node bitvectors instead.  A test-local
@@ -26,6 +27,7 @@ import pytest
 
 from repro.analysis import compute_bounds
 from repro.baselines import NaiveIndexedSequence
+from repro.bits import bitstring, kernel
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
@@ -274,6 +276,50 @@ def test_dynamic_insert_and_delete_cost_is_flat_in_n():
         assert trie.node_count() == nodes_before
         assert trie.to_list() == values
         seen.append((insert, delete, insert_new, delete_last))
+    assert seen.count(seen[0]) == len(seen)
+
+
+# ----------------------------------------------------------------------
+# Batched Append into a warm trie: one extend per touched node
+# ----------------------------------------------------------------------
+WARM_BATCH = random.Random(11).sample(DISTINCT, 16)
+
+
+@pytest.mark.parametrize("flavour", ["append-only", "dynamic"])
+def test_warm_extend_makes_one_extend_per_touched_node_at_every_n(
+    flavour, monkeypatch
+):
+    """The path cache routes stored values with no descent, and the dynamic
+    node bitvectors group a list of bits into runs without the kernel."""
+    packs = Counter()
+    for module in (kernel, bitstring):
+        def counted_pack(bits, original=module.pack_bits):
+            packs["pack_bits"] += 1
+            return original(bits)
+
+        monkeypatch.setattr(module, "pack_bits", counted_pack)
+    seen = []
+    for n in SIZES:
+        trie = FLAVOURS[flavour](url_sweep(n))
+        trie.extend(WARM_BATCH)  # fills the path cache
+        touched = traversed_nodes(trie, WARM_BATCH)
+        calls = count_calls(trie)
+        descents = Counter()
+
+        def counted_path_of(key, original=trie._path_of):
+            descents["_path_of"] += 1
+            return original(key)
+
+        trie._path_of = counted_path_of
+        packs.clear()
+        _, made = measure(calls, lambda: trie.extend(WARM_BATCH))
+        # No Init, no count: nothing splits.
+        assert made == Counter({"extend": len(touched)}), (flavour, n)
+        assert not descents
+        if flavour == "dynamic":
+            assert not packs
+        assert trie.to_list() == url_sweep(n) + 2 * WARM_BATCH
+        seen.append(made)
     assert seen.count(seen[0]) == len(seen)
 
 

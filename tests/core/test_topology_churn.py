@@ -6,7 +6,8 @@ a string is deleted (the dagger case of Table 1) -- are exercised here under
 *churn*: interleaved insert/delete/append sequences that repeatedly split and
 re-merge the same nodes, cross-checked property-style against the naive
 oracle on ``access``/``rank``/``select``/``rank_prefix`` and the batched
-query paths after every phase.
+query paths after every phase.  The path cache that ``extend`` keeps across
+calls must forget every path a split, a merge or emptying the trie changed.
 """
 
 import random
@@ -191,3 +192,54 @@ class TestAppendOnlyTrieChurn:
             reference.append(value)
         assert trie.to_list() == reference.to_list()
         assert trie.node_count() == reference.node_count()
+
+
+# Warm the path cache, then change the topology under it (a merge, a split,
+# emptying the trie) and extend again.
+# "app/le" branches off above the node that tells "app/li" from "app/lo".
+CACHE_SCRIPTS = {
+    "merge": [
+        ("extend", ["x/a", "app/li", "app/lo", "app/le"]),
+        ("extend", ["app/lo", "app/le"]),
+        ("delete", "app/le"),
+        ("delete", "app/le"),  # the last one: its node merges away
+        ("extend", ["app/le", "app/lo", "app/li"]),
+    ],
+    "split": [
+        ("extend", ["x/a", "app/li", "app/lo"]),
+        ("extend", ["app/lo", "app/li"]),
+        ("extend", ["app/le"]),  # splits a node on two cached paths
+        ("extend", ["app/li", "app/lo", "app/le", "app/apple", "app/li"]),
+    ],
+    "reset": [
+        ("extend", ["x/a", "x/a"]),
+        ("delete", "x/a"),
+        ("delete", "x/a"),  # the trie is empty again: no root
+        ("extend", ["x/a", "app/li"]),
+    ],
+}
+
+
+def _replay_script(trie, script):
+    naive = NaiveIndexedSequence()
+    rng = random.Random(17)
+    for action, argument in script:
+        if action == "extend":
+            trie.extend(argument)
+            for value in argument:
+                naive.append(value)
+        else:
+            position = naive.select(argument, 0)
+            assert trie.delete(position) == naive.delete(position)
+        assert trie.to_list() == list(naive.iter_range(0, len(naive)))
+        _cross_check(trie, naive, rng, probes=["x/a", "app/li", "app/lo", "app/le"])
+
+
+class TestPathCacheUnderTopologyChange:
+    @pytest.mark.parametrize("script", sorted(CACHE_SCRIPTS))
+    @pytest.mark.parametrize("cls", [DynamicWaveletTrie, TieredWaveletTrie])
+    def test_extend_after_a_topology_change_under_a_warm_cache(self, cls, script):
+        _replay_script(cls(), CACHE_SCRIPTS[script])
+
+    def test_append_only_extend_after_a_split_under_a_warm_cache(self):
+        _replay_script(AppendOnlyWaveletTrie(), CACHE_SCRIPTS["split"])

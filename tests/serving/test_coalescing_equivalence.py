@@ -10,6 +10,8 @@ Two layers of the same property:
   concurrently over many connections against a coalescing server and a
   coalescing-disabled server yields byte-identical response frames, and the
   coalescing server's metrics prove multi-request batches actually formed.
+* **Write level**: a tick whose combined ``extend`` holds a value the codec
+  rejects answers every request exactly as one tick per request does.
 
 Randomised cases are seeded -- every run replays the same schedules.
 """
@@ -20,9 +22,11 @@ import random
 import pytest
 
 from repro.baselines import NaiveIndexedSequence
+from repro.bits.bitstring import Bits
 from repro.db.column import CompressedColumn
 from repro.serving import (
     IndexServer,
+    IndexShard,
     NDJSONClient,
     Request,
     ServerConfig,
@@ -32,6 +36,7 @@ from repro.serving import (
     error_message,
     run_read_tick,
 )
+from repro.tries.binarize import StringCodec
 
 UNIVERSE = ["app/li", "app/lo", "app/le", "apricot", "banana", "b", ""]
 PREFIXES = ["app/", "app/l", "ap", "b", "zzz", ""]
@@ -244,3 +249,82 @@ class TestServerEquivalence:
             f"w{lane}-{i}" for lane in range(4) for i in range(25)
         )
         assert bulk_extends < 100
+
+
+REJECTED_TICK = [
+    Request(op="extend", id="bad", args={"values": ["x", "bad\u0000"]}),
+    Request(op="extend", id="good", args={"values": ["good1", "good2"]}),
+]
+
+
+async def _serve_writes(together: bool):
+    """Run :data:`REJECTED_TICK` in one tick or one tick per request, then
+    an append and a read; returns every frame and the column's rows."""
+    column = CompressedColumn("c", ["seed"], tiered=True)
+    shard = IndexShard("c", column)
+    if together:
+        frames = list(await asyncio.gather(*map(shard.submit, REJECTED_TICK)))
+        assert shard.metrics.ticks == 1
+    else:
+        frames = [await shard.submit(request) for request in REJECTED_TICK]
+    frames.append(
+        await shard.submit(Request(op="append", id="after", args={"value": "after"}))
+    )
+    frames.append(await shard.submit(Request(op="access", id="read", args={"pos": 1})))
+    await shard.drain()
+    return frames, column.index.to_list()
+
+
+class TestRejectedWriteInACoalescedTick:
+    def test_a_rejected_write_fails_alone_and_changes_nothing(self):
+        """``extend`` is all or nothing, so a tick whose combined ``extend``
+        raises changed nothing, and the shard then applies its requests one
+        at a time: the frames equal one tick per request."""
+        coalesced, rows = asyncio.run(_serve_writes(together=True))
+        serial, serial_rows = asyncio.run(_serve_writes(together=False))
+        assert coalesced == serial
+        assert rows == serial_rows == ["seed", "good1", "good2", "after"]
+        assert coalesced == [
+            encode_error(
+                "bad", "malformed", "Utf8Codec values must not contain NUL bytes"
+            ),
+            encode_result("good", {"appended": 2}, 3),
+            encode_result("after", {"appended": 1}, 4),
+            encode_result("read", "good1", 4),
+        ]
+
+    def test_an_error_after_rows_landed_fails_the_tick_and_applies_nothing_twice(self):
+        """A codec that is not prefix-free lets the combined ``extend`` land
+        ``"01"`` and then raise on ``"0"``, a prefix of it.  Rows landed, so
+        the shard must not retry the requests one at a time: that would
+        append ``"01"`` a second time."""
+
+        class RawBitsCodec(StringCodec):
+            def to_bits(self, value):
+                return Bits.from_string(value)
+
+            def from_bits(self, bits):
+                return bits.to01()
+
+            def prefix_to_bits(self, prefix):
+                return Bits.from_string(prefix)
+
+        async def serve():
+            column = CompressedColumn("c", ["00"], codec=RawBitsCodec(), tiered=True)
+            shard = IndexShard("c", column)
+            ticket = [
+                Request(op="extend", id="new", args={"values": ["01"]}),
+                Request(op="extend", id="prefix", args={"values": ["0"]}),
+            ]
+            frames = await asyncio.gather(*map(shard.submit, ticket))
+            await shard.drain()
+            return frames, column
+
+        frames, column = asyncio.run(serve())
+        assert column.index.to_list() == ["00", "01"]
+        assert len(column) == 2
+        message = "inserting this value would violate prefix-freeness"
+        assert frames == [
+            encode_error("new", "malformed", message),
+            encode_error("prefix", "malformed", message),
+        ]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.exceptions import (
+    BinarizationError,
     InvalidOperationError,
     OutOfBoundsError,
     ValueNotFoundError,
@@ -131,6 +132,7 @@ class TestErrorMapping:
             error_code_for_exception(InvalidOperationError("x"))
             == "invalid_operation"
         )
+        assert error_code_for_exception(BinarizationError("x")) == "malformed"
         assert error_code_for_exception(RuntimeError("x")) == "internal"
         assert error_code_for_exception(ProtocolError("oversized", "x")) == "oversized"
 
