@@ -13,18 +13,20 @@ For a sequence ``S`` with distinct-string set ``Sset`` the paper defines
 * ``h̃`` -- the average height (Definition 3.4), which controls the
   redundancy term ``o(h̃ n)``.
 
-:func:`compute_bounds` evaluates all of them for a concrete sequence.
+:func:`compute_bounds` evaluates all of them for a concrete sequence.  It
+reads the Patricia trie's shape off the sorted distinct codes, with no trie
+object, so the bound stays an oracle independent of every trie it checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.entropy import binomial_lower_bound, empirical_entropy
-from repro.bits.bitstring import Bits
+from repro.core.builder import distinct_codes, sort_codes
 from repro.tries.binarize import StringCodec, default_codec
-from repro.tries.patricia import PatriciaTrie
 
 __all__ = ["SequenceBounds", "compute_bounds"]
 
@@ -104,38 +106,57 @@ def compute_bounds(
         Binarisation codec; defaults to UTF-8 with a NUL terminator.
     word_bits:
         Machine word size ``w`` used for the ``PT`` pointer charge.
+
+    Raises :class:`~repro.exceptions.BinarizationError` if the codec's
+    codes are not prefix-free.
     """
     codec = codec or default_codec()
-    encoded: List[Bits] = [codec.to_bits(value) for value in values]
-    n = len(encoded)
-    distinct_keys = {bits for bits in encoded}
-    trie = PatriciaTrie(distinct_keys)
+    codes, rows = distinct_codes(values, codec.to_bits)
+    n = len(rows)
+    m = len(codes)
+    count_of = Counter(rows)
+    order = sort_codes(codes)
+    ordered = [codes[index] for index in order]
+    # Codes j and j + 1 branch apart at one internal node each, the node
+    # whose branch bit is bit lcps[j] of both.
+    lcps = [left.lcp_length(right) for left, right in zip(ordered, ordered[1:])]
 
-    label_bits = trie.label_bits()
     # The first-child/next-sibling transformation in the paper makes the node
     # count |Sset|; the edge count of the binary Patricia trie is 2(|Sset|-1).
-    edges = trie.edge_count()
+    edges = 2 * (m - 1) if m else 0
+    # A code is its path's labels plus one branch bit per internal node on
+    # it.  Summing over codes counts each internal node's bits above its
+    # branch (lcps[j] of them, label included) once per child, so
+    # |L| = sum |c| - sum lcps - e.
+    label_bits = sum(len(code) for code in codes) - sum(lcps) - edges
     lt_bits = (
         label_bits + edges + binomial_lower_bound(edges, label_bits + edges)
         if n
         else 0.0
     )
 
-    entropy_per_symbol = empirical_entropy(encoded)
+    entropy_per_symbol = empirical_entropy(rows)
     entropy_bits = n * entropy_per_symbol
 
-    heights = [trie.height_of(bits) for bits in encoded]
-    average_height = sum(heights) / n if n else 0.0
+    # h_s counts the internal nodes above code j: the strict running minima
+    # of the adjacent LCPs to its right and to its left.
+    right = _running_minima(lcps)
+    left = _running_minima(lcps[::-1])[::-1]
+    total_height = sum(
+        (right_count + left_count) * count_of[index]
+        for index, right_count, left_count in zip(order, right + [0], [0] + left)
+    )
+    average_height = total_height / n if n else 0.0
 
-    pt_bits = len(distinct_keys) * _WORDS_PER_TRIE_NODE * word_bits * 2 - (
-        _WORDS_PER_TRIE_NODE * word_bits if distinct_keys else 0
+    pt_bits = m * _WORDS_PER_TRIE_NODE * word_bits * 2 - (
+        _WORDS_PER_TRIE_NODE * word_bits if m else 0
     )
     # (2|Sset| - 1 nodes, each charged _WORDS_PER_TRIE_NODE words.)
 
     return SequenceBounds(
         length=n,
-        distinct=len(distinct_keys),
-        total_input_bits=sum(len(bits) for bits in encoded),
+        distinct=m,
+        total_input_bits=sum(len(codes[code]) for code in rows),
         label_bits=label_bits,
         edges=edges,
         lt_bits=lt_bits,
@@ -146,3 +167,19 @@ def compute_bounds(
         average_height=average_height,
         total_height_bits=average_height * n,
     )
+
+
+def _running_minima(lcps: Sequence[int]) -> List[int]:
+    """``out[i]``: how many strict running minima ``lcps[i:]`` has.
+
+    One next-smaller-value stack pass: ``out[i]`` is one more than
+    ``out[j]`` for the first ``j > i`` with ``lcps[j] < lcps[i]``.
+    """
+    out = [0] * len(lcps)
+    stack: List[int] = []
+    for index in range(len(lcps) - 1, -1, -1):
+        while stack and lcps[stack[-1]] >= lcps[index]:
+            stack.pop()
+        out[index] = 1 + (out[stack[-1]] if stack else 0)
+        stack.append(index)
+    return out

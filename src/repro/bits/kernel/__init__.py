@@ -65,14 +65,13 @@ from repro.bits.kernel.pykernel import (  # noqa: F401  (re-exported API)
     rank_word_prefix,
     select_bit_in_words,
     select_in_word,
-    select_one_in_words,
-    select_zero_in_word,
     unpack_value,
     words_to_int,
 )
 
 __all__ = list(pykernel.__all__) + [
     "KERNEL_CONTRACT",
+    "SMALL_BATCH",
     "use_backend",
     "active_backend",
     "available_backends",
@@ -85,6 +84,11 @@ __all__ = list(pykernel.__all__) + [
 #: ``make docs-check`` fails when a backend misses one of these or when the
 #: ARCHITECTURE.md contract table drifts from this list.
 KERNEL_CONTRACT: Tuple[str, ...] = tuple(pykernel.__all__)
+
+#: The batch-width crossover of the structures above the kernel: a batch
+#: query with fewer items loops the scalar path (or takes its list path)
+#: instead of paying a kernel batch call's fixed cost.
+SMALL_BATCH = 32
 
 _KNOWN_BACKENDS: Tuple[str, ...] = ("python", "numpy")
 _BACKENDS = {"python": pykernel}

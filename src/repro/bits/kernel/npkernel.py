@@ -52,8 +52,6 @@ from repro.bits.kernel.pykernel import (  # noqa: F401  (re-exported contract)
     rank_word_prefix,
     select_bit_in_words,
     select_in_word,
-    select_one_in_words,
-    select_zero_in_word,
     unpack_value,
     words_to_int,
 )

@@ -55,7 +55,6 @@ __all__ = [
     "rank_word_prefix",
     "select_in_word",
     "select_in_word_many",
-    "select_zero_in_word",
     "popcount_words",
     "popcount_range",
     "iter_word_bits",
@@ -64,7 +63,6 @@ __all__ = [
     "cumulative_popcounts",
     "extract_bits_value",
     "select_bit_in_words",
-    "select_one_in_words",
     "one_positions",
     "run_lengths_of_value",
     "runs_of_value",
@@ -281,11 +279,6 @@ def select_in_word_many(word: int, ks: Sequence[int]) -> List[int]:
     )
 
 
-def select_zero_in_word(word: int, k: int, width: int = WORD) -> int:
-    """MSB-first offset of the ``k``-th zero among the top ``width`` bits."""
-    return select_in_word(invert_word(word, width), k)
-
-
 # ----------------------------------------------------------------------
 # Ranged popcount and iteration over packed words
 # ----------------------------------------------------------------------
@@ -400,25 +393,6 @@ def build_rank_directory(
     super_cum.append(cum)
     word_cum.append(0 if len(words) % SUPERBLOCK_WORDS == 0 else within)
     return super_cum, word_pop, word_cum
-
-
-def select_one_in_words(
-    words: Sequence[int], super_cum: Sequence[int], word_pop: bytes, idx: int
-) -> int:
-    """Position of the ``idx``-th set bit, via the two-level directory.
-
-    Binary search over superblocks, at most 8 per-word byte skips, then one
-    :func:`select_in_word`.  The caller guarantees ``idx`` is in range.
-    """
-    sb = bisect_right(super_cum, idx) - 1
-    seen = super_cum[sb]
-    index = sb * SUPERBLOCK_WORDS
-    while True:
-        count = word_pop[index]
-        if seen + count > idx:
-            return index * WORD + select_in_word(words[index], idx - seen)
-        seen += count
-        index += 1
 
 
 def select_bit_in_words(

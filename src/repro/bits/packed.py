@@ -11,15 +11,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Sequence
 
 from repro.bits import kernel
+from repro.bits.kernel import SMALL_BATCH
 from repro.exceptions import OutOfBoundsError
 
 __all__ = ["PackedIntVector"]
 
 _WORD = 64
-
-# Below this many indexes ``get_many`` loops ``__getitem__`` instead of
-# paying for a kernel batch call.
-_SMALL_BATCH = 32
 
 
 class PackedIntVector:
@@ -94,7 +91,7 @@ class PackedIntVector:
         whole-array word gathers under numpy.  Array inputs come back as
         arrays under the numpy backend, as lists under python.
         """
-        if isinstance(indexes, (list, tuple)) and len(indexes) < _SMALL_BATCH:
+        if isinstance(indexes, (list, tuple)) and len(indexes) < SMALL_BATCH:
             return [self[index] for index in indexes]
         if len(indexes) == 0:
             return []

@@ -34,7 +34,13 @@ from typing import Iterable, Iterator, List, Sequence, Union
 
 from repro.bits import kernel
 from repro.bits.bitstring import Bits
-from repro.bits.kernel import WORD, WORD_MASK, invert_word, select_in_word
+from repro.bits.kernel import (
+    SMALL_BATCH,
+    WORD,
+    WORD_MASK,
+    invert_word,
+    select_in_word,
+)
 from repro.bitvector.base import (
     StaticBitVector,
     batch_min_max,
@@ -44,10 +50,6 @@ from repro.bitvector.base import (
 from repro.exceptions import OutOfBoundsError, SerializationError
 
 __all__ = ["PlainBitVector"]
-
-# Below this many queries the fixed cost of a backend batch call exceeds the
-# win; such batches run on the flat python directories directly.
-_SMALL_BATCH = 32
 
 
 class PlainBitVector(StaticBitVector):
@@ -271,7 +273,7 @@ class PlainBitVector(StaticBitVector):
             raise OutOfBoundsError(
                 f"position {bad} out of range for length {length}"
             )
-        if isinstance(positions, (list, tuple)) and len(positions) < _SMALL_BATCH:
+        if isinstance(positions, (list, tuple)) and len(positions) < SMALL_BATCH:
             words = self._words
             return [
                 (words[pos >> 6] >> (WORD - 1 - (pos & 63))) & 1
@@ -299,7 +301,7 @@ class PlainBitVector(StaticBitVector):
             raise OutOfBoundsError(
                 f"rank position {bad} out of range for length {length}"
             )
-        if isinstance(positions, (list, tuple)) and len(positions) < _SMALL_BATCH:
+        if isinstance(positions, (list, tuple)) and len(positions) < SMALL_BATCH:
             words = self._pad_words
             abs_cum = self._word_abs_cum
             if bit:
@@ -333,7 +335,7 @@ class PlainBitVector(StaticBitVector):
         indexes = validate_select_indexes(indexes, cum[-1], bit, keep_arrays=True)
         if len(indexes) == 0:
             return []
-        if isinstance(indexes, (list, tuple)) and len(indexes) < _SMALL_BATCH:
+        if isinstance(indexes, (list, tuple)) and len(indexes) < SMALL_BATCH:
             return [self.select(bit, idx) for idx in indexes]
         return kernel.select_many_packed(self._handle(), bit, indexes)
 

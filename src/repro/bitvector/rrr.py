@@ -29,6 +29,7 @@ from repro.bits.codes import (
     offset_width_table,
 )
 from repro.bits.kernel import (
+    SMALL_BATCH,
     extract_bits_value,
     invert_word,
     iter_word_bits,
@@ -48,10 +49,6 @@ __all__ = ["RRRBitVector", "IncrementalRRRBuilder", "check_shared_image_params"]
 
 _DEFAULT_BLOCK = 63
 _DEFAULT_SAMPLE = 8
-
-# Below this many queries a kernel batch call costs more than it saves; such
-# batches loop the scalar paths.
-_SMALL_BATCH = 32
 
 
 def check_shared_image_params(metas: Sequence[dict], where: str) -> None:
@@ -454,7 +451,7 @@ class RRRBitVector(StaticBitVector):
         whole-array passes under numpy.  Small list batches loop the scalar
         :meth:`access`.
         """
-        if isinstance(positions, (list, tuple)) and len(positions) < _SMALL_BATCH:
+        if isinstance(positions, (list, tuple)) and len(positions) < SMALL_BATCH:
             return [self.access(pos) for pos in positions]
         positions = kernel.as_int_list(normalize_batch(positions))
         if not positions:
@@ -480,7 +477,7 @@ class RRRBitVector(StaticBitVector):
         loop the scalar :meth:`rank`.  Array inputs come back as arrays
         under the numpy backend, as lists under python.
         """
-        if isinstance(positions, (list, tuple)) and len(positions) < _SMALL_BATCH:
+        if isinstance(positions, (list, tuple)) and len(positions) < SMALL_BATCH:
             return [self.rank(bit, pos) for pos in positions]
         self._check_bit(bit)
         positions = normalize_batch(positions)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, List, Sequence
 from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
-from repro.bits.kernel import as_int_list, one_positions, pack_value
+from repro.bits.kernel import SMALL_BATCH, as_int_list, one_positions, pack_value
 from repro.bits.packed import PackedIntVector
 from repro.bitvector.base import (
     StaticBitVector,
@@ -33,10 +33,6 @@ from repro.bitvector.plain import PlainBitVector
 from repro.exceptions import OutOfBoundsError
 
 __all__ = ["EliasFanoSequence", "SparseBitVector"]
-
-# Below this many queries the batch paths loop the scalar queries instead of
-# paying for kernel batch calls.
-_SMALL_BATCH = 32
 
 
 class EliasFanoSequence:
@@ -165,7 +161,7 @@ class EliasFanoSequence:
         one ``fields_many`` gather the low bits: amortised O(1) per index
         beyond the two batch calls.  Small list batches loop :meth:`select`.
         """
-        if isinstance(indexes, (list, tuple)) and len(indexes) < _SMALL_BATCH:
+        if isinstance(indexes, (list, tuple)) and len(indexes) < SMALL_BATCH:
             return [self.select(index) for index in indexes]
         indexes = as_int_list(normalize_batch(indexes))
         if not indexes:
@@ -194,7 +190,7 @@ class EliasFanoSequence:
         values = normalize_batch(values)
         np = kernel.array_module()
         if np is None or (
-            isinstance(values, (list, tuple)) and len(values) < _SMALL_BATCH
+            isinstance(values, (list, tuple)) and len(values) < SMALL_BATCH
         ):
             return [self.rank(value) for value in values]
         if len(values) == 0:
@@ -336,7 +332,7 @@ class SparseBitVector(StaticBitVector):
         position under numpy, the scalar loop otherwise).  Array inputs come
         back as arrays under the numpy backend.
         """
-        if isinstance(positions, (list, tuple)) and len(positions) < _SMALL_BATCH:
+        if isinstance(positions, (list, tuple)) and len(positions) < SMALL_BATCH:
             return [self.rank(bit, pos) for pos in positions]
         self._check_bit(bit)
         positions = normalize_batch(positions)

@@ -13,9 +13,11 @@ All variants share the query interface of
 ``select``, ``rank_prefix``, ``select_prefix``) and the Section 5 range
 analytics implemented in :mod:`repro.core.range_queries`.
 
-Every variant is also a :class:`~repro.core.tiers.Tier` -- a stage in the
-explicit freeze lifecycle (mutable -> frozen -> succinct -> image) hosted in
-:mod:`repro.core.tiers`, which composes them into the LSM-style
+:class:`~repro.core.succinct_static.SuccinctWaveletTrie` stores the static
+trie in the literal Theorem 3.7 layout and runs the same query engine.
+:mod:`repro.core.tiers` freezes growable tries into static ones
+(:class:`~repro.core.tiers.TrieFreezer`, :func:`~repro.core.tiers.freeze_trie`)
+and composes the variants into the LSM-style
 :class:`~repro.core.tiers.TieredWaveletTrie` (one mutable tail tier plus
 frozen RRR tiers with budgeted background compaction).
 """
@@ -26,14 +28,13 @@ from repro.core.interface import IndexedStringSequence
 from repro.core.node import WaveletTrieNode
 from repro.core.static import WaveletTrie
 from repro.core.succinct_static import SuccinctWaveletTrie
-from repro.core.tiers import Tier, TieredWaveletTrie, TrieFreezer, freeze_trie
+from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie
 
 __all__ = [
     "AppendOnlyWaveletTrie",
     "SuccinctWaveletTrie",
     "DynamicWaveletTrie",
     "IndexedStringSequence",
-    "Tier",
     "TieredWaveletTrie",
     "TrieFreezer",
     "WaveletTrie",

@@ -28,7 +28,7 @@ from repro.bits.bitstring import Bits
 from repro.core.node import WaveletTrieNode
 from repro.exceptions import BinarizationError
 
-__all__ = ["build_wavelet_trie_nodes", "distinct_codes"]
+__all__ = ["build_wavelet_trie_nodes", "distinct_codes", "sort_codes"]
 
 
 def distinct_codes(
@@ -70,6 +70,21 @@ def _sort_key(bits: Bits) -> Tuple[bytes, int]:
     return (bits.value << pad).to_bytes((len(bits) + pad) // 8, "big"), len(bits)
 
 
+def sort_codes(codes: Sequence[Bits]) -> List[int]:
+    """The indexes of ``codes`` in the lexicographic order of bit-strings.
+
+    Raises :class:`BinarizationError` if the codes are not prefix-free
+    (which the codecs guarantee by construction).
+    """
+    order = sorted(range(len(codes)), key=lambda index: _sort_key(codes[index]))
+    # A proper prefix sorts immediately before a value that extends it, so
+    # checking adjacent pairs checks the whole set.
+    for shorter, longer in zip(order, order[1:]):
+        if codes[longer].startswith(codes[shorter]):
+            raise BinarizationError("the binarised string set is not prefix-free")
+    return order
+
+
 def build_wavelet_trie_nodes(
     codes: Sequence[Bits], rows: Sequence[int], bitvector_factory
 ) -> Optional[WaveletTrieNode]:
@@ -81,17 +96,12 @@ def build_wavelet_trie_nodes(
     node's bitvector from its packed branch bits.
 
     Raises :class:`BinarizationError` if the codes are not prefix-free
-    (which the codecs guarantee by construction).
+    (:func:`sort_codes`).
     """
     if not rows:
         return None
-    order = sorted(range(len(codes)), key=lambda index: _sort_key(codes[index]))
+    order = sort_codes(codes)
     ordered = [codes[index] for index in order]
-    # A proper prefix sorts immediately before a value that extends it, so
-    # checking adjacent pairs checks the whole set.
-    for shorter, longer in zip(ordered, ordered[1:]):
-        if longer.startswith(shorter):
-            raise BinarizationError("the binarised string set is not prefix-free")
     rank_of = [0] * len(codes)
     for rank, index in enumerate(order):
         rank_of[index] = rank

@@ -252,48 +252,6 @@ class GrowableTopologyMixin:
         flush()
 
     # ------------------------------------------------------------------
-    # Tier protocol (see repro.core.tiers)
-    # ------------------------------------------------------------------
-    @property
-    def tier_state(self) -> str:
-        """Always ``"mutable"``: growable tries accept updates."""
-        return "mutable"
-
-    def freeze_step(self, budget: int = 64) -> bool:
-        """Advance a budgeted freeze of the current content; True when done.
-
-        The first call snapshots the content into a cached
-        :class:`~repro.core.tiers.TrieFreezer`; each call performs up to
-        ``budget`` block-sized units of work.  Mutating the trie mid-freeze
-        raises on the next step.  Collect the static result (and reset the
-        freeze state) with :meth:`finish_freeze`.
-        """
-        from repro.core.tiers import TrieFreezer
-
-        freezer = getattr(self, "_tier_freezer", None)
-        if freezer is None:
-            freezer = TrieFreezer(self)
-            self._tier_freezer = freezer
-        if not freezer.done:
-            freezer.step(budget)
-        return freezer.done
-
-    def finish_freeze(self):
-        """Drain any in-flight freeze (starting one if needed) and return
-        the static RRR snapshot; resets the budgeted-freeze state."""
-        from repro.core.tiers import TrieFreezer
-
-        freezer = getattr(self, "_tier_freezer", None)
-        if freezer is None:
-            freezer = TrieFreezer(self)
-        self._tier_freezer = None
-        return freezer.finish()
-
-    def to_succinct(self):
-        """Succinct snapshot of the current content (freeze, then flatten)."""
-        return self.finish_freeze().to_succinct()
-
-    # ------------------------------------------------------------------
     def _walk_for_update(self, key: Bits):
         """Iterate ``(node, branching_bit)`` over the internal nodes of ``key``'s path.
 

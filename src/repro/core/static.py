@@ -215,24 +215,6 @@ class WaveletTrie(WaveletTrieBase):
         return self
 
     # ------------------------------------------------------------------
-    # Tier protocol (see repro.core.tiers)
-    # ------------------------------------------------------------------
-    @property
-    def tier_state(self) -> str:
-        """Always ``"frozen"``: the static trie is immutable."""
-        return "frozen"
-
-    def freeze_step(self, budget: int = 64) -> bool:
-        """No freeze work on an already-frozen tier; returns True."""
-        return True
-
-    def to_succinct(self):
-        """Flatten into the pointerless Theorem 3.7 succinct layout."""
-        from repro.core.succinct_static import SuccinctWaveletTrie
-
-        return SuccinctWaveletTrie.from_pointer_trie(self)
-
-    # ------------------------------------------------------------------
     # Updates are rejected: the structure is static.
     # ------------------------------------------------------------------
     def append(self, value: Any) -> None:

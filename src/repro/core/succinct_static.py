@@ -12,36 +12,29 @@ components of the paper's static representation and *navigates through them*:
   (the equivalent of concatenating the encodings and delimiting them);
 * a small indicator bitvector marking which preorder nodes are internal.
 
-Queries descend the DFUDS topology, so no Python node objects exist at query
-time; the pointer-based and succinct variants are cross-checked against each
-other in the test suite.  Updates are not supported (the structure is static
-by construction).
+Queries run the one engine every Wavelet Trie runs
+(:class:`~repro.core.base.WaveletTrieBase`: Lemmas 3.2 and 3.3, the batch
+walks and the Section 5 range algorithms).  The engine walks node handles
+that read their label, flag and bitvector from the components above as a
+walk reaches them; only the root's handle outlives a query.  Updates are not
+supported (the structure is static by construction).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
-from repro.bitvector.base import normalize_batch
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector, check_shared_image_params
-from repro.core.interface import (
-    IndexedStringSequence,
-    check_select_prefix_index,
-    validate_select_prefix_indexes,
-)
+from repro.core.base import WaveletTrieBase
+from repro.core.node import WaveletTrieNode
 from repro.core.static import WaveletTrie
-from repro.exceptions import (
-    ImmutableStructureError,
-    OutOfBoundsError,
-    SerializationError,
-    ValueNotFoundError,
-)
+from repro.exceptions import ImmutableStructureError, SerializationError
 from repro.succinct.dfuds import DFUDSTree
 from repro.succinct.partial_sums import StaticPartialSums
-from repro.tries.binarize import StringCodec, default_codec
+from repro.tries.binarize import StringCodec
 
 __all__ = ["SuccinctWaveletTrie"]
 
@@ -86,7 +79,49 @@ class _LazyNodeBitvectors:
         return (self[rank] for rank in range(len(self._metas)))
 
 
-class SuccinctWaveletTrie(IndexedStringSequence):
+class _SuccinctNode:
+    """One node of the DFUDS layout behind the node interface the engine walks.
+
+    Has the attributes of :class:`~repro.core.node.WaveletTrieNode` that
+    queries read: ``label``, ``bitvector`` (None on leaves), ``is_leaf``,
+    ``children[bit]``, ``parent``, ``parent_bit`` and ``sequence_length``.
+    The label, the internal flag and the node bitvector are read once, when
+    the handle is created; ``children[bit]`` creates the child's handle.
+    """
+
+    __slots__ = ("_trie", "_index", "label", "bitvector", "parent", "parent_bit")
+
+    is_leaf = WaveletTrieNode.is_leaf
+    sequence_length = WaveletTrieNode.sequence_length
+
+    def __init__(
+        self,
+        trie: "SuccinctWaveletTrie",
+        index: int,
+        parent: Optional["_SuccinctNode"] = None,
+        parent_bit: int = 0,
+    ) -> None:
+        self._trie = trie
+        self._index = index
+        self.parent = parent
+        self.parent_bit = parent_bit
+        self.label = trie._label(index)
+        flags = trie._is_internal
+        self.bitvector = (
+            trie._bitvectors[flags.rank(1, index)] if flags.access(index) else None
+        )
+
+    @property
+    def children(self) -> "_SuccinctNode":
+        """Indexed by branch bit: ``children[bit]`` is that child's handle."""
+        return self
+
+    def __getitem__(self, bit: int) -> "_SuccinctNode":
+        trie = self._trie
+        return _SuccinctNode(trie, trie._dfuds.child(self._index, bit), self, bit)
+
+
+class SuccinctWaveletTrie(WaveletTrieBase):
     """Static Wavelet Trie stored in the Theorem 3.7 succinct layout."""
 
     def __init__(
@@ -94,21 +129,19 @@ class SuccinctWaveletTrie(IndexedStringSequence):
         values: Iterable[Any] = (),
         codec: Optional[StringCodec] = None,
     ) -> None:
-        self._codec = codec or default_codec()
-        values = list(values)
+        super().__init__(codec)
         # Build the pointer version once, then flatten it.
         self._init_from_pointer(WaveletTrie(values, codec=self._codec, bitvector="rrr"))
 
     @classmethod
     def from_pointer_trie(cls, trie: WaveletTrie) -> "SuccinctWaveletTrie":
-        """Flatten an existing pointer-based static trie (the frozen -> succinct
-        tier transition; see :mod:`repro.core.tiers`).
+        """Flatten an existing pointer-based static trie.
 
         Non-RRR node bitvectors are re-encoded to RRR so the result always
         matches the Theorem 3.7 layout.
         """
         self = cls.__new__(cls)
-        self._codec = trie.codec
+        WaveletTrieBase.__init__(self, trie.codec)
         self._init_from_pointer(trie)
         return self
 
@@ -117,11 +150,7 @@ class SuccinctWaveletTrie(IndexedStringSequence):
         matching the DFUDS child order) into the succinct components."""
         self._size = len(pointer_trie)
         if pointer_trie.root is None:
-            self._dfuds = None
-            self._labels = None
-            self._label_offsets = None
-            self._is_internal = None
-            self._bitvectors: List[RRRBitVector] = []
+            self._set_components(None, None, None, None, [])
             return
         degrees: List[int] = []
         labels: List[Bits] = []
@@ -145,14 +174,38 @@ class SuccinctWaveletTrie(IndexedStringSequence):
                 bitvectors.append(vector)
                 stack.append(node.children[1])
                 stack.append(node.children[0])
-        self._dfuds = DFUDSTree.from_degrees(degrees)
         buffer = BitBuffer()
         for label in labels:
             buffer.append_bits(label)
-        self._labels = PlainBitVector(buffer.to_bits())
-        self._label_offsets = StaticPartialSums(len(label) for label in labels)
-        self._is_internal = PlainBitVector(internal_flags)
+        self._set_components(
+            DFUDSTree.from_degrees(degrees),
+            PlainBitVector(buffer.to_bits()),
+            StaticPartialSums(len(label) for label in labels),
+            PlainBitVector(internal_flags),
+            bitvectors,
+        )
+
+    def _set_components(
+        self, dfuds, labels, label_offsets, is_internal, bitvectors
+    ) -> None:
+        """Store the Theorem 3.7 components (None for the empty trie) and
+        the root's handle, which the shared query engine starts from."""
+        self._dfuds = dfuds
+        self._labels = labels
+        self._label_offsets = label_offsets
+        self._is_internal = is_internal
         self._bitvectors = bitvectors
+        self._root = _SuccinctNode(self, 0) if dfuds is not None else None
+
+    def _label(self, node: int) -> Bits:
+        """The label of preorder node ``node``, sliced out of ``L``."""
+        start = self._label_offsets.start(node)
+        length = self._label_offsets.length(node)
+        if length == 0:
+            return Bits.empty()
+        # Word-sliced through the kernel: one two-word extraction for typical
+        # labels instead of a per-bit append loop.
+        return self._labels.extract_bits(start, start + length)
 
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
@@ -186,7 +239,7 @@ class SuccinctWaveletTrie(IndexedStringSequence):
     def from_words_image(
         cls, image, prefix: str, meta: dict, codec: Optional[StringCodec] = None
     ) -> "SuccinctWaveletTrie":
-        """Open from a frozen image without wrapping any node bitvector.
+        """Open from a frozen image, wrapping no node bitvector but the root's.
 
         Topology, labels and flags alias the mapped buffer; the per-node RRR
         bitvectors are wrapped lazily on first touch (each wrap is itself
@@ -195,43 +248,43 @@ class SuccinctWaveletTrie(IndexedStringSequence):
         that each node's stored length is the number of rows routed to it.
         """
         self = cls.__new__(cls)
-        self._codec = codec or default_codec()
+        WaveletTrieBase.__init__(self, codec)
         self._size = int(meta["size"])
         if meta.get("empty"):
             if self._size:
                 raise SerializationError(
                     f"stored size {self._size} for an empty succinct trie"
                 )
-            self._dfuds = None
-            self._labels = None
-            self._label_offsets = None
-            self._is_internal = None
-            self._bitvectors = []
+            self._set_components(None, None, None, None, [])
             return self
-        self._dfuds = DFUDSTree.from_words_image(
-            image, prefix + "dfuds.", meta["dfuds"]
-        )
-        self._labels = PlainBitVector.from_words_image(
+        dfuds = DFUDSTree.from_words_image(image, prefix + "dfuds.", meta["dfuds"])
+        labels = PlainBitVector.from_words_image(
             image, prefix + "labels.", meta["labels"]
         )
-        self._label_offsets = StaticPartialSums.from_words_image(
+        label_offsets = StaticPartialSums.from_words_image(
             image, prefix + "loff.", meta["label_offsets"]
         )
-        self._is_internal = PlainBitVector.from_words_image(
+        is_internal = PlainBitVector.from_words_image(
             image, prefix + "int.", meta["is_internal"]
         )
-        self._bitvectors = _LazyNodeBitvectors(image, prefix, meta["bitvectors"])
-        self._check_node_metas(meta["bitvectors"])
+        self._check_node_metas(is_internal, meta["bitvectors"])
+        self._set_components(
+            dfuds,
+            labels,
+            label_offsets,
+            is_internal,
+            _LazyNodeBitvectors(image, prefix, meta["bitvectors"]),
+        )
         return self
 
-    def _check_node_metas(self, metas: Sequence[dict]) -> None:
+    def _check_node_metas(self, is_internal, metas: Sequence[dict]) -> None:
         """Each internal node's stored length must be the rows routed to it:
         the sequence length at the root, the count of the branch bit in the
         parent below it (preorder visits the 0-child's subtree first).  And
         all nodes share one block size and sample rate."""
         rows_due = [self._size]
         rank = 0
-        for flag in self._is_internal.iter_range(0, len(self._is_internal)):
+        for flag in is_internal.iter_range(0, len(is_internal)):
             rows = rows_due.pop()
             if not flag:
                 continue
@@ -250,221 +303,8 @@ class SuccinctWaveletTrie(IndexedStringSequence):
         check_shared_image_params(metas, "a succinct trie")
 
     # ------------------------------------------------------------------
-    # Succinct navigation helpers
-    # ------------------------------------------------------------------
-    def _label(self, node: int) -> Bits:
-        start = self._label_offsets.start(node)
-        length = self._label_offsets.length(node)
-        if length == 0:
-            return Bits.empty()
-        # Word-sliced through the kernel: one two-word extraction for typical
-        # labels instead of a per-bit append loop.
-        return self._labels.extract_bits(start, start + length)
-
-    def _is_leaf(self, node: int) -> bool:
-        return self._is_internal.access(node) == 0
-
-    def _node_bitvector(self, node: int) -> RRRBitVector:
-        internal_rank = self._is_internal.rank(1, node)
-        return self._bitvectors[internal_rank]
-
-    def _child(self, node: int, bit: int) -> int:
-        return self._dfuds.child(node, bit)
-
-    # ------------------------------------------------------------------
-    # IndexedStringSequence interface
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._size
-
-    def access(self, pos: int) -> Any:
-        """The element at position ``pos`` (Lemma 3.2 over the succinct layout)."""
-        if not 0 <= pos < self._size:
-            raise OutOfBoundsError(
-                f"position {pos} out of range for length {self._size}"
-            )
-        node = 0
-        out = self._label(node)
-        while not self._is_leaf(node):
-            vector = self._node_bitvector(node)
-            bit = vector.access(pos)
-            pos = vector.rank(bit, pos)
-            node = self._child(node, bit)
-            out = out.appended(bit) + self._label(node)
-        return self._codec.from_bits(out)
-
-    def rank(self, value: Any, pos: int) -> int:
-        """Occurrences of ``value`` in the first ``pos`` positions."""
-        return self._rank_bits(self._codec.to_bits(value), pos, full_match=True)
-
-    def rank_prefix(self, prefix: Any, pos: int) -> int:
-        """Elements with ``prefix`` among the first ``pos`` positions."""
-        return self._rank_bits(self._codec.prefix_to_bits(prefix), pos, full_match=False)
-
-    def _rank_bits(self, key: Bits, pos: int, full_match: bool) -> int:
-        if not 0 <= pos <= self._size:
-            raise OutOfBoundsError(
-                f"position {pos} out of range for length {self._size}"
-            )
-        if self._size == 0 or pos == 0:
-            return 0
-        node = 0
-        remaining = key
-        while True:
-            label = self._label(node)
-            lcp = remaining.lcp_length(label)
-            if not full_match and lcp == len(remaining):
-                return pos
-            if self._is_leaf(node):
-                if full_match and remaining == label:
-                    return pos
-                return 0
-            if lcp < len(label) or len(remaining) == len(label):
-                return 0
-            bit = remaining[len(label)]
-            vector = self._node_bitvector(node)
-            pos = vector.rank(bit, pos)
-            if pos == 0:
-                return 0
-            remaining = remaining.suffix_from(len(label) + 1)
-            node = self._child(node, bit)
-
-    def select(self, value: Any, idx: int) -> int:
-        """Position of the ``idx``-th occurrence of ``value``."""
-        return self._select_bits(self._codec.to_bits(value), idx, full_match=True)
-
-    def select_prefix(self, prefix: Any, idx: int) -> int:
-        """Position of the ``idx``-th element whose value starts with ``prefix``."""
-        return self._select_bits(
-            self._codec.prefix_to_bits(prefix), idx, full_match=False, label=prefix
-        )
-
-    def _locate(
-        self, key: Bits, full_match: bool, label: Any = None
-    ) -> Tuple[int, List[Tuple[int, int]]]:
-        """Descend to ``key``'s node, recording (internal node, branching bit)."""
-        shown = key if label is None else label
-        if self._size == 0:
-            raise ValueNotFoundError("the sequence is empty")
-        node = 0
-        remaining = key
-        path: List[Tuple[int, int]] = []
-        while True:
-            node_label = self._label(node)
-            lcp = remaining.lcp_length(node_label)
-            if not full_match and lcp == len(remaining):
-                return node, path
-            if self._is_leaf(node):
-                if full_match and remaining == node_label:
-                    return node, path
-                raise ValueNotFoundError(f"value {shown!r} does not occur")
-            if lcp < len(node_label) or len(remaining) == len(node_label):
-                raise ValueNotFoundError(f"value {shown!r} does not occur")
-            bit = remaining[len(node_label)]
-            path.append((node, bit))
-            remaining = remaining.suffix_from(len(node_label) + 1)
-            node = self._child(node, bit)
-
-    def _select_bits(
-        self, key: Bits, idx: int, full_match: bool, label: Any = None
-    ) -> int:
-        if full_match and idx < 0:
-            # Mirror WaveletTrieBase.select_bits: the full-match path rejects
-            # negative indexes before locating (prefix mode instead raises
-            # the canonical count-bearing error after the locate).
-            raise OutOfBoundsError("select index must be non-negative")
-        node, path = self._locate(key, full_match, label=label)
-        available = self._subsequence_length(node, path)
-        if full_match:
-            if idx >= available:
-                raise OutOfBoundsError(
-                    f"select index {idx} out of range: only {available} matches"
-                )
-        else:
-            check_select_prefix_index(
-                key if label is None else label, idx, available
-            )
-        for ancestor, bit in reversed(path):
-            idx = self._node_bitvector(ancestor).select(bit, idx)
-        return idx
-
-    def rank_prefix_many(self, prefix: Any, positions) -> List[int]:
-        """``rank_prefix(prefix, pos)`` for each position (batched RankPrefix).
-
-        One shared DFUDS descent to the prefix node; at every internal node
-        on the way the whole position vector is mapped through the RRR
-        bitvector's batch ``rank_many`` -- amortised, one per-node batch pass
-        instead of one full succinct descent per queried position.
-        """
-        key = self._codec.prefix_to_bits(prefix)
-        positions = normalize_batch(positions)
-        for pos in positions:
-            if not 0 <= pos <= self._size:
-                raise OutOfBoundsError(
-                    f"position {pos} out of range for length {self._size}"
-                )
-        if self._size == 0 or not len(positions):
-            return [0] * len(positions)
-        node = 0
-        remaining = key
-        current: List[int] = [int(pos) for pos in positions]
-        while True:
-            label = self._label(node)
-            lcp = remaining.lcp_length(label)
-            if lcp == len(remaining):
-                return current
-            if self._is_leaf(node) or lcp < len(label) or len(remaining) == len(label):
-                return [0] * len(current)
-            bit = remaining[len(label)]
-            current = self._node_bitvector(node).rank_many(bit, current)
-            remaining = remaining.suffix_from(len(label) + 1)
-            node = self._child(node, bit)
-
-    def select_prefix_many(self, prefix: Any, indexes) -> List[int]:
-        """``select_prefix(prefix, idx)`` for each index (batched SelectPrefix).
-
-        The prefix node is located with one DFUDS descent and the recorded
-        path unwound with each RRR bitvector's batched ``select_many`` (one
-        shared directory pass per node) -- amortised O(|p| + depth_p (D +
-        q log q)) for q queries instead of q full succinct SelectPrefix
-        walks.  Results come back in input order.
-        """
-        indexes = normalize_batch(indexes)
-        if not len(indexes):
-            return []  # an empty batch never raises, like the default loop
-        key = self._codec.prefix_to_bits(prefix)
-        node, path = self._locate(key, full_match=False, label=prefix)
-        available = self._subsequence_length(node, path)
-        current = validate_select_prefix_indexes(indexes, available, prefix)
-        for ancestor, bit in reversed(path):
-            current = self._node_bitvector(ancestor).select_many(bit, current)
-        return list(current)
-
-    def _subsequence_length(self, node: int, path: List[Tuple[int, int]]) -> int:
-        if not path:
-            return self._size
-        parent, bit = path[-1]
-        return self._node_bitvector(parent).count(bit)
-
-    # ------------------------------------------------------------------
     # Updates are rejected
     # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # Tier protocol (see repro.core.tiers)
-    # ------------------------------------------------------------------
-    @property
-    def tier_state(self) -> str:
-        """Always ``"frozen"``: the succinct trie is immutable."""
-        return "frozen"
-
-    def freeze_step(self, budget: int = 64) -> bool:
-        """No freeze work on an already-frozen tier; returns True."""
-        return True
-
-    def to_succinct(self) -> "SuccinctWaveletTrie":
-        """Already succinct: returns ``self``."""
-        return self
-
     def append(self, value: Any) -> None:
         raise ImmutableStructureError("SuccinctWaveletTrie is static")
 

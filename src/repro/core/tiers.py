@@ -3,14 +3,8 @@
 The paper ships the Wavelet Trie in three flavours -- static (Theorem 3.7),
 append-only (Theorem 4.3) and fully dynamic (Theorem 4.4) -- and a serving
 system needs all three *at once*: a small mutable tier absorbing writes in
-front of immutable compressed tiers, LSM-style.  This module makes the
-transitions between flavours first-class:
-
-``Tier``
-    The protocol every trie flavour satisfies: a ``tier_state``
-    (``"mutable"`` or ``"frozen"``), budgeted freeze work via
-    ``freeze_step``, a ``to_succinct`` conversion, and ``size_in_bits``
-    accounting.
+front of immutable compressed tiers, LSM-style.  This module holds the one
+freeze path between flavours:
 
 ``TrieFreezer`` / ``freeze_trie``
     The dynamic/append-only -> static RRR transition.  ``TrieFreezer``
@@ -39,7 +33,7 @@ transitions between flavours first-class:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bits import kernel
 from repro.bits.bitstring import Bits
@@ -69,7 +63,7 @@ from repro.exceptions import (
 )
 from repro.tries.binarize import StringCodec, default_codec
 
-__all__ = ["Tier", "TieredWaveletTrie", "TrieFreezer", "freeze_trie"]
+__all__ = ["TieredWaveletTrie", "TrieFreezer", "freeze_trie"]
 
 # One extraction unit: 4096 bits = exactly 64 packed words, so consecutive
 # full chunks concatenate on word boundaries.
@@ -77,39 +71,6 @@ _EXTRACT_CHUNK_BITS = 64 * 64
 
 # Seed rotation shared with DynamicWaveletTrie._new_constant_bitvector.
 _SEED_MULTIPLIER = 6364136223846793005
-
-
-@runtime_checkable
-class Tier(Protocol):
-    """The lifecycle contract every Wavelet Trie flavour satisfies.
-
-    A tier is a stage in the life of an indexed sequence:
-
-    * ``tier_state`` -- ``"mutable"`` while the structure accepts updates
-      (dynamic, append-only, tiered), ``"frozen"`` once it is immutable
-      (static pointer trie, succinct trie).
-    * ``freeze_step(budget)`` -- perform up to ``budget`` block-sized units
-      of work toward the frozen form; returns True once no freeze work
-      remains.  Frozen tiers return True immediately; mutable tiers drive a
-      :class:`TrieFreezer` (growable tries) or their in-flight compaction
-      (:class:`TieredWaveletTrie`).
-    * ``to_succinct()`` -- the pointerless succinct form of the current
-      content (:class:`~repro.core.succinct_static.SuccinctWaveletTrie`).
-    * ``size_in_bits()`` -- the measured memory footprint, the accounting
-      side of the lifecycle.
-
-    The protocol is structural (``isinstance`` checks attribute presence via
-    ``runtime_checkable``); no flavour inherits from it.
-    """
-
-    @property
-    def tier_state(self) -> str: ...
-
-    def freeze_step(self, budget: int = 64) -> bool: ...
-
-    def to_succinct(self) -> "SuccinctWaveletTrie": ...
-
-    def size_in_bits(self) -> int: ...
 
 
 # ----------------------------------------------------------------------
@@ -531,23 +492,6 @@ class TieredWaveletTrie(IndexedStringSequence):
         for tier in tiers:
             combined.extend(tier.iter_range(0, len(tier)))
         return WaveletTrie(combined, codec=self._codec)
-
-    # ------------------------------------------------------------------
-    # Tier protocol
-    # ------------------------------------------------------------------
-    @property
-    def tier_state(self) -> str:
-        """Always ``"mutable"``: the tail tier accepts writes."""
-        return "mutable"
-
-    def freeze_step(self, budget: int = 64) -> bool:
-        """Advance pending compaction; True when no freeze work remains."""
-        self.compact_step(budget)
-        return self._sealing is None
-
-    def to_succinct(self) -> SuccinctWaveletTrie:
-        """The pointerless succinct form of the full logical sequence."""
-        return self.to_static().to_succinct()
 
     def size_in_bits(self) -> int:
         """Measured footprint: the sum over live tiers."""

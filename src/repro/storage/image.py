@@ -596,19 +596,28 @@ def loads_image(data, verify: bool = False):
 def write_durably(path: Union[str, os.PathLike], write: Callable[[BinaryIO], Any]):
     """Replace ``path`` with what ``write(handle)`` writes; returns its result.
 
-    The bytes go to a temporary sibling file, which is fsynced before
-    ``os.replace`` renames it over ``path``; the directory is fsynced after,
-    so the rename itself is durable.  A crash or power loss at any point
-    leaves either the old file or the whole new one, never an empty or
-    partial file under ``path``.
+    The bytes go to a temporary sibling file of a unique name, which is
+    fsynced before ``os.replace`` renames it over ``path``; the directory is
+    fsynced after, so the rename itself is durable.  A crash or power loss
+    at any point leaves either the old file or the whole new one, never an
+    empty or partial file under ``path``.  Saves of one path that overlap
+    (a write callback that saves the same path) each publish whole, the last
+    rename winning; a callback that raises leaves ``path`` untouched and no
+    temporary file.  The file gets the permissions ``open(path, "wb")``
+    would give it.
     """
     path = os.fspath(path)
-    temporary = f"{path}.tmp"
-    with open(temporary, "wb") as handle:
-        result = write(handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, path)
+    temporary = f"{path}.{os.urandom(8).hex()}.tmp"
+    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            result = write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
     directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:
         os.fsync(directory)

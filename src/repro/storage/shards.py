@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.db.column import CompressedColumn
 from repro.db.partition import as_column_dict, partition_ranges, slice_column
 from repro.core.tiers import TieredWaveletTrie
+from repro.exceptions import SerializationError
 from repro.storage.image import open_image, save_image, write_durably
 
 __all__ = ["MANIFEST_NAME", "export_shard_images", "load_manifest", "open_worker_columns"]
@@ -104,14 +105,21 @@ def export_shard_images(
 
 
 def load_manifest(directory: Union[str, os.PathLike]) -> Dict[str, Any]:
-    """Read and validate the cluster manifest under ``directory``."""
+    """Read and validate the cluster manifest under ``directory``.
+
+    A file that is not JSON, not a manifest or of another version raises
+    :class:`~repro.exceptions.SerializationError` naming the file.
+    """
     path = os.path.join(os.fspath(directory), MANIFEST_NAME)
-    with open(path, "r", encoding="utf-8") as source:
-        manifest = json.load(source)
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"{path}: not a {MANIFEST_FORMAT} manifest")
+    try:
+        with open(path, "r", encoding="utf-8") as source:
+            manifest = json.load(source)
+    except ValueError as error:  # not UTF-8, or not JSON
+        raise SerializationError(f"{path}: unreadable manifest ({error})") from error
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
+        raise SerializationError(f"{path}: not a {MANIFEST_FORMAT} manifest")
     if manifest.get("version") != MANIFEST_VERSION:
-        raise ValueError(
+        raise SerializationError(
             f"{path}: unsupported manifest version {manifest.get('version')!r}"
         )
     return manifest

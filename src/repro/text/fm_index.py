@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bits import kernel
+from repro.bits.kernel import SMALL_BATCH
 from repro.bits.packed import PackedIntVector
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
@@ -37,10 +38,6 @@ from repro.wavelet.huffman import HuffmanWaveletTree
 __all__ = ["FMIndex"]
 
 _TERMINATOR = 0  # code of the appended sentinel; smaller than every character
-
-# Below this many occurrences ``locate`` walks its rows as python lists; more
-# keep them as backend-native arrays under the numpy backend.
-_SMALL_BATCH = 32
 
 #: Node bitvector flavours for the BWT wavelet tree.  Backward search is
 #: rank-bound, so the default is the plain vector whose ``rank_many`` is
@@ -315,7 +312,7 @@ class FMIndex:
         self._check_pattern(pattern)
         low, high = self._interval(pattern)
         np = kernel.array_module()
-        if np is not None and high - low >= _SMALL_BATCH:
+        if np is not None and high - low >= SMALL_BATCH:
             return self._locate_arrays(np, low, high)
         positions: List[int] = []
         rows = list(range(low, high))

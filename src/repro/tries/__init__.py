@@ -1,13 +1,13 @@
-"""Patricia tries and string binarisation.
+"""String binarisation for the Wavelet Trie.
 
 The Wavelet Trie is a Wavelet Tree shaped like the Patricia trie of the
-distinct strings.  This package provides:
-
-* :mod:`repro.tries.binarize` -- codecs mapping application values
-  (``str``, ``bytes``, ``int``) to the prefix-free binary strings
-  (:class:`~repro.bits.bitstring.Bits`) the data structure operates on;
-* :class:`~repro.tries.patricia.PatriciaTrie` -- the dynamic, pointer-based
-  Patricia trie of the paper's Appendix B.
+distinct binarised strings.  :mod:`repro.tries.binarize` provides the codecs
+mapping application values (``str``, ``bytes``, ``int``) to the prefix-free
+binary strings (:class:`~repro.bits.bitstring.Bits`) the data structure
+operates on.  The Patricia trie itself is the shape of every Wavelet Trie
+variant in :mod:`repro.core` (the static builder reads it off the sorted
+distinct codes; the growable tries split and merge it, Appendix B), and
+:func:`repro.analysis.compute_bounds` measures it without building a trie.
 """
 
 from repro.tries.binarize import (
@@ -17,12 +17,10 @@ from repro.tries.binarize import (
     Utf8Codec,
     default_codec,
 )
-from repro.tries.patricia import PatriciaTrie
 
 __all__ = [
     "BytesCodec",
     "FixedWidthIntCodec",
-    "PatriciaTrie",
     "StringCodec",
     "Utf8Codec",
     "default_codec",

@@ -15,6 +15,7 @@ from collections import Counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bits import kernel
+from repro.bits.kernel import SMALL_BATCH
 from repro.bits.bitstring import Bits
 from repro.bitvector.base import (
     batch_min_max,
@@ -25,10 +26,6 @@ from repro.bitvector.rrr import RRRBitVector
 from repro.exceptions import OutOfBoundsError, ValueNotFoundError
 
 __all__ = ["HuffmanWaveletTree", "huffman_codes"]
-
-# Below this many queries the array descent of ``inverse_select_many`` costs
-# more in conversions than it saves; such batches take the list descent.
-_SMALL_BATCH = 32
 
 
 def huffman_codes(frequencies: Dict[Hashable, int]) -> Dict[Hashable, Bits]:
@@ -228,7 +225,7 @@ class HuffmanWaveletTree:
         if np is not None and self._int_symbols:
             if isinstance(positions, np.ndarray):
                 return self._inverse_select_arrays(np, positions)
-            if count >= _SMALL_BATCH:
+            if count >= SMALL_BATCH:
                 symbols, ranks = self._inverse_select_arrays(np, positions)
                 return symbols.tolist(), ranks.tolist()
         symbols: List[Optional[Hashable]] = [None] * count

@@ -14,9 +14,26 @@ from repro.analysis import (
     empirical_entropy_bits,
     wavelet_trie_space_report,
 )
+from repro.bits.bitstring import Bits
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
+from repro.exceptions import BinarizationError
+from repro.tries.binarize import StringCodec
+
+
+class BitStringCodec(StringCodec):
+    """Values are strings of 0s and 1s, binarised as those bits: no
+    terminator, so the encoded set need not be prefix-free."""
+
+    def to_bits(self, value):
+        return Bits.from_string(value)
+
+    def from_bits(self, bits):
+        return bits.to01()
+
+    def prefix_to_bits(self, prefix):
+        return Bits.from_string(prefix)
 
 
 class TestEntropy:
@@ -107,6 +124,58 @@ class TestSequenceBounds:
         bounds = compute_bounds(["x", "y"])
         flat = bounds.as_dict()
         assert flat["n"] == 2 and "LB_bits" in flat
+
+
+class TestPatriciaShape:
+    """Hand-checked label bits, edges and heights of the Patricia trie
+    ``compute_bounds`` reads off the sorted distinct codes."""
+
+    def test_a_single_value_is_one_leaf(self):
+        bounds = compute_bounds(["solo", "solo"])
+        assert bounds.label_bits == 40  # "solo" + NUL, all in the leaf
+        assert bounds.edges == 0
+        assert bounds.average_height == 0.0
+
+    def test_four_one_letter_values(self):
+        # a, b, c, d are 0x61..0x64: the root splits {a, b, c} from d after
+        # 5 shared bits, then a from {b, c} after 6 and b from c after 7.
+        # Labels 5 + 0 + 0 (internal) + 9 + 8 + 8 + 10 (leaves) = 40 bits.
+        bounds = compute_bounds(["a", "b", "c", "d"])
+        assert bounds.label_bits == 40
+        assert bounds.edges == 2 * (4 - 1)
+        assert bounds.average_height == (2 + 3 + 3 + 1) / 4
+        assert bounds.total_height_bits == 9
+
+    def test_heights_weight_each_value_by_its_rows(self):
+        # "aa" and "ab" split after 14 shared bits, below the root's split
+        # from "b" after 6: heights 2, 2 and 1.
+        bounds = compute_bounds(["aa", "ab", "b", "b", "b"])
+        assert bounds.label_bits == 64 - (14 + 6) - 2 * 2
+        assert bounds.edges == 4
+        assert bounds.average_height == (2 + 2 + 1 * 3) / 5
+
+    def test_an_empty_root_label(self):
+        bounds = compute_bounds(["00", "01", "1"], codec=BitStringCodec())
+        assert bounds.label_bits == 0
+        assert bounds.edges == 4
+        assert bounds.average_height == (2 + 2 + 1) / 3
+
+    @pytest.mark.parametrize("values", [["01", "0101"], ["0101", "1", "01"]])
+    def test_a_set_that_is_not_prefix_free_is_rejected(self, values):
+        with pytest.raises(BinarizationError, match="not prefix-free"):
+            compute_bounds(values, codec=BitStringCodec())
+
+    @given(st.lists(st.text(alphabet="ab/", max_size=8), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_shape_matches_every_trie_flavour(self, values):
+        bounds = compute_bounds(values)
+        for trie in (
+            WaveletTrie(values),
+            AppendOnlyWaveletTrie(values),
+            DynamicWaveletTrie(values),
+        ):
+            assert bounds.label_bits == trie.label_bits()
+            assert bounds.average_height == trie.average_height()
 
 
 class TestSpaceReport:

@@ -73,20 +73,6 @@ class TestInWordPrimitives:
             with pytest.raises(ValueError):
                 kernel.select_in_word(word, len(ones))
 
-    def test_select_zero_in_word_respects_width(self):
-        rng = random.Random(43)
-        for _ in range(100):
-            width = rng.randint(1, 64)
-            word = rng.getrandbits(width) << (64 - width)
-            zeros = [
-                i for i, b in enumerate(naive_bits_of_word(word, width)) if not b
-            ]
-            for k, expected in enumerate(zeros):
-                assert kernel.select_zero_in_word(word, k, width) == expected
-            # Padding bits past `width` must never surface as zeros.
-            with pytest.raises(ValueError):
-                kernel.select_zero_in_word(word, len(zeros), width)
-
     def test_rank_word_prefix(self):
         rng = random.Random(44)
         for _ in range(50):
@@ -196,15 +182,4 @@ class TestRankDirectory:
             # plus the in-superblock cumulative byte.
             assert super_cum[index >> 3] + word_cum[index] == sum(
                 w.bit_count() for w in words[:index]
-            )
-
-    def test_select_one_in_words(self):
-        rng = random.Random(99)
-        words = [rng.getrandbits(64) for _ in range(20)]
-        super_cum, word_pop, _ = kernel.build_rank_directory(words)
-        reference = kernel.one_positions(words)
-        for idx in range(0, len(reference), 17):
-            assert (
-                kernel.select_one_in_words(words, super_cum, word_pop, idx)
-                == reference[idx]
             )

@@ -16,8 +16,8 @@ import random
 import pytest
 
 from repro.bits import kernel
-from repro.bits.kernel import npkernel, pykernel
-from repro.bitvector.rrr import _SMALL_BATCH, RRRBitVector
+from repro.bits.kernel import SMALL_BATCH, npkernel, pykernel
+from repro.bitvector.rrr import RRRBitVector
 from repro.exceptions import OutOfBoundsError
 from repro.storage.image import FrozenImage, ImageWriter
 
@@ -64,7 +64,7 @@ def test_batch_matches_scalar(backend, block_size, sample_rate, density):
     bits = random_bits(length, density, seed)
     vector = RRRBitVector(bits, block_size=block_size, sample_rate=sample_rate)
     rng = random.Random(seed + 1)
-    probes = [rng.randrange(length) for _ in range(4 * _SMALL_BATCH)]
+    probes = [rng.randrange(length) for _ in range(4 * SMALL_BATCH)]
     probes += [0, length - 1]
     rank_probes = probes + [length, length, 0]
     with active_backend(backend):
@@ -99,7 +99,7 @@ def test_multiple_of_block_size_and_end_position(backend):
         length = block_size * 40  # the last block is full: pos == len
         bits = random_bits(length, 0.5, block_size)
         vector = RRRBitVector(bits, block_size=block_size, sample_rate=8)
-        probes = [length] * _SMALL_BATCH + list(range(0, length + 1, 7))
+        probes = [length] * SMALL_BATCH + list(range(0, length + 1, 7))
         with active_backend(backend):
             assert vector.rank_many(1, probes) == [sum(bits[:p]) for p in probes]
             assert vector.rank_many(0, probes) == [
@@ -113,21 +113,21 @@ def test_empty_vector(backend):
     with active_backend(backend):
         assert vector.access_many([]) == []
         assert vector.rank_many(1, []) == []
-        assert vector.rank_many(1, [0] * (2 * _SMALL_BATCH)) == [0] * (
-            2 * _SMALL_BATCH
+        assert vector.rank_many(1, [0] * (2 * SMALL_BATCH)) == [0] * (
+            2 * SMALL_BATCH
         )
-        assert vector.rank_many(0, [0] * (2 * _SMALL_BATCH)) == [0] * (
-            2 * _SMALL_BATCH
+        assert vector.rank_many(0, [0] * (2 * SMALL_BATCH)) == [0] * (
+            2 * SMALL_BATCH
         )
         with pytest.raises(OutOfBoundsError):
-            vector.access_many([0] * (2 * _SMALL_BATCH))
+            vector.access_many([0] * (2 * SMALL_BATCH))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_out_of_range_is_all_or_nothing(backend):
     bits = random_bits(300, 0.3, 11)
     vector = RRRBitVector(bits)
-    good = list(range(2 * _SMALL_BATCH))
+    good = list(range(2 * SMALL_BATCH))
     with active_backend(backend):
         for bad in (-1, 301):
             with pytest.raises(OutOfBoundsError, match=f"rank position {bad}"):

@@ -15,8 +15,8 @@ from bisect import bisect_left, bisect_right
 import pytest
 
 from repro.bits import kernel
-from repro.bits.kernel import npkernel
-from repro.bitvector.sparse import _SMALL_BATCH, EliasFanoSequence, SparseBitVector
+from repro.bits.kernel import SMALL_BATCH, npkernel
+from repro.bitvector.sparse import EliasFanoSequence, SparseBitVector
 from repro.exceptions import OutOfBoundsError
 from repro.succinct.partial_sums import StaticPartialSums
 
@@ -136,7 +136,7 @@ def test_elias_fano_select_many_validates_all_or_nothing(backend):
     with active_backend(backend):
         for bad in (-1, len(sequence)):
             with pytest.raises(OutOfBoundsError, match=f"index {bad}"):
-                sequence.select_many(list(range(2 * _SMALL_BATCH)) + [bad])
+                sequence.select_many(list(range(2 * SMALL_BATCH)) + [bad])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -164,7 +164,7 @@ def test_sparse_bitvector_batches_match_scalar(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sparse_bitvector_batch_validation(backend):
     vector = SparseBitVector(300, range(0, 300, 7))
-    good = list(range(2 * _SMALL_BATCH))
+    good = list(range(2 * SMALL_BATCH))
     with active_backend(backend):
         with pytest.raises(OutOfBoundsError, match="rank position 301"):
             vector.rank_many(1, good + [301])

@@ -552,3 +552,25 @@ class TestServeReusedImageDir:
         code = self.serve(index, directory, "--workers", "2")
         err = self.assert_refused(capsys, serving, code, directory)
         assert "30 rows" in err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            json.dumps({"format": "rwt2-cluster", "version": 0}).encode(),
+            b"not JSON",
+            b"\xff not UTF-8",
+        ],
+        ids=["version-0", "not-json", "not-utf8"],
+    )
+    def test_an_old_or_unreadable_manifest_is_refused(
+        self, image_dir, serving, capsys, manifest
+    ):
+        """One ``error:`` line naming the manifest, no traceback, and nothing
+        spawned."""
+        index, directory = image_dir
+        (directory / "manifest.json").write_bytes(manifest)
+        assert self.serve(index, directory, "--workers", "2") == 1
+        assert serving == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "manifest.json" in lines[0]

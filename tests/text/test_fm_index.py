@@ -182,12 +182,12 @@ def test_sa_sample_is_pure_space_time_knob(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_locate_above_the_small_batch_threshold(backend, kind):
-    """Occurrence counts far past ``_SMALL_BATCH`` take the batched LF walk
+    """Occurrence counts far past ``SMALL_BATCH`` take the batched LF walk
     (int64 arrays under numpy, lists under python); every sampling rate and
     both node flavours must still match the ``str.find`` oracle, and
     ``extract`` (one scalar ``inverse_select`` per character) must rebuild
     the text."""
-    from repro.text.fm_index import _SMALL_BATCH
+    from repro.bits.kernel import SMALL_BATCH
 
     rng = random.Random(len(kind))
     text = "".join(rng.choice("abc") for _ in range(3_000)) + "\x00ab" * 40
@@ -197,6 +197,6 @@ def test_locate_above_the_small_batch_threshold(backend, kind):
             fm = FMIndex(text, sa_sample=sa_sample, bitvector=kind)
             for pattern in patterns:
                 expected = naive_locate(text, pattern)
-                assert len(expected) > _SMALL_BATCH or pattern == "cccc"
+                assert len(expected) > SMALL_BATCH or pattern == "cccc"
                 assert fm.locate(pattern) == expected, (sa_sample, pattern)
         assert fm.extract(0, len(text)) == text

@@ -13,12 +13,11 @@ import random
 import pytest
 
 from repro.bits import kernel
-from repro.bits.kernel import npkernel
+from repro.bits.kernel import SMALL_BATCH, npkernel
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
 from repro.exceptions import OutOfBoundsError
 from repro.wavelet import HuffmanWaveletTree
-from repro.wavelet.huffman import _SMALL_BATCH
 
 BACKENDS = kernel.available_backends()
 FACTORIES = [PlainBitVector, RRRBitVector]
@@ -50,7 +49,7 @@ def test_inverse_select_many_matches_scalar_pairs(backend, factory):
     tree = HuffmanWaveletTree(data, bitvector_factory=factory)
     rng = random.Random(2)
     with active_backend(backend):
-        for size in (1, _SMALL_BATCH - 1, _SMALL_BATCH, 700):
+        for size in (1, SMALL_BATCH - 1, SMALL_BATCH, 700):
             positions = [rng.randrange(len(data)) for _ in range(size)]
             expected = expected_pairs(tree, positions)
             assert tree.inverse_select_many(positions) == expected
@@ -106,6 +105,6 @@ def test_out_of_range_is_all_or_nothing(backend):
     with active_backend(backend):
         for bad in (-1, 200):
             with pytest.raises(OutOfBoundsError, match=f"position {bad}"):
-                tree.inverse_select_many(list(range(2 * _SMALL_BATCH)) + [bad])
+                tree.inverse_select_many(list(range(2 * SMALL_BATCH)) + [bad])
             with pytest.raises(OutOfBoundsError):
                 tree.inverse_select(bad)
