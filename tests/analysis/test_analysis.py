@@ -1,6 +1,7 @@
 """Tests for entropy measures, Table 1 bounds and space reports."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,55 @@ class TestPatriciaShape:
         assert bounds.label_bits == 0
         assert bounds.edges == 4
         assert bounds.average_height == (2 + 2 + 1) / 3
+
+    def test_duplicates_do_not_change_the_shape(self):
+        once = compute_bounds(["x"])
+        thrice = compute_bounds(["x", "x", "x"])
+        assert (thrice.distinct, thrice.label_bits, thrice.edges) == (1, 16, 0)
+        assert (once.distinct, once.label_bits, once.edges) == (1, 16, 0)
+        assert (thrice.length, thrice.total_input_bits) == (3, 48)
+
+    def test_five_words_with_a_shared_prefix(self):
+        # Sorted: alpha, alphabet, beta, delta, gamma, with adjacent LCPs
+        # 41 (NUL against "b"), 6, 5 and 6 bits.  The root splits at 5, so
+        # every internal node has two children: e = 2(5 - 1).
+        # |L| = 8 (6 + 9 + 5 + 6 + 6) - (41 + 6 + 5 + 6) - 8 = 190 and the
+        # heights are 3, 3, 2, 2, 2.
+        bounds = compute_bounds(["alpha", "beta", "gamma", "delta", "alphabet"])
+        assert bounds.label_bits == 190
+        assert bounds.edges == 8
+        assert bounds.average_height == 12 / 5
+
+    @pytest.mark.parametrize("word_bits", [64, 32])
+    def test_pointer_charge_is_four_words_per_node(self, word_bits):
+        # "aaa" and "aab" split after 22 bits, below the root's split from
+        # "abc" after 14: 2 * 3 - 1 nodes and |L| = 96 - 36 - 4.
+        bounds = compute_bounds(["aaa", "aab", "abc"], word_bits=word_bits)
+        assert bounds.pt_bits == (2 * 3 - 1) * 4 * word_bits
+        assert bounds.total_input_bits == 3 * 32
+        assert bounds.label_bits == 56
+        assert bounds.average_height == 5 / 3
+
+    def test_shape_follows_a_dynamic_trie_through_inserts_and_deletes(self):
+        rng = random.Random(5)
+        population = [
+            "/".join(rng.choice("abcd") for _ in range(rng.randint(1, 4)))
+            for _ in range(60)
+        ]
+        trie = DynamicWaveletTrie()
+        for step in range(400):
+            if len(trie) and rng.random() < 0.4:
+                trie.delete(rng.randrange(len(trie)))
+            else:
+                trie.insert(rng.choice(population), rng.randint(0, len(trie)))
+            if step % 50 == 0:
+                bounds = compute_bounds(trie.to_list())
+                assert bounds.label_bits == trie.label_bits()
+                assert bounds.average_height == trie.average_height()
+        bounds = compute_bounds(trie.to_list())
+        assert bounds.distinct == len(set(trie.to_list()))
+        assert bounds.label_bits == trie.label_bits()
+        assert bounds.average_height == trie.average_height()
 
     @pytest.mark.parametrize("values", [["01", "0101"], ["0101", "1", "01"]])
     def test_a_set_that_is_not_prefix_free_is_rejected(self, values):

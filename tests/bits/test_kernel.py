@@ -73,6 +73,20 @@ class TestInWordPrimitives:
             with pytest.raises(ValueError):
                 kernel.select_in_word(word, len(ones))
 
+    def test_select_bit_in_words_respects_width(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            width = rng.randint(1, 64)
+            word = rng.getrandbits(width) << (64 - width)
+            bits = naive_bits_of_word(word, width)
+            for bit in (0, 1):
+                positions = [i for i, b in enumerate(bits) if b == bit]
+                for k, expected in enumerate(positions):
+                    assert kernel.select_bit_in_words([word], width, bit, k) == expected
+                # Padding bits past `width` must never surface as zeros.
+                with pytest.raises(ValueError):
+                    kernel.select_bit_in_words([word], width, bit, len(positions))
+
     def test_rank_word_prefix(self):
         rng = random.Random(44)
         for _ in range(50):
@@ -183,3 +197,18 @@ class TestRankDirectory:
             assert super_cum[index >> 3] + word_cum[index] == sum(
                 w.bit_count() for w in words[:index]
             )
+
+
+class TestWordListSelect:
+    @pytest.mark.parametrize("length", [1, 63, 64, 65, 257, 1000])
+    def test_select_bit_in_words_against_naive(self, length):
+        rng = random.Random(length + 99)
+        value = random_payload(rng, length)
+        words = kernel.pack_value(value, length)
+        bits = naive_bits_of_value(value, length)
+        ones = kernel.one_positions(words)
+        zeros = [i for i, b in enumerate(bits) if not b]
+        assert ones == [i for i, b in enumerate(bits) if b]
+        for bit, reference in ((1, ones), (0, zeros)):
+            for idx, expected in enumerate(reference):
+                assert kernel.select_bit_in_words(words, length, bit, idx) == expected

@@ -16,9 +16,10 @@ from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie
-from repro.exceptions import InvalidOperationError
+from repro.exceptions import ImmutableStructureError, InvalidOperationError
 
 GROWABLE = [AppendOnlyWaveletTrie, DynamicWaveletTrie]
+ALL_FLAVOURS = [WaveletTrie, SuccinctWaveletTrie, *GROWABLE, TieredWaveletTrie]
 
 
 def succinct_form(trie):
@@ -33,15 +34,46 @@ def succinct_form(trie):
 
 
 class TestConversions:
-    @pytest.mark.parametrize(
-        "flavour",
-        [WaveletTrie, SuccinctWaveletTrie, *GROWABLE, TieredWaveletTrie],
-    )
+    @pytest.mark.parametrize("flavour", ALL_FLAVOURS)
     def test_succinct_form_preserves_content(self, flavour, url_log):
         values = url_log[:60]
         succinct = succinct_form(flavour(values))
         assert isinstance(succinct, SuccinctWaveletTrie)
         assert succinct.to_list() == values
+
+    @pytest.mark.parametrize("flavour", ALL_FLAVOURS)
+    def test_succinct_form_is_the_direct_build(self, flavour, url_log):
+        """Whatever flavour it starts from, the succinct form has the
+        topology and measured bits of building the layout directly."""
+        values = url_log[:80]
+        succinct = succinct_form(flavour(values))
+        direct = SuccinctWaveletTrie(values)
+        assert succinct.node_count() == direct.node_count()
+        assert succinct.space_breakdown() == direct.space_breakdown()
+
+    @pytest.mark.parametrize(
+        "flavour,state",
+        [
+            (WaveletTrie, "frozen"),
+            (SuccinctWaveletTrie, "frozen"),
+            (AppendOnlyWaveletTrie, "mutable"),
+            (DynamicWaveletTrie, "mutable"),
+            (TieredWaveletTrie, "mutable"),
+        ],
+    )
+    def test_writes_follow_the_tier_state(self, flavour, state, url_log):
+        """Frozen flavours reject a write and stay as they were; mutable
+        ones take it, and their next freeze carries it."""
+        values = url_log[:30]
+        trie = flavour(values)
+        if state == "frozen":
+            with pytest.raises(ImmutableStructureError):
+                trie.append("http://late.example/write")
+            assert trie.to_list() == values
+        else:
+            trie.append("http://late.example/write")
+            expected = values + ["http://late.example/write"]
+            assert succinct_form(trie).to_list() == expected
 
     @pytest.mark.parametrize("kind", ["plain", "rle"])
     def test_from_pointer_trie_reencodes_other_node_bitvectors(self, kind, url_log):
