@@ -16,10 +16,10 @@ server over it.  The topology:
 * **Reads scatter-gather.**  Concurrent reads park on the supervisor's
   queue and drain in ticks; each tick the
   :class:`~repro.serving.router.ClusterRouter` decomposes the batch into
-  per-worker scalar subrequests, pipelines them over one persistent
-  NDJSON connection per worker, and merges the results in input order --
-  byte-identical frames to the unsharded server, stamped with the
-  supervisor's authoritative version.
+  per-worker scalar subrequests, writes each worker's batch in one write
+  on one persistent NDJSON connection per worker, and merges the results
+  in input order -- byte-identical frames to the unsharded server, stamped
+  with the supervisor's authoritative version.
 * **Writes have one owner.**  Every ``append``/``extend`` routes to the
   *tail* worker (the only process whose columns open appendable), applied
   strictly in queue order; the tail worker funds the server's
@@ -79,8 +79,9 @@ __all__ = [
 # Frames the supervisor keeps in flight on its one connection per worker;
 # each worker's server admits as many per connection.
 WORKER_PIPELINE_DEPTH = 64
-# The worker pump's gather window (loop turns): the supervisor's pipelined
-# subrequests reach a worker staggered across selector passes.
+# The worker pump's gather window (loop turns).  A scatter round reaches its
+# worker in one write, so one tick; the window joins rounds that arrive in
+# separate reads, such as two columns' rounds from one supervisor tick.
 WORKER_COALESCE_WINDOW = 2
 
 # Module-level registry of spawned worker pids, maintained across spawn and
@@ -387,11 +388,13 @@ class ClusterSupervisor(FrameServer, TickLoop):
     # The scatter seam: the routers' fetch callable
     # ------------------------------------------------------------------
     async def _fetch(self, shard: int, payloads: List[Dict[str, Any]]) -> List[Any]:
-        """Pipeline one batch of subrequests to one worker, with recovery.
+        """Send one batch of subrequests to one worker, with recovery.
 
-        Reads are idempotent, so a connection failure (the worker died
-        mid-batch) triggers the bounded restart and then simply retries
-        the whole batch against the recovered worker.
+        The batch goes out in one write, so the worker reads it in one go
+        and answers it in one tick.  Reads are idempotent, so a connection
+        failure (the worker died mid-batch) triggers the bounded restart
+        and then simply retries the whole batch against the recovered
+        worker.
         """
         handle = self._workers[shard]
         frames = [encode_frame(payload) for payload in payloads]
@@ -402,7 +405,7 @@ class ClusterSupervisor(FrameServer, TickLoop):
             client = handle.client
             assert client is not None
             try:
-                futures = [await client.submit(frame) for frame in frames]
+                futures = await client.submit_many(frames)
                 lines = await asyncio.gather(*futures)
                 return [self._subresult(shard, line) for line in lines]
             except ConnectionError as error:

@@ -160,7 +160,7 @@ def decode_frame(
         )
     try:
         payload = json.loads(line)
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise ProtocolError("malformed", f"frame is not valid JSON: {error}")
     if not isinstance(payload, dict):
         raise ProtocolError(

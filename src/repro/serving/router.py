@@ -32,9 +32,10 @@ The identities the router rests on (``cum[i] = bounds[i]``):
 * ``select(v, idx)`` -- binary search of the cumulative per-shard counts
   finds the owning shard, one local select there, plus the shard's base.
 
-Scatter rounds are batched per shard and the worker's own coalescer turns
-the pipelined scalar subrequests back into ``*_many`` calls, so the batch
-amortisation of the index layer survives the process hop.
+Scatter rounds are batched per shard.  The supervisor writes each shard's
+batch in one write, and the worker answers the whole batch in one tick with
+``*_many`` calls, so the batch amortisation of the index layer survives the
+process hop.
 """
 
 from __future__ import annotations
@@ -189,9 +190,10 @@ class ClusterRouter:
     ``fetch`` is the only I/O seam: an async callable taking a shard index
     and a batch of request payloads (plain frame dicts, ``shard`` already
     set to the logical column name) and returning the result values in
-    order.  The supervisor's implementation pipelines the batch over the
-    worker's NDJSON connection (with restart-and-retry underneath); the
-    property tests implement it directly against sliced columns.
+    order.  The supervisor's implementation writes the batch in one write
+    on the worker's NDJSON connection (with restart-and-retry
+    underneath); the property tests implement it directly against sliced
+    columns.
 
     Count caches keep steady-state reads cheap: a frozen shard's full
     count for a (rank-kind, key) never changes and is cached forever,

@@ -10,7 +10,8 @@ Two layers live here:
   body).  The NDJSON handler is *pipelined*: it keeps reading frames while
   earlier ones are still being answered (bounded by
   ``ServerConfig.pipeline_depth``) and writes responses strictly in request
-  order, so one connection can feed a whole coalescing tick.
+  order.  Every frame of one socket read starts its dispatch in the same
+  loop turn, so frames that arrive together share one coalescing tick.
 * :class:`IndexServer` -- the single-process server: one or more named
   shards (each a :class:`~repro.db.column.CompressedColumn` behind an
   :class:`~repro.serving.shard.IndexShard`), requests routed by the frame's
@@ -25,13 +26,15 @@ benchmark, the CLI and the cluster supervisor.  It supports **bounded
 pipelining**: up to ``max_inflight`` frames may be outstanding on one
 connection, responses correlate to requests strictly FIFO (the server
 answers in order per connection), so a single client can exercise the
-server's per-(op, key) coalescing width.
+server's per-(op, key) coalescing width; ``submit_many`` writes a batch of
+frames in one write, so the server reads them together.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -48,12 +51,14 @@ from repro.serving.protocol import (
     decode_frame,
     encode_error,
     encode_result,
+    error_message,
 )
 from repro.serving.shard import IndexShard, TickLoop
 
 __all__ = ["FrameServer", "IndexServer", "NDJSONClient", "ServerConfig"]
 
 _HTTP_BODY_LIMIT = 1 << 24  # 16 MiB of NDJSON per POST /query call
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass
@@ -240,61 +245,76 @@ class FrameServer:
             return encode_error(self._salvage_id(line), error.code, str(error))
         return await self.dispatch(request)
 
+    def _dispatched_frame(self, line: bytes, task: "asyncio.Task[bytes]") -> bytes:
+        """The response of one finished dispatch; one that raised is ``internal``."""
+        try:
+            return task.result()
+        except Exception as error:
+            _LOG.exception("dispatching a frame raised")
+            self.metrics.record_error("internal")
+            return encode_error(self._salvage_id(line), "internal", error_message(error))
+
     # ------------------------------------------------------------------
     # Unix-socket transport: pipelined NDJSON, responses in request order
     # ------------------------------------------------------------------
     async def _handle_ndjson(self, reader, writer) -> None:
-        # One dispatch task per frame, up to pipeline_depth in flight; a
-        # single response pump writes results strictly in request order, so
-        # pipelined clients correlate responses FIFO.
+        # Every frame of one socket read starts its dispatch in the same loop
+        # turn, so all of them are on their shard queue before its pump
+        # drains.  At most pipeline_depth frames are in flight: reading
+        # pauses at the bound.  One responder task writes the responses
+        # strictly in request order, each run of finished frames in one write.
         depth = max(1, self.config.pipeline_depth)
-        responses: "asyncio.Queue" = asyncio.Queue(maxsize=depth)
+        limit = self.config.max_frame_bytes + 1024  # the stream limit of start()
+        inflight: Deque[Tuple[bytes, "asyncio.Task[bytes]"]] = deque()
+        queued, room = asyncio.Event(), asyncio.Event()
+        reading = True
 
-        async def pump_responses() -> None:
-            while True:
-                dispatch = await responses.get()
-                if dispatch is None:
-                    return
-                writer.write(await dispatch)
-                await writer.drain()
+        async def respond() -> None:
+            try:
+                while inflight or reading:
+                    if not inflight:
+                        queued.clear()
+                        await queued.wait()
+                        continue
+                    if not inflight[0][1].done():
+                        await asyncio.wait((inflight[0][1],))
+                    run = []
+                    while inflight and inflight[0][1].done():
+                        run.append(self._dispatched_frame(*inflight.popleft()))
+                    room.set()
+                    writer.write(b"".join(run))
+                    await writer.drain()
+            finally:
+                room.set()  # a reader waiting for room must see the end
 
-        pump = asyncio.create_task(pump_responses())
-
-        async def enqueue(dispatch: Optional["asyncio.Task"]) -> bool:
-            # A put that cannot deadlock on a dead response pump: wait on
-            # both; if the pump finished first the connection is over.
-            put = asyncio.ensure_future(responses.put(dispatch))
-            await asyncio.wait({put, pump}, return_when=asyncio.FIRST_COMPLETED)
-            if put.done() and not put.cancelled():
-                return True
-            put.cancel()
-            if dispatch is not None:
-                dispatch.cancel()
-            return False
-
+        responder = asyncio.create_task(respond())
+        buffer = b""
         oversized = False
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # The line outgrew the stream buffer: report it as an
-                    # oversized frame, then close -- resyncing mid-line is
-                    # not possible.
-                    oversized = True
+            while not oversized and not responder.done():
+                chunk = await reader.read(limit)
+                lines, buffer, oversized = self._split_frames(buffer + chunk, limit)
+                if not chunk and not oversized:
+                    lines.append(buffer)  # EOF: an unterminated tail is a frame
+                for line in lines:
+                    while len(inflight) >= depth and not responder.done():
+                        room.clear()
+                        await room.wait()
+                    if responder.done():
+                        break
+                    if line.strip():
+                        task = asyncio.create_task(self.dispatch_line(line))
+                        inflight.append((line, task))
+                        queued.set()
+                if not chunk:
                     break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                dispatch = asyncio.create_task(self.dispatch_line(line))
-                if not await enqueue(dispatch):
-                    break
-            if await enqueue(None):
-                await pump
-            else:
-                await pump  # surface the pump's exception, if any
+            reading = False
+            queued.set()
+            await responder
             if oversized:
+                # The line outgrew the stream limit: report it after every
+                # earlier response, then close -- resyncing mid-line is not
+                # possible.
                 writer.write(
                     encode_error(
                         None,
@@ -307,21 +327,40 @@ class FrameServer:
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             self.metrics.record_disconnect()
-        except asyncio.CancelledError:
-            raise
         finally:
-            if not pump.done():
-                pump.cancel()
-            await asyncio.gather(pump, return_exceptions=True)
-            while not responses.empty():
-                dispatch = responses.get_nowait()
-                if dispatch is not None:
-                    dispatch.cancel()
+            # Close before awaiting anything: a cancel (stop()) landing in an
+            # await below must not skip it and leak the transport.
             writer.close()
+            responder.cancel()
+            for _, task in inflight:
+                task.cancel()
+            await asyncio.gather(
+                responder, *(task for _, task in inflight), return_exceptions=True
+            )
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 self.metrics.record_disconnect()
+
+    @staticmethod
+    def _split_frames(buffer: bytes, limit: int) -> Tuple[List[bytes], bytes, bool]:
+        """Cut ``buffer`` into complete lines (newline kept) and the rest.
+
+        Returns ``(lines, rest, oversized)``.  A line or rest longer than
+        ``limit`` bytes (newline excluded) is oversized: only the lines
+        before it are returned.
+        """
+        lines = []
+        start = 0
+        while True:
+            end = buffer.find(b"\n", start) + 1
+            if not end:
+                rest = buffer[start:]
+                return lines, rest, len(rest) > limit
+            if end - 1 - start > limit:
+                return lines, b"", True
+            lines.append(buffer[start:end])
+            start = end
 
     # ------------------------------------------------------------------
     # HTTP transport: GET /stats, POST /query (NDJSON body)
@@ -344,7 +383,11 @@ class FrameServer:
                         break
                     name, _, value = header.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length") or 0)
+                length_field = headers.get("content-length") or "0"
+                if not length_field.isdecimal():  # latin-1 decimals are 0-9
+                    await self._http_respond(writer, 400, b"bad content-length\n")
+                    break
+                length = int(length_field)
                 if length > _HTTP_BODY_LIMIT:
                     await self._http_respond(writer, 413, b"body too large\n")
                     break
@@ -458,7 +501,8 @@ class NDJSONClient:
     (the server answers in order per connection).  With the default
     ``max_inflight=1`` the client behaves exactly like the original
     one-frame-at-a-time client; the cluster supervisor and the pipelining
-    tests raise it so a single connection can fill a whole coalescing tick.
+    tests raise it so a single connection can fill a whole coalescing tick,
+    and :meth:`submit_many` sends a batch in one write.
     """
 
     def __init__(self, reader, writer, max_inflight: int = 1) -> None:
@@ -487,24 +531,50 @@ class NDJSONClient:
         frames are already outstanding -- the backpressure that keeps the
         pipeline bounded.
         """
+        return (await self.submit_many([frame]))[0]
+
+    async def submit_many(self, frames: List[bytes]) -> List["asyncio.Future[bytes]"]:
+        """Send pre-encoded frames together; one future per frame, in order.
+
+        Frames that find a free pipeline slot go out in one write, so the
+        server reads them in one go and answers them in one tick.  Past
+        ``max_inflight`` outstanding frames, the frames gathered so far are
+        written and the rest wait for slots, as in :meth:`submit`.
+        """
+        loop = asyncio.get_running_loop()
+        futures: List["asyncio.Future[bytes]"] = []
+        batch: List[bytes] = []
+        for frame in frames:
+            if batch and self._slots.locked():
+                # Write before waiting: no other sender may come between a
+                # future joining the FIFO and its frame reaching the socket.
+                await self._send(batch)
+                batch = []
+            self._check_open()
+            await self._slots.acquire()
+            if self._broken is not None:
+                self._slots.release()
+                self._check_open()
+            future: "asyncio.Future[bytes]" = loop.create_future()
+            self._waiting.append(future)
+            futures.append(future)
+            batch.append(frame)
+        if batch:
+            await self._send(batch)
+        return futures
+
+    def _check_open(self) -> None:
         if self._broken is not None:
             raise ConnectionError("connection is broken") from self._broken
-        await self._slots.acquire()
-        if self._broken is not None:
-            self._slots.release()
-            raise ConnectionError("connection is broken") from self._broken
+
+    async def _send(self, frames: List[bytes]) -> None:
         self._ensure_reader()
-        future: "asyncio.Future[bytes]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._waiting.append(future)
         try:
-            self._writer.write(frame)
+            self._writer.write(b"".join(frames))
             await self._writer.drain()
         except Exception as error:
             self._fail_pending(error)
             raise
-        return future
 
     async def call_raw(self, frame: bytes) -> bytes:
         """Send one pre-encoded frame, await and return the raw response."""

@@ -213,9 +213,10 @@ class TickLoop:
         """Give staggered in-flight submissions a few loop turns to join.
 
         Clients sharing the server's event loop land their requests in one
-        ready-callback batch, so the pump (woken by the first submit but
-        scheduled after the rest) already sees them all.  Cross-process
-        clients are different: their frames arrive over the socket staggered
+        ready-callback batch, and so do the frames of one socket read (the
+        NDJSON handler starts them in one loop turn): the pump, woken by the
+        first submit but scheduled after the rest, already sees them all.
+        Frames in separate reads are different: they arrive staggered
         across selector passes, and the pump can wake between two arrivals
         and drain a near-empty queue.  Each ``sleep(0)`` here runs one full
         pass of ready callbacks (including freshly readable connections);

@@ -13,8 +13,10 @@ channels:
   handshake once the socket is listening (the supervisor waits for it
   before routing), and a ``stopped`` line on the way out;
 * **the unix socket is the data plane** -- the supervisor holds one
-  pipelined NDJSON connection per worker, and the worker's own coalescer
-  turns the pipelined scalar subrequests back into ``*_many`` batches.
+  pipelined NDJSON connection per worker and writes each scatter round in
+  one write; the server dispatches every frame of one socket read in the
+  same loop turn, so the round's scalar subrequests share one tick and
+  reach the trie as ``*_many`` batches.
 
 Ownership rule: only the tail worker opens its columns appendable; a
 ``--fault-script`` (JSON, see :meth:`~repro.serving.faults.FaultInjector.

@@ -282,6 +282,74 @@ class TestHostileFrames:
         assert metrics.errors["bad_request"] == 2
         assert metrics.errors["unknown_shard"] == 1
 
+    def test_deeply_nested_frame_is_malformed_and_keeps_the_stream(
+        self, tmp_path
+    ):
+        # Under the 1 MiB frame limit, but json.loads recurses past the
+        # interpreter's limit on it.
+        path = str(tmp_path / "f4.sock")
+        deep = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+
+        async def main():
+            server = IndexServer(make_column(), ServerConfig(unix_path=path))
+            await server.start()
+            client = await NDJSONClient.connect(path)
+            try:
+                first = json.loads(
+                    await asyncio.wait_for(client.call_raw(deep), 5)
+                )
+                second = await asyncio.wait_for(client.call(op="ping"), 5)
+            finally:
+                await client.close()
+                await server.stop()
+            return first, second, server.metrics
+
+        first, second, metrics = run(main())
+        assert first["error"]["code"] == "malformed"
+        assert second["result"] == "pong"
+        assert metrics.errors["malformed"] == 1
+
+    def test_a_raising_dispatch_answers_internal_and_keeps_the_stream(
+        self, tmp_path, caplog
+    ):
+        path = str(tmp_path / "f5.sock")
+
+        async def main():
+            server = IndexServer(make_column(), ServerConfig(unix_path=path))
+            dispatch = server.dispatch
+
+            async def flaky(request):
+                if request.id == "boom":
+                    raise RuntimeError("injected dispatch failure")
+                return await dispatch(request)
+
+            server.dispatch = flaky
+            await server.start()
+            client = await NDJSONClient.connect(path, max_inflight=2)
+            try:
+                failed = await client.submit(
+                    b'{"op":"access","pos":0,"id":"boom"}\n'
+                )
+                healthy = await client.submit(
+                    b'{"op":"access","pos":1,"id":"next"}\n'
+                )
+                first = json.loads(await asyncio.wait_for(failed, 5))
+                second = json.loads(await asyncio.wait_for(healthy, 5))
+            finally:
+                await client.close()
+                await server.stop()
+            return first, second, server.metrics
+
+        first, second, metrics = run(main())
+        assert first["id"] == "boom"
+        assert first["error"] == {
+            "code": "internal", "message": "injected dispatch failure"
+        }
+        assert second["id"] == "next" and second["result"] == "app/b"
+        assert metrics.errors["internal"] == 1
+        logged = [r for r in caplog.records if r.name == "repro.serving.server"]
+        assert len(logged) == 1 and logged[0].exc_info is not None
+
 
 class TestDisconnects:
     def test_client_vanishing_mid_batch_does_not_poison_the_tick(self, tmp_path):

@@ -98,6 +98,24 @@ class TestHttpTransport:
         status, _, _ = asyncio.run(main())
         assert status == 413
 
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_rejected(self, length):
+        async def main():
+            server = IndexServer(
+                make_column(), ServerConfig(unix_path=None, http_port=0)
+            )
+            await server.start()
+            host, port = server.http_address
+            request = b"POST /query HTTP/1.1\r\ncontent-length: %s\r\n\r\n" % length
+            try:
+                return await asyncio.wait_for(http_call(host, port, request), 5)
+            finally:
+                await server.stop()
+
+        status, _, body = asyncio.run(main())
+        assert status == 400
+        assert body == b"bad content-length\n"
+
 
 class TestStatsPayload:
     def test_stats_reflect_requests_batches_and_latency(self, tmp_path):

@@ -6,7 +6,8 @@ gather window and admission; :class:`~repro.serving.shard.IndexShard` and
 read steps.  The hermetic tests drive a recording loop directly; the
 cluster tests fork real workers to check that the supervisor honours the
 server options the loop and its workers read (``coalesce``,
-``compact_budget``).
+``compact_budget``).  The last class checks that frames arriving in one
+socket read share one tick, on one process and through a scatter round.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List
 from repro.db.column import CompressedColumn
 from repro.serving.cluster import ClusterConfig, ClusterSupervisor
 from repro.serving.protocol import Request, encode_request, encode_result
-from repro.serving.server import NDJSONClient, ServerConfig
+from repro.serving.server import IndexServer, NDJSONClient, ServerConfig
 from repro.serving.shard import TickLoop
 from repro.storage.shards import export_shard_images
 
@@ -144,3 +145,127 @@ class TestClusterOptions:
         assert config["coalesce"] is False
         assert serial_ticks == 8
         assert serial == coalesced
+
+
+async def send_round(reader, writer, frames: List[bytes]) -> List[dict]:
+    """Write ``frames`` in one write, then read one response per frame."""
+    writer.write(b"".join(frames))
+    await writer.drain()
+    lines = [
+        await asyncio.wait_for(reader.readline(), 10) for _ in range(len(frames))
+    ]
+    return [json.loads(line) for line in lines]
+
+
+class TestFramesOfOneRead:
+    """Frames that reach a server in one socket read share one tick."""
+
+    def test_one_write_of_sixteen_frames_is_one_tick(self, tmp_path):
+        path = str(tmp_path / "srv.sock")
+        values = ["app/a", "app/b", "blog"] * 10
+
+        async def main():
+            server = IndexServer(
+                CompressedColumn("default", values, appendable=True),
+                ServerConfig(unix_path=path),
+            )
+            await server.start()
+            reader, writer = await asyncio.open_unix_connection(path)
+            try:
+                responses = await send_round(
+                    reader,
+                    writer,
+                    [
+                        encode_request("rank", id=i, value="app/a", pos=i)
+                        for i in range(16)
+                    ],
+                )
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+            return responses, server.metrics.snapshot()
+
+        responses, metrics = asyncio.run(main())
+        assert [r["result"] for r in responses] == [
+            values[:i].count("app/a") for i in range(16)
+        ]
+        assert metrics["ticks"] == 1
+        assert metrics["batches"]["rank"]["batches"] == 1
+        assert metrics["batches"]["rank"]["requests"] == 16
+
+    def test_a_scatter_round_reaches_its_worker_in_one_tick(self, tmp_path):
+        values = [f"app/{i % 5}" for i in range(120)]
+        image_dir = export(tmp_path, 2, values)
+
+        async def main():
+            cluster = ClusterSupervisor(
+                ServerConfig(unix_path=str(tmp_path / "sup.sock")),
+                ClusterConfig(image_dir=image_dir, restart_backoff=0.0),
+            )
+            await cluster.start()
+            reader, writer = await asyncio.open_unix_connection(
+                cluster.config.unix_path
+            )
+            try:
+                results = []
+                for _ in range(5):
+                    responses = await send_round(
+                        reader,
+                        writer,
+                        [encode_request("access", pos=i) for i in range(16)],
+                    )
+                    results.append([r["result"] for r in responses])
+                (stats,) = await send_round(
+                    reader, writer, [encode_request("stats")]
+                )
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await cluster.stop()
+            return results, stats["result"]
+
+        results, stats = asyncio.run(main())
+        assert results == [values[:16]] * 5
+        worker = stats["worker_metrics"]["0"]
+        assert worker["ticks"] == 5
+        assert worker["batches"]["access"]["mean_size"] == 16
+        assert stats["supervisor_metrics"]["ticks"] == 5
+
+    def test_submit_many_past_the_inflight_bound_keeps_fifo(self, tmp_path):
+        path = str(tmp_path / "srv.sock")
+
+        async def main():
+            server = IndexServer(
+                CompressedColumn("default", ["a", "b"] * 10, appendable=True),
+                ServerConfig(unix_path=path),
+            )
+            await server.start()
+            client = await NDJSONClient.connect(path, max_inflight=4)
+            try:
+                # Ten frames through four slots, raced by single submits:
+                # every future still resolves to its own frame's answer.
+                batch = client.submit_many(
+                    [encode_request("access", id=f"m{i}", pos=i) for i in range(10)]
+                )
+                singles = [
+                    client.submit(encode_request("access", id=f"s{i}", pos=i))
+                    for i in range(6)
+                ]
+                many, *single = await asyncio.gather(batch, *singles)
+                futures = many + single
+                responses = [
+                    json.loads(await asyncio.wait_for(f, 10)) for f in futures
+                ]
+            finally:
+                await client.close()
+                await server.stop()
+            return responses
+
+        responses = asyncio.run(main())
+        ids = [f"m{i}" for i in range(10)] + [f"s{i}" for i in range(6)]
+        assert [r["id"] for r in responses] == ids
+        assert [r["result"] for r in responses] == (
+            [["a", "b"][i % 2] for i in range(10)]
+            + [["a", "b"][i % 2] for i in range(6)]
+        )
