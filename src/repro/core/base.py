@@ -169,7 +169,10 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
         bitvector's batch ``rank_many`` -- amortised O(|s| + h_s (D + q))
         where D is the per-node batch-pass cost, against q full walks.
         """
-        key = self._codec.to_bits(value)
+        return self.rank_many_bits(self._codec.to_bits(value), positions)
+
+    def rank_many_bits(self, key: Bits, positions) -> List[int]:
+        """Batched Rank of a binarised value (see :meth:`rank_many`)."""
         if not isinstance(positions, (list, tuple)):
             positions = list(positions)
         for pos in positions:
@@ -290,6 +293,36 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
         for ancestor, bit in reversed(ancestors):
             current = ancestor.bitvector.select_many(bit, current)
         return list(current)
+
+    # ------------------------------------------------------------------
+    # Totals from the topology (Definition 3.1)
+    # ------------------------------------------------------------------
+    def count(self, value: Any) -> int:
+        """Total occurrences of ``value``: its leaf's subsequence length.
+
+        The parent bitvector stores that length as its count of the
+        branching bit, so this is O(|s|) label work plus one O(1)
+        ``count``, with no Rank.
+        """
+        return self.count_bits(self._codec.to_bits(value))
+
+    def count_bits(self, key: Bits) -> int:
+        """Total occurrences of a binarised value (see :meth:`count`)."""
+        path = self._path_of(key)
+        return 0 if path is None else path[0].sequence_length(self._size)
+
+    def count_prefix(self, prefix: Any) -> int:
+        """Total elements with ``prefix``: the subsequence length of ``n_p``.
+
+        O(|p|) label work plus one O(1) ``count`` on the parent of the
+        prefix node, with no Rank.
+        """
+        return self.count_prefix_bits(self._codec.prefix_to_bits(prefix))
+
+    def count_prefix_bits(self, prefix: Bits) -> int:
+        """Total elements with a binarised prefix (see :meth:`count_prefix`)."""
+        located = self._prefix_node(prefix)
+        return 0 if located is None else located[0].sequence_length(self._size)
 
     # ------------------------------------------------------------------
     # Bit-level queries (Lemmas 3.2 / 3.3)

@@ -21,13 +21,19 @@ freeze path between flavours:
     ordered list of immutable static RRR tiers.  Writes land in the tail;
     when it reaches ``active_capacity`` it is sealed and a ``TrieFreezer``
     drains it incrementally (``compact_budget`` units per subsequent write).
-    Queries merge across tiers with cumulative-count offset arrays: ``rank``
-    sums per-tier ranks at clamped positions, ``select`` binary-searches the
-    tier owning the requested occurrence, and every ``*_many`` batch variant
-    runs one per-tier batch walk.  The logical sequence is the concatenation
-    of the tiers, so positions at or past :attr:`~TieredWaveletTrie.mutable_start`
+    Every read touches the node bitvectors of only the tier that owns its
+    position.  A tier's total for a key is its topology count -- the leaf's
+    (or prefix node's) subsequence length, O(|s|) label work and one O(1)
+    bitvector ``count``, no Rank -- so ``rank(v, p)`` is the totals of the
+    tiers before ``p`` plus one rank inside the tier holding ``p``, and
+    ``select`` binary-searches the cumulative totals for the owning tier.
+    The ``*_many`` variants route each item the same way and run one batch
+    walk per owning tier.  The logical sequence is the concatenation of the
+    tiers, so positions at or past :attr:`~TieredWaveletTrie.mutable_start`
     are insert/delete-able and older positions are immutable until an
-    explicit :meth:`~TieredWaveletTrie.compact`.
+    explicit :meth:`~TieredWaveletTrie.compact`.  Frozen tiers are merged
+    only by ``compact(merge=True)``: the budgeted path adds one tier per
+    seal.
 """
 
 from __future__ import annotations
@@ -268,12 +274,15 @@ class TieredWaveletTrie(IndexedStringSequence):
     freeze.  Once drained, the static result joins the frozen list and the
     sealed trie is dropped.
 
-    Queries merge across tiers with cumulative offsets: ``access`` binary-
-    searches the owning tier, ``rank(v, p)`` sums per-tier ranks at clamped
-    local positions, ``select(v, i)`` binary-searches the cumulative
-    per-tier occurrence counts for the owning tier, and the ``*_many``
-    variants bucket their whole batch per tier and run one per-tier batch
-    walk each.
+    Queries walk one tier per item: ``access`` binary-searches the owning
+    tier; ``rank(v, p)`` adds the topology counts of the tiers before ``p``
+    (no Rank) to one rank inside the tier holding ``p`` (none at a tier's
+    end); ``select(v, i)`` binary-searches the cumulative topology counts
+    for the owning tier.  The ``*_many`` variants bucket their batch by
+    owning tier and run one batch walk per owning tier.  Each read
+    binarises its key once.  Frozen tiers are never merged by the budgeted
+    path, so k seals leave k frozen tiers: reads pay O(|s|) label work per
+    tier for the counts, and the Rank/Select work of the owning tiers only.
     """
 
     def __init__(
@@ -345,11 +354,11 @@ class TieredWaveletTrie(IndexedStringSequence):
         """The non-empty live tiers plus cumulative start offsets (len+1 long).
 
         Fully-empty tiers (a drained tail, an empty frozen tier handed to a
-        loader) are dropped *before* any per-tier walk: every live tier costs
-        a near-size-independent python walk in the batch paths, so the
-        fan-out constant must track the tiers that actually hold elements.
-        The returned offsets are strictly increasing, which also keeps the
-        ``bisect`` owner searches unambiguous.
+        loader) are dropped before any read routes: a read pays a topology
+        count in every tier left of its position, so the per-tier constant
+        must track the tiers that actually hold elements.  The returned
+        offsets are strictly increasing, which keeps the ``bisect`` owner
+        searches unambiguous: a position has exactly one owning tier.
         """
         tiers = [tier for tier in self._tiers() if len(tier)]
         offsets = [0]
@@ -561,33 +570,16 @@ class TieredWaveletTrie(IndexedStringSequence):
         return tiers[index].access(pos - offsets[index])
 
     def rank(self, value: Any, pos: int) -> int:
-        """Occurrences of ``value`` in ``[0, pos)``: per-tier ranks summed."""
+        """Occurrences of ``value`` in ``[0, pos)``: routed to one tier."""
         self._check_rank_pos(pos)
-        tiers, offsets = self._tier_views()
-        total = 0
-        for tier, offset in zip(tiers, offsets):
-            if offset >= pos:
-                break
-            local = min(pos - offset, len(tier))
-            if local > 0:
-                total += tier.rank(value, local)
-        return total
-
-    def _occurrence_cumsums(self, count_fn) -> Tuple[List[Any], List[int], List[int], int]:
-        """Tiers, offsets and cumulative per-tier occurrence counts."""
-        tiers, offsets = self._tier_views()
-        cumulative = [0]
-        for tier in tiers:
-            cumulative.append(cumulative[-1] + (count_fn(tier) if len(tier) else 0))
-        return tiers, offsets, cumulative, cumulative[-1]
+        return self._rank_routed(value, [pos], prefix=False)[0]
 
     def select(self, value: Any, idx: int) -> int:
         """Position of the ``idx``-th occurrence (binary search over tiers)."""
         if idx < 0:
             raise OutOfBoundsError("select index must be non-negative")
-        tiers, offsets, cumulative, total = self._occurrence_cumsums(
-            lambda tier: tier.count(value)
-        )
+        key, tiers, offsets, cumulative = self._occurrences(value, prefix=False)
+        total = cumulative[-1]
         if total == 0:
             raise ValueNotFoundError(
                 f"value {value!r} does not occur in the sequence"
@@ -597,36 +589,27 @@ class TieredWaveletTrie(IndexedStringSequence):
                 f"select index {idx} out of range: only {total} occurrences"
             )
         index = bisect_right(cumulative, idx) - 1
-        return offsets[index] + tiers[index].select(value, idx - cumulative[index])
+        return offsets[index] + tiers[index].select_bits(key, idx - cumulative[index])
 
     def rank_prefix(self, prefix: Any, pos: int) -> int:
-        """Prefix occurrences in ``[0, pos)``: per-tier prefix ranks summed."""
+        """Prefix occurrences in ``[0, pos)``: routed to one tier."""
         self._check_rank_pos(pos)
-        tiers, offsets = self._tier_views()
-        total = 0
-        for tier, offset in zip(tiers, offsets):
-            if offset >= pos:
-                break
-            local = min(pos - offset, len(tier))
-            if local > 0:
-                total += tier.rank_prefix(prefix, local)
-        return total
+        return self._rank_routed(prefix, [pos], prefix=True)[0]
 
     def select_prefix(self, prefix: Any, idx: int) -> int:
         """Position of the ``idx``-th element carrying ``prefix``."""
-        tiers, offsets, cumulative, total = self._occurrence_cumsums(
-            lambda tier: tier.count_prefix(prefix)
-        )
+        key, tiers, offsets, cumulative = self._occurrences(prefix, prefix=True)
+        total = cumulative[-1]
         if total == 0:
             raise ValueNotFoundError(f"no element has prefix {prefix!r}")
         check_select_prefix_index(prefix, idx, total)
         index = bisect_right(cumulative, idx) - 1
-        return offsets[index] + tiers[index].select_prefix(
-            prefix, idx - cumulative[index]
+        return offsets[index] + tiers[index].select_prefix_bits(
+            key, idx - cumulative[index], label=prefix
         )
 
     # ------------------------------------------------------------------
-    # Batch queries: one per-tier batch walk each
+    # Batch queries: one batch walk per tier that owns an item
     # ------------------------------------------------------------------
     def access_many(self, positions: Sequence[int]) -> List[Any]:
         """Values at each position, amortised via per-tier batch walks.
@@ -654,43 +637,33 @@ class TieredWaveletTrie(IndexedStringSequence):
         return out
 
     def rank_many(self, value: Any, positions: Sequence[int]) -> List[int]:
-        """Rank at each position, amortised: one batch walk per tier.
+        """Rank at each position, amortised: one batch walk per owning tier.
 
-        Each tier ranks the whole batch at positions clamped to its local
-        range; the per-position results sum across tiers.
+        Each position adds the topology counts of the tiers before it (O(|s|)
+        label work and one O(1) ``count`` per tier) to one shared
+        ``rank_many`` walk in the tier that holds it: O(q log k + k |s| +
+        w (h_s D + q)) for k tiers of which w hold a position.
         """
         positions = normalize_batch(positions)
         if not len(positions):
             return []
+        positions = [int(pos) for pos in positions]
         for pos in positions:
-            self._check_rank_pos(int(pos))
-        totals = [0] * len(positions)
-        tiers, offsets = self._tier_views()
-        max_pos = max(int(pos) for pos in positions)
-        for tier, offset in zip(tiers, offsets):
-            if offset >= max_pos:
-                # Tiers are offset-ordered, so every later tier contributes 0
-                # to every position in the batch: stop the per-tier fan-out.
-                break
-            length = len(tier)
-            locals_ = [min(max(int(pos) - offset, 0), length) for pos in positions]
-            for slot, local_rank in enumerate(tier.rank_many(value, locals_)):
-                totals[slot] += local_rank
-        return totals
+            self._check_rank_pos(pos)
+        return self._rank_routed(value, positions, prefix=False)
 
     def select_many(self, value: Any, indexes: Sequence[int]) -> List[int]:
         """Positions of the requested occurrences, amortised per tier.
 
-        Counts each tier's occurrences once, buckets the index batch by
-        owning tier against the cumulative counts, and runs one
-        ``select_many`` per touched tier.
+        Takes each tier's occurrence count from its topology, buckets the
+        index batch by owning tier against the cumulative counts, and runs
+        one ``select_many`` per touched tier.
         """
         indexes = normalize_batch(indexes)
         if not len(indexes):
             return []
-        tiers, offsets, cumulative, total = self._occurrence_cumsums(
-            lambda tier: tier.count(value)
-        )
+        key, tiers, offsets, cumulative = self._occurrences(value, prefix=False)
+        total = cumulative[-1]
         if total == 0:
             raise ValueNotFoundError(
                 f"value {value!r} does not occur in the sequence"
@@ -698,48 +671,103 @@ class TieredWaveletTrie(IndexedStringSequence):
         indexes = validate_select_indexes(indexes, total, repr(value))
         return self._select_scatter(
             tiers, offsets, cumulative, indexes,
-            lambda tier, local: tier.select_many(value, local),
+            lambda tier, local: tier.select_many_bits(key, local),
         )
 
     def rank_prefix_many(self, prefix: Any, positions: Sequence[int]) -> List[int]:
-        """Prefix rank at each position, amortised: one batch walk per tier."""
+        """Prefix rank at each position, amortised: routed like
+        :meth:`rank_many`, one ``rank_prefix_many`` walk per owning tier."""
         positions = normalize_batch(positions)
         if not len(positions):
             return []
+        positions = [int(pos) for pos in positions]
         for pos in positions:
-            self._check_rank_pos(int(pos))
-        totals = [0] * len(positions)
-        tiers, offsets = self._tier_views()
-        max_pos = max(int(pos) for pos in positions)
-        for tier, offset in zip(tiers, offsets):
-            if offset >= max_pos:
-                # Offset-ordered tiers: later tiers contribute 0 everywhere.
-                break
-            length = len(tier)
-            locals_ = [min(max(int(pos) - offset, 0), length) for pos in positions]
-            for slot, local_rank in enumerate(
-                tier.rank_prefix_many(prefix, locals_)
-            ):
-                totals[slot] += local_rank
-        return totals
+            self._check_rank_pos(pos)
+        return self._rank_routed(prefix, positions, prefix=True)
 
     def select_prefix_many(self, prefix: Any, indexes: Sequence[int]) -> List[int]:
         """Positions of the requested prefix matches, amortised per tier."""
         indexes = normalize_batch(indexes)
         if not len(indexes):
             return []
-        tiers, offsets, cumulative, total = self._occurrence_cumsums(
-            lambda tier: tier.count_prefix(prefix)
-        )
+        key, tiers, offsets, cumulative = self._occurrences(prefix, prefix=True)
+        total = cumulative[-1]
         if total == 0:
             raise ValueNotFoundError(f"no element has prefix {prefix!r}")
         indexes = validate_select_prefix_indexes(indexes, total, prefix)
         return self._select_scatter(
             tiers, offsets, cumulative, indexes,
-            lambda tier, local: tier.select_prefix_many(prefix, local),
+            lambda tier, local: tier.select_prefix_many_bits(key, local, prefix),
         )
 
-    def _select_scatter(self, tiers, offsets, cumulative, indexes, select_fn):
+    # ------------------------------------------------------------------
+    # Routing helpers shared by the scalar and batch reads
+    # ------------------------------------------------------------------
+    def _binarise_key(self, key: Any, prefix: bool) -> Bits:
+        codec = self._codec
+        return codec.prefix_to_bits(key) if prefix else codec.to_bits(key)
+
+    @staticmethod
+    def _tier_count(tier, key: Bits, prefix: bool) -> int:
+        return tier.count_prefix_bits(key) if prefix else tier.count_bits(key)
+
+    def _rank_routed(self, key: Any, positions: List[int], prefix: bool) -> List[int]:
+        """Rank of ``key`` (a value, or a prefix) at validated positions.
+
+        The key is binarised once, before anything is routed, so a key the
+        codec rejects raises at every position.  A position's rank is the
+        topology counts of the tiers wholly before it plus, when it falls
+        strictly inside a tier, that tier's rank: one batch walk per tier
+        that owns such a position, and none for a position at 0 or at a
+        tier's end.  Tiers past the last position are not touched.
+        """
+        bits = self._binarise_key(key, prefix)
+        tiers, offsets = self._tier_views()
+        owners: List[int] = []
+        walks: Dict[int, Tuple[List[int], List[int]]] = {}
+        for slot, pos in enumerate(positions):
+            # The tiers before ``index`` end at or before ``pos``; ``index``
+            # is len(tiers) for the sequence's end.
+            index = bisect_right(offsets, pos) - 1
+            owners.append(index)
+            local = pos - offsets[index]
+            if local:
+                slots, locals_ = walks.setdefault(index, ([], []))
+                slots.append(slot)
+                locals_.append(local)
+        before = [0]
+        for tier in tiers[: max(owners)]:
+            before.append(before[-1] + self._tier_count(tier, bits, prefix))
+        out = [before[index] for index in owners]
+        for index, (slots, locals_) in walks.items():
+            tier = tiers[index]
+            ranks = (
+                tier.rank_prefix_many_bits(bits, locals_)
+                if prefix
+                else tier.rank_many_bits(bits, locals_)
+            )
+            for slot, rank in zip(slots, ranks):
+                out[slot] += rank
+        return out
+
+    def _occurrences(
+        self, key: Any, prefix: bool
+    ) -> Tuple[Optional[Bits], List[Any], List[int], List[int]]:
+        """The binarised key, the live tiers, their offsets and cumulative
+        per-tier occurrence counts, each count from the tier's topology.
+
+        The key is binarised only when some tier holds rows: an empty
+        sequence reports that nothing occurs, whatever the key.
+        """
+        tiers, offsets = self._tier_views()
+        bits = self._binarise_key(key, prefix) if tiers else None
+        cumulative = [0]
+        for tier in tiers:
+            cumulative.append(cumulative[-1] + self._tier_count(tier, bits, prefix))
+        return bits, tiers, offsets, cumulative
+
+    @staticmethod
+    def _select_scatter(tiers, offsets, cumulative, indexes, select_fn):
         """Bucket validated select indexes per tier, batch-select, scatter."""
         out = [0] * len(indexes)
         buckets: Dict[int, Tuple[List[int], List[int]]] = {}

@@ -14,7 +14,9 @@ distinct key:
 Requests that fail validation (positions past the snapshot, select indexes
 past the occurrence count) get their typed error frame individually and do
 not poison the rest of the batch; the error messages are exactly the ones
-the scalar :class:`~repro.db.column.ColumnSnapshot` calls raise.  The
+the scalar :class:`~repro.db.column.ColumnSnapshot` calls raise.  A group
+whose batch call raises -- a key the codec rejects -- is answered again one
+request at a time, so it cannot poison the other groups of its tick.  The
 grouping (:func:`group_reads`) and the per-request checks
 (:func:`check_group`) are shared with the cluster's
 :class:`~repro.serving.router.ClusterRouter`, which validates against its
@@ -34,7 +36,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.interface import check_select_prefix_index
 from repro.exceptions import OutOfBoundsError
 from repro.serving.metrics import ServingMetrics
-from repro.serving.protocol import READ_OPS, Request, encode_error, encode_result
+from repro.serving.protocol import (
+    READ_OPS,
+    Request,
+    encode_error,
+    encode_result,
+    error_code_for_exception,
+    error_message,
+)
 
 __all__ = ["POSITION_OPS", "check_group", "group_reads", "run_read_tick"]
 
@@ -135,29 +144,59 @@ def run_read_tick(
     Returns one response frame per request, aligned with the input order.
     Amortised: at most one ``*_many`` batch walk per op kind per distinct
     key, plus O(q) validation -- the 10-40x batch speedups of the index
-    layer become a per-tick constant instead of a per-request cost.
+    layer become a per-tick constant instead of a per-request cost.  A
+    group whose batch raises (a key the codec rejects, say) is answered
+    again one request at a time, each error in its own frame, exactly as a
+    coalescing-disabled server answers it: reads change nothing, so the
+    replay is exact and the other groups are unaffected.
     """
     frames: List[Optional[bytes]] = [None] * len(requests)
-    version = snapshot.version
     for (op, key), slots in group_reads(requests).items():
-        # Select groups validate against one pinned-count rank per group.
-        if op == "select":
-            bound = snapshot.rank(key, version)
-        elif op == "select_prefix":
-            bound = snapshot.rank_prefix(key, version)
-        else:
-            bound = version
-        ok_slots, args = check_group(op, key, slots, requests, bound, frames)
-        if not args:
-            continue
-        if op == "access":
-            results = snapshot.access_many(args)
-        else:
-            results = getattr(snapshot, f"{op}_many")(key, args)
-        for slot, result in zip(ok_slots, results):
-            frames[slot] = encode_result(requests[slot].id, result, version)
-        if metrics is not None:
-            metrics.record_batch(op, len(args))
+        try:
+            _answer_group(snapshot, op, key, slots, requests, frames, metrics)
+        except Exception:
+            for slot in slots:
+                try:
+                    _answer_group(
+                        snapshot, op, key, [slot], requests, frames, metrics
+                    )
+                except Exception as error:
+                    frames[slot] = encode_error(
+                        requests[slot].id,
+                        error_code_for_exception(error),
+                        error_message(error),
+                    )
 
     assert all(frame is not None for frame in frames)
     return frames  # type: ignore[return-value]
+
+
+def _answer_group(
+    snapshot,
+    op: str,
+    key: Any,
+    slots: Sequence[int],
+    requests: Sequence[Request],
+    frames: List[Optional[bytes]],
+    metrics: Optional[ServingMetrics],
+) -> None:
+    """Write the frames of one ``(op, key)`` group: one batch call."""
+    version = snapshot.version
+    # Select groups validate against one pinned count per group.
+    if op == "select":
+        bound = snapshot.count(key)
+    elif op == "select_prefix":
+        bound = snapshot.count_prefix(key)
+    else:
+        bound = version
+    ok_slots, args = check_group(op, key, slots, requests, bound, frames)
+    if not args:
+        return
+    if op == "access":
+        results = snapshot.access_many(args)
+    else:
+        results = getattr(snapshot, f"{op}_many")(key, args)
+    for slot, result in zip(ok_slots, results):
+        frames[slot] = encode_result(requests[slot].id, result, version)
+    if metrics is not None:
+        metrics.record_batch(op, len(args))

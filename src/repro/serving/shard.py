@@ -352,13 +352,15 @@ class IndexShard(TickLoop):
 
         Amortised: one ``extend`` (no descent for a value the tail's path
         cache routes) absorbs every write queued this tick, then one
-        budgeted ``compact_step`` keeps tier fan-out bounded -- all off the
-        read path.  Per-request versions are assigned as if the writes ran
-        serially in queue order.  A value the codec rejects makes the
-        combined ``extend`` raise before any row lands; when nothing landed
-        the requests are applied one at a time, so only the bad ones fail
-        and every frame is the one a serial server sends.  An error raised
-        after rows landed fails the whole tick.
+        budgeted ``compact_step`` advances the freeze of a sealed tail --
+        all off the read path.  That step never merges frozen tiers, so
+        each seal adds one; reads stay cheap because each walks only the
+        tier owning its position.  Per-request versions are assigned as if
+        the writes ran serially in queue order.  A value the codec rejects
+        makes the combined ``extend`` raise before any row lands; when
+        nothing landed the requests are applied one at a time, so only the
+        bad ones fail and every frame is the one a serial server sends.  An
+        error raised after rows landed fails the whole tick.
         """
         before = len(self.column)
         try:

@@ -2,7 +2,8 @@
 
 These tests pin down behaviour at the boundaries of the input domain: empty
 strings, single-character and very long values, non-ASCII text, values that
-differ only in their last bit, and the error paths of the binarisation codecs.
+differ only in their last bit, and the error paths of the binarisation codecs
+(a rejected key is checked on the succinct and tiered flavours too).
 """
 
 import pytest
@@ -12,6 +13,8 @@ from repro.bits.bitstring import Bits
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
+from repro.core.succinct_static import SuccinctWaveletTrie
+from repro.core.tiers import TieredWaveletTrie
 from repro.exceptions import BinarizationError, OutOfBoundsError, ValueNotFoundError
 from repro.tries.binarize import BytesCodec, FixedWidthIntCodec, Utf8Codec
 
@@ -232,3 +235,44 @@ class TestAppendOnlySpecific:
         assert trie.distinct_count() == 300
         assert trie.access(299) == "user-00299"
         assert trie.rank_prefix("user-0000", 300) == 10
+
+
+# ----------------------------------------------------------------------
+# A key the codec rejects is rejected by every flavour, at every position
+# ----------------------------------------------------------------------
+REJECTING_FLAVOURS = {
+    "static": WaveletTrie,
+    "append-only": AppendOnlyWaveletTrie,
+    "dynamic": DynamicWaveletTrie,
+    "succinct": SuccinctWaveletTrie,
+    # Five rows per tier: frozen tiers, a tier sealing, and a tail.
+    "tiered": lambda values: TieredWaveletTrie(
+        values, active_capacity=5, compact_budget=1
+    ),
+}
+
+
+@pytest.mark.parametrize("flavour", sorted(REJECTING_FLAVOURS))
+@pytest.mark.parametrize("rows", [0, 1, 23])
+def test_a_rejected_key_raises_at_every_valid_rank_position(flavour, rows):
+    """Rank at 0, and rank on an empty sequence, binarise the key too.
+
+    Empty batches are not queries at a position and keep their own
+    behaviour, so they are left out."""
+    values = [f"/k{i % 4}/{i % 3}" for i in range(rows)]
+    trie = REJECTING_FLAVOURS[flavour](values)
+    assert len(trie) == rows
+    for pos in range(rows + 1):
+        for value in ("bad\x00", 5):
+            with pytest.raises(BinarizationError):
+                trie.rank(value, pos)
+            with pytest.raises(BinarizationError):
+                trie.rank_many(value, [pos, 0])
+            with pytest.raises(BinarizationError):
+                trie.count(value)
+        with pytest.raises(BinarizationError):
+            trie.rank_prefix("/k\x00", pos)
+        with pytest.raises(BinarizationError):
+            trie.rank_prefix_many("/k\x00", [0, pos])
+        with pytest.raises(BinarizationError):
+            trie.count_prefix("/k\x00")

@@ -14,7 +14,9 @@ wrapper, :class:`CountingBitVector`, sits between every internal node and
 its bitvector, and every ``Init`` of a new node goes through it too.  The
 inputs are a seeded URL sweep in which every n has the same distinct set:
 the distinct values first, then a prefix of one log.  So the trie shape,
-and with it every path, is the same at every n.
+and with it every path, is the same at every n.  A tiered trie of k
+identical frozen tiers is counted per tier: its reads walk the tier that
+owns the position and read the other tiers' totals off their topology.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from repro.bits import bitstring, kernel
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
+from repro.core.tiers import TieredWaveletTrie
+from repro.db.column import CompressedColumn
 from repro.workloads import ColumnGenerator, UrlLogGenerator
 
 SIZES = (500, 2000, 8000)
@@ -199,6 +203,183 @@ def test_queries_cost_two_calls_per_path_node_at_every_n(sweep, flavour):
                 assert sum(made.values()) <= 2 * path
                 totals[op] += made
         assert totals == PROBE_TOTALS, (flavour, n)
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_counts_read_the_topology_with_no_rank_at_every_n(sweep, flavour):
+    """A total is the subsequence length of the leaf (or of the prefix
+    node): one count on its parent's bitvector (Definition 3.1)."""
+    for n in SIZES:
+        trie, calls = sweep[flavour, n]
+        values = url_sweep(n)
+        for value in PROBES:
+            total, made = measure(calls, lambda: trie.count(value))
+            assert total == values.count(value)
+            assert made == Counter({"count": 1}), (flavour, n, value)
+            prefix = directory_of(value)
+            above = len(prefix_path_nodes(trie, prefix))
+            total, made = measure(calls, lambda: trie.count_prefix(prefix))
+            assert total == sum(1 for v in values if v.startswith(prefix))
+            assert made == Counter({"count": 1 if above else 0}), (flavour, n)
+
+
+# ----------------------------------------------------------------------
+# Tiered reads: counts from the topology, ranks in the owning tier only
+# ----------------------------------------------------------------------
+TIER_COUNTS = (1, 4, 16)
+
+# One tier's rows: every frozen tier holds them, so every tier has one shape.
+TIER_ROWS = url_sweep(min(SIZES))
+
+
+def tiered_sweep(k):
+    """k frozen tiers of :data:`TIER_ROWS`, each tier's node bitvectors
+    wrapped; returns the trie, its tiers and one call Counter per tier."""
+    trie = TieredWaveletTrie(TIER_ROWS * k, active_capacity=len(TIER_ROWS))
+    tiers, _ = trie._tier_views()
+    assert [len(tier) for tier in tiers] == [len(TIER_ROWS)] * k
+    assert all(isinstance(tier, WaveletTrie) for tier in tiers)
+    return trie, tiers, [count_calls(tier) for tier in tiers]
+
+
+def measure_tiers(calls, operation):
+    """Run ``operation()``; return its result and each tier's calls."""
+    for counter in calls:
+        counter.clear()
+    result = operation()
+    return result, [Counter(counter) for counter in calls]
+
+
+def count_on(nodes):
+    """Wrap ``nodes`` once more: the Counter sees only the calls on them."""
+    calls = Counter()
+    for node in nodes:
+        node.bitvector = CountingBitVector(node.bitvector, calls)
+    return calls
+
+
+def tiered_probes(k):
+    """Each tiered read's result and calls per tier, and the calls the
+    paper's costs allow: a tier left of the owner pays one count, the
+    owner its path, and no tier pays anything else."""
+    trie, tiers, calls = tiered_sweep(k)
+    rows = len(TIER_ROWS)
+    value = FREQUENT
+    prefix = directory_of(value)
+    occurrences = TIER_ROWS.count(value)
+    matches = sum(1 for v in TIER_ROWS if v.startswith(prefix))
+    height = len(path_nodes(tiers[0], value))
+    above = len(prefix_path_nodes(tiers[0], prefix))
+    owner = k // 2
+    start = owner * rows
+    inside = [start + 1, start + rows // 2, start + rows - 1]
+
+    def rank_in(pos):
+        return owner * occurrences + TIER_ROWS[: pos - start].count(value)
+
+    def prefix_rank_in(pos):
+        row = TIER_ROWS[: pos - start]
+        return owner * matches + sum(1 for v in row if v.startswith(prefix))
+
+    one_count = Counter({"count": 1})
+
+    def owned(owner_calls, left=one_count):
+        """A walk: the tiers left of the owner count, later tiers idle."""
+        return [left] * owner + [owner_calls] + [Counter()] * (k - owner - 1)
+
+    def totals(tier_calls=one_count, owner_calls=None):
+        """Totals: every tier counts; the owner may unwind a path too."""
+        made = [tier_calls] * k
+        made[owner] = owner_calls or tier_calls
+        return made
+
+    count_prefix_calls = Counter({"count": 1 if above else 0})
+    first = TIER_ROWS.index(value)
+    second = TIER_ROWS.index(value, first + 1)
+    snapshot = CompressedColumn.from_index("c", trie).snapshot()
+    probes = {
+        "rank_many": (
+            lambda: trie.rank_many(value, inside),
+            [rank_in(pos) for pos in inside],
+            owned(Counter({"rank_many": height})),
+            path_nodes(tiers[owner], value),
+        ),
+        "rank": (
+            lambda: trie.rank(value, inside[1]),
+            rank_in(inside[1]),
+            owned(Counter({"rank_many": height})),
+            path_nodes(tiers[owner], value),
+        ),
+        "rank_prefix_many": (
+            lambda: trie.rank_prefix_many(prefix, inside),
+            [prefix_rank_in(pos) for pos in inside],
+            owned(Counter({"rank_many": above}), count_prefix_calls),
+            prefix_path_nodes(tiers[owner], prefix),
+        ),
+        "rank_at_tier_ends": (
+            lambda: trie.rank_many(value, [0, start, start + rows]),
+            [0, owner * occurrences, (owner + 1) * occurrences],
+            owned(one_count),
+            [],
+        ),
+        "count": (lambda: trie.count(value), k * occurrences, totals(), []),
+        "rank_at_len": (
+            lambda: trie.rank(value, len(trie)), k * occurrences, totals(), []
+        ),
+        "count_prefix": (
+            lambda: trie.count_prefix(prefix), k * matches,
+            totals(count_prefix_calls), [],
+        ),
+        "rank_prefix_at_len": (
+            lambda: trie.rank_prefix(prefix, len(trie)), k * matches,
+            totals(count_prefix_calls), [],
+        ),
+        # Select: one count per tier for the totals, then the owner's path
+        # unwound (its leaf length read once more).  The snapshot counts
+        # once for its own check, then the trie counts again.
+        "select_many": (
+            lambda: trie.select_many(value, [owner * occurrences + i for i in (0, 1)]),
+            [start + first, start + second],
+            totals(one_count, Counter({"count": 2, "select_many": height})),
+            path_nodes(tiers[owner], value),
+        ),
+        "snapshot_select": (
+            lambda: snapshot.select(value, owner * occurrences),
+            start + first,
+            totals(Counter({"count": 2}), Counter({"count": 3, "select": height})),
+            path_nodes(tiers[owner], value),
+        ),
+    }
+    seen = {}
+    for name, (operation, expected, allowed, on_path) in probes.items():
+        path_calls = count_on(on_path)
+        result, made = measure_tiers(calls, operation)
+        assert result == expected, (k, name)
+        assert made == allowed, (k, name)
+        if on_path:
+            # Every call the owning tier made landed on its path nodes.
+            assert made[owner] == path_calls, (k, name)
+        seen[name] = made
+    return seen
+
+
+@pytest.mark.parametrize("k", TIER_COUNTS)
+def test_tiered_reads_walk_only_the_owning_tier(k):
+    seen = tiered_probes(k)
+    for name in ("count", "rank_at_len", "count_prefix", "rank_prefix_at_len",
+                 "rank_at_tier_ends", "select_many", "snapshot_select"):
+        assert not any(tier["rank"] or tier["rank_many"] for tier in seen[name])
+
+
+def test_tiered_read_totals_are_flat_in_k_apart_from_one_count_per_tier():
+    totals = {}
+    for k in TIER_COUNTS:
+        for name, made in tiered_probes(k).items():
+            total = sum(made, Counter())
+            total.pop("count", None)
+            totals.setdefault(name, []).append(total)
+    for name, per_k in totals.items():
+        assert per_k.count(per_k[0]) == len(per_k), name
 
 
 # ----------------------------------------------------------------------

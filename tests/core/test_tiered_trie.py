@@ -467,11 +467,11 @@ class TestEmptyTierSkip:
         assert len(tiers) >= 3
         walked = []
         for index, tier in enumerate(tiers):
-            def spy(value, positions, _index=index, _tier=tier):
+            def spy(key, positions, _index=index, _tier=tier):
                 walked.append(_index)
-                return type(_tier).rank_many(_tier, value, positions)
+                return type(_tier).rank_many_bits(_tier, key, positions)
 
-            tier.rank_many = spy
+            tier.rank_many_bits = spy
         first_len = len(tiers[0])
         tiered.rank_many(values[0], [1, first_len // 2, first_len])
         assert walked == [0], f"later tiers were walked: {walked}"

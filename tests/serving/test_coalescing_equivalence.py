@@ -12,6 +12,8 @@ Two layers of the same property:
   coalescing server's metrics prove multi-request batches actually formed.
 * **Write level**: a tick whose combined ``extend`` holds a value the codec
   rejects answers every request exactly as one tick per request does.
+* **Read level**: so does a tick holding a read whose key the codec
+  rejects; that read's group is answered one request at a time.
 
 Randomised cases are seeded -- every run replays the same schedules.
 """
@@ -328,3 +330,81 @@ class TestRejectedWriteInACoalescedTick:
             encode_error("new", "malformed", message),
             encode_error("prefix", "malformed", message),
         ]
+
+
+# A read the codec rejects beside two good reads: every read answers as if
+# it ran alone.
+REJECTED_READ_TICK = [
+    Request(op="rank", id="bad", args={"value": "a\u0000", "pos": 2}),
+    Request(op="rank", id="good", args={"value": "good1", "pos": 3}),
+    Request(op="access", id="read", args={"pos": 1}),
+]
+
+
+def _rejected_read_frames(column):
+    """The frames a serial server sends for :data:`REJECTED_READ_TICK`."""
+    version = len(column)
+    return [
+        encode_error(
+            "bad", "malformed", "Utf8Codec values must not contain NUL bytes"
+        ),
+        encode_result("good", 0, version),
+        encode_result("read", column.index.access(1), version),
+    ]
+
+
+async def _serve_reads_in_one_write(tmp_path, coalesce: bool):
+    """Send :data:`REJECTED_READ_TICK` in one socket write; return the
+    frames and the number of ticks the server ran."""
+    column = make_column()
+    path = str(tmp_path / f"reads-{int(coalesce)}.sock")
+    server = IndexServer(column, ServerConfig(unix_path=path, coalesce=coalesce))
+    await server.start()
+    try:
+        client = await NDJSONClient.connect(path, max_inflight=len(REJECTED_READ_TICK))
+        futures = await client.submit_many([_wire(r) for r in REJECTED_READ_TICK])
+        frames = [await future for future in futures]
+        await client.close()
+        return column, frames, server.metrics.ticks
+    finally:
+        await server.stop()
+
+
+class TestRejectedReadInACoalescedTick:
+    def test_a_rejected_read_fails_alone_in_its_tick(self):
+        """The rejected group is answered one request at a time, so the
+        other groups of the tick keep their answers."""
+        column = make_column()
+        snapshot = column.snapshot()
+        frames = run_read_tick(snapshot, REJECTED_READ_TICK)
+        assert frames == [scalar_frame(snapshot, r) for r in REJECTED_READ_TICK]
+        assert frames == _rejected_read_frames(column)
+
+    def test_a_rejected_group_is_answered_per_request(self):
+        """Two requests share the rejected group; each gets its own frame."""
+        column = make_column()
+        snapshot = column.snapshot()
+        requests = [
+            Request(op="rank_prefix", id=1, args={"prefix": "x\u0000", "pos": 0}),
+            Request(op="rank_prefix", id=2, args={"prefix": "x\u0000", "pos": 999}),
+            Request(op="select", id=3, args={"value": "banana", "idx": 0}),
+        ]
+        frames = run_read_tick(snapshot, requests)
+        assert frames == [scalar_frame(snapshot, r) for r in requests]
+        assert frames[0] == encode_error(
+            1, "malformed", "Utf8Codec prefixes must not contain NUL bytes"
+        )
+        assert frames[1] == encode_error(
+            2, "out_of_bounds", "rank position 999 out of range for length 120"
+        )
+
+    def test_coalesced_server_answers_like_the_serial_server(self, tmp_path):
+        async def main():
+            coalesced = await _serve_reads_in_one_write(tmp_path, True)
+            serial = await _serve_reads_in_one_write(tmp_path, False)
+            return coalesced, serial
+
+        (column, coalesced, ticks), (_, serial, serial_ticks) = asyncio.run(main())
+        # One write is one tick when coalescing, one tick per read without.
+        assert (ticks, serial_ticks) == (1, len(REJECTED_READ_TICK))
+        assert coalesced == serial == _rejected_read_frames(column)
