@@ -99,24 +99,11 @@ class ColumnSnapshot(IndexedStringSequence):
         self._check_rank_pos(pos)
         return self._index.rank(value, pos)
 
-    def count(self, value: Any) -> int:
-        """Occurrences of ``value`` in the pinned prefix: while the pin is
-        current, the index's count from its topology (no Rank)."""
-        if self.is_current():
-            return self._index.count(value)
-        return self._index.rank(value, self._version)
-
-    def count_prefix(self, prefix: Any) -> int:
-        """Prefix matches in the pinned prefix, counted like :meth:`count`."""
-        if self.is_current():
-            return self._index.count_prefix(prefix)
-        return self._index.rank_prefix(prefix, self._version)
-
     def select(self, value: Any, idx: int) -> int:
         """Position of the ``idx``-th occurrence within the pinned prefix."""
         if idx < 0:
             raise OutOfBoundsError("select index must be non-negative")
-        total = self.count(value)
+        total = self._index.rank(value, self._version)
         if total == 0:
             raise ValueNotFoundError(
                 f"value {value!r} does not occur in the sequence"
@@ -134,7 +121,7 @@ class ColumnSnapshot(IndexedStringSequence):
 
     def select_prefix(self, prefix: Any, idx: int) -> int:
         """Position of the ``idx``-th prefix match within the pinned prefix."""
-        matches = self.count_prefix(prefix)
+        matches = self._index.rank_prefix(prefix, self._version)
         if matches == 0:
             raise ValueNotFoundError(f"no element has prefix {prefix!r}")
         check_select_prefix_index(prefix, idx, matches)
@@ -161,11 +148,11 @@ class ColumnSnapshot(IndexedStringSequence):
 
     def select_many(self, value: Any, indexes: Sequence[int]) -> List[int]:
         """Positions of the requested occurrences; amortised by the index's
-        one batch walk after one pinned count + O(q) validation."""
+        one batch walk after one pinned-count rank + O(q) validation."""
         indexes = [int(idx) for idx in indexes]
         if not indexes:
             return []
-        total = self.count(value)
+        total = self._index.rank(value, self._version)
         if total == 0:
             raise ValueNotFoundError(
                 f"value {value!r} does not occur in the sequence"
@@ -187,11 +174,11 @@ class ColumnSnapshot(IndexedStringSequence):
 
     def select_prefix_many(self, prefix: Any, indexes: Sequence[int]) -> List[int]:
         """Positions of the requested prefix matches; amortised by the
-        index's one batch walk after one pinned count + O(q) validation."""
+        index's one batch walk after one pinned-count rank + O(q) validation."""
         indexes = [int(idx) for idx in indexes]
         if not indexes:
             return []
-        matches = self.count_prefix(prefix)
+        matches = self._index.rank_prefix(prefix, self._version)
         if matches == 0:
             raise ValueNotFoundError(f"no element has prefix {prefix!r}")
         indexes = validate_select_prefix_indexes(indexes, matches, prefix)

@@ -182,11 +182,11 @@ def _answer_group(
 ) -> None:
     """Write the frames of one ``(op, key)`` group: one batch call."""
     version = snapshot.version
-    # Select groups validate against one pinned count per group.
+    # Select groups validate against one pinned-count rank per group.
     if op == "select":
-        bound = snapshot.count(key)
+        bound = snapshot.rank(key, version)
     elif op == "select_prefix":
-        bound = snapshot.count_prefix(key)
+        bound = snapshot.rank_prefix(key, version)
     else:
         bound = version
     ok_slots, args = check_group(op, key, slots, requests, bound, frames)
