@@ -35,6 +35,10 @@ class Bits:
         ``(value >> (length - 1 - i)) & 1``.
     length:
         Number of bits.  ``length == 0`` is the empty bit-string.
+
+    The trie walks of :mod:`repro.core.base` read ``_value`` and ``_length``
+    of each node label directly: a property call per label would cost as
+    much as the label match itself.
     """
 
     __slots__ = ("_value", "_length")

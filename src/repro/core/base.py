@@ -98,7 +98,7 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
 
     def select(self, value: Any, idx: int) -> int:
         """Position of the ``idx``-th occurrence of ``value`` (paper Select)."""
-        return self.select_bits(self._codec.to_bits(value), idx)
+        return self.select_bits(self._codec.to_bits(value), idx, label=value)
 
     def rank_prefix(self, prefix: Any, pos: int) -> int:
         """Elements with ``prefix`` in the first ``pos`` positions (RankPrefix)."""
@@ -177,22 +177,9 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
             positions = list(positions)
         for pos in positions:
             self._check_rank_pos(pos)
-        if self._root is None or not positions:
-            return [0] * len(positions)
-        node = self._root
-        depth = 0
-        current: List[int] = list(positions)
-        while True:
-            label = node.label
-            remaining = key.suffix_from(depth)
-            if node.is_leaf:
-                return current if remaining == label else [0] * len(current)
-            if not remaining.startswith(label) or len(remaining) == len(label):
-                return [0] * len(current)
-            bit = key[depth + len(label)]
-            current = node.bitvector.rank_many(bit, current)
-            depth += len(label) + 1
-            node = node.children[bit]
+        if not positions:
+            return []
+        return self._rank_many_along(self._path_of(key), list(positions))
 
     def select_many(self, value: Any, indexes) -> List[int]:
         """``select(value, idx)`` for each index (batched paper Select).
@@ -204,21 +191,25 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
         h_s log n) walks.  Results come back in input order; the indexes
         need not be sorted.
         """
-        return self.select_many_bits(self._codec.to_bits(value), indexes)
+        return self.select_many_bits(
+            self._codec.to_bits(value), indexes, label=value
+        )
 
-    def select_many_bits(self, key: Bits, indexes) -> List[int]:
-        """Batched Select of a binarised value (see :meth:`select_many`)."""
+    def select_many_bits(self, key: Bits, indexes, label: Any = None) -> List[int]:
+        """Batched Select of a binarised value (see :meth:`select_many`);
+        errors name ``label`` (the value) when given, else the key."""
         indexes = normalize_batch(indexes)
         if not len(indexes):
             return []  # an empty batch never raises, like the default loop
+        shown = key if label is None else label
         path = self._path_of(key)
         if path is None:
             raise ValueNotFoundError(
-                f"value {key!r} does not occur in the sequence"
+                f"value {shown!r} does not occur in the sequence"
             )
         leaf, ancestors = path
         current = validate_select_indexes(
-            indexes, leaf.sequence_length(self._size), repr(key)
+            indexes, leaf.sequence_length(self._size), repr(shown)
         )
         for node, bit in reversed(ancestors):
             current = node.bitvector.select_many(bit, current)
@@ -242,22 +233,11 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
         positions = normalize_batch(positions)
         for pos in positions:
             self._check_rank_pos(pos)
-        if self._root is None or not len(positions):
-            return [0] * len(positions)
-        node = self._root
-        remaining = prefix
-        current: List[int] = [int(pos) for pos in positions]
-        while True:
-            label = node.label
-            lcp = remaining.lcp_length(label)
-            if lcp == len(remaining):
-                return current
-            if lcp < len(label) or node.is_leaf:
-                return [0] * len(current)
-            bit = remaining[len(label)]
-            current = node.bitvector.rank_many(bit, current)
-            remaining = remaining.suffix_from(len(label) + 1)
-            node = node.children[bit]
+        if not len(positions):
+            return []
+        return self._rank_many_along(
+            self._prefix_node(prefix), [int(pos) for pos in positions]
+        )
 
     def select_prefix_many(self, prefix: Any, indexes) -> List[int]:
         """``select_prefix(prefix, idx)`` for each index (batched SelectPrefix).
@@ -345,32 +325,18 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
     def rank_bits(self, key: Bits, pos: int) -> int:
         """Rank of a binarised value; 0 when the value does not occur."""
         self._check_rank_pos(pos)
-        if self._root is None or pos == 0:
-            return 0
-        node = self._root
-        depth = 0
-        while True:
-            label = node.label
-            remaining = key.suffix_from(depth)
-            if node.is_leaf:
-                return pos if remaining == label else 0
-            if not remaining.startswith(label) or len(remaining) == len(label):
-                return 0
-            bit = key[depth + len(label)]
-            pos = node.bitvector.rank(bit, pos)
-            if pos == 0:
-                return 0
-            depth += len(label) + 1
-            node = node.children[bit]
+        return self._rank_along(self._path_of(key), pos) if pos else 0
 
-    def select_bits(self, key: Bits, idx: int) -> int:
-        """Select of a binarised value; raises when there are too few occurrences."""
+    def select_bits(self, key: Bits, idx: int, label: Any = None) -> int:
+        """Select of a binarised value; raises when there are too few
+        occurrences, naming ``label`` (the value) when given, else the key."""
         if idx < 0:
             raise OutOfBoundsError("select index must be non-negative")
         path = self._path_of(key)
         if path is None:
             raise ValueNotFoundError(
-                f"value {key!r} does not occur in the sequence"
+                f"value {(key if label is None else label)!r} does not occur "
+                "in the sequence"
             )
         leaf, ancestors = path
         available = leaf.sequence_length(self._size)
@@ -385,23 +351,7 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
     def rank_prefix_bits(self, prefix: Bits, pos: int) -> int:
         """RankPrefix of a binarised prefix (Lemma 3.3)."""
         self._check_rank_pos(pos)
-        if self._root is None or pos == 0:
-            return 0
-        node = self._root
-        remaining = prefix
-        while True:
-            label = node.label
-            lcp = remaining.lcp_length(label)
-            if lcp == len(remaining):
-                return pos
-            if lcp < len(label) or node.is_leaf:
-                return 0
-            bit = remaining[len(label)]
-            pos = node.bitvector.rank(bit, pos)
-            if pos == 0:
-                return 0
-            remaining = remaining.suffix_from(len(label) + 1)
-            node = node.children[bit]
+        return self._rank_along(self._prefix_node(prefix), pos) if pos else 0
 
     def select_prefix_bits(self, prefix: Bits, idx: int, label: Any = None) -> int:
         """SelectPrefix of a binarised prefix (Lemma 3.3).
@@ -433,47 +383,87 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
         """Root-to-leaf path of ``key``.
 
         Returns ``(leaf, [(internal_node, branching_bit), ...])`` or None when
-        the key is not stored.
+        the key is not stored.  The unread part of the key is an ``(int, bits
+        left)`` pair: each label is matched with one shift and one compare,
+        and the branching bit is the low bit of the same shifted word, so the
+        walk builds no ``Bits`` (Table 1's O(|s|) term in word operations).
         """
-        if self._root is None:
-            return None
         node = self._root
-        depth = 0
+        if node is None:
+            return None
+        rest, left = key.value, len(key)
         ancestors: List[Tuple[WaveletTrieNode, int]] = []
-        while True:
+        while node.bitvector is not None:
             label = node.label
-            remaining = key.suffix_from(depth)
-            if node.is_leaf:
-                if remaining != label:
-                    return None
-                return node, ancestors
-            if not remaining.startswith(label) or len(remaining) == len(label):
+            left -= label._length + 1
+            if left < 0:
                 return None
-            bit = key[depth + len(label)]
+            head = rest >> left
+            if head >> 1 != label._value:
+                return None
+            bit = head & 1
+            rest ^= head << left
             ancestors.append((node, bit))
-            depth += len(label) + 1
             node = node.children[bit]
+        label = node.label
+        if left != label._length or rest != label._value:
+            return None
+        return node, ancestors
 
     def _prefix_node(
         self, prefix: Bits
     ) -> Optional[Tuple[WaveletTrieNode, List[Tuple[WaveletTrieNode, int]]]]:
-        """The node ``n_p`` whose subtree holds exactly the keys with ``prefix``."""
-        if self._root is None:
-            return None
+        """The node ``n_p`` whose subtree holds exactly the keys with ``prefix``.
+
+        Returns ``(n_p, [(internal_node, branching_bit), ...])`` or None when
+        no key has the prefix.  Labels are matched on the prefix's integer,
+        as in :meth:`_path_of`.
+        """
         node = self._root
-        remaining = prefix
+        if node is None:
+            return None
+        rest, left = prefix.value, len(prefix)
         ancestors: List[Tuple[WaveletTrieNode, int]] = []
         while True:
             label = node.label
-            lcp = remaining.lcp_length(label)
-            if lcp == len(remaining):
+            length = label._length
+            if left <= length:
+                # The prefix ends inside this label or at its end.
+                if rest != label._value >> (length - left):
+                    return None
                 return node, ancestors
-            if lcp < len(label) or node.is_leaf:
+            if node.bitvector is None:
                 return None
-            bit = remaining[len(label)]
+            left -= length + 1
+            head = rest >> left
+            if head >> 1 != label._value:
+                return None
+            bit = head & 1
+            rest ^= head << left
             ancestors.append((node, bit))
-            remaining = remaining.suffix_from(len(label) + 1)
             node = node.children[bit]
+
+    @staticmethod
+    def _rank_along(located, pos: int) -> int:
+        """Map ``pos`` down the ancestors of a located node (0 when nothing
+        was located); stops at the first node where the rank is 0."""
+        if located is None:
+            return 0
+        for node, bit in located[1]:
+            pos = node.bitvector.rank(bit, pos)
+            if not pos:
+                return 0
+        return pos
+
+    @staticmethod
+    def _rank_many_along(located, positions: List[int]) -> List[int]:
+        """Map ``positions`` down the ancestors of a located node, one
+        ``rank_many`` per node (all 0 when nothing was located)."""
+        if located is None:
+            return [0] * len(positions)
+        for node, bit in located[1]:
+            positions = node.bitvector.rank_many(bit, positions)
+        return positions
 
     def height_of(self, value: Any) -> int:
         """``h_s``: number of internal nodes on the path of ``value``."""

@@ -1,7 +1,8 @@
 """Range analytics on the Wavelet Trie (paper Section 5).
 
 The mixin implements, over any Wavelet Trie variant (the node interface of
-:class:`~repro.core.node.WaveletTrieNode` is all it needs):
+:class:`~repro.core.node.WaveletTrieNode` and the host's prefix walk
+``_prefix_node`` are all it needs):
 
 * ``iter_range(l, r)`` -- sequential access, one amortised rank per traversed
   node instead of one per element;
@@ -128,28 +129,24 @@ class RangeQueryMixin:
         """Map a position range at the root to the node of ``prefix``.
 
         Returns ``(node, lo, hi, accumulated_bits)``; ``node`` is None when no
-        element of the sequence has the prefix.
+        element of the sequence has the prefix.  The node is found by
+        ``_prefix_node``, and both ends are mapped down its ancestors.
         """
         if prefix is None:
             return self._root, start, stop, Bits.empty()
         prefix_bits = self._codec.prefix_to_bits(prefix)
-        node = self._root
+        located = self._prefix_node(prefix_bits)
+        if located is None:
+            return None, 0, 0, Bits.empty()
+        node, ancestors = located
         lo, hi = start, stop
-        accumulated = Bits.empty()
-        remaining = prefix_bits
-        while True:
-            label = node.label
-            lcp = remaining.lcp_length(label)
-            if lcp == len(remaining):
-                return node, lo, hi, accumulated
-            if lcp < len(label) or node.is_leaf:
-                return None, 0, 0, accumulated
-            bit = remaining[len(label)]
-            vector = node.bitvector
+        depth = 0
+        for ancestor, bit in ancestors:
+            vector = ancestor.bitvector
             lo, hi = vector.rank(bit, lo), vector.rank(bit, hi)
-            accumulated = (accumulated + label).appended(bit)
-            remaining = remaining.suffix_from(len(label) + 1)
-            node = node.children[bit]
+            depth += len(ancestor.label) + 1
+        # The prefix matched every label and branching bit above the node.
+        return node, lo, hi, prefix_bits.prefix(depth)
 
     def count_distinct_in_range(self, start: int, stop: int, prefix: Any = None) -> int:
         """Number of distinct values in ``[start, stop)`` (optionally under a prefix)."""

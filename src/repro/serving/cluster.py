@@ -55,6 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.exceptions import ReproError
 from repro.serving.metrics import merge_snapshots
 from repro.serving.protocol import (
+    ProtocolError,
     Request,
     encode_error,
     encode_frame,
@@ -419,11 +420,17 @@ class ClusterSupervisor(FrameServer, TickLoop):
     def _subresult(shard: int, line: bytes) -> Any:
         response = json.loads(line)
         if not response.get("ok"):
-            # The supervisor pre-validates, so a worker-side error means
-            # the cluster's own invariants broke -- surface it loudly.
+            error = response["error"]
+            if error["code"] == "malformed":
+                # A key the workers' codec rejects: the supervisor holds no
+                # codec to check it first, so it is the client's error.
+                raise ProtocolError("malformed", error["message"])
+            # The supervisor pre-validates everything else, so any other
+            # worker-side error means the cluster's own invariants broke --
+            # surface it loudly.
             raise ClusterError(
                 f"worker {shard} rejected a subrequest: "
-                f"{response['error']['code']}: {response['error']['message']}"
+                f"{error['code']}: {error['message']}"
             )
         return response["result"]
 
@@ -441,20 +448,29 @@ class ClusterSupervisor(FrameServer, TickLoop):
         return [await self._apply_write(request) for request in requests]
 
     async def _answer_reads(self, requests: List[Request]) -> List[bytes]:
-        """Route the batch per column, answering the columns concurrently."""
+        """Route the batch per column, answering the columns concurrently.
+
+        A column batch that raises (a key the workers' codec rejects, say)
+        is answered again one request at a time, each error in its own
+        frame, as :func:`~repro.serving.coalescer.run_read_tick` does.
+        """
         by_column: Dict[str, List[int]] = {}
         for slot, request in enumerate(requests):
             by_column.setdefault(request.shard, []).append(slot)
         frames: List[bytes] = [b""] * len(requests)
 
         async def answer(name: str, slots: List[int]) -> None:
+            router, version = self.routers[name], self.versions[name]
             members = [requests[slot] for slot in slots]
             try:
-                answered = await self.routers[name].answer(
-                    members, self.versions[name]
-                )
-            except Exception as error:
-                answered = self._error_frames(members, error)
+                answered = await router.answer(members, version)
+            except Exception:
+                answered = []
+                for request in members:
+                    try:
+                        answered += await router.answer([request], version)
+                    except Exception as error:
+                        answered += self._error_frames([request], error)
             for slot, frame in zip(slots, answered):
                 frames[slot] = frame
 

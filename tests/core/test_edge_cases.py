@@ -6,6 +6,9 @@ differ only in their last bit, and the error paths of the binarisation codecs
 (a rejected key is checked on the succinct and tiered flavours too).
 """
 
+import random
+import re
+
 import pytest
 
 from repro.baselines import NaiveIndexedSequence
@@ -240,19 +243,19 @@ class TestAppendOnlySpecific:
 # ----------------------------------------------------------------------
 # A key the codec rejects is rejected by every flavour, at every position
 # ----------------------------------------------------------------------
-REJECTING_FLAVOURS = {
+FLAVOURS = {
     "static": WaveletTrie,
     "append-only": AppendOnlyWaveletTrie,
     "dynamic": DynamicWaveletTrie,
     "succinct": SuccinctWaveletTrie,
     # Five rows per tier: frozen tiers, a tier sealing, and a tail.
-    "tiered": lambda values: TieredWaveletTrie(
-        values, active_capacity=5, compact_budget=1
+    "tiered": lambda values, **kwargs: TieredWaveletTrie(
+        values, active_capacity=5, compact_budget=1, **kwargs
     ),
 }
 
 
-@pytest.mark.parametrize("flavour", sorted(REJECTING_FLAVOURS))
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
 @pytest.mark.parametrize("rows", [0, 1, 23])
 def test_a_rejected_key_raises_at_every_valid_rank_position(flavour, rows):
     """Rank at 0, and rank on an empty sequence, binarise the key too.
@@ -260,7 +263,7 @@ def test_a_rejected_key_raises_at_every_valid_rank_position(flavour, rows):
     Empty batches are not queries at a position and keep their own
     behaviour, so they are left out."""
     values = [f"/k{i % 4}/{i % 3}" for i in range(rows)]
-    trie = REJECTING_FLAVOURS[flavour](values)
+    trie = FLAVOURS[flavour](values)
     assert len(trie) == rows
     for pos in range(rows + 1):
         for value in ("bad\x00", 5):
@@ -276,3 +279,96 @@ def test_a_rejected_key_raises_at_every_valid_rank_position(flavour, rows):
             trie.rank_prefix_many("/k\x00", [0, pos])
         with pytest.raises(BinarizationError):
             trie.count_prefix("/k\x00")
+
+
+# ----------------------------------------------------------------------
+# Keys and prefixes that leave the trie below the root, on every flavour
+# ----------------------------------------------------------------------
+PARTIAL_ROWS = ["app/a", "app/b", "app/cart", "blog/x", "blog", "b", "x/a", "x/\u00e9"]
+
+# A stored key, the same plus one character and minus its last one, and a
+# key that differs inside the label "app/a", "app/b" and "app/cart" share.
+PARTIAL_KEYS = ["app/cart", "app/carts", "app/car", "apq/a"]
+
+# Prefixes ending inside a label ("ap", "app/ca"), exactly at a branching
+# node ("x/" under UTF-8, where the next bit splits ASCII from a multi-byte
+# character; "blog" under the bytes codec, where it splits the terminator
+# from the next byte's marker), a stored key plus one character, and the
+# empty prefix.
+PARTIAL_PREFIXES = ["ap", "app/ca", "x/", "blog", "app/carts", ""]
+
+CODECS = {
+    "utf8": (Utf8Codec, str),
+    "bytes": (BytesCodec, str.encode),
+}
+
+
+def ends_at_a_branching_node(trie, prefix):
+    """True if the binarised ``prefix`` ends exactly where a label ends
+    and its node branches."""
+    bits = trie.codec.prefix_to_bits(prefix)
+    node, ancestors = trie._prefix_node(bits)
+    depth = sum(len(above.label) + 1 for above, _ in ancestors)
+    return not node.is_leaf and depth + len(node.label) == len(bits)
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_absent_and_partial_keys_match_the_oracle(flavour, codec):
+    """Every key-driven read on keys that leave the trie below the root
+    answers as :class:`NaiveIndexedSequence` does; a select of an absent
+    value raises an error that names the value."""
+    make_codec, encode = CODECS[codec]
+    rng = random.Random(5)
+    values = [encode(rng.choice(PARTIAL_ROWS)) for _ in range(40)]
+    trie = FLAVOURS[flavour](values, codec=make_codec())
+    oracle = NaiveIndexedSequence(values)
+    static = WaveletTrie(values, codec=make_codec())
+    assert any(
+        ends_at_a_branching_node(static, encode(prefix))
+        for prefix in PARTIAL_PREFIXES
+    )
+    n = len(values)
+    positions = [0, 1, n // 2, n - 1, n]
+    ranges = [(0, n), (n // 3, n // 2)]
+
+    for key in map(encode, PARTIAL_KEYS):
+        ranks = [oracle.rank(key, pos) for pos in positions]
+        assert [trie.rank(key, pos) for pos in positions] == ranks, key
+        assert trie.rank_many(key, positions) == ranks, key
+        total = oracle.count(key)
+        assert trie.count(key) == total, key
+        hits = [oracle.select(key, idx) for idx in range(total)]
+        assert [trie.select(key, idx) for idx in range(total)] == hits, key
+        assert trie.select_many(key, range(total)) == hits, key
+        error = OutOfBoundsError if total else ValueNotFoundError
+        named = re.escape(repr(key))
+        # The scalar out-of-range message names the index, not the value.
+        with pytest.raises(error, match=None if total else named):
+            trie.select(key, total)
+        with pytest.raises(error, match=named):
+            trie.select_many(key, [total])
+        with pytest.raises(OutOfBoundsError, match=named):
+            oracle.select(key, total)
+
+    for prefix in map(encode, PARTIAL_PREFIXES):
+        ranks = [oracle.rank_prefix(prefix, pos) for pos in positions]
+        assert [trie.rank_prefix(prefix, pos) for pos in positions] == ranks
+        assert trie.rank_prefix_many(prefix, positions) == ranks, prefix
+        total = oracle.count_prefix(prefix)
+        assert trie.count_prefix(prefix) == total, prefix
+        hits = [oracle.select_prefix(prefix, idx) for idx in range(total)]
+        assert [trie.select_prefix(prefix, i) for i in range(total)] == hits
+        assert trie.select_prefix_many(prefix, range(total)) == hits, prefix
+        error = OutOfBoundsError if total else ValueNotFoundError
+        named = re.escape(repr(prefix))
+        with pytest.raises(error, match=named):
+            trie.select_prefix(prefix, total)
+        with pytest.raises(error, match=named):
+            trie.select_prefix_many(prefix, [total])
+        with pytest.raises(OutOfBoundsError, match=named):
+            oracle.select_prefix(prefix, total)
+        for start, stop in ranges:
+            assert trie.distinct_in_range(
+                start, stop, prefix=prefix
+            ) == oracle.distinct_in_range(start, stop, prefix=prefix), prefix

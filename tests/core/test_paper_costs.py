@@ -17,6 +17,8 @@ the distinct values first, then a prefix of one log.  So the trie shape,
 and with it every path, is the same at every n.  A tiered trie of k
 identical frozen tiers is counted per tier: its reads walk the tier that
 owns the position and read the other tiers' totals off their topology.
+The O(|s|) label work is counted as ``Bits`` constructions: a key walk
+matches labels on the key's integer and builds none per node or tier.
 """
 
 from __future__ import annotations
@@ -380,6 +382,73 @@ def test_tiered_read_totals_are_flat_in_k_apart_from_one_count_per_tier():
             totals.setdefault(name, []).append(total)
     for name, per_k in totals.items():
         assert per_k.count(per_k[0]) == len(per_k), name
+
+
+# ----------------------------------------------------------------------
+# Table 1's O(|s|) label work in word operations: no Bits per node
+# ----------------------------------------------------------------------
+@pytest.fixture
+def bits_built(monkeypatch):
+    """A live Counter of ``Bits`` constructions."""
+    built = Counter()
+    init = bitstring.Bits.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built["Bits"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bitstring.Bits, "__init__", counted_init)
+    return built
+
+
+def bits_per_key_walk(trie, built):
+    """``{read: {Bits built by one probe's read}}`` over :data:`PROBES`,
+    for the reads that walk a key or a prefix and map no output back to
+    bits: count, count_prefix, rank and rank_prefix (mid-sequence)."""
+    pos = len(trie) // 2
+    seen = {}
+    for value in PROBES:
+        prefix = directory_of(value)
+        reads = {
+            "count": lambda: trie.count(value),
+            "count_prefix": lambda: trie.count_prefix(prefix),
+            "rank": lambda: trie.rank(value, pos),
+            "rank_prefix": lambda: trie.rank_prefix(prefix, pos),
+        }
+        for read, operation in reads.items():
+            built.clear()
+            operation()
+            seen.setdefault(read, set()).add(built["Bits"])
+    return seen
+
+
+def binarising_only(codec, built):
+    """What :func:`bits_per_key_walk` reads when a walk builds nothing
+    beyond binarising its key once."""
+    built.clear()
+    codec.to_bits(PROBES[0])
+    key = {built["Bits"]}
+    built.clear()
+    codec.prefix_to_bits(directory_of(PROBES[0]))
+    prefix = {built["Bits"]}
+    return {"count": key, "count_prefix": prefix, "rank": key, "rank_prefix": prefix}
+
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_key_walks_build_no_bits_per_node_at_every_n(sweep, flavour, bits_built):
+    for n in SIZES:
+        trie, _ = sweep[flavour, n]
+        heights = {len(path_nodes(trie, value)) for value in PROBES}
+        assert len(heights) > 1  # the probes' paths differ in height
+        expected = binarising_only(trie.codec, bits_built)
+        assert bits_per_key_walk(trie, bits_built) == expected, (flavour, n)
+
+
+@pytest.mark.parametrize("k", TIER_COUNTS)
+def test_tiered_key_walks_build_no_bits_per_tier(k, bits_built):
+    trie, _, _ = tiered_sweep(k)
+    expected = binarising_only(trie.codec, bits_built)
+    assert bits_per_key_walk(trie, bits_built) == expected, k
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,30 @@ class TestClusterDeterminism:
             compare_cluster_to_single(tmp_path, {"default": values}, log, 3)
         )
 
+    def test_codec_rejected_reads_fail_alone(self, tmp_path):
+        # A key holding NUL is rejected by the workers' codec, which the
+        # supervisor cannot check: that read alone answers malformed, and
+        # the valid reads pipelined beside it answer as one process does.
+        values = make_values(120, seed=3)
+        log: List[bytes] = []
+        for i, op in enumerate(
+            ["rank", "select", "rank_prefix", "select_prefix"] * 5
+        ):
+            field = "prefix" if op.endswith("_prefix") else "value"
+            where = {"pos": 13 * i % 121} if op.startswith("rank") else {"idx": i % 4}
+            bad = ("a\u0000", "app/\u0000")[i // 4 % 2]
+            log.append(encode_request(op, id=f"bad{i}", **{field: bad}, **where))
+            log.append(
+                encode_request(op, id=f"ok{i}", **{field: VALUES[i % 7]}, **where)
+            )
+            log.append(encode_request("access", id=f"at{i}", pos=5 * i))
+        for num_workers in (1, 2):
+            asyncio.run(
+                compare_cluster_to_single(
+                    tmp_path, {"default": values}, log, num_workers
+                )
+            )
+
     def test_multi_column_store_routes_per_column(self, tmp_path):
         urls = make_values(120, seed=5)
         tags = [v.split("/")[0] for v in make_values(120, seed=6)]
