@@ -120,6 +120,15 @@ class TestQueries:
         assert url_log[payload["position"]] == target
         assert payload["position"] == url_log.index(target)
 
+    def test_select_of_an_absent_value_names_it(self, tmp_path, log_file, capsys):
+        path = tmp_path / "static.wt"
+        assert main(["build", str(log_file), "-o", str(path), "--variant", "static"]) == 0
+        capsys.readouterr()
+        assert main(["select", str(path), "/never-seen", "0"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: \"value '/never-seen' does not occur in the sequence\""
+        )
+
     def test_top(self, built_index, url_log, capsys):
         payload = run_json(capsys, ["top", str(built_index), "-k", "3"])
         counts = [entry["count"] for entry in payload["results"]]

@@ -281,6 +281,23 @@ def test_a_rejected_key_raises_at_every_valid_rank_position(flavour, rows):
             trie.count_prefix("/k\x00")
 
 
+
+@pytest.mark.parametrize("flavour", sorted(FLAVOURS))
+def test_select_errors_name_the_value(flavour):
+    """The binarised key is an implementation detail: errors show the value."""
+    trie = FLAVOURS[flavour](["a", "b", "a"])
+    absent = re.escape("value 'zz' does not occur in the sequence")
+    with pytest.raises(ValueNotFoundError, match=absent):
+        trie.select("zz", 0)
+    with pytest.raises(ValueNotFoundError, match=absent):
+        trie.select_many("zz", [0])
+    with pytest.raises(
+        OutOfBoundsError,
+        match=re.escape("select('a', 5) out of range: only 2 occurrences"),
+    ):
+        trie.select_many("a", [5])
+
+
 # ----------------------------------------------------------------------
 # Keys and prefixes that leave the trie below the root, on every flavour
 # ----------------------------------------------------------------------
