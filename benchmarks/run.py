@@ -10,9 +10,8 @@ The docs cite a row as ```case.name```.  The cases:
   same 1M-bit payload, each at its native container boundary (python:
   lists; numpy: arrays), plus the numpy backend fed python lists where the
   docs quote that boundary;
-* ``storage`` -- RWT1 ``save``/``load`` against RWT2
-  ``save_image``/``open_image`` of a 1M-row static RRR trie, and the bytes
-  of each file;
+* ``storage`` -- ``save_image``/``open_image`` of a 1M-row static RRR
+  trie (the one on-disk format), and the bytes of the file;
 * ``tiered`` -- ``TieredWaveletTrie`` against ``DynamicWaveletTrie`` at 1M
   rows: bulk load, major compaction, the cost of one 64-wide batch call per
   query type, and the write-latency bound (the slowest single append of a
@@ -25,7 +24,7 @@ The docs cite a row as ```case.name```.  The cases:
   shard images (export, spawn and throughput).
 
 Times are CPU seconds of this process (``time.process_time``), best of
-five runs, except the builds and RWT1 save, which run once: on a shared
+five runs, except the builds, which run once: on a shared
 virtual machine the hypervisor steals wall time in bursts, and CPU time
 does not count it.  The serving case spans processes, so its throughputs
 and the cluster's spawn time are wall-clock.  Each case compares the
@@ -73,7 +72,7 @@ from repro.serving import (
     NDJSONClient,
     ServerConfig,
 )
-from repro.storage import load, open_image, save, save_image
+from repro.storage import open_image, save_image
 from repro.storage.shards import export_shard_images
 from repro.wavelet.wavelet_tree import WaveletTree
 from repro.workloads import ColumnGenerator, UrlLogGenerator
@@ -236,7 +235,7 @@ def case_backends(quick: bool) -> List[dict]:
 
 
 # ----------------------------------------------------------------------
-# storage: RWT1 against RWT2
+# storage: the image format
 # ----------------------------------------------------------------------
 VOCAB = [f"/d{i // 4}/p{i % 4}" for i in range(16)]
 
@@ -251,20 +250,13 @@ def case_storage(quick: bool) -> List[dict]:
 
     case = Case("storage", quick)
     with tempfile.TemporaryDirectory(prefix="bench-storage-") as workdir:
-        rwt1 = Path(workdir) / "trie.rwt1"
-        rwt2 = Path(workdir) / "trie.rwt2"
-        _, seconds = case.timed(lambda: save(trie, rwt1), once=True)
-        case.add("rwt1_save", seconds, "s", n)
-        loaded, seconds = case.timed(lambda: load(rwt1))
-        case.add("rwt1_open", seconds, "s", n)
-        case.add("rwt1_bytes", rwt1.stat().st_size, "bytes", n)
-        same(loaded.access_many(probe), expected, "storage: RWT1 load")
-        _, seconds = case.timed(lambda: save_image(trie, rwt2))
+        path = Path(workdir) / "trie.rwt2"
+        _, seconds = case.timed(lambda: save_image(trie, path))
         case.add("rwt2_save", seconds, "s", n)
-        opened, seconds = case.timed(lambda: open_image(rwt2))
+        opened, seconds = case.timed(lambda: open_image(path))
         case.add("rwt2_open", seconds, "s", n)
-        case.add("rwt2_bytes", rwt2.stat().st_size, "bytes", n)
-        same(opened.access_many(probe), expected, "storage: RWT2 open")
+        case.add("rwt2_bytes", path.stat().st_size, "bytes", n)
+        same(opened.access_many(probe), expected, "storage: image open")
     return case.rows
 
 

@@ -3,9 +3,11 @@
 
 The paper's motivating workloads (query logs, access logs, columns) outlive a
 single process.  This example builds an append-only Wavelet Trie over a URL
-access log, saves it with :mod:`repro.storage`, reloads it and keeps appending
--- showing that the on-disk form is itself compressed and that the reloaded
-index is fully functional (queries *and* updates).
+access log, saves it with :mod:`repro.storage` as an RWT2 image (the one
+on-disk format: the trie's frozen snapshot, one RRR vector for every node's
+bits, plus its block size), reloads it and keeps appending -- showing that
+the on-disk form is itself compressed and that the reloaded index is the
+same append-only flavour, fully functional (queries *and* updates).
 
 The same workflow is available from the shell:
 

@@ -50,25 +50,23 @@ def wavelet_trie_space_report(trie, name: Optional[str] = None) -> SpaceReport:
     """Break down the measured space of any Wavelet Trie variant.
 
     The argument must expose ``nodes()`` yielding objects with ``label``,
-    ``bitvector`` (None on leaves) and ``is_leaf`` -- all three Wavelet Trie
-    variants in :mod:`repro.core` do.
+    ``bitvector`` (None on leaves) and ``is_leaf``, and ``bitvector_bits()``
+    -- all three Wavelet Trie variants in :mod:`repro.core` do.
     """
     report = SpaceReport(structure=name or type(trie).__name__)
     node_count = 0
     label_bits = 0
-    bitvector_bits = 0
     bitvector_overhead = 0
     for node in trie.nodes():
         node_count += 1
         label_bits += len(node.label)
-        vector = node.bitvector
-        if vector is not None:
-            bitvector_bits += vector.size_in_bits()
-            overhead = getattr(vector, "overhead_bits", None)
-            if callable(overhead):
-                bitvector_overhead += overhead()
+        overhead = getattr(node.bitvector, "overhead_bits", None)
+        if callable(overhead):
+            bitvector_overhead += overhead()
     report.add("node_labels", label_bits)
-    report.add("node_bitvectors", bitvector_bits)
+    # The trie's own charge: per node for the growable flavours, the shared
+    # vector once plus its window delimiters for the static one.
+    report.add("node_bitvectors", trie.bitvector_bits())
     if bitvector_overhead:
         report.add("bitvector_pointer_overhead", bitvector_overhead)
     # Pointer-machine charge for the trie topology: 4 words per node for the

@@ -11,7 +11,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Iterable, List, Optional, Tuple
 
-from repro.core.interface import IndexedStringSequence, check_select_prefix_index
+from repro.core.interface import (
+    IndexedStringSequence,
+    check_select_prefix_index,
+    check_top_k,
+)
 from repro.exceptions import OutOfBoundsError, ValueNotFoundError
 
 __all__ = ["NaiveIndexedSequence"]
@@ -119,6 +123,8 @@ class NaiveIndexedSequence(IndexedStringSequence):
     def top_k_in_range(
         self, start: int, stop: int, k: int, prefix: Optional[Any] = None
     ) -> List[Tuple[Any, int]]:
+        self._check_range(start, stop)
+        check_top_k(k)
         counts = self.distinct_in_range(start, stop, prefix)
         return sorted(counts, key=lambda item: (-item[1], item[0]))[:k]
 

@@ -72,13 +72,14 @@ class BitBuffer:
         if isinstance(bits, Bits):
             self.append_bits(bits)
             return
-        words, length = kernel.pack_bits(bits)
-        self._append_packed(kernel.as_int_list(words), length)
+        self.append_words(*kernel.pack_bits(bits))
 
-    def _append_packed(self, words: List[int], length: int) -> None:
-        """Splice a kernel packed word list onto the end of the buffer."""
+    def append_words(self, words, length: int) -> None:
+        """Splice the top ``length`` bits of a kernel packed word sequence
+        (list or word array) onto the end of the buffer, O(length / w)."""
         if length == 0:
             return
+        words = kernel.as_int_list(words)
         if self._fill:
             self.append_int(kernel.unpack_value(words, length), length)
             return
@@ -221,6 +222,12 @@ class BitBuffer:
         """Freeze into an immutable :class:`Bits` value (one bulk conversion)."""
         value = (kernel.words_to_int(self._words) << self._fill) | self._spill
         return Bits(value, self._length)
+
+    @property
+    def full_words(self) -> List[int]:
+        """The live list of completed 64-bit words (grows as bits are
+        appended; the trailing partial word is not in it)."""
+        return self._words
 
     def words(self) -> List[int]:
         """The payload as a kernel packed word list (last word zero-padded)."""

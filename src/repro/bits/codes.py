@@ -9,6 +9,7 @@ a compact bit payload.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, List, Tuple
 
 from repro.bits.bitstring import Bits
@@ -239,6 +240,10 @@ def _build_binomial_table(limit: int) -> list:
 # every (class, offset) computation with plain list lookups -- this table is
 # the pure-Python stand-in for the four-Russians lookup tables of the paper.
 _BINOMIAL_TABLE = _build_binomial_table(64)
+# Column k lists C(m, k) for m = 0..64, ascending in m.
+_BINOMIAL_COLUMNS = tuple(
+    tuple(_BINOMIAL_TABLE[m][k] if k <= m else 0 for m in range(65)) for k in range(65)
+)
 _OFFSET_WIDTH_CACHE: dict = {}
 
 
@@ -258,20 +263,30 @@ def combinatorial_rank(bits_value: int, width: int, ones: int) -> int:
     lexicographic enumeration of all such blocks (RRR offset encoding).
 
     The block is interpreted MSB-first, i.e. the same order as :class:`Bits`.
+    Blocks with a 1 where this one has a 0 (and the same prefix) come
+    first, so each zero at position ``p`` with ``r`` ones still to place
+    adds ``C(width - p - 1, r - 1)``; by the hockey-stick identity a run of
+    zeros from ``a`` to ``b`` adds ``C(width - a, r) - C(width - b - 1, r)``,
+    so the rank costs one step per set bit.  Blocks denser than half full
+    rank their complement.
     """
+    if not 0 < ones < width:
+        return 0
     table = _BINOMIAL_TABLE
+    if 2 * ones > width:
+        full = (1 << width) - 1
+        return table[width][ones] - 1 - combinatorial_rank(
+            bits_value ^ full, width, width - ones
+        )
     rank = 0
-    remaining_ones = ones
-    for position in range(width):
-        if remaining_ones == 0:
-            break
-        if (bits_value >> (width - 1 - position)) & 1:
-            remaining_ones -= 1
-        else:
-            # All blocks that have a 1 here and agree on the prefix come first.
-            remaining_width = width - position - 1
-            if remaining_ones - 1 <= remaining_width:
-                rank += table[remaining_width][remaining_ones - 1]
+    start = 0  # the first position not yet accounted for
+    remaining = ones
+    while remaining:
+        position = width - bits_value.bit_length()  # MSB-first offset of the next 1
+        rank += table[width - start][remaining] - table[width - position][remaining]
+        bits_value ^= 1 << (width - 1 - position)
+        start = position + 1
+        remaining -= 1
     return rank
 
 
@@ -330,25 +345,29 @@ def combinatorial_bit_at(rank: int, width: int, ones: int, position: int) -> int
 
 
 def combinatorial_unrank(rank: int, width: int, ones: int) -> int:
-    """Inverse of :func:`combinatorial_rank`: rebuild the block value."""
-    table = _BINOMIAL_TABLE
-    value = 0
-    remaining_ones = ones
-    remaining_rank = rank
-    for position in range(width):
-        if remaining_ones == 0:
-            break
-        remaining_width = width - position - 1
-        skip = (
-            table[remaining_width][remaining_ones - 1]
-            if remaining_ones - 1 <= remaining_width
-            else 0
+    """Inverse of :func:`combinatorial_rank`: rebuild the block value.
+
+    The enumeration lists blocks in descending value order, so with
+    ``T = C(width, ones) - rank`` the next set bit sits at
+    ``width - 1 - m`` for the largest ``m`` with ``C(m, ones) < T`` (the
+    hockey-stick identity sums away the zeros before it): one ``bisect``
+    per set bit.  Blocks denser than half full rebuild their complement,
+    so at most ``width / 2`` bisects run.
+    """
+    if not 0 < ones < width:
+        return (1 << width) - 1 if ones == width and width else 0
+    total = _BINOMIAL_TABLE[width][ones]
+    if 2 * ones > width:
+        return ((1 << width) - 1) ^ combinatorial_unrank(
+            total - 1 - rank, width, width - ones
         )
-        if remaining_rank < skip:
-            value |= 1 << (width - 1 - position)
-            remaining_ones -= 1
-        else:
-            remaining_rank -= skip
+    remaining = total - rank
+    value = 0
+    for k in range(ones, 0, -1):
+        column = _BINOMIAL_COLUMNS[k]
+        m = bisect_left(column, remaining) - 1
+        value |= 1 << m
+        remaining -= column[m]
     return value
 
 

@@ -335,6 +335,11 @@ def rrr_rank_many(handle, bit: int, positions: Sequence[int]):
     return _active.rrr_rank_many(handle, bit, positions)
 
 
+def rrr_decode_words(handle, first: int, stop: int):
+    """Packed words of RRR blocks ``[first, stop)`` via a prepared handle."""
+    return _active.rrr_decode_words(handle, first, stop)
+
+
 def prepare_fields(words: Sequence[int], width: int):
     """Opaque handle for :func:`fields_many` over LSB-packed fields."""
     return _active.prepare_fields(words, width)

@@ -672,6 +672,61 @@ def _rrr_prefix_ones(offsets, classes, prefix, block_size: int):
     return np.where(dense, prefix - count, count)
 
 
+def rrr_decode_words(handle, first: int, stop: int):
+    """Packed MSB-first words of RRR blocks ``[first, stop)`` back to back.
+
+    The batch twin of the python backend's per-block decode: a cumulative
+    sum places every block's offset, one two-word read per block extracts
+    it, and the set-bit jump of :func:`_rrr_prefix_ones` runs for every
+    block together (at most ``B / 2`` rounds of a six-step search).  The
+    ``B``-bit block values are unpacked to bits and packed back as one
+    word array of ``(stop - first) * B`` bits.
+    """
+    block_size = handle.block_size
+    classes = handle.classes[first:stop]
+    if not classes.size:
+        return np.zeros(0, dtype=np.uint64)
+    sample = first // handle.sample_rate
+    walked = handle.widths[handle.classes[sample * handle.sample_rate : first]].sum()
+    widths = handle.widths[classes]
+    offset_pos = handle.sample_offset_pos[sample] + walked + np.concatenate(
+        ([0], np.cumsum(widths)[:-1])
+    )
+    word_index = offset_pos >> 6
+    shift = (offset_pos & 63).astype(np.uint64)
+    top = (handle.words[word_index] << shift) | (
+        (handle.words[word_index + 1] >> _ONE) >> (_SIXTY_THREE - shift)
+    )
+    offsets = ((top >> _ONE) >> (_SIXTY_THREE - widths.astype(np.uint64))).astype(np.int64)
+    dense = 2 * classes > block_size
+    k = np.where(dense, block_size - classes, classes)
+    remaining = np.where(
+        dense,
+        offsets + 1,
+        _BINOMIAL_FLAT[classes * _BINOMIAL_STRIDE + block_size] - offsets,
+    )
+    values = np.zeros(classes.size, dtype=np.uint64)
+    steps = [1 << s for s in reversed(range(block_size.bit_length()))]
+    live = np.flatnonzero(k > 0)
+    while live.size:
+        k_live = k[live]
+        row = k_live * _BINOMIAL_STRIDE
+        target = remaining[live]
+        m = np.zeros(live.size, dtype=np.int64)
+        for step in steps:
+            candidate = m + step
+            m = np.where(_BINOMIAL_FLAT[row + candidate] < target, candidate, m)
+        values[live] |= _ONE << m.astype(np.uint64)
+        remaining[live] = target - _BINOMIAL_FLAT[row + m]
+        k[live] = k_live - 1
+        live = live[k_live > 1]
+    full = np.uint64((1 << block_size) - 1)
+    values = np.where(dense, values ^ full, values)
+    bits = np.unpackbits(values.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+    words, _ = _bit_array_to_words(bits[:, 64 - block_size :].reshape(-1))
+    return words
+
+
 def rrr_rank_many(handle, bit: int, positions: Sequence[int]):
     """``rank(bit, pos)`` at each position of an RRR bitvector, vectorised.
 

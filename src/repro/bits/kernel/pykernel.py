@@ -77,6 +77,7 @@ __all__ = [
     "select_many_packed",
     "prepare_rrr",
     "rrr_rank_many",
+    "rrr_decode_words",
     "prepare_fields",
     "fields_many",
 ]
@@ -174,9 +175,8 @@ def words_view(buffer):
 
     ``buffer`` is any bytes-like object -- an ``mmap`` region, ``bytes``,
     ``bytearray`` or ``memoryview`` -- holding packed words serialised
-    little-endian, eight bytes per word (the RWT2 frozen-image section
-    layout; note this differs from the big-endian ``>Q`` convention of the
-    RWT1 logical format).  Returns a read-only ``memoryview`` cast to 64-bit
+    little-endian, eight bytes per word (the RWT2 image section layout).
+    Returns a read-only ``memoryview`` cast to 64-bit
     unsigned words: indexing yields plain python ints, so the view can stand
     in for a word list in every scalar kernel path without decoding.
 
@@ -855,6 +855,37 @@ def prepare_rrr(
     """
     return _RRRDirectory(classes, offset_words, sample_rank,
                          sample_offset_pos, length, block_size, sample_rate)
+
+
+def rrr_decode_words(handle, first: int, stop: int) -> List[int]:
+    """Packed MSB-first words of RRR blocks ``[first, stop)`` back to back.
+
+    ``(stop - first) * B`` bits, the last block zero-padded as stored.  One
+    set-bit-jumping decode per block (:func:`_rrr_decode_block`); 64
+    blocks make exactly ``B`` words, so they are packed 64 at a time.
+    """
+    if first >= stop:
+        return []
+    classes, widths, words = handle.classes, handle.widths, handle.offset_words
+    block_size, sample_rate = handle.block_size, handle.sample_rate
+    sample = first // sample_rate
+    offset_pos = handle.sample_offset_pos[sample] + sum(
+        widths[cls] for cls in classes[sample * sample_rate : first]
+    )
+    out: List[int] = []
+    chunk = blocks = 0
+    for block in range(first, stop):
+        cls = classes[block]
+        width = widths[cls]
+        offset = extract_bits_value(words, offset_pos, offset_pos + width)
+        offset_pos += width
+        chunk = (chunk << block_size) | _rrr_decode_block(offset, block_size, cls)
+        blocks += 1
+        if blocks == WORD:
+            out.extend(pack_value(chunk, WORD * block_size))
+            chunk = blocks = 0
+    out.extend(pack_value(chunk, blocks * block_size))
+    return out
 
 
 def rrr_rank_many(handle, bit: int, positions: Sequence[int]) -> List[int]:

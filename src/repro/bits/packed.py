@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, List, Sequence
 
 from repro.bits import kernel
 from repro.bits.kernel import SMALL_BATCH
-from repro.exceptions import OutOfBoundsError
+from repro.exceptions import OutOfBoundsError, SerializationError
 
 __all__ = ["PackedIntVector"]
 
@@ -147,6 +147,28 @@ class PackedIntVector:
         self._batch_handle = None
         self._batch_backend = None
         return self
+
+    # ------------------------------------------------------------------
+    # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
+    # ------------------------------------------------------------------
+    def to_words_image(self, sink, prefix: str) -> dict:
+        """Write the packed words (section ``prefix + "words"``) to a sink."""
+        sink.add_u64(prefix + "words", self._words)
+        return {"width": self._width, "length": self._length}
+
+    @classmethod
+    def from_words_image(cls, image, prefix: str, meta: dict) -> "PackedIntVector":
+        """Open from a frozen image; the words alias it.  The word count
+        must be what ``length`` fields of ``width`` bits need."""
+        width, length = int(meta["width"]), int(meta["length"])
+        words = image.words(prefix + "words")
+        expected = -(-length * width // _WORD)
+        if length < 0 or not 0 <= width <= _WORD or len(words) != expected:
+            raise SerializationError(
+                f"image meta for {prefix} says {length} fields of {width} bits, "
+                f"its section holds {len(words)} words"
+            )
+        return cls.from_words(width, length, words)
 
     def __repr__(self) -> str:
         return (

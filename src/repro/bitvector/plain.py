@@ -340,6 +340,10 @@ class PlainBitVector(StaticBitVector):
         return kernel.select_many_packed(self._handle(), bit, indexes)
 
     # ------------------------------------------------------------------
+    def to_words(self) -> List[int]:
+        """The payload as its kernel packed word list."""
+        return kernel.as_int_list(self._words)
+
     def extract_bits(self, start: int, stop: int) -> Bits:
         """The sub-payload ``[start, stop)`` as :class:`Bits`, word-sliced."""
         self._check_range(start, stop)

@@ -24,7 +24,7 @@ from repro.bits.bitstring import Bits
 from repro.bits.codes import BitReader, BitWriter, gamma_code_length
 from repro.bits.kernel import runs_of_value
 from repro.bitvector.base import StaticBitVector, validate_select_indexes
-from repro.exceptions import OutOfBoundsError
+from repro.exceptions import OutOfBoundsError, SerializationError
 
 __all__ = ["RLEBitVector", "runs_of"]
 
@@ -159,6 +159,89 @@ class RLEBitVector(StaticBitVector):
         return cls.from_runs(
             kernel.runs_of_words(words, length), sample_rate=sample_rate
         )
+
+    # ------------------------------------------------------------------
+    # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
+    # ------------------------------------------------------------------
+    def to_words_image(self, sink, prefix: str) -> dict:
+        """Write the gamma stream and the sampled directory to a sink.
+
+        Sections: ``codes`` (the gamma-coded runs, packed words) and
+        ``spos``/``sones``/``scode`` (the samples).  Returns the meta dict
+        :meth:`from_words_image` needs.
+        """
+        codes = self._codes
+        sink.add_u64(prefix + "codes", kernel.pack_value(codes.value, len(codes)))
+        sink.add_i64(prefix + "spos", self._sample_pos)
+        sink.add_i64(prefix + "sones", self._sample_ones)
+        sink.add_i64(prefix + "scode", self._sample_code)
+        return {
+            "length": self._length,
+            "ones": self._ones,
+            "runs": self._n_runs,
+            "first_bit": self._first_bit,
+            "sample_rate": self._sample_rate,
+            "code_len": len(self._codes),
+        }
+
+    @classmethod
+    def from_words_image(cls, image, prefix: str, meta: dict) -> "RLEBitVector":
+        """Open from a frozen image: the samples alias it, and the gamma
+        stream becomes one :class:`Bits` value (one O(codes / w) copy).
+
+        The meta is checked against the sections: the word and sample
+        counts, and the length, ones and code length against the last
+        sample plus the runs after it (at most ``sample_rate`` decodes).
+        """
+        self = cls.__new__(cls)
+        self._length = int(meta["length"])
+        self._ones = int(meta["ones"])
+        self._n_runs = int(meta["runs"])
+        self._first_bit = int(meta["first_bit"])
+        self._sample_rate = int(meta["sample_rate"])
+        code_len = int(meta["code_len"])
+        words = image.words(prefix + "codes")
+        self._sample_pos = image.int64(prefix + "spos")
+        self._sample_ones = image.int64(prefix + "sones")
+        self._sample_code = image.int64(prefix + "scode")
+        samples = len(self._sample_pos)
+        if (
+            self._sample_rate < 1
+            or self._first_bit not in (0, 1)
+            or min(self._n_runs, code_len) < 0
+            or len(words) != -(-code_len // 64)
+            or samples != -(-self._n_runs // self._sample_rate)
+            or len(self._sample_ones) != samples
+            or len(self._sample_code) != samples
+        ):
+            raise SerializationError(
+                f"image meta for {prefix} does not match its sections"
+            )
+        self._codes = Bits(kernel.unpack_value(words, code_len), code_len)
+        length = ones = end = 0
+        if samples:
+            last = samples - 1
+            length, ones = self._sample_pos[last], self._sample_ones[last]
+            if not 0 <= self._sample_code[last] <= code_len:
+                raise SerializationError(f"image section {prefix}scode is out of range")
+            reader = BitReader(self._codes, self._sample_code[last])
+            try:
+                for run_index in range(last * self._sample_rate, self._n_runs):
+                    run = reader.read_gamma()
+                    length += run
+                    ones += run if self._run_bit(run_index) else 0
+            except (OutOfBoundsError, ValueError) as error:
+                raise SerializationError(
+                    f"image section {prefix}codes ends inside a run ({error})"
+                ) from error
+            end = reader.position
+        if (length, ones, end) != (self._length, self._ones, code_len):
+            raise SerializationError(
+                f"image meta for {prefix} says {self._length} bits, "
+                f"{self._ones} ones and {code_len} code bits; its sections "
+                f"hold {length}, {ones} and {end}"
+            )
+        return self
 
     def __len__(self) -> int:
         return self._length

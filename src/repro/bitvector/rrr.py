@@ -15,7 +15,7 @@ bitvector (Theorem 4.5).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.bits import kernel
 from repro.bits.bitstring import Bits
@@ -45,27 +45,10 @@ from repro.bitvector.base import (
 )
 from repro.exceptions import OutOfBoundsError, SerializationError
 
-__all__ = ["RRRBitVector", "IncrementalRRRBuilder", "check_shared_image_params"]
+__all__ = ["RRRBitVector", "IncrementalRRRBuilder"]
 
 _DEFAULT_BLOCK = 63
 _DEFAULT_SAMPLE = 8
-
-
-def check_shared_image_params(metas: Sequence[dict], where: str) -> None:
-    """The node bitvectors of one trie share one block size and sample rate.
-
-    One factory or freezer writes every node of a trie, so their image
-    metas agree.  A header rewrite of one node's ``block_size`` or
-    ``sample_rate`` can keep its block and sample counts (63 -> 62 on a
-    one-block vector), and then no check against its own arrays can tell
-    the other bits it would decode; comparing it with its siblings can.
-    """
-    params = {(meta.get("block_size"), meta.get("sample_rate")) for meta in metas}
-    if len(params) > 1:
-        raise SerializationError(
-            f"the node bitvectors of {where} disagree on block size and "
-            f"sample rate: {sorted(params, key=repr)}"
-        )
 
 
 class RRRBitVector(StaticBitVector):
@@ -604,6 +587,13 @@ class RRRBitVector(StaticBitVector):
             offset_pos += self._width_by_class[self._class_list[block_index]]
             block_index += 1
 
+    def to_words(self) -> List[int]:
+        """The payload as a kernel packed word list (zero-padded at the
+        end): one batched decode of every block (``rrr_decode_words``)."""
+        return kernel.as_int_list(
+            kernel.rrr_decode_words(self._handle(), 0, len(self._class_list))
+        )
+
     # ------------------------------------------------------------------
     @classmethod
     def _from_block_stream(
@@ -724,16 +714,19 @@ class IncrementalRRRBuilder:
         """Payload bits not yet encoded."""
         return max(0, self.length - self._cursor)
 
-    def encode_blocks(self, max_blocks: int) -> int:
+    def encode_blocks(self, max_blocks: int, available: Optional[int] = None) -> int:
         """Encode up to ``max_blocks`` further RRR blocks; returns how many.
 
         Each block costs one O(1)-word extraction plus one combinatorial
-        rank -- the bounded unit of freeze work per append.
+        rank -- the bounded unit of freeze work per append.  A producer
+        still filling :attr:`words` passes ``available``, the payload bits
+        written so far: only blocks wholly inside it are encoded.
         """
         encoded = 0
         block_size = self._block_size
         widths = self._width_by_class
-        while encoded < max_blocks and self._cursor < self.length:
+        limit = self.length if available is None else available - block_size
+        while encoded < max_blocks and self._cursor < self.length and self._cursor <= limit:
             start = self._cursor
             stop = min(start + block_size, self.length)
             width = stop - start

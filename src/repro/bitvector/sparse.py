@@ -30,7 +30,7 @@ from repro.bitvector.base import (
     validate_select_indexes,
 )
 from repro.bitvector.plain import PlainBitVector
-from repro.exceptions import OutOfBoundsError
+from repro.exceptions import OutOfBoundsError, SerializationError
 
 __all__ = ["EliasFanoSequence", "SparseBitVector"]
 
@@ -108,6 +108,16 @@ class EliasFanoSequence:
         self._high = PlainBitVector.from_words_image(
             image, prefix + "high.", meta["high"]
         )
+        if (
+            not 0 <= self._low_width <= 64
+            or self._n < 0
+            or len(self._low._words) != -(-self._n * self._low_width // 64)
+            or self._high.ones != self._n
+            or (self._n and self.select(self._n - 1) >= self._universe)
+        ):
+            raise SerializationError(
+                f"image meta for {prefix} does not match its sections"
+            )
         return self
 
     # ------------------------------------------------------------------
@@ -265,6 +275,31 @@ class SparseBitVector(StaticBitVector):
                 raise ValueError("duplicate 1-position")
         self._length = length
         self._positions = EliasFanoSequence(positions, universe=max(length, 1))
+
+    def to_words_image(self, sink, prefix: str) -> dict:
+        """Write the Elias-Fano one positions into an image sink."""
+        return {
+            "length": self._length,
+            "positions": self._positions.to_words_image(sink, prefix + "pos."),
+        }
+
+    @classmethod
+    def from_words_image(cls, image, prefix: str, meta: dict) -> "SparseBitVector":
+        """Open from a frozen image; the one positions alias it."""
+        self = cls.__new__(cls)
+        self._length = int(meta["length"])
+        self._positions = EliasFanoSequence.from_words_image(
+            image, prefix + "pos.", meta["positions"]
+        )
+        ones = len(self._positions)
+        if self._positions.universe != max(self._length, 1) or (
+            ones and self._positions[ones - 1] >= self._length
+        ):
+            raise SerializationError(
+                f"image meta for {prefix} says {self._length} bits, its one "
+                "positions do not fit"
+            )
+        return self
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "SparseBitVector":

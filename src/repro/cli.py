@@ -17,15 +17,14 @@ range-analytics queries against the compressed file:
    $ wavelet-trie delete access.wt 17 42 1000 --save
    $ wavelet-trie tiers access.wt
    $ wavelet-trie compact access.wt --save
-   $ wavelet-trie save access.wt -o access.rwt2 --image
-   $ wavelet-trie open access.rwt2
+   $ wavelet-trie open access.wt
    $ wavelet-trie search build access.log -o access.fm --sa-sample 32
    $ wavelet-trie search count access.fm "/checkout" "/cart"
    $ wavelet-trie search locate access.fm "ads.example" --limit 20
 
 Input files are plain text, one string per line (the empty string is a valid
-value; trailing newlines are stripped).  Indexes are stored in the
-:mod:`repro.storage` container format.  Every command accepts ``--json`` for
+value; trailing newlines are stripped).  Indexes are stored as RWT2 images
+(:mod:`repro.storage`).  Every command accepts ``--json`` for
 machine-readable output.
 """
 
@@ -45,8 +44,8 @@ from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.core.tiers import TieredWaveletTrie
 from repro.db.doc_store import DocumentStore
-from repro.exceptions import ReproError, SerializationError
-from repro.storage import IMAGE_MAGIC, load, save, save_image
+from repro.exceptions import ReproError
+from repro.storage import load, save
 
 __all__ = ["main", "build_parser"]
 
@@ -366,53 +365,12 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_save(args: argparse.Namespace) -> int:
-    index = load(args.index)
-    if args.image:
-        try:
-            written = save_image(index, args.output)
-        except SerializationError as error:
-            # Not every index has a frozen-image layout (e.g. static tries
-            # with RLE node bitvectors); fail with a way out instead of a
-            # bare serialisation error.
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                "hint: this index cannot be written as an RWT2 frozen image; "
-                "drop --image to save it in the RWT1 logical container, or "
-                "rebuild it with `build --variant static --bitvector rrr` "
-                "(RWT2 supports rrr/plain static layouts) and re-run save "
-                "--image on the result.",
-                file=sys.stderr,
-            )
-            return 1
-        container = "RWT2"
-    else:
-        written = save(index, args.output)
-        container = "RWT1"
-    payload = {
-        "input": args.index,
-        "output": args.output,
-        "container": container,
-        "stored_bytes": written,
-    }
-    _emit(
-        payload,
-        args.json,
-        [f"wrote {written:,} bytes to {args.output} ({container} container)"],
-    )
-    return 0
-
-
 def _cmd_open(args: argparse.Namespace) -> int:
-    with open(args.index, "rb") as handle:
-        magic = handle.read(len(IMAGE_MAGIC))
-    container = "RWT2" if magic == IMAGE_MAGIC else "RWT1"
     started = time.perf_counter()
     index = load(args.index)
     open_ms = (time.perf_counter() - started) * 1000.0
     payload = {
         "index": args.index,
-        "container": container,
         "type": type(index).__name__,
         "elements": len(index),
         "open_ms": round(open_ms, 3),
@@ -421,7 +379,7 @@ def _cmd_open(args: argparse.Namespace) -> int:
         payload,
         args.json,
         [
-            f"opened {args.index} ({container}) in {open_ms:.3f} ms: "
+            f"opened {args.index} in {open_ms:.3f} ms: "
             f"{type(index).__name__} with {len(index):,} elements"
         ],
     )
@@ -811,23 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(compact)
     compact.set_defaults(handler=_cmd_compact)
 
-    save_cmd = subparsers.add_parser(
-        "save", help="re-save an index, optionally as an RWT2 frozen image"
-    )
-    save_cmd.add_argument("index", help="existing index file (either container)")
-    save_cmd.add_argument("-o", "--output", required=True, help="output file")
-    save_cmd.add_argument(
-        "--image",
-        action="store_true",
-        help="write the RWT2 frozen image (mmap-openable) instead of RWT1",
-    )
-    add_common(save_cmd)
-    save_cmd.set_defaults(handler=_cmd_save)
-
     open_cmd = subparsers.add_parser(
         "open", help="open an index and report the cold-open latency"
     )
-    open_cmd.add_argument("index", help="index file (either container)")
+    open_cmd.add_argument("index", help="index file produced by `build`")
     add_common(open_cmd)
     open_cmd.set_defaults(handler=_cmd_open)
 
@@ -946,10 +891,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as error:
+    except (ReproError, OSError) as error:  # OSError: a path it cannot use
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
+from repro.bits.bitstring import Bits
 from repro.bitvector.append_only import AppendOnlyBitVector
 from repro.core.base import WaveletTrieBase
 from repro.core.growable import GrowableTopologyMixin
@@ -63,6 +64,10 @@ class AppendOnlyWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
     # ------------------------------------------------------------------
     def _new_constant_bitvector(self, bit: int, length: int) -> AppendOnlyBitVector:
         return AppendOnlyBitVector.init_run(bit, length, block_size=self._block_size)
+
+    def _bitvector_from_bits(self, bits: Bits) -> AppendOnlyBitVector:
+        """A node bitvector holding ``bits`` (how a thawed node is rebuilt)."""
+        return AppendOnlyBitVector(bits, block_size=self._block_size)
 
     # ------------------------------------------------------------------
     # Updates

@@ -15,6 +15,12 @@ contiguous rank range ``[lo, hi)``:
   ``kernel.partition_by_pivot`` call, the wavelet-tree build of Grossi,
   Gupta & Vitter, vectorised under the numpy backend.
 
+The nodes are made in preorder (0-child first), and their branch bits are
+concatenated in that order into one static bitvector, built by one
+``from_words`` call; each internal node holds a
+:class:`~repro.bitvector.window.BitvectorWindow` onto it (Theorem 3.7's
+concatenated node bitvectors).
+
 The work stack is explicit, so deep tries -- long URLs produce paths
 hundreds of bits deep -- never hit Python's recursion limit.
 """
@@ -24,7 +30,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bits import kernel
+from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
+from repro.bitvector.window import windows_over
 from repro.core.node import WaveletTrieNode
 from repro.exceptions import BinarizationError
 
@@ -87,55 +95,63 @@ def sort_codes(codes: Sequence[Bits]) -> List[int]:
 
 def build_wavelet_trie_nodes(
     codes: Sequence[Bits], rows: Sequence[int], bitvector_factory
-) -> Optional[WaveletTrieNode]:
+) -> Tuple[Optional[WaveletTrieNode], Any]:
     """Build the node tree of ``WT(S)`` from distinct codes and row indexes.
 
     ``codes`` are the distinct binarised values and ``rows[i]`` the index
-    of row ``i``'s code, as :func:`distinct_codes` returns them.
-    ``bitvector_factory.from_words(words, length)`` builds each internal
-    node's bitvector from its packed branch bits.
+    of row ``i``'s code, as :func:`distinct_codes` returns them.  Returns
+    ``(root, shared)``: ``shared`` is the one bitvector that
+    ``bitvector_factory.from_words(words, length)`` builds over every
+    internal node's branch bits in preorder, and each internal node's
+    bitvector is its window onto it.
 
     Raises :class:`BinarizationError` if the codes are not prefix-free
     (:func:`sort_codes`).
     """
-    if not rows:
-        return None
-    order = sort_codes(codes)
-    ordered = [codes[index] for index in order]
-    rank_of = [0] * len(codes)
-    for rank, index in enumerate(order):
-        rank_of[index] = rank
-    symbols = kernel.prepare_symbols([rank_of[code] for code in rows])
-
+    concatenated = BitBuffer()
+    internal: List[WaveletTrieNode] = []
+    lengths: List[int] = []
+    ones_of: List[int] = []
     root: Optional[WaveletTrieNode] = None
-    # Work items: (rank range, bits consumed above, the range's rows as
-    # ranks, parent node, branching bit under the parent).
-    stack: List[tuple] = [(0, len(ordered), 0, symbols, None, 0)]
-    while stack:
-        lo, hi, depth, symbols, parent, parent_bit = stack.pop()
-        first = ordered[lo]
-        if hi - lo == 1:
-            node = WaveletTrieNode(label=first.suffix_from(depth))
-        else:
-            lcp = first.lcp_length(ordered[hi - 1])
-            # The bit at ``lcp`` is 0 on ``first`` and 1 on the last value,
-            # and sorted order makes it monotone in between.
-            split, upper = lo + 1, hi - 1
-            while split < upper:
-                middle = (split + upper) // 2
-                if ordered[middle][lcp]:
-                    upper = middle
-                else:
-                    split = middle + 1
-            words, length, zeros, ones = kernel.partition_by_pivot(symbols, split)
-            node = WaveletTrieNode(
-                label=first.slice(depth, lcp),
-                bitvector=bitvector_factory.from_words(words, length),
-            )
-            stack.append((split, hi, lcp + 1, ones, node, 1))
-            stack.append((lo, split, lcp + 1, zeros, node, 0))
-        if parent is None:
-            root = node
-        else:
-            parent.attach(parent_bit, node)
-    return root
+    if rows:
+        order = sort_codes(codes)
+        ordered = [codes[index] for index in order]
+        rank_of = [0] * len(codes)
+        for rank, index in enumerate(order):
+            rank_of[index] = rank
+        symbols = kernel.prepare_symbols([rank_of[code] for code in rows])
+        # Work items: (rank range, bits consumed above, the range's rows as
+        # ranks, parent node, branching bit under the parent).
+        stack: List[tuple] = [(0, len(ordered), 0, symbols, None, 0)]
+        while stack:
+            lo, hi, depth, symbols, parent, parent_bit = stack.pop()
+            first = ordered[lo]
+            if hi - lo == 1:
+                node = WaveletTrieNode(label=first.suffix_from(depth))
+            else:
+                lcp = first.lcp_length(ordered[hi - 1])
+                # The bit at ``lcp`` is 0 on ``first`` and 1 on the last
+                # value, and sorted order makes it monotone in between.
+                split, upper = lo + 1, hi - 1
+                while split < upper:
+                    middle = (split + upper) // 2
+                    if ordered[middle][lcp]:
+                        upper = middle
+                    else:
+                        split = middle + 1
+                words, length, zeros, ones = kernel.partition_by_pivot(symbols, split)
+                node = WaveletTrieNode(label=first.slice(depth, lcp))
+                concatenated.append_words(words, length)
+                internal.append(node)
+                lengths.append(length)
+                ones_of.append(len(ones))
+                stack.append((split, hi, lcp + 1, ones, node, 1))
+                stack.append((lo, split, lcp + 1, zeros, node, 0))
+            if parent is None:
+                root = node
+            else:
+                parent.attach(parent_bit, node)
+    shared = bitvector_factory.from_words(concatenated.words(), len(concatenated))
+    for node, window in zip(internal, windows_over(shared, lengths, ones_of)):
+        node.bitvector = window
+    return root, shared

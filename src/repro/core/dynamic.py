@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.bits.bitstring import Bits
+from repro.bits.kernel import runs_of_value
 from repro.bitvector.base import validate_delete_positions
 from repro.bitvector.dynamic import DynamicBitVector
 from repro.core.base import WaveletTrieBase
@@ -53,9 +54,18 @@ class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
             self.append(value)
 
     # ------------------------------------------------------------------
-    def _new_constant_bitvector(self, bit: int, length: int) -> DynamicBitVector:
+    def _rotate_seed(self) -> int:
         self._next_seed = (self._next_seed * 6364136223846793005 + 1) % (1 << 63)
-        return DynamicBitVector.init_run(bit, length, seed=self._next_seed)
+        return self._next_seed
+
+    def _new_constant_bitvector(self, bit: int, length: int) -> DynamicBitVector:
+        return DynamicBitVector.init_run(bit, length, seed=self._rotate_seed())
+
+    def _bitvector_from_bits(self, bits: Bits) -> DynamicBitVector:
+        """A node bitvector holding ``bits`` (how a thawed node is rebuilt)."""
+        return DynamicBitVector.from_runs(
+            runs_of_value(bits.value, len(bits)), seed=self._rotate_seed()
+        )
 
     # ------------------------------------------------------------------
     # Updates

@@ -28,8 +28,16 @@ from repro.exceptions import InvalidOperationError, OutOfBoundsError
 __all__ = [
     "IndexedStringSequence",
     "check_select_prefix_index",
+    "check_top_k",
     "validate_select_prefix_indexes",
 ]
+
+
+def check_top_k(k: int) -> None:
+    """Reject a negative ``top_k_in_range`` count with the canonical error,
+    shared by every implementation (callers check the range first)."""
+    if k < 0:
+        raise OutOfBoundsError(f"top-k count must be non-negative, got {k}")
 
 
 def check_select_prefix_index(prefix: Any, idx: int, matches: int) -> None:

@@ -29,6 +29,7 @@ from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.bits import kernel
 from repro.bits.bitstring import Bits
+from repro.core.interface import check_top_k
 from repro.exceptions import OutOfBoundsError
 
 __all__ = ["RangeQueryMixin"]
@@ -248,9 +249,8 @@ class RangeQueryMixin:
         are visited.  Ties are broken by trie (lexicographic) order.
         """
         self._check_range(start, stop)
-        if k <= 0:
-            return []
-        if start >= stop or self._root is None:
+        check_top_k(k)
+        if k == 0 or start >= stop or self._root is None:
             return []
         node, lo, hi, accumulated = self._range_at_prefix(start, stop, prefix)
         if node is None or lo >= hi:

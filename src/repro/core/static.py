@@ -6,22 +6,27 @@ analytics in ``O(|s| + h_s)`` time, with node bitvectors stored in RRR
 compressed form so the total space is ``LT(Sset) + n H0(S)`` plus lower-order
 terms.
 
-The default in-memory layout is pointer-based (one Python object per trie
-node); :meth:`WaveletTrie.succinct_space_breakdown` additionally *measures*
-the Theorem 3.7 succinct layout -- DFUDS topology, concatenated labels with
-Elias-Fano delimiters, concatenated RRR encodings with their delimiters -- so
-the space experiments can report both the engineered and the succinct
-accounting.
+The topology is pointer-based (one Python object per trie node), and the
+node bitvectors follow Theorem 3.7: every internal node's bits are
+concatenated in preorder into one static bitvector, and each node holds a
+:class:`~repro.bitvector.window.BitvectorWindow` onto it.  The space
+reports charge that vector once, plus the partial sums delimiting the
+windows; :meth:`WaveletTrie.succinct_space_breakdown` additionally
+*measures* a DFUDS topology and concatenated labels, so the space
+experiments can report both the engineered and the succinct accounting.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.bits import kernel
+from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rle import RLEBitVector
-from repro.bitvector.rrr import RRRBitVector, check_shared_image_params
+from repro.bitvector.rrr import RRRBitVector
+from repro.bitvector.window import windows_over
 from repro.core.base import WaveletTrieBase
 from repro.core.builder import build_wavelet_trie_nodes, distinct_codes
 from repro.core.node import WaveletTrieNode
@@ -30,13 +35,65 @@ from repro.succinct.dfuds import DFUDSTree
 from repro.succinct.partial_sums import StaticPartialSums
 from repro.tries.binarize import StringCodec
 
-__all__ = ["WaveletTrie"]
+__all__ = ["WaveletTrie", "open_node_windows"]
 
 _BITVECTOR_FACTORIES = {
     "rrr": RRRBitVector,
     "plain": PlainBitVector,
     "rle": RLEBitVector,
 }
+
+
+def _flags_of_words(words, count: int) -> List[bool]:
+    """The first ``count`` bits of a packed word sequence, as booleans."""
+    if len(words) != -(-count // 64):
+        raise SerializationError(
+            f"a flag section holds {len(words)} words for {count} nodes"
+        )
+    if not count:
+        return []
+    digits = format(kernel.unpack_value(words, count), f"0{count}b")
+    return [digit == "1" for digit in digits]
+
+
+def open_node_windows(vector, node_offsets, flags: Sequence[bool], size: int, where: str):
+    """The internal nodes' windows onto ``vector``, checked against the topology.
+
+    ``node_offsets`` delimits the windows in preorder and ``flags`` marks
+    the internal nodes in preorder (0-child first).  The root's window must
+    hold ``size`` bits and every internal child's window as many bits as
+    its parent routes to it (the parent's count of the branch bit); one
+    ``rank_many`` on the shared vector gives every window's ones.
+    """
+    internal = sum(flags)
+    if len(node_offsets) != internal or node_offsets.total != len(vector):
+        raise SerializationError(
+            f"{where}: {len(node_offsets)} node windows over {node_offsets.total} "
+            f"bits for {internal} internal nodes and a {len(vector)}-bit vector"
+        )
+    starts = node_offsets.starts()
+    windows = windows_over(vector, [b - a for a, b in zip(starts, starts[1:])])
+    rows_due = [size] if flags else []
+    rank = 0
+    for flag in flags:
+        if not rows_due:
+            raise SerializationError(f"{where}: the node flags describe no tree")
+        rows = rows_due.pop()
+        if flag:
+            window = windows[rank]
+            if len(window) != rows:
+                raise SerializationError(
+                    f"{where}: stored size {size} does not match the root "
+                    f"window's {len(window)} bits"
+                    if not rank
+                    else f"{where}: node window {rank} holds {len(window)} "
+                    f"bits, {rows} rows reach it"
+                )
+            rows_due += [window.ones, rows - window.ones]
+            rank += 1
+    if rows_due:
+        raise SerializationError(f"{where}: the node flags end inside the tree")
+    return windows
 
 
 class WaveletTrie(WaveletTrieBase):
@@ -94,125 +151,140 @@ class WaveletTrie(WaveletTrieBase):
 
     def _build(self, values: Iterable[Any], encode) -> None:
         codes, rows = distinct_codes(values, encode)
-        self._root = build_wavelet_trie_nodes(
-            codes, rows, _BITVECTOR_FACTORIES[self._bitvector_kind]
+        self._set_nodes(
+            *build_wavelet_trie_nodes(
+                codes, rows, _BITVECTOR_FACTORIES[self._bitvector_kind]
+            ),
+            len(rows),
         )
-        self._size = len(rows)
+
+    def _set_nodes(self, root, shared, size: int) -> None:
+        """Install a node tree whose internal nodes are windows onto
+        ``shared``, in preorder."""
+        self._root = root
+        self._bitvector = shared
+        self._size = size
+        self._node_offsets = None
+
+    @classmethod
+    def from_nodes(
+        cls, root, shared, size: int, codec: StringCodec, kind: str = "rrr"
+    ) -> "WaveletTrie":
+        """Wrap a node tree built elsewhere (the freezer, an image open).
+
+        ``shared`` is the concatenated node bitvector of kind ``kind`` and
+        every internal node's bitvector a window onto it, in preorder.
+        """
+        trie = cls([], codec=codec, bitvector=kind)
+        trie._set_nodes(root, shared, size)
+        return trie
 
     @property
     def bitvector_kind(self) -> str:
         """Which static bitvector the internal nodes use."""
         return self._bitvector_kind
 
+    @property
+    def node_bitvector(self):
+        """The one bitvector holding every internal node's bits, in preorder."""
+        return self._bitvector
+
+    def node_offsets(self) -> StaticPartialSums:
+        """The partial sums delimiting the node windows (built once)."""
+        if self._node_offsets is None:
+            self._node_offsets = StaticPartialSums(
+                len(node.bitvector) for node in self.nodes() if not node.is_leaf
+            )
+        return self._node_offsets
+
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
-    _IMAGE_BITVECTOR_LOADERS = {
-        "rrr": RRRBitVector.from_words_image,
-        "plain": PlainBitVector.from_words_image,
-    }
-
     def to_words_image(self, sink, prefix: str = "") -> dict:
-        """Write the trie into a frozen-image sink (word-array kinds only).
+        """Write the trie into a frozen-image sink as a fixed set of sections.
 
-        The topology and labels go into the meta as one *flat preorder*
-        node list ``[is_internal, label_value, label_length]`` (iterative,
-        so deep Patricia chains cannot hit recursion or JSON nesting
-        limits); internal node ``r`` (by preorder internal rank) writes its
-        bitvector's sections under ``prefix + "n{r}."``.  Only ``"rrr"``
-        and ``"plain"`` node bitvectors have a word-array image layout;
-        ``"rle"`` tries must use the RWT1 logical container instead.
+        ``bv.*`` holds the shared node bitvector's own sections, ``labels``
+        the labels packed in preorder and ``loff.*`` their delimiters,
+        ``int`` the preorder internal flags and ``noff.*`` the node-window
+        delimiters.  The header meta is O(1) in the node count.
         """
-        if self._bitvector_kind not in self._IMAGE_BITVECTOR_LOADERS:
-            raise SerializationError(
-                f"WaveletTrie with {self._bitvector_kind!r} node bitvectors "
-                "has no frozen-image layout; save it with the RWT1 logical "
-                "container instead"
-            )
-        nodes: list = []
-        bv_metas: list = []
-        if self._root is not None:
-            stack = [self._root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    nodes.append([0, node.label.value, len(node.label)])
-                else:
-                    nodes.append([1, node.label.value, len(node.label)])
-                    bv_metas.append(
-                        node.bitvector.to_words_image(
-                            sink, f"{prefix}n{len(bv_metas)}."
-                        )
-                    )
-                    stack.append(node.children[1])
-                    stack.append(node.children[0])
+        labels = BitBuffer()
+        flags = BitBuffer()
+        label_lengths: List[int] = []
+        for node in self.nodes():
+            labels.append_bits(node.label)
+            label_lengths.append(len(node.label))
+            flags.append(0 if node.is_leaf else 1)
+        sink.add_u64(prefix + "labels", labels.words())
+        sink.add_u64(prefix + "int", flags.words())
         return {
             "size": self._size,
             "kind": self._bitvector_kind,
-            "nodes": nodes,
-            "bitvectors": bv_metas,
+            "nodes": len(label_lengths),
+            "bitvector": self._bitvector.to_words_image(sink, prefix + "bv."),
+            "label_offsets": StaticPartialSums(label_lengths).to_words_image(
+                sink, prefix + "loff."
+            ),
+            "node_offsets": self.node_offsets().to_words_image(sink, prefix + "noff."),
         }
 
     @classmethod
     def from_words_image(
         cls, image, prefix: str, meta: dict, codec: Optional[StringCodec] = None
     ) -> "WaveletTrie":
-        """Open from a frozen image; node bitvectors alias the buffer.
+        """Open from a frozen image; the shared node bitvector aliases it.
 
-        Rebuilds only the lightweight node shell objects (one per trie
-        node); no bitvector is decoded or re-encoded.  The preorder node
-        list is replayed iteratively: after an internal node, the next
-        subtree in the list is its 0-child, then its 1-child.  An internal
-        child's bitvector must be as long as the count of its branch bit in
-        the parent's (the root's length is the caller's check).
+        Rebuilds only the lightweight node shells (one per trie node) and
+        their windows: no bitvector is decoded or re-encoded.  The preorder
+        is replayed iteratively: after an internal node, the next subtree
+        is its 0-child, then its 1-child.  :func:`open_node_windows` checks
+        every window against the rows routed to it.
         """
         kind = meta["kind"]
-        loader = cls._IMAGE_BITVECTOR_LOADERS.get(kind)
-        if loader is None:
+        factory = _BITVECTOR_FACTORIES.get(kind)
+        if factory is None:
             raise SerializationError(
                 f"unknown node-bitvector kind {kind!r} in frozen image"
             )
-        self = cls([], codec=codec, bitvector=kind)
-        self._size = int(meta["size"])
-        nodes_meta = meta["nodes"]
-        if not nodes_meta:
-            self._root = None
-            return self
-        bv_metas = meta["bitvectors"]
-        internal_rank = 0
+        where = f"trie {prefix!r}"
+        size = int(meta["size"])
+        count = int(meta["nodes"])
+        shared = factory.from_words_image(image, prefix + "bv.", meta["bitvector"])
+        label_offsets = StaticPartialSums.from_words_image(
+            image, prefix + "loff.", meta["label_offsets"]
+        )
+        node_offsets = StaticPartialSums.from_words_image(
+            image, prefix + "noff.", meta["node_offsets"]
+        )
+        label_words = image.words(prefix + "labels")
+        flags = _flags_of_words(image.words(prefix + "int"), count)
+        if len(label_offsets) != count or len(label_words) != -(
+            -label_offsets.total // 64
+        ):
+            raise SerializationError(
+                f"{where}: {len(label_offsets)} labels over {label_offsets.total} "
+                f"bits for {count} nodes and {len(label_words)} label words"
+            )
+        if not count and size:
+            raise SerializationError(f"stored size {size} for an empty trie")
+        windows = iter(open_node_windows(shared, node_offsets, flags, size, where))
+        bounds = label_offsets.starts()
         root = None
         pending: list = []  # (parent, bit) slots awaiting the next subtree
-        for is_internal, value, length in nodes_meta:
-            label = Bits(int(value), int(length))
-            if is_internal:
-                vector = loader(
-                    image, f"{prefix}n{internal_rank}.", bv_metas[internal_rank]
-                )
-                internal_rank += 1
-                node = WaveletTrieNode(label, vector)
-            else:
-                node = WaveletTrieNode(label)
+        for flag, start, stop in zip(flags, bounds, bounds[1:]):
+            label = Bits(kernel.extract_bits_value(label_words, start, stop), stop - start)
+            node = WaveletTrieNode(label, next(windows) if flag else None)
             if root is None:
                 root = node
             else:
                 parent, bit = pending.pop()
-                if is_internal and len(vector) != parent.bitvector.count(bit):
-                    raise SerializationError(
-                        f"frozen image node {prefix}n{internal_rank - 1}. "
-                        f"holds {len(vector)} bits, its parent routes "
-                        f"{parent.bitvector.count(bit)} rows to it"
-                    )
                 parent.attach(bit, node)
-            if is_internal:
+            if flag:
                 pending.append((node, 1))
                 pending.append((node, 0))
-        if pending:
-            raise SerializationError(
-                "frozen image node list is truncated (dangling child slots)"
-            )
-        check_shared_image_params(bv_metas[:internal_rank], f"trie {prefix!r}")
-        self._root = root
-        return self
+        trie = cls.from_nodes(root, shared, size, codec, kind)
+        trie._node_offsets = node_offsets
+        return trie
 
     # ------------------------------------------------------------------
     # Updates are rejected: the structure is static.
@@ -246,32 +318,37 @@ class WaveletTrie(WaveletTrieBase):
         )
         return dfuds.size_in_bits()
 
+    def bitvector_bits(self) -> int:
+        """The shared node bitvector, charged once, plus the partial sums
+        that delimit the node windows (tracks ``n H0(S)``)."""
+        if self._root is None or self._root.is_leaf:
+            return 0
+        return self._bitvector.size_in_bits() + self.node_offsets().size_in_bits()
+
+    def size_in_bits(self) -> int:
+        """Measured size: labels + node bitvectors + topology pointers."""
+        nodes = self.node_count()
+        return self.label_bits() + self.bitvector_bits() + nodes * 4 * 64
+
     def succinct_space_breakdown(self) -> Dict[str, float]:
         """The Theorem 3.7 decomposition, measured on this instance.
 
         Components: DFUDS topology, concatenated labels ``L``, label
-        delimiters, concatenated node-bitvector encodings, encoding
-        delimiters.  All in bits.
+        delimiters, the concatenated node bitvector, and the partial sums
+        delimiting its node windows.  All in bits.
         """
         if self._root is None:
             return {
                 "topology": 0, "labels": 0, "label_delimiters": 0,
                 "bitvectors": 0, "bitvector_delimiters": 0, "total": 0,
             }
-        label_lengths = []
-        bitvector_sizes = []
-        for node in self.nodes():
-            label_lengths.append(len(node.label))
-            if node.bitvector is not None:
-                bitvector_sizes.append(node.bitvector.size_in_bits())
+        label_lengths = [len(node.label) for node in self.nodes()]
         topology = self.succinct_topology_bits()
         labels = sum(label_lengths)
         label_delimiters = StaticPartialSums(label_lengths).size_in_bits()
-        bitvectors = sum(bitvector_sizes)
-        bitvector_delimiters = (
-            StaticPartialSums(bitvector_sizes).size_in_bits()
-            if bitvector_sizes else 0
-        )
+        internal = not self._root.is_leaf
+        bitvectors = self._bitvector.size_in_bits() if internal else 0
+        bitvector_delimiters = self.node_offsets().size_in_bits() if internal else 0
         total = topology + labels + label_delimiters + bitvectors + bitvector_delimiters
         return {
             "topology": topology,

@@ -8,8 +8,11 @@ components of the paper's static representation and *navigates through them*:
 * the trie topology as a DFUDS parenthesis sequence (``2k + o(k)`` bits);
 * the node labels concatenated in preorder in one bitvector ``L``, delimited
   by an Elias-Fano partial-sum structure;
-* one RRR bitvector per internal node, indexed by the node's *internal rank*
-  (the equivalent of concatenating the encodings and delimiting them);
+* the internal nodes' bitvectors concatenated in preorder into one RRR
+  bitvector, delimited the same way; a node's bitvector is its
+  :class:`~repro.bitvector.window.BitvectorWindow` onto it, indexed by the
+  node's *internal rank* -- the same vector the pointer
+  :class:`~repro.core.static.WaveletTrie` stores;
 * a small indicator bitvector marking which preorder nodes are internal.
 
 Queries run the one engine every Wavelet Trie runs
@@ -22,61 +25,21 @@ supported (the structure is static by construction).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional
 
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
 from repro.bitvector.plain import PlainBitVector
-from repro.bitvector.rrr import RRRBitVector, check_shared_image_params
+from repro.bitvector.rrr import RRRBitVector
 from repro.core.base import WaveletTrieBase
 from repro.core.node import WaveletTrieNode
-from repro.core.static import WaveletTrie
+from repro.core.static import WaveletTrie, open_node_windows
 from repro.exceptions import ImmutableStructureError, SerializationError
 from repro.succinct.dfuds import DFUDSTree
 from repro.succinct.partial_sums import StaticPartialSums
 from repro.tries.binarize import StringCodec
 
 __all__ = ["SuccinctWaveletTrie"]
-
-
-class _LazyNodeBitvectors:
-    """Per-internal-node RRR views over a frozen image, materialised lazily.
-
-    Keeps frozen-image opens O(1) in the node count: the wrapper object for
-    an internal node's bitvector is built (zero-copy, from the image's
-    sections) on first access and cached.  Quacks like the eager list the
-    in-memory build stores in ``_bitvectors``.
-    """
-
-    __slots__ = ("_image", "_prefix", "_metas", "_cache")
-
-    def __init__(self, image, prefix: str, metas: Sequence[dict]) -> None:
-        self._image = image
-        self._prefix = prefix
-        self._metas = metas
-        self._cache: List[Optional[RRRBitVector]] = [None] * len(metas)
-
-    def __len__(self) -> int:
-        return len(self._metas)
-
-    def __getitem__(self, rank: int) -> RRRBitVector:
-        vector = self._cache[rank]
-        if vector is None:
-            try:
-                vector = RRRBitVector.from_words_image(
-                    self._image, f"{self._prefix}bv{rank}.", self._metas[rank]
-                )
-            except (KeyError, TypeError, ValueError, OverflowError) as error:
-                # The wrap runs inside a query, past the open's own handler.
-                raise SerializationError(
-                    f"malformed image meta for node bitvector {rank} "
-                    f"({type(error).__name__}: {error})"
-                ) from error
-            self._cache[rank] = vector
-        return vector
-
-    def __iter__(self):
-        return (self[rank] for rank in range(len(self._metas)))
 
 
 class _SuccinctNode:
@@ -108,7 +71,7 @@ class _SuccinctNode:
         self.label = trie._label(index)
         flags = trie._is_internal
         self.bitvector = (
-            trie._bitvectors[flags.rank(1, index)] if flags.access(index) else None
+            trie._windows[flags.rank(1, index)] if flags.access(index) else None
         )
 
     @property
@@ -147,54 +110,52 @@ class SuccinctWaveletTrie(WaveletTrieBase):
 
     def _init_from_pointer(self, pointer_trie: WaveletTrie) -> None:
         """Flatten ``pointer_trie`` in preorder (children visited 0 then 1,
-        matching the DFUDS child order) into the succinct components."""
+        matching the DFUDS child order) into the succinct components; its
+        shared node bitvector is kept as it is when it is RRR."""
         self._size = len(pointer_trie)
         if pointer_trie.root is None:
-            self._set_components(None, None, None, None, [])
+            self._set_components(None, None, None, None, None, None)
             return
         degrees: List[int] = []
         labels: List[Bits] = []
         internal_flags: List[int] = []
-        bitvectors: List[RRRBitVector] = []
-        stack = [pointer_trie.root]
-        while stack:
-            node = stack.pop()
+        for node in pointer_trie.nodes():
             labels.append(node.label)
-            if node.is_leaf:
-                degrees.append(0)
-                internal_flags.append(0)
-            else:
-                degrees.append(2)
-                internal_flags.append(1)
-                vector = node.bitvector
-                if not isinstance(vector, RRRBitVector):
-                    vector = RRRBitVector(
-                        Bits.from_iterable(vector.iter_range(0, len(vector)))
-                    )
-                bitvectors.append(vector)
-                stack.append(node.children[1])
-                stack.append(node.children[0])
+            degrees.append(0 if node.is_leaf else 2)
+            internal_flags.append(0 if node.is_leaf else 1)
+        vector = pointer_trie.node_bitvector
+        if not isinstance(vector, RRRBitVector):
+            vector = RRRBitVector(Bits.from_iterable(vector.iter_range(0, len(vector))))
         buffer = BitBuffer()
         for label in labels:
             buffer.append_bits(label)
+        node_offsets = pointer_trie.node_offsets()
         self._set_components(
             DFUDSTree.from_degrees(degrees),
             PlainBitVector(buffer.to_bits()),
             StaticPartialSums(len(label) for label in labels),
             PlainBitVector(internal_flags),
-            bitvectors,
+            vector,
+            node_offsets,
+            open_node_windows(
+                vector, node_offsets, internal_flags, self._size, "a succinct trie"
+            ),
         )
 
     def _set_components(
-        self, dfuds, labels, label_offsets, is_internal, bitvectors
+        self, dfuds, labels, label_offsets, is_internal, bitvector, node_offsets,
+        windows=(),
     ) -> None:
-        """Store the Theorem 3.7 components (None for the empty trie) and
-        the root's handle, which the shared query engine starts from."""
+        """Store the Theorem 3.7 components (None for the empty trie), the
+        internal nodes' windows and the root's handle, which the shared
+        query engine starts from."""
         self._dfuds = dfuds
         self._labels = labels
         self._label_offsets = label_offsets
         self._is_internal = is_internal
-        self._bitvectors = bitvectors
+        self._bitvector = bitvector
+        self._node_offsets = node_offsets
+        self._windows = list(windows)
         self._root = _SuccinctNode(self, 0) if dfuds is not None else None
 
     def _label(self, node: int) -> Bits:
@@ -215,8 +176,9 @@ class SuccinctWaveletTrie(WaveletTrieBase):
 
         The codec is *not* recorded here; the storage layer stores it in the
         container header and passes it back to :meth:`from_words_image`.
-        Internal node ``r`` (by internal rank) writes its RRR bitvector
-        under section prefix ``prefix + "bv{r}."``.
+        The section set is fixed: ``dfuds.*``, ``labels.*``, ``loff.*``,
+        ``int.*``, the shared node bitvector's ``bv.*`` and its window
+        delimiters ``noff.*``.
         """
         if self._dfuds is None:
             return {"size": self._size, "empty": True}
@@ -229,23 +191,19 @@ class SuccinctWaveletTrie(WaveletTrieBase):
                 sink, prefix + "loff."
             ),
             "is_internal": self._is_internal.to_words_image(sink, prefix + "int."),
-            "bitvectors": [
-                vector.to_words_image(sink, f"{prefix}bv{rank}.")
-                for rank, vector in enumerate(self._bitvectors)
-            ],
+            "bitvector": self._bitvector.to_words_image(sink, prefix + "bv."),
+            "node_offsets": self._node_offsets.to_words_image(sink, prefix + "noff."),
         }
 
     @classmethod
     def from_words_image(
         cls, image, prefix: str, meta: dict, codec: Optional[StringCodec] = None
     ) -> "SuccinctWaveletTrie":
-        """Open from a frozen image, wrapping no node bitvector but the root's.
+        """Open from a frozen image; every component aliases the buffer.
 
-        Topology, labels and flags alias the mapped buffer; the per-node RRR
-        bitvectors are wrapped lazily on first touch (each wrap is itself
-        zero-copy, and checks its meta against its arrays).  One pass over
-        the header's node metas, the same O(nodes) as parsing them, checks
-        that each node's stored length is the number of rows routed to it.
+        One pass over the internal flags, the same O(nodes) as building
+        the windows, checks that each node window holds the rows routed to
+        it (:func:`~repro.core.static.open_node_windows`).
         """
         self = cls.__new__(cls)
         WaveletTrieBase.__init__(self, codec)
@@ -255,7 +213,7 @@ class SuccinctWaveletTrie(WaveletTrieBase):
                 raise SerializationError(
                     f"stored size {self._size} for an empty succinct trie"
                 )
-            self._set_components(None, None, None, None, [])
+            self._set_components(None, None, None, None, None, None)
             return self
         dfuds = DFUDSTree.from_words_image(image, prefix + "dfuds.", meta["dfuds"])
         labels = PlainBitVector.from_words_image(
@@ -267,40 +225,27 @@ class SuccinctWaveletTrie(WaveletTrieBase):
         is_internal = PlainBitVector.from_words_image(
             image, prefix + "int.", meta["is_internal"]
         )
-        self._check_node_metas(is_internal, meta["bitvectors"])
+        vector = RRRBitVector.from_words_image(image, prefix + "bv.", meta["bitvector"])
+        node_offsets = StaticPartialSums.from_words_image(
+            image, prefix + "noff.", meta["node_offsets"]
+        )
+        nodes = len(is_internal)
+        if dfuds.node_count != nodes or len(label_offsets) != nodes:
+            raise SerializationError(
+                f"succinct trie {prefix!r}: {dfuds.node_count} DFUDS nodes, "
+                f"{len(label_offsets)} labels and {nodes} internal flags"
+            )
+        windows = open_node_windows(
+            vector,
+            node_offsets,
+            list(is_internal.iter_range(0, nodes)),
+            self._size,
+            f"succinct trie {prefix!r}",
+        )
         self._set_components(
-            dfuds,
-            labels,
-            label_offsets,
-            is_internal,
-            _LazyNodeBitvectors(image, prefix, meta["bitvectors"]),
+            dfuds, labels, label_offsets, is_internal, vector, node_offsets, windows
         )
         return self
-
-    def _check_node_metas(self, is_internal, metas: Sequence[dict]) -> None:
-        """Each internal node's stored length must be the rows routed to it:
-        the sequence length at the root, the count of the branch bit in the
-        parent below it (preorder visits the 0-child's subtree first).  And
-        all nodes share one block size and sample rate."""
-        rows_due = [self._size]
-        rank = 0
-        for flag in is_internal.iter_range(0, len(is_internal)):
-            rows = rows_due.pop()
-            if not flag:
-                continue
-            length, ones = int(metas[rank]["length"]), int(metas[rank]["ones"])
-            if length != rows or not 0 <= ones <= length:
-                raise SerializationError(
-                    f"succinct node bitvector {rank} stores {length} bits "
-                    f"with {ones} ones; {rows} rows reach it"
-                )
-            rows_due += [ones, length - ones]
-            rank += 1
-        if rank != len(metas) or rows_due:
-            raise SerializationError(
-                "succinct node metas do not match the internal-node flags"
-            )
-        check_shared_image_params(metas, "a succinct trie")
 
     # ------------------------------------------------------------------
     # Updates are rejected
@@ -331,6 +276,12 @@ class SuccinctWaveletTrie(WaveletTrieBase):
         """Total measured size of the succinct layout."""
         return sum(self.space_breakdown().values())
 
+    def bitvector_bits(self) -> int:
+        """The shared node bitvector, charged once, plus its window
+        delimiters."""
+        breakdown = self.space_breakdown()
+        return breakdown["bitvectors"] + breakdown["bitvector_delimiters"]
+
     def space_breakdown(self) -> dict:
         """Sizes of the Theorem 3.7 components, in bits."""
         if self._dfuds is None:
@@ -342,15 +293,14 @@ class SuccinctWaveletTrie(WaveletTrieBase):
                 "bitvectors": 0,
                 "bitvector_delimiters": 0,
             }
-        bitvector_sizes = [vector.size_in_bits() for vector in self._bitvectors]
+        internal = bool(len(self._node_offsets))
         return {
             "topology_dfuds": self._dfuds.size_in_bits(),
             "labels": self._labels.size_in_bits(),
             "label_delimiters": self._label_offsets.size_in_bits(),
             "internal_flags": self._is_internal.size_in_bits(),
-            "bitvectors": sum(bitvector_sizes),
+            "bitvectors": self._bitvector.size_in_bits() if internal else 0,
             "bitvector_delimiters": (
-                StaticPartialSums(bitvector_sizes).size_in_bits()
-                if bitvector_sizes else 0
+                self._node_offsets.size_in_bits() if internal else 0
             ),
         }

@@ -6,15 +6,16 @@ system needs all three *at once*: a small mutable tier absorbing writes in
 front of immutable compressed tiers, LSM-style.  This module holds the one
 freeze path between flavours:
 
-``TrieFreezer`` / ``freeze_trie``
-    The dynamic/append-only -> static RRR transition.  ``TrieFreezer``
-    de-amortises it with the same budgeted pattern as
-    :class:`~repro.bitvector.rrr.IncrementalRRRBuilder` (Lemma 4.7): each
-    :meth:`~TrieFreezer.step` call performs a bounded number of block-sized
-    units of extraction/encoding work, so a caller can spread a whole-trie
-    freeze over many writes with no stop-the-world pass.  ``freeze_trie`` is
-    the one-shot form; :mod:`repro.storage` routes all trie freezing through
-    it (storage keeps only serialization).
+``TrieFreezer`` / ``freeze_trie`` / ``thaw``
+    The dynamic/append-only -> static RRR transition and back.
+    ``TrieFreezer`` de-amortises the freeze with the same budgeted pattern
+    as :class:`~repro.bitvector.rrr.IncrementalRRRBuilder` (Lemma 4.7):
+    each :meth:`~TrieFreezer.step` call performs a bounded number of
+    block-sized units of extraction/encoding work, so a caller can spread a
+    whole-trie freeze over many writes with no stop-the-world pass.
+    ``freeze_trie`` is the one-shot form, and ``thaw`` rebuilds a growable
+    trie node for node from its frozen snapshot; :mod:`repro.storage`
+    writes a growable trie as its snapshot and thaws it on open.
 
 ``TieredWaveletTrie``
     The LSM composition built on top: one mutable dynamic tail tier plus an
@@ -42,6 +43,7 @@ from bisect import bisect_right
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bits import kernel
+from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
 from repro.bitvector.base import (
     normalize_batch,
@@ -52,11 +54,13 @@ from repro.bitvector.rrr import (
     _DEFAULT_BLOCK,
     _DEFAULT_SAMPLE,
     IncrementalRRRBuilder,
-    RRRBitVector,
 )
+from repro.bitvector.window import windows_over
+from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.interface import (
     IndexedStringSequence,
     check_select_prefix_index,
+    check_top_k,
     validate_select_prefix_indexes,
 )
 from repro.core.node import WaveletTrieNode
@@ -69,7 +73,7 @@ from repro.exceptions import (
 )
 from repro.tries.binarize import StringCodec, default_codec
 
-__all__ = ["TieredWaveletTrie", "TrieFreezer", "freeze_trie"]
+__all__ = ["TieredWaveletTrie", "TrieFreezer", "freeze_trie", "thaw"]
 
 # One extraction unit: 4096 bits = exactly 64 packed words, so consecutive
 # full chunks concatenate on word boundaries.
@@ -86,13 +90,16 @@ class TrieFreezer:
     """De-amortised snapshot of a growable trie into a static RRR trie.
 
     Clones the Patricia topology up front (O(nodes), no payload work), then
-    per internal node runs two budgeted phases: *extraction* pulls the live
-    bitvector's content into kernel packed words in word-aligned chunks, and
-    *encoding* feeds those words through an
-    :class:`~repro.bitvector.rrr.IncrementalRRRBuilder`.  One unit of budget
-    is one RRR block (``block_size`` bits) of either phase, so
-    :meth:`step`'s worst-case cost is O(budget) blocks regardless of trie
-    size -- the Lemma 4.7 de-amortisation applied to a whole trie.
+    per internal node, in preorder, runs two budgeted phases: *extraction*
+    appends the live bitvector's content to one concatenated packed buffer
+    in word-aligned chunks, and *encoding* advances one
+    :class:`~repro.bitvector.rrr.IncrementalRRRBuilder` over that buffer,
+    which encodes only the blocks the buffer already holds whole.  One unit
+    of budget is one RRR block (``block_size`` bits) of either phase, and a
+    node is charged the blocks of its own bits, so :meth:`step`'s
+    worst-case cost is O(budget) blocks regardless of trie size -- the
+    Lemma 4.7 de-amortisation applied to a whole trie.  The frozen trie's
+    nodes are windows onto the one encoded vector.
 
     The source trie must not change length while a freeze is in flight;
     :meth:`step` raises :class:`~repro.exceptions.InvalidOperationError` if
@@ -100,9 +107,8 @@ class TrieFreezer:
     sealing discipline, as :class:`TieredWaveletTrie` does).
 
     With the default ``block_size``/``sample_rate`` the result is
-    structurally identical to building ``RRRBitVector`` over each node's
-    content in one shot: classes and offsets are deterministic functions of
-    the payload.
+    structurally identical to the static builder's over the same content:
+    classes and offsets are deterministic functions of the payload.
     """
 
     def __init__(
@@ -116,52 +122,55 @@ class TrieFreezer:
         self._block_size = block_size
         self._sample_rate = sample_rate
 
-        frozen = WaveletTrie([], codec=trie.codec, bitvector="rrr")
-        frozen._size = len(trie)
         pairs: List[Tuple[WaveletTrieNode, WaveletTrieNode]] = []
+        root_clone = None
         root = trie.root
         if root is not None:
             root_clone = WaveletTrieNode(root.label)
             stack = [(root, root_clone)]
-            while stack:
+            while stack:  # preorder, 0-child first: the shared vector's order
                 original, copy = stack.pop()
                 if original.is_leaf:
                     continue
                 pairs.append((original, copy))
-                for bit in (0, 1):
+                for bit in (1, 0):
                     child = original.children[bit]
                     child_copy = WaveletTrieNode(child.label)
                     copy.attach(bit, child_copy)
                     stack.append((child, child_copy))
-            frozen._root = root_clone
-        self._frozen = frozen
+        self._root = root_clone
         self._pairs = pairs
+        self._lengths = [len(source.bitvector) for source, _ in pairs]
+        self._ones: List[int] = []  # per extracted node
         self._index = 0
-        # Extraction state for the node at self._index.
+        # The node at self._index: its extraction cursor, then the block
+        # units its encoding phase has left (None while extracting).
         self._extract_cursor = 0
-        self._words: List[int] = []
-        self._ones = 0
-        self._builder: Optional[IncrementalRRRBuilder] = None
+        self._encode_due: Optional[int] = None
+        self._buffer = BitBuffer()
+        self._builder = IncrementalRRRBuilder(
+            self._buffer.full_words,  # grows as nodes are extracted
+            sum(self._lengths),
+            0,  # the ones of the payload are never read while it fills
+            block_size=block_size,
+            sample_rate=sample_rate,
+        )
+        self._frozen: Optional[WaveletTrie] = None
+        if not pairs:
+            self._install()
 
     @property
     def done(self) -> bool:
-        """True once every internal node's bitvector has been encoded."""
-        return self._index >= len(self._pairs)
+        """True once the shared node bitvector has been encoded."""
+        return self._frozen is not None
 
     @property
     def pending_bits(self) -> int:
         """Payload bits still to extract or encode (a progress gauge)."""
         if self.done:
             return 0
-        pending = sum(
-            len(source.bitvector) for source, _ in self._pairs[self._index + 1 :]
-        )
-        if self._builder is not None:
-            pending += self._builder.pending_bits
-        else:
-            current = self._pairs[self._index][0].bitvector
-            pending += len(current) - self._extract_cursor
-        return pending
+        total = self._builder.length
+        return (total - len(self._buffer)) + self._builder.pending_bits
 
     def _check_source(self) -> None:
         if len(self._source) != self._expected_size:
@@ -169,6 +178,49 @@ class TrieFreezer:
                 "trie mutated while a freeze was in flight: length "
                 f"{len(self._source)} != sealed length {self._expected_size}"
             )
+
+    def _install(self) -> None:
+        """Finish the shared vector and point every cloned internal node at
+        its window onto it."""
+        shared = self._builder.finish()
+        windows = windows_over(shared, self._lengths, self._ones)
+        for (_, copy), window in zip(self._pairs, windows):
+            copy.bitvector = window
+        self._frozen = WaveletTrie.from_nodes(
+            self._root, shared, self._expected_size, self._source.codec
+        )
+
+    def _extract(self) -> int:
+        """One chunk of the current node's bits into the buffer; returns the
+        block units it cost."""
+        source = self._pairs[self._index][0].bitvector
+        length = self._lengths[self._index]
+        start = self._extract_cursor
+        stop = min(start + _EXTRACT_CHUNK_BITS, length)
+        width = stop - start
+        if not start:
+            self._ones.append(0)
+        if width:
+            value = 0
+            iter_runs = getattr(source, "iter_runs", None)
+            if iter_runs is not None:
+                # Run-aware fast path (DynamicBitVector): O(runs) big-int
+                # splicing instead of a per-bit python loop.
+                for bit, run in iter_runs(start, stop):
+                    value <<= run
+                    if bit:
+                        value |= (1 << run) - 1
+            else:
+                value = Bits.from_iterable(source.iter_range(start, stop)).value
+            self._buffer.append_int(value, width)
+            self._ones[-1] += value.bit_count()
+        self._extract_cursor = stop
+        if stop >= length:
+            self._encode_due = -(-length // self._block_size)
+            if self._index == len(self._pairs) - 1:
+                # The payload is complete: hand the builder its final words.
+                self._builder.words = self._buffer.words()
+        return max(1, width // self._block_size)
 
     def step(self, budget: int = 64) -> int:
         """Perform up to ``budget`` block-sized units of freeze work.
@@ -182,46 +234,25 @@ class TrieFreezer:
         self._check_source()
         done = 0
         while done < budget and not self.done:
-            if self._builder is not None:
+            if self._encode_due is None:
+                done += self._extract()
+            elif self._index < len(self._pairs) - 1:
+                # Charge the node its own blocks; encode those the buffer
+                # already holds whole.
+                units = min(budget - done, self._encode_due)
+                self._builder.encode_blocks(units, 64 * len(self._buffer.full_words))
+                done += units
+                self._encode_due -= units
+                if not self._encode_due:
+                    self._index += 1
+                    self._extract_cursor = 0
+                    self._encode_due = None
+            else:
+                # The last node's bits close the payload: encode the rest
+                # (at least the block holding its last bit).
                 done += self._builder.encode_blocks(budget - done)
                 if self._builder.done:
-                    self._pairs[self._index][1].bitvector = self._builder.finish()
-                    self._builder = None
-                    self._index += 1
-                continue
-            source = self._pairs[self._index][0].bitvector
-            length = len(source)
-            start = self._extract_cursor
-            stop = min(start + _EXTRACT_CHUNK_BITS, length)
-            width = stop - start
-            if width:
-                value = 0
-                iter_runs = getattr(source, "iter_runs", None)
-                if iter_runs is not None:
-                    # Run-aware fast path (DynamicBitVector): O(runs) big-int
-                    # splicing instead of a per-bit python loop.
-                    for bit, run in iter_runs(start, stop):
-                        value <<= run
-                        if bit:
-                            value |= (1 << run) - 1
-                else:
-                    chunk = Bits.from_iterable(source.iter_range(start, stop))
-                    value = chunk.value
-                self._words.extend(kernel.pack_value(value, width))
-                self._ones += value.bit_count()
-            self._extract_cursor = stop
-            done += max(1, width // self._block_size)
-            if stop >= length:
-                self._builder = IncrementalRRRBuilder(
-                    self._words,
-                    length,
-                    self._ones,
-                    block_size=self._block_size,
-                    sample_rate=self._sample_rate,
-                )
-                self._words = []
-                self._ones = 0
-                self._extract_cursor = 0
+                    self._install()
         return done
 
     def finish(self) -> WaveletTrie:
@@ -238,8 +269,7 @@ def freeze_trie(trie) -> Any:
     :class:`TieredWaveletTrie` returns its
     :meth:`~TieredWaveletTrie.frozen_snapshot`; growable tries (dynamic,
     append-only) are encoded by a :class:`TrieFreezer` into a static RRR
-    trie.  :mod:`repro.storage` routes every trie freeze through this
-    function so the lifecycle logic lives here, not in the serializers.
+    trie.
     """
     if isinstance(trie, (WaveletTrie, SuccinctWaveletTrie)):
         return trie
@@ -250,6 +280,42 @@ def freeze_trie(trie) -> Any:
     raise InvalidOperationError(
         f"cannot freeze {type(trie).__name__}: not a Wavelet Trie tier"
     )
+
+
+def thaw(frozen: WaveletTrie, flavour, **params):
+    """Rebuild a growable trie node for node from its frozen snapshot.
+
+    ``flavour`` is :class:`~repro.core.append_only.AppendOnlyWaveletTrie`
+    or :class:`~repro.core.dynamic.DynamicWaveletTrie` and ``params`` its
+    constructor parameters (``block_size``; ``seed``).  The snapshot's
+    shared node bitvector (RRR or plain) is decoded once with ``to_words``;
+    each internal node then gets the flavour's bitvector over its window's
+    bits, in preorder, and the topology is cloned as it is -- the inverse
+    of :func:`freeze_trie`.
+    """
+    trie = flavour(codec=frozen.codec, **params)
+    trie._size = len(frozen)
+    root = frozen.root
+    if root is None:
+        return trie
+    words = frozen.node_bitvector.to_words()
+    stack = [(root, None, 0)]
+    while stack:  # preorder, 0-child first, as the windows were laid out
+        original, parent, bit = stack.pop()
+        if original.is_leaf:
+            copy = WaveletTrieNode(original.label)
+        else:
+            window = original.bitvector
+            start, length = window.start, len(window)
+            bits = Bits(kernel.extract_bits_value(words, start, start + length), length)
+            copy = WaveletTrieNode(original.label, trie._bitvector_from_bits(bits))
+            stack.append((original.children[1], copy, 1))
+            stack.append((original.children[0], copy, 0))
+        if parent is None:
+            trie._root = copy
+        else:
+            parent.attach(bit, copy)
+    return trie
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +379,6 @@ class TieredWaveletTrie(IndexedStringSequence):
     # Construction helpers
     # ------------------------------------------------------------------
     def _new_active(self):
-        from repro.core.dynamic import DynamicWaveletTrie
-
         self._seed = (self._seed * _SEED_MULTIPLIER + 1) % (1 << 63)
         return DynamicWaveletTrie(codec=self._codec, seed=self._seed)
 
@@ -505,6 +569,10 @@ class TieredWaveletTrie(IndexedStringSequence):
     def size_in_bits(self) -> int:
         """Measured footprint: the sum over live tiers."""
         return sum(tier.size_in_bits() for tier in self._tiers())
+
+    def bitvector_bits(self) -> int:
+        """Node bitvector bits, summed over live tiers."""
+        return sum(tier.bitvector_bits() for tier in self._tiers())
 
     # ------------------------------------------------------------------
     # Introspection shared with the pointer tries (CLI info & reports)
@@ -837,7 +905,9 @@ class TieredWaveletTrie(IndexedStringSequence):
     ) -> List[Tuple[Any, int]]:
         """The ``k`` most frequent values in the range, most frequent first;
         ties break in trie (lexicographic binarised) order."""
-        if k <= 0:
+        self._check_range(start, stop)
+        check_top_k(k)
+        if k == 0:
             return []
         merged = self.distinct_in_range(start, stop, prefix)
         ranked = sorted(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.bitvector.sparse import SparseBitVector
-from repro.exceptions import OutOfBoundsError
+from repro.exceptions import OutOfBoundsError, SerializationError
 from repro.text.fm_index import FMIndex
 
 __all__ = ["DocumentStore"]
@@ -82,6 +82,47 @@ class DocumentStore:
         self._fm = fm
         self._starts = starts
         return self
+
+    # ------------------------------------------------------------------
+    # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
+    # ------------------------------------------------------------------
+    def to_words_image(self, sink, prefix: str) -> dict:
+        """Write the FM-index (``fm.*``) and the Elias-Fano document
+        starts (``starts.*``; absent for an empty store)."""
+        return {
+            "documents": self._doc_count,
+            "fm": self._fm.to_words_image(sink, prefix + "fm."),
+            "starts": (
+                self._starts.to_words_image(sink, prefix + "starts.")
+                if self._starts is not None
+                else None
+            ),
+        }
+
+    @classmethod
+    def from_words_image(cls, image, prefix: str, meta: dict) -> "DocumentStore":
+        """Open from a frozen image (no re-indexing); the starts must mark
+        one document per start, the first at 0, inside the text."""
+        doc_count = int(meta["documents"])
+        fm = FMIndex.from_words_image(image, prefix + "fm.", meta["fm"])
+        starts = None
+        if meta["starts"] is not None:
+            starts = SparseBitVector.from_words_image(
+                image, prefix + "starts.", meta["starts"]
+            )
+        if (starts is None) != (doc_count == 0) or (
+            starts is not None
+            and (
+                starts.ones != doc_count
+                or len(starts) != fm.text_length
+                or starts.select(1, 0) != 0
+            )
+        ):
+            raise SerializationError(
+                f"document store image {prefix!r}: its starts do not mark "
+                f"{doc_count} documents of a {fm.text_length}-character text"
+            )
+        return cls._from_parts(fm, starts, doc_count)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

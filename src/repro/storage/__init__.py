@@ -1,8 +1,8 @@
 """On-disk persistence for the Wavelet Trie and the database layer.
 
 The paper's motivating applications (column stores, access-log analytics) need
-indexes that survive a process restart.  This package provides two container
-formats behind one set of entry points:
+indexes that survive a process restart.  Every index is stored in one
+format, the RWT2 image (:mod:`repro.storage.image`):
 
 >>> from repro import WaveletTrie
 >>> from repro.storage import dumps, loads
@@ -11,42 +11,39 @@ formats behind one set of entry points:
 >>> restored.rank("/a/x", 3)
 2
 
-* :func:`~repro.storage.format.dumps` / :func:`~repro.storage.format.loads`
+* :func:`~repro.storage.image.dumps` / :func:`~repro.storage.image.loads`
   -- bytes in, bytes out;
-* :func:`~repro.storage.format.save` / :func:`~repro.storage.format.load`
-  -- atomic write to / read from a file path.
+* :func:`~repro.storage.image.save` / :func:`~repro.storage.image.load`
+  -- atomic, durable write to / read from a file path.
 
-**RWT1** (``save``/``dumps``) stores the *logical* structure (codec, trie
-topology, node bitvector contents in run-length form), not the in-memory
-layout, so it is stable across internal tuning of block sizes and rebuild
-policies -- but :func:`load` must decode and rebuild every directory.
+An image holds the physical word arrays and rank/select directories in
+8-byte-aligned sections, memory-mapped back with zero-copy views, so a
+static index opens in O(header + nodes) whatever its size and worker
+processes share one page cache.  A growable trie reopens as its own flavour
+(thawed from its frozen snapshot).  ``load``/``loads`` verify every
+section's CRC; :func:`~repro.storage.image.open_image` and
+:func:`~repro.storage.image.loads_image` skip that for the serving paths.
+See docs/ARCHITECTURE.md, "Storage".
 
-**RWT2** (:func:`~repro.storage.image.save_image` /
-:func:`~repro.storage.image.open_image`) is the "frozen image": the physical
-word arrays and rank/select directories dumped verbatim in 8-byte-aligned
-sections, memory-mapped back with zero-copy views, so a cold open costs
-O(sections) regardless of index size and worker processes share one page
-cache.  :func:`load` and :func:`loads` sniff the magic and accept both.
-See docs/ARCHITECTURE.md, "Storage", for the decision table.
-
-:mod:`repro.storage.shards` builds on RWT2 as the serving cluster's
+:mod:`repro.storage.shards` builds on it as the serving cluster's
 exchange format: :func:`~repro.storage.shards.export_shard_images` splits
 a store into per-worker slice images plus a ``manifest.json``, and
 :func:`~repro.storage.shards.open_worker_columns` mmaps one worker's
 slices back as servable columns (only the tail worker's are appendable).
 """
 
-from repro.storage.format import FORMAT_VERSION, MAGIC, dumps, load, loads, save
 from repro.storage.image import (
     IMAGE_MAGIC,
     IMAGE_VERSION,
+    dumps,
     dumps_image,
-    freeze,
+    load,
+    loads,
     loads_image,
     open_image,
+    save,
     save_image,
 )
-from repro.storage.serializers import TYPE_TAGS
 from repro.storage.shards import (
     MANIFEST_NAME,
     export_shard_images,
@@ -55,16 +52,12 @@ from repro.storage.shards import (
 )
 
 __all__ = [
-    "FORMAT_VERSION",
     "IMAGE_MAGIC",
     "IMAGE_VERSION",
-    "MAGIC",
     "MANIFEST_NAME",
-    "TYPE_TAGS",
     "dumps",
     "dumps_image",
     "export_shard_images",
-    "freeze",
     "load",
     "load_manifest",
     "loads",

@@ -1,15 +1,20 @@
-"""The RWT2 "frozen image" container: zero-copy mmap persistence.
+"""The RWT2 image: the one on-disk format, memory-mapped zero-copy.
 
-While the RWT1 logical format (:mod:`repro.storage.format`) serialises the
-*content* of a structure and rebuilds every directory on load, RWT2 dumps
-each frozen structure's kernel word arrays, rank/select directories and trie
-topology bitvectors verbatim -- little-endian uint64, one 8-byte-aligned
-section per array, a JSON section table in the header and a CRC-32 per
-section.  :func:`open_image` memory-maps the file and hands every structure
-field a zero-copy view of the mapped bytes (``np.frombuffer`` under the
-numpy backend, an int-yielding ``memoryview`` cast under pure python), so a
-cold open costs O(sections), independent of index size, and N worker
-processes share one page-cache copy of the data.
+Every persisted object -- each trie flavour, columns and stores, the
+Huffman wavelet tree, packed integer vectors, the FM-index and the document
+store -- is written as an *image*: its kernel word arrays, rank/select
+directories and topology dumped verbatim as little-endian uint64 (or
+narrower) sections, each 8-byte aligned, behind a JSON header holding a
+section table with one CRC-32 per section.  :func:`open_image` memory-maps
+the file and hands every static structure a zero-copy view of the mapped
+bytes (``np.frombuffer`` under the numpy backend, an int-yielding
+``memoryview`` cast under pure python), so a cold open of a static index
+costs O(header + nodes) and N worker processes share one page-cache copy.
+
+A growable trie (append-only, dynamic, a tiered trie's live tail) is
+written as its frozen snapshot (:func:`~repro.core.tiers.freeze_trie`) plus
+its parameters and is thawed on open (:func:`~repro.core.tiers.thaw`), so
+it reopens as the same flavour and keeps taking writes.
 
 File layout::
 
@@ -29,7 +34,8 @@ mmap starts on a page boundary), so padding costs at most 7 bytes a
 section.  The reader accepts exactly the layout the writer produces -- a
 well-formed table of unique names, canonical offsets, a file ending after
 the last section -- plus stored sizes that agree with the structures, all
-checked in O(sections) at open; ``verify=True`` adds the per-section CRCs.
+checked at open; ``verify=True`` (what :func:`load` and :func:`loads` use)
+adds the per-section CRCs and zero padding, so any flipped byte raises.
 Aliasing rule: everything returned by the loader is read-only and aliases
 the mapped buffer -- the buffer stays alive as long as any loaded structure
 does, and mutating the file while views exist is undefined behaviour.  See
@@ -48,15 +54,18 @@ from array import array
 from typing import Any, BinaryIO, Callable, Dict, List, Tuple, Union
 
 from repro.bits import kernel
+from repro.bits.packed import PackedIntVector
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.core.succinct_static import SuccinctWaveletTrie
-from repro.core.tiers import TieredWaveletTrie, freeze_trie
+from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie, thaw
 from repro.db.column import CompressedColumn
+from repro.db.doc_store import DocumentStore
 from repro.db.table import ColumnStore
 from repro.exceptions import SerializationError
-from repro.storage.serializers import validate_size
+from repro.text.fm_index import FMIndex
+from repro.wavelet.huffman import HuffmanWaveletTree
 from repro.tries.binarize import (
     BytesCodec,
     FixedWidthIntCodec,
@@ -70,15 +79,18 @@ __all__ = [
     "SECTION_ALIGN",
     "ImageWriter",
     "FrozenImage",
-    "freeze",
+    "dumps",
     "dumps_image",
+    "load",
+    "loads",
     "loads_image",
+    "save",
     "save_image",
     "open_image",
 ]
 
 IMAGE_MAGIC = b"RWT2"
-IMAGE_VERSION = 2
+IMAGE_VERSION = 3
 SECTION_ALIGN = 8
 
 # magic + u32 version + u64 header length + u32 header CRC.
@@ -257,6 +269,8 @@ class FrozenImage:
         # not verified: every entry well-formed and uniquely named, and the
         # sections laid out exactly as the writer lays them out.
         data_start = _align(_HEADER_FIXED + header_length)
+        self._header_end = _HEADER_FIXED + header_length
+        self._data_start = data_start
         self._sections: Dict[str, Tuple[int, int, int]] = {}
         end = 0  # canonical offset of the next section, relative
         for entry in entries:
@@ -323,7 +337,8 @@ class FrozenImage:
         return _scalar_view(self.section(name), "H", 2)
 
     def verify_checksums(self) -> None:
-        """Check every section's CRC-32 (touches all mapped pages)."""
+        """Check every section's CRC-32 and that every padding byte is zero
+        (touches all mapped pages), so any flipped byte raises."""
         for name, (offset, length, crc) in self._sections.items():
             actual = zlib.crc32(self._buffer[offset : offset + length]) & 0xFFFFFFFF
             if actual != crc:
@@ -331,6 +346,12 @@ class FrozenImage:
                     f"{self._source}: section {name!r} checksum mismatch: "
                     f"stored {crc:#010x}, computed {actual:#010x}"
                 )
+        padding = [(self._header_end, self._data_start)] + [
+            (offset + length, _align(offset + length))
+            for offset, length, _ in self._sections.values()
+        ]
+        if any(self._buffer[lo:hi].tobytes().strip(b"\0") for lo, hi in padding):
+            raise SerializationError(f"{self._source}: nonzero padding bytes")
 
 
 # ----------------------------------------------------------------------
@@ -364,186 +385,127 @@ def _codec_from_meta(meta: dict) -> StringCodec:
 
 
 # ----------------------------------------------------------------------
-# Freezing: convert appendable/dynamic objects to their static snapshot.
-# The trie-level lifecycle lives in repro.core.tiers (TrieFreezer /
-# freeze_trie); this layer only dispatches the serialisable object kinds
-# and keeps the column/store wrappers.
+# Per-type image writers and loaders.  A writer puts its sections under a
+# name prefix and returns the meta its loader needs; nested objects (a
+# column's index, a store's columns, a tiered trie's tiers) nest prefixes.
 # ----------------------------------------------------------------------
-def _freeze_column(column: CompressedColumn) -> CompressedColumn:
-    index = column.index
-    if isinstance(index, TieredWaveletTrie):
-        # Columns flatten to a single static trie (per-tier layout is the
-        # trie-level "tiered_trie" image type, not the column wrapper).
-        index = index.to_static()
-    elif isinstance(index, (AppendOnlyWaveletTrie, DynamicWaveletTrie)):
-        index = freeze_trie(index)
-    frozen = CompressedColumn(column.name, appendable=False)
-    frozen._index = index
-    frozen._appendable = False
-    return frozen
+def _write_static_trie(trie, sink: ImageWriter, prefix: str) -> dict:
+    return {"codec": _codec_meta(trie.codec), "trie": trie.to_words_image(sink, prefix)}
 
 
-def freeze(obj):
-    """The static snapshot of ``obj`` suitable for a frozen image.
-
-    Already-static objects pass through unchanged; append-only and dynamic
-    tries (and columns/stores holding them) are converted to static RRR
-    snapshots, and a tiered trie to its fully-frozen
-    :meth:`~repro.core.tiers.TieredWaveletTrie.frozen_snapshot` -- all via
-    :func:`repro.core.tiers.freeze_trie`, where the tier lifecycle lives.
-    Loaded images are therefore always read-only (a loaded tiered trie gets
-    a fresh empty mutable tail, so it keeps absorbing writes).
-    """
-    if isinstance(
-        obj,
-        (
-            AppendOnlyWaveletTrie,
-            DynamicWaveletTrie,
-            TieredWaveletTrie,
-            WaveletTrie,
-            SuccinctWaveletTrie,
-        ),
-    ):
-        return freeze_trie(obj)
-    if isinstance(obj, CompressedColumn):
-        return _freeze_column(obj)
-    if isinstance(obj, ColumnStore):
-        frozen = ColumnStore(obj.column_names)
-        frozen._row_count = len(obj)
-        frozen._columns = {
-            name: _freeze_column(obj.column(name)) for name in obj.column_names
-        }
-        return frozen
-    raise SerializationError(
-        f"objects of type {type(obj).__name__} cannot be written "
-        "as a frozen image"
+def _open_static_trie(image: "FrozenImage", meta: dict, prefix: str, cls=WaveletTrie):
+    return cls.from_words_image(
+        image, prefix, meta["trie"], codec=_codec_from_meta(meta["codec"])
     )
 
 
-# ----------------------------------------------------------------------
-# Per-type image writers/loaders
-# ----------------------------------------------------------------------
-def _write_static_trie(trie: WaveletTrie, sink: ImageWriter) -> dict:
-    return {
-        "codec": _codec_meta(trie.codec),
-        "trie": trie.to_words_image(sink, ""),
-    }
+def _write_append_only_trie(trie, sink: ImageWriter, prefix: str) -> dict:
+    meta = _write_static_trie(freeze_trie(trie), sink, prefix)
+    meta["block_size"] = trie._block_size
+    return meta
 
 
-def _open_static_trie(
-    image: FrozenImage, prefix: str, meta: dict, codec: StringCodec
-) -> WaveletTrie:
-    trie = WaveletTrie.from_words_image(image, prefix, meta, codec=codec)
-    validate_size(trie, len(trie))
-    return trie
+def _open_append_only_trie(image: "FrozenImage", meta: dict, prefix: str):
+    frozen = _open_static_trie(image, meta, prefix)
+    return thaw(frozen, AppendOnlyWaveletTrie, block_size=int(meta["block_size"]))
 
 
-def _load_static_trie(image: FrozenImage) -> WaveletTrie:
-    return _open_static_trie(
-        image, "", image.meta["trie"], _codec_from_meta(image.meta["codec"])
-    )
+def _write_dynamic_trie(trie, sink: ImageWriter, prefix: str) -> dict:
+    meta = _write_static_trie(freeze_trie(trie), sink, prefix)
+    meta["seed"] = trie._seed
+    return meta
 
 
-def _write_succinct_trie(trie: SuccinctWaveletTrie, sink: ImageWriter) -> dict:
-    return {
-        "codec": _codec_meta(trie._codec),
-        "trie": trie.to_words_image(sink, ""),
-    }
+def _open_dynamic_trie(image: "FrozenImage", meta: dict, prefix: str):
+    frozen = _open_static_trie(image, meta, prefix)
+    return thaw(frozen, DynamicWaveletTrie, seed=int(meta["seed"]))
 
 
-def _load_succinct_trie(image: FrozenImage) -> SuccinctWaveletTrie:
-    return SuccinctWaveletTrie.from_words_image(
-        image, "", image.meta["trie"], codec=_codec_from_meta(image.meta["codec"])
-    )
-
-
-def _write_tiered_trie(trie: TieredWaveletTrie, sink: ImageWriter) -> dict:
-    if trie._sealing is not None or len(trie._active):
-        raise SerializationError(
-            "tiered trie must be fully frozen before imaging "
-            "(freeze() does this via frozen_snapshot())"
-        )
+def _write_tiered_trie(trie: TieredWaveletTrie, sink: ImageWriter, prefix: str) -> dict:
+    # A seal in flight is frozen eagerly: its content is sealed, so this
+    # changes no logical state, and the live instance keeps its freezer.
+    tiers = list(trie._frozen)
+    if trie._sealing is not None:
+        tiers.append(TrieFreezer(trie._sealing[0]).finish())
+    active = trie._active
     return {
         "codec": _codec_meta(trie.codec),
         "active_capacity": trie.active_capacity,
         "compact_budget": trie.compact_budget,
         "seed": trie._seed,
-        # Per-tier images: tier i writes its sections under prefix "t{i}.".
         "tiers": [
-            tier.to_words_image(sink, f"t{position}.")
-            for position, tier in enumerate(trie._frozen)
+            tier.to_words_image(sink, f"{prefix}t{position}.")
+            for position, tier in enumerate(tiers)
         ],
+        "tail": {
+            "seed": active._seed,
+            "trie": freeze_trie(active).to_words_image(sink, prefix + "tail."),
+        }
+        if len(active)
+        else None,
     }
 
 
-def _load_tiered_trie(image: FrozenImage) -> TieredWaveletTrie:
-    codec = _codec_from_meta(image.meta["codec"])
+def _open_tiered_trie(image: "FrozenImage", meta: dict, prefix: str) -> TieredWaveletTrie:
+    codec = _codec_from_meta(meta["codec"])
     tiers = [
-        _open_static_trie(image, f"t{position}.", meta, codec)
-        for position, meta in enumerate(image.meta["tiers"])
+        WaveletTrie.from_words_image(image, f"{prefix}t{position}.", tier, codec=codec)
+        for position, tier in enumerate(meta["tiers"])
     ]
+    tail = meta["tail"]
+    if tail is not None:
+        frozen = WaveletTrie.from_words_image(
+            image, prefix + "tail.", tail["trie"], codec=codec
+        )
+        tail = thaw(frozen, DynamicWaveletTrie, seed=int(tail["seed"]))
     return TieredWaveletTrie._from_parts(
         tiers,
-        None,
+        tail,
         codec,
-        int(image.meta["active_capacity"]),
-        int(image.meta["compact_budget"]),
-        int(image.meta["seed"]),
+        int(meta["active_capacity"]),
+        int(meta["compact_budget"]),
+        int(meta["seed"]),
     )
 
 
-def _column_meta(column: CompressedColumn, sink: ImageWriter, prefix: str) -> dict:
-    index = column.index
-    if not isinstance(index, WaveletTrie) or isinstance(
-        index, (AppendOnlyWaveletTrie, DynamicWaveletTrie)
-    ):
-        raise SerializationError(
-            "column index must be frozen to a static WaveletTrie first "
-            "(freeze() does this)"
-        )
+def _write_column(column: CompressedColumn, sink: ImageWriter, prefix: str) -> dict:
     return {
         "name": column.name,
-        "codec": _codec_meta(index.codec),
-        "trie": index.to_words_image(sink, prefix),
+        "appendable": column.appendable,
+        "index": _write_entry(column.index, sink, prefix),
     }
 
 
-def _column_from_meta(image: FrozenImage, meta: dict, prefix: str) -> CompressedColumn:
-    column = CompressedColumn(meta["name"], appendable=False)
-    column._index = _open_static_trie(
-        image, prefix, meta["trie"], _codec_from_meta(meta["codec"])
-    )
-    column._appendable = False
-    return column
+def _open_column(image: "FrozenImage", meta: dict, prefix: str) -> CompressedColumn:
+    index = _open_entry(image, meta["index"], prefix)
+    if not isinstance(meta["name"], str) or not isinstance(meta["appendable"], bool):
+        raise SerializationError("a column needs a string name and a bool appendable")
+    if meta["appendable"] and isinstance(index, (WaveletTrie, SuccinctWaveletTrie)):
+        raise SerializationError(
+            f"column {meta['name']!r} is appendable over a static index"
+        )
+    return CompressedColumn.from_index(meta["name"], index, appendable=meta["appendable"])
 
 
-def _write_column(column: CompressedColumn, sink: ImageWriter) -> dict:
-    return {"column": _column_meta(column, sink, "")}
-
-
-def _load_column(image: FrozenImage) -> CompressedColumn:
-    return _column_from_meta(image, image.meta["column"], "")
-
-
-def _write_store(store: ColumnStore, sink: ImageWriter) -> dict:
+def _write_store(store: ColumnStore, sink: ImageWriter, prefix: str) -> dict:
     return {
         "row_count": len(store),
         "columns": [
-            _column_meta(store.column(name), sink, f"c{position}.")
+            _write_column(store.column(name), sink, f"{prefix}c{position}.")
             for position, name in enumerate(store.column_names)
         ],
     }
 
 
-def _load_store(image: FrozenImage) -> ColumnStore:
-    metas = image.meta["columns"]
-    store = ColumnStore([meta["name"] for meta in metas])
-    store._row_count = int(image.meta["row_count"])
-    store._columns = {
-        meta["name"]: _column_from_meta(image, meta, f"c{position}.")
-        for position, meta in enumerate(metas)
-    }
-    for column in store._columns.values():
+def _open_store(image: "FrozenImage", meta: dict, prefix: str) -> ColumnStore:
+    columns = [
+        _open_column(image, column, f"{prefix}c{position}.")
+        for position, column in enumerate(meta["columns"])
+    ]
+    store = ColumnStore([column.name for column in columns])
+    store._row_count = int(meta["row_count"])
+    store._columns = {column.name: column for column in columns}
+    for column in columns:
         if len(column) != store._row_count:
             raise SerializationError(
                 f"column {column.name!r} has {len(column)} rows, "
@@ -552,43 +514,73 @@ def _load_store(image: FrozenImage) -> ColumnStore:
     return store
 
 
-_IMAGE_WRITERS = {
-    WaveletTrie: ("static_trie", _write_static_trie),
-    SuccinctWaveletTrie: ("succinct_trie", _write_succinct_trie),
-    TieredWaveletTrie: ("tiered_trie", _write_tiered_trie),
-    CompressedColumn: ("column", _write_column),
-    ColumnStore: ("column_store", _write_store),
+def _structure(cls):
+    """Writer and loader of a structure that images itself."""
+    return (
+        lambda obj, sink, prefix: obj.to_words_image(sink, prefix),
+        lambda image, meta, prefix: cls.from_words_image(image, prefix, meta),
+    )
+
+
+#: Every persisted type: ``type -> (image type name, writer, loader)``.
+_TYPES = {
+    WaveletTrie: ("static_trie", _write_static_trie, _open_static_trie),
+    SuccinctWaveletTrie: (
+        "succinct_trie",
+        _write_static_trie,
+        lambda image, meta, prefix: _open_static_trie(
+            image, meta, prefix, SuccinctWaveletTrie
+        ),
+    ),
+    AppendOnlyWaveletTrie: (
+        "append_only_trie", _write_append_only_trie, _open_append_only_trie
+    ),
+    DynamicWaveletTrie: ("dynamic_trie", _write_dynamic_trie, _open_dynamic_trie),
+    TieredWaveletTrie: ("tiered_trie", _write_tiered_trie, _open_tiered_trie),
+    CompressedColumn: ("column", _write_column, _open_column),
+    ColumnStore: ("column_store", _write_store, _open_store),
+    HuffmanWaveletTree: ("huffman_tree", *_structure(HuffmanWaveletTree)),
+    PackedIntVector: ("packed_ints", *_structure(PackedIntVector)),
+    FMIndex: ("fm_index", *_structure(FMIndex)),
+    DocumentStore: ("document_store", *_structure(DocumentStore)),
 }
 
-_IMAGE_LOADERS = {
-    "static_trie": _load_static_trie,
-    "succinct_trie": _load_succinct_trie,
-    "tiered_trie": _load_tiered_trie,
-    "column": _load_column,
-    "column_store": _load_store,
-}
+_LOADERS = {name: loader for name, _, loader in _TYPES.values()}
+
+
+def _write_entry(obj, sink: ImageWriter, prefix: str) -> dict:
+    """``{"type", "meta"}`` of ``obj``, its sections written under ``prefix``."""
+    entry = _TYPES.get(type(obj))
+    if entry is None:
+        raise SerializationError(
+            f"objects of type {type(obj).__name__} cannot be written as a frozen "
+            f"image; supported types: {sorted(cls.__name__ for cls in _TYPES)}"
+        )
+    type_name, writer, _ = entry
+    return {"type": type_name, "meta": writer(obj, sink, prefix)}
+
+
+def _open_entry(image: "FrozenImage", entry: dict, prefix: str):
+    loader = _LOADERS.get(entry["type"])
+    if loader is None:
+        raise SerializationError(
+            f"unknown image type {entry['type']!r} (this build reads {sorted(_LOADERS)})"
+        )
+    return loader(image, entry["meta"], prefix)
 
 
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
 def dumps_image(obj) -> bytes:
-    """Serialise ``obj`` (frozen first if needed) to RWT2 image bytes."""
-    frozen = freeze(obj)
-    entry = _IMAGE_WRITERS.get(type(frozen))
-    if entry is None:
-        raise SerializationError(
-            f"objects of type {type(frozen).__name__} cannot be written "
-            "as a frozen image"
-        )
-    type_name, writer_fn = entry
+    """Serialise ``obj`` to image bytes; it is not changed or frozen."""
     sink = ImageWriter()
-    meta = writer_fn(frozen, sink)
-    return sink.tobytes(type_name, meta)
+    entry = _write_entry(obj, sink, "")
+    return sink.tobytes(entry["type"], entry["meta"])
 
 
 def loads_image(data, verify: bool = False):
-    """Open a frozen image held in a bytes-like buffer (zero-copy views)."""
+    """Open an image held in a bytes-like buffer (zero-copy views)."""
     image = FrozenImage(data, verify=verify)
     return _load_from_image(image)
 
@@ -627,23 +619,23 @@ def write_durably(path: Union[str, os.PathLike], write: Callable[[BinaryIO], Any
 
 
 def save_image(obj, path: Union[str, os.PathLike]) -> int:
-    """Write ``obj`` as an RWT2 frozen image; returns the bytes written.
+    """Write ``obj`` as an image file; returns the bytes written.
 
-    The write is atomic and durable (:func:`write_durably`), like
-    :func:`repro.storage.save`.
+    The write is atomic and durable (:func:`write_durably`).
     """
     data = dumps_image(obj)  # before the temporary file: a rejected type leaves none
     return write_durably(path, lambda handle: handle.write(data))
 
 
 def open_image(path: Union[str, os.PathLike], verify: bool = False):
-    """Memory-map an RWT2 file and open its object with zero-copy views.
+    """Memory-map an image file and open its object with zero-copy views.
 
-    The open cost is O(header + sections): no word array is read, decoded
-    or copied -- pages fault in lazily on first query and are shared across
-    every process that opens the same file.  ``verify=True`` additionally
-    checks each section's CRC-32, which touches all pages (section-table
-    bounds are always validated, so plain truncation is caught either way).
+    No word array is read, decoded or copied for a static structure --
+    pages fault in lazily on first query and are shared across every
+    process that opens the same file; a growable trie is thawed.
+    ``verify=True`` additionally checks each section's CRC-32 and the zero
+    padding, which touches all pages (section-table bounds are always
+    validated, so plain truncation is caught either way).
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
@@ -657,18 +649,37 @@ def open_image(path: Union[str, os.PathLike], verify: bool = False):
     return _load_from_image(image)
 
 
+#: The library's writer and reader names: one format, so ``save``/``dumps``
+#: are the image writers, and ``load``/``loads`` open with every section
+#: CRC verified (a flipped byte raises); the serving paths call
+#: :func:`open_image`, which trusts section contents.
+save = save_image
+dumps = dumps_image
+
+
+def load(path: Union[str, os.PathLike]):
+    """Open the object stored at ``path``, verifying every section CRC."""
+    return open_image(path, verify=True)
+
+
+def loads(data):
+    """Open the object stored in ``data``, verifying every section CRC."""
+    return loads_image(data, verify=True)
+
+
 def _load_from_image(image: FrozenImage):
-    loader = _IMAGE_LOADERS.get(image.type_name)
-    if loader is None:
+    if image.type_name not in _LOADERS:
         raise SerializationError(
             f"unknown frozen-image type {image.type_name!r} "
-            f"(this build reads {sorted(_IMAGE_LOADERS)})"
+            f"(this build reads {sorted(_LOADERS)})"
         )
     try:
-        return loader(image)
+        return _open_entry(image, {"type": image.type_name, "meta": image.meta}, "")
     except SerializationError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as error:
+    except (
+        KeyError, IndexError, TypeError, ValueError, OverflowError, AttributeError
+    ) as error:
         # A header that passed its CRC but whose meta does not describe a
         # structure of this type (missing or mistyped fields).
         raise SerializationError(

@@ -107,8 +107,10 @@ def export_shard_images(
 def load_manifest(directory: Union[str, os.PathLike]) -> Dict[str, Any]:
     """Read and validate the cluster manifest under ``directory``.
 
-    A file that is not JSON, not a manifest or of another version raises
-    :class:`~repro.exceptions.SerializationError` naming the file.
+    A file that is not JSON, not a manifest, of another version, or missing
+    or mistyping a field the readers use (``workers``, ``columns``,
+    ``partition.bounds``, one ``images`` name per worker and column)
+    raises :class:`~repro.exceptions.SerializationError` naming the file.
     """
     path = os.path.join(os.fspath(directory), MANIFEST_NAME)
     try:
@@ -122,7 +124,40 @@ def load_manifest(directory: Union[str, os.PathLike]) -> Dict[str, Any]:
         raise SerializationError(
             f"{path}: unsupported manifest version {manifest.get('version')!r}"
         )
+    problem = _manifest_problem(manifest)
+    if problem:
+        raise SerializationError(f"{path}: malformed manifest ({problem})")
     return manifest
+
+
+def _manifest_problem(manifest: Dict[str, Any]) -> Optional[str]:
+    """What is missing or mistyped among the fields the readers index."""
+    workers = manifest.get("workers")
+    if type(workers) is not int or workers < 1:
+        return "'workers' must be a positive integer"
+    columns = manifest.get("columns")
+    if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+        return "'columns' must be a list of column names"
+    partition = manifest.get("partition")
+    bounds = partition.get("bounds") if isinstance(partition, dict) else None
+    if not (
+        isinstance(bounds, list)
+        and len(bounds) == workers + 1
+        and all(type(bound) is int for bound in bounds)
+    ):
+        return f"'partition.bounds' must list {workers + 1} integer bounds"
+    images = manifest.get("images")
+    if not isinstance(images, dict):
+        return "'images' must map each column to its image names"
+    for name in columns:
+        files = images.get(name)
+        if not (
+            isinstance(files, list)
+            and len(files) == workers
+            and all(isinstance(file, str) for file in files)
+        ):
+            return f"'images' must name {workers} images for column {name!r}"
+    return None
 
 
 def open_worker_columns(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.bitvector.sparse import EliasFanoSequence
-from repro.exceptions import OutOfBoundsError
+from repro.exceptions import OutOfBoundsError, SerializationError
 
 __all__ = ["StaticPartialSums"]
 
@@ -64,6 +64,11 @@ class StaticPartialSums:
         self._cumulative = EliasFanoSequence.from_words_image(
             image, prefix + "cum.", meta["cumulative"]
         )
+        if len(self._cumulative) != self._count + 1:
+            raise SerializationError(
+                f"image meta for {prefix} says {self._count} pieces, its "
+                f"sequence holds {len(self._cumulative)} sums"
+            )
         return self
 
     @property
@@ -76,6 +81,11 @@ class StaticPartialSums:
         if not 0 <= index <= self._count:
             raise OutOfBoundsError(f"index {index} out of range for {self._count} pieces")
         return self._cumulative[index]
+
+    def starts(self) -> List[int]:
+        """Every start offset, then the total: ``len(self) + 1`` sums from
+        one batched Elias-Fano select."""
+        return self._cumulative.select_many(list(range(self._count + 1)))
 
     def length(self, index: int) -> int:
         """Length of piece ``index``."""

@@ -31,7 +31,7 @@ from repro.bits.kernel import SMALL_BATCH
 from repro.bits.packed import PackedIntVector
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
-from repro.exceptions import OutOfBoundsError
+from repro.exceptions import OutOfBoundsError, SerializationError
 from repro.text.suffix_array import bwt_from_suffix_array, suffix_array
 from repro.wavelet.huffman import HuffmanWaveletTree
 
@@ -173,6 +173,62 @@ class FMIndex:
             isa_samples,
         )
         return self
+
+    # ------------------------------------------------------------------
+    # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
+    # ------------------------------------------------------------------
+    def to_words_image(self, sink, prefix: str) -> dict:
+        """Write the BWT tree (``bwt.*``), the marked rows (``mark.*``) and
+        the suffix-array and inverse samples (``sa.*``, ``isa.*``)."""
+        return {
+            "text_length": self._text_length,
+            "alphabet": self._alphabet,
+            "sa_sample": self._sa_sample,
+            "bitvector": self._bitvector_kind,
+            "bwt": self._bwt.to_words_image(sink, prefix + "bwt."),
+            "marked": self._marked.to_words_image(sink, prefix + "mark."),
+            "samples": self._samples.to_words_image(sink, prefix + "sa."),
+            "isa_samples": self._isa_samples.to_words_image(sink, prefix + "isa."),
+        }
+
+    @classmethod
+    def from_words_image(cls, image, prefix: str, meta: dict) -> "FMIndex":
+        """Open from a frozen image without re-running suffix sorting.
+
+        Every part aliases the image.  The open checks that the parts
+        describe one text: the BWT and the marked rows cover its rows, one
+        suffix-array sample per marked row, one inverse sample per
+        ``sa_sample`` positions, all of the width the row count needs.
+        """
+        text_length = int(meta["text_length"])
+        alphabet = meta["alphabet"]
+        sa_sample = int(meta["sa_sample"])
+        kind = meta["bitvector"]
+        bwt = HuffmanWaveletTree.from_words_image(image, prefix + "bwt.", meta["bwt"])
+        marked = RRRBitVector.from_words_image(image, prefix + "mark.", meta["marked"])
+        samples = PackedIntVector.from_words_image(image, prefix + "sa.", meta["samples"])
+        isa = PackedIntVector.from_words_image(image, prefix + "isa.", meta["isa_samples"])
+        rows = text_length + 1
+        width = max(1, (rows - 1).bit_length())
+        if (
+            not isinstance(alphabet, str)
+            or kind not in _BWT_BITVECTORS
+            or _BWT_BITVECTORS[kind] is not bwt._factory
+            or sa_sample < 1
+            or len(bwt) != rows
+            or len(marked) != rows
+            or len(samples) != marked.ones
+            or len(isa) != (rows - 1) // sa_sample + 1
+            or samples.width != width
+            or isa.width != width
+            or not set(bwt.codes) <= set(range(len(alphabet) + 1))
+        ):
+            raise SerializationError(
+                f"FM-index image {prefix!r} holds parts of different texts"
+            )
+        return cls._from_parts(
+            text_length, alphabet, sa_sample, kind, bwt, marked, samples, isa
+        )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -22,10 +22,14 @@ from repro.bitvector.base import (
     normalize_batch,
     validate_select_indexes,
 )
+from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
-from repro.exceptions import OutOfBoundsError, ValueNotFoundError
+from repro.exceptions import OutOfBoundsError, SerializationError, ValueNotFoundError
 
 __all__ = ["HuffmanWaveletTree", "huffman_codes"]
+
+#: Node bitvector kinds a frozen image can name.
+_IMAGE_KINDS = {"plain": PlainBitVector, "rrr": RRRBitVector}
 
 
 def huffman_codes(frequencies: Dict[Hashable, int]) -> Dict[Hashable, Bits]:
@@ -86,6 +90,9 @@ class HuffmanWaveletTree:
         self._codes = huffman_codes(Counter(data))
         self._factory = bitvector_factory
         self._root = self._build(data, 0) if data else None
+        self._set_symbol_kind()
+
+    def _set_symbol_kind(self) -> None:
         # Integer symbols (FM-index character codes) may ride the numpy
         # array descent; any other symbol type keeps the list descent.
         self._int_symbols = all(
@@ -111,6 +118,108 @@ class HuffmanWaveletTree:
         if right:
             node.children[1] = self._build(right, depth + 1)
         return node
+
+    def _preorder(self):
+        """Every node, 0-child first."""
+        stack = [self._root] if self._root is not None else []
+        while stack:
+            node = stack.pop()
+            yield node
+            if not node.is_leaf:
+                stack.extend(child for child in node.children[::-1] if child)
+
+    # ------------------------------------------------------------------
+    # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
+    # ------------------------------------------------------------------
+    def to_words_image(self, sink, prefix: str) -> dict:
+        """Write the tree: the code table goes in the meta as ``[symbol,
+        code value, code length]`` triples, and internal node ``r`` (in
+        preorder) writes its bitvector under ``prefix + "n{r}."``.
+
+        Symbols must be ints or strings, the values JSON can carry.
+        """
+        kind = next(
+            (name for name, factory in _IMAGE_KINDS.items() if factory is self._factory),
+            None,
+        )
+        if kind is None or not all(type(symbol) in (int, str) for symbol in self._codes):
+            raise SerializationError(
+                "a Huffman wavelet tree images only plain or rrr nodes over "
+                "int or str symbols"
+            )
+        internal = [node for node in self._preorder() if not node.is_leaf]
+        return {
+            "kind": kind,
+            "size": self._size,
+            "codes": [
+                [symbol, code.value, len(code)] for symbol, code in self._codes.items()
+            ],
+            "bitvectors": [
+                node.bitvector.to_words_image(sink, f"{prefix}n{rank}.")
+                for rank, node in enumerate(internal)
+            ],
+        }
+
+    @classmethod
+    def from_words_image(cls, image, prefix: str, meta: dict) -> "HuffmanWaveletTree":
+        """Open from a frozen image; the node bitvectors alias it.
+
+        The code table gives the shape (a lone symbol is a root leaf); each
+        internal node's bitvector must hold the rows its parent routes to it
+        (the root holds ``size``).
+        """
+        factory = _IMAGE_KINDS.get(meta["kind"])
+        if factory is None:
+            raise SerializationError(f"unknown Huffman node kind {meta['kind']!r}")
+        self = cls.__new__(cls)
+        self._size = int(meta["size"])
+        self._factory = factory
+        self._codes = {}
+        for symbol, value, length in meta["codes"]:
+            if type(symbol) not in (int, str) or symbol in self._codes or length < 1:
+                raise SerializationError(f"bad Huffman code entry for {symbol!r}")
+            self._codes[symbol] = Bits(int(value), int(length))
+        self._root = None
+        if self._codes:
+            self._root = _CodeNode()
+        if len(self._codes) == 1:
+            self._root.symbol = next(iter(self._codes))
+        elif self._codes:
+            for symbol, code in self._codes.items():
+                node = self._root
+                for bit in code:
+                    if node.is_leaf:
+                        raise SerializationError("the Huffman codes are not prefix-free")
+                    if node.children[bit] is None:
+                        node.children[bit] = _CodeNode()
+                    node = node.children[bit]
+                if node.is_leaf or any(node.children):
+                    raise SerializationError("the Huffman codes are not prefix-free")
+                node.symbol = symbol
+        metas = meta["bitvectors"]
+        rows_due = [self._size] if self._root is not None else []
+        rank = 0
+        for node in self._preorder():
+            rows = rows_due.pop()
+            if node.is_leaf:
+                continue
+            if rank >= len(metas) or None in node.children:
+                raise SerializationError("the Huffman code table does not match its nodes")
+            node.bitvector = factory.from_words_image(
+                image, f"{prefix}n{rank}.", metas[rank]
+            )
+            if len(node.bitvector) != rows:
+                raise SerializationError(
+                    f"Huffman node {rank} holds {len(node.bitvector)} bits, "
+                    f"{rows} rows reach it"
+                )
+            ones = node.bitvector.count(1)
+            rows_due += [ones, rows - ones]
+            rank += 1
+        if rank != len(metas) or (self._root is None and self._size):
+            raise SerializationError("the Huffman code table does not match its nodes")
+        self._set_symbol_kind()
+        return self
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -1,5 +1,7 @@
 """Tests for the integer codecs (unary, gamma, delta) and combinatorial coding."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,3 +132,19 @@ class TestCombinatorial:
         assert sorted(ranks) == [0, 1, 2]
         for block, rank in zip(blocks, ranks):
             assert combinatorial_unrank(rank, 3, 2) == block
+
+    @given(st.integers(min_value=1, max_value=64), st.data())
+    def test_rank_and_unrank_match_the_position_descent(self, width, data):
+        """The set-bit steps (hockey-stick sums, complement for dense
+        blocks) give the rank the position-by-position descent gives."""
+        value = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+        ones = bin(value).count("1")
+        expected = 0
+        remaining = ones
+        for position in range(width):
+            if (value >> (width - 1 - position)) & 1:
+                remaining -= 1
+            elif remaining:
+                expected += comb(width - position - 1, remaining - 1)
+        assert combinatorial_rank(value, width, ones) == expected
+        assert combinatorial_unrank(expected, width, ones) == value

@@ -232,3 +232,26 @@ def test_python_block_decode_matches_the_combinatorial_descent():
             offset = combinatorial_rank(value, block_size, cls)
             decoded = pykernel._rrr_decode_block(offset, block_size, cls)
             assert decoded == value == combinatorial_unrank(offset, block_size, cls)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("block_size", [1, 2, 3, 15, 31, 63])
+def test_decoded_words_are_the_payload(backend, block_size):
+    """``rrr_decode_words`` (and ``to_words`` over it) rebuilds the packed
+    payload, for whole vectors and for any run of blocks, under each
+    backend and at every density."""
+    with active_backend(backend):
+        for density in DENSITIES:
+            bits = random_bits(length_for(block_size, 5), density, block_size)
+            vector = RRRBitVector(bits, block_size=block_size, sample_rate=3)
+            blocks = len(vector._class_list)
+            padded = bits + [0] * (blocks * block_size - len(bits))
+            words = vector.to_words()
+            assert kernel.unpack_value(words, len(bits)) == int("".join(map(str, bits)), 2)
+            for first, stop in ((0, blocks), (1, blocks), (blocks // 3, blocks // 2), (2, 2)):
+                got = as_list(kernel.rrr_decode_words(vector._handle(), first, stop))
+                width = (stop - first) * block_size
+                assert len(got) == -(-width // 64)
+                if width:
+                    chunk = padded[first * block_size : stop * block_size]
+                    assert kernel.unpack_value(got, width) == int("".join(map(str, chunk)), 2)

@@ -139,6 +139,17 @@ class TestQueries:
         assert top_entry["count"] == top_count
         assert window.count(top_entry["value"]) == top_count
 
+    @pytest.mark.parametrize("k", ["-1", "-7"])
+    def test_top_rejects_a_negative_k(self, built_index, capsys, k):
+        assert main(["top", str(built_index), "-k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: top-k count must be non-negative, got {k}"
+
+    def test_top_checks_the_range_before_k(self, built_index, capsys):
+        assert main(["top", str(built_index), "-k", "0", "--stop", "999"]) == 1
+        assert "range [0, 999) invalid" in capsys.readouterr().err
+
     def test_distinct_with_range(self, built_index, url_log, capsys):
         payload = run_json(capsys, ["distinct", str(built_index), "--start", "10", "--stop", "60"])
         assert payload["distinct"] == len(set(url_log[10:60]))
@@ -241,41 +252,51 @@ class TestDelete:
         assert len(load(dynamic_index)) == 200
 
 
-class TestSaveOpen:
-    def test_save_image_and_open(self, built_index, tmp_path, url_log, capsys):
-        image_path = tmp_path / "access.rwt2"
-        payload = run_json(
-            capsys, ["save", str(built_index), "-o", str(image_path), "--image"]
-        )
-        assert payload["container"] == "RWT2"
-        assert payload["stored_bytes"] == image_path.stat().st_size
-        assert image_path.read_bytes()[:4] == b"RWT2"
-
-        payload = run_json(capsys, ["open", str(image_path)])
-        assert payload["container"] == "RWT2"
+class TestOpen:
+    def test_open_reports_the_image(self, built_index, url_log, capsys):
+        assert built_index.read_bytes()[:4] == b"RWT2"
+        payload = run_json(capsys, ["open", str(built_index)])
+        assert payload["type"] == "AppendOnlyWaveletTrie"
         assert payload["elements"] == 200
         assert payload["open_ms"] >= 0
-        # Query subcommands work against the frozen image transparently.
-        payload = run_json(capsys, ["access", str(image_path), "0", "199"])
+        assert "container" not in payload
+        # Query subcommands read the same image.
+        payload = run_json(capsys, ["access", str(built_index), "0", "199"])
         assert [r["value"] for r in payload["results"]] == [url_log[0], url_log[199]]
-
-    def test_save_rwt1_and_open(self, built_index, tmp_path, capsys):
-        out = tmp_path / "copy.wt"
-        payload = run_json(capsys, ["save", str(built_index), "-o", str(out)])
-        assert payload["container"] == "RWT1"
-        payload = run_json(capsys, ["open", str(out)])
-        assert payload["container"] == "RWT1"
-        assert payload["elements"] == 200
 
     def test_open_text_output_reports_latency(self, built_index, capsys):
         assert main(["open", str(built_index)]) == 0
         out = capsys.readouterr().out
-        assert "RWT1" in out and "ms" in out
+        assert out.startswith(f"opened {built_index} in ") and "ms" in out
 
-    def test_save_missing_input_fails(self, tmp_path, capsys):
+    def test_open_missing_input_fails(self, tmp_path, capsys):
         missing = tmp_path / "nope.wt"
-        assert main(["save", str(missing), "-o", str(tmp_path / "out.wt")]) == 1
+        assert main(["open", str(missing)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_there_is_no_save_subcommand(self, built_index, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["save", str(built_index), "-o", str(tmp_path / "copy.wt")])
+        assert "invalid choice: 'save'" in capsys.readouterr().err
+
+
+class TestPathsItCannotUse:
+    """A directory where a file is expected ends in one ``error:`` line and
+    exit 1, not an ``IsADirectoryError`` traceback."""
+
+    def test_info_of_a_directory(self, tmp_path, capsys):
+        assert main(["info", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert "Traceback" not in err
+
+    def test_build_into_a_directory(self, tmp_path, log_file, capsys):
+        target = tmp_path / "out"
+        target.mkdir()
+        assert main(["build", str(log_file), "-o", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert sorted(p.name for p in target.parent.iterdir()) == ["access.log", "out"]
 
 
 @pytest.fixture()
@@ -430,16 +451,15 @@ class TestSearchCommands:
 
     def test_search_roundtrips_through_resave(self, search_index, tmp_path, capsys):
         copy = tmp_path / "copy.fm"
-        assert main(["save", str(search_index), "-o", str(copy)]) == 0
-        capsys.readouterr()
+        save(load(search_index), copy)
         payload = run_json(capsys, ["search", "count", str(copy), "lazy"])
         assert payload["results"] == [{"pattern": "lazy", "count": 1}]
 
 
-class TestSaveImageFailurePath:
-    def test_rle_trie_image_save_fails_with_hint(self, tmp_path, log_file, capsys):
-        """Regression: `save --image` on an RLE-backed static trie must exit
-        nonzero with an actionable message, not a raw traceback."""
+class TestRleIndex:
+    def test_rle_static_index_round_trips(self, tmp_path, log_file, url_log, capsys):
+        """A static trie over RLE node bitvectors is saved and opened like
+        every other index."""
         rle_path = tmp_path / "rle.wt"
         assert (
             main(
@@ -457,34 +477,11 @@ class TestSaveImageFailurePath:
             == 0
         )
         capsys.readouterr()
-        image_path = tmp_path / "rle.rwt2"
-        assert main(["save", str(rle_path), "-o", str(image_path), "--image"]) == 1
-        captured = capsys.readouterr()
-        assert "error:" in captured.err
-        assert "hint:" in captured.err
-        assert "drop --image" in captured.err
-        assert "--bitvector rrr" in captured.err
-        assert not image_path.exists()
-
-    def test_rle_trie_rwt1_save_still_works(self, tmp_path, log_file, capsys):
-        rle_path = tmp_path / "rle.wt"
-        assert (
-            main(
-                [
-                    "build",
-                    str(log_file),
-                    "-o",
-                    str(rle_path),
-                    "--variant",
-                    "static",
-                    "--bitvector",
-                    "rle",
-                ]
-            )
-            == 0
-        )
-        out = tmp_path / "copy.wt"
-        assert main(["save", str(rle_path), "-o", str(out), "--json"]) == 0
+        index = load(rle_path)
+        assert index.bitvector_kind == "rle"
+        assert index.to_list() == url_log[:200]
+        payload = run_json(capsys, ["rank", str(rle_path), url_log[0]])
+        assert payload["count"] == url_log[:200].count(url_log[0])
 
 
 class TestServeReusedImageDir:
@@ -566,10 +563,11 @@ class TestServeReusedImageDir:
         "manifest",
         [
             json.dumps({"format": "rwt2-cluster", "version": 0}).encode(),
+            json.dumps({"format": "rwt2-cluster", "version": 1}).encode(),
             b"not JSON",
             b"\xff not UTF-8",
         ],
-        ids=["version-0", "not-json", "not-utf8"],
+        ids=["version-0", "no-fields", "not-json", "not-utf8"],
     )
     def test_an_old_or_unreadable_manifest_is_refused(
         self, image_dir, serving, capsys, manifest

@@ -8,6 +8,8 @@ from repro.baselines import NaiveIndexedSequence
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
+from repro.core.succinct_static import SuccinctWaveletTrie
+from repro.core.tiers import TieredWaveletTrie
 from repro.db.column import CompressedColumn
 from repro.exceptions import OutOfBoundsError
 from repro.storage.shards import export_shard_images, open_worker_columns
@@ -137,6 +139,56 @@ class TestRangeCounts:
                 assert trie.range_count_prefix(
                     prefix, start, stop
                 ) == naive.range_count_prefix(prefix, start, stop)
+
+
+TOP_K_VALUES = ["/a/x", "/a/y", "/b", "/a/x", "/c", "/c", "/c"]
+
+TOP_K_IMPLEMENTATIONS = {
+    "oracle": NaiveIndexedSequence,
+    "static": WaveletTrie,
+    "succinct": SuccinctWaveletTrie,
+    "append_only": AppendOnlyWaveletTrie,
+    "dynamic": DynamicWaveletTrie,
+    "tiered": lambda values: TieredWaveletTrie(values, active_capacity=3),
+}
+
+
+def _outcome(implementation, *args):
+    """What ``top_k_in_range(*args)`` returns, or the error type and text."""
+    try:
+        return implementation.top_k_in_range(*args)
+    except OutOfBoundsError as error:
+        return ("OutOfBoundsError", str(error))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0, 7, -1), (0, 7, -100), (2, 5, -1), (0, 7, 0), (0, 99, 0), (0, 99, -1),
+     (5, 2, 1), (0, 7, 2), (0, 7, 9), (1, 4, 1)],
+)
+def test_top_k_agrees_with_the_oracle_on_every_flavour(args):
+    """The oracle and the five flavours answer alike: the range is checked
+    first, then a negative k raises one shared OutOfBoundsError."""
+    outcomes = {
+        name: _outcome(factory(TOP_K_VALUES), *args)
+        for name, factory in TOP_K_IMPLEMENTATIONS.items()
+    }
+    oracle = outcomes["oracle"]
+    kinds = {name: outcome[0] if isinstance(outcome, tuple) else "ok"
+             for name, outcome in outcomes.items()}
+    assert len(set(kinds.values())) == 1, outcomes
+    if kinds["oracle"] != "ok":
+        # A range error wins over a bad k; a bad k in a good range raises
+        # the one shared message.
+        range_ok = 0 <= args[0] <= args[1] <= len(TOP_K_VALUES)
+        assert ("non-negative" in oracle[1]) is range_ok
+        if range_ok:
+            assert all(outcome == oracle for outcome in outcomes.values()), outcomes
+    else:
+        # Equal counts may come back in another order (see test_top_k).
+        ranked = {name: sorted(got, key=lambda item: (-item[1], item[0]))
+                  for name, got in outcomes.items()}
+        assert all(got == ranked["oracle"] for got in ranked.values()), outcomes
 
 
 class TestEmptySequence:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import compute_bounds
 from repro.baselines import NaiveIndexedSequence
+from repro.bitvector.window import BitvectorWindow
 from repro.core.static import WaveletTrie
 from repro.exceptions import (
     ImmutableStructureError,
@@ -165,3 +166,55 @@ class TestSpaceAccounting:
 
     def test_empty_breakdown(self):
         assert WaveletTrie([]).succinct_space_breakdown()["total"] == 0
+
+
+class TestOneNodeVector:
+    """Every static trie keeps all internal nodes' bits in one vector, in
+    preorder: built, frozen, flattened or opened from an image."""
+
+    @staticmethod
+    def assert_windows_tile(trie, vector):
+        start = 0
+        for node in trie.nodes():
+            if node.is_leaf:
+                continue
+            window = node.bitvector
+            assert isinstance(window, BitvectorWindow)
+            assert window.start == start
+            start += len(window)
+        assert start == len(vector)
+
+    @pytest.mark.parametrize("kind", ["rrr", "plain", "rle"])
+    def test_built_and_opened_tries(self, kind, url_log):
+        from repro.storage import dumps, loads
+
+        trie = WaveletTrie(url_log[:150], bitvector=kind)
+        for candidate in (trie, loads(dumps(trie))):
+            self.assert_windows_tile(candidate, candidate.node_bitvector)
+            assert candidate.node_offsets().total == len(candidate.node_bitvector)
+
+    def test_frozen_and_succinct_tries_share_the_builder_vector(self, url_log):
+        from repro.core.append_only import AppendOnlyWaveletTrie
+        from repro.core.succinct_static import SuccinctWaveletTrie
+        from repro.core.tiers import freeze_trie
+
+        values = url_log[:150]
+        built = WaveletTrie(values)
+        frozen = freeze_trie(AppendOnlyWaveletTrie(values))
+        self.assert_windows_tile(frozen, frozen.node_bitvector)
+        assert frozen.node_bitvector.to_words() == built.node_bitvector.to_words()
+        succinct = SuccinctWaveletTrie.from_pointer_trie(built)
+        assert succinct._bitvector is built.node_bitvector
+        assert all(
+            isinstance(node.bitvector, BitvectorWindow)
+            for node in succinct.nodes()
+            if not node.is_leaf
+        )
+
+    def test_space_charges_the_shared_vector_once(self, url_log):
+        trie = WaveletTrie(url_log[:150])
+        vector, offsets = trie.node_bitvector, trie.node_offsets()
+        assert trie.bitvector_bits() == vector.size_in_bits() + offsets.size_in_bits()
+        breakdown = trie.succinct_space_breakdown()
+        assert breakdown["bitvectors"] == vector.size_in_bits()
+        assert breakdown["bitvector_delimiters"] == offsets.size_in_bits()

@@ -127,6 +127,8 @@ class TestAgainstPointerVariant:
         breakdown = succinct.space_breakdown()
         assert breakdown["topology_dfuds"] > 0
         assert breakdown["bitvectors"] > 0
+        # Both layouts hold the same node vector and window delimiters.
+        assert succinct.bitvector_bits() == pointer.bitvector_bits()
 
 
 class TestEdgeCases:

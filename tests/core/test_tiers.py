@@ -1,4 +1,4 @@
-"""The tier lifecycle: ``TrieFreezer``, ``freeze_trie`` and ``from_pointer_trie``.
+"""The tier lifecycle: ``TrieFreezer``, ``freeze_trie``, ``thaw`` and ``from_pointer_trie``.
 
 The budgeted freeze must be *exactly* equivalent to the one-shot static RRR
 build: same content, same topology, same measured bits (classes and offsets
@@ -15,7 +15,7 @@ from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.core.succinct_static import SuccinctWaveletTrie
-from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie
+from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie, thaw
 from repro.exceptions import ImmutableStructureError, InvalidOperationError
 
 GROWABLE = [AppendOnlyWaveletTrie, DynamicWaveletTrie]
@@ -187,3 +187,44 @@ class TestFreezeTrie:
     def test_non_tier_is_rejected(self):
         with pytest.raises(InvalidOperationError, match="not a Wavelet Trie tier"):
             freeze_trie(["not", "a", "trie"])
+
+
+def _shape(trie):
+    """Every node in preorder: label, and the bits of internal nodes."""
+    return [
+        (node.label, None if node.is_leaf else list(node.bitvector.iter_range(0, len(node.bitvector))))
+        for node in trie.nodes()
+    ]
+
+
+class TestThaw:
+    @pytest.mark.parametrize(
+        "flavour,params",
+        [(AppendOnlyWaveletTrie, {"block_size": 128}), (DynamicWaveletTrie, {"seed": 99})],
+    )
+    def test_thaw_inverts_the_freeze_node_for_node(self, flavour, params, url_log):
+        values = url_log[:180]
+        original = flavour(values, **params)
+        thawed = thaw(freeze_trie(original), flavour, **params)
+        assert type(thawed) is flavour
+        assert _shape(thawed) == _shape(original)
+        assert thawed.to_list() == values
+        # It is a working trie of its flavour: it takes writes.
+        thawed.append("http://after.thaw/")
+        assert thawed.access(len(values)) == "http://after.thaw/"
+        assert thawed.count("http://after.thaw/") == 1
+
+    def test_thaw_keeps_the_parameters(self, url_log):
+        frozen = freeze_trie(AppendOnlyWaveletTrie(url_log[:30]))
+        assert thaw(frozen, AppendOnlyWaveletTrie, block_size=256)._block_size == 256
+        dynamic = thaw(frozen, DynamicWaveletTrie, seed=7)
+        assert dynamic._seed == 7
+        dynamic.insert("http://inserted/", 3)
+        assert dynamic.access(3) == "http://inserted/"
+
+    @pytest.mark.parametrize("values", [[], ["only"] * 5])
+    def test_thaw_of_a_trie_without_internal_nodes(self, values):
+        thawed = thaw(freeze_trie(DynamicWaveletTrie(values)), DynamicWaveletTrie)
+        assert thawed.to_list() == values
+        thawed.append("other")
+        assert thawed.to_list() == values + ["other"]

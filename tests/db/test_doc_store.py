@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.db import DocumentStore
 from repro.exceptions import OutOfBoundsError
-from repro.storage.serializers import read_object, write_object
+from repro.storage import dumps, loads
 
 
 def naive_locate(documents, pattern):
@@ -88,9 +88,8 @@ class TestDocumentStore:
     def test_serialization_roundtrip(self, kind):
         documents = ["alpha beta", "", "beta gamma", "gamma alpha"]
         store = DocumentStore(documents, sa_sample=8, bitvector=kind)
-        tag, payload = write_object(store)
-        assert tag == 9
-        loaded = read_object(tag, payload)
+        loaded = loads(dumps(store))
+        assert isinstance(loaded, DocumentStore)
         assert len(loaded) == len(store)
         assert [loaded.document(i) for i in range(4)] == documents
         for pattern in ["beta", "gamma", "zz", " "]:

@@ -2,9 +2,9 @@
 
 ``os.replace`` alone is atomic but not durable: after a power loss the
 renamed file can be empty, because neither its data nor the directory
-entry reached the disk.  Every writer of an index file -- RWT1 ``save``,
-RWT2 ``save_image`` and the cluster manifest of ``export_shard_images`` --
-must fsync the temporary file before the rename and the directory after
+entry reached the disk.  Every writer of an index file -- ``save`` (also
+named ``save_image``) and the cluster manifest of ``export_shard_images``
+-- must fsync the temporary file before the rename and the directory after
 it.  The test logs the real calls in order, with no timing involved.  Each
 save writes a temporary sibling of its own, so overlapping saves of one
 path and failed writes leave no stray or mixed file behind.
@@ -47,9 +47,9 @@ def durable(name):
     return [("fsync", "file"), ("replace", name), ("fsync", "dir")]
 
 
-def test_rwt1_save_is_durable(tmp_path, calls):
-    save(WaveletTrie(VALUES), tmp_path / "index.rwt1")
-    assert calls == durable("index.rwt1")
+def test_save_is_durable(tmp_path, calls):
+    save(CompressedColumn("c", VALUES), tmp_path / "index.wt")
+    assert calls == durable("index.wt")
 
 
 def test_rwt2_save_image_is_durable(tmp_path, calls):

@@ -1,16 +1,42 @@
-"""Failure injection for the container format: corrupted, truncated, foreign data."""
+"""Failure injection for the on-disk format: corrupted, truncated, foreign data.
+
+``load``/``loads`` verify every section's CRC-32 and the zero padding, so a
+flipped byte anywhere in a file raises :class:`SerializationError`, as do
+truncation, trailing bytes and a header naming another type.
+"""
+
+import json
+import zlib
 
 import pytest
 
+from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.exceptions import SerializationError
-from repro.storage import FORMAT_VERSION, MAGIC, dumps, loads, save, load
-from repro.storage.serializers import read_object, write_object
+from repro.storage import IMAGE_MAGIC, IMAGE_VERSION, dumps, load, loads, save
+from repro.storage.image import SECTION_ALIGN, FrozenImage
 
 
 @pytest.fixture(scope="module")
 def stored(url_log):
     return dumps(WaveletTrie(url_log[:60]))
+
+
+def _relabel(data: bytes, type_name: str) -> bytes:
+    """``data`` with its header's type replaced (and its CRC recomputed)."""
+    length = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[20 : 20 + length])
+    header["type"] = type_name
+    encoded = json.dumps(header, separators=(",", ":")).encode()
+    start = -(-(20 + length) // SECTION_ALIGN) * SECTION_ALIGN
+    prefix = (
+        IMAGE_MAGIC
+        + IMAGE_VERSION.to_bytes(4, "little")
+        + len(encoded).to_bytes(8, "little")
+        + (zlib.crc32(encoded) & 0xFFFFFFFF).to_bytes(4, "little")
+        + encoded
+    )
+    return prefix + bytes(-len(prefix) % SECTION_ALIGN) + data[start:]
 
 
 class TestContainerValidation:
@@ -27,37 +53,30 @@ class TestContainerValidation:
         with pytest.raises(SerializationError):
             loads(b"PK\x03\x04 this is a zip archive, not an index")
 
-    def test_bad_magic_names_both_container_magics(self, stored):
-        """The bad-magic diagnostic must name *both* accepted containers
-        (RWT1 streams and RWT2 images), so a user pointing the loader at the
-        wrong file learns what the library would have accepted."""
-        corrupted = b"XXXX" + stored[4:]
+    def test_bad_magic_names_what_was_found_and_expected(self, stored):
         with pytest.raises(SerializationError) as caught:
-            loads(corrupted)
+            loads(b"XXXX" + stored[4:])
         message = str(caught.value)
-        assert "RWT1" in message and "RWT2" in message
-        assert "b'XXXX'" in message  # ...and what it actually found.
+        assert "b'XXXX'" in message and "b'RWT2'" in message
 
-    def test_bad_magic_from_file_names_both_magics(self, tmp_path):
+    def test_bad_magic_from_file_names_the_magic(self, tmp_path):
         path = tmp_path / "notanindex.wt"
         path.write_bytes(b"PK\x03\x04 a zip archive, not an index" * 3)
-        with pytest.raises(SerializationError) as caught:
+        with pytest.raises(SerializationError, match="RWT2"):
             load(path)
-        message = str(caught.value)
-        assert "RWT1" in message and "RWT2" in message
 
     def test_unsupported_version(self, stored):
         corrupted = bytearray(stored)
-        corrupted[len(MAGIC)] = FORMAT_VERSION + 1
+        corrupted[4:8] = (IMAGE_VERSION + 1).to_bytes(4, "little")
         with pytest.raises(SerializationError, match="version"):
             loads(bytes(corrupted))
 
     def test_version_error_names_found_and_expected(self, stored):
         corrupted = bytearray(stored)
-        corrupted[len(MAGIC)] = FORMAT_VERSION + 41
+        corrupted[4:8] = (IMAGE_VERSION + 41).to_bytes(4, "little")
         with pytest.raises(
             SerializationError,
-            match=f"found {FORMAT_VERSION + 41}, expected {FORMAT_VERSION}",
+            match=f"found {IMAGE_VERSION + 41}, expected {IMAGE_VERSION}",
         ):
             loads(bytes(corrupted))
 
@@ -65,43 +84,54 @@ class TestContainerValidation:
         with pytest.raises(SerializationError):
             loads(stored[: len(stored) // 2])
 
-    def test_truncated_checksum(self, stored):
+    def test_truncated_end(self, stored):
         with pytest.raises(SerializationError):
             loads(stored[:-2])
 
     def test_flipped_payload_byte_fails_checksum(self, stored):
         corrupted = bytearray(stored)
-        # Flip a byte in the middle of the payload (well past the header).
-        corrupted[len(stored) // 2] ^= 0xFF
+        # Flip a byte of the last section, well past the header.
+        corrupted[len(stored) - SECTION_ALIGN] ^= 0xFF
         with pytest.raises(SerializationError, match="checksum"):
             loads(bytes(corrupted))
 
     def test_trailing_garbage_rejected(self, stored):
-        with pytest.raises(SerializationError, match="trailing bytes after the checksum"):
+        with pytest.raises(SerializationError, match="section table describes"):
             loads(stored + b"extra")
+
+    def test_every_flipped_byte_raises(self):
+        """One flipped bit anywhere in a file -- fixed header, header JSON,
+        a section or the padding between them -- makes ``loads`` raise."""
+        data = dumps(DynamicWaveletTrie(["/a/x", "/a/y", "/b", "/a/x"]))
+        image = FrozenImage(data)
+        assert len(image.section_names()) > 10
+        for position in range(len(data)):
+            corrupted = bytearray(data)
+            corrupted[position] ^= 0x04
+            with pytest.raises(SerializationError):
+                loads(bytes(corrupted))
 
 
 class TestObjectValidation:
-    def test_unknown_type_tag(self):
-        with pytest.raises(SerializationError, match="type tag"):
-            read_object(250, b"")
+    def test_unknown_image_type(self, stored):
+        with pytest.raises(SerializationError, match="unknown frozen-image type"):
+            loads(_relabel(stored, "martian_index"))
 
     def test_unsupported_object(self):
-        with pytest.raises(SerializationError, match="cannot be serialised"):
-            write_object(object())
+        with pytest.raises(SerializationError, match="cannot be written"):
+            dumps(object())
 
     def test_unsupported_builtin(self):
         with pytest.raises(SerializationError):
             dumps({"a": 1})
 
-    def test_payload_for_wrong_type(self, stored, url_log):
-        # Take a valid static-trie payload and present it under the dynamic tag.
-        tag, payload = write_object(WaveletTrie(url_log[:20]))
-        from repro.core.dynamic import DynamicWaveletTrie
-        from repro.storage.serializers import TYPE_TAGS
-
+    @pytest.mark.parametrize(
+        "type_name", ["dynamic_trie", "column", "fm_index", "huffman_tree"]
+    )
+    def test_image_under_another_type_name(self, stored, type_name):
+        # A valid static-trie image presented as another type.
         with pytest.raises(SerializationError):
-            read_object(TYPE_TAGS[DynamicWaveletTrie], payload)
+            loads(_relabel(stored, type_name))
 
 
 class TestFileErrors:
@@ -127,34 +157,22 @@ class TestFileErrors:
     def test_load_rejects_trailing_bytes(self, tmp_path, url_log):
         path = tmp_path / "index.wt"
         save(WaveletTrie(url_log[:30]), path)
-        path.write_bytes(path.read_bytes() + b"garbage")
-        with pytest.raises(SerializationError, match="trailing bytes"):
+        path.write_bytes(path.read_bytes() + b"garbage!")
+        with pytest.raises(SerializationError, match="section table describes"):
             load(path)
 
-    def test_load_oversized_length_varint_fails_cleanly(self, tmp_path, url_log):
-        # A corrupted payload-length varint claiming more bytes than the file
-        # holds must raise instead of attempting a huge allocation.
+    def test_load_oversized_header_length_fails_cleanly(self, tmp_path, url_log):
+        # A header length claiming more bytes than the file holds must raise
+        # instead of reading past the end.
         path = tmp_path / "index.wt"
         save(WaveletTrie(url_log[:30]), path)
         data = bytearray(path.read_bytes())
-        # magic(4) + version(1) + type tag varint(1) -> the length varint.
-        # Overwrite it with a 9-byte varint encoding ~2**60 and keep the rest.
-        huge = bytearray()
-        value = 1 << 60
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                huge.append(byte | 0x80)
-            else:
-                huge.append(byte)
-                break
-        corrupted = bytes(data[:6]) + bytes(huge) + bytes(data[7:])
-        path.write_bytes(corrupted)
-        with pytest.raises(SerializationError, match="exceeds the .* bytes left"):
+        data[8:16] = (1 << 60).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(SerializationError, match="header is truncated"):
             load(path)
 
-    def test_load_truncated_file_streams_cleanly(self, tmp_path, url_log):
+    def test_load_truncated_file(self, tmp_path, url_log):
         path = tmp_path / "index.wt"
         save(WaveletTrie(url_log[:30]), path)
         data = path.read_bytes()

@@ -1,10 +1,10 @@
-"""RWT2 frozen-image tests: round trips, corruption, cross-backend parity.
+"""RWT2 image tests: round trips, corruption, cross-backend parity.
 
 Every supported type is written with :func:`dumps_image`/:func:`save_image`
 and reopened under *each available kernel backend*; query results must be
-identical to the in-memory original (the loaded structures answer queries
-straight off the mapped words, so equality here certifies the whole
-zero-copy path).  Corruption tests flip and truncate real section bytes and
+identical to the in-memory original (the loaded static structures answer
+queries straight off the mapped words, so equality here certifies the whole
+zero-copy path; growable tries are thawed and keep taking writes).  Corruption tests flip and truncate real section bytes and
 expect the per-section CRC / bounds checks to name the damage.  The
 numpy-absent fallback is covered by opening a numpy-written file under the
 pure-python backend -- the bytes on disk are backend-independent.
@@ -28,7 +28,6 @@ from repro.storage import (
     IMAGE_MAGIC,
     IMAGE_VERSION,
     dumps_image,
-    freeze,
     load,
     loads,
     loads_image,
@@ -80,16 +79,18 @@ class TestTrieRoundTrip:
         assert_trie_equal(loaded, values)
 
     @pytest.mark.parametrize("cls", [AppendOnlyWaveletTrie, DynamicWaveletTrie])
-    def test_growable_tries_freeze_to_static(self, backend, url_log, cls):
+    def test_growable_tries_reopen_as_their_flavour(self, backend, url_log, cls):
         values = url_log[:120]
         loaded = loads_image(dumps_image(cls(values)), verify=True)
-        assert type(loaded) is WaveletTrie
+        assert type(loaded) is cls
         assert_trie_equal(loaded, values)
+        loaded.append(values[3])
+        assert loaded.count(values[3]) == values.count(values[3]) + 1
 
     def test_tiered_trie_persists_per_tier(self, backend, url_log):
-        """A tiered trie images as one section group per frozen tier; the
-        reopened instance has the same tier layout plus a fresh mutable tail
-        that keeps absorbing writes."""
+        """A tiered trie images as one section group per frozen tier plus
+        its live tail; the reopened instance has the same tier layout and a
+        mutable tail that keeps absorbing writes."""
         values = url_log[:150]
         tiered = TieredWaveletTrie(values, active_capacity=48, compact_budget=2)
         loaded = loads_image(dumps_image(tiered), verify=True)
@@ -97,7 +98,7 @@ class TestTrieRoundTrip:
         assert loaded.active_capacity == tiered.active_capacity
         assert loaded.compact_budget == tiered.compact_budget
         assert_trie_equal(loaded, values)
-        assert loaded.mutable_start == len(values)
+        assert loaded.mutable_start == tiered.mutable_start
         assert all(row["state"] != "sealing" for row in loaded.tier_info())
         loaded.append("http://post-image.example/write")
         assert len(loaded) == len(values) + 1
@@ -139,13 +140,14 @@ class TestTrieRoundTrip:
         for loaded in (open_image(path, verify=True), load(path), loads(path.read_bytes())):
             assert_trie_equal(loaded, values)
 
-    def test_rle_trie_is_rejected(self, backend, url_log):
-        trie = WaveletTrie(url_log[:40], bitvector="rle")
-        with pytest.raises(SerializationError, match="rle"):
-            dumps_image(trie)
+    def test_rle_trie_round_trips(self, backend, url_log):
+        values = url_log[:40]
+        loaded = loads_image(dumps_image(WaveletTrie(values, bitvector="rle")), verify=True)
+        assert loaded.bitvector_kind == "rle"
+        assert_trie_equal(loaded, values)
 
-    def test_loaded_trie_is_immutable(self, backend, url_log):
-        loaded = loads_image(dumps_image(AppendOnlyWaveletTrie(url_log[:40])))
+    def test_loaded_static_trie_is_immutable(self, backend, url_log):
+        loaded = loads_image(dumps_image(WaveletTrie(url_log[:40])))
         from repro.exceptions import ImmutableStructureError
 
         with pytest.raises(ImmutableStructureError):
@@ -157,7 +159,7 @@ class TestDbRoundTrip:
         column = CompressedColumn("region", column_values)
         loaded = loads_image(dumps_image(column), verify=True)
         assert loaded.name == "region"
-        assert not loaded.appendable
+        assert loaded.appendable and type(loaded.index) is type(column.index)
         assert len(loaded) == len(column_values)
         assert [loaded.value_at(i) for i in range(0, len(column_values), 13)] == [
             column_values[i] for i in range(0, len(column_values), 13)
@@ -165,6 +167,13 @@ class TestDbRoundTrip:
         probe = column_values[0]
         assert loaded.count_eq(probe) == column_values.count(probe)
         assert list(loaded.rows_eq(probe, limit=5)) == list(column.rows_eq(probe, limit=5))
+
+    def test_static_column_stays_static(self, backend, column_values):
+        column = CompressedColumn("region", column_values, appendable=False)
+        loaded = loads_image(dumps_image(column), verify=True)
+        assert not loaded.appendable and type(loaded.index) is WaveletTrie
+        header = FrozenImage(dumps_image(column))
+        assert header.meta["appendable"] is False
 
     def test_column_store(self, backend, url_log):
         store = ColumnStore(["url", "verb"])
@@ -267,8 +276,13 @@ class TestImageValidation:
             loads_image(bytes(corrupted), verify=True)
         assert name in str(excinfo.value)
         assert "checksum mismatch" in str(excinfo.value)
-        # Without verification the flip goes unchecked at open time (by design).
-        loads_image(bytes(corrupted), verify=False)
+        # Without verification the content is trusted: the open either takes
+        # the flip or trips over it in the node-window checks, which read
+        # the shared vector's ranks at the window starts.
+        try:
+            loads_image(bytes(corrupted), verify=False)
+        except SerializationError as error:
+            assert "window" in str(error)
 
     def test_unknown_image_type(self, image_bytes):
         from repro.storage.image import ImageWriter
@@ -298,44 +312,17 @@ class TestImageValidation:
         assert SECTION_ALIGN % mmap.PAGESIZE == 0 or mmap.PAGESIZE % SECTION_ALIGN == 0
 
 
-class TestFreeze:
-    def test_freeze_passes_static_through(self, url_log):
-        trie = WaveletTrie(url_log[:30])
-        assert freeze(trie) is trie
-
-    def test_freeze_snapshots_dynamic(self, url_log):
-        dynamic = DynamicWaveletTrie(url_log[:50])
-        frozen = freeze(dynamic)
-        assert type(frozen) is WaveletTrie
-        assert frozen.to_list() == dynamic.to_list()
-        # The snapshot is independent: mutating the original changes nothing.
-        dynamic.append("/after")
-        assert len(frozen) == 50
-
-    def test_freeze_routes_through_core_tiers(self, url_log):
-        """storage.freeze is a thin wrapper over core.tiers.freeze_trie for
-        every trie flavour -- the lifecycle logic lives in core, storage
-        keeps only serialization."""
-        from repro.core.tiers import freeze_trie
-
-        dynamic = DynamicWaveletTrie(url_log[:40])
-        assert freeze(dynamic).to_list() == freeze_trie(dynamic).to_list()
-        tiered = TieredWaveletTrie(url_log[:40], active_capacity=16)
-        snapshot = freeze(tiered)
-        assert isinstance(snapshot, TieredWaveletTrie)
-        assert snapshot.to_list() == tiered.to_list()
-        assert all(row["elements"] == 0 or row["state"] == "frozen"
-                   for row in snapshot.tier_info())
-
-    def test_unfrozen_tiered_writer_is_rejected(self, url_log):
-        """The RWT2 writer only accepts fully frozen tiered tries; live ones
-        must go through freeze()/frozen_snapshot() first."""
-        from repro.storage.image import _write_tiered_trie, ImageWriter
-
+class TestLiveTiers:
+    def test_a_live_tiered_trie_is_written_with_its_tail(self, url_log):
+        """The writer takes a tiered trie as it is: frozen tiers, then the
+        live tail, thawed on open as the same mutable window."""
         tiered = TieredWaveletTrie(url_log[:30], active_capacity=100)
         assert len(tiered._active)  # live tail content
-        with pytest.raises(SerializationError, match="fully frozen"):
-            _write_tiered_trie(tiered, ImageWriter())
+        loaded = loads_image(dumps_image(tiered), verify=True)
+        assert loaded.to_list() == tiered.to_list()
+        assert loaded.mutable_start == tiered.mutable_start == 0
+        loaded.insert("http://inserted.example/", 5)
+        assert loaded.access(5) == "http://inserted.example/"
 
 
 class TestConcurrentReaders:

@@ -1,4 +1,4 @@
-"""RWT2 header trust: the reader accepts only the layout the writer produces.
+"""Image header trust: the reader accepts only the layout the writer produces.
 
 A frozen image's header passes its own CRC whenever a writer (buggy or
 hostile) recomputes it, so the always-on open checks must not trust the
@@ -9,8 +9,9 @@ row counts agree with the structures.  The property here rewrites real
 images' headers (recomputing the header CRC) and requires every mutation to
 raise :class:`SerializationError` or to open an index equal to the
 original -- with ``verify=False``, so the CRCs of the sections never help.
-The mutations reach every field of each node bitvector's meta too
-(``length``, ``ones``, ``block_size``, ``sample_rate``, ``offset_len``),
+Every image type is covered.  The mutations reach every field of the shared
+node bitvector's meta too (``length``, ``ones``, ``block_size``,
+``sample_rate``, ``offset_len``; a Huffman tree's per-node metas likewise),
 which the open checks against the mapped arrays; ``verify=True`` stays the
 content check.
 """
@@ -22,10 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bits.packed import PackedIntVector
+from repro.core.append_only import AppendOnlyWaveletTrie
+from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
 from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.core.tiers import TieredWaveletTrie
 from repro.db.column import CompressedColumn
+from repro.db.doc_store import DocumentStore
 from repro.db.table import ColumnStore
 from repro.exceptions import SerializationError
 from repro.storage import (
@@ -36,6 +41,8 @@ from repro.storage import (
     open_image,
 )
 from repro.storage.image import SECTION_ALIGN, FrozenImage
+from repro.text.fm_index import FMIndex
+from repro.wavelet.huffman import HuffmanWaveletTree
 from repro.workloads.urls import UrlLogGenerator
 
 VALUES = UrlLogGenerator(domains=6, depth=3, branching=3, seed=7).generate(200)
@@ -74,7 +81,36 @@ def _trie_fingerprint(trie):
     )
 
 
+PATTERNS = ["www", ".com/", "search1", "zz", "/"]
+
+
+def _fm_fingerprint(fm):
+    return (
+        len(fm),
+        [fm.count(pattern) for pattern in PATTERNS],
+        [fm.locate(pattern) for pattern in PATTERNS[:3]],
+        fm.extract(0, len(fm)),
+    )
+
+
 def _fingerprint(obj):
+    if isinstance(obj, DocumentStore):
+        return (
+            [obj.document(i) for i in range(len(obj))],
+            [obj.locate(pattern) for pattern in PATTERNS],
+            _fm_fingerprint(obj.fm_index),
+        )
+    if isinstance(obj, FMIndex):
+        return _fm_fingerprint(obj)
+    if isinstance(obj, HuffmanWaveletTree):
+        symbols = sorted(obj.codes)
+        return (
+            len(obj),
+            [obj.access(i) for i in range(len(obj))],
+            [obj.rank(symbol, len(obj) // 2) for symbol in symbols],
+        )
+    if isinstance(obj, PackedIntVector):
+        return obj.width, obj.to_list()
     if isinstance(obj, ColumnStore):
         return (
             len(obj),
@@ -91,6 +127,16 @@ def _tiered():
     return trie.frozen_snapshot()
 
 
+def _tiered_live():
+    """Frozen tiers plus a live tail (seals at 64 rows; 8 rows stay live)."""
+    trie = TieredWaveletTrie(active_capacity=64, compact_budget=1024)
+    trie.extend(VALUES)
+    return trie
+
+
+TEXT = "\x00".join(VALUES[:40])
+
+
 def _store():
     store = ColumnStore(["url", "host"])
     store.extend({"url": url, "host": url.split("/")[0]} for url in VALUES)
@@ -100,10 +146,20 @@ def _store():
 IMAGES = {
     "rrr": lambda: WaveletTrie(VALUES, bitvector="rrr"),
     "plain": lambda: WaveletTrie(VALUES, bitvector="plain"),
+    "rle": lambda: WaveletTrie(VALUES, bitvector="rle"),
     "succinct": lambda: SuccinctWaveletTrie(VALUES),
+    "append_only": lambda: AppendOnlyWaveletTrie(VALUES),
+    "dynamic": lambda: DynamicWaveletTrie(VALUES),
     "tiered": _tiered,
+    "tiered_live": _tiered_live,
     "column": lambda: CompressedColumn("urls", VALUES),
+    "static_column": lambda: CompressedColumn("urls", VALUES, appendable=False),
     "store": _store,
+    "huffman": lambda: HuffmanWaveletTree([ord(char) for char in TEXT]),
+    "packed": lambda: PackedIntVector(11, range(0, 2000, 7)),
+    "fm_index": lambda: FMIndex(TEXT, sa_sample=4),
+    "fm_index_rrr": lambda: FMIndex(TEXT, sa_sample=4, bitvector="rrr"),
+    "doc_store": lambda: DocumentStore(VALUES[:40], sa_sample=4),
 }
 
 
@@ -114,7 +170,19 @@ def image(request):
 
 
 # The image types a header can name (a real image relabelled as another).
-TYPE_NAMES = ["static_trie", "succinct_trie", "tiered_trie", "column", "column_store"]
+TYPE_NAMES = [
+    "static_trie",
+    "succinct_trie",
+    "append_only_trie",
+    "dynamic_trie",
+    "tiered_trie",
+    "column",
+    "column_store",
+    "huffman_tree",
+    "packed_ints",
+    "fm_index",
+    "document_store",
+]
 
 # JSON values a rewritten header can carry in place of a well-formed one.
 ODD_VALUES = st.one_of(
@@ -176,10 +244,11 @@ def _int_fields(meta, keys, path=()):
 
 
 def _bitvector_fields(meta, path=()):
-    """Paths to every field of every node bitvector's meta."""
+    """Paths to every field of every node bitvector's meta: a trie's shared
+    vector (``bitvector``) and a Huffman tree's nodes (``bitvectors``)."""
     if isinstance(meta, dict):
         for key, value in meta.items():
-            if key == "bitvectors":
+            if key in ("bitvector", "bitvectors"):
                 yield from _int_fields(value, BITVECTOR_FIELDS, path + (key,))
             else:
                 yield from _bitvector_fields(value, path + (key,))
@@ -217,6 +286,15 @@ def _mutate_meta(header, draw):
         header["type"] = draw(st.one_of(st.sampled_from(TYPE_NAMES), ODD_VALUES))
 
 
+def _second_entry(header):
+    """The table's second entry; a one-section image gets a copy of its
+    first entry appended as one."""
+    table = header["sections"]
+    if len(table) < 2:
+        table.append([table[0][0] + "2"] + table[0][1:])
+    return table[1]
+
+
 class TestRewrittenHeaders:
     def test_rewriting_the_header_unchanged_round_trips(self, image):
         data, expected = image
@@ -252,14 +330,14 @@ class TestRewrittenHeaders:
     def test_two_entries_naming_the_same_bytes_are_rejected(self, image):
         raw, _ = image
         header, body = _split(raw)
-        header["sections"][1][1] = header["sections"][0][1]
+        _second_entry(header)[1] = header["sections"][0][1]
         with pytest.raises(SerializationError, match="layout"):
             loads_image(_join(header, body))
 
     def test_duplicate_names_are_rejected(self, image):
         raw, _ = image
         header, body = _split(raw)
-        header["sections"][1][0] = header["sections"][0][0]
+        _second_entry(header)[0] = header["sections"][0][0]
         with pytest.raises(SerializationError, match="duplicate section name"):
             loads_image(_join(header, body))
 
@@ -284,6 +362,13 @@ class TestStoredSizes:
         with pytest.raises(SerializationError, match="table header says"):
             loads_image(_join(header, body))
 
+    def test_an_appendable_column_needs_a_growable_index(self):
+        raw = dumps_image(CompressedColumn("urls", VALUES, appendable=False))
+        header, body = _split(raw)
+        header["meta"]["appendable"] = True
+        with pytest.raises(SerializationError, match="appendable over a static index"):
+            loads_image(_join(header, body))
+
     def test_empty_meta_is_a_serialization_error(self):
         raw = dumps_image(WaveletTrie(VALUES))
         header, body = _split(raw)
@@ -292,54 +377,57 @@ class TestStoredSizes:
             loads_image(_join(header, body))
 
 
-def _with_node_meta(field, value, node=0):
-    """A static RRR trie image whose ``node``'s bitvector meta says ``value``."""
+def _with_shared_meta(field, value):
+    """A static RRR trie image whose shared node bitvector's meta says ``value``."""
     header, body = _split(dumps_image(WaveletTrie(VALUES)))
-    header["meta"]["trie"]["bitvectors"][node][field] = value
+    header["meta"]["trie"]["bitvector"][field] = value
     return _join(header, body)
 
 
 class TestBitvectorMeta:
     def test_zero_block_size_is_rejected_at_open(self, tmp_path):
         path = tmp_path / "zero-block.rwt2"
-        path.write_bytes(_with_node_meta("block_size", 0))
+        path.write_bytes(_with_shared_meta("block_size", 0))
         with pytest.raises(SerializationError, match="block size 0"):
             open_image(path)
 
     def test_zero_sample_rate_is_rejected_at_open(self, tmp_path):
         path = tmp_path / "zero-sample.rwt2"
-        path.write_bytes(_with_node_meta("sample_rate", 0))
+        path.write_bytes(_with_shared_meta("sample_rate", 0))
         with pytest.raises(SerializationError, match="sample rate 0"):
             open_image(path)
 
     def test_ones_must_match_the_classes(self):
         header, _ = _split(dumps_image(WaveletTrie(VALUES)))
-        ones = header["meta"]["trie"]["bitvectors"][0]["ones"]
+        ones = header["meta"]["trie"]["bitvector"]["ones"]
         with pytest.raises(SerializationError, match=f"says {ones + 1} ones"):
-            loads_image(_with_node_meta("ones", ones + 1))
+            loads_image(_with_shared_meta("ones", ones + 1))
 
-    def test_one_node_cannot_change_its_block_size_alone(self):
-        # 62 keeps a short node's block count and offset widths, so only
-        # its siblings can tell.
-        header, _ = _split(dumps_image(WaveletTrie(VALUES)))
-        short = min(
-            range(len(header["meta"]["trie"]["bitvectors"])),
-            key=lambda rank: header["meta"]["trie"]["bitvectors"][rank]["length"],
-        )
-        with pytest.raises(SerializationError, match="disagree on block size"):
-            loads_image(_with_node_meta("block_size", 62, node=short))
+    @pytest.mark.parametrize("block_size", [31, 62])
+    def test_the_shared_block_size_must_match_its_block_count(self, block_size):
+        with pytest.raises(SerializationError, match="block classes"):
+            loads_image(_with_shared_meta("block_size", block_size))
 
 
-def test_image_size_is_header_plus_word_aligned_sections():
-    # Enough distinct URLs for well over 1,000 internal trie nodes (two
-    # sections each): per-section padding must stay within 8-byte words.
-    values = UrlLogGenerator(seed=3).generate(6000)
-    data = dumps_image(WaveletTrie(values, bitvector="rrr"))
+def _layout(rows):
+    """(section count, header length, file length) of a static RRR trie
+    image over ``rows`` URLs."""
+    data = dumps_image(WaveletTrie(UrlLogGenerator(seed=3).generate(rows), bitvector="rrr"))
+    return len(FrozenImage(data).section_names()), int.from_bytes(data[8:16], "little"), data
+
+
+def test_header_is_constant_in_the_node_count():
+    """600 and 6,000 rows (over 1,000 internal nodes) give the same section
+    set and a header that differs only in the digits of its numbers."""
+    small_sections, small_header, _ = _layout(600)
+    large_sections, large_header, data = _layout(6000)
     image = FrozenImage(data)
-    internal = sum(1 for name in image.section_names() if name.endswith(".cls"))
-    assert internal >= 1000
-    header_length = int.from_bytes(data[8:16], "little")
-    sections = sum(
-        -(-length // 8) * 8 for _, length, _ in image._sections.values()
+    internal = len(image.meta["trie"]["node_offsets"]) and sum(
+        1 for _ in range(image.meta["trie"]["node_offsets"]["count"])
     )
-    assert len(data) <= 20 + header_length + 7 + sections
+    assert internal >= 1000
+    assert small_sections == large_sections == 20
+    assert abs(large_header - small_header) < 64
+    # The file is the header plus word-aligned sections.
+    sections = sum(-(-length // 8) * 8 for _, length, _ in image._sections.values())
+    assert len(data) <= 20 + large_header + 7 + sections
