@@ -304,6 +304,11 @@ def rank_many_packed(handle, bit: int, positions: Sequence[int]):
     return _active.rank_many_packed(handle, bit, positions)
 
 
+def access_rank_many_packed(handle, positions: Sequence[int]):
+    """``(bits, ranks)``: each position's bit and ``rank(bit, pos)``."""
+    return _active.access_rank_many_packed(handle, positions)
+
+
 def select_many_packed(handle, bit: int, indexes: Sequence[int]):
     """``select(bit, idx)`` for each index via a prepared handle."""
     return _active.select_many_packed(handle, bit, indexes)
@@ -333,6 +338,11 @@ def prepare_rrr(
 def rrr_rank_many(handle, bit: int, positions: Sequence[int]):
     """``rank(bit, pos)`` at each of ``positions`` via a prepared RRR handle."""
     return _active.rrr_rank_many(handle, bit, positions)
+
+
+def rrr_access_rank_many(handle, positions: Sequence[int]):
+    """``(bits, ranks)`` of an RRR bitvector via a prepared handle."""
+    return _active.rrr_access_rank_many(handle, positions)
 
 
 def rrr_decode_words(handle, first: int, stop: int):

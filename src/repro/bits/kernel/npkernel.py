@@ -13,7 +13,8 @@ backends" section of docs/ARCHITECTURE.md) over ``uint64`` word arrays:
 * ``searchsorted``-based word location plus a fully vectorised byte-table
   in-word select for ``select_many_packed`` / ``select_in_word_many``;
 * a vectorised superblock walk, two-word offset extraction and
-  set-bit-jumping block decode for ``rrr_rank_many``.
+  set-bit-jumping block decode for ``rrr_rank_many`` and
+  ``rrr_access_rank_many``.
 
 Exchange format: the same MSB-first left-aligned 64-bit packed words as the
 python backend (:mod:`repro.bits.kernel.pykernel`).  Bulk functions accept
@@ -548,6 +549,23 @@ def rank_many_packed(handle, bit: int, positions: Sequence[int]):
     return _mirror(pos - ones, positions)
 
 
+def access_rank_many_packed(handle, positions: Sequence[int]):
+    """``(bits, ranks)``: the bit at each position and ``rank(bit, pos)``.
+
+    One gather and one shift per batch give both: the shifted word's low
+    bit is the queried bit, and the popcount of the bits above it plus the
+    cumulative gather gives the ones before it.  Array in, arrays out.
+    The caller validates ``0 <= pos < length``.
+    """
+    pos = np.asarray(positions, dtype=np.int64)
+    wi = pos >> 6
+    shifted = handle.words[wi] >> (_SIXTY_THREE - (pos & 63).astype(np.uint64))
+    bits = (shifted & _ONE).astype(np.int64)
+    ones = handle.abs_cum[wi] + _popcount_array(shifted >> _ONE)
+    ranks = np.where(bits, ones, pos - ones)
+    return _mirror(bits, positions), _mirror(ranks, positions)
+
+
 def select_many_packed(handle, bit: int, indexes: Sequence[int]):
     """``select(bit, idx)`` for each index, fully vectorised.
 
@@ -629,20 +647,21 @@ def prepare_rrr(
     )
 
 
-def _rrr_prefix_ones(offsets, classes, prefix, block_size: int):
-    """Ones among the first ``prefix`` bits of RRR blocks ``(class, offset)``.
+def _rrr_prefix_ones(offsets, classes, prefix, block_size: int, with_bits=False):
+    """Ones among the first ``prefix`` bits of RRR blocks ``(class, offset)``;
+    with ``with_bits``, ``(ones, bits)`` with the bit at ``prefix`` too.
 
     The batch twin of the python backend's set-bit jump: with
     ``T = C(B, k) - offset`` the next set bit is at ``B - 1 - m`` for the
     largest ``m`` with ``C(m, k) < T`` (hockey-stick identity), found by a
     branch-free binary search over the binomial column.  One round per set
     bit, every block of the batch advancing together; a block leaves the
-    loop at its first set bit at or past ``prefix``.  ``C(m, k) >= T`` holds
-    for every ``m`` past the previous jump (and past ``B`` in the first
-    round), so the search needs no range check.  Blocks denser than half
-    full walk their complement (class ``B - k``, offset
-    ``C(B, k) - 1 - offset``) and count zeros, so at most ``B / 2`` rounds
-    run.
+    loop at its first set bit at or past ``prefix``, and that bit sitting
+    exactly at ``prefix`` is the bit there.  ``C(m, k) >= T`` holds for
+    every ``m`` past the previous jump (and past ``B`` in the first round),
+    so the search needs no range check.  Blocks denser than half full walk
+    their complement (class ``B - k``, offset ``C(B, k) - 1 - offset``) and
+    count zeros, so at most ``B / 2`` rounds run.
     """
     dense = 2 * classes > block_size
     k = np.where(dense, block_size - classes, classes)
@@ -651,10 +670,15 @@ def _rrr_prefix_ones(offsets, classes, prefix, block_size: int):
         - offsets
     )
     count = np.zeros(classes.size, dtype=np.int64)
+    hit = np.zeros(classes.size, dtype=bool) if with_bits else None
     steps = [1 << s for s in reversed(range(block_size.bit_length()))]
     # The set bit at ``B - 1 - m`` lies inside the prefix iff ``m > floor``.
     floor = block_size - 1 - prefix
-    live = np.flatnonzero((k > 0) & (prefix > 0))
+    walks = k > 0
+    if not with_bits:
+        # A zero prefix holds no ones; only the bit needs its first jump.
+        walks &= prefix > 0
+    live = np.flatnonzero(walks)
     while live.size:
         k_live = k[live]
         target = remaining[live]
@@ -663,13 +687,20 @@ def _rrr_prefix_ones(offsets, classes, prefix, block_size: int):
         for step in steps:
             candidate = m + step
             m = np.where(_BINOMIAL_FLAT[row + candidate] < target, candidate, m)
-        inside = m > floor[live]
+        floor_live = floor[live]
+        if with_bits:
+            hit[live[m == floor_live]] = True
+        inside = m > floor_live
         live = live[inside]
         count[live] += 1
         remaining[live] = target[inside] - _BINOMIAL_FLAT[row[inside] + m[inside]]
         k[live] = k_live[inside] - 1
         live = live[k_live[inside] > 1]
-    return np.where(dense, prefix - count, count)
+    ones = np.where(dense, prefix - count, count)
+    if not with_bits:
+        return ones
+    # A dense block walks its zeros: a hit there is a 0.
+    return ones, (hit != dense).astype(np.int64)
 
 
 def rrr_decode_words(handle, first: int, stop: int):
@@ -727,49 +758,82 @@ def rrr_decode_words(handle, first: int, stop: int):
     return words
 
 
+def _rrr_blocks(handle, query):
+    """``(ones before each query's block, its offset, its class, the
+    query's place in it)`` for positions ``query < length``.
+
+    The superblock walk adds the classes and offset widths of the blocks
+    before each query's block inside its superblock (``sample_rate - 1``
+    gathers at most), and one two-word read per query extracts its
+    block's offset.
+    """
+    block_size = handle.block_size
+    block = query // block_size
+    prefix = query - block * block_size
+    sample = block // handle.sample_rate
+    walked = sample * handle.sample_rate
+    rank_before = handle.sample_rank[sample]
+    offset_pos = handle.sample_offset_pos[sample]
+    for _ in range(int((block - walked).max())):
+        behind = walked < block
+        classes = np.where(behind, handle.classes[walked], 0)
+        rank_before = rank_before + classes
+        offset_pos = offset_pos + handle.widths[classes]
+        walked = walked + behind
+    classes = handle.classes[block]
+    width = handle.widths[classes].astype(np.uint64)
+    word_index = offset_pos >> 6
+    shift = (offset_pos & 63).astype(np.uint64)
+    top = (handle.words[word_index] << shift) | (
+        (handle.words[word_index + 1] >> _ONE) >> (_SIXTY_THREE - shift)
+    )
+    offsets = ((top >> _ONE) >> (_SIXTY_THREE - width)).astype(np.int64)
+    return rank_before, offsets, classes, prefix
+
+
 def rrr_rank_many(handle, bit: int, positions: Sequence[int]):
     """``rank(bit, pos)`` at each position of an RRR bitvector, vectorised.
 
-    Three whole-batch passes and no sort: the superblock walk adds the
-    classes and offset widths of the blocks before each query's block
-    inside its superblock (``sample_rate - 1`` gathers at most), one
-    two-word read per query extracts its block's offset, and
-    :func:`_rrr_prefix_ones` counts the ones before the query inside it.
-    Amortised O(sample_rate + B / 2) array operations per batch; array in,
-    array out.  The caller validates ``0 <= pos <= length``.
+    Three whole-batch passes and no sort: the superblock walk and offset
+    read of :func:`_rrr_blocks`, then :func:`_rrr_prefix_ones` counts the
+    ones before the query inside its block.  Amortised
+    O(sample_rate + B / 2) array operations per batch; array in, array
+    out.  The caller validates ``0 <= pos <= length``.
     """
     pos = np.asarray(positions, dtype=np.int64)
     ones = np.full(pos.size, handle.ones, dtype=np.int64)
     inside = np.flatnonzero(pos < handle.length)
     if inside.size:
-        block_size = handle.block_size
-        query = pos[inside]
-        block = query // block_size
-        prefix = query - block * block_size
-        sample = block // handle.sample_rate
-        walked = sample * handle.sample_rate
-        rank_before = handle.sample_rank[sample]
-        offset_pos = handle.sample_offset_pos[sample]
-        for _ in range(int((block - walked).max())):
-            behind = walked < block
-            classes = np.where(behind, handle.classes[walked], 0)
-            rank_before = rank_before + classes
-            offset_pos = offset_pos + handle.widths[classes]
-            walked = walked + behind
-        classes = handle.classes[block]
-        width = handle.widths[classes].astype(np.uint64)
-        word_index = offset_pos >> 6
-        shift = (offset_pos & 63).astype(np.uint64)
-        top = (handle.words[word_index] << shift) | (
-            (handle.words[word_index + 1] >> _ONE) >> (_SIXTY_THREE - shift)
-        )
-        offsets = ((top >> _ONE) >> (_SIXTY_THREE - width)).astype(np.int64)
+        rank_before, offsets, classes, prefix = _rrr_blocks(handle, pos[inside])
         ones[inside] = rank_before + _rrr_prefix_ones(
-            offsets, classes, prefix, block_size
+            offsets, classes, prefix, handle.block_size
         )
     if bit:
         return _mirror(ones, positions)
     return _mirror(pos - ones, positions)
+
+
+def rrr_access_rank_many(handle, positions: Sequence[int]):
+    """``(bits, ranks)``: the bit at each position of an RRR bitvector and
+    ``rank(bit, pos)``, vectorised.
+
+    The passes of :func:`rrr_rank_many` on ``q`` positions: one superblock
+    walk and offset read, and one set-bit jump that yields the prefix ones
+    and the bit alike, where an access/rank pair would rank ``2 q``
+    positions.  Array in, arrays out.  The caller validates
+    ``0 <= pos < length``.
+    """
+    pos = np.asarray(positions, dtype=np.int64)
+    if not pos.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return _mirror(empty, positions), _mirror(empty, positions)
+    rank_before, offsets, classes, prefix = _rrr_blocks(handle, pos)
+    inner, bits = _rrr_prefix_ones(
+        offsets, classes, prefix, handle.block_size, with_bits=True
+    )
+    ones = rank_before + inner
+    ranks = np.where(bits, ones, pos - ones)
+    return _mirror(bits, positions), _mirror(ranks, positions)
 
 
 # ----------------------------------------------------------------------

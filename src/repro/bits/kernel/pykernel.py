@@ -74,9 +74,11 @@ __all__ = [
     "prepare_rank_select",
     "access_many_packed",
     "rank_many_packed",
+    "access_rank_many_packed",
     "select_many_packed",
     "prepare_rrr",
     "rrr_rank_many",
+    "rrr_access_rank_many",
     "rrr_decode_words",
     "prepare_fields",
     "fields_many",
@@ -714,6 +716,30 @@ def rank_many_packed(handle, bit: int, positions: Sequence[int]) -> List[int]:
     ]
 
 
+def access_rank_many_packed(handle, positions: Sequence[int]):
+    """``(bits, ranks)``: the bit at each position and ``rank(bit, pos)``.
+
+    One word probe per query gives both: shifting the word so the queried
+    bit is lowest yields the bit, and the popcount of the bits above it
+    plus the flat cumulative yields the ones before it -- half the probes
+    of an ``access_many_packed``/``rank_many_packed`` pair.  The caller
+    validates ``0 <= pos < length``; both results are plain lists.
+    """
+    positions = _plain_ints(positions)
+    words = handle.words
+    abs_cum = handle.abs_cum
+    bits: List[int] = []
+    ranks: List[int] = []
+    for pos in positions:
+        index = pos >> 6
+        shifted = words[index] >> (WORD - 1 - (pos & 63))
+        ones = abs_cum[index] + (shifted >> 1).bit_count()
+        bit = shifted & 1
+        bits.append(bit)
+        ranks.append(ones if bit else pos - ones)
+    return bits, ranks
+
+
 def select_many_packed(handle, bit: int, indexes: Sequence[int]) -> List[int]:
     """``select(bit, idx)`` for each index via a prepared handle, batch-amortised.
 
@@ -888,21 +914,21 @@ def rrr_decode_words(handle, first: int, stop: int) -> List[int]:
     return out
 
 
-def rrr_rank_many(handle, bit: int, positions: Sequence[int]) -> List[int]:
-    """``rank(bit, pos)`` at each position of an RRR bitvector, batched.
+def _rrr_scan(handle, positions, with_bits: bool):
+    """``(positions, ones, bits)``: the ones before each position of an RRR
+    bitvector and, with ``with_bits``, the bit at it.
 
     The positions are sorted once and the block directory is walked
     monotonically: a superblock jump only when a query leaves the current
     superblock, and each touched block is (class, offset) decoded exactly
-    once, however many queries land in it.  Amortised O(q log q + B) for
-    B touched blocks, against one superblock walk plus one block decode
-    per query for the scalar loop.  The caller validates
-    ``0 <= pos <= length``; the result is always a plain list.
+    once, however many queries land in it; the decoded block gives the
+    prefix ones and the bit alike.  Positions are plain ints (a numpy
+    scalar shift count would overflow against the 64-bit block word);
+    ``bits`` is ``None`` without ``with_bits``.
     """
-    # Plain ints throughout: a numpy scalar shift count would overflow
-    # against the 64-bit block word.
     positions = list(map(int, _plain_ints(positions)))
-    out = [0] * len(positions)
+    ones_out = [0] * len(positions)
+    bits_out = [0] * len(positions) if with_bits else None
     classes = handle.classes
     widths = handle.widths
     words = handle.offset_words
@@ -915,31 +941,59 @@ def rrr_rank_many(handle, bit: int, positions: Sequence[int]) -> List[int]:
     for index in sorted(range(len(positions)), key=positions.__getitem__):
         pos = positions[index]
         if pos >= length:
-            ones = total
-        else:
-            block, prefix = divmod(pos, block_size)
-            if block != current:
-                if current < 0 or block // sample_rate != current // sample_rate:
-                    sample = block // sample_rate
-                    walked = sample * sample_rate
-                    rank_before = handle.sample_rank[sample]
-                    offset_pos = handle.sample_offset_pos[sample]
-                while walked < block:
-                    cls = classes[walked]
-                    rank_before += cls
-                    offset_pos += widths[cls]
-                    walked += 1
-                cls = classes[block]
-                offset = extract_bits_value(
-                    words, offset_pos, offset_pos + widths[cls]
-                )
-                word = _rrr_decode_block(offset, block_size, cls) << (
-                    WORD - block_size
-                )
-                current = block
-            ones = rank_before + (word >> (WORD - prefix)).bit_count()
-        out[index] = ones if bit else pos - ones
-    return out
+            ones_out[index] = total
+            continue
+        block, prefix = divmod(pos, block_size)
+        if block != current:
+            if current < 0 or block // sample_rate != current // sample_rate:
+                sample = block // sample_rate
+                walked = sample * sample_rate
+                rank_before = handle.sample_rank[sample]
+                offset_pos = handle.sample_offset_pos[sample]
+            while walked < block:
+                cls = classes[walked]
+                rank_before += cls
+                offset_pos += widths[cls]
+                walked += 1
+            cls = classes[block]
+            offset = extract_bits_value(words, offset_pos, offset_pos + widths[cls])
+            word = _rrr_decode_block(offset, block_size, cls) << (WORD - block_size)
+            current = block
+        shifted = word >> (WORD - 1 - prefix)
+        ones_out[index] = rank_before + (shifted >> 1).bit_count()
+        if with_bits:
+            bits_out[index] = shifted & 1
+    return positions, ones_out, bits_out
+
+
+def rrr_rank_many(handle, bit: int, positions: Sequence[int]) -> List[int]:
+    """``rank(bit, pos)`` at each position of an RRR bitvector, batched.
+
+    One sorted block walk (:func:`_rrr_scan`) decoding each touched block
+    once.  Amortised O(q log q + B) for B touched blocks, against one
+    superblock walk plus one block decode per query for the scalar loop.
+    The caller validates ``0 <= pos <= length``; the result is always a
+    plain list.
+    """
+    positions, ones, _ = _rrr_scan(handle, positions, False)
+    if bit:
+        return ones
+    return [pos - count for pos, count in zip(positions, ones)]
+
+
+def rrr_access_rank_many(handle, positions: Sequence[int]):
+    """``(bits, ranks)``: the bit at each position of an RRR bitvector and
+    ``rank(bit, pos)``, from one sorted block walk.
+
+    Each touched block is decoded once and gives both the prefix ones and
+    the bit, so the pair costs what :func:`rrr_rank_many` costs on ``q``
+    positions, not ``2 q``.  The caller validates ``0 <= pos < length``;
+    both results are plain lists.
+    """
+    positions, ones, bits = _rrr_scan(handle, positions, True)
+    return bits, [
+        count if bit else pos - count for pos, count, bit in zip(positions, ones, bits)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ uniform ``size_in_bits()`` space-accounting hook used by
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.bits.kernel import as_int_list
 from repro.exceptions import DuplicatePositionError, OutOfBoundsError
@@ -197,6 +197,23 @@ class BitVector(ABC):
     def rank_many(self, bit: int, positions) -> List[int]:
         """``rank(bit, pos)`` for each of ``positions`` (batch-amortised)."""
         return [self.rank(bit, pos) for pos in positions]
+
+    def access_rank_many(self, positions) -> Tuple[List[int], List[int]]:
+        """``(bits, ranks)``: the bit at each position and ``rank(bit, pos)``.
+
+        The pair a wavelet descent needs at every node: the bit routes the
+        query to a child and the rank is its position there.  Encodings
+        with a fused kernel path override this; the default asks for one
+        ``access_many`` and one ``rank_many(1)``, since ``rank(0, pos)``
+        is ``pos - rank(1, pos)``.
+        """
+        positions = as_int_list(normalize_batch(positions))
+        bits = as_int_list(self.access_many(positions))
+        ones = as_int_list(self.rank_many(1, positions))
+        return bits, [
+            count if bit else pos - count
+            for pos, bit, count in zip(positions, bits, ones)
+        ]
 
     def select_many(self, bit: int, indexes) -> List[int]:
         """``select(bit, idx)`` for each of ``indexes``, in input order.

@@ -318,6 +318,39 @@ class PlainBitVector(StaticBitVector):
             ]
         return kernel.rank_many_packed(self._handle(), bit, positions)
 
+    def access_rank_many(self, positions: Sequence[int]):
+        """``(bits, ranks)``: the bit at each position and ``rank(bit, pos)``.
+
+        One word probe per query gives both, amortised O(1) each: small
+        list batches in one loop, larger ones through one backend
+        ``access_rank_many_packed`` call (one gather, one shift and one
+        popcount under the numpy backend).  Array inputs come back as
+        arrays under the numpy backend, as lists under python.
+        """
+        positions = normalize_batch(positions)
+        if len(positions) == 0:
+            return [], []
+        length = self._length
+        lo, hi = batch_min_max(positions)
+        if lo < 0 or hi >= length:
+            bad = next(p for p in positions if not 0 <= p < length)
+            raise OutOfBoundsError(
+                f"position {bad} out of range for length {length}"
+            )
+        if isinstance(positions, (list, tuple)) and len(positions) < SMALL_BATCH:
+            words = self._words
+            abs_cum = self._word_abs_cum
+            bits, ranks = [], []
+            for pos in positions:
+                index = pos >> 6
+                shifted = words[index] >> (WORD - 1 - (pos & 63))
+                ones = abs_cum[index] + (shifted >> 1).bit_count()
+                bit = shifted & 1
+                bits.append(bit)
+                ranks.append(ones if bit else pos - ones)
+            return bits, ranks
+        return kernel.access_rank_many_packed(self._handle(), positions)
+
     def select_many(self, bit: int, indexes: Sequence[int]):
         """``select(bit, idx)`` for each index, batch-amortised.
 

@@ -425,30 +425,52 @@ class RRRBitVector(StaticBitVector):
     # Batch query paths
     # ------------------------------------------------------------------
     def access_many(self, positions: Sequence[int]) -> List[int]:
-        """Bits at each position, as one kernel rank pair.
+        """Bits at each position: the bits of :meth:`access_rank_many`.
 
-        ``bit(pos) = rank1(pos + 1) - rank1(pos)``: both ranks of every
-        query go through a single ``rrr_rank_many`` call, so the batch costs
-        what :meth:`rank_many` costs on ``2 q`` positions -- amortised
-        O(q log q + B) over B touched blocks on the python backend, a few
-        whole-array passes under numpy.  Small list batches loop the scalar
-        :meth:`access`.
+        One kernel ``rrr_access_rank_many`` call, which decodes each
+        query's block once (amortised O(q log q + B) over B touched blocks
+        on the python backend, a few whole-array passes under numpy).
+        Small list batches loop the scalar :meth:`access`.  Always a list.
         """
         if isinstance(positions, (list, tuple)) and len(positions) < SMALL_BATCH:
             return [self.access(pos) for pos in positions]
-        positions = kernel.as_int_list(normalize_batch(positions))
-        if not positions:
-            return []
-        if min(positions) < 0 or max(positions) >= self._length:
+        return kernel.as_int_list(self.access_rank_many(positions)[0])
+
+    def _access_rank(self, pos: int):
+        """``(bit, rank(bit, pos))`` from one block walk and one decode."""
+        block_index, offset = divmod(pos, self._block_size)
+        rank_before, offset_pos = self._walk_to_block(block_index)
+        block = self._decode_block(block_index, offset_pos)
+        shifted = block >> (self._block_size - 1 - offset)
+        ones = rank_before + (shifted >> 1).bit_count()
+        bit = shifted & 1
+        return bit, ones if bit else pos - ones
+
+    def access_rank_many(self, positions: Sequence[int]):
+        """``(bits, ranks)``: the bit at each position and ``rank(bit, pos)``.
+
+        One kernel ``rrr_access_rank_many`` call: one superblock walk,
+        offset read and set-bit jump per query give the prefix ones and the
+        bit together, so the pair costs what :meth:`rank_many` costs on
+        ``q`` positions (an access/rank pair of calls ranks ``2 q``).
+        Amortised O(q log q + B) over B touched blocks on the python
+        backend; small list batches loop one scalar block decode per
+        position.  Array inputs come back as arrays under the numpy
+        backend.
+        """
+        positions = normalize_batch(positions)
+        if len(positions) == 0:
+            return [], []
+        lo, hi = batch_min_max(positions)
+        if lo < 0 or hi >= self._length:
             bad = next(p for p in positions if not 0 <= p < self._length)
             raise OutOfBoundsError(
                 f"position {bad} out of range for length {self._length}"
             )
-        count = len(positions)
-        ranks = kernel.rrr_rank_many(
-            self._handle(), 1, positions + [pos + 1 for pos in positions]
-        )
-        return [after - before for before, after in zip(ranks, ranks[count:])]
+        if isinstance(positions, (list, tuple)) and len(positions) < SMALL_BATCH:
+            pairs = [self._access_rank(pos) for pos in positions]
+            return [bit for bit, _ in pairs], [rank for _, rank in pairs]
+        return kernel.rrr_access_rank_many(self._handle(), positions)
 
     def rank_many(self, bit: int, positions: Sequence[int]):
         """``rank(bit, pos)`` per position via the kernel's batched RRR rank.

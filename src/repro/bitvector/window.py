@@ -145,6 +145,27 @@ class BitvectorWindow(StaticBitVector):
         ones = ranks - before
         return ones if bit else positions - ones
 
+    def access_rank_many(self, positions):
+        """``(bits, ranks)``: the bit at each position and ``rank(bit, pos)``.
+
+        One shared ``access_rank_many`` call, amortised the shared
+        vector's batch pair plus O(q) to correct each rank by the
+        occurrences of its bit before the window.  Lists come back as
+        lists, arrays as arrays."""
+        positions = normalize_batch(positions)
+        if not len(positions):
+            return [], []
+        bits, ranks = self._vector.access_rank_many(
+            self._shifted(positions, self._length - 1)
+        )
+        ones_before, zeros_before = self._ones_before, self._start - self._ones_before
+        if isinstance(ranks, list):
+            return bits, [
+                rank - ones_before if bit else rank - zeros_before
+                for bit, rank in zip(bits, ranks)
+            ]
+        return bits, ranks - zeros_before - bits * (ones_before - zeros_before)
+
     def select_many(self, bit: int, indexes) -> List[int]:
         """``select(bit, idx)`` per index, in input order: one shared
         ``select_many``, amortised the shared vector's batch select (one

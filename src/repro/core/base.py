@@ -116,12 +116,12 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
     def access_many(self, positions) -> List[Any]:
         """Elements at each of ``positions`` (batched paper Access).
 
-        One traversal of the touched trie nodes: positions are partitioned by
-        their accessed bit at every internal node and mapped down with the
-        bitvector's batch ``access_many``/``rank_many``, and each leaf value
-        is decoded once for its whole group -- amortised, one bitvector batch
-        pass per touched node instead of one full root-to-leaf walk (and one
-        decode) per queried position.
+        One traversal of the touched trie nodes: at every internal node one
+        ``access_rank_many`` on its bitvector gives each position's bit,
+        which picks the child, and the bit's rank, which is the position
+        there; each leaf value is decoded once for its whole group --
+        amortised, one bitvector batch call per touched node instead of one
+        full root-to-leaf walk (and one decode) per queried position.
         """
         if not isinstance(positions, (list, tuple)):
             positions = list(positions)
@@ -142,23 +142,13 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
                 for index, _ in items:
                     results[index] = value
                 continue
-            vector = node.bitvector
-            bits = vector.access_many([pos for _, pos in items])
+            bits, ranks = node.bitvector.access_rank_many([pos for _, pos in items])
             groups: List[List[Tuple[int, int]]] = [[], []]
-            for item, bit in zip(items, bits):
-                groups[bit].append(item)
+            for (index, _), bit, rank in zip(items, bits, ranks):
+                groups[bit].append((index, rank))
             for bit in (0, 1):
-                group = groups[bit]
-                if not group:
-                    continue
-                ranks = vector.rank_many(bit, [pos for _, pos in group])
-                stack.append(
-                    (
-                        node.children[bit],
-                        current.appended(bit),
-                        [(index, rank) for (index, _), rank in zip(group, ranks)],
-                    )
-                )
+                if groups[bit]:
+                    stack.append((node.children[bit], current.appended(bit), groups[bit]))
         return results
 
     def rank_many(self, value: Any, positions) -> List[int]:

@@ -255,33 +255,29 @@ class RangeQueryMixin:
         node, lo, hi, accumulated = self._range_at_prefix(start, stop, prefix)
         if node is None or lo >= hi:
             return []
-        counter = 0
-        heap: List[Tuple[int, int, Any, int, int, Bits]] = []
-        heapq.heappush(heap, (-(hi - lo), counter, node, lo, hi, accumulated))
+        # Entries are keyed (-count, path bits): the heap holds disjoint
+        # subtrees, whose paths first differ at a branch bit inside both,
+        # so equal counts pop in trie order and no two keys tie.
+        heap: List[Tuple[int, Bits, Any, int, int]] = [
+            (-(hi - lo), accumulated, node, lo, hi)
+        ]
         results: List[Tuple[Any, int]] = []
         while heap and len(results) < k:
-            negative_count, _, node, lo, hi, prefix_bits = heapq.heappop(heap)
+            negative_count, prefix_bits, node, lo, hi = heapq.heappop(heap)
             current = prefix_bits + node.label
             if node.is_leaf:
                 results.append((self._codec.from_bits(current), -negative_count))
                 continue
-            vector = node.bitvector
-            left_lo, left_hi = vector.rank_many(0, (lo, hi))
-            right_lo, right_hi = lo - left_lo, hi - left_hi
-            if left_hi > left_lo:
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (-(left_hi - left_lo), counter, node.children[0],
-                     left_lo, left_hi, current.appended(0)),
-                )
-            if right_hi > right_lo:
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (-(right_hi - right_lo), counter, node.children[1],
-                     right_lo, right_hi, current.appended(1)),
-                )
+            left_lo, left_hi = node.bitvector.rank_many(0, (lo, hi))
+            for bit, child_lo, child_hi in (
+                (0, left_lo, left_hi), (1, lo - left_lo, hi - left_hi)
+            ):
+                if child_hi > child_lo:
+                    heapq.heappush(
+                        heap,
+                        (child_lo - child_hi, current.appended(bit),
+                         node.children[bit], child_lo, child_hi),
+                    )
         return results
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.succinct.dfuds import DFUDSTree
 from repro.succinct.partial_sums import StaticPartialSums
 from repro.tries.binarize import StringCodec
 
-__all__ = ["WaveletTrie", "open_node_windows"]
+__all__ = ["WaveletTrie", "flags_of_words", "open_node_windows"]
 
 _BITVECTOR_FACTORIES = {
     "rrr": RRRBitVector,
@@ -44,7 +44,7 @@ _BITVECTOR_FACTORIES = {
 }
 
 
-def _flags_of_words(words, count: int) -> List[bool]:
+def flags_of_words(words, count: int) -> List[bool]:
     """The first ``count`` bits of a packed word sequence, as booleans."""
     if len(words) != -(-count // 64):
         raise SerializationError(
@@ -257,7 +257,7 @@ class WaveletTrie(WaveletTrieBase):
             image, prefix + "noff.", meta["node_offsets"]
         )
         label_words = image.words(prefix + "labels")
-        flags = _flags_of_words(image.words(prefix + "int"), count)
+        flags = flags_of_words(image.words(prefix + "int"), count)
         if len(label_offsets) != count or len(label_words) != -(
             -label_offsets.total // 64
         ):

@@ -174,8 +174,8 @@ class DocumentStore:
 
     def count_many(self, patterns: Sequence[str]) -> List[int]:
         """``count`` for each pattern; the backward searches advance
-        together, amortised to one batched rank per distinct next character
-        per step (see :meth:`repro.text.fm_index.FMIndex.count_many`)."""
+        together, amortised to one wavelet-tree descent per step over every
+        live endpoint (see :meth:`repro.text.fm_index.FMIndex.count_many`)."""
         for pattern in patterns:
             self._check_pattern(pattern)
         return self._fm.count_many(patterns)

@@ -11,20 +11,21 @@ roughly the character entropy of the text while answering
 * ``locate(pattern)`` -- all occurrence positions, via a sampled suffix
   array (``sa_sample`` is the space/time knob: one stored position every
   ``sa_sample`` text positions, at most ``sa_sample - 1`` batched LF steps
-  per occurrence, each one rank pair on the marked rows plus one
+  per occurrence, each one fused access/rank on the marked rows plus one
   ``inverse_select_many`` descent);
 * ``extract(start, stop)`` -- any text slice, via inverse-suffix-array
   samples (at most ``sa_sample`` extra LF steps past the slice).
 
 ``count_many`` additionally batches backward search *across* patterns:
-every step groups the live patterns by their next character and issues one
-``rank_many`` per distinct character -- the access pattern the batch
-subsystem was built for.  See docs/ARCHITECTURE.md, "Full-text search".
+every step ranks every live interval endpoint by its own pattern's next
+character in one descent of the wavelet tree, one batched rank on its
+shared node vector per depth.  See docs/ARCHITECTURE.md, "Full-text
+search".
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.bits import kernel
 from repro.bits.kernel import SMALL_BATCH
@@ -178,11 +179,13 @@ class FMIndex:
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
     def to_words_image(self, sink, prefix: str) -> dict:
-        """Write the BWT tree (``bwt.*``), the marked rows (``mark.*``) and
-        the suffix-array and inverse samples (``sa.*``, ``isa.*``)."""
+        """Write the alphabet's code points (``alphabet``), the BWT tree
+        (``bwt.*``), the marked rows (``mark.*``) and the suffix-array and
+        inverse samples (``sa.*``, ``isa.*``): a fixed set of sections and
+        a header whatever the alphabet."""
+        sink.add_i64(prefix + "alphabet", [ord(char) for char in self._alphabet])
         return {
             "text_length": self._text_length,
-            "alphabet": self._alphabet,
             "sa_sample": self._sa_sample,
             "bitvector": self._bitvector_kind,
             "bwt": self._bwt.to_words_image(sink, prefix + "bwt."),
@@ -201,7 +204,12 @@ class FMIndex:
         ``sa_sample`` positions, all of the width the row count needs.
         """
         text_length = int(meta["text_length"])
-        alphabet = meta["alphabet"]
+        points = list(image.int64(prefix + "alphabet"))
+        if points != sorted(set(points)) or not all(0 <= p < 0x110000 for p in points):
+            raise SerializationError(
+                f"FM-index image {prefix!r}: its alphabet is not ascending code points"
+            )
+        alphabet = "".join(map(chr, points))
         sa_sample = int(meta["sa_sample"])
         kind = meta["bitvector"]
         bwt = HuffmanWaveletTree.from_words_image(image, prefix + "bwt.", meta["bwt"])
@@ -211,8 +219,7 @@ class FMIndex:
         rows = text_length + 1
         width = max(1, (rows - 1).bit_length())
         if (
-            not isinstance(alphabet, str)
-            or kind not in _BWT_BITVECTORS
+            kind not in _BWT_BITVECTORS
             or _BWT_BITVECTORS[kind] is not bwt._factory
             or sa_sample < 1
             or len(bwt) != rows
@@ -310,42 +317,41 @@ class FMIndex:
     def count_many(self, patterns: Sequence[str]) -> List[int]:
         """``count(pattern)`` for each pattern, batched across patterns.
 
-        All backward searches advance in lock-step: at each step the live
-        patterns are grouped by their next (rightmost unconsumed) character
-        and every group issues **one** ``rank_many`` over both endpoints of
-        every member, so the per-node wavelet walk is amortised over the
-        whole group instead of paid per pattern -- ``O(distinct chars)``
-        batched walks per step against ``2 q`` scalar walks.
+        All backward searches advance in lock-step: each step ranks both
+        endpoints of every live interval by that pattern's next (rightmost
+        unconsumed) character in **one** descent of the BWT wavelet tree
+        (:meth:`~repro.wavelet.huffman.HuffmanWaveletTree.rank_each`),
+        which makes one batched rank on the shared node vector per depth
+        whatever the characters -- at most ``height`` batched ranks per
+        step against ``2 q`` scalar walks.
         """
         for pattern in patterns:
             self._check_pattern(pattern)
-        results: List[Optional[int]] = [None] * len(patterns)
-        rows = len(self._bwt)
-        live = [(slot, 0, rows) for slot in range(len(patterns))]
+        results = [0] * len(patterns)
+        code_of, c_table = self._code_of, self._c_table
+        live = [(slot, 0, len(self._bwt)) for slot in range(len(patterns))]
         step = 0
         while live:
-            advancing: Dict[int, List[Tuple[int, int, int]]] = {}
+            advancing: List[Tuple[int, int]] = []
+            codes: List[int] = []
+            endpoints: List[int] = []
             for slot, low, high in live:
                 pattern = patterns[slot]
                 if step == len(pattern):
                     results[slot] = high - low
                     continue
-                code = self._code_of.get(pattern[len(pattern) - 1 - step])
-                if code is None or low >= high:
-                    results[slot] = 0
-                    continue
-                advancing.setdefault(code, []).append((slot, low, high))
+                code = code_of.get(pattern[len(pattern) - 1 - step])
+                if code is not None:
+                    advancing.append((slot, code))
+                    codes += (code, code)
+                    endpoints += (low, high)
+            ranks = self._bwt.rank_each(codes, endpoints)
             live = []
-            for code, group in advancing.items():
-                positions = [
-                    endpoint for _, low, high in group for endpoint in (low, high)
-                ]
-                ranks = self._bwt.rank_many(code, positions)
-                base = self._c_table[code]
-                for index, (slot, _, _) in enumerate(group):
-                    live.append(
-                        (slot, base + ranks[2 * index], base + ranks[2 * index + 1])
-                    )
+            for index, (slot, code) in enumerate(advancing):
+                low = c_table[code] + ranks[2 * index]
+                high = c_table[code] + ranks[2 * index + 1]
+                if low < high:
+                    live.append((slot, low, high))
             step += 1
         return results
 
@@ -358,12 +364,13 @@ class FMIndex:
         Each of the ``occ`` matching rows walks the LF mapping until it hits
         a sampled row (< ``sa_sample`` steps, since LF decrements the text
         position and every ``sa_sample``-th position is sampled).  The walks
-        advance together; per step, one ``rank_many`` over ``rows`` and
-        ``rows + 1`` on the marked-rows vector yields each row's mark (the
-        rank difference) and sample index, and one ``inverse_select_many``
-        on the BWT tree yields ``BWT[row]`` and its rank -- the LF step
-        ``C[c] + rank_c(row)`` -- from a single descent.  Under the numpy
-        backend the live rows stay int64 arrays from step to step.
+        advance together; per step, one ``access_rank_many`` on the
+        marked-rows vector yields each row's mark and, for a marked row,
+        its sample index, and one ``inverse_select_many`` on the BWT tree
+        yields ``BWT[row]`` and its rank -- the LF step
+        ``C[c] + rank_c(row)`` -- from one descent of at most ``height``
+        shared-vector calls.  Under the numpy backend the live rows stay
+        int64 arrays from step to step.
         """
         self._check_pattern(pattern)
         low, high = self._interval(pattern)
@@ -374,12 +381,11 @@ class FMIndex:
         rows = list(range(low, high))
         steps = 0
         while rows:
-            count = len(rows)
-            ranks = self._marked.rank_many(1, rows + [row + 1 for row in rows])
+            marks, ranks = self._marked.access_rank_many(rows)
             pending = []
-            for row, before, after in zip(rows, ranks, ranks[count:]):
-                if after != before:
-                    positions.append(self._samples[before] + steps)
+            for row, mark, rank in zip(rows, marks, ranks):
+                if mark:
+                    positions.append(self._samples[rank] + steps)
                 else:
                     pending.append(row)
             if not pending:
@@ -397,11 +403,10 @@ class FMIndex:
         rows = np.arange(low, high, dtype=np.int64)
         steps = 0
         while rows.size:
-            ranks = self._marked.rank_many(1, np.concatenate((rows, rows + 1)))
-            before = ranks[: rows.size]
-            marked = ranks[rows.size :] != before
+            marks, ranks = self._marked.access_rank_many(rows)
+            marked = marks.astype(bool)
             if marked.any():
-                found.append(self._samples.get_many(before[marked]) + steps)
+                found.append(self._samples.get_many(ranks[marked]) + steps)
                 rows = rows[~marked]
                 if not rows.size:
                     break

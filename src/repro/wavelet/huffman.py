@@ -3,9 +3,18 @@
 The paper notes (after Lemma 3.2) that the popular Huffman-shaped Wavelet Tree
 is a special case of the Wavelet Trie obtained by mapping each symbol to its
 Huffman code.  This module provides the canonical-code construction and a
-static Huffman-shaped tree used by the text-collection baseline: frequent
-symbols sit near the root, so the expected query depth is ``H0 + 1`` instead
-of ``log sigma``.
+static Huffman-shaped tree, the BWT store of the FM-index and the
+text-collection baseline: frequent symbols sit near the root, so the
+expected query depth is ``H0 + 1`` instead of ``log sigma``.
+
+The tree is built as exactly that Wavelet Trie, by the static trie builder
+(:func:`~repro.core.builder.build_wavelet_trie_nodes`) over the Huffman
+codes, and stored in Theorem 3.7's layout: one bitvector holding every
+internal node's bits in preorder, plus O(sigma) integer tables for the
+shape (each node's window start, the ones before it, its children).  That is
+the one-vector-plus-offsets layout of sdsl-lite's wavelet trees (Gog et al.,
+SEA 2014, PAPERS.md).  A batch query then moves every item down one depth
+per call on the shared vector, whichever node each item is at.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bits import kernel
 from repro.bits.kernel import SMALL_BATCH
+from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
 from repro.bitvector.base import (
     batch_min_max,
@@ -24,12 +34,22 @@ from repro.bitvector.base import (
 )
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
-from repro.exceptions import OutOfBoundsError, SerializationError, ValueNotFoundError
+from repro.core.builder import build_wavelet_trie_nodes, sort_codes
+from repro.core.static import flags_of_words
+from repro.exceptions import (
+    OutOfBoundsError,
+    SerializationError,
+    ValueNotFoundError,
+)
 
 __all__ = ["HuffmanWaveletTree", "huffman_codes"]
 
 #: Node bitvector kinds a frozen image can name.
 _IMAGE_KINDS = {"plain": PlainBitVector, "rrr": RRRBitVector}
+
+#: Items from which :meth:`HuffmanWaveletTree.rank_each` descends on numpy
+#: arrays instead of lists.
+_ARRAY_WALKS = 256
 
 
 def huffman_codes(frequencies: Dict[Hashable, int]) -> Dict[Hashable, Bits]:
@@ -68,157 +88,198 @@ def huffman_codes(frequencies: Dict[Hashable, int]) -> Dict[Hashable, Bits]:
     return codes
 
 
-class _CodeNode:
-    __slots__ = ("bitvector", "children", "symbol")
-
-    def __init__(self) -> None:
-        self.bitvector = None
-        self.children: List[Optional["_CodeNode"]] = [None, None]
-        self.symbol: Optional[Hashable] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.symbol is not None
-
-
 class HuffmanWaveletTree:
-    """Static Wavelet Tree shaped by the Huffman codes of the input symbols."""
+    """Static Wavelet Tree shaped by the Huffman codes of the input symbols.
+
+    Internal node ``r`` (preorder, 0-child first) owns the window
+    ``[start[r], start[r] + rows)`` of one shared node bitvector.  Its
+    child through bit ``b`` sits at ``k = 2 r + b`` of two tables:
+    ``child[k]`` is the child's node number, or ``~i`` for the leaf of
+    symbol ``i``, and ``before[k]`` counts the ``b`` bits of the shared
+    vector before the window.  A query at node ``r`` and position ``p``
+    reads shared position ``g = start[r] + p`` and continues at
+    ``child[k]`` with position ``rank(b, g) - before[k]``.
+    """
 
     def __init__(self, sequence: Iterable[Hashable], bitvector_factory=RRRBitVector) -> None:
         data = list(sequence)
-        self._size = len(data)
-        self._codes = huffman_codes(Counter(data))
-        self._factory = bitvector_factory
-        self._root = self._build(data, 0) if data else None
-        self._set_symbol_kind()
+        codes = huffman_codes(Counter(data))
+        symbols = list(codes)
+        index_of = {symbol: index for index, symbol in enumerate(symbols)}
+        code_list = [codes[symbol] for symbol in symbols]
+        _, shared = build_wavelet_trie_nodes(
+            code_list, [index_of[symbol] for symbol in data], bitvector_factory
+        )
+        # The code tree in preorder.  A lone symbol is a root leaf;
+        # otherwise each leaf (in code order) comes after the internal nodes
+        # its path adds below the previous leaf's.
+        flags: List[int] = [0] if len(symbols) == 1 else []
+        leaves: List[Hashable] = symbols if len(symbols) == 1 else []
+        previous = None
+        for index in sort_codes(code_list) if len(symbols) > 1 else ():
+            code = code_list[index]
+            depth = 0 if previous is None else code.lcp_length(previous) + 1
+            flags += [1] * (len(code) - depth) + [0]
+            leaves.append(symbols[index])
+            previous = code
+        self._install(flags, leaves, shared, len(data), bitvector_factory)
 
-    def _set_symbol_kind(self) -> None:
+    def _install(self, flags: Sequence[int], leaves: Sequence[Hashable], shared,
+                 size: int, factory) -> None:
+        """Lay the code tree over the shared node vector.
+
+        ``flags`` marks the code tree's nodes in preorder (1 internal, 0
+        leaf; 0-child first) and ``leaves`` names the leaves' symbols in
+        that order.  The internal nodes' windows tile ``shared`` in
+        preorder: the root's holds ``size`` bits and each internal child's
+        as many as its parent routes to it.  Raises
+        :class:`SerializationError` when the flags describe no full binary
+        tree over distinct symbols or the windows do not tile the vector
+        (an image that does not describe one tree).
+        """
+        symbols = list(leaves)
+        codes: Dict[Hashable, Bits] = {}
+        counts = [0] * len(symbols)
+        starts: List[int] = []
+        before: List[int] = []
+        child: List[int] = []
+        root = None
+        offset = 0
+        # Subtrees still to come: (rows, the parent's child slot, code).
+        pending: List[tuple] = [(size, None, Bits.empty())] if flags else []
+        for flag in flags:
+            if not pending:
+                raise SerializationError("the Huffman code tree ends early")
+            rows, slot, code = pending.pop()
+            if flag:
+                node = len(starts)
+                if offset + rows > len(shared):
+                    raise SerializationError(
+                        f"Huffman node {node} needs {rows} bits past bit {offset} "
+                        f"of a {len(shared)}-bit node vector"
+                    )
+                ones_before = shared.rank(1, offset)
+                ones = shared.rank(1, offset + rows) - ones_before
+                starts.append(offset)
+                before += [offset - ones_before, ones_before]
+                child += [0, 0]
+                offset += rows
+                pending.append((ones, 2 * node + 1, code.appended(1)))
+                pending.append((rows - ones, 2 * node, code.appended(0)))
+            else:
+                leaf = len(codes)
+                if leaf >= len(symbols) or symbols[leaf] in codes:
+                    raise SerializationError("the Huffman leaves do not match their symbols")
+                # A lone symbol keeps the 1-bit code ``0`` at the root.
+                codes[symbols[leaf]] = code if len(code) else Bits.from_string("0")
+                counts[leaf] = rows
+                node = ~leaf
+            if slot is None:
+                root = node
+            else:
+                child[slot] = node
+        if pending or len(codes) != len(symbols):
+            raise SerializationError("the Huffman code tree does not match its leaves")
+        if offset != len(shared) or (root is None and size):
+            raise SerializationError(
+                f"the Huffman node windows cover {offset} of {len(shared)} bits "
+                f"for {size} rows"
+            )
+        self._size = size
+        self._codes = codes
+        self._factory = factory
+        self._shared = shared
+        self._root = root
+        self._flags = list(flags)
+        self._symbols = symbols
+        self._index_of = {symbol: index for index, symbol in enumerate(symbols)}
+        self._counts = counts
+        self._starts = starts
+        self._before = before
+        self._child = child
+        # Each symbol's root-to-leaf path as its table indexes ``k``.
+        self._paths: List[List[int]] = []
+        for symbol in symbols:
+            path, node = [], 0
+            for bit in codes[symbol] if starts else ():
+                path.append(2 * node + bit)
+                node = child[2 * node + bit]
+            self._paths.append(path)
+        self._height = max(map(len, self._paths), default=0)
+        self._arrays = None
         # Integer symbols (FM-index character codes) may ride the numpy
         # array descent; any other symbol type keeps the list descent.
         self._int_symbols = all(
-            type(symbol) is int and -(1 << 63) <= symbol < 1 << 63
-            for symbol in self._codes
+            type(symbol) is int and -(1 << 63) <= symbol < 1 << 63 for symbol in symbols
         )
 
-    def _build(self, data: List[Hashable], depth: int) -> _CodeNode:
-        node = _CodeNode()
-        first = data[0]
-        if all(symbol == first for symbol in data):
-            # All elements carry the same symbol: a leaf of the code trie.
-            node.symbol = first
-            return node
-        # Distinct symbols share the code prefix consumed so far and, the code
-        # being prefix-free, must all have a bit at position `depth`.
-        bits = [self._codes[symbol][depth] for symbol in data]
-        node.bitvector = self._factory(bits)
-        left = [symbol for symbol, bit in zip(data, bits) if bit == 0]
-        right = [symbol for symbol, bit in zip(data, bits) if bit == 1]
-        if left:
-            node.children[0] = self._build(left, depth + 1)
-        if right:
-            node.children[1] = self._build(right, depth + 1)
-        return node
-
-    def _preorder(self):
-        """Every node, 0-child first."""
-        stack = [self._root] if self._root is not None else []
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.extend(child for child in node.children[::-1] if child)
+    def _tables(self, np):
+        """The shape tables as int64 arrays (built once): starts, before,
+        child, the leaf symbols, the paths padded into one row per symbol,
+        and the path lengths followed by a -1 (what an absent symbol's
+        index -1 reads)."""
+        if self._arrays is None:
+            paths = np.zeros((len(self._paths), max(self.height, 1)), dtype=np.int64)
+            for index, path in enumerate(self._paths):
+                paths[index, : len(path)] = path
+            self._arrays = (
+                np.asarray(self._starts, dtype=np.int64),
+                np.asarray(self._before, dtype=np.int64),
+                np.asarray(self._child, dtype=np.int64),
+                np.asarray(self._symbols if self._int_symbols else [], dtype=np.int64),
+                paths,
+                np.asarray([len(path) for path in self._paths] + [-1], dtype=np.int64),
+            )
+        return self._arrays
 
     # ------------------------------------------------------------------
     # Frozen-image (RWT2) exchange -- see docs/ARCHITECTURE.md, "Storage"
     # ------------------------------------------------------------------
     def to_words_image(self, sink, prefix: str) -> dict:
-        """Write the tree: the code table goes in the meta as ``[symbol,
-        code value, code length]`` triples, and internal node ``r`` (in
-        preorder) writes its bitvector under ``prefix + "n{r}."``.
+        """Write the tree as a fixed set of sections whatever the alphabet:
+        ``shape`` the code tree's preorder flags, ``symbols`` its leaves'
+        symbols in preorder (int64), and the shared node vector under
+        ``prefix + "bv."``, whose meta goes under ``bitvector``.
 
-        Symbols must be ints or strings, the values JSON can carry.
+        Symbols must be ints within int64.
         """
         kind = next(
             (name for name, factory in _IMAGE_KINDS.items() if factory is self._factory),
             None,
         )
-        if kind is None or not all(type(symbol) in (int, str) for symbol in self._codes):
+        if kind is None or not self._int_symbols:
             raise SerializationError(
                 "a Huffman wavelet tree images only plain or rrr nodes over "
-                "int or str symbols"
+                "int64 symbols"
             )
-        internal = [node for node in self._preorder() if not node.is_leaf]
+        flags = BitBuffer()
+        for flag in self._flags:
+            flags.append(flag)
+        sink.add_u64(prefix + "shape", flags.words())
+        sink.add_i64(prefix + "symbols", self._symbols)
         return {
             "kind": kind,
             "size": self._size,
-            "codes": [
-                [symbol, code.value, len(code)] for symbol, code in self._codes.items()
-            ],
-            "bitvectors": [
-                node.bitvector.to_words_image(sink, f"{prefix}n{rank}.")
-                for rank, node in enumerate(internal)
-            ],
+            "bitvector": self._shared.to_words_image(sink, prefix + "bv."),
         }
 
     @classmethod
     def from_words_image(cls, image, prefix: str, meta: dict) -> "HuffmanWaveletTree":
-        """Open from a frozen image; the node bitvectors alias it.
+        """Open from a frozen image; the shared node vector aliases it.
 
-        The code table gives the shape (a lone symbol is a root leaf); each
-        internal node's bitvector must hold the rows its parent routes to it
-        (the root holds ``size``).
+        The preorder flags and the leaf symbols give the shape (a lone
+        symbol is a root leaf), and the node windows must tile the vector:
+        the root's holds ``size`` rows and each internal child's the rows
+        its parent routes to it.
         """
         factory = _IMAGE_KINDS.get(meta["kind"])
         if factory is None:
             raise SerializationError(f"unknown Huffman node kind {meta['kind']!r}")
+        leaves = [int(symbol) for symbol in image.int64(prefix + "symbols")]
+        flags = flags_of_words(image.words(prefix + "shape"), max(2 * len(leaves) - 1, 0))
+        shared = factory.from_words_image(image, prefix + "bv.", meta["bitvector"])
         self = cls.__new__(cls)
-        self._size = int(meta["size"])
-        self._factory = factory
-        self._codes = {}
-        for symbol, value, length in meta["codes"]:
-            if type(symbol) not in (int, str) or symbol in self._codes or length < 1:
-                raise SerializationError(f"bad Huffman code entry for {symbol!r}")
-            self._codes[symbol] = Bits(int(value), int(length))
-        self._root = None
-        if self._codes:
-            self._root = _CodeNode()
-        if len(self._codes) == 1:
-            self._root.symbol = next(iter(self._codes))
-        elif self._codes:
-            for symbol, code in self._codes.items():
-                node = self._root
-                for bit in code:
-                    if node.is_leaf:
-                        raise SerializationError("the Huffman codes are not prefix-free")
-                    if node.children[bit] is None:
-                        node.children[bit] = _CodeNode()
-                    node = node.children[bit]
-                if node.is_leaf or any(node.children):
-                    raise SerializationError("the Huffman codes are not prefix-free")
-                node.symbol = symbol
-        metas = meta["bitvectors"]
-        rows_due = [self._size] if self._root is not None else []
-        rank = 0
-        for node in self._preorder():
-            rows = rows_due.pop()
-            if node.is_leaf:
-                continue
-            if rank >= len(metas) or None in node.children:
-                raise SerializationError("the Huffman code table does not match its nodes")
-            node.bitvector = factory.from_words_image(
-                image, f"{prefix}n{rank}.", metas[rank]
-            )
-            if len(node.bitvector) != rows:
-                raise SerializationError(
-                    f"Huffman node {rank} holds {len(node.bitvector)} bits, "
-                    f"{rows} rows reach it"
-                )
-            ones = node.bitvector.count(1)
-            rows_due += [ones, rows - ones]
-            rank += 1
-        if rank != len(metas) or (self._root is None and self._size):
-            raise SerializationError("the Huffman code table does not match its nodes")
-        self._set_symbol_kind()
+        self._install(flags, leaves, shared, int(meta["size"]), factory)
         return self
 
     # ------------------------------------------------------------------
@@ -229,6 +290,17 @@ class HuffmanWaveletTree:
     def codes(self) -> Dict[Hashable, Bits]:
         """The Huffman code of each distinct symbol."""
         return dict(self._codes)
+
+    @property
+    def node_bitvector(self):
+        """The one bitvector holding every internal node's bits, in preorder."""
+        return self._shared
+
+    @property
+    def height(self) -> int:
+        """Internal nodes on the longest root-to-leaf path (the longest code,
+        or 0 when the root is a leaf)."""
+        return self._height
 
     def access(self, pos: int) -> Hashable:
         """The symbol at position ``pos``."""
@@ -243,82 +315,69 @@ class HuffmanWaveletTree:
         """
         if not 0 <= pos < self._size:
             raise OutOfBoundsError(f"position {pos} out of range for length {self._size}")
+        shared, starts, before, child = self._shared, self._starts, self._before, self._child
         node = self._root
-        while not node.is_leaf:
-            bit = node.bitvector.access(pos)
-            pos = node.bitvector.rank(bit, pos)
-            node = node.children[bit]
-        return node.symbol, pos
+        while node >= 0:
+            at = starts[node] + pos
+            bit = shared.access(at)
+            pos = shared.rank(bit, at) - before[2 * node + bit]
+            node = child[2 * node + bit]
+        return self._symbols[~node], pos
 
     def rank(self, symbol: Hashable, pos: int) -> int:
         """Occurrences of ``symbol`` in positions ``[0, pos)``."""
         if not 0 <= pos <= self._size:
             raise OutOfBoundsError(f"position {pos} out of range for length {self._size}")
-        code = self._codes.get(symbol)
-        if code is None or pos == 0:
+        index = self._index_of.get(symbol)
+        if index is None:
             return 0
-        node = self._root
-        for depth in range(len(code)):
-            if node.is_leaf:
-                break
-            bit = code[depth]
-            pos = node.bitvector.rank(bit, pos)
-            if pos == 0:
+        shared, starts, before = self._shared, self._starts, self._before
+        for k in self._paths[index]:
+            if not pos:
                 return 0
-            node = node.children[bit]
-            if node is None:
-                return 0
-        return pos if node is not None and node.is_leaf and node.symbol == symbol else 0
+            pos = shared.rank(k & 1, starts[k >> 1] + pos) - before[k]
+        return pos
 
     def select(self, symbol: Hashable, idx: int) -> int:
         """Position of the ``idx``-th occurrence of ``symbol``."""
-        code = self._codes.get(symbol)
-        if code is None:
+        index = self._index_of.get(symbol)
+        if index is None:
             raise ValueNotFoundError(f"symbol {symbol!r} does not occur")
-        total = self.count(symbol)
+        total = self._counts[index]
         if not 0 <= idx < total:
             raise OutOfBoundsError(
                 f"select({symbol!r}, {idx}) out of range: only {total} occurrences"
             )
-        node = self._root
-        path: List[Tuple[_CodeNode, int]] = []
-        for depth in range(len(code)):
-            if node.is_leaf:
-                break
-            bit = code[depth]
-            path.append((node, bit))
-            node = node.children[bit]
-        for ancestor, bit in reversed(path):
-            idx = ancestor.bitvector.select(bit, idx)
+        for k in reversed(self._paths[index]):
+            idx = self._shared.select(k & 1, idx + self._before[k]) - self._starts[k >> 1]
         return idx
 
     def count(self, symbol: Hashable) -> int:
-        """Total occurrences of ``symbol``."""
-        return self.rank(symbol, self._size)
+        """Total occurrences of ``symbol`` (its leaf's row count)."""
+        index = self._index_of.get(symbol)
+        return 0 if index is None else self._counts[index]
 
     # ------------------------------------------------------------------
     # Batch query paths (docs/API.md, "The batch-API convention")
     # ------------------------------------------------------------------
     def access_many(self, positions: Sequence[int]) -> List[Hashable]:
-        """The symbols at each of ``positions``.
-
-        The first half of :meth:`inverse_select_many` -- one grouped
-        descent, each touched node visited once per batch -- so the cost
-        amortises the same way.
-        """
+        """The symbols at each of ``positions``: the first half of
+        :meth:`inverse_select_many`, so the cost amortises the same way (at
+        most ``height`` shared-vector calls per batch)."""
         return self.inverse_select_many(positions)[0]
 
     def inverse_select_many(self, positions: Sequence[int]):
         """``(symbols, ranks)``: the symbol at each position and its rank there.
 
-        ``ranks[i] = rank(symbols[i], positions[i])``, both from one
-        grouped descent: each touched node is visited once per batch with
-        one ``access_many``/``rank_many`` pair on its bitvector, and the
-        positions the queries carry into their leaves are the ranks.
-        Amortised O(node passes) batch calls against ``q`` scalar
-        descents.  Under the numpy backend a tree over integer symbols runs
-        the descent on index/position arrays (no per-query python work);
-        an array input then gets arrays back, a list input lists.
+        ``ranks[i] = rank(symbols[i], positions[i])``.  Every query moves
+        down one depth per step, whichever node it is at: one
+        ``access_rank_many`` on the shared node vector gives each query's
+        bit and its rank, which are its child and its position there, and
+        the position a query carries into its leaf is its rank.  So a batch
+        makes at most ``height`` shared-vector calls.  Under the numpy
+        backend a tree over integer symbols runs the descent on int64
+        arrays (no per-query python work); an array input then gets arrays
+        back, a list input lists.
         """
         positions = normalize_batch(positions)
         count = len(positions)
@@ -337,137 +396,195 @@ class HuffmanWaveletTree:
             if count >= SMALL_BATCH:
                 symbols, ranks = self._inverse_select_arrays(np, positions)
                 return symbols.tolist(), ranks.tolist()
+        positions = kernel.as_int_list(positions)
+        if self._root < 0:
+            return [self._symbols[~self._root]] * count, list(positions)
         symbols: List[Optional[Hashable]] = [None] * count
         ranks = [0] * count
-        stack = [(self._root, list(range(count)), kernel.as_int_list(positions))]
-        while stack:
-            node, slots, pos_list = stack.pop()
-            if node.is_leaf:
-                symbol = node.symbol
-                for slot, rank in zip(slots, pos_list):
-                    symbols[slot] = symbol
+        shared, starts, before, child = self._shared, self._starts, self._before, self._child
+        leaf_symbols = self._symbols
+        slots = list(range(count))
+        nodes = [self._root] * count
+        while slots:
+            bits, shared_ranks = shared.access_rank_many(
+                [starts[node] + pos for node, pos in zip(nodes, positions)]
+            )
+            live = zip(slots, nodes, bits, shared_ranks)
+            slots, nodes, positions = [], [], []
+            for slot, node, bit, rank in live:
+                k = 2 * node + bit
+                node = child[k]
+                rank -= before[k]
+                if node < 0:
+                    symbols[slot] = leaf_symbols[~node]
                     ranks[slot] = rank
-                continue
-            vector = node.bitvector
-            bits = vector.access_many(pos_list)
-            # One rank_many(0) pass serves both children: rank(1, pos) is
-            # just pos - rank(0, pos).
-            zero_ranks = vector.rank_many(0, pos_list)
-            left_slots, left_pos, right_slots, right_pos = [], [], [], []
-            for slot, pos, bit, zeros in zip(slots, pos_list, bits, zero_ranks):
-                if bit:
-                    right_slots.append(slot)
-                    right_pos.append(pos - zeros)
                 else:
-                    left_slots.append(slot)
-                    left_pos.append(zeros)
-            if left_slots:
-                stack.append((node.children[0], left_slots, left_pos))
-            if right_slots:
-                stack.append((node.children[1], right_slots, right_pos))
+                    slots.append(slot)
+                    nodes.append(node)
+                    positions.append(rank)
         return symbols, ranks
 
     def _inverse_select_arrays(self, np, positions):
-        """The grouped descent of :meth:`inverse_select_many` on int64 arrays."""
+        """The per-depth descent of :meth:`inverse_select_many` on int64 arrays."""
         count = len(positions)
+        positions = np.asarray(positions, dtype=np.int64)
+        if self._root < 0:
+            symbol = self._symbols[~self._root]
+            return np.full(count, symbol, dtype=np.int64), positions.copy()
+        starts, before, child, leaf_symbols, _, _ = self._tables(np)
+        shared = self._shared
         symbols = np.empty(count, dtype=np.int64)
         ranks = np.empty(count, dtype=np.int64)
-        stack = [
-            (
-                self._root,
-                np.arange(count, dtype=np.int64),
-                np.asarray(positions, dtype=np.int64),
-            )
-        ]
-        while stack:
-            node, slots, pos = stack.pop()
-            if node.is_leaf:
-                symbols[slots] = node.symbol
-                ranks[slots] = pos
-                continue
-            vector = node.bitvector
-            ones = np.asarray(vector.access_many(pos), dtype=bool)
-            zeros = np.asarray(vector.rank_many(0, pos), dtype=np.int64)
-            if not ones.all():
-                left = ~ones
-                stack.append((node.children[0], slots[left], zeros[left]))
-            if ones.any():
-                stack.append(
-                    (node.children[1], slots[ones], pos[ones] - zeros[ones])
-                )
+        slots = np.arange(count, dtype=np.int64)
+        nodes = np.zeros(count, dtype=np.int64)
+        while slots.size:
+            bits, shared_ranks = shared.access_rank_many(starts[nodes] + positions)
+            k = 2 * nodes + bits
+            nodes = child[k]
+            positions = shared_ranks - before[k]
+            leaf = nodes < 0
+            if leaf.any():
+                done = slots[leaf]
+                symbols[done] = leaf_symbols[~nodes[leaf]]
+                ranks[done] = positions[leaf]
+                inner = ~leaf
+                slots, nodes, positions = slots[inner], nodes[inner], positions[inner]
         return symbols, ranks
+
+    def _check_rank_positions(self, positions) -> None:
+        if len(positions):
+            lo, hi = batch_min_max(positions)
+            if lo < 0 or hi > self._size:
+                bad = next(p for p in positions if not 0 <= p <= self._size)
+                raise OutOfBoundsError(
+                    f"position {bad} out of range for length {self._size}"
+                )
 
     def rank_many(self, symbol: Hashable, positions: Sequence[int]) -> List[int]:
         """``rank(symbol, pos)`` for each of ``positions``.
 
-        One walk down the symbol's code path serves the whole batch: every
-        node on the path is visited once with a single batched ``rank_many``
-        on its bitvector, amortising to ``O(|code|)`` batch passes total
-        instead of ``q`` independent ``O(|code|)`` scalar walks -- the
-        backward-search access pattern of :class:`repro.text.fm_index.FMIndex`.
+        One walk down the symbol's code path serves the whole batch: each
+        node on the path costs one ``rank_many`` on the shared node vector,
+        amortising to ``O(|code|)`` batch passes in all instead of ``q``
+        scalar walks.
         """
-        if not isinstance(positions, (list, tuple)):
-            positions = list(positions)
-        for pos in positions:
-            if not 0 <= pos <= self._size:
-                raise OutOfBoundsError(
-                    f"position {pos} out of range for length {self._size}"
-                )
-        code = self._codes.get(symbol)
-        if code is None or not positions:
+        positions = kernel.as_int_list(normalize_batch(positions))
+        self._check_rank_positions(positions)
+        index = self._index_of.get(symbol)
+        if index is None or not positions:
             return [0] * len(positions)
-        current = [int(pos) for pos in positions]
-        node = self._root
-        for depth in range(len(code)):
-            if node is None or node.is_leaf:
-                break
-            current = node.bitvector.rank_many(code[depth], current)
-            node = node.children[code[depth]]
-        if node is not None and node.is_leaf and node.symbol == symbol:
-            return current
-        return [0] * len(positions)
+        current = list(positions)
+        for k in self._paths[index]:
+            start, drop = self._starts[k >> 1], self._before[k]
+            current = [
+                rank - drop
+                for rank in kernel.as_int_list(
+                    self._shared.rank_many(k & 1, [start + pos for pos in current])
+                )
+            ]
+        return current
+
+    def rank_each(self, symbols: Sequence[Hashable], positions: Sequence[int]) -> List[int]:
+        """``rank(symbols[i], positions[i])`` for each item, one symbol per item.
+
+        The items descend their own code paths together, one depth at a
+        time: per depth one ``rank_many`` on the shared node vector over
+        every item still above its leaf, so a batch makes at most
+        ``height`` shared-vector calls whatever its symbols (the
+        FM-index's backward step over every live interval endpoint; see
+        :meth:`repro.text.fm_index.FMIndex.count_many`).  The items are
+        ordered by decreasing code length once (bucketed by length), so the
+        items still descending at any depth are a prefix of that order:
+        amortised O(q) python work per depth plus the batched ranks.
+        Absent symbols rank 0.  Always a list.
+        """
+        positions = kernel.as_int_list(normalize_batch(positions))
+        index_of = self._index_of
+        indexes = [index_of.get(symbol, -1) for symbol in symbols]
+        if len(indexes) != len(positions):
+            raise ValueError(f"{len(indexes)} symbols for {len(positions)} positions")
+        self._check_rank_positions(positions)
+        np = kernel.array_module()
+        if np is not None and len(indexes) >= _ARRAY_WALKS:
+            return self._rank_each_arrays(np, indexes, positions)
+        out = [0] * len(positions)
+        paths = self._paths
+        buckets: List[List[int]] = [[] for _ in range(self._height + 1)]
+        for slot, index in enumerate(indexes):
+            if index >= 0:
+                buckets[len(paths[index])].append(slot)
+        for slot in buckets[0]:  # a lone symbol: the root is its leaf
+            out[slot] = positions[slot]
+        order = [slot for bucket in reversed(buckets[1:]) for slot in bucket]
+        walk_paths = [paths[indexes[slot]] for slot in order]
+        current = [positions[slot] for slot in order]
+        shared, starts, before = self._shared, self._starts, self._before
+        live = len(order)
+        depth = 0
+        while live:
+            ks = [path[depth] for path in walk_paths[:live]]
+            at = [starts[k >> 1] + pos for k, pos in zip(ks, current)]
+            ones = shared.rank_many(1, at)
+            current = [
+                (count if k & 1 else place - count) - before[k]
+                for k, place, count in zip(ks, at, ones)
+            ]
+            depth += 1
+            done = live - len(buckets[depth])
+            for slot, rank in zip(order[done:live], current[done:]):
+                out[slot] = rank
+            live = done
+            del current[live:]
+        return out
+
+    def _rank_each_arrays(self, np, indexes, positions) -> List[int]:
+        """:meth:`rank_each`'s descent on int64 arrays (absent symbols are
+        index -1)."""
+        starts, before, _, _, paths, lengths_of = self._tables(np)
+        rows = np.asarray(indexes, dtype=np.int64)
+        lengths = lengths_of[rows]  # index -1 reads the trailing -1
+        order = np.argsort(-lengths, kind="stable")
+        rows, lengths = rows[order], lengths[order]
+        current = np.asarray(positions, dtype=np.int64)[order]
+        shared = self._shared
+        for depth in range(int(lengths[0])):
+            live = int(np.count_nonzero(lengths > depth))
+            ks = paths[rows[:live], depth]
+            at = starts[ks >> 1] + current[:live]
+            ones = shared.rank_many(1, at)
+            current[:live] = np.where(ks & 1, ones, at - ones) - before[ks]
+        current[lengths < 0] = 0
+        out = np.empty_like(current)
+        out[order] = current
+        return out.tolist()
 
     def select_many(self, symbol: Hashable, indexes: Sequence[int]) -> List[int]:
         """``select(symbol, idx)`` for each of ``indexes``.
 
-        The symbol's root-to-leaf code path is recorded once and unwound
-        with each node bitvector's batched ``select_many`` (shared directory
-        walks), amortising the per-node work over the whole batch instead of
-        paying ``q`` independent unwinds.
+        The symbol's code path is unwound once, leaf to root, with one
+        batched ``select_many`` on the shared node vector per node (shared
+        directory walks), amortising the per-node work over the batch
+        instead of paying ``q`` independent unwinds.
         """
-        code = self._codes.get(symbol)
-        if code is None:
+        index = self._index_of.get(symbol)
+        if index is None:
             raise ValueNotFoundError(f"symbol {symbol!r} does not occur")
-        indexes = validate_select_indexes(indexes, self.count(symbol), symbol)
-        if not indexes:
-            return []
-        node = self._root
-        path: List[Tuple[_CodeNode, int]] = []
-        for depth in range(len(code)):
-            if node.is_leaf:
-                break
-            path.append((node, code[depth]))
-            node = node.children[code[depth]]
-        current = indexes
-        for ancestor, bit in reversed(path):
-            current = ancestor.bitvector.select_many(bit, current)
+        current = validate_select_indexes(indexes, self._counts[index], symbol)
+        for k in reversed(self._paths[index] if current else ()):
+            drop, start = self._before[k], self._starts[k >> 1]
+            current = [
+                pos - start
+                for pos in kernel.as_int_list(
+                    self._shared.select_many(k & 1, [idx + drop for idx in current])
+                )
+            ]
         return current
 
     def to_list(self) -> List[Hashable]:
         """Materialise the stored sequence."""
-        return [self.access(pos) for pos in range(self._size)]
+        return self.access_many(list(range(self._size)))
 
     def size_in_bits(self) -> int:
-        """Bitvector space plus per-node bookkeeping."""
-        total = 0
-        nodes = 0
-        stack = [self._root] if self._root is not None else []
-        while stack:
-            node = stack.pop()
-            nodes += 1
-            if node.bitvector is not None:
-                total += node.bitvector.size_in_bits()
-            for child in node.children:
-                if child is not None:
-                    stack.append(child)
-        return total + nodes * 4 * 64
+        """The shared node vector plus four words of shape table per node."""
+        nodes = 2 * len(self._symbols) - 1 if self._symbols else 0
+        return self._shared.size_in_bits() + nodes * 4 * 64

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.entropy import empirical_entropy
+from repro.bits import kernel
+from repro.bitvector.plain import PlainBitVector
+from repro.bitvector.rrr import RRRBitVector
 from repro.exceptions import OutOfBoundsError, ValueNotFoundError
 from repro.wavelet import HuffmanWaveletTree, huffman_codes
 
@@ -168,3 +171,64 @@ class TestHuffmanBatchAPIs:
             assert tree.select_many(symbol, indexes) == [
                 tree.select(symbol, i) for i in indexes
             ]
+
+
+def per_node_bits(data, codes):
+    """Every internal node's bits in preorder (0-child first), each node
+    built on its own from the symbols routed to it."""
+    out, stack = [], [(list(data), 0)]
+    while stack:
+        symbols, depth = stack.pop()
+        if len(set(symbols)) < 2:
+            continue
+        bits = [codes[symbol][depth] for symbol in symbols]
+        out += bits
+        stack.append(([s for s, bit in zip(symbols, bits) if bit], depth + 1))
+        stack.append(([s for s, bit in zip(symbols, bits) if not bit], depth + 1))
+    return out
+
+
+def skewed(count, sigma, seed):
+    rng = random.Random(seed)
+    weights = [1.0 / (rank + 1) for rank in range(sigma)]
+    return list(range(sigma)) + rng.choices(range(sigma), weights, k=count - sigma)
+
+
+class TestOneSharedNodeVector:
+    """The tree is the Wavelet Trie of its Huffman codes: one shared node
+    vector in preorder plus O(sigma) tables."""
+
+    @pytest.mark.parametrize("factory", [PlainBitVector, RRRBitVector])
+    @pytest.mark.parametrize("sigma", [1, 2, 4, 40, 200])
+    def test_shared_vector_is_the_per_node_vectors_in_preorder(self, factory, sigma):
+        data = skewed(3_000, sigma, sigma)
+        tree = HuffmanWaveletTree(data, bitvector_factory=factory)
+        assert tree.codes == huffman_codes(Counter(data))
+        assert tree.node_bitvector.to_list() == per_node_bits(data, tree.codes)
+        assert tree.height == (max(len(code) for code in tree.codes.values()) if sigma > 1 else 0)
+
+    @pytest.mark.parametrize("backend", kernel.available_backends())
+    @pytest.mark.parametrize("size", [7, 300, 2_000])
+    def test_rank_each_matches_scalar_ranks(self, backend, size):
+        data = skewed(3_000, 40, 1)
+        tree = HuffmanWaveletTree(data, bitvector_factory=PlainBitVector)
+        rng = random.Random(size)
+        symbols = [rng.choice([*range(40), 99, "x"]) for _ in range(size)]
+        positions = [rng.randint(0, len(data)) for _ in range(size)]
+        previous = kernel.use_backend(backend)
+        try:
+            assert tree.rank_each(symbols, positions) == [
+                tree.rank(symbol, pos) for symbol, pos in zip(symbols, positions)
+            ]
+            assert tree.rank_each([], []) == []
+            with pytest.raises(OutOfBoundsError):
+                tree.rank_each([0, 1], [0, len(data) + 1])
+            with pytest.raises(ValueError):
+                tree.rank_each([0], [1, 2])
+        finally:
+            kernel.use_backend(previous)
+
+    def test_lone_and_empty_trees_rank_each(self):
+        lone = HuffmanWaveletTree(["x"] * 5)
+        assert lone.rank_each(["x", "y", "x"], [5, 5, 2]) == [5, 0, 2]
+        assert HuffmanWaveletTree([]).rank_each(["x"], [0]) == [0]
