@@ -48,7 +48,13 @@ __all__ = ["HuffmanWaveletTree", "huffman_codes"]
 _IMAGE_KINDS = {"plain": PlainBitVector, "rrr": RRRBitVector}
 
 #: Items from which :meth:`HuffmanWaveletTree.rank_each` descends on numpy
-#: arrays instead of lists.
+#: arrays instead of lists.  Timed on the 3,000-URL BWT tree (plain nodes,
+#: numpy, 2-vCPU host, three sweeps), the array descent cost 1.4-1.7x the
+#: list one at 32 items, 0.98-1.44x at 64, 0.76-1.0x at 128 and
+#: 0.53-0.65x at 256, falling to 0.27-0.30x at 2,048 (a 1,024-pattern
+#: ``count_many``: 8.5-9.9 ms against 21.5-25.8 ms).  ``SMALL_BATCH`` (32)
+#: is below the crossover; 256 is the first width where the arrays won by
+#: a third in every sweep.
 _ARRAY_WALKS = 256
 
 
@@ -466,7 +472,10 @@ class HuffmanWaveletTree:
         One walk down the symbol's code path serves the whole batch: each
         node on the path costs one ``rank_many`` on the shared node vector,
         amortising to ``O(|code|)`` batch passes in all instead of ``q``
-        scalar walks.
+        scalar walks.  :meth:`rank_each` makes the same calls for a
+        one-symbol batch, but its per-item bookkeeping nearly doubles the
+        cost of the two-endpoint batches that :meth:`FMIndex.count
+        <repro.text.fm_index.FMIndex.count>` sends, so this walk stays.
         """
         positions = kernel.as_int_list(normalize_batch(positions))
         self._check_rank_positions(positions)

@@ -186,8 +186,9 @@ class WaveletTree:
         """The symbols at each of ``positions``.
 
         Queries descend the tree in groups: each traversed node is visited
-        once per batch, with one ``access_many``/``rank_many`` call on its
-        bitvector, so node and attribute overhead is amortised over the whole
+        once per batch, with one ``access_rank_many`` call on its bitvector
+        (each query's bit and ``rank(bit, pos)``, its child and its position
+        there), so node and attribute overhead is amortised over the whole
         batch instead of paid per query.
         """
         if not isinstance(positions, (list, tuple)):
@@ -208,21 +209,9 @@ class WaveletTree:
                     out[index] = low
                 continue
             vector = node.bitvector
-            pos_list = [pos for _, pos in queries]
-            bits = vector.access_many(pos_list)
-            # One rank_many(0) pass serves both children: rank(1, pos) is
-            # just pos - rank(0, pos).
-            zero_ranks = vector.rank_many(0, pos_list)
-            lefts = [
-                (i, r)
-                for (i, _), bit, r in zip(queries, bits, zero_ranks)
-                if not bit
-            ]
-            rights = [
-                (i, pos - r)
-                for (i, pos), bit, r in zip(queries, bits, zero_ranks)
-                if bit
-            ]
+            bits, ranks = vector.access_rank_many([pos for _, pos in queries])
+            lefts = [(i, r) for (i, _), bit, r in zip(queries, bits, ranks) if not bit]
+            rights = [(i, r) for (i, _), bit, r in zip(queries, bits, ranks) if bit]
             if lefts:
                 stack.append((node.left, lefts))
             if rights:
