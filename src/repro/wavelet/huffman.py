@@ -472,10 +472,11 @@ class HuffmanWaveletTree:
         One walk down the symbol's code path serves the whole batch: each
         node on the path costs one ``rank_many`` on the shared node vector,
         amortising to ``O(|code|)`` batch passes in all instead of ``q``
-        scalar walks.  :meth:`rank_each` makes the same calls for a
-        one-symbol batch, but its per-item bookkeeping nearly doubles the
-        cost of the two-endpoint batches that :meth:`FMIndex.count
-        <repro.text.fm_index.FMIndex.count>` sends, so this walk stays.
+        scalar walks.  :meth:`rank_each` hands its narrow one-symbol
+        batches here: its per-item bookkeeping would nearly double the cost
+        of a two-endpoint batch, the backward step of :meth:`FMIndex.count
+        <repro.text.fm_index.FMIndex.count>` and of a ``count_many`` with
+        one live pattern.
         """
         positions = kernel.as_int_list(normalize_batch(positions))
         self._check_rank_positions(positions)
@@ -504,8 +505,10 @@ class HuffmanWaveletTree:
         :meth:`repro.text.fm_index.FMIndex.count_many`).  The items are
         ordered by decreasing code length once (bucketed by length), so the
         items still descending at any depth are a prefix of that order:
-        amortised O(q) python work per depth plus the batched ranks.
-        Absent symbols rank 0.  Always a list.
+        amortised O(q) python work per depth plus the batched ranks.  A
+        one-symbol batch narrower than the array descent takes
+        :meth:`rank_many`'s walk instead: the same calls without the
+        per-item bookkeeping.  Absent symbols rank 0.  Always a list.
         """
         positions = kernel.as_int_list(normalize_batch(positions))
         index_of = self._index_of
@@ -516,6 +519,8 @@ class HuffmanWaveletTree:
         np = kernel.array_module()
         if np is not None and len(indexes) >= _ARRAY_WALKS:
             return self._rank_each_arrays(np, indexes, positions)
+        if len(set(indexes)) == 1:
+            return self.rank_many(symbols[0], positions)
         out = [0] * len(positions)
         paths = self._paths
         buckets: List[List[int]] = [[] for _ in range(self._height + 1)]

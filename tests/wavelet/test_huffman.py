@@ -220,6 +220,10 @@ class TestOneSharedNodeVector:
             assert tree.rank_each(symbols, positions) == [
                 tree.rank(symbol, pos) for symbol, pos in zip(symbols, positions)
             ]
+            for symbol in (symbols[0], 99):  # one symbol a batch, present or not
+                assert tree.rank_each([symbol] * size, positions) == [
+                    tree.rank(symbol, pos) for pos in positions
+                ]
             assert tree.rank_each([], []) == []
             with pytest.raises(OutOfBoundsError):
                 tree.rank_each([0, 1], [0, len(data) + 1])
