@@ -358,3 +358,14 @@ def prepare_fields(words: Sequence[int], width: int):
 def fields_many(handle, indexes: Sequence[int]):
     """The fixed-width fields at each of ``indexes`` via a prepared handle."""
     return _active.fields_many(handle, indexes)
+
+
+def prepare_sorted(values: Sequence[int]):
+    """Opaque handle for :func:`sorted_search_many` over sorted integers."""
+    return _active.prepare_sorted(values)
+
+
+def sorted_search_many(handle, queries: Sequence[int]):
+    """``(points, found)``: each query's ``bisect_left`` point and whether
+    the value there equals it, via a prepared handle."""
+    return _active.sorted_search_many(handle, queries)

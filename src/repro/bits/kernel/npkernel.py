@@ -883,3 +883,40 @@ def fields_many(handle, indexes: Sequence[int]):
     if width < WORD:
         values = values.astype(np.int64)
     return _mirror(values, indexes)
+
+
+# ----------------------------------------------------------------------
+# Prepared searches over a non-decreasing integer sequence
+# ----------------------------------------------------------------------
+def prepare_sorted(values: Sequence[int]):
+    """Build the opaque array handle consumed by :func:`sorted_search_many`.
+
+    An ``int64`` copy of the values, one word each (``object`` dtype when
+    a value falls outside int64, so comparisons stay exact).  Only valid
+    with this backend.
+    """
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def sorted_search_many(handle, queries: Sequence[int]):
+    """``(points, found)``: each query's insertion point and whether the
+    value there equals the query, from one ``np.searchsorted``.
+
+    A point past the end needs no bounds mask: every value there is below
+    the query, so the clipped probe of the last value never equals it.
+    O(log n) per query inside one call; array in, arrays out (lists are
+    mirrored back as lists).  Queries past int64 are compared as objects.
+    """
+    try:
+        query = np.asarray(queries, dtype=np.int64)
+    except OverflowError:
+        query = np.asarray(queries, dtype=object)
+    points = np.searchsorted(handle, query)
+    if handle.size:
+        found = (handle[np.minimum(points, handle.size - 1)] == query).astype(np.int64)
+    else:
+        found = np.zeros(points.size, dtype=np.int64)
+    return _mirror(points, queries), _mirror(found, queries)

@@ -23,7 +23,8 @@ Conventions
   returned containers are freshly allocated.  Opaque handles
   (:func:`prepare_rank_select`, :func:`prepare_symbols`,
   :func:`prepare_rrr`, :func:`prepare_fields`) alias their inputs, so
-  callers must not mutate a sequence after preparing a handle from it.
+  callers must not mutate a sequence after preparing a handle from it;
+  :func:`prepare_sorted` copies its values.
 
 The kernel never scans bit by bit: the in-word ``select`` walks bytes through
 a precomputed 256-entry table, bulk packing goes through
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain
 from math import comb
@@ -82,6 +84,8 @@ __all__ = [
     "rrr_decode_words",
     "prepare_fields",
     "fields_many",
+    "prepare_sorted",
+    "sorted_search_many",
 ]
 
 WORD = 64
@@ -1044,3 +1048,42 @@ def fields_many(handle, indexes: Sequence[int]) -> List[int]:
             value |= words[word_index + 1] << (WORD - offset)
         append(value & mask)
     return out
+
+
+# ----------------------------------------------------------------------
+# Prepared searches over a non-decreasing integer sequence
+# ----------------------------------------------------------------------
+def prepare_sorted(values: Sequence[int]):
+    """Build the opaque handle consumed by :func:`sorted_search_many`.
+
+    ``values`` is a non-decreasing integer sequence, such as the one
+    positions of an Elias-Fano bitvector decoded once.  The handle is a
+    copy holding one signed 64-bit word per value (an ``array``), or a
+    list of python ints when a value falls outside int64.  Only valid with
+    the backend that created it.
+    """
+    values = _plain_ints(values)
+    try:
+        return array("q", values)
+    except OverflowError:
+        return list(values)
+
+
+def sorted_search_many(handle, queries: Sequence[int]):
+    """``(points, found)``: each query's insertion point in the prepared
+    sequence and whether the value there equals the query.
+
+    ``points[i]`` is the number of values below ``queries[i]`` (the
+    ``bisect_left`` point) and ``found[i]`` is 1 when the value at that
+    point equals ``queries[i]``, else 0.  O(log n) per query: one
+    ``bisect`` and one probe.  Queries may be any integers; both results
+    are plain lists.
+    """
+    queries = _plain_ints(queries)
+    last = len(handle) - 1
+    points = [bisect_left(handle, query) for query in queries]
+    found = [
+        1 if point <= last and handle[point] == query else 0
+        for point, query in zip(points, queries)
+    ]
+    return points, found

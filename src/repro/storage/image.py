@@ -90,7 +90,7 @@ __all__ = [
 ]
 
 IMAGE_MAGIC = b"RWT2"
-IMAGE_VERSION = 4
+IMAGE_VERSION = 5
 SECTION_ALIGN = 8
 
 # magic + u32 version + u64 header length + u32 header CRC.

@@ -6,13 +6,12 @@ the Burrows-Wheeler transform of the terminator-extended text is stored in a
 roughly the character entropy of the text while answering
 
 * ``count(pattern)`` -- number of occurrences, in ``|pattern|`` backward
-  steps, each issuing **one** ``rank_many`` pair on the wavelet tree instead
-  of two scalar rank walks;
+  steps, each two scalar rank walks on the wavelet tree;
 * ``locate(pattern)`` -- all occurrence positions, via a sampled suffix
   array (``sa_sample`` is the space/time knob: one stored position every
   ``sa_sample`` text positions, at most ``sa_sample - 1`` batched LF steps
-  per occurrence, each one fused access/rank on the marked rows plus one
-  ``inverse_select_many`` descent);
+  per occurrence, each one sorted search of the Elias-Fano marked rows
+  plus one ``inverse_select_many`` descent);
 * ``extract(start, stop)`` -- any text slice, via inverse-suffix-array
   samples (at most ``sa_sample`` extra LF steps past the slice).
 
@@ -32,6 +31,7 @@ from repro.bits.kernel import SMALL_BATCH
 from repro.bits.packed import PackedIntVector
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
+from repro.bitvector.sparse import SparseBitVector
 from repro.exceptions import OutOfBoundsError, SerializationError
 from repro.text.suffix_array import bwt_from_suffix_array, suffix_array
 from repro.wavelet.huffman import HuffmanWaveletTree
@@ -97,11 +97,11 @@ class FMIndex:
         order = suffix_array(codes)
         bwt = bwt_from_suffix_array(codes, order)
         rows = len(codes)
-        marked_bits = [0] * rows
+        marked_rows: List[int] = []
         samples: List[int] = []
         for row, position in enumerate(order):
             if position % sa_sample == 0:
-                marked_bits[row] = 1
+                marked_rows.append(row)
                 samples.append(position)
         isa_samples = [0] * ((rows - 1) // sa_sample + 1)
         for row, position in enumerate(order):
@@ -116,7 +116,7 @@ class FMIndex:
             HuffmanWaveletTree(
                 bwt, bitvector_factory=_BWT_BITVECTORS[bitvector]
             ),
-            RRRBitVector(marked_bits),
+            SparseBitVector(rows, marked_rows),
             PackedIntVector(width, samples),
             PackedIntVector(width, isa_samples),
         )
@@ -128,7 +128,7 @@ class FMIndex:
         sa_sample: int,
         bitvector: str,
         bwt_tree: HuffmanWaveletTree,
-        marked: RRRBitVector,
+        marked: SparseBitVector,
         samples: PackedIntVector,
         isa_samples: PackedIntVector,
     ) -> None:
@@ -157,7 +157,7 @@ class FMIndex:
         sa_sample: int,
         bitvector: str,
         bwt_tree: HuffmanWaveletTree,
-        marked: RRRBitVector,
+        marked: SparseBitVector,
         samples: PackedIntVector,
         isa_samples: PackedIntVector,
     ) -> "FMIndex":
@@ -201,7 +201,9 @@ class FMIndex:
         Every part aliases the image.  The open checks that the parts
         describe one text: the BWT and the marked rows cover its rows, one
         suffix-array sample per marked row, one inverse sample per
-        ``sa_sample`` positions, all of the width the row count needs.
+        ``sa_sample`` positions and one marked row per inverse sample
+        (each sampled position has exactly one row), all of the width the
+        row count needs.
         """
         text_length = int(meta["text_length"])
         points = list(image.int64(prefix + "alphabet"))
@@ -213,7 +215,7 @@ class FMIndex:
         sa_sample = int(meta["sa_sample"])
         kind = meta["bitvector"]
         bwt = HuffmanWaveletTree.from_words_image(image, prefix + "bwt.", meta["bwt"])
-        marked = RRRBitVector.from_words_image(image, prefix + "mark.", meta["marked"])
+        marked = SparseBitVector.from_words_image(image, prefix + "mark.", meta["marked"])
         samples = PackedIntVector.from_words_image(image, prefix + "sa.", meta["samples"])
         isa = PackedIntVector.from_words_image(image, prefix + "isa.", meta["isa_samples"])
         rows = text_length + 1
@@ -226,6 +228,7 @@ class FMIndex:
             or len(marked) != rows
             or len(samples) != marked.ones
             or len(isa) != (rows - 1) // sa_sample + 1
+            or marked.ones != len(isa)
             or samples.width != width
             or isa.width != width
             or not set(bwt.codes) <= set(range(len(alphabet) + 1))
@@ -273,27 +276,11 @@ class FMIndex:
     def _interval(self, pattern: str) -> Tuple[int, int]:
         """The suffix-array row interval of suffixes prefixed by ``pattern``.
 
-        One batched backward step per character: both interval endpoints go
-        through a single ``rank_many`` pair on the BWT wavelet tree.
-        """
-        low, high = 0, len(self._bwt)
-        for char in reversed(pattern):
-            code = self._code_of.get(char)
-            if code is None:
-                return (0, 0)
-            base = self._c_table[code]
-            low, high = self._bwt.rank_many(code, (low, high))
-            low += base
-            high += base
-            if low >= high:
-                return (0, 0)
-        return (low, high)
-
-    def _interval_scalar(self, pattern: str) -> Tuple[int, int]:
-        """The unbatched backward search: two scalar ranks per character.
-
-        Kept as the measured baseline of the batched path (the ``search``
-        case of ``benchmarks/run.py``); results are identical.
+        One backward step per character: two scalar ``rank`` walks on the
+        BWT wavelet tree, one per interval endpoint.  A two-item
+        ``rank_many`` costs about twice as much per step (its batch
+        bookkeeping outweighs the one walk it shares); :meth:`count_many`
+        is the batched path, across patterns.
         """
         low, high = 0, len(self._bwt)
         for char in reversed(pattern):
@@ -365,8 +352,9 @@ class FMIndex:
         a sampled row (< ``sa_sample`` steps, since LF decrements the text
         position and every ``sa_sample``-th position is sampled).  The walks
         advance together; per step, one ``access_rank_many`` on the
-        marked-rows vector yields each row's mark and, for a marked row,
-        its sample index, and one ``inverse_select_many`` on the BWT tree
+        Elias-Fano marked rows (one sorted search of the marked row
+        numbers) yields each row's mark and, for a marked row, its sample
+        index, and one ``inverse_select_many`` on the BWT tree
         yields ``BWT[row]`` and its rank -- the LF step
         ``C[c] + rank_c(row)`` -- from one descent of at most ``height``
         shared-vector calls.  Under the numpy backend the live rows stay

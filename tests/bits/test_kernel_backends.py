@@ -251,6 +251,12 @@ def test_batch_queries_mirror_input_container():
     assert isinstance(
         npkernel.access_many_packed(handle, as_array), np.ndarray
     )
+    search = npkernel.prepare_sorted(sorted(as_list))
+    assert all(isinstance(part, list) for part in npkernel.sorted_search_many(search, as_list))
+    assert all(
+        isinstance(part, np.ndarray)
+        for part in npkernel.sorted_search_many(search, as_array)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +423,29 @@ def test_field_gathers_agree(width):
     py = pykernel.fields_many(pykernel.prepare_fields(vector._words, width), indexes)
     np_ = npkernel.fields_many(npkernel.prepare_fields(vector._words, width), indexes)
     assert py == norm(np_) == [values[i] for i in indexes]
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "values",
+    [[], [7], [3, 3, 3], list(range(0, 4000, 3)), [5, 9, 1 << 62, 1 << 70]],
+)
+def test_sorted_searches_agree(values):
+    """``sorted_search_many`` gives each query's ``bisect_left`` point and
+    whether the value there equals it, alike on both backends: duplicates,
+    the empty sequence, and values and queries past int64 included."""
+    from bisect import bisect_left
+
+    rng = random.Random(len(values))
+    top = values[-1] + 2 if values else 3
+    queries = [-1, 0, top, 1 << 70, -(1 << 70)] + values
+    queries += [rng.randrange(min(top, 1 << 40)) for _ in range(200)]
+    points = [bisect_left(values, q) for q in queries]
+    found = [int(p < len(values) and values[p] == q) for p, q in zip(points, queries)]
+    for backend in (pykernel, npkernel):
+        handle = backend.prepare_sorted(values)
+        assert norm(backend.sorted_search_many(handle, queries)) == (points, found)
+        assert norm(backend.sorted_search_many(handle, [])) == ([], [])
 
 
 @requires_numpy

@@ -4,8 +4,10 @@ Every static bitvector answers ``(bits, ranks)`` with ``bits[i] =
 access(positions[i])`` and ``ranks[i] = rank(bits[i], positions[i])``, the
 pair a wavelet descent needs at each node.  ``PlainBitVector`` and
 ``RRRBitVector`` go through the kernel's ``access_rank_many_packed`` and
-``rrr_access_rank_many``, a ``BitvectorWindow`` shifts into its shared
-vector, and the growable bitvectors inherit the base-class default.  Each is
+``rrr_access_rank_many``, ``SparseBitVector`` through one
+``sorted_search_many`` over its one positions, a ``BitvectorWindow`` shifts
+into its shared vector, and the growable bitvectors inherit the base-class
+default.  Each is
 checked against scalar ``access``/``rank`` pairs on both kernel backends,
 with list and array containers, and out-of-range batches raise
 ``OutOfBoundsError`` as a whole.
@@ -22,6 +24,7 @@ from repro.bitvector.append_only import AppendOnlyBitVector
 from repro.bitvector.dynamic import DynamicBitVector
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
+from repro.bitvector.sparse import SparseBitVector
 from repro.bitvector.window import windows_over
 from repro.exceptions import OutOfBoundsError
 
@@ -83,11 +86,12 @@ def test_rrr_matches_scalar_pairs_on_every_block_kind(backend, block_size):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", [PlainBitVector, SparseBitVector.from_bits])
 @pytest.mark.parametrize("density", [0.0, 0.02, 0.5, 0.98, 1.0])
-def test_plain_matches_scalar_pairs(backend, density):
+def test_plain_matches_scalar_pairs(backend, kind, density):
     rng = random.Random(int(density * 100))
     bits = [int(rng.random() < density) for _ in range(1_000)]
-    vector = PlainBitVector(bits)
+    vector = kind(bits)
     positions = edge_positions(len(bits), 64, 3)
     with active_backend(backend):
         for batch in (positions, positions[:5]):
@@ -134,7 +138,12 @@ def test_array_containers(backend):
     bits = blocky_bits(63, 2)
     positions = edge_positions(len(bits), 63, 2)
     shared = RRRBitVector(bits + bits)
-    vectors = [PlainBitVector(bits), RRRBitVector(bits), windows_over(shared, [len(bits)] * 2)[1]]
+    vectors = [
+        PlainBitVector(bits),
+        RRRBitVector(bits),
+        SparseBitVector.from_bits(bits),
+        windows_over(shared, [len(bits)] * 2)[1],
+    ]
     with active_backend(backend):
         for vector in vectors:
             expected = scalar_pairs(vector, positions)
@@ -183,6 +192,7 @@ def test_out_of_range_is_all_or_nothing(backend):
         RRRBitVector(bits),
         windows_over(shared, [length, length])[0],
         DynamicBitVector(bits),
+        SparseBitVector.from_bits(bits),
     ]
     with active_backend(backend):
         for vector in vectors:
@@ -191,6 +201,6 @@ def test_out_of_range_is_all_or_nothing(backend):
                     with pytest.raises(OutOfBoundsError, match=f"position {bad}"):
                         vector.access_rank_many(good + [bad])
             assert vector.access_rank_many([]) == ([], [])
-    empty = RRRBitVector([])
-    with pytest.raises(OutOfBoundsError):
-        empty.access_rank_many([0])
+    for empty in (RRRBitVector([]), SparseBitVector(0, [])):
+        with pytest.raises(OutOfBoundsError):
+            empty.access_rank_many([0])

@@ -3,7 +3,8 @@
 Random bit patterns at **all** lengths 0..257 (every word/superblock/byte
 alignment) plus a large instance are pushed through every bitvector class and
 the Wavelet Tree, and ``rank``/``select``/``iter_range``/``access_many``/
-``rank_many`` are compared against a naive list oracle.  A scaling regression
+``rank_many``/``access_rank_many``/``select_many`` are compared against a
+naive list oracle.  A scaling regression
 guards the linear-time constructors against the quadratic accumulation the
 kernel replaced.
 """
@@ -14,6 +15,7 @@ import time
 import pytest
 
 from repro.bits.bitstring import Bits
+from repro.bits.kernel import as_int_list
 from repro.bitvector import (
     PlainBitVector,
     RLEBitVector,
@@ -55,6 +57,11 @@ def check_vector(vector, bits, rng):
     assert vector.access_many(access_positions) == [
         bits[p] for p in access_positions
     ]
+    marks, ranks = vector.access_rank_many(access_positions)
+    assert as_int_list(marks) == [bits[p] for p in access_positions]
+    assert as_int_list(ranks) == [
+        naive_rank(bits, bits[p], p) for p in access_positions
+    ]
     for bit in (0, 1):
         # rank / rank_many
         assert vector.rank_many(bit, positions) == [
@@ -73,6 +80,9 @@ def check_vector(vector, bits, rng):
         )
         for idx in indices:
             assert vector.select(bit, idx) == naive_select(bits, bit, idx)
+        assert as_int_list(vector.select_many(bit, indices[::-1])) == [
+            naive_select(bits, bit, idx) for idx in indices[::-1]
+        ]
         with pytest.raises(OutOfBoundsError):
             vector.select(bit, total)
     with pytest.raises(ValueError):

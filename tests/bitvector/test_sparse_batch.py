@@ -4,8 +4,9 @@
 search of the bucket's low bits; it is checked against ``bisect`` on random
 monotone sequences (duplicates, the empty sequence, value 0, values at or
 above the universe).  The batch paths -- ``EliasFanoSequence.rank_many`` /
-``select_many`` and ``SparseBitVector.rank_many`` / ``select_many`` -- must
-match their scalar twins on every backend and container.
+``select_many`` and ``SparseBitVector.access_many`` / ``access_rank_many``
+/ ``rank_many`` / ``select_many`` -- must match their scalar twins on every
+backend and container.
 """
 
 import contextlib
@@ -104,8 +105,8 @@ def test_elias_fano_batches_match_scalar(backend):
             expected = [sequence.rank(v) for v in probes]
             assert sequence.rank_many(probes) == expected
             assert sequence.rank_many(tuple(probes)) == expected
-            huge = probes + [1 << 70]
-            assert sequence.rank_many(huge) == expected + [len(values)]
+            huge = probes + [1 << 70, -(1 << 70)]
+            assert sequence.rank_many(huge) == expected + [len(values), 0]
             indexes = list(range(len(values)))[::-1] * 2
             assert sequence.select_many(indexes) == [values[i] for i in indexes]
 
@@ -142,23 +143,41 @@ def test_elias_fano_select_many_validates_all_or_nothing(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sparse_bitvector_batches_match_scalar(backend):
     rng = random.Random(4)
-    for length, density in ((1, 1.0), (700, 0.02), (700, 0.3), (1_000, 0.0)):
+    for length, density in (
+        (0, 0.0), (1, 1.0), (700, 0.02), (700, 0.3), (1_000, 0.0), (300, 1.0)
+    ):
         ones = [p for p in range(length) if rng.random() < density]
         vector = SparseBitVector(length, ones)
         positions = list(range(length + 1)) * 2
         rng.shuffle(positions)
+        inside = [p for p in positions if p < length]
         with active_backend(backend):
+            # Above and below SMALL_BATCH; every position, 0 and n - 1 too.
+            for count in (len(positions), SMALL_BATCH - 1, 2):
+                batch = positions[:count]
+                for bit in (0, 1):
+                    assert vector.rank_many(bit, batch) == [
+                        vector.rank(bit, p) for p in batch
+                    ]
+                    assert vector.rank_many(bit, tuple(batch)) == [
+                        vector.rank(bit, p) for p in batch
+                    ]
+                    total = vector.count(bit)
+                    indexes = [rng.randrange(total) for _ in range(count)] if total else []
+                    assert vector.select_many(bit, indexes) == [
+                        vector.select(bit, i) for i in indexes
+                    ]
+                batch = inside[:count]
+                bits = [vector.access(p) for p in batch]
+                assert vector.access_many(batch) == bits
+                assert vector.access_rank_many(batch) == (
+                    bits, [vector.rank(bit, p) for bit, p in zip(bits, batch)]
+                )
             for bit in (0, 1):
-                assert vector.rank_many(bit, positions) == [
-                    vector.rank(bit, p) for p in positions
+                every = list(range(vector.count(bit)))
+                assert vector.select_many(bit, every) == [
+                    vector.select(bit, i) for i in every
                 ]
-                total = vector.count(bit)
-                indexes = [rng.randrange(total) for _ in range(80)] if total else []
-                assert vector.select_many(bit, indexes) == [
-                    vector.select(bit, i) for i in indexes
-                ]
-            inside = [p for p in positions if p < length]
-            assert vector.access_many(inside) == [vector.access(p) for p in inside]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -166,9 +185,23 @@ def test_sparse_bitvector_batch_validation(backend):
     vector = SparseBitVector(300, range(0, 300, 7))
     good = list(range(2 * SMALL_BATCH))
     with active_backend(backend):
-        with pytest.raises(OutOfBoundsError, match="rank position 301"):
-            vector.rank_many(1, good + [301])
-        with pytest.raises(OutOfBoundsError):
-            vector.select_many(1, good[:5] + [vector.ones])
+        for batch in (good, good[:5]):
+            with pytest.raises(OutOfBoundsError, match="rank position 301"):
+                vector.rank_many(1, batch + [301])
+            with pytest.raises(OutOfBoundsError, match="rank position -1"):
+                vector.rank_many(0, batch + [-1])
+            for bad in (-1, 300):
+                with pytest.raises(OutOfBoundsError, match=f"position {bad}"):
+                    vector.access_many(batch + [bad])
+                with pytest.raises(OutOfBoundsError, match=f"position {bad}"):
+                    vector.access_rank_many(batch + [bad])
+            with pytest.raises(OutOfBoundsError):
+                vector.select_many(1, batch + [vector.ones])
+            with pytest.raises(OutOfBoundsError):
+                vector.select_many(0, batch + [vector.zeros])
         with pytest.raises(ValueError):
             vector.rank_many(2, good)
+    empty = SparseBitVector(0, [])
+    assert empty.access_rank_many([]) == ([], [])
+    with pytest.raises(OutOfBoundsError):
+        empty.access_many([0])

@@ -13,6 +13,8 @@ import re
 
 import pytest
 
+from repro.bits.packed import PackedIntVector
+from repro.bitvector.sparse import SparseBitVector
 from repro.db.doc_store import DocumentStore
 from repro.exceptions import SerializationError
 from repro.storage import dumps_image, loads_image
@@ -85,3 +87,25 @@ def test_sections_and_header_do_not_grow_with_the_alphabet(name):
 def test_a_string_symbol_tree_is_not_imaged():
     with pytest.raises(SerializationError, match="int64 symbols"):
         dumps_image(HuffmanWaveletTree(list("abracadabra")))
+
+
+def test_marks_must_match_the_inverse_samples():
+    """Every sampled text position has exactly one row, so an FM image with
+    one marked row (and its suffix-array sample) too few or too many does
+    not open, though each mark still has its sample."""
+    fm = FMIndex(_text(4), sa_sample=8)
+    rows = fm._marked.select_many(1, range(fm._marked.ones))
+    samples = fm._samples.to_list()
+    unmarked = min(set(range(len(fm._bwt))) - set(rows))
+    for marked, sampled in (
+        (rows[:-1], samples[:-1]),
+        (sorted(rows + [unmarked]), samples + [0]),
+    ):
+        broken = FMIndex._from_parts(
+            len(fm), fm.alphabet, fm.sa_sample, fm.bitvector_kind, fm._bwt,
+            SparseBitVector(len(fm._bwt), marked),
+            PackedIntVector(fm._samples.width, sampled),
+            fm._isa_samples,
+        )
+        with pytest.raises(SerializationError, match="parts of different texts"):
+            loads_image(dumps_image(broken))
