@@ -392,7 +392,7 @@ def case_search(quick: bool) -> List[dict]:
         sampled.append(joined[start : start + 8].replace("\x00", "/"))
     fm = store.fm_index
     intervals, scalar_s = case.timed(
-        lambda: [fm._interval(pattern) for pattern in sampled]
+        lambda: [fm._interval_scalar(pattern) for pattern in sampled]
     )
     batched, batched_s = case.timed(lambda: fm.count_many(sampled))
     same([high - low for low, high in intervals], batched, "search: backward search")

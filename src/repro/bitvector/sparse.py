@@ -12,10 +12,10 @@ here:
 * :class:`SparseBitVector` exposes the positions of the 1s of a sparse
   bitvector through the same machinery, with full rank/select support.
 
-Batched ranks, accesses and zero selects answer from one sorted search
-(kernel ``sorted_search_many``) over the values decoded once per kernel
-backend on first batch use; the scalar queries keep the textbook
-high-part ``select`` paths.
+Batched ranks and accesses, and batched zero selects from ``SMALL_BATCH``
+queries up, answer from one sorted search (kernel ``sorted_search_many``)
+over the values decoded once per kernel backend on first batch use; the
+scalar queries keep the textbook high-part ``select`` paths.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class EliasFanoSequence:
         "_low_width",
         "_low",
         "_high",
-        "_batch_handle",
-        "_batch_backend",
+        "_searches",
+        "_searches_backend",
     )
 
     def __init__(self, values: Sequence[int], universe: int | None = None) -> None:
@@ -69,8 +69,8 @@ class EliasFanoSequence:
         self._universe = universe if universe is not None else (values[-1] + 1 if values else 1)
         if values and values[-1] >= self._universe:
             raise ValueError("universe must exceed the largest value")
-        self._batch_handle = None
-        self._batch_backend = None
+        self._searches = {}
+        self._searches_backend = None
         if self._n == 0:
             self._low_width = 0
             self._low = PackedIntVector(0)
@@ -123,8 +123,8 @@ class EliasFanoSequence:
         self._high = PlainBitVector.from_words_image(
             image, prefix + "high.", meta["high"]
         )
-        self._batch_handle = None
-        self._batch_backend = None
+        self._searches = {}
+        self._searches_backend = None
         if (
             not 0 <= self._low_width <= 64
             or self._n < 0
@@ -204,7 +204,46 @@ class EliasFanoSequence:
             for high, index, low in zip(highs, indexes, lows)
         ]
 
-    def _decode(self) -> List[int]:
+    def _handle(self, shifted: bool = False):
+        """The kernel backend's sorted-search handle over the values, or
+        with ``shifted`` over ``value_i - i`` (sorted when the values
+        strictly increase, as a bitvector's one positions do, where it
+        counts the zeros before each one).  Each is prepared from one
+        :meth:`to_list` on first use and again after a backend switch."""
+        backend = kernel.active_backend()
+        if self._searches_backend != backend:
+            self._searches = {}
+            self._searches_backend = backend
+        handle = self._searches.get(shifted)
+        if handle is None:
+            values = self.to_list()
+            if shifted:
+                values = [value - index for index, value in enumerate(values)]
+            handle = self._searches[shifted] = kernel.prepare_sorted(values)
+        return handle
+
+    def rank_many(self, values: Sequence[int]):
+        """``rank(value)`` for each of ``values``, in input order.
+
+        Each value's insertion point in the values decoded once per kernel
+        backend: one ``np.searchsorted`` (numpy) or one ``bisect`` per
+        value (python) over the whole batch, O(log n) per value amortised
+        over that one decode.  Values past int64 are ranked exactly.  Array
+        inputs come back as arrays under the numpy backend.
+        """
+        return kernel.sorted_search_many(self._handle(), normalize_batch(values))[0]
+
+    def predecessor(self, value: int) -> int:
+        """Largest index ``i`` with ``self[i] <= value``; raises if none exists."""
+        count = self.rank(value + 1)
+        if count == 0:
+            raise OutOfBoundsError(f"no value <= {value}")
+        return count - 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.to_list())
+
+    def to_list(self) -> List[int]:
         """Every value in order, from one pass over each half: the
         ``i``-th one of the high part sits at its bucket plus ``i``, and
         one kernel gather reads every low field.  No batch handle of
@@ -219,46 +258,6 @@ class EliasFanoSequence:
             for index, (high, low) in enumerate(zip(highs, lows))
         ]
 
-    def _handle(self):
-        """The kernel backend's sorted-search handle over the decoded
-        values: prepared on first batch use, again after a backend switch."""
-        backend = kernel.active_backend()
-        if self._batch_backend != backend:
-            self._batch_handle = kernel.prepare_sorted(self._decode())
-            self._batch_backend = backend
-        return self._batch_handle
-
-    def _search_many(self, values):
-        """``(ranks, found)``: ``rank(value)`` for each value and whether
-        ``value`` is stored, from one kernel ``sorted_search_many``."""
-        return kernel.sorted_search_many(self._handle(), values)
-
-    def rank_many(self, values: Sequence[int]):
-        """``rank(value)`` for each of ``values``, in input order.
-
-        Each value's insertion point in the values decoded once per kernel
-        backend: one ``np.searchsorted`` (numpy) or one ``bisect`` per
-        value (python) over the whole batch, O(log n) per value amortised
-        over that one decode.  Values past int64 are ranked exactly.  Array
-        inputs come back as arrays under the numpy backend.
-        """
-        return self._search_many(normalize_batch(values))[0]
-
-    def predecessor(self, value: int) -> int:
-        """Largest index ``i`` with ``self[i] <= value``; raises if none exists."""
-        count = self.rank(value + 1)
-        if count == 0:
-            raise OutOfBoundsError(f"no value <= {value}")
-        return count - 1
-
-    def __iter__(self) -> Iterator[int]:
-        for index in range(self._n):
-            yield self.select(index)
-
-    def to_list(self) -> List[int]:
-        """Materialise the sequence."""
-        return list(self)
-
     def size_in_bits(self) -> int:
         """Total encoded size in bits."""
         return self._low.size_in_bits() + self._high.size_in_bits() + 2 * 64
@@ -271,7 +270,7 @@ class SparseBitVector(StaticBitVector):
     the full FID interface.
     """
 
-    __slots__ = ("_length", "_positions", "_zeros_handle", "_zeros_backend")
+    __slots__ = ("_length", "_positions")
 
     def __init__(self, length: int, one_positions: Iterable[int]) -> None:
         positions = sorted(one_positions)
@@ -282,8 +281,6 @@ class SparseBitVector(StaticBitVector):
                 raise ValueError("duplicate 1-position")
         self._length = length
         self._positions = EliasFanoSequence(positions, universe=max(length, 1))
-        self._zeros_handle = None
-        self._zeros_backend = None
 
     def to_words_image(self, sink, prefix: str) -> dict:
         """Write the Elias-Fano one positions into an image sink."""
@@ -308,8 +305,6 @@ class SparseBitVector(StaticBitVector):
                 f"image meta for {prefix} says {self._length} bits, its one "
                 "positions do not fit"
             )
-        self._zeros_handle = None
-        self._zeros_backend = None
         return self
 
     @classmethod
@@ -370,15 +365,22 @@ class SparseBitVector(StaticBitVector):
                 hi = mid
         return lo
 
-    # The batch paths below have no small-batch cut-over: the sorted search
-    # beat the scalar access/rank loop at every width of a sweep over the
-    # FM-index marks of the 3,000-URL store (3,361 ones in 107,547 rows,
-    # list batches of random rows, two runs, 2-vCPU host), in µs per item:
+    # The access and rank batch paths below have no small-batch cut-over:
+    # with the handle built, the sorted search beat the scalar access/rank
+    # loop at every width of a sweep over the FM-index marks of the
+    # 3,000-URL store (3,361 ones in 107,547 rows, list batches of random
+    # rows, two runs, 2-vCPU host), in µs per item:
     #
     #   width         1        2      4        8       32       256     1024
     #   numpy    8.4-11.3  5.1-5.8  2.7-3.0  1.4-1.7  0.55-0.66  0.28-0.31  0.30-0.36
     #   python   3.2-5.6   2.8-3.4  2.3      1.0-1.7  0.76-1.15  0.85-1.01  0.93-0.99
     #   scalar   9-18 at every width on both backends
+    #
+    # The first batch on a backend also builds the handle: 1.7-2.1 ms
+    # (numpy) and 3.2-4.1 ms (python) for those marks in two runs of seven,
+    # the cost of 100-270 scalar pairs, paid once per index since every
+    # later locate reuses it.  The zero select was not swept and keeps
+    # ``SMALL_BATCH``.
     def _checked(self, positions, stop: int, label: str):
         """``positions`` normalised, each checked to lie in ``[0, stop)``
         before any is answered (all-or-nothing)."""
@@ -401,7 +403,9 @@ class SparseBitVector(StaticBitVector):
         Always a list.
         """
         positions = self._checked(positions, self._length, "position")
-        return as_int_list(self._positions._search_many(positions)[1])
+        return as_int_list(
+            kernel.sorted_search_many(self._positions._handle(), positions)[1]
+        )
 
     def access_rank_many(self, positions: Sequence[int]):
         """``(bits, ranks)``: the bit at each position and ``rank(bit, pos)``.
@@ -413,7 +417,7 @@ class SparseBitVector(StaticBitVector):
         the numpy backend.
         """
         positions = self._checked(positions, self._length, "position")
-        ones, bits = self._positions._search_many(positions)
+        ones, bits = kernel.sorted_search_many(self._positions._handle(), positions)
         if isinstance(ones, list):
             return bits, [
                 one if bit else pos - one
@@ -438,18 +442,6 @@ class SparseBitVector(StaticBitVector):
             return [pos - one for pos, one in zip(positions, ones)]
         return positions - ones
 
-    def _zeros_before(self):
-        """Sorted-search handle over ``p_i - i``, the zeros before the
-        ``i``-th one: prepared on the first batched zero select, again
-        after a backend switch."""
-        backend = kernel.active_backend()
-        if self._zeros_backend != backend:
-            self._zeros_handle = kernel.prepare_sorted(
-                [pos - index for index, pos in enumerate(self._positions._decode())]
-            )
-            self._zeros_backend = backend
-        return self._zeros_handle
-
     def select_many(self, bit: int, indexes: Sequence[int]):
         """``select(bit, idx)`` for each index, in input order.
 
@@ -459,14 +451,18 @@ class SparseBitVector(StaticBitVector):
         sorted search: ``p_i - i`` zeros precede the ``i``-th one, so the
         ``j``-th zero sits at ``j`` plus the number of ones with ``p_i - i
         <= j``, O(log m) per index (amortised over one decode per backend).
+        Small list batches loop the scalar binary-search :meth:`select`.
         """
         self._check_bit(bit)
+        small = isinstance(indexes, (list, tuple)) and len(indexes) < SMALL_BATCH
         total = len(self._positions) if bit else self._length - len(self._positions)
         indexes = validate_select_indexes(indexes, total, bit)
         if bit:
             return self._positions.select_many(indexes)
+        if small:
+            return [self.select(0, idx) for idx in indexes]
         ones_before, _ = kernel.sorted_search_many(
-            self._zeros_before(), [idx + 1 for idx in indexes]
+            self._positions._handle(shifted=True), [idx + 1 for idx in indexes]
         )
         return [idx + ones for idx, ones in zip(indexes, ones_before)]
 

@@ -83,9 +83,9 @@ class StaticPartialSums:
         return self._cumulative[index]
 
     def starts(self) -> List[int]:
-        """Every start offset, then the total: ``len(self) + 1`` sums from
-        one batched Elias-Fano select."""
-        return self._cumulative.select_many(list(range(self._count + 1)))
+        """Every start offset, then the total: the ``len(self) + 1`` sums
+        decoded in one pass over the Elias-Fano halves."""
+        return self._cumulative.to_list()
 
     def length(self, index: int) -> int:
         """Length of piece ``index``."""

@@ -6,7 +6,8 @@ the Burrows-Wheeler transform of the terminator-extended text is stored in a
 roughly the character entropy of the text while answering
 
 * ``count(pattern)`` -- number of occurrences, in ``|pattern|`` backward
-  steps, each two scalar rank walks on the wavelet tree;
+  steps, each issuing **one** ``rank_many`` pair on the wavelet tree instead
+  of two scalar rank walks;
 * ``locate(pattern)`` -- all occurrence positions, via a sampled suffix
   array (``sa_sample`` is the space/time knob: one stored position every
   ``sa_sample`` text positions, at most ``sa_sample - 1`` batched LF steps
@@ -276,11 +277,27 @@ class FMIndex:
     def _interval(self, pattern: str) -> Tuple[int, int]:
         """The suffix-array row interval of suffixes prefixed by ``pattern``.
 
-        One backward step per character: two scalar ``rank`` walks on the
-        BWT wavelet tree, one per interval endpoint.  A two-item
-        ``rank_many`` costs about twice as much per step (its batch
-        bookkeeping outweighs the one walk it shares); :meth:`count_many`
-        is the batched path, across patterns.
+        One batched backward step per character: both interval endpoints go
+        through a single ``rank_many`` pair on the BWT wavelet tree.
+        """
+        low, high = 0, len(self._bwt)
+        for char in reversed(pattern):
+            code = self._code_of.get(char)
+            if code is None:
+                return (0, 0)
+            base = self._c_table[code]
+            low, high = self._bwt.rank_many(code, (low, high))
+            low += base
+            high += base
+            if low >= high:
+                return (0, 0)
+        return (low, high)
+
+    def _interval_scalar(self, pattern: str) -> Tuple[int, int]:
+        """The unbatched backward search: two scalar ranks per character.
+
+        Kept as the measured baseline of the batched path (the ``search``
+        case of ``benchmarks/run.py``); results are identical.
         """
         low, high = 0, len(self._bwt)
         for char in reversed(pattern):

@@ -248,7 +248,7 @@ def test_full_text_search_section_matches_the_code():
         "sa_sample",
         "rank_many",
         "count_many",
-        "_interval",
+        "_interval_scalar",
         "locate",
         "extract",
         "LF mapping",

@@ -141,6 +141,8 @@ class TestFMIndexDifferential:
         text = "the quick brown fox jumps over the lazy dog" * 3
         fm = FMIndex(text, sa_sample=8, bitvector=kind)
         patterns = ["the", "fox", "o", " ", "zebra", text[:50], ""]
+        for pattern in patterns:
+            assert fm._interval(pattern) == fm._interval_scalar(pattern)
         assert fm.count_many(patterns) == [fm.count(p) for p in patterns]
 
 
