@@ -5,7 +5,7 @@ The package provides a complete, pure-Python implementation of the paper's
 primary contribution -- the Wavelet Trie in its static, append-only and fully
 dynamic variants -- together with every substrate the construction relies on:
 succinct bitvectors (plain, RRR, RLE, Elias-Fano, append-only, dynamic),
-the DFUDS tree encoding, string binarisation codecs, classic Wavelet
+partial sums, string binarisation codecs, classic Wavelet
 Trees, the Section 6 probabilistically balanced dynamic Wavelet Tree, the
 related-work baselines, entropy/space analysis helpers, synthetic workload
 generators and a small column-store layer.

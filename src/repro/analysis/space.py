@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.core.static import WaveletTrie
+
 __all__ = ["SpaceReport", "wavelet_trie_space_report"]
 
 _WORD = 64
@@ -49,11 +51,24 @@ class SpaceReport:
 def wavelet_trie_space_report(trie, name: Optional[str] = None) -> SpaceReport:
     """Break down the measured space of any Wavelet Trie variant.
 
-    The argument must expose ``nodes()`` yielding objects with ``label``,
-    ``bitvector`` (None on leaves) and ``is_leaf``, and ``bitvector_bits()``
-    -- all three Wavelet Trie variants in :mod:`repro.core` do.
+    The static trie is charged what its ``size_in_bits`` charges: labels
+    and their delimiters, the shared node vector with its window
+    delimiters, its preorder internal flags as the topology, and the check
+    pass's two integer tables.  Any other trie must expose ``nodes()`` yielding
+    objects with ``label``, ``bitvector`` (None on leaves) and ``is_leaf``,
+    and ``bitvector_bits()``, and is charged 4 words per node for its
+    pointer topology (the paper's PT term).
     """
     report = SpaceReport(structure=name or type(trie).__name__)
+    if isinstance(trie, WaveletTrie):
+        parts = trie.succinct_space_breakdown()
+        report.add("node_labels", trie.label_bits())
+        report.add("label_delimiters", parts["label_delimiters"])
+        report.add("node_bitvectors", trie.bitvector_bits())
+        report.add("topology", parts["topology"])
+        report.add("tables", trie.table_bits())
+        report.components["node_count"] = trie.node_count()
+        return report
     node_count = 0
     label_bits = 0
     bitvector_overhead = 0
@@ -64,18 +79,11 @@ def wavelet_trie_space_report(trie, name: Optional[str] = None) -> SpaceReport:
         if callable(overhead):
             bitvector_overhead += overhead()
     report.add("node_labels", label_bits)
-    # The trie's own charge: per node for the growable flavours, the shared
-    # vector once plus its window delimiters for the static one.
+    # The trie's own charge: per node for the growable flavours, summed
+    # over the tiers for a tiered trie.
     report.add("node_bitvectors", trie.bitvector_bits())
     if bitvector_overhead:
         report.add("bitvector_pointer_overhead", bitvector_overhead)
-    # Pointer-machine charge for the trie topology: 4 words per node for the
-    # dynamic variants (paper's PT term); the static variant can instead be
-    # charged its succinct topology size if it exposes one.
-    succinct_topology = getattr(trie, "succinct_topology_bits", None)
-    if callable(succinct_topology):
-        report.add("topology", succinct_topology())
-    else:
-        report.add("topology_pointers", node_count * 4 * _WORD)
+    report.add("topology_pointers", node_count * 4 * _WORD)
     report.components["node_count"] = node_count
     return report

@@ -3,7 +3,7 @@
 :class:`PackedIntVector` stores ``n`` integers of ``width`` bits each in a
 contiguous bit payload, giving ``n * width`` bits of storage plus O(1) words
 of bookkeeping.  It is used for RRR class arrays, sampled rank/select
-directories and DFUDS auxiliary arrays.
+directories and the low halves of Elias-Fano sequences.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ layout sdsl-lite's wavelet trees use; Gog et al., SEA 2014, PAPERS.md).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List
 
 from repro.bitvector.base import (
     StaticBitVector,
@@ -22,7 +22,7 @@ from repro.bitvector.base import (
 )
 from repro.exceptions import OutOfBoundsError
 
-__all__ = ["BitvectorWindow", "windows_over"]
+__all__ = ["BitvectorWindow"]
 
 
 class BitvectorWindow(StaticBitVector):
@@ -182,27 +182,3 @@ class BitvectorWindow(StaticBitVector):
     def iter_range(self, start: int, stop: int) -> Iterator[int]:
         self._check_range(start, stop)
         return self._vector.iter_range(self._start + start, self._start + stop)
-
-
-def windows_over(
-    vector, lengths: Sequence[int], ones: Optional[Sequence[int]] = None
-) -> List[BitvectorWindow]:
-    """Consecutive windows of ``lengths`` bits tiling ``vector`` from 0.
-
-    A builder passes the ones of each window it counted; otherwise one
-    scalar rank per window start reads them off the vector (scalar, so an
-    image open prepares no batch handle and copies nothing).
-    """
-    starts = [0]
-    for length in lengths:
-        starts.append(starts[-1] + length)
-    if ones is None:
-        before = [vector.rank(1, start) for start in starts]
-    else:
-        before = [0]
-        for count in ones:
-            before.append(before[-1] + count)
-    return [
-        BitvectorWindow(vector, start, stop - start, below, above - below)
-        for start, stop, below, above in zip(starts, starts[1:], before, before[1:])
-    ]

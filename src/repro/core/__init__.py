@@ -13,9 +13,8 @@ All variants share the query interface of
 ``select``, ``rank_prefix``, ``select_prefix``) and the Section 5 range
 analytics implemented in :mod:`repro.core.range_queries`.
 
-:class:`~repro.core.succinct_static.SuccinctWaveletTrie` stores the static
-trie in the literal Theorem 3.7 layout and runs the same query engine.
-:mod:`repro.core.tiers` freezes growable tries into static ones
+The static trie stores exactly Theorem 3.7's components and makes its
+node handles on demand.  :mod:`repro.core.tiers` freezes growable tries into static ones
 (:class:`~repro.core.tiers.TrieFreezer`, :func:`~repro.core.tiers.freeze_trie`)
 and composes the variants into the LSM-style
 :class:`~repro.core.tiers.TieredWaveletTrie` (one mutable tail tier plus
@@ -27,12 +26,10 @@ from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.interface import IndexedStringSequence
 from repro.core.node import WaveletTrieNode
 from repro.core.static import WaveletTrie
-from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie
 
 __all__ = [
     "AppendOnlyWaveletTrie",
-    "SuccinctWaveletTrie",
     "DynamicWaveletTrie",
     "IndexedStringSequence",
     "TieredWaveletTrie",

@@ -4,9 +4,9 @@ The three variants (static, append-only, fully dynamic) differ only in the
 bitvector implementation stored at internal nodes and in which update
 operations they allow; the query algorithms of Lemmas 3.2 and 3.3 are common
 and implemented once here, on top of the node interface of
-:class:`~repro.core.node.WaveletTrieNode`.  The succinct static layout
-(:mod:`repro.core.succinct_static`) runs the same code over node handles
-that read its DFUDS components.
+:class:`~repro.core.node.WaveletTrieNode`.  The static trie
+(:mod:`repro.core.static`) runs the same code over node handles it makes
+from its Theorem 3.7 components the first time a walk reaches a node.
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ contiguous rank range ``[lo, hi)``:
   ``kernel.partition_by_pivot`` call, the wavelet-tree build of Grossi,
   Gupta & Vitter, vectorised under the numpy backend.
 
-The nodes are made in preorder (0-child first), and their branch bits are
-concatenated in that order into one static bitvector, built by one
-``from_words`` call; each internal node holds a
-:class:`~repro.bitvector.window.BitvectorWindow` onto it (Theorem 3.7's
-concatenated node bitvectors).
+The nodes are made in preorder (0-child first), and the builder emits
+Theorem 3.7's components in that order (:class:`StaticTrieLayout`): the
+internal flags, the labels concatenated, and every internal node's branch
+bits concatenated into one static bitvector, built by one ``from_words``
+call, whose windows the node lengths delimit.  No node object is made.
 
 The work stack is explicit, so deep tries -- long URLs produce paths
 hundreds of bits deep -- never hit Python's recursion limit.
@@ -27,16 +27,36 @@ hundreds of bits deep -- never hit Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
-from repro.bitvector.window import windows_over
-from repro.core.node import WaveletTrieNode
 from repro.exceptions import BinarizationError
 
-__all__ = ["build_wavelet_trie_nodes", "distinct_codes", "sort_codes"]
+__all__ = ["StaticTrieLayout", "build_static_trie", "distinct_codes", "sort_codes"]
+
+
+class StaticTrieLayout(NamedTuple):
+    """A static Wavelet Trie as Theorem 3.7's components.
+
+    Every list is in preorder, 0-child first: the builder and
+    :class:`~repro.core.tiers.TrieFreezer` make one, and
+    :class:`~repro.core.static.WaveletTrie` stores it.
+    """
+
+    flags: List[int]
+    """Per node: 1 when internal, 0 for a leaf."""
+    labels: BitBuffer
+    """Every node's label, concatenated."""
+    label_lengths: List[int]
+    """Per node: its label's length."""
+    vector: Any
+    """Every internal node's bits, concatenated into one static bitvector."""
+    lengths: List[int]
+    """Per internal node: its window's length (the rows that reach it)."""
+    ones: List[int]
+    """Per internal node: the ones in its window."""
 
 
 def distinct_codes(
@@ -93,26 +113,28 @@ def sort_codes(codes: Sequence[Bits]) -> List[int]:
     return order
 
 
-def build_wavelet_trie_nodes(
+def build_static_trie(
     codes: Sequence[Bits], rows: Sequence[int], bitvector_factory
-) -> Tuple[Optional[WaveletTrieNode], Any]:
-    """Build the node tree of ``WT(S)`` from distinct codes and row indexes.
+) -> Tuple[StaticTrieLayout, List[int]]:
+    """Build the components of ``WT(S)`` from distinct codes and row indexes.
 
     ``codes`` are the distinct binarised values and ``rows[i]`` the index
     of row ``i``'s code, as :func:`distinct_codes` returns them.  Returns
-    ``(root, shared)``: ``shared`` is the one bitvector that
+    ``(layout, leaves)``: the layout's vector is the one bitvector that
     ``bitvector_factory.from_words(words, length)`` builds over every
-    internal node's branch bits in preorder, and each internal node's
-    bitvector is its window onto it.
+    internal node's branch bits in preorder, and ``leaves`` names each
+    leaf's code (its index into ``codes``) in preorder.
 
     Raises :class:`BinarizationError` if the codes are not prefix-free
     (:func:`sort_codes`).
     """
     concatenated = BitBuffer()
-    internal: List[WaveletTrieNode] = []
+    labels = BitBuffer()
+    flags: List[int] = []
+    label_lengths: List[int] = []
     lengths: List[int] = []
     ones_of: List[int] = []
-    root: Optional[WaveletTrieNode] = None
+    leaves: List[int] = []
     if rows:
         order = sort_codes(codes)
         ordered = [codes[index] for index in order]
@@ -121,13 +143,15 @@ def build_wavelet_trie_nodes(
             rank_of[index] = rank
         symbols = kernel.prepare_symbols([rank_of[code] for code in rows])
         # Work items: (rank range, bits consumed above, the range's rows as
-        # ranks, parent node, branching bit under the parent).
-        stack: List[tuple] = [(0, len(ordered), 0, symbols, None, 0)]
+        # ranks).  Popping the 0-child first lays the nodes out in preorder.
+        stack: List[tuple] = [(0, len(ordered), 0, symbols)]
         while stack:
-            lo, hi, depth, symbols, parent, parent_bit = stack.pop()
+            lo, hi, depth, symbols = stack.pop()
             first = ordered[lo]
             if hi - lo == 1:
-                node = WaveletTrieNode(label=first.suffix_from(depth))
+                label = first.suffix_from(depth)
+                flags.append(0)
+                leaves.append(order[lo])
             else:
                 lcp = first.lcp_length(ordered[hi - 1])
                 # The bit at ``lcp`` is 0 on ``first`` and 1 on the last
@@ -140,18 +164,14 @@ def build_wavelet_trie_nodes(
                     else:
                         split = middle + 1
                 words, length, zeros, ones = kernel.partition_by_pivot(symbols, split)
-                node = WaveletTrieNode(label=first.slice(depth, lcp))
+                label = first.slice(depth, lcp)
+                flags.append(1)
                 concatenated.append_words(words, length)
-                internal.append(node)
                 lengths.append(length)
                 ones_of.append(len(ones))
-                stack.append((split, hi, lcp + 1, ones, node, 1))
-                stack.append((lo, split, lcp + 1, zeros, node, 0))
-            if parent is None:
-                root = node
-            else:
-                parent.attach(parent_bit, node)
-    shared = bitvector_factory.from_words(concatenated.words(), len(concatenated))
-    for node, window in zip(internal, windows_over(shared, lengths, ones_of)):
-        node.bitvector = window
-    return root, shared
+                stack.append((split, hi, lcp + 1, ones))
+                stack.append((lo, split, lcp + 1, zeros))
+            labels.append_bits(label)
+            label_lengths.append(len(label))
+    vector = bitvector_factory.from_words(concatenated.words(), len(concatenated))
+    return StaticTrieLayout(flags, labels, label_lengths, vector, lengths, ones_of), leaves

@@ -6,19 +6,30 @@ analytics in ``O(|s| + h_s)`` time, with node bitvectors stored in RRR
 compressed form so the total space is ``LT(Sset) + n H0(S)`` plus lower-order
 terms.
 
-The topology is pointer-based (one Python object per trie node), and the
-node bitvectors follow Theorem 3.7: every internal node's bits are
-concatenated in preorder into one static bitvector, and each node holds a
-:class:`~repro.bitvector.window.BitvectorWindow` onto it.  The space
-reports charge that vector once, plus the partial sums delimiting the
-windows; :meth:`WaveletTrie.succinct_space_breakdown` additionally
-*measures* a DFUDS topology and concatenated labels, so the space
-experiments can report both the engineered and the succinct accounting.
+The trie stores exactly Theorem 3.7's components, as its frozen image
+holds them: the preorder internal flags (a full binary tree needs only
+these, ``2|Sset| - 1`` bits), the labels concatenated in preorder and
+delimited by Elias-Fano partial sums, and every internal node's bits
+concatenated in preorder into one static bitvector, delimited the same way.
+A build (:func:`~repro.core.builder.build_static_trie`), a frozen tier
+(:class:`~repro.core.tiers.TrieFreezer`) and an opened image all hand it
+these components, and one integer pass over the flags
+(:func:`check_preorder_tree`) checks them and tabulates each internal
+node's 1-child and the ones before each window.
+
+Queries run the one engine every Wavelet Trie runs
+(:class:`~repro.core.base.WaveletTrieBase`) over node handles.  A handle
+is made the first time a walk reaches its node: it slices its label out
+of the concatenation and, for an internal node, makes its
+:class:`~repro.bitvector.window.BitvectorWindow` onto the shared vector.
+The trie keeps every handle it made, so later walks cost what walks over
+pointer nodes cost, and an open makes none.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from array import array
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
@@ -26,16 +37,15 @@ from repro.bits.bitstring import Bits
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rle import RLEBitVector
 from repro.bitvector.rrr import RRRBitVector
-from repro.bitvector.window import windows_over
+from repro.bitvector.window import BitvectorWindow
 from repro.core.base import WaveletTrieBase
-from repro.core.builder import build_wavelet_trie_nodes, distinct_codes
+from repro.core.builder import StaticTrieLayout, build_static_trie, distinct_codes
 from repro.core.node import WaveletTrieNode
 from repro.exceptions import ImmutableStructureError, SerializationError
-from repro.succinct.dfuds import DFUDSTree
 from repro.succinct.partial_sums import StaticPartialSums
 from repro.tries.binarize import StringCodec
 
-__all__ = ["WaveletTrie", "flags_of_words", "open_node_windows"]
+__all__ = ["WaveletTrie", "check_preorder_tree", "flags_of_words"]
 
 _BITVECTOR_FACTORIES = {
     "rrr": RRRBitVector,
@@ -56,44 +66,125 @@ def flags_of_words(words, count: int) -> List[bool]:
     return [digit == "1" for digit in digits]
 
 
-def open_node_windows(vector, node_offsets, flags: Sequence[bool], size: int, where: str):
-    """The internal nodes' windows onto ``vector``, checked against the topology.
+def check_preorder_tree(
+    flags: Sequence[int],
+    size: int,
+    window_ones: Callable[[int, int, int], int],
+    where: str,
+) -> Tuple[array, int]:
+    """Check that ``flags`` lay one full binary tree over ``size`` rows.
 
-    ``node_offsets`` delimits the windows in preorder and ``flags`` marks
-    the internal nodes in preorder (0-child first).  The root's window must
-    hold ``size`` bits and every internal child's window as many bits as
-    its parent routes to it (the parent's count of the branch bit); one
-    ``rank_many`` on the shared vector gives every window's ones.
+    ``flags`` marks the nodes in preorder, 0-child first (1 internal, 0
+    leaf).  The root receives ``size`` rows.  Internal node ``r`` (the
+    ``r``-th internal node in preorder) owns the next window of the shared
+    node vector: its windows tile the vector in preorder, so the window
+    starts where the one before it ends and holds one bit per row that
+    reaches the node.  ``window_ones(r, start, rows)`` returns the ones in
+    that window, raising :class:`SerializationError` when the vector does
+    not hold it.  The 0-child receives the window's zeros and the 1-child
+    its ones, and every leaf must receive at least one row.
+
+    One integer pass; returns ``(one_child, covered)``: each internal
+    node's 1-child as a preorder index, and the bits the windows cover.
     """
-    internal = sum(flags)
-    if len(node_offsets) != internal or node_offsets.total != len(vector):
-        raise SerializationError(
-            f"{where}: {len(node_offsets)} node windows over {node_offsets.total} "
-            f"bits for {internal} internal nodes and a {len(vector)}-bit vector"
-        )
-    starts = node_offsets.starts()
-    windows = windows_over(vector, [b - a for a, b in zip(starts, starts[1:])])
-    rows_due = [size] if flags else []
-    rank = 0
-    for flag in flags:
-        if not rows_due:
+    one_child = array("q")
+    covered = 0
+    if not flags:
+        if size:
+            raise SerializationError(f"{where}: stored size {size} for no nodes")
+        return one_child, covered
+    # The subtrees still to come, as (rows, the internal node whose
+    # 1-child it is, or -1), nearest first.
+    pending = [(size, -1)]
+    for index, flag in enumerate(flags):
+        if not pending:
             raise SerializationError(f"{where}: the node flags describe no tree")
-        rows = rows_due.pop()
+        rows, parent = pending.pop()
+        if parent >= 0:
+            one_child[parent] = index
         if flag:
-            window = windows[rank]
-            if len(window) != rows:
-                raise SerializationError(
-                    f"{where}: stored size {size} does not match the root "
-                    f"window's {len(window)} bits"
-                    if not rank
-                    else f"{where}: node window {rank} holds {len(window)} "
-                    f"bits, {rows} rows reach it"
-                )
-            rows_due += [window.ones, rows - window.ones]
-            rank += 1
-    if rows_due:
+            node = len(one_child)
+            ones = window_ones(node, covered, rows)
+            covered += rows
+            one_child.append(0)
+            pending.append((ones, node))
+            pending.append((rows - ones, -1))
+        elif rows < 1:
+            raise SerializationError(f"{where}: leaf {index} receives no rows")
+    if pending:
         raise SerializationError(f"{where}: the node flags end inside the tree")
-    return windows
+    return one_child, covered
+
+
+class _Node:
+    """One node of a static trie behind the node interface the engine walks.
+
+    Has the attributes of :class:`~repro.core.node.WaveletTrieNode` that
+    queries read: ``label``, ``bitvector`` (None on leaves), ``is_leaf``,
+    ``children[bit]``, ``parent``, ``parent_bit`` and ``sequence_length``.
+    A leaf's handle is complete when made; an internal node's is made as a
+    :class:`_NewNode`, whose ``children`` is made on its first read.
+    """
+
+    __slots__ = (
+        "label", "bitvector", "children", "parent", "parent_bit",
+        "_trie", "_index", "_end", "_rank",
+    )
+
+    is_leaf = WaveletTrieNode.is_leaf
+    sequence_length = WaveletTrieNode.sequence_length
+
+    def __init__(
+        self, trie: "WaveletTrie", index: int, end: int, rank: int,
+        parent: Optional["_Node"], parent_bit: int,
+    ) -> None:
+        # Preorder node ``index``, whose subtree ends before node ``end``;
+        # an internal node is the ``rank``-th internal node in preorder.
+        self._trie = trie
+        self._index = index
+        self._end = end
+        self._rank = rank
+        self.parent = parent
+        self.parent_bit = parent_bit
+        self.label = trie._label(index)
+        if end - index > 1:
+            self.bitvector = trie._window(rank)
+        else:
+            self.bitvector = None
+            self.children = [None, None]
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        kind = "leaf" if self.is_leaf else "internal"
+        return f"WaveletTrie node {self._index} ({kind}, label='{self.label.to01()}')"
+
+
+class _NewNode(_Node):
+    """An internal node's handle whose ``children`` no walk has read yet.
+
+    The first read makes both children's handles, keeps them and turns
+    the handle into a plain :class:`_Node`: a class with ``__getattr__``
+    reads every attribute, slots included, about 4x slower on CPython.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "children":
+            raise AttributeError(name)
+        self.children = children = self._trie._children_of(self)
+        self.__class__ = _Node
+        return children
+
+
+def _handle(
+    trie: "WaveletTrie", index: int, end: int, rank: int,
+    parent: Optional[_Node], parent_bit: int,
+) -> _Node:
+    """The handle of preorder node ``index``: a leaf's is a plain
+    :class:`_Node` from the start, so no walk reads a leaf through
+    ``__getattr__``."""
+    kind = _NewNode if end - index > 1 else _Node
+    return kind(trie, index, end, rank, parent, parent_bit)
 
 
 class WaveletTrie(WaveletTrieBase):
@@ -149,36 +240,148 @@ class WaveletTrie(WaveletTrieBase):
         trie._build(encoded, lambda bits: bits)
         return trie
 
-    def _build(self, values: Iterable[Any], encode) -> None:
-        codes, rows = distinct_codes(values, encode)
-        self._set_nodes(
-            *build_wavelet_trie_nodes(
-                codes, rows, _BITVECTOR_FACTORIES[self._bitvector_kind]
-            ),
-            len(rows),
-        )
-
-    def _set_nodes(self, root, shared, size: int) -> None:
-        """Install a node tree whose internal nodes are windows onto
-        ``shared``, in preorder."""
-        self._root = root
-        self._bitvector = shared
-        self._size = size
-        self._node_offsets = None
-
     @classmethod
-    def from_nodes(
-        cls, root, shared, size: int, codec: StringCodec, kind: str = "rrr"
+    def from_layout(
+        cls, layout: StaticTrieLayout, size: int, codec: StringCodec
     ) -> "WaveletTrie":
-        """Wrap a node tree built elsewhere (the freezer, an image open).
-
-        ``shared`` is the concatenated node bitvector of kind ``kind`` and
-        every internal node's bitvector a window onto it, in preorder.
-        """
-        trie = cls([], codec=codec, bitvector=kind)
-        trie._set_nodes(root, shared, size)
+        """Wrap components built elsewhere (the freezer): ``layout.vector``
+        is an RRR bitvector over ``size`` rows."""
+        trie = cls.__new__(cls)
+        WaveletTrieBase.__init__(trie, codec)
+        trie._bitvector_kind = "rrr"
+        trie._install(layout, size)
         return trie
 
+    def _build(self, values: Iterable[Any], encode) -> None:
+        codes, rows = distinct_codes(values, encode)
+        layout, _ = build_static_trie(
+            codes, rows, _BITVECTOR_FACTORIES[self._bitvector_kind]
+        )
+        self._install(layout, len(rows))
+
+    def _install(self, layout: StaticTrieLayout, size: int) -> None:
+        """Store a built layout; its window ones are known, so the check
+        pass reads none off the vector."""
+        self._set_components(
+            layout.vector,
+            StaticPartialSums(layout.lengths),
+            BitBuffer(layout.flags).words(),
+            layout.labels.words(),
+            StaticPartialSums(layout.label_lengths),
+            size,
+            len(layout.flags),
+            "a built trie",
+            layout.ones,
+        )
+
+    def _set_components(
+        self, vector, node_offsets: StaticPartialSums, flag_words, label_words,
+        label_offsets: StaticPartialSums, size: int, count: int, where: str,
+        ones: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Store Theorem 3.7's components after one check pass.
+
+        ``ones`` counts the ones in each window when the caller knows
+        them; otherwise one ``rank_many`` over the window boundaries reads
+        them off the vector.  The pass (:func:`check_preorder_tree`) then
+        checks that every window holds the rows routed to it, and the
+        trie keeps two integer tables from it: each internal node's 1-child
+        and the ones before each window boundary.  No node is made.
+        """
+        flags = flags_of_words(flag_words, count)
+        if len(label_offsets) != count or len(label_words) != -(
+            -label_offsets.total // 64
+        ):
+            raise SerializationError(
+                f"{where}: {len(label_offsets)} labels over {label_offsets.total} "
+                f"bits for {count} nodes and {len(label_words)} label words"
+            )
+        internal = flags.count(True)
+        if len(node_offsets) != internal or node_offsets.total != len(vector):
+            raise SerializationError(
+                f"{where}: {len(node_offsets)} node windows over {node_offsets.total} "
+                f"bits for {internal} internal nodes and a {len(vector)}-bit vector"
+            )
+        starts = node_offsets.starts()
+        if ones is None:
+            ones_before = array("q", vector.rank_many(1, starts))
+        else:
+            ones_before = array("q", [0])
+            for window in ones:
+                ones_before.append(ones_before[-1] + window)
+
+        def window_ones(node: int, start: int, rows: int) -> int:
+            if starts[node + 1] - start != rows:
+                raise SerializationError(
+                    f"{where}: stored size {size} does not match the root "
+                    f"window's {starts[1]} bits"
+                    if not node
+                    else f"{where}: node window {node} holds "
+                    f"{starts[node + 1] - start} bits, {rows} rows reach it"
+                )
+            return ones_before[node + 1] - ones_before[node]
+
+        self._one_child, _ = check_preorder_tree(flags, size, window_ones, where)
+        self._ones_before = ones_before
+        self._bitvector = vector
+        self._node_offsets = node_offsets
+        self._flag_words = flag_words
+        self._label_words = label_words
+        self._label_offsets = label_offsets
+        self._node_count = count
+        self._size = size
+        self._root_node = None
+
+    # ------------------------------------------------------------------
+    # Node handles, made on demand and kept
+    # ------------------------------------------------------------------
+    @property
+    def _root(self) -> Optional[_Node]:
+        """The root's handle (None for the empty trie), made on first use."""
+        root = self._root_node
+        if root is None and self._node_count:
+            root = self._root_node = _handle(self, 0, self._node_count, 0, None, 0)
+        return root
+
+    @_root.setter
+    def _root(self, node) -> None:
+        self._root_node = node
+
+    def _label(self, index: int) -> Bits:
+        """The label of preorder node ``index``, sliced out of the
+        concatenated labels."""
+        offsets = self._label_offsets
+        start, stop = offsets.start(index), offsets.start(index + 1)
+        return Bits(kernel.extract_bits_value(self._label_words, start, stop), stop - start)
+
+    def _window(self, rank: int) -> BitvectorWindow:
+        """The window of the ``rank``-th internal node onto the shared vector."""
+        offsets, before = self._node_offsets, self._ones_before
+        start = offsets.start(rank)
+        return BitvectorWindow(
+            self._bitvector,
+            start,
+            offsets.start(rank + 1) - start,
+            before[rank],
+            before[rank + 1] - before[rank],
+        )
+
+    def _children_of(self, node: _Node) -> List[_Node]:
+        """Both children's handles of internal node ``node``.
+
+        The 0-child follows its parent in preorder and the table gives the
+        1-child.  The 0-child's subtree ends where the 1-child starts, and
+        holds ``(one - index - 2) / 2`` internal nodes, so the 1-child is
+        internal node ``rank + (one - index) / 2``.
+        """
+        index, end, rank = node._index, node._end, node._rank
+        one = self._one_child[rank]
+        return [
+            _handle(self, index + 1, one, rank + 1, node, 0),
+            _handle(self, one, end, rank + (one - index) // 2, node, 1),
+        ]
+
+    # ------------------------------------------------------------------
     @property
     def bitvector_kind(self) -> str:
         """Which static bitvector the internal nodes use."""
@@ -190,11 +393,7 @@ class WaveletTrie(WaveletTrieBase):
         return self._bitvector
 
     def node_offsets(self) -> StaticPartialSums:
-        """The partial sums delimiting the node windows (built once)."""
-        if self._node_offsets is None:
-            self._node_offsets = StaticPartialSums(
-                len(node.bitvector) for node in self.nodes() if not node.is_leaf
-            )
+        """The partial sums delimiting the node windows."""
         return self._node_offsets
 
     # ------------------------------------------------------------------
@@ -208,37 +407,28 @@ class WaveletTrie(WaveletTrieBase):
         ``int`` the preorder internal flags and ``noff.*`` the node-window
         delimiters.  The header meta is O(1) in the node count.
         """
-        labels = BitBuffer()
-        flags = BitBuffer()
-        label_lengths: List[int] = []
-        for node in self.nodes():
-            labels.append_bits(node.label)
-            label_lengths.append(len(node.label))
-            flags.append(0 if node.is_leaf else 1)
-        sink.add_u64(prefix + "labels", labels.words())
-        sink.add_u64(prefix + "int", flags.words())
+        sink.add_u64(prefix + "labels", self._label_words)
+        sink.add_u64(prefix + "int", self._flag_words)
         return {
             "size": self._size,
             "kind": self._bitvector_kind,
-            "nodes": len(label_lengths),
+            "nodes": self._node_count,
             "bitvector": self._bitvector.to_words_image(sink, prefix + "bv."),
-            "label_offsets": StaticPartialSums(label_lengths).to_words_image(
+            "label_offsets": self._label_offsets.to_words_image(
                 sink, prefix + "loff."
             ),
-            "node_offsets": self.node_offsets().to_words_image(sink, prefix + "noff."),
+            "node_offsets": self._node_offsets.to_words_image(sink, prefix + "noff."),
         }
 
     @classmethod
     def from_words_image(
         cls, image, prefix: str, meta: dict, codec: Optional[StringCodec] = None
     ) -> "WaveletTrie":
-        """Open from a frozen image; the shared node bitvector aliases it.
+        """Open from a frozen image; every component aliases it.
 
-        Rebuilds only the lightweight node shells (one per trie node) and
-        their windows: no bitvector is decoded or re-encoded.  The preorder
-        is replayed iteratively: after an internal node, the next subtree
-        is its 0-child, then its 1-child.  :func:`open_node_windows` checks
-        every window against the rows routed to it.
+        No bitvector is decoded or re-encoded and no node is made: the
+        check pass reads the window ones with one ``rank_many`` over the
+        window boundaries.
         """
         kind = meta["kind"]
         factory = _BITVECTOR_FACTORIES.get(kind)
@@ -246,44 +436,23 @@ class WaveletTrie(WaveletTrieBase):
             raise SerializationError(
                 f"unknown node-bitvector kind {kind!r} in frozen image"
             )
-        where = f"trie {prefix!r}"
-        size = int(meta["size"])
-        count = int(meta["nodes"])
-        shared = factory.from_words_image(image, prefix + "bv.", meta["bitvector"])
-        label_offsets = StaticPartialSums.from_words_image(
-            image, prefix + "loff.", meta["label_offsets"]
+        trie = cls.__new__(cls)
+        WaveletTrieBase.__init__(trie, codec)
+        trie._bitvector_kind = kind
+        trie._set_components(
+            factory.from_words_image(image, prefix + "bv.", meta["bitvector"]),
+            StaticPartialSums.from_words_image(
+                image, prefix + "noff.", meta["node_offsets"]
+            ),
+            image.words(prefix + "int"),
+            image.words(prefix + "labels"),
+            StaticPartialSums.from_words_image(
+                image, prefix + "loff.", meta["label_offsets"]
+            ),
+            int(meta["size"]),
+            int(meta["nodes"]),
+            f"trie {prefix!r}",
         )
-        node_offsets = StaticPartialSums.from_words_image(
-            image, prefix + "noff.", meta["node_offsets"]
-        )
-        label_words = image.words(prefix + "labels")
-        flags = flags_of_words(image.words(prefix + "int"), count)
-        if len(label_offsets) != count or len(label_words) != -(
-            -label_offsets.total // 64
-        ):
-            raise SerializationError(
-                f"{where}: {len(label_offsets)} labels over {label_offsets.total} "
-                f"bits for {count} nodes and {len(label_words)} label words"
-            )
-        if not count and size:
-            raise SerializationError(f"stored size {size} for an empty trie")
-        windows = iter(open_node_windows(shared, node_offsets, flags, size, where))
-        bounds = label_offsets.starts()
-        root = None
-        pending: list = []  # (parent, bit) slots awaiting the next subtree
-        for flag, start, stop in zip(flags, bounds, bounds[1:]):
-            label = Bits(kernel.extract_bits_value(label_words, start, stop), stop - start)
-            node = WaveletTrieNode(label, next(windows) if flag else None)
-            if root is None:
-                root = node
-            else:
-                parent, bit = pending.pop()
-                parent.attach(bit, node)
-            if flag:
-                pending.append((node, 1))
-                pending.append((node, 0))
-        trie = cls.from_nodes(root, shared, size, codec, kind)
-        trie._node_offsets = node_offsets
         return trie
 
     # ------------------------------------------------------------------
@@ -305,56 +474,68 @@ class WaveletTrie(WaveletTrieBase):
         )
 
     # ------------------------------------------------------------------
-    # Succinct space accounting (Theorem 3.7)
+    # Shape statistics, read off the components (no handle is made)
     # ------------------------------------------------------------------
-    def succinct_topology_bits(self) -> int:
-        """Measured size of a DFUDS encoding of the trie topology."""
-        if self._root is None:
-            return 0
-        dfuds = DFUDSTree.from_tree(
-            self._root,
-            lambda node: [] if node.is_leaf else
-            [node.children[0], node.children[1]],
-        )
-        return dfuds.size_in_bits()
+    def node_count(self) -> int:
+        """Number of trie nodes."""
+        return self._node_count
 
+    def distinct_count(self) -> int:
+        """|Sset|: the leaves of a full binary tree of ``node_count`` nodes."""
+        return (self._node_count + 1) // 2
+
+    def label_bits(self) -> int:
+        """Total label length ``|L|`` over all nodes."""
+        return self._label_offsets.total
+
+    def average_height(self) -> float:
+        """``h̃`` (Definition 3.4): the node vector's length over ``n``."""
+        return self._node_offsets.total / self._size if self._size else 0.0
+
+    # ------------------------------------------------------------------
+    # Space accounting (Theorem 3.7)
+    # ------------------------------------------------------------------
     def bitvector_bits(self) -> int:
         """The shared node bitvector, charged once, plus the partial sums
         that delimit the node windows (tracks ``n H0(S)``)."""
-        if self._root is None or self._root.is_leaf:
+        if not len(self._node_offsets):
             return 0
-        return self._bitvector.size_in_bits() + self.node_offsets().size_in_bits()
+        return self._bitvector.size_in_bits() + self._node_offsets.size_in_bits()
+
+    def table_bits(self) -> int:
+        """The two integer tables the check pass keeps, each internal node's
+        1-child and the ones before each window, at 64 bits an entry:
+        ``Θ(|Sset| w)`` bits beside Theorem 3.7's components.  Node handles
+        a walk has made are not charged."""
+        one_child = self._one_child
+        return 64 * (len(one_child) + len(self._ones_before)) if one_child else 0
 
     def size_in_bits(self) -> int:
-        """Measured size: labels + node bitvectors + topology pointers."""
-        nodes = self.node_count()
-        return self.label_bits() + self.bitvector_bits() + nodes * 4 * 64
+        """Measured size: the Theorem 3.7 components plus :meth:`table_bits`."""
+        return self.succinct_space_breakdown()["total"] + self.table_bits()
 
     def succinct_space_breakdown(self) -> Dict[str, float]:
         """The Theorem 3.7 decomposition, measured on this instance.
 
-        Components: DFUDS topology, concatenated labels ``L``, label
-        delimiters, the concatenated node bitvector, and the partial sums
-        delimiting its node windows.  All in bits.
+        Components: the topology (the stored preorder internal flags), the
+        concatenated labels ``L``, their delimiters, the concatenated node
+        bitvector, and the partial sums delimiting its node windows.  All
+        in bits.
         """
-        if self._root is None:
+        if not self._node_count:
             return {
                 "topology": 0, "labels": 0, "label_delimiters": 0,
                 "bitvectors": 0, "bitvector_delimiters": 0, "total": 0,
             }
-        label_lengths = [len(node.label) for node in self.nodes()]
-        topology = self.succinct_topology_bits()
-        labels = sum(label_lengths)
-        label_delimiters = StaticPartialSums(label_lengths).size_in_bits()
-        internal = not self._root.is_leaf
-        bitvectors = self._bitvector.size_in_bits() if internal else 0
-        bitvector_delimiters = self.node_offsets().size_in_bits() if internal else 0
-        total = topology + labels + label_delimiters + bitvectors + bitvector_delimiters
-        return {
-            "topology": topology,
-            "labels": labels,
-            "label_delimiters": label_delimiters,
-            "bitvectors": bitvectors,
-            "bitvector_delimiters": bitvector_delimiters,
-            "total": total,
+        internal = bool(len(self._node_offsets))
+        breakdown = {
+            "topology": 64 * len(self._flag_words),
+            "labels": self._label_offsets.total,
+            "label_delimiters": self._label_offsets.size_in_bits(),
+            "bitvectors": self._bitvector.size_in_bits() if internal else 0,
+            "bitvector_delimiters": (
+                self._node_offsets.size_in_bits() if internal else 0
+            ),
         }
+        breakdown["total"] = sum(breakdown.values())
+        return breakdown

@@ -55,7 +55,7 @@ from repro.bitvector.rrr import (
     _DEFAULT_SAMPLE,
     IncrementalRRRBuilder,
 )
-from repro.bitvector.window import windows_over
+from repro.core.builder import StaticTrieLayout
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.interface import (
     IndexedStringSequence,
@@ -65,7 +65,6 @@ from repro.core.interface import (
 )
 from repro.core.node import WaveletTrieNode
 from repro.core.static import WaveletTrie
-from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.exceptions import (
     InvalidOperationError,
     OutOfBoundsError,
@@ -89,17 +88,18 @@ _SEED_MULTIPLIER = 6364136223846793005
 class TrieFreezer:
     """De-amortised snapshot of a growable trie into a static RRR trie.
 
-    Clones the Patricia topology up front (O(nodes), no payload work), then
-    per internal node, in preorder, runs two budgeted phases: *extraction*
-    appends the live bitvector's content to one concatenated packed buffer
-    in word-aligned chunks, and *encoding* advances one
-    :class:`~repro.bitvector.rrr.IncrementalRRRBuilder` over that buffer,
-    which encodes only the blocks the buffer already holds whole.  One unit
-    of budget is one RRR block (``block_size`` bits) of either phase, and a
-    node is charged the blocks of its own bits, so :meth:`step`'s
-    worst-case cost is O(budget) blocks regardless of trie size -- the
-    Lemma 4.7 de-amortisation applied to a whole trie.  The frozen trie's
-    nodes are windows onto the one encoded vector.
+    Reads the Patricia topology's flags and labels up front (O(nodes), no
+    payload work), then per internal node, in preorder, runs two budgeted
+    phases: *extraction* appends the live bitvector's content to one
+    concatenated packed buffer in word-aligned chunks, and *encoding*
+    advances one :class:`~repro.bitvector.rrr.IncrementalRRRBuilder` over
+    that buffer, which encodes only the blocks the buffer already holds
+    whole.  One unit of budget is one RRR block (``block_size`` bits) of
+    either phase, and a node is charged the blocks of its own bits, so
+    :meth:`step`'s worst-case cost is O(budget) blocks regardless of trie
+    size -- the Lemma 4.7 de-amortisation applied to a whole trie.  The
+    frozen trie holds the same components the static builder emits
+    (:class:`~repro.core.builder.StaticTrieLayout`).
 
     The source trie must not change length while a freeze is in flight;
     :meth:`step` raises :class:`~repro.exceptions.InvalidOperationError` if
@@ -122,25 +122,24 @@ class TrieFreezer:
         self._block_size = block_size
         self._sample_rate = sample_rate
 
-        pairs: List[Tuple[WaveletTrieNode, WaveletTrieNode]] = []
-        root_clone = None
-        root = trie.root
-        if root is not None:
-            root_clone = WaveletTrieNode(root.label)
-            stack = [(root, root_clone)]
-            while stack:  # preorder, 0-child first: the shared vector's order
-                original, copy = stack.pop()
-                if original.is_leaf:
-                    continue
-                pairs.append((original, copy))
-                for bit in (1, 0):
-                    child = original.children[bit]
-                    child_copy = WaveletTrieNode(child.label)
-                    copy.attach(bit, child_copy)
-                    stack.append((child, child_copy))
-        self._root = root_clone
-        self._pairs = pairs
-        self._lengths = [len(source.bitvector) for source, _ in pairs]
+        # The topology's components, read off in preorder (0-child first:
+        # the shared vector's order) with no payload work.
+        self._flags: List[int] = []
+        self._labels = BitBuffer()
+        self._label_lengths: List[int] = []
+        sources: List[WaveletTrieNode] = []
+        stack = [trie.root] if trie.root is not None else []
+        while stack:
+            node = stack.pop()
+            self._labels.append_bits(node.label)
+            self._label_lengths.append(len(node.label))
+            self._flags.append(0 if node.is_leaf else 1)
+            if not node.is_leaf:
+                sources.append(node)
+                stack.append(node.children[1])
+                stack.append(node.children[0])
+        self._sources = sources
+        self._lengths = [len(source.bitvector) for source in sources]
         self._ones: List[int] = []  # per extracted node
         self._index = 0
         # The node at self._index: its extraction cursor, then the block
@@ -156,7 +155,7 @@ class TrieFreezer:
             sample_rate=sample_rate,
         )
         self._frozen: Optional[WaveletTrie] = None
-        if not pairs:
+        if not sources:
             self._install()
 
     @property
@@ -180,20 +179,19 @@ class TrieFreezer:
             )
 
     def _install(self) -> None:
-        """Finish the shared vector and point every cloned internal node at
-        its window onto it."""
-        shared = self._builder.finish()
-        windows = windows_over(shared, self._lengths, self._ones)
-        for (_, copy), window in zip(self._pairs, windows):
-            copy.bitvector = window
-        self._frozen = WaveletTrie.from_nodes(
-            self._root, shared, self._expected_size, self._source.codec
+        """Finish the shared vector and hand the components to the trie."""
+        layout = StaticTrieLayout(
+            self._flags, self._labels, self._label_lengths,
+            self._builder.finish(), self._lengths, self._ones,
+        )
+        self._frozen = WaveletTrie.from_layout(
+            layout, self._expected_size, self._source.codec
         )
 
     def _extract(self) -> int:
         """One chunk of the current node's bits into the buffer; returns the
         block units it cost."""
-        source = self._pairs[self._index][0].bitvector
+        source = self._sources[self._index].bitvector
         length = self._lengths[self._index]
         start = self._extract_cursor
         stop = min(start + _EXTRACT_CHUNK_BITS, length)
@@ -217,7 +215,7 @@ class TrieFreezer:
         self._extract_cursor = stop
         if stop >= length:
             self._encode_due = -(-length // self._block_size)
-            if self._index == len(self._pairs) - 1:
+            if self._index == len(self._sources) - 1:
                 # The payload is complete: hand the builder its final words.
                 self._builder.words = self._buffer.words()
         return max(1, width // self._block_size)
@@ -236,7 +234,7 @@ class TrieFreezer:
         while done < budget and not self.done:
             if self._encode_due is None:
                 done += self._extract()
-            elif self._index < len(self._pairs) - 1:
+            elif self._index < len(self._sources) - 1:
                 # Charge the node its own blocks; encode those the buffer
                 # already holds whole.
                 units = min(budget - done, self._encode_due)
@@ -265,13 +263,13 @@ class TrieFreezer:
 def freeze_trie(trie) -> Any:
     """The frozen snapshot of any trie tier (the one-shot freeze).
 
-    Static and succinct tries pass through unchanged; a
+    Static tries pass through unchanged; a
     :class:`TieredWaveletTrie` returns its
     :meth:`~TieredWaveletTrie.frozen_snapshot`; growable tries (dynamic,
     append-only) are encoded by a :class:`TrieFreezer` into a static RRR
     trie.
     """
-    if isinstance(trie, (WaveletTrie, SuccinctWaveletTrie)):
+    if isinstance(trie, WaveletTrie):
         return trie
     if isinstance(trie, TieredWaveletTrie):
         return trie.frozen_snapshot()

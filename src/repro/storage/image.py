@@ -58,7 +58,6 @@ from repro.bits.packed import PackedIntVector
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
-from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie, thaw
 from repro.db.column import CompressedColumn
 from repro.db.doc_store import DocumentStore
@@ -393,8 +392,8 @@ def _write_static_trie(trie, sink: ImageWriter, prefix: str) -> dict:
     return {"codec": _codec_meta(trie.codec), "trie": trie.to_words_image(sink, prefix)}
 
 
-def _open_static_trie(image: "FrozenImage", meta: dict, prefix: str, cls=WaveletTrie):
-    return cls.from_words_image(
+def _open_static_trie(image: "FrozenImage", meta: dict, prefix: str):
+    return WaveletTrie.from_words_image(
         image, prefix, meta["trie"], codec=_codec_from_meta(meta["codec"])
     )
 
@@ -480,7 +479,7 @@ def _open_column(image: "FrozenImage", meta: dict, prefix: str) -> CompressedCol
     index = _open_entry(image, meta["index"], prefix)
     if not isinstance(meta["name"], str) or not isinstance(meta["appendable"], bool):
         raise SerializationError("a column needs a string name and a bool appendable")
-    if meta["appendable"] and isinstance(index, (WaveletTrie, SuccinctWaveletTrie)):
+    if meta["appendable"] and isinstance(index, WaveletTrie):
         raise SerializationError(
             f"column {meta['name']!r} is appendable over a static index"
         )
@@ -525,13 +524,6 @@ def _structure(cls):
 #: Every persisted type: ``type -> (image type name, writer, loader)``.
 _TYPES = {
     WaveletTrie: ("static_trie", _write_static_trie, _open_static_trie),
-    SuccinctWaveletTrie: (
-        "succinct_trie",
-        _write_static_trie,
-        lambda image, meta, prefix: _open_static_trie(
-            image, meta, prefix, SuccinctWaveletTrie
-        ),
-    ),
     AppendOnlyWaveletTrie: (
         "append_only_trie", _write_append_only_trie, _open_append_only_trie
     ),

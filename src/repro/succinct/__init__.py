@@ -1,17 +1,11 @@
-"""Succinct tree encodings and prefix-sum structures.
+"""Prefix-sum structures of the static Wavelet Trie (paper Section 3).
 
-These are the substrates used by the static Wavelet Trie representation
-(paper Section 3): a DFUDS encoding of the Patricia trie topology, balanced
-parentheses support, and the static partial sums that delimit concatenated
-labels.
+The static trie concatenates its labels, and its internal nodes'
+bitvectors, in preorder and delimits each concatenation with
+:class:`StaticPartialSums`.  Its topology needs no tree encoding: a full
+binary tree is its preorder internal flags.
 """
 
-from repro.succinct.bp import BalancedParentheses
-from repro.succinct.dfuds import DFUDSTree
 from repro.succinct.partial_sums import StaticPartialSums
 
-__all__ = [
-    "BalancedParentheses",
-    "DFUDSTree",
-    "StaticPartialSums",
-]
+__all__ = ["StaticPartialSums"]

@@ -4,10 +4,9 @@ The paper's static Wavelet Trie (Section 3) concatenates the node labels
 into one bitvector ``L`` and the per-node RRR encodings into another, and
 delimits each with a partial-sum structure that finds where the ``i``-th
 piece starts (cost ``B(e, |L| + e) + o(...)`` bits).
-:class:`~repro.core.succinct_static.SuccinctWaveletTrie` concatenates the
-labels this way.  It still keeps one RRR bitvector per internal node, so
-for the encodings the space reports only charge the delimiters that a
-concatenation would need.
+:class:`~repro.core.static.WaveletTrie` stores both concatenations this
+way: its labels, and its internal nodes' windows onto one shared node
+bitvector.
 
 :class:`StaticPartialSums` stores the cumulative sums as an Elias-Fano
 sequence, matching the paper's space bound up to lower-order terms.

@@ -8,8 +8,9 @@ text-collection baseline: frequent symbols sit near the root, so the
 expected query depth is ``H0 + 1`` instead of ``log sigma``.
 
 The tree is built as exactly that Wavelet Trie, by the static trie builder
-(:func:`~repro.core.builder.build_wavelet_trie_nodes`) over the Huffman
-codes, and stored in Theorem 3.7's layout: one bitvector holding every
+(:func:`~repro.core.builder.build_static_trie`) over the Huffman codes,
+which also gives the code tree's preorder flags and leaf order, and stored
+in Theorem 3.7's layout: one bitvector holding every
 internal node's bits in preorder, plus O(sigma) integer tables for the
 shape (each node's window start, the ones before it, its children).  That is
 the one-vector-plus-offsets layout of sdsl-lite's wavelet trees (Gog et al.,
@@ -34,8 +35,8 @@ from repro.bitvector.base import (
 )
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
-from repro.core.builder import build_wavelet_trie_nodes, sort_codes
-from repro.core.static import flags_of_words
+from repro.core.builder import build_static_trie
+from repro.core.static import check_preorder_tree, flags_of_words
 from repro.exceptions import (
     OutOfBoundsError,
     SerializationError,
@@ -112,23 +113,15 @@ class HuffmanWaveletTree:
         codes = huffman_codes(Counter(data))
         symbols = list(codes)
         index_of = {symbol: index for index, symbol in enumerate(symbols)}
-        code_list = [codes[symbol] for symbol in symbols]
-        _, shared = build_wavelet_trie_nodes(
-            code_list, [index_of[symbol] for symbol in data], bitvector_factory
+        layout, leaves = build_static_trie(
+            [codes[symbol] for symbol in symbols],
+            [index_of[symbol] for symbol in data],
+            bitvector_factory,
         )
-        # The code tree in preorder.  A lone symbol is a root leaf;
-        # otherwise each leaf (in code order) comes after the internal nodes
-        # its path adds below the previous leaf's.
-        flags: List[int] = [0] if len(symbols) == 1 else []
-        leaves: List[Hashable] = symbols if len(symbols) == 1 else []
-        previous = None
-        for index in sort_codes(code_list) if len(symbols) > 1 else ():
-            code = code_list[index]
-            depth = 0 if previous is None else code.lcp_length(previous) + 1
-            flags += [1] * (len(code) - depth) + [0]
-            leaves.append(symbols[index])
-            previous = code
-        self._install(flags, leaves, shared, len(data), bitvector_factory)
+        self._install(
+            layout.flags, [symbols[leaf] for leaf in leaves], layout.vector,
+            len(data), bitvector_factory,
+        )
 
     def _install(self, flags: Sequence[int], leaves: Sequence[Hashable], shared,
                  size: int, factory) -> None:
@@ -138,59 +131,66 @@ class HuffmanWaveletTree:
         leaf; 0-child first) and ``leaves`` names the leaves' symbols in
         that order.  The internal nodes' windows tile ``shared`` in
         preorder: the root's holds ``size`` bits and each internal child's
-        as many as its parent routes to it.  Raises
+        as many as its parent routes to it, as the static trie's
+        (:func:`~repro.core.static.check_preorder_tree`).  Raises
         :class:`SerializationError` when the flags describe no full binary
-        tree over distinct symbols or the windows do not tile the vector
-        (an image that does not describe one tree).
+        tree over distinct symbols, a leaf receives no rows or the windows
+        do not tile the vector (an image that does not describe one tree).
         """
         symbols = list(leaves)
-        codes: Dict[Hashable, Bits] = {}
-        counts = [0] * len(symbols)
         starts: List[int] = []
         before: List[int] = []
-        child: List[int] = []
-        root = None
-        offset = 0
-        # Subtrees still to come: (rows, the parent's child slot, code).
-        pending: List[tuple] = [(size, None, Bits.empty())] if flags else []
-        for flag in flags:
-            if not pending:
-                raise SerializationError("the Huffman code tree ends early")
-            rows, slot, code = pending.pop()
-            if flag:
-                node = len(starts)
-                if offset + rows > len(shared):
-                    raise SerializationError(
-                        f"Huffman node {node} needs {rows} bits past bit {offset} "
-                        f"of a {len(shared)}-bit node vector"
-                    )
-                ones_before = shared.rank(1, offset)
-                ones = shared.rank(1, offset + rows) - ones_before
-                starts.append(offset)
-                before += [offset - ones_before, ones_before]
-                child += [0, 0]
-                offset += rows
-                pending.append((ones, 2 * node + 1, code.appended(1)))
-                pending.append((rows - ones, 2 * node, code.appended(0)))
-            else:
-                leaf = len(codes)
-                if leaf >= len(symbols) or symbols[leaf] in codes:
-                    raise SerializationError("the Huffman leaves do not match their symbols")
-                # A lone symbol keeps the 1-bit code ``0`` at the root.
-                codes[symbols[leaf]] = code if len(code) else Bits.from_string("0")
-                counts[leaf] = rows
-                node = ~leaf
-            if slot is None:
-                root = node
-            else:
-                child[slot] = node
-        if pending or len(codes) != len(symbols):
-            raise SerializationError("the Huffman code tree does not match its leaves")
-        if offset != len(shared) or (root is None and size):
+        routed: List[Tuple[int, int]] = []  # per internal node: (zeros, ones)
+
+        def window_ones(node: int, start: int, rows: int) -> int:
+            if start + rows > len(shared):
+                raise SerializationError(
+                    f"Huffman node {node} needs {rows} bits past bit {start} "
+                    f"of a {len(shared)}-bit node vector"
+                )
+            ones_before = shared.rank(1, start)
+            ones = shared.rank(1, start + rows) - ones_before
+            starts.append(start)
+            before.extend((start - ones_before, ones_before))
+            routed.append((rows - ones, ones))
+            return ones
+
+        one_child, covered = check_preorder_tree(flags, size, window_ones, "a Huffman tree")
+        if covered != len(shared):
             raise SerializationError(
-                f"the Huffman node windows cover {offset} of {len(shared)} bits "
+                f"the Huffman node windows cover {covered} of {len(shared)} bits "
                 f"for {size} rows"
             )
+        if len(set(symbols)) != len(symbols):
+            raise SerializationError("the Huffman leaves do not match their symbols")
+        # Each preorder node as a table entry: an internal node's number,
+        # or ``~i`` for the leaf of symbol ``i``.
+        entries: List[int] = []
+        internal_at: List[int] = []
+        for index, flag in enumerate(flags):
+            if flag:
+                entries.append(len(internal_at))
+                internal_at.append(index)
+            else:
+                entries.append(~(index - len(internal_at)))
+        child = [0] * (2 * len(internal_at))
+        codes: Dict[Hashable, Bits] = {}
+        counts = [0] * len(symbols)
+        # A lone symbol is a root leaf and keeps the 1-bit code ``0``.
+        if not internal_at and symbols:
+            codes[symbols[0]] = Bits.from_string("0")
+            counts[0] = size
+        node_codes = [Bits.empty()] * len(internal_at)
+        for node, index in enumerate(internal_at):  # parents before children
+            for bit, at in ((0, index + 1), (1, one_child[node])):
+                entry = child[2 * node + bit] = entries[at]
+                code = node_codes[node].appended(bit)
+                if entry >= 0:
+                    node_codes[entry] = code
+                else:
+                    codes[symbols[~entry]] = code
+                    counts[~entry] = routed[node][bit]
+        root = entries[0] if entries else None
         self._size = size
         self._codes = codes
         self._factory = factory

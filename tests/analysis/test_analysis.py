@@ -247,6 +247,15 @@ class TestSpaceReport:
         assert "topology" in report.components
         assert "topology_pointers" not in report.components
 
+    def test_static_report_charges_what_size_in_bits_charges(self, column_values):
+        from repro.storage import dumps, loads
+
+        built = WaveletTrie(column_values)
+        for trie in (built, loads(dumps(built))):
+            report = wavelet_trie_space_report(trie)
+            assert report.total_bits == trie.size_in_bits()
+            assert report.components["tables"] == trie.table_bits() > 0
+
     def test_measured_space_vs_bounds(self, column_values):
         """The headline Table 1 claim, in miniature: measured bitvector space
         stays within a small factor of nH0 while the raw data is much larger.

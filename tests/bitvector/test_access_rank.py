@@ -25,7 +25,7 @@ from repro.bitvector.dynamic import DynamicBitVector
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rrr import RRRBitVector
 from repro.bitvector.sparse import SparseBitVector
-from repro.bitvector.window import windows_over
+from repro.bitvector.window import BitvectorWindow
 from repro.exceptions import OutOfBoundsError
 
 BACKENDS = kernel.available_backends()
@@ -105,7 +105,10 @@ def test_windows_correct_the_shared_ranks(backend, kind):
     bits = blocky_bits(63, 4) * 2
     cuts = [0, 100, 101, 700, len(bits)]
     shared = kind(bits)
-    windows = windows_over(shared, [b - a for a, b in zip(cuts, cuts[1:])])
+    windows = [
+        BitvectorWindow(shared, a, b - a, shared.rank(1, a), shared.rank(1, b) - shared.rank(1, a))
+        for a, b in zip(cuts, cuts[1:])
+    ]
     with active_backend(backend):
         for window, start in zip(windows, cuts):
             alone = PlainBitVector(bits[start : start + len(window)])
@@ -142,7 +145,7 @@ def test_array_containers(backend):
         PlainBitVector(bits),
         RRRBitVector(bits),
         SparseBitVector.from_bits(bits),
-        windows_over(shared, [len(bits)] * 2)[1],
+        BitvectorWindow(shared, len(bits), len(bits), sum(bits), sum(bits)),
     ]
     with active_backend(backend):
         for vector in vectors:
@@ -190,7 +193,7 @@ def test_out_of_range_is_all_or_nothing(backend):
     vectors = [
         PlainBitVector(bits),
         RRRBitVector(bits),
-        windows_over(shared, [length, length])[0],
+        BitvectorWindow(shared, 0, length, 0, sum(bits)),
         DynamicBitVector(bits),
         SparseBitVector.from_bits(bits),
     ]

@@ -2,8 +2,7 @@
 
 ``BitvectorWindow`` must answer every query exactly as a bitvector built
 over its own bits, for each static kind the shared vector can be, list and
-array batches alike; ``windows_over`` tiles a vector with consecutive
-windows whose ones come from one batch rank.
+array batches alike.
 """
 
 import random
@@ -14,7 +13,7 @@ from repro.bits import kernel
 from repro.bitvector.plain import PlainBitVector
 from repro.bitvector.rle import RLEBitVector
 from repro.bitvector.rrr import RRRBitVector
-from repro.bitvector.window import BitvectorWindow, windows_over
+from repro.bitvector.window import BitvectorWindow
 from repro.exceptions import OutOfBoundsError
 
 KINDS = [RRRBitVector, PlainBitVector, RLEBitVector]
@@ -37,7 +36,13 @@ def tiled(request):
         for length, density in zip(LENGTHS, [0.5, 0.0, 1.0, 0.1, 0.9, 1.0, 0.3, 0.5])
     ]
     shared = request.param([bit for piece in pieces for bit in piece])
-    return windows_over(shared, [len(piece) for piece in pieces]), pieces
+    windows, start = [], 0
+    for piece in pieces:
+        before = shared.rank(1, start)
+        ones = shared.rank(1, start + len(piece)) - before
+        windows.append(BitvectorWindow(shared, start, len(piece), before, ones))
+        start += len(piece)
+    return windows, pieces
 
 
 def test_windows_tile_the_vector(tiled):

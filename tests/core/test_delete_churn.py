@@ -232,14 +232,11 @@ class TestDynamicTrieDeleteChurn:
         """An empty index batch returns [] even for absent values/prefixes,
         matching the interface's default scalar loops (regression: the
         shared-walk overrides used to locate the node first and raise)."""
-        from repro.core.succinct_static import SuccinctWaveletTrie
-
         with active_backend(backend):
             values = ["app/li", "app/lo", "banana"]
             for trie in (
                 DynamicWaveletTrie(values),
                 WaveletTrie(values),
-                SuccinctWaveletTrie(values),
             ):
                 assert trie.select_prefix_many("zzz", []) == []
                 assert trie.select_many("zzz", []) == []

@@ -3,7 +3,7 @@
 These tests pin down behaviour at the boundaries of the input domain: empty
 strings, single-character and very long values, non-ASCII text, values that
 differ only in their last bit, and the error paths of the binarisation codecs
-(a rejected key is checked on the succinct and tiered flavours too).
+(a rejected key is checked on the opened and tiered flavours too).
 """
 
 import random
@@ -16,9 +16,9 @@ from repro.bits.bitstring import Bits
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
-from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.core.tiers import TieredWaveletTrie
 from repro.exceptions import BinarizationError, OutOfBoundsError, ValueNotFoundError
+from repro.storage import dumps, loads
 from repro.tries.binarize import BytesCodec, FixedWidthIntCodec, Utf8Codec
 
 ALL_VARIANTS = [WaveletTrie, AppendOnlyWaveletTrie, DynamicWaveletTrie]
@@ -245,9 +245,10 @@ class TestAppendOnlySpecific:
 # ----------------------------------------------------------------------
 FLAVOURS = {
     "static": WaveletTrie,
+    # The static trie as a server holds it: opened from its image.
+    "opened": lambda values, **kwargs: loads(dumps(WaveletTrie(values, **kwargs))),
     "append-only": AppendOnlyWaveletTrie,
     "dynamic": DynamicWaveletTrie,
-    "succinct": SuccinctWaveletTrie,
     # Five rows per tier: frozen tiers, a tier sealing, and a tail.
     "tiered": lambda values, **kwargs: TieredWaveletTrie(
         values, active_capacity=5, compact_budget=1, **kwargs

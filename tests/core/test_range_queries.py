@@ -8,10 +8,10 @@ from repro.baselines import NaiveIndexedSequence
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
-from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.core.tiers import TieredWaveletTrie
 from repro.db.column import CompressedColumn
 from repro.exceptions import OutOfBoundsError
+from repro.storage import dumps, loads
 from repro.storage.shards import export_shard_images, open_worker_columns
 
 VARIANTS = [
@@ -146,7 +146,7 @@ TOP_K_VALUES = ["/a/x", "/a/y", "/b", "/a/x", "/c", "/c", "/c"]
 TOP_K_IMPLEMENTATIONS = {
     "oracle": NaiveIndexedSequence,
     "static": WaveletTrie,
-    "succinct": SuccinctWaveletTrie,
+    "opened": lambda values: loads(dumps(WaveletTrie(values))),
     "append_only": AppendOnlyWaveletTrie,
     "dynamic": DynamicWaveletTrie,
     "tiered": lambda values: TieredWaveletTrie(values, active_capacity=3),

@@ -1,12 +1,11 @@
-"""The tier lifecycle: ``TrieFreezer``, ``freeze_trie``, ``thaw`` and ``from_pointer_trie``.
+"""The tier lifecycle: ``TrieFreezer``, ``freeze_trie`` and ``thaw``.
 
 The budgeted freeze must be *exactly* equivalent to the one-shot static RRR
 build: same content, same topology, same measured bits (classes and offsets
 are deterministic functions of the payload).  The de-amortisation contract
 (Lemma 4.7 applied to a whole trie) is checked by driving the freeze with a
 unit budget and asserting bounded per-step progress.  Every flavour reaches
-the succinct layout the same way: its static form, then
-``SuccinctWaveletTrie.from_pointer_trie``.
+the one static trie the same way: its static form.
 """
 
 import pytest
@@ -14,48 +13,52 @@ import pytest
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
-from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.core.tiers import TieredWaveletTrie, TrieFreezer, freeze_trie, thaw
 from repro.exceptions import ImmutableStructureError, InvalidOperationError
+from repro.storage import dumps, loads
+
+
+def OpenedWaveletTrie(values=()):
+    """A static trie opened from its image, as a server holds it."""
+    return loads(dumps(WaveletTrie(values)))
+
 
 GROWABLE = [AppendOnlyWaveletTrie, DynamicWaveletTrie]
-ALL_FLAVOURS = [WaveletTrie, SuccinctWaveletTrie, *GROWABLE, TieredWaveletTrie]
+ALL_FLAVOURS = [WaveletTrie, OpenedWaveletTrie, *GROWABLE, TieredWaveletTrie]
 
 
-def succinct_form(trie):
-    """The succinct layout of any flavour: its static form, then flattened."""
+def static_form(trie):
+    """The static trie of any flavour: one static trie over its content."""
     if isinstance(trie, TieredWaveletTrie):
-        static = trie.to_static()
-    else:
-        static = freeze_trie(trie)
-    if isinstance(static, SuccinctWaveletTrie):
-        return static
-    return SuccinctWaveletTrie.from_pointer_trie(static)
+        return trie.to_static()
+    return freeze_trie(trie)
 
 
 class TestConversions:
     @pytest.mark.parametrize("flavour", ALL_FLAVOURS)
-    def test_succinct_form_preserves_content(self, flavour, url_log):
+    def test_static_form_preserves_content(self, flavour, url_log):
         values = url_log[:60]
-        succinct = succinct_form(flavour(values))
-        assert isinstance(succinct, SuccinctWaveletTrie)
-        assert succinct.to_list() == values
+        static = static_form(flavour(values))
+        assert isinstance(static, WaveletTrie)
+        assert static.to_list() == values
 
     @pytest.mark.parametrize("flavour", ALL_FLAVOURS)
-    def test_succinct_form_is_the_direct_build(self, flavour, url_log):
-        """Whatever flavour it starts from, the succinct form has the
-        topology and measured bits of building the layout directly."""
+    def test_static_form_is_the_direct_build(self, flavour, url_log):
+        """Whatever flavour it starts from, the static form has the
+        topology and measured bits of building the trie directly."""
         values = url_log[:80]
-        succinct = succinct_form(flavour(values))
-        direct = SuccinctWaveletTrie(values)
-        assert succinct.node_count() == direct.node_count()
-        assert succinct.space_breakdown() == direct.space_breakdown()
+        static = static_form(flavour(values))
+        direct = WaveletTrie(values)
+        assert static.node_count() == direct.node_count()
+        assert static.size_in_bits() == direct.size_in_bits()
+        breakdown = direct.succinct_space_breakdown()
+        assert static.succinct_space_breakdown() == breakdown
 
     @pytest.mark.parametrize(
         "flavour,state",
         [
             (WaveletTrie, "frozen"),
-            (SuccinctWaveletTrie, "frozen"),
+            (OpenedWaveletTrie, "frozen"),
             (AppendOnlyWaveletTrie, "mutable"),
             (DynamicWaveletTrie, "mutable"),
             (TieredWaveletTrie, "mutable"),
@@ -73,16 +76,22 @@ class TestConversions:
         else:
             trie.append("http://late.example/write")
             expected = values + ["http://late.example/write"]
-            assert succinct_form(trie).to_list() == expected
+            assert static_form(trie).to_list() == expected
 
     @pytest.mark.parametrize("kind", ["plain", "rle"])
-    def test_from_pointer_trie_reencodes_other_node_bitvectors(self, kind, url_log):
+    def test_other_node_bitvectors_share_the_rrr_components(self, kind, url_log):
+        """Only the node vector's encoding depends on the kind: the
+        topology, labels and window delimiters are the RRR build's."""
         values = url_log[:60]
-        pointer = WaveletTrie(values, bitvector=kind)
-        succinct = SuccinctWaveletTrie.from_pointer_trie(pointer)
-        assert succinct.to_list() == values
-        expected = SuccinctWaveletTrie(values).space_breakdown()
-        assert succinct.space_breakdown() == expected
+        static = static_form(WaveletTrie(values, bitvector=kind))
+        assert static.bitvector_kind == kind
+        assert static.to_list() == values
+        direct = WaveletTrie(values)
+        assert static.node_bitvector.to_list() == direct.node_bitvector.to_list()
+        ours = static.succinct_space_breakdown()
+        expected = direct.succinct_space_breakdown()
+        for part in ("topology", "labels", "label_delimiters", "bitvector_delimiters"):
+            assert ours[part] == expected[part]
 
     @pytest.mark.parametrize("flavour", GROWABLE)
     def test_a_write_after_a_finished_freeze_reaches_the_next_one(self, flavour):
@@ -91,7 +100,7 @@ class TestConversions:
         while not freezer.done:
             freezer.step(1)
         trie.append("c")
-        assert succinct_form(trie).to_list() == ["a", "b", "a", "c"]
+        assert static_form(trie).to_list() == ["a", "b", "a", "c"]
 
 
 class TestTrieFreezer:
@@ -161,11 +170,11 @@ class TestTrieFreezer:
 
 
 class TestFreezeTrie:
-    def test_static_and_succinct_pass_through(self, url_log):
+    def test_static_passes_through(self, url_log):
         static = WaveletTrie(url_log[:20])
-        succinct = SuccinctWaveletTrie(url_log[:20])
         assert freeze_trie(static) is static
-        assert freeze_trie(succinct) is succinct
+        opened = OpenedWaveletTrie(url_log[:20])
+        assert freeze_trie(opened) is opened
 
     @pytest.mark.parametrize(
         "flavour", [DynamicWaveletTrie, AppendOnlyWaveletTrie]

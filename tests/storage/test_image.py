@@ -19,8 +19,7 @@ from repro.bits import kernel
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
-from repro.core.succinct_static import SuccinctWaveletTrie
-from repro.core.tiers import TieredWaveletTrie
+from repro.core.tiers import TieredWaveletTrie, freeze_trie
 from repro.db.column import CompressedColumn
 from repro.db.table import ColumnStore
 from repro.exceptions import SerializationError
@@ -72,11 +71,17 @@ class TestTrieRoundTrip:
         assert loaded.bitvector_kind == kind
         assert_trie_equal(loaded, values)
 
-    def test_succinct_trie(self, backend, url_log):
+    def test_static_trie_reimages_to_the_same_bytes(self, backend, url_log):
+        """An opened static trie holds its image's components as they are:
+        after queries have made its node handles it writes the same bytes,
+        and so does the static form of a frozen tier."""
         values = url_log[:150]
-        loaded = loads_image(dumps_image(SuccinctWaveletTrie(values)), verify=True)
-        assert isinstance(loaded, SuccinctWaveletTrie)
+        data = dumps_image(WaveletTrie(values))
+        loaded = loads_image(data, verify=True)
+        assert isinstance(loaded, WaveletTrie)
         assert_trie_equal(loaded, values)
+        assert dumps_image(loaded) == data
+        assert dumps_image(freeze_trie(AppendOnlyWaveletTrie(values))) == data
 
     @pytest.mark.parametrize("cls", [AppendOnlyWaveletTrie, DynamicWaveletTrie])
     def test_growable_tries_reopen_as_their_flavour(self, backend, url_log, cls):
@@ -202,12 +207,12 @@ class TestCrossBackend:
         path = tmp_path / "cross.rwt2"
         previous = kernel.use_backend("numpy")
         try:
-            save_image(SuccinctWaveletTrie(values), path)
+            save_image(WaveletTrie(values), path)
             numpy_bytes = path.read_bytes()
             kernel.use_backend("python")
             assert_trie_equal(open_image(path, verify=True), values)
             # The image bytes themselves are backend-independent.
-            save_image(SuccinctWaveletTrie(values), path)
+            save_image(WaveletTrie(values), path)
             assert path.read_bytes() == numpy_bytes
         finally:
             kernel.use_backend(previous)

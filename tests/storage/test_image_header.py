@@ -27,7 +27,6 @@ from repro.bits.packed import PackedIntVector
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
-from repro.core.succinct_static import SuccinctWaveletTrie
 from repro.core.tiers import TieredWaveletTrie
 from repro.db.column import CompressedColumn
 from repro.db.doc_store import DocumentStore
@@ -147,7 +146,6 @@ IMAGES = {
     "rrr": lambda: WaveletTrie(VALUES, bitvector="rrr"),
     "plain": lambda: WaveletTrie(VALUES, bitvector="plain"),
     "rle": lambda: WaveletTrie(VALUES, bitvector="rle"),
-    "succinct": lambda: SuccinctWaveletTrie(VALUES),
     "append_only": lambda: AppendOnlyWaveletTrie(VALUES),
     "dynamic": lambda: DynamicWaveletTrie(VALUES),
     "tiered": _tiered,
@@ -163,16 +161,35 @@ IMAGES = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(IMAGES))
-def image(request):
-    data = dumps_image(IMAGES[request.param]())
+# One value: the root is a leaf, which must receive every row.  Its row
+# count is stored only as the size, so a size rewritten to another positive
+# count describes another valid image: these feed every header test but
+# the mutation property, and TestStoredSizes rejects a leaf with no rows.
+LONE_LEAF_IMAGES = {
+    "one_value": lambda: WaveletTrie(["a"] * 5),
+    "huffman_one_value": lambda: HuffmanWaveletTree([7] * 5),
+}
+
+
+def _image(name):
+    data = dumps_image({**IMAGES, **LONE_LEAF_IMAGES}[name]())
     return data, _fingerprint(loads_image(data))
+
+
+@pytest.fixture(scope="module", params=sorted(IMAGES) + sorted(LONE_LEAF_IMAGES))
+def image(request):
+    return _image(request.param)
+
+
+@pytest.fixture(scope="module", params=sorted(IMAGES))
+def sized_image(request):
+    """An image whose stored sizes the structure pins."""
+    return _image(request.param)
 
 
 # The image types a header can name (a real image relabelled as another).
 TYPE_NAMES = [
     "static_trie",
-    "succinct_trie",
     "append_only_trie",
     "dynamic_trie",
     "tiered_trie",
@@ -304,16 +321,14 @@ class TestRewrittenHeaders:
 
     @settings(max_examples=125, deadline=None)
     @given(st.data())
-    def test_mutated_header_raises_or_opens_the_original(self, image, data):
-        raw, expected = image
+    def test_mutated_header_raises_or_opens_the_original(self, sized_image, data):
+        raw, expected = sized_image
         header, body = _split(raw)
         if data.draw(st.booleans()):
             _mutate_table(header, data.draw)
         else:
             _mutate_meta(header, data.draw)
         try:
-            # The succinct trie wraps its node bitvectors on first touch, so
-            # their checks may fire on the first query instead of the open.
             fingerprint = _fingerprint(loads_image(_join(header, body)))
         except SerializationError:
             return
@@ -353,6 +368,20 @@ class TestStoredSizes:
         header, body = _split(raw)
         header["meta"]["trie"]["size"] = 7
         with pytest.raises(SerializationError, match="stored size 7"):
+            loads_image(_join(header, body))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_a_one_value_trie_must_route_its_rows_to_the_leaf(self, size):
+        header, body = _split(dumps_image(WaveletTrie(["a"] * 5)))
+        header["meta"]["trie"]["size"] = size
+        with pytest.raises(SerializationError, match="receives no rows"):
+            loads_image(_join(header, body))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_a_one_symbol_huffman_tree_must_route_its_rows_to_the_leaf(self, size):
+        header, body = _split(dumps_image(HuffmanWaveletTree([7] * 5)))
+        header["meta"]["size"] = size
+        with pytest.raises(SerializationError, match="receives no rows"):
             loads_image(_join(header, body))
 
     def test_store_row_count_must_match_its_columns(self):

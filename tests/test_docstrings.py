@@ -4,9 +4,9 @@ Run directly (``pytest tests/test_docstrings.py``) or via ``make docs-check``.
 The walk imports every module under :mod:`repro`, so an import-time error in
 any module also fails this gate.  Also enforces the kernel backend contract:
 every public kernel function must exist in *both* backend modules and appear
-in the contract table of docs/ARCHITECTURE.md.  And every class name and
-every ``BENCH.json`` row that README.md, docs/API.md and docs/ARCHITECTURE.md
-cite must exist.
+in the contract table of docs/ARCHITECTURE.md.  And every class name,
+``.py`` path, dotted ``repro.`` name and ``BENCH.json`` row that README.md,
+docs/API.md and docs/ARCHITECTURE.md cite must exist.
 """
 
 import builtins
@@ -139,7 +139,6 @@ def test_tier_lifecycle_section_matches_the_code():
         assert cls.__name__ in section, (
             f"{cls.__name__} is absent from the Tier lifecycle section"
         )
-    assert "SuccinctWaveletTrie" in section
     for name in (
         "TrieFreezer",
         "freeze_trie",
@@ -298,6 +297,64 @@ def test_backticked_class_names_exist():
             if name not in defined:
                 missing.add(f"{document}: {name}")
     assert not missing, f"docs name undefined classes: {sorted(missing)}"
+
+
+def _repository_python_files():
+    """Every ``.py`` file of the repository, as a path from its root."""
+    skipped = {"__pycache__", "build", "dist"}
+    return [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in REPO_ROOT.rglob("*.py")
+        if not any(
+            part in skipped or part.startswith(".")
+            for part in path.relative_to(REPO_ROOT).parts
+        )
+    ]
+
+
+def test_backticked_python_paths_exist():
+    """A backticked ``.py`` path must be the tail of a file's path in the
+    repository (```kernel/npkernel.py``` is src/repro/bits/kernel/npkernel.py),
+    so a deleted or moved module cannot stay cited."""
+    files = ["/" + path for path in _repository_python_files()]
+    missing = set()
+    for document in DOCUMENTS:
+        text = (REPO_ROOT / document).read_text(encoding="utf-8")
+        for cited in re.findall(r"`([A-Za-z0-9_./-]+\.py)`", text):
+            if not any(path.endswith("/" + cited.lstrip("./")) for path in files):
+                missing.add(f"{document}: {cited}")
+    assert not missing, f"docs cite .py files that do not exist: {sorted(missing)}"
+
+
+def _resolves(dotted):
+    """True when ``dotted`` names a module, or an attribute reached from
+    the longest importable module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_backticked_repro_names_resolve():
+    """A backticked span that starts with a dotted ``repro.`` name
+    (```repro.core.tiers```, ```repro.bits.kernel.SMALL_BATCH```) must
+    resolve to a module or an attribute, so a renamed or deleted one cannot
+    stay in the docs."""
+    missing = set()
+    for document in DOCUMENTS:
+        text = (REPO_ROOT / document).read_text(encoding="utf-8")
+        for dotted in re.findall(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)", text):
+            if not _resolves(dotted):
+                missing.add(f"{document}: {dotted}")
+    assert not missing, f"docs cite repro names that do not resolve: {sorted(missing)}"
 
 
 def test_cited_bench_rows_exist():
