@@ -8,6 +8,8 @@ directories and the low halves of Elias-Fano sequences.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Iterable, Iterator, List, Sequence
 
 from repro.bits import kernel
@@ -124,9 +126,27 @@ class PackedIntVector:
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "PackedIntVector":
-        """Build with the minimal width that fits ``max(values)``."""
-        width = max((int(v).bit_length() for v in values), default=0)
-        return cls(width, values)
+        """Build with the minimal width that fits ``max(values)`` (the
+        values are non-negative), packed eight fields at a time: eight
+        ``width``-bit fields fill ``width`` whole bytes, so one integer and
+        one ``to_bytes`` per eight values replace a word update per value.
+        The words are an ``array`` of uint64."""
+        values = list(values)
+        width = max(values, default=0).bit_length()
+        if values and min(values) < 0:
+            raise ValueError("from_values packs non-negative integers")
+        s1, s2, s3, s4, s5, s6, s7 = (width * field for field in range(1, 8))
+        fields = iter(values + [0] * (-len(values) % 8))
+        payload = b"".join([
+            (a | b << s1 | c << s2 | d << s3 | e << s4 | f << s5 | g << s6 | h << s7)
+            .to_bytes(width, "little")
+            for a, b, c, d, e, f, g, h in zip(*[fields] * 8)
+        ])
+        size = 8 * -(-len(values) * width // _WORD)
+        words = array("Q", payload[:size].ljust(size, b"\0"))
+        if sys.byteorder == "big":  # pragma: no cover - big-endian platforms only
+            words.byteswap()
+        return cls.from_words(width, len(values), words)
 
     @classmethod
     def from_words(

@@ -286,3 +286,7 @@ class StaticBitVector(BitVector):
     def is_static(self) -> bool:
         """Static bitvectors never change after construction."""
         return True
+
+    def drop_batch_handle(self) -> None:
+        """Forget the kernel batch handle a batch call prepared, if any; the
+        next batch call that needs one prepares it again."""

@@ -108,6 +108,11 @@ class PlainBitVector(StaticBitVector):
             self._batch_backend = backend
         return self._batch_handle
 
+    def drop_batch_handle(self) -> None:
+        """Forget the kernel batch handle; the next batch call re-prepares it."""
+        self._batch_handle = None
+        self._batch_backend = None
+
     # ------------------------------------------------------------------
     @classmethod
     def from_bits(cls, bits: Bits) -> "PlainBitVector":

@@ -302,6 +302,11 @@ class RRRBitVector(StaticBitVector):
             self._batch_backend = backend
         return self._batch_handle
 
+    def drop_batch_handle(self) -> None:
+        """Forget the kernel batch handle; the next batch call re-prepares it."""
+        self._batch_handle = None
+        self._batch_backend = None
+
     # ------------------------------------------------------------------
     def _decode_block(self, block_index: int, offset_pos: int) -> int:
         """Decode block ``block_index`` given the bit position of its offset."""

@@ -28,28 +28,25 @@ __all__ = ["BitvectorWindow"]
 class BitvectorWindow(StaticBitVector):
     """Bits ``[start, start + length)`` of a shared static bitvector.
 
-    ``ones_before`` is ``vector.rank(1, start)`` and ``ones`` the ones
-    inside the window; both are fixed when the window is made, so
+    ``start`` (the window's first bit in the shared vector) and
+    ``ones_before`` (``vector.rank(1, start)``) are attributes, which a
+    descent over the shared vector reads; ``ones`` counts the ones inside
+    the window.  All are fixed when the window is made, so
     ``count`` needs no query.  Every operation is one offset call into the
     shared vector (its ``*_many`` forms one batch call), so a window answers
     exactly what a bitvector built over its bits would.
     """
 
-    __slots__ = ("_vector", "_start", "_length", "_ones_before", "_ones")
+    __slots__ = ("_vector", "start", "_length", "ones_before", "_ones")
 
     def __init__(
         self, vector, start: int, length: int, ones_before: int, ones: int
     ) -> None:
         self._vector = vector
-        self._start = start
+        self.start = start
         self._length = length
-        self._ones_before = ones_before
+        self.ones_before = ones_before
         self._ones = ones
-
-    @property
-    def start(self) -> int:
-        """Offset of the window's first bit in the shared vector."""
-        return self._start
 
     def __len__(self) -> int:
         return self._length
@@ -75,7 +72,7 @@ class BitvectorWindow(StaticBitVector):
             raise OutOfBoundsError(
                 f"position {pos} out of range for length {self._length}"
             )
-        return self._vector.access(self._start + pos)
+        return self._vector.access(self.start + pos)
 
     def rank(self, bit: int, pos: int) -> int:
         if not 0 <= pos <= self._length:
@@ -84,7 +81,7 @@ class BitvectorWindow(StaticBitVector):
             )
         if bit not in (0, 1):
             self._check_bit(bit)
-        ones = self._vector.rank(1, self._start + pos) - self._ones_before
+        ones = self._vector.rank(1, self.start + pos) - self.ones_before
         return ones if bit else pos - ones
 
     def select(self, bit: int, idx: int) -> int:
@@ -95,11 +92,11 @@ class BitvectorWindow(StaticBitVector):
             raise OutOfBoundsError(
                 f"select({bit}, {idx}) out of range: only {total} occurrences"
             )
-        return self._vector.select(bit, idx + self._before(bit)) - self._start
+        return self._vector.select(bit, idx + self._before(bit)) - self.start
 
     def _before(self, bit: int) -> int:
         """Occurrences of ``bit`` in the shared vector before the window."""
-        return self._ones_before if bit else self._start - self._ones_before
+        return self.ones_before if bit else self.start - self.ones_before
 
     # ------------------------------------------------------------------
     # Batch queries: one shared-vector batch call each
@@ -113,7 +110,7 @@ class BitvectorWindow(StaticBitVector):
             raise OutOfBoundsError(
                 f"position {bad} out of range for length {self._length}"
             )
-        start = self._start
+        start = self.start
         if isinstance(positions, (list, tuple)):
             return [start + pos for pos in positions]
         return positions + start
@@ -137,7 +134,7 @@ class BitvectorWindow(StaticBitVector):
         if not len(positions):
             return []
         ranks = self._vector.rank_many(1, self._shifted(positions, self._length))
-        before = self._ones_before
+        before = self.ones_before
         if isinstance(ranks, list):
             if bit:
                 return [rank - before for rank in ranks]
@@ -158,7 +155,7 @@ class BitvectorWindow(StaticBitVector):
         bits, ranks = self._vector.access_rank_many(
             self._shifted(positions, self._length - 1)
         )
-        ones_before, zeros_before = self._ones_before, self._start - self._ones_before
+        ones_before, zeros_before = self.ones_before, self.start - self.ones_before
         if isinstance(ranks, list):
             return bits, [
                 rank - ones_before if bit else rank - zeros_before
@@ -175,10 +172,10 @@ class BitvectorWindow(StaticBitVector):
         indexes = validate_select_indexes(indexes, self.count(bit), bit)
         if not indexes:
             return []
-        before, start = self._before(bit), self._start
+        before, start = self._before(bit), self.start
         found = self._vector.select_many(bit, [idx + before for idx in indexes])
         return [pos - start for pos in found]
 
     def iter_range(self, start: int, stop: int) -> Iterator[int]:
         self._check_range(start, stop)
-        return self._vector.iter_range(self._start + start, self._start + stop)
+        return self._vector.iter_range(self.start + start, self.start + stop)

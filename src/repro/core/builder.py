@@ -74,17 +74,19 @@ def distinct_codes(
     code_of_key: Dict[tuple, int] = {}
     code_of_bits: Dict[Bits, int] = {}
     rows: List[int] = []
+    append = rows.append
     for value in values:
-        key = (type(value), value)
-        try:
-            code = code_of_key.get(key)
+        try:  # a repeated key: one lookup (most rows)
+            append(code_of_key[type(value), value])
+            continue
+        except KeyError:
+            key = (type(value), value)
         except TypeError:  # unhashable: no key, encode this row
-            key = code = None
-        if code is None:
-            code = code_of_bits.setdefault(encode(value), len(code_of_bits))
-            if key is not None:
-                code_of_key[key] = code
-        rows.append(code)
+            key = None
+        code = code_of_bits.setdefault(encode(value), len(code_of_bits))
+        if key is not None:
+            code_of_key[key] = code
+        append(code)
     return list(code_of_bits), rows
 
 
@@ -115,15 +117,14 @@ def sort_codes(codes: Sequence[Bits]) -> List[int]:
 
 def build_static_trie(
     codes: Sequence[Bits], rows: Sequence[int], bitvector_factory
-) -> Tuple[StaticTrieLayout, List[int]]:
+) -> StaticTrieLayout:
     """Build the components of ``WT(S)`` from distinct codes and row indexes.
 
     ``codes`` are the distinct binarised values and ``rows[i]`` the index
-    of row ``i``'s code, as :func:`distinct_codes` returns them.  Returns
-    ``(layout, leaves)``: the layout's vector is the one bitvector that
+    of row ``i``'s code, as :func:`distinct_codes` returns them.  The
+    layout's vector is the one bitvector that
     ``bitvector_factory.from_words(words, length)`` builds over every
-    internal node's branch bits in preorder, and ``leaves`` names each
-    leaf's code (its index into ``codes``) in preorder.
+    internal node's branch bits in preorder.
 
     Raises :class:`BinarizationError` if the codes are not prefix-free
     (:func:`sort_codes`).
@@ -134,7 +135,6 @@ def build_static_trie(
     label_lengths: List[int] = []
     lengths: List[int] = []
     ones_of: List[int] = []
-    leaves: List[int] = []
     if rows:
         order = sort_codes(codes)
         ordered = [codes[index] for index in order]
@@ -151,7 +151,6 @@ def build_static_trie(
             if hi - lo == 1:
                 label = first.suffix_from(depth)
                 flags.append(0)
-                leaves.append(order[lo])
             else:
                 lcp = first.lcp_length(ordered[hi - 1])
                 # The bit at ``lcp`` is 0 on ``first`` and 1 on the last
@@ -174,4 +173,4 @@ def build_static_trie(
             labels.append_bits(label)
             label_lengths.append(len(label))
     vector = bitvector_factory.from_words(concatenated.words(), len(concatenated))
-    return StaticTrieLayout(flags, labels, label_lengths, vector, lengths, ones_of), leaves
+    return StaticTrieLayout(flags, labels, label_lengths, vector, lengths, ones_of)

@@ -89,7 +89,7 @@ __all__ = [
 ]
 
 IMAGE_MAGIC = b"RWT2"
-IMAGE_VERSION = 5
+IMAGE_VERSION = 6
 SECTION_ALIGN = 8
 
 # magic + u32 version + u64 header length + u32 header CRC.

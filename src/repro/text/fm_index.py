@@ -30,9 +30,8 @@ from typing import Dict, List, Sequence, Tuple
 from repro.bits import kernel
 from repro.bits.kernel import SMALL_BATCH
 from repro.bits.packed import PackedIntVector
-from repro.bitvector.plain import PlainBitVector
-from repro.bitvector.rrr import RRRBitVector
 from repro.bitvector.sparse import SparseBitVector
+from repro.core.static import BITVECTOR_KINDS
 from repro.exceptions import OutOfBoundsError, SerializationError
 from repro.text.suffix_array import bwt_from_suffix_array, suffix_array
 from repro.wavelet.huffman import HuffmanWaveletTree
@@ -41,13 +40,13 @@ __all__ = ["FMIndex"]
 
 _TERMINATOR = 0  # code of the appended sentinel; smaller than every character
 
-#: Node bitvector flavours for the BWT wavelet tree.  Backward search is
+#: Node bitvector kinds for the BWT wavelet tree.  Backward search is
 #: rank-bound, so the default is the plain vector whose ``rank_many`` is
 #: kernel-vectorised (one gather + popcount for a whole batch); the Huffman
-#: shape already holds total node bits near ``n * H0``.  The ``rrr`` flavour
+#: shape already holds total node bits near ``n * H0``.  The ``rrr`` kind
 #: compresses the nodes; its batched ranks go through the kernel's RRR
 #: block decode instead of a word gather.
-_BWT_BITVECTORS = {"plain": PlainBitVector, "rrr": RRRBitVector}
+_BWT_KINDS = ("plain", "rrr")
 
 
 class FMIndex:
@@ -86,10 +85,10 @@ class FMIndex:
             raise TypeError(f"text must be str, got {type(text).__name__}")
         if sa_sample < 1:
             raise ValueError(f"sa_sample must be at least 1, got {sa_sample}")
-        if bitvector not in _BWT_BITVECTORS:
+        if bitvector not in _BWT_KINDS:
             raise ValueError(
                 f"unknown bitvector flavour {bitvector!r}; "
-                f"choose from {sorted(_BWT_BITVECTORS)}"
+                f"choose from {sorted(_BWT_KINDS)}"
             )
         alphabet = sorted(set(text))
         code_of = {char: code + 1 for code, char in enumerate(alphabet)}
@@ -114,9 +113,7 @@ class FMIndex:
             "".join(alphabet),
             sa_sample,
             bitvector,
-            HuffmanWaveletTree(
-                bwt, bitvector_factory=_BWT_BITVECTORS[bitvector]
-            ),
+            HuffmanWaveletTree(bwt, bitvector_factory=BITVECTOR_KINDS[bitvector]),
             SparseBitVector(rows, marked_rows),
             PackedIntVector(width, samples),
             PackedIntVector(width, isa_samples),
@@ -222,8 +219,8 @@ class FMIndex:
         rows = text_length + 1
         width = max(1, (rows - 1).bit_length())
         if (
-            kind not in _BWT_BITVECTORS
-            or _BWT_BITVECTORS[kind] is not bwt._factory
+            kind not in _BWT_KINDS
+            or bwt.bitvector_kind != kind
             or sa_sample < 1
             or len(bwt) != rows
             or len(marked) != rows
