@@ -4,15 +4,14 @@
 Models the database scenario of the paper's introduction: each column of a
 relation is stored as an indexed sequence of strings.  Filters (equality and
 prefix), projections and GROUP BY run on the Wavelet Trie primitives, and the
-example compares the compressed footprint with the uncompressed column and
-with the traditional B-tree-index baseline.
+example compares the compressed footprint with the uncompressed column.
 
 Run with:  python examples/column_store.py
 """
 
 import random
 
-from repro.baselines import BTreeSequenceIndex, NaiveIndexedSequence
+from repro.baselines import NaiveIndexedSequence
 from repro.db import ColumnStore
 from repro.workloads import ColumnGenerator
 
@@ -52,13 +51,11 @@ def main() -> None:
         print(f"  {count:5d}  {value}")
     print()
 
-    print("=== space: Wavelet Trie column vs. uncompressed vs. B-tree index ===")
+    print("=== space: Wavelet Trie column vs. uncompressed ===")
     compressed = table.column("location").size_in_bits()
     naive = NaiveIndexedSequence(locations).size_in_bits()
-    btree = BTreeSequenceIndex(locations).size_in_bits()
     print(f"  Wavelet Trie column     : {compressed / 8 / 1024:8.1f} KiB")
     print(f"  uncompressed list       : {naive / 8 / 1024:8.1f} KiB")
-    print(f"  B-tree (s, i) index     : {btree / 8 / 1024:8.1f} KiB")
 
 
 if __name__ == "__main__":

@@ -4,11 +4,11 @@ in Compressed Space" (Grossi & Ottaviano, PODS 2012).
 The package provides a complete, pure-Python implementation of the paper's
 primary contribution -- the Wavelet Trie in its static, append-only and fully
 dynamic variants -- together with every substrate the construction relies on:
-succinct bitvectors (plain, RRR, RLE, Elias-Fano, append-only, dynamic),
+succinct bitvectors (plain, RRR, Elias-Fano, append-only, dynamic RLE),
 partial sums, string binarisation codecs, classic Wavelet
 Trees, the Section 6 probabilistically balanced dynamic Wavelet Tree, the
-related-work baselines, entropy/space analysis helpers, synthetic workload
-generators and a small column-store layer.
+uncompressed oracle every test compares against, entropy/space analysis
+helpers, synthetic workload generators and a small column-store layer.
 
 The most convenient entry points are re-exported here:
 

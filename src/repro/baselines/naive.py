@@ -2,7 +2,7 @@
 
 Every operation is implemented by scanning an explicit Python list.  The class
 is deliberately simple -- it is the *oracle* the property-based tests compare
-the Wavelet Trie (and the other baselines) against, and the uncompressed
+every Wavelet Trie flavour against, and the uncompressed
 yardstick of the Table 1 space checks in ``tests/core/test_paper_costs.py``.
 """
 

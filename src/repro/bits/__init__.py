@@ -6,8 +6,8 @@ The module exposes:
   used to represent binarised strings, trie labels and bitvector payloads;
 * :class:`~repro.bits.bitbuffer.BitBuffer` -- an appendable, mutable bit
   buffer used while constructing encodings;
-* :class:`~repro.bits.codes.BitWriter` / :class:`~repro.bits.codes.BitReader`
-  and the Elias unary/gamma/delta and fixed-width codecs;
+* :mod:`~repro.bits.codes` -- Elias gamma code lengths and the
+  combinatorial (class, offset) block codes of the RRR bitvector;
 * :class:`~repro.bits.packed.PackedIntVector` -- a fixed-width packed integer
   array with O(1) random access;
 * :mod:`~repro.bits.kernel` -- the word-level bit-operations kernel, a
@@ -49,29 +49,11 @@ backends").
 from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
-from repro.bits.codes import (
-    BitReader,
-    BitWriter,
-    decode_delta,
-    decode_gamma,
-    decode_unary,
-    encode_delta,
-    encode_gamma,
-    encode_unary,
-)
 from repro.bits.packed import PackedIntVector
 
 __all__ = [
     "BitBuffer",
-    "BitReader",
-    "BitWriter",
     "Bits",
     "PackedIntVector",
-    "decode_delta",
-    "decode_gamma",
-    "decode_unary",
-    "encode_delta",
-    "encode_gamma",
-    "encode_unary",
     "kernel",
 ]

@@ -212,7 +212,13 @@ class Bits:
         return ones if bit else self._length - ones
 
     def slice(self, start: int, stop: int) -> "Bits":
-        """Return the sub-bit-string ``self[start:stop]`` (O(1) big-int ops)."""
+        """Return the sub-bit-string ``self[start:stop]``.
+
+        O(n / w), not O(1): the shift copies the value's first ``stop``
+        bits, so slices near the end of a long value copy all of it.
+        Repeated reads from one long payload belong on packed words
+        (``kernel.extract_bits_value``).
+        """
         start = max(0, min(start, self._length))
         stop = max(start, min(stop, self._length))
         width = stop - start

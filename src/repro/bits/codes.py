@@ -1,211 +1,31 @@
-"""Bit-level integer codecs: unary, Elias gamma, Elias delta, fixed width.
+"""Code lengths and the RRR block codes.
 
-The fully dynamic bitvector of the paper (Section 4.2) encodes run lengths
-with Elias gamma codes; the related-work gap-encoded bitvector of Makinen &
-Navarro uses Elias delta codes.  Both are provided here, together with a
-:class:`BitWriter`/:class:`BitReader` pair that streams codes into and out of
-a compact bit payload.
+The fully dynamic bitvector (paper Section 4.2) charges each run the length
+of its Elias gamma code (:func:`gamma_code_length`).  The rest is the
+arithmetic of RRR's (class, offset) blocks: binomial tables, a block's
+offset among the blocks of its class (:func:`combinatorial_rank`), and the
+decodes that read a prefix popcount, one bit or the whole block back from
+an offset.  The RRR encoders write the offsets into a
+:class:`~repro.bits.bitbuffer.BitBuffer`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, List, Tuple
+from typing import List
 
-from repro.bits.bitstring import Bits
-from repro.exceptions import EncodingError, OutOfBoundsError
+from repro.exceptions import EncodingError
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
-    "decode_delta",
-    "decode_gamma",
-    "decode_unary",
-    "delta_code_length",
-    "encode_delta",
-    "encode_gamma",
-    "encode_unary",
+    "binomial",
+    "combinatorial_bit_at",
+    "combinatorial_prefix_popcount",
+    "combinatorial_rank",
+    "combinatorial_unrank",
     "gamma_code_length",
-    "unary_code_length",
+    "offset_width",
+    "offset_width_table",
 ]
-
-
-# ----------------------------------------------------------------------
-# Stream writer / reader
-# ----------------------------------------------------------------------
-class BitWriter:
-    """Append-only writer producing a compact bit payload.
-
-    Bits are written MSB-first, consistent with :class:`Bits`.
-    """
-
-    __slots__ = ("_value", "_length")
-
-    def __init__(self) -> None:
-        self._value = 0
-        self._length = 0
-
-    def __len__(self) -> int:
-        return self._length
-
-    def write_bit(self, bit: int) -> None:
-        """Write a single bit."""
-        self._value = (self._value << 1) | (1 if bit else 0)
-        self._length += 1
-
-    def write_int(self, value: int, width: int) -> None:
-        """Write ``value`` using exactly ``width`` bits (big-endian)."""
-        if width < 0:
-            raise EncodingError("width must be non-negative")
-        if value < 0 or (width < value.bit_length()):
-            raise EncodingError(f"value {value} does not fit in {width} bits")
-        self._value = (self._value << width) | value
-        self._length += width
-
-    def write_unary(self, value: int) -> None:
-        """Write ``value`` in unary: ``value`` zeros followed by a one."""
-        if value < 0:
-            raise EncodingError("unary code requires a non-negative value")
-        self._value = (self._value << (value + 1)) | 1
-        self._length += value + 1
-
-    def write_gamma(self, value: int) -> None:
-        """Write ``value >= 1`` with an Elias gamma code."""
-        if value < 1:
-            raise EncodingError("gamma code requires value >= 1")
-        width = value.bit_length()
-        self.write_unary(width - 1)
-        if width > 1:
-            self.write_int(value - (1 << (width - 1)), width - 1)
-
-    def write_delta(self, value: int) -> None:
-        """Write ``value >= 1`` with an Elias delta code."""
-        if value < 1:
-            raise EncodingError("delta code requires value >= 1")
-        width = value.bit_length()
-        self.write_gamma(width)
-        if width > 1:
-            self.write_int(value - (1 << (width - 1)), width - 1)
-
-    def to_bits(self) -> Bits:
-        """Freeze the written stream into a :class:`Bits` payload."""
-        return Bits(self._value, self._length)
-
-
-class BitReader:
-    """Sequential reader over a :class:`Bits` payload written by :class:`BitWriter`."""
-
-    __slots__ = ("_bits", "_pos")
-
-    def __init__(self, bits: Bits, start: int = 0) -> None:
-        self._bits = bits
-        self._pos = start
-
-    @property
-    def position(self) -> int:
-        """Current read position in bits."""
-        return self._pos
-
-    def seek(self, position: int) -> None:
-        """Move the read cursor."""
-        if position < 0 or position > len(self._bits):
-            raise OutOfBoundsError(f"seek position {position} out of range")
-        self._pos = position
-
-    def remaining(self) -> int:
-        """Bits left to read."""
-        return len(self._bits) - self._pos
-
-    def read_bit(self) -> int:
-        """Read one bit."""
-        if self._pos >= len(self._bits):
-            raise OutOfBoundsError("read past end of bit stream")
-        bit = self._bits[self._pos]
-        self._pos += 1
-        return bit
-
-    def read_int(self, width: int) -> int:
-        """Read a ``width``-bit big-endian integer."""
-        if width == 0:
-            return 0
-        if self._pos + width > len(self._bits):
-            raise OutOfBoundsError("read past end of bit stream")
-        chunk = self._bits.slice(self._pos, self._pos + width)
-        self._pos += width
-        return chunk.value
-
-    def read_unary(self) -> int:
-        """Read a unary code; returns the number of leading zeros."""
-        count = 0
-        while self.read_bit() == 0:
-            count += 1
-        return count
-
-    def read_gamma(self) -> int:
-        """Read an Elias gamma code."""
-        width = self.read_unary() + 1
-        if width == 1:
-            return 1
-        return (1 << (width - 1)) | self.read_int(width - 1)
-
-    def read_delta(self) -> int:
-        """Read an Elias delta code."""
-        width = self.read_gamma()
-        if width == 1:
-            return 1
-        return (1 << (width - 1)) | self.read_int(width - 1)
-
-
-# ----------------------------------------------------------------------
-# One-shot helpers
-# ----------------------------------------------------------------------
-def encode_unary(values: Iterable[int]) -> Bits:
-    """Encode an iterable of non-negative integers in unary."""
-    writer = BitWriter()
-    for value in values:
-        writer.write_unary(value)
-    return writer.to_bits()
-
-
-def decode_unary(bits: Bits, count: int) -> List[int]:
-    """Decode ``count`` unary codes from ``bits``."""
-    reader = BitReader(bits)
-    return [reader.read_unary() for _ in range(count)]
-
-
-def encode_gamma(values: Iterable[int]) -> Bits:
-    """Encode an iterable of integers (each >= 1) with Elias gamma codes."""
-    writer = BitWriter()
-    for value in values:
-        writer.write_gamma(value)
-    return writer.to_bits()
-
-
-def decode_gamma(bits: Bits, count: int) -> List[int]:
-    """Decode ``count`` gamma codes from ``bits``."""
-    reader = BitReader(bits)
-    return [reader.read_gamma() for _ in range(count)]
-
-
-def encode_delta(values: Iterable[int]) -> Bits:
-    """Encode an iterable of integers (each >= 1) with Elias delta codes."""
-    writer = BitWriter()
-    for value in values:
-        writer.write_delta(value)
-    return writer.to_bits()
-
-
-def decode_delta(bits: Bits, count: int) -> List[int]:
-    """Decode ``count`` delta codes from ``bits``."""
-    reader = BitReader(bits)
-    return [reader.read_delta() for _ in range(count)]
-
-
-def unary_code_length(value: int) -> int:
-    """Length in bits of the unary code of ``value``."""
-    if value < 0:
-        raise EncodingError("unary code requires a non-negative value")
-    return value + 1
 
 
 def gamma_code_length(value: int) -> int:
@@ -214,14 +34,6 @@ def gamma_code_length(value: int) -> int:
         raise EncodingError("gamma code requires value >= 1")
     width = value.bit_length()
     return 2 * width - 1
-
-
-def delta_code_length(value: int) -> int:
-    """Length in bits of the Elias delta code of ``value`` (>= 1)."""
-    if value < 1:
-        raise EncodingError("delta code requires value >= 1")
-    width = value.bit_length()
-    return gamma_code_length(width) + width - 1
 
 
 def _build_binomial_table(limit: int) -> list:

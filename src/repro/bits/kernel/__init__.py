@@ -252,11 +252,6 @@ def runs_of_value(value: int, length: int):
     return _active.runs_of_value(value, length)
 
 
-def runs_of_words(words: Sequence[int], length: int):
-    """Maximal ``(bit, length)`` runs of a packed word sequence."""
-    return _active.runs_of_words(words, length)
-
-
 def delete_positions_from_runs(
     runs: Sequence[Tuple[int, int]], positions: Sequence[int]
 ):

@@ -332,16 +332,6 @@ def runs_of_value(value: int, length: int) -> List[Tuple[int, int]]:
     return _runs_from_bit_array(_words_to_bit_array(words, length))
 
 
-def runs_of_words(words: Sequence[int], length: int) -> List[Tuple[int, int]]:
-    """The maximal ``(bit, length)`` runs of a packed word sequence, in order.
-
-    Vectorised directly from the word array -- no big-integer round trip.
-    """
-    if length <= 0:
-        return []
-    return _runs_from_bit_array(_words_to_bit_array(words, length))
-
-
 def delete_positions_from_runs(
     runs: Sequence[Tuple[int, int]], positions: Sequence[int]
 ) -> Tuple[List[Tuple[int, int]], List[int]]:

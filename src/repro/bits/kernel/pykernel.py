@@ -68,7 +68,6 @@ __all__ = [
     "one_positions",
     "run_lengths_of_value",
     "runs_of_value",
-    "runs_of_words",
     "delete_positions_from_runs",
     "block_popcounts",
     "prepare_symbols",
@@ -507,18 +506,6 @@ def runs_of_value(value: int, length: int) -> List[Tuple[int, int]]:
         runs.append((bit, run_length))
         bit ^= 1
     return runs
-
-
-def runs_of_words(words: Sequence[int], length: int) -> List[Tuple[int, int]]:
-    """The maximal ``(bit, length)`` runs of a packed word sequence, in order.
-
-    Word-sequence twin of :func:`runs_of_value`, so callers that already hold
-    packed words (bulk RLE construction) never round-trip through a per-bit
-    scan.
-    """
-    if length <= 0:
-        return []
-    return runs_of_value(unpack_value(words, length), length)
 
 
 def delete_positions_from_runs(

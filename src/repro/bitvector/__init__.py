@@ -6,8 +6,6 @@ This package implements every bitvector flavour used in the paper:
   near-O(1) select, used as a baseline and inside other structures;
 * :class:`~repro.bitvector.rrr.RRRBitVector` -- the RRR compressed bitvector of
   Raman, Raman & Rao, ``B(m, n) + o(n)`` bits (paper Section 2);
-* :class:`~repro.bitvector.rle.RLEBitVector` -- static run-length + Elias gamma
-  encoding, as used in practical FID implementations;
 * :class:`~repro.bitvector.sparse.EliasFanoSequence` and
   :class:`~repro.bitvector.sparse.SparseBitVector` -- monotone sequences /
   sparse bitvectors used as partial-sum delimiters;
@@ -20,9 +18,7 @@ This package implements every bitvector flavour used in the paper:
 from repro.bitvector.append_only import AppendOnlyBitVector
 from repro.bitvector.base import BitVector, StaticBitVector
 from repro.bitvector.dynamic import DynamicBitVector
-from repro.bitvector.gap import GapEncodedBitVector
 from repro.bitvector.plain import PlainBitVector
-from repro.bitvector.rle import RLEBitVector
 from repro.bitvector.rrr import IncrementalRRRBuilder, RRRBitVector
 from repro.bitvector.sparse import EliasFanoSequence, SparseBitVector
 
@@ -31,10 +27,8 @@ __all__ = [
     "BitVector",
     "DynamicBitVector",
     "EliasFanoSequence",
-    "GapEncodedBitVector",
     "IncrementalRRRBuilder",
     "PlainBitVector",
-    "RLEBitVector",
     "RRRBitVector",
     "SparseBitVector",
     "StaticBitVector",

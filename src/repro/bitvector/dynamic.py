@@ -20,7 +20,7 @@ Bulk paths (PR 2)
 -----------------
 Construction and bulk appends never go bit by bit: ``extend`` (the amortised
 ``Append`` of the paper) takes the maximal runs from
-:func:`repro.bitvector.rle.runs_of` -- one Python grouping pass over a list,
+:func:`runs_of` -- one Python grouping pass over a list,
 the word-level kernel for a :class:`Bits` payload -- and builds a treap over
 them in O(r) with a right-spine Cartesian construction, then merges it in
 O(log r).
@@ -45,10 +45,44 @@ from repro.bitvector.base import (
     validate_delete_positions,
     validate_select_indexes,
 )
-from repro.bitvector.rle import runs_of
 from repro.exceptions import OutOfBoundsError
 
-__all__ = ["DynamicBitVector"]
+__all__ = ["DynamicBitVector", "runs_of"]
+
+
+def runs_of(bits: Union[Bits, Iterable[int]]) -> List[Tuple[int, int]]:
+    """Return the maximal runs of ``bits`` as a list of ``(bit, length)`` pairs.
+
+    A :class:`Bits` payload goes through the kernel's xor-shift boundary
+    extraction.  Any other iterable is grouped in one Python pass, truthy
+    items counting as 1 as in ``Bits.from_iterable``: on a 2-vCPU Xeon with
+    Python 3.11 that pass beat packing a list into words and decoding the
+    runs back, under both kernel backends, at every size from 1 to 10^6
+    bits -- about 1 us against 5-17 us for 16 bits, the size a batched trie
+    append hands one node.
+    """
+    if isinstance(bits, Bits):
+        return kernel.runs_of_value(bits.value, len(bits))
+    return _group_runs(bits)
+
+
+def _group_runs(items: Iterable[object]) -> List[Tuple[int, int]]:
+    """The maximal runs of the truth values of ``items``, in one pass."""
+    runs: List[Tuple[int, int]] = []
+    previous = -1
+    length = 0
+    for item in items:
+        bit = 1 if item else 0
+        if bit == previous:
+            length += 1
+        else:
+            if length:
+                runs.append((previous, length))
+            previous = bit
+            length = 1
+    if length:
+        runs.append((previous, length))
+    return runs
 
 
 class _RunNode:
@@ -484,7 +518,7 @@ class DynamicBitVector(BitVector):
         """Insert every bit of ``bits``, the first landing at position ``pos``.
 
         Bulk ``Insert``: the payload is decomposed into maximal runs by
-        :func:`~repro.bitvector.rle.runs_of`, the treap is split *once* at
+        :func:`runs_of`, the treap is split *once* at
         ``pos``, a treap over the new runs is bulk-built in O(r_new) with the
         right-spine construction, and the two merges (with boundary
         coalescing) finish in O(log r) -- amortised O(k + r_new + log r) for
@@ -591,7 +625,7 @@ class DynamicBitVector(BitVector):
     def extend(self, bits: Union[Bits, Iterable[int]]) -> None:
         """Append every bit of ``bits`` (bulk ``Append``).
 
-        Never bit by bit down the treap: :func:`~repro.bitvector.rle.runs_of`
+        Never bit by bit down the treap: :func:`runs_of`
         groups a list in one Python pass (truthy values count as 1, as in
         ``Bits.from_iterable``) and decomposes a :class:`Bits` payload with
         the word-level kernel; either way a treap over the new runs is built

@@ -5,7 +5,7 @@ kernel's two-level rank directory -- cumulative popcounts per 8-word
 superblock and per-word popcount bytes -- giving O(1) ``rank`` and O(log n)
 ``select``.  All word-level work is delegated to :mod:`repro.bits.kernel`, so
 no query path ever scans bit by bit.  It is the uncompressed baseline among
-the static trie's node bitvectors (compared with RRR and RLE by
+the static trie's node bitvectors (compared with RRR by
 ``tests/core/test_static_trie.py::TestSpaceAccounting``) and the workhorse
 inside other encodings.
 

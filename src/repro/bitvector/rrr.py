@@ -15,17 +15,17 @@ bitvector (Theorem 4.5).
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.bits import kernel
+from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
 from repro.bits.codes import (
-    BitWriter,
     combinatorial_bit_at,
     combinatorial_prefix_popcount,
     combinatorial_rank,
     combinatorial_unrank,
-    offset_width,
     offset_width_table,
 )
 from repro.bits.kernel import (
@@ -72,7 +72,6 @@ class RRRBitVector(StaticBitVector):
         "_class_list",
         "_offset_words",
         "_offset_len",
-        "_offset_starts",
         "_sample_rank",
         "_sample_offset_pos",
         "_ones",
@@ -121,18 +120,6 @@ class RRRBitVector(StaticBitVector):
             raise ValueError("block_size must be between 1 and 63")
         if sample_rate < 1:
             raise ValueError("sample_rate must be positive")
-        self._length = length
-        self._block_size = block_size
-        self._sample_rate = sample_rate
-        # Per-class offset widths: the pure-Python stand-in for the
-        # four-Russians tables, kept per instance for hot-path list lookups.
-        self._width_by_class = offset_width_table(block_size)
-
-        writer = BitWriter()
-        sample_rank: List[int] = []
-        sample_offset_pos: List[int] = []
-        ones_so_far = 0
-
         # Bulk class computation through the kernel backend (one
         # unpackbits + reduceat pass under numpy); the per-block offset
         # encode below then only extracts blocks that carry an offset, so
@@ -140,12 +127,9 @@ class RRRBitVector(StaticBitVector):
         classes = kernel.as_int_list(
             kernel.block_popcounts(words, length, block_size)
         )
-        widths = self._width_by_class
+        widths = offset_width_table(block_size)
+        offsets = BitBuffer()
         for block_index, cls in enumerate(classes):
-            if block_index % sample_rate == 0:
-                sample_rank.append(ones_so_far)
-                sample_offset_pos.append(len(writer))
-            ones_so_far += cls
             off_w = widths[cls]
             if off_w:
                 start = block_index * block_size
@@ -156,23 +140,46 @@ class RRRBitVector(StaticBitVector):
                 value = extract_bits_value(words, start, stop) << (
                     block_size - (stop - start)
                 )
-                writer.write_int(
+                offsets.append_int(
                     combinatorial_rank(value, block_size, cls), off_w
                 )
+        self._set_blocks(length, block_size, sample_rate, classes, offsets)
+
+    def _set_blocks(
+        self,
+        length: int,
+        block_size: int,
+        sample_rate: int,
+        classes: List[int],
+        offsets: BitBuffer,
+    ) -> None:
+        """Take the per-block classes and the offset stream of a build and
+        sample the directories from the classes: O(blocks), no block encoded
+        or decoded.  Both builds end here, the one-shot one and
+        :class:`IncrementalRRRBuilder`'s."""
+        self._length = length
+        self._block_size = block_size
+        self._sample_rate = sample_rate
+        # Per-class offset widths: the pure-Python stand-in for the
+        # four-Russians tables, kept per instance for hot-path list lookups.
+        self._width_by_class = widths = offset_width_table(block_size)
+        blocks = len(classes)
+        ones_before = list(accumulate(classes, initial=0))
+        offset_before = list(
+            accumulate(map(widths.__getitem__, classes), initial=0)
+        )
         # Flat per-block classes: block walks index the list directly (all
         # class values are CPython-cached small ints, so this costs one
         # pointer per block); the space accounting still charges the packed
         # width, see _classes_bits.
         self._class_list = classes
-        offsets = writer.to_bits()
-        # The offset stream is also kept word-packed: per-query decodes slice
-        # two words in O(1) instead of shifting one huge big-int payload.
-        self._offset_words = pack_value(offsets.value, len(offsets))
+        # The offset stream is kept word-packed: per-query decodes slice two
+        # words in O(1) instead of shifting one huge big-int payload.
+        self._offset_words = offsets.words()
         self._offset_len = len(offsets)
-        self._sample_rank = sample_rank
-        self._sample_offset_pos = sample_offset_pos
-        self._ones = ones_so_far
-        self._offset_starts = None  # computed lazily only for repr/debug
+        self._sample_rank = ones_before[0:blocks:sample_rate]
+        self._sample_offset_pos = offset_before[0:blocks:sample_rate]
+        self._ones = ones_before[-1]
         self._batch_handle = None
         self._batch_backend = None
 
@@ -269,7 +276,6 @@ class RRRBitVector(StaticBitVector):
                 f"{self._offset_len} offset bits, its sections hold {ones} "
                 f"and {offset_len}"
             )
-        self._offset_starts = None
         self._batch_handle = None
         self._batch_backend = None
         return self
@@ -622,49 +628,6 @@ class RRRBitVector(StaticBitVector):
         )
 
     # ------------------------------------------------------------------
-    @classmethod
-    def _from_block_stream(
-        cls,
-        length: int,
-        block_size: int,
-        sample_rate: int,
-        classes: List[int],
-        offsets: Bits,
-    ) -> "RRRBitVector":
-        """Assemble an instance from pre-encoded per-block classes + offsets.
-
-        Used by :class:`IncrementalRRRBuilder` to finish a de-amortised
-        construction: the expensive combinatorial encoding already happened
-        block by block, so only the O(n_blocks) sampled directories remain.
-        """
-        self = cls.__new__(cls)
-        self._length = length
-        self._block_size = block_size
-        self._sample_rate = sample_rate
-        self._width_by_class = offset_width_table(block_size)
-        sample_rank: List[int] = []
-        sample_offset_pos: List[int] = []
-        ones_so_far = 0
-        offset_pos = 0
-        widths = self._width_by_class
-        for block_index, block_class in enumerate(classes):
-            if block_index % sample_rate == 0:
-                sample_rank.append(ones_so_far)
-                sample_offset_pos.append(offset_pos)
-            ones_so_far += block_class
-            offset_pos += widths[block_class]
-        self._class_list = list(classes)
-        self._offset_words = pack_value(offsets.value, len(offsets))
-        self._offset_len = len(offsets)
-        self._sample_rank = sample_rank
-        self._sample_offset_pos = sample_offset_pos
-        self._ones = ones_so_far
-        self._offset_starts = None
-        self._batch_handle = None
-        self._batch_backend = None
-        return self
-
-    # ------------------------------------------------------------------
     def _classes_bits(self) -> int:
         """Size the class array is charged at: packed width, word-rounded."""
         width = max(1, self._block_size.bit_length())
@@ -709,7 +672,7 @@ class IncrementalRRRBuilder:
         "_sample_rate",
         "_cursor",
         "_classes",
-        "_writer",
+        "_offsets",
         "_width_by_class",
     )
 
@@ -728,7 +691,7 @@ class IncrementalRRRBuilder:
         self._sample_rate = sample_rate
         self._cursor = 0
         self._classes: List[int] = []
-        self._writer = BitWriter()
+        self._offsets = BitBuffer()
         self._width_by_class = offset_width_table(block_size)
 
     @property
@@ -764,7 +727,7 @@ class IncrementalRRRBuilder:
             self._classes.append(block_class)
             offset_width = widths[block_class]
             if offset_width:
-                self._writer.write_int(
+                self._offsets.append_int(
                     combinatorial_rank(value, block_size, block_class),
                     offset_width,
                 )
@@ -776,10 +739,12 @@ class IncrementalRRRBuilder:
         """Encode any remaining blocks and assemble the static block."""
         while not self.done:
             self.encode_blocks(64)
-        return RRRBitVector._from_block_stream(
+        vector = RRRBitVector.__new__(RRRBitVector)
+        vector._set_blocks(
             self.length,
             self._block_size,
             self._sample_rate,
             self._classes,
-            self._writer.to_bits(),
+            self._offsets,
         )
+        return vector

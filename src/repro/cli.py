@@ -659,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument(
         "--bitvector",
-        choices=["rrr", "plain", "rle"],
+        choices=["rrr", "plain"],
         default="rrr",
         help="node bitvector for the static variant (default: rrr)",
     )

@@ -348,7 +348,7 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
 
         Out-of-range indexes raise the canonical error of
         :func:`~repro.core.interface.check_select_prefix_index`, shared with
-        the baselines.
+        the oracle.
         """
         located = self._prefix_node(prefix)
         if located is None:

@@ -3,9 +3,9 @@
 This is the problem statement of the paper's introduction: a sequence
 ``S = <s_0, ..., s_{n-1}>`` supporting random access, counting and searching,
 both exact and by prefix, and optionally updates.  Every implementation in
-this package -- the three Wavelet Trie variants and the related-work
-baselines -- implements this interface, which is what lets the differential
-tests compare them uniformly.
+this package -- the Wavelet Trie variants and the uncompressed oracle
+:class:`~repro.baselines.naive.NaiveIndexedSequence` -- implements this
+interface, which is what lets the differential tests compare them uniformly.
 
 Positions, ranks and indices are 0-based throughout:
 
@@ -45,7 +45,7 @@ def check_select_prefix_index(prefix: Any, idx: int, matches: int) -> None:
 
     Raises the **canonical** out-of-range error -- one exception type
     (:class:`OutOfBoundsError`) and one message format, shared by every
-    implementation (Wavelet Tries, succinct layout, baselines) so the
+    implementation (the Wavelet Tries and the oracle) so the
     differential tests can assert them byte-for-byte.
     """
     if not 0 <= idx < matches:

@@ -44,7 +44,6 @@ from repro.bits.kernel import SMALL_BATCH
 from repro.bits.packed import PackedIntVector
 from repro.bitvector.base import batch_min_max, normalize_batch
 from repro.bitvector.plain import PlainBitVector
-from repro.bitvector.rle import RLEBitVector
 from repro.bitvector.rrr import RRRBitVector
 from repro.bitvector.window import BitvectorWindow
 from repro.core.base import WaveletTrieBase
@@ -64,7 +63,6 @@ __all__ = ["BITVECTOR_KINDS", "WaveletTrie", "check_preorder_tree", "flags_of_wo
 BITVECTOR_KINDS = {
     "rrr": RRRBitVector,
     "plain": PlainBitVector,
-    "rle": RLEBitVector,
 }
 
 #: Items from which :meth:`WaveletTrie.rank_each` descends on numpy arrays
@@ -221,7 +219,7 @@ class WaveletTrie(WaveletTrieBase):
         Binarisation codec (defaults to UTF-8 + NUL terminator).
     bitvector:
         Which static bitvector to store in the internal nodes: ``"rrr"``
-        (default, the paper's choice), ``"plain"`` or ``"rle"``.
+        (default, the paper's choice) or ``"plain"``.
 
     Examples
     --------

@@ -1,9 +1,9 @@
 """A searchable document store over the FM-index.
 
-The documents are concatenated with NUL separators -- the same layout as the
-:class:`~repro.baselines.text_collection.TextCollectionSequence` baseline --
-and the concatenation is indexed by an :class:`~repro.text.fm_index.FMIndex`,
-with a sparse bitvector marking where each document starts.  Substring
+The documents are concatenated with NUL separators, the text-collection
+layout the paper's introduction names as related work, and the
+concatenation is indexed by an :class:`~repro.text.fm_index.FMIndex`, with
+a sparse bitvector marking where each document starts.  Substring
 queries run over the whole collection at once (backward search never scans a
 document), and the starts bitvector maps every matched text position back to
 its ``(document, offset)`` pair: patterns cannot contain the separator, so a

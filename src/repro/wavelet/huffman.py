@@ -5,7 +5,7 @@ is a special case of the Wavelet Trie obtained by mapping each symbol to its
 Huffman code.  This module provides the canonical-code construction and
 exactly that trie: :class:`HuffmanWaveletTree` is the static
 :class:`~repro.core.static.WaveletTrie` over a :class:`HuffmanCodec`, the
-BWT store of the FM-index and the text-collection baseline.  Frequent
+BWT store of the FM-index.  Frequent
 symbols sit near the root, so the expected query depth is ``H0 + 1``
 instead of ``log sigma``.
 

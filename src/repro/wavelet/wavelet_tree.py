@@ -12,7 +12,7 @@ and every query comes from the trie; symbols absent from the sequence have
 no leaf, so their halvings fold into labels.  The codes keep the symbols'
 order, so the leaves hold the present symbols ascending and every subtree a
 contiguous run of them.  Beyond the three primitives the tree supports the
-classic two-dimensional operations used by the alphabet-mapping baseline:
+classic two-dimensional operations over integer sequences:
 ``range_count`` (how many positions in ``[l, r)`` hold a symbol in ``[lo,
 hi)``) and ``quantile`` (the k-th smallest symbol in a position range).
 """

@@ -1,8 +1,11 @@
 """Tests for the mutable BitBuffer."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
 from repro.exceptions import OutOfBoundsError
@@ -99,3 +102,63 @@ class TestQueries:
         assert buffer.ones == sum(bits)
         for pos in range(0, len(bits) + 1, max(1, len(bits) // 7)):
             assert buffer.rank(1, pos) == sum(bits[:pos])
+
+
+@pytest.fixture(params=kernel.available_backends())
+def backend(request):
+    previous = kernel.use_backend(request.param)
+    yield request.param
+    kernel.use_backend(previous)
+
+
+def words_of(text):
+    """The packed words of a ``0``/``1`` string: 64 bits each, MSB-first,
+    the last word padded with zeros."""
+    return [int(text[i : i + 64].ljust(64, "0"), 2) for i in range(0, len(text), 64)]
+
+
+class TestAppendInt:
+    """``append_int`` writes the RRR offset stream, so every width must
+    land at every fill of the partial word: the head tops up the spill
+    word, whole words of the body go through the kernel, the rest spills."""
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 31, 32, 33, 63, 64, 65, 100, 128, 130])
+    def test_matches_the_binary_string(self, backend, width):
+        rng = random.Random(width)
+        for lead in range(0, 64, 3):
+            prefix = [rng.getrandbits(1) for _ in range(lead)]
+            buffer = BitBuffer(prefix)
+            text = "".join(map(str, prefix))
+            for value in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(6)]:
+                buffer.append_int(value, width)
+                text += format(value, f"0{width}b")
+            assert buffer.to_bits().to01() == text
+            assert len(buffer) == len(text)
+            assert buffer.ones == text.count("1")
+            assert buffer.words() == words_of(text)
+            assert buffer.full_words == words_of(text)[: len(text) // 64]
+
+    @pytest.mark.parametrize(
+        "value, width", [(-1, 4), (16, 4), (1, 0), (1 << 64, 64), (0, -1)]
+    )
+    def test_rejects_a_value_wider_than_its_width(self, value, width):
+        buffer = BitBuffer([1, 0, 1])
+        with pytest.raises(ValueError, match="does not fit"):
+            buffer.append_int(value, width)
+        assert buffer.to_bits().to01() == "101"
+        assert buffer.ones == 2
+
+    def test_zero_width_appends_nothing(self):
+        buffer = BitBuffer([1] * 70)
+        buffer.append_int(0, 0)
+        assert len(buffer) == 70
+        assert buffer.words() == words_of("1" * 70)
+
+    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=300))
+    def test_words_pad_the_last_word_with_zeros(self, bits):
+        buffer = BitBuffer(bits)
+        text = "".join(map(str, bits))
+        assert buffer.words() == words_of(text)
+        assert buffer.words() == kernel.as_int_list(
+            kernel.pack_value(buffer.to_bits().value, len(buffer))
+        )

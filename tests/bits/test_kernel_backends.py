@@ -95,14 +95,11 @@ def test_directories_agree(length):
 @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
 def test_runs_agree(length):
     for value, n in payloads(length):
-        words = pykernel.pack_value(value, n)
         assert norm(both("run_lengths_of_value", value, n)[0]) == norm(
             both("run_lengths_of_value", value, n)[1]
         )
         py_runs, np_runs = both("runs_of_value", value, n)
         assert py_runs == np_runs
-        py_wruns, np_wruns = both("runs_of_words", words, n)
-        assert py_wruns == np_wruns == py_runs
 
 
 @requires_numpy
@@ -313,11 +310,7 @@ def test_every_structure_accepts_ndarray_batches():
     crash the non-plain select_many implementations on `if not indexes`)."""
     import numpy as np
 
-    from repro.bitvector import (
-        PlainBitVector,
-        RLEBitVector,
-        RRRBitVector,
-    )
+    from repro.bitvector import PlainBitVector, RRRBitVector
     from repro.wavelet.wavelet_tree import WaveletTree
 
     rng = random.Random(11)
@@ -325,7 +318,7 @@ def test_every_structure_accepts_ndarray_batches():
     ones = sum(bits)
     idx_arr = np.arange(0, ones, 7, dtype=np.int64)
     pos_arr = np.arange(0, 2000, 13, dtype=np.int64)
-    for factory in (PlainBitVector, RRRBitVector, RLEBitVector):
+    for factory in (PlainBitVector, RRRBitVector):
         vector = factory(bits)
         expected = vector.select_many(1, idx_arr.tolist())
         got = kernel.as_int_list(vector.select_many(1, idx_arr))

@@ -12,20 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bitvector.append_only import AppendOnlyBitVector
 from repro.bitvector.dynamic import DynamicBitVector
-from repro.bitvector.gap import GapEncodedBitVector
 from repro.bitvector.plain import PlainBitVector
-from repro.bitvector.rle import RLEBitVector
 from repro.bitvector.rrr import RRRBitVector
+from repro.bitvector.sparse import SparseBitVector
 from repro.exceptions import OutOfBoundsError
 
 ENCODINGS = [
     PlainBitVector,
     RRRBitVector,
-    RLEBitVector,
-    GapEncodedBitVector,
+    SparseBitVector.from_bits,
     DynamicBitVector,
     AppendOnlyBitVector,
 ]
+ENCODING_IDS = [encoding.__qualname__ for encoding in ENCODINGS]
 
 
 def oracle_positions(bits, bit):
@@ -47,7 +46,7 @@ def bits_and_queries(draw):
 
 
 class TestSelectManyMatchesScalar:
-    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("encoding", ENCODINGS, ids=ENCODING_IDS)
     @given(data=bits_and_queries())
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_and_oracle(self, encoding, data):
@@ -58,7 +57,7 @@ class TestSelectManyMatchesScalar:
         assert vector.select_many(bit, indexes) == expected
         assert [vector.select(bit, idx) for idx in indexes] == expected
 
-    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("encoding", ENCODINGS, ids=ENCODING_IDS)
     def test_unsorted_and_duplicate_indexes_keep_input_order(self, encoding):
         bits = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1] * 13
         vector = encoding(bits)
@@ -66,12 +65,12 @@ class TestSelectManyMatchesScalar:
         positions = oracle_positions(bits, 1)
         assert vector.select_many(1, indexes) == [positions[i] for i in indexes]
 
-    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("encoding", ENCODINGS, ids=ENCODING_IDS)
     def test_empty_batch(self, encoding):
         vector = encoding([1, 0, 1])
         assert vector.select_many(1, []) == []
 
-    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("encoding", ENCODINGS, ids=ENCODING_IDS)
     def test_out_of_range_raises(self, encoding):
         vector = encoding([1, 0, 1])
         with pytest.raises(OutOfBoundsError):

@@ -17,8 +17,9 @@ import pytest
 from repro.bits.bitstring import Bits
 from repro.bits.kernel import as_int_list
 from repro.bitvector import (
+    AppendOnlyBitVector,
+    DynamicBitVector,
     PlainBitVector,
-    RLEBitVector,
     RRRBitVector,
     SparseBitVector,
 )
@@ -28,8 +29,11 @@ from repro.wavelet.wavelet_tree import WaveletTree
 FACTORIES = {
     "plain": PlainBitVector,
     "rrr": RRRBitVector,
-    "rle": RLEBitVector,
     "sparse": SparseBitVector.from_bits,
+    # The growable kinds: runs in a treap (RLE+gamma), and frozen RRR blocks
+    # plus a tail (64-bit blocks, so every length past 64 freezes some).
+    "dynamic": DynamicBitVector,
+    "append_only": lambda bits: AppendOnlyBitVector(bits, block_size=64),
 }
 
 
@@ -122,7 +126,7 @@ def test_degenerate_patterns(name):
 
 
 class TestWaveletTreeBatch:
-    @pytest.mark.parametrize("kind", ["plain", "rrr", "rle"])
+    @pytest.mark.parametrize("kind", ["plain", "rrr"])
     def test_access_many_and_rank_many(self, kind):
         rng = random.Random(31)
         data = [rng.randint(0, 40) for _ in range(600)]

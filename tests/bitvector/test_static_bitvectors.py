@@ -1,8 +1,9 @@
-"""Tests for the static bitvectors: plain, RRR, RLE, sparse/Elias-Fano.
+"""Tests for the static bitvectors: plain, RRR, sparse/Elias-Fano.
 
 All implementations are checked against the same Python-list oracle on random,
 bursty and degenerate inputs, plus encoding-specific checks (RRR compression
-against B(m, n), RLE run recovery, Elias-Fano monotone access).
+against B(m, n), the run extraction of the dynamic RLE bitvector,
+Elias-Fano monotone access).
 """
 
 import math
@@ -17,17 +18,16 @@ from repro.bits.bitstring import Bits
 from repro.bitvector import (
     EliasFanoSequence,
     PlainBitVector,
-    RLEBitVector,
     RRRBitVector,
     SparseBitVector,
 )
-from repro.bitvector.rle import runs_of
+from repro.bitvector.dynamic import runs_of
 from repro.exceptions import OutOfBoundsError
 
 from tests.conftest import reference_rank, reference_select
 
-STATIC_CLASSES = [PlainBitVector, RRRBitVector, RLEBitVector, SparseBitVector.from_bits]
-STATIC_IDS = ["plain", "rrr", "rle", "sparse"]
+STATIC_CLASSES = [PlainBitVector, RRRBitVector, SparseBitVector.from_bits]
+STATIC_IDS = ["plain", "rrr", "sparse"]
 
 
 def build(factory, bits):
@@ -115,7 +115,7 @@ class TestAgainstOracle:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=1), max_size=300))
     def test_property_rank_select_consistency(self, bits):
-        for factory in (PlainBitVector, RRRBitVector, RLEBitVector):
+        for factory in (PlainBitVector, RRRBitVector):
             vector = factory(bits)
             assert vector.to_list() == bits
             for idx in range(sum(bits)):
@@ -167,6 +167,9 @@ def backend(request):
 
 
 class TestRLESpecifics:
+    """``runs_of``, the run extraction behind the dynamic RLE bitvector's
+    bulk ``extend`` and ``insert_many``."""
+
     def test_runs_of(self):
         assert runs_of([1, 1, 0, 0, 0, 1]) == [(1, 2), (0, 3), (1, 1)]
         assert runs_of([]) == []
@@ -189,21 +192,6 @@ class TestRLESpecifics:
         for _ in range(200):
             items = rng.choices(odd, k=rng.randint(0, 40))
             assert runs_of(items) == runs_of(Bits.from_iterable(items)), items
-
-    def test_run_count_and_runs_roundtrip(self, bursty_bits):
-        vector = RLEBitVector(bursty_bits)
-        expected = runs_of(bursty_bits)
-        assert vector.run_count == len(expected)
-        assert list(vector.runs()) == expected
-
-    def test_from_runs(self):
-        vector = RLEBitVector.from_runs([(0, 5), (1, 3), (0, 2)])
-        assert vector.to_list() == [0] * 5 + [1] * 3 + [0] * 2
-
-    def test_rle_compresses_runs(self, bursty_bits):
-        rle = RLEBitVector(bursty_bits)
-        plain = PlainBitVector(bursty_bits)
-        assert rle.payload_bits() < plain.payload_bits()
 
 
 class TestEliasFano:

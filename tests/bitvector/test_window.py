@@ -11,12 +11,11 @@ import pytest
 
 from repro.bits import kernel
 from repro.bitvector.plain import PlainBitVector
-from repro.bitvector.rle import RLEBitVector
 from repro.bitvector.rrr import RRRBitVector
 from repro.bitvector.window import BitvectorWindow
 from repro.exceptions import OutOfBoundsError
 
-KINDS = [RRRBitVector, PlainBitVector, RLEBitVector]
+KINDS = [RRRBitVector, PlainBitVector]
 LENGTHS = [1, 5, 63, 64, 200, 1, 700, 33]
 
 

@@ -60,12 +60,23 @@ class TestBuild:
         assert index.to_list() == url_log[:200]
 
     def test_build_static_bitvector_choice(self, tmp_path, log_file):
-        out_path = tmp_path / "static-rle.wt"
+        out_path = tmp_path / "static-plain.wt"
         code = main(
-            ["build", str(log_file), "-o", str(out_path), "--variant", "static", "--bitvector", "rle"]
+            ["build", str(log_file), "-o", str(out_path), "--variant", "static", "--bitvector", "plain"]
         )
         assert code == 0
-        assert load(out_path).bitvector_kind == "rle"
+        assert load(out_path).bitvector_kind == "plain"
+
+    def test_build_rejects_the_rle_bitvector(self, tmp_path, log_file, capsys):
+        """``--bitvector`` offers only the kinds a static trie has."""
+        out_path = tmp_path / "static-rle.wt"
+        with pytest.raises(SystemExit) as exited:
+            main(
+                ["build", str(log_file), "-o", str(out_path), "--variant", "static", "--bitvector", "rle"]
+            )
+        assert exited.value.code == 2
+        assert "invalid choice: 'rle'" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_build_missing_input(self, tmp_path, capsys):
         code = main(["build", str(tmp_path / "nope.log"), "-o", str(tmp_path / "x.wt")])
@@ -454,34 +465,6 @@ class TestSearchCommands:
         save(load(search_index), copy)
         payload = run_json(capsys, ["search", "count", str(copy), "lazy"])
         assert payload["results"] == [{"pattern": "lazy", "count": 1}]
-
-
-class TestRleIndex:
-    def test_rle_static_index_round_trips(self, tmp_path, log_file, url_log, capsys):
-        """A static trie over RLE node bitvectors is saved and opened like
-        every other index."""
-        rle_path = tmp_path / "rle.wt"
-        assert (
-            main(
-                [
-                    "build",
-                    str(log_file),
-                    "-o",
-                    str(rle_path),
-                    "--variant",
-                    "static",
-                    "--bitvector",
-                    "rle",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        index = load(rle_path)
-        assert index.bitvector_kind == "rle"
-        assert index.to_list() == url_log[:200]
-        payload = run_json(capsys, ["rank", str(rle_path), url_log[0]])
-        assert payload["count"] == url_log[:200].count(url_log[0])
 
 
 class TestServeReusedImageDir:

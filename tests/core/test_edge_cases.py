@@ -167,7 +167,7 @@ class TestStaticSpecific:
 
     def test_succinct_breakdown_consistent_across_kinds(self, url_log):
         values = url_log[:150]
-        for kind in ("rrr", "plain", "rle"):
+        for kind in ("rrr", "plain"):
             trie = WaveletTrie(values, bitvector=kind)
             breakdown = trie.succinct_space_breakdown()
             assert breakdown["total"] == sum(

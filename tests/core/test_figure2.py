@@ -70,7 +70,7 @@ class TestFigure2Structure:
         assert trie.distinct_count() == 4
         assert trie.node_count() == 7
 
-    @pytest.mark.parametrize("bitvector", ["rrr", "plain", "rle"])
+    @pytest.mark.parametrize("bitvector", ["rrr", "plain"])
     def test_queries_on_figure_sequence(self, bitvector):
         trie = build(bitvector)
         encoded = [Bits.from_string(s) for s in SEQUENCE]

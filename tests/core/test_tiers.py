@@ -78,7 +78,7 @@ class TestConversions:
             expected = values + ["http://late.example/write"]
             assert static_form(trie).to_list() == expected
 
-    @pytest.mark.parametrize("kind", ["plain", "rle"])
+    @pytest.mark.parametrize("kind", ["plain"])
     def test_other_node_bitvectors_share_the_rrr_components(self, kind, url_log):
         """Only the node vector's encoding depends on the kind: the
         topology, labels and window delimiters are the RRR build's."""

@@ -4,6 +4,7 @@ the ``serve`` CLI command, and lifecycle edges."""
 import asyncio
 import json
 import os
+import pathlib
 import signal
 import socket
 import subprocess
@@ -227,19 +228,20 @@ class TestServeCli:
         data = tmp_path / "data.txt"
         data.write_text("app/a\napp/b\nb\n")
         index = str(tmp_path / "data.wt")
-        env = {**os.environ, "PYTHONPATH": "src"}
+        root = pathlib.Path(__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
         subprocess.run(
             [
                 sys.executable, "-m", "repro.cli", "build", str(data),
                 "-o", index, "--variant", "tiered",
             ],
-            env=env, check=True, capture_output=True, cwd="/root/repo",
+            env=env, check=True, capture_output=True, cwd=root,
         )
         sock = str(tmp_path / "serve.sock")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", index, "--socket", sock],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            cwd="/root/repo",
+            cwd=root,
         )
         try:
             deadline = time.monotonic() + 20
@@ -247,8 +249,18 @@ class TestServeCli:
                 assert time.monotonic() < deadline, proc.stderr
                 assert proc.poll() is None, proc.communicate()
                 time.sleep(0.02)
-            with socket.socket(socket.AF_UNIX) as conn:
-                conn.connect(sock)
+            while True:
+                conn = socket.socket(socket.AF_UNIX)
+                try:
+                    conn.connect(sock)
+                    break
+                except ConnectionRefusedError:
+                    # bind() makes the file before listen(): not ready yet.
+                    conn.close()
+                    assert time.monotonic() < deadline, proc.stderr
+                    assert proc.poll() is None, proc.communicate()
+                    time.sleep(0.02)
+            with conn:
                 conn.sendall(b'{"op":"rank_prefix","prefix":"app/","pos":3,"id":1}\n')
                 line = conn.makefile().readline()
             payload = json.loads(line)

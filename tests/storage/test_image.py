@@ -145,12 +145,6 @@ class TestTrieRoundTrip:
         for loaded in (open_image(path, verify=True), load(path), loads(path.read_bytes())):
             assert_trie_equal(loaded, values)
 
-    def test_rle_trie_round_trips(self, backend, url_log):
-        values = url_log[:40]
-        loaded = loads_image(dumps_image(WaveletTrie(values, bitvector="rle")), verify=True)
-        assert loaded.bitvector_kind == "rle"
-        assert_trie_equal(loaded, values)
-
     def test_loaded_static_trie_is_immutable(self, backend, url_log):
         loaded = loads_image(dumps_image(WaveletTrie(url_log[:40])))
         from repro.exceptions import ImmutableStructureError

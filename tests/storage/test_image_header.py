@@ -145,7 +145,6 @@ def _store():
 IMAGES = {
     "rrr": lambda: WaveletTrie(VALUES, bitvector="rrr"),
     "plain": lambda: WaveletTrie(VALUES, bitvector="plain"),
-    "rle": lambda: WaveletTrie(VALUES, bitvector="rle"),
     "append_only": lambda: AppendOnlyWaveletTrie(VALUES),
     "dynamic": lambda: DynamicWaveletTrie(VALUES),
     "tiered": _tiered,
@@ -436,6 +435,30 @@ class TestBitvectorMeta:
     def test_the_shared_block_size_must_match_its_block_count(self, block_size):
         with pytest.raises(SerializationError, match="block classes"):
             loads_image(_with_shared_meta("block_size", block_size))
+
+
+# Images that name a node-bitvector kind, and the meta that holds it.
+KIND_HOLDERS = {
+    "static_trie": (lambda: WaveletTrie(VALUES), lambda meta: meta["trie"]),
+    "huffman_tree": (lambda: HuffmanWaveletTree([3, 1, 4, 1, 5, 9, 2, 6] * 9), lambda meta: meta),
+    "fm_index": (lambda: FMIndex("abracadabra banana " * 9), lambda meta: meta["bwt"]),
+}
+
+
+class TestNodeBitvectorKind:
+    @pytest.mark.parametrize("image_type", sorted(KIND_HOLDERS))
+    def test_an_unknown_kind_is_rejected_at_open(self, tmp_path, image_type):
+        """A static trie image names its node-bitvector kind, and so do the
+        Huffman tree and the FM-index's BWT, which open through the static
+        trie's loader.  A kind with no bitvector class, such as ``rle``, is
+        refused before any section is read as a bitvector."""
+        make, holder = KIND_HOLDERS[image_type]
+        header, body = _split(dumps_image(make()))
+        holder(header["meta"])["kind"] = "rle"
+        path = tmp_path / "rle.rwt2"
+        path.write_bytes(_join(header, body))
+        with pytest.raises(SerializationError, match="node-bitvector kind 'rle'"):
+            open_image(path)
 
 
 def _layout(rows):

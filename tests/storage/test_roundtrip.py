@@ -65,7 +65,7 @@ class TestTrieRoundtrip:
         assert restored.to_list() == values
         assert restored.rank("héllo", 5) == 3
 
-    @pytest.mark.parametrize("kind", ["rrr", "plain", "rle"])
+    @pytest.mark.parametrize("kind", ["rrr", "plain"])
     def test_static_bitvector_kinds(self, kind, url_log):
         values = url_log[:120]
         original = WaveletTrie(values, bitvector=kind)

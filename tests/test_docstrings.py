@@ -6,7 +6,9 @@ any module also fails this gate.  Also enforces the kernel backend contract:
 every public kernel function must exist in *both* backend modules and appear
 in the contract table of docs/ARCHITECTURE.md.  And every class name,
 ``.py`` path, dotted ``repro.`` name and ``BENCH.json`` row that README.md,
-docs/API.md and docs/ARCHITECTURE.md cite must exist.
+docs/API.md and docs/ARCHITECTURE.md cite must exist, as must every dotted
+``repro.`` name PAPERS.md cites and every ``repro.`` cross-reference in a
+docstring.
 """
 
 import builtins
@@ -343,18 +345,36 @@ def _resolves(dotted):
     return False
 
 
+# PAPERS.md points at the modules that implement each related paper.
+DOTTED_NAME_DOCUMENTS = DOCUMENTS + ("PAPERS.md",)
+
+
 def test_backticked_repro_names_resolve():
-    """A backticked span that starts with a dotted ``repro.`` name
-    (```repro.core.tiers```, ```repro.bits.kernel.SMALL_BATCH```) must
-    resolve to a module or an attribute, so a renamed or deleted one cannot
-    stay in the docs."""
+    """A dotted ``repro.`` name anywhere in a backticked span
+    (```repro.core.tiers```, ```~repro.bits.kernel.SMALL_BATCH```,
+    ```python -m repro.cli```) must resolve to a module or an attribute,
+    so a renamed or deleted one cannot stay in the docs or in PAPERS.md."""
     missing = set()
-    for document in DOCUMENTS:
+    for document in DOTTED_NAME_DOCUMENTS:
         text = (REPO_ROOT / document).read_text(encoding="utf-8")
-        for dotted in re.findall(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)", text):
-            if not _resolves(dotted):
-                missing.add(f"{document}: {dotted}")
+        for span in re.findall(r"`([^`]+)`", text):
+            for dotted in re.findall(r"(?<![\w.])(repro(?:\.[A-Za-z_]\w*)+)", span):
+                if not _resolves(dotted):
+                    missing.add(f"{document}: {dotted}")
     assert not missing, f"docs cite repro names that do not resolve: {sorted(missing)}"
+
+
+def test_docstring_cross_references_resolve():
+    """A Sphinx cross-reference to a dotted ``repro.`` name in the source
+    (``:class:`~repro.bitvector.rrr.RRRBitVector```, ``:mod:`repro.bits.kernel```)
+    must resolve too, so a docstring cannot point at a deleted module."""
+    missing = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for dotted in re.findall(r":[a-z]+:`~?(repro(?:\.[A-Za-z_]\w*)+)`", text):
+            if not _resolves(dotted):
+                missing.add(f"{path.relative_to(REPO_ROOT)}: {dotted}")
+    assert not missing, f"docstrings cite repro names that do not resolve: {sorted(missing)}"
 
 
 def test_cited_bench_rows_exist():
