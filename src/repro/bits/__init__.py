@@ -22,7 +22,7 @@ word-level primitives behind a documented backend contract:
 * **Packing**: payloads move between big integers, iterables and left-aligned
   64-bit word lists in O(n / 8) via ``int.to_bytes``/``struct`` -- never by
   repeated big-integer shifts (:func:`~repro.bits.kernel.pack_value`,
-  :func:`~repro.bits.kernel.pack_iterable`).
+  :func:`~repro.bits.kernel.pack_bits`).
 * **In-word queries**: ``select`` inside a word descends by ``bit_count``
   halves and finishes in one lookup of a precomputed 256-entry table
   (:func:`~repro.bits.kernel.select_in_word`); ranks use a single shifted
@@ -34,7 +34,7 @@ word-level primitives behind a documented backend contract:
 * **Sequential decoding**: :func:`~repro.bits.kernel.broadword_iter_words`
   and :func:`~repro.bits.kernel.iter_word_bits` emit eight bits per step from
   a byte-decode table; :func:`~repro.bits.kernel.one_positions` and
-  :func:`~repro.bits.kernel.run_lengths_of_value` bulk-extract set-bit
+  :func:`~repro.bits.kernel.runs_of_value` bulk-extract set-bit
   positions and maximal runs word-parallel.
 
 Every bitvector encoding, the Wavelet Tree and the Wavelet Trie route their

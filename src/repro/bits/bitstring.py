@@ -16,7 +16,7 @@ read left-to-right exactly as they are written in the paper:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator
 
 from repro.bits.kernel import pack_bits, unpack_value
 from repro.exceptions import OutOfBoundsError
@@ -192,10 +192,6 @@ class Bits:
             return ""
         return format(self._value, f"0{self._length}b")
 
-    def to_tuple(self) -> Tuple[int, ...]:
-        """Render as a tuple of integers."""
-        return tuple(self)
-
     def to_bytes(self) -> bytes:
         """Render as bytes; the length must be a multiple of 8."""
         if self._length % 8:
@@ -253,10 +249,6 @@ class Bits:
         if diff == 0:
             return common
         return common - diff.bit_length()
-
-    def bit_at(self, index: int) -> int:
-        """Alias of ``self[index]`` for readability in algorithmic code."""
-        return self[index]
 
     def appended(self, bit: int) -> "Bits":
         """Return a new value with ``bit`` appended at the end."""

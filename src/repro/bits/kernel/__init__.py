@@ -52,7 +52,6 @@ from repro.bits.kernel import npkernel, pykernel
 # construction (the numpy backend re-exports these same objects), so they
 # are bound directly with zero dispatch overhead.
 from repro.bits.kernel.pykernel import (  # noqa: F401  (re-exported API)
-    SUPERBLOCK_BITS,
     SUPERBLOCK_WORDS,
     WORD,
     WORD_MASK,
@@ -193,11 +192,6 @@ def as_int_list(sequence) -> List[int]:
 # Dispatched contract functions (thin call-time wrappers; docstrings live
 # on the backend implementations -- see pykernel for the reference text)
 # ----------------------------------------------------------------------
-def words_view(buffer):
-    """Backend-native zero-copy word view of little-endian uint64 bytes."""
-    return _active.words_view(buffer)
-
-
 def int_words_view(buffer):
     """Portable int-yielding zero-copy word view of little-endian bytes.
 
@@ -206,8 +200,8 @@ def int_words_view(buffer):
     regardless of the active backend.  Indexing yields plain python ints, so
     the result is safe in every scalar word path under every backend, while
     the numpy backend's batch handles still wrap it without copying (its
-    ``np.frombuffer`` fast path reinterprets the same mapped bytes).  Same
-    aliasing and read-only rules as :func:`words_view`.
+    ``np.frombuffer`` fast path reinterprets the same mapped bytes).  The
+    view aliases ``buffer``; never mutate the bytes while it exists.
     """
     return pykernel.words_view(buffer)
 
@@ -215,11 +209,6 @@ def int_words_view(buffer):
 def pack_bits(bits: Iterable[int]):
     """Pack an iterable of 0/1 values; returns ``(words, length)``."""
     return _active.pack_bits(bits)
-
-
-def pack_iterable(bits: Iterable[int]):
-    """Pack an iterable of 0/1 values; returns ``(words, length)``."""
-    return _active.pack_iterable(bits)
 
 
 def popcount_words(words: Sequence[int]) -> int:
@@ -242,21 +231,9 @@ def one_positions(words: Sequence[int]):
     return _active.one_positions(words)
 
 
-def run_lengths_of_value(value: int, length: int):
-    """Lengths of the maximal runs of an MSB-first payload."""
-    return _active.run_lengths_of_value(value, length)
-
-
 def runs_of_value(value: int, length: int):
     """Maximal ``(bit, length)`` runs of an MSB-first payload."""
     return _active.runs_of_value(value, length)
-
-
-def delete_positions_from_runs(
-    runs: Sequence[Tuple[int, int]], positions: Sequence[int]
-):
-    """Run surgery: drop sorted ``positions``; returns ``(kept_runs, deleted_bits)``."""
-    return _active.delete_positions_from_runs(runs, positions)
 
 
 def block_popcounts(words: Sequence[int], length: int, block_size: int):

@@ -40,7 +40,6 @@ from repro.bits.kernel import pykernel
 
 # Shared scalar primitives: identical in both backends by construction.
 from repro.bits.kernel.pykernel import (  # noqa: F401  (re-exported contract)
-    SUPERBLOCK_BITS,
     SUPERBLOCK_WORDS,
     WORD,
     WORD_MASK,
@@ -197,14 +196,6 @@ def pack_bits(bits: Iterable[int]) -> Tuple[np.ndarray, int]:
     return _bit_array_to_words(arr)
 
 
-def pack_iterable(bits: Iterable[int]) -> Tuple[np.ndarray, int]:
-    """Pack an iterable of 0/1 values; returns ``(words, length)``.
-
-    Alias of :func:`pack_bits` (the canonical dispatched name).
-    """
-    return pack_bits(bits)
-
-
 # ----------------------------------------------------------------------
 # Bulk popcounts and directories
 # ----------------------------------------------------------------------
@@ -293,21 +284,6 @@ def _run_lengths_of_bit_array(bits) -> np.ndarray:
     return np.diff(edges)
 
 
-def run_lengths_of_value(value: int, length: int) -> List[int]:
-    """Lengths of the maximal runs of an MSB-first ``(value, length)`` payload.
-
-    Vectorised: run boundaries are the indices where the unpacked bit array
-    changes value, found with one ``flatnonzero`` + ``diff``.
-    """
-    if length <= 0:
-        return []
-    if length < 8 * _SMALL:
-        return pykernel.run_lengths_of_value(value, length)
-    words = pykernel.pack_value(value, length)
-    bits = _words_to_bit_array(words, length)
-    return _run_lengths_of_bit_array(bits).tolist()
-
-
 def _runs_from_bit_array(bits) -> List[Tuple[int, int]]:
     if bits.size == 0:
         return []
@@ -330,48 +306,6 @@ def runs_of_value(value: int, length: int) -> List[Tuple[int, int]]:
         return pykernel.runs_of_value(value, length)
     words = pykernel.pack_value(value, length)
     return _runs_from_bit_array(_words_to_bit_array(words, length))
-
-
-def delete_positions_from_runs(
-    runs: Sequence[Tuple[int, int]], positions: Sequence[int]
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Remove the bits at sorted ``positions`` from a ``(bit, length)`` run list.
-
-    Vectorised run surgery: one ``searchsorted`` over the run-end cumulatives
-    locates every deleted position's run, ``bincount`` subtracts the per-run
-    removal counts, and the surviving runs are coalesced with one boundary
-    ``reduceat``.  Same values and validation as the python backend.
-    """
-    if len(positions) < _SMALL or not len(runs):
-        return pykernel.delete_positions_from_runs(runs, positions)
-    arr = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
-    bits = arr[:, 0]
-    lengths = arr[:, 1]
-    ends = np.cumsum(lengths)
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos[-1] >= ends[-1]:
-        bad = pos[np.searchsorted(pos, ends[-1])]
-        raise ValueError(
-            f"position {int(bad)} out of range for run length {int(ends[-1])}"
-        )
-    run_index = np.searchsorted(ends, pos, side="right")
-    deleted = bits[run_index].tolist()
-    removed = np.bincount(run_index, minlength=bits.size)
-    new_lengths = lengths - removed
-    keep = new_lengths > 0
-    kept_bits = bits[keep]
-    kept_lengths = new_lengths[keep]
-    if kept_bits.size == 0:
-        return [], deleted
-    boundaries = np.empty(kept_bits.size, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(kept_bits[1:], kept_bits[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    merged_lengths = np.add.reduceat(kept_lengths, starts)
-    return (
-        list(zip(kept_bits[starts].tolist(), merged_lengths.tolist())),
-        deleted,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -46,13 +46,10 @@ __all__ = [
     "WORD",
     "WORD_MASK",
     "SUPERBLOCK_WORDS",
-    "SUPERBLOCK_BITS",
     "pack_value",
-    "pack_iterable",
     "pack_bits",
     "words_to_int",
     "unpack_value",
-    "words_view",
     "invert_word",
     "rank_word_prefix",
     "select_in_word",
@@ -66,9 +63,7 @@ __all__ = [
     "extract_bits_value",
     "select_bit_in_words",
     "one_positions",
-    "run_lengths_of_value",
     "runs_of_value",
-    "delete_positions_from_runs",
     "block_popcounts",
     "prepare_symbols",
     "partition_by_pivot",
@@ -90,7 +85,6 @@ __all__ = [
 WORD = 64
 WORD_MASK = (1 << WORD) - 1
 SUPERBLOCK_WORDS = 8
-SUPERBLOCK_BITS = WORD * SUPERBLOCK_WORDS
 
 _BYTE_SHIFTS = (56, 48, 40, 32, 24, 16, 8, 0)
 
@@ -129,8 +123,11 @@ def pack_value(value: int, length: int) -> List[int]:
     return list(struct.unpack(f">{n_words}Q", raw))
 
 
-def pack_iterable(bits: Iterable[int]) -> Tuple[List[int], int]:
-    """Pack an iterable of 0/1 values; returns ``(words, length)``."""
+def pack_bits(bits: Iterable[int]) -> Tuple[List[int], int]:
+    """Pack an iterable of 0/1 values; returns ``(words, length)``.
+
+    The numpy backend replaces it with ``np.packbits``.
+    """
     words: List[int] = []
     append = words.append
     word = 0
@@ -148,17 +145,6 @@ def pack_iterable(bits: Iterable[int]) -> Tuple[List[int], int]:
         append(word << (WORD - filled))
         length += filled
     return words, length
-
-
-# Canonical dispatched name for bulk packing of an iterable of bits; the
-# numpy backend overrides it with a vectorised implementation.
-def pack_bits(bits: Iterable[int]) -> Tuple[List[int], int]:
-    """Pack an iterable of 0/1 values; returns ``(words, length)``.
-
-    Alias of :func:`pack_iterable` under the name the backend contract
-    dispatches on; the numpy backend replaces it with ``np.packbits``.
-    """
-    return pack_iterable(bits)
 
 
 def words_to_int(words: Sequence[int]) -> int:
@@ -467,7 +453,7 @@ def one_positions(words: Sequence[int]) -> List[int]:
     return out
 
 
-def run_lengths_of_value(value: int, length: int) -> List[int]:
+def _run_lengths_of_value(value: int, length: int) -> List[int]:
     """Lengths of the maximal runs of an MSB-first ``(value, length)`` payload.
 
     Word-parallel: the boundaries between runs are exactly the set bits of
@@ -492,8 +478,9 @@ def run_lengths_of_value(value: int, length: int) -> List[int]:
 def runs_of_value(value: int, length: int) -> List[Tuple[int, int]]:
     """The maximal ``(bit, length)`` runs of an MSB-first payload, in order.
 
-    Word-parallel companion of :func:`run_lengths_of_value`: runs strictly
-    alternate, so only the first bit needs to be read -- the rest follow.
+    Word-parallel: the run lengths come from :func:`_run_lengths_of_value`,
+    and runs strictly alternate, so only the first bit needs to be read --
+    the rest follow.
     This is the bulk-construction primitive of the dynamic RLE bitvector
     (paper ``Init``/bulk ``Append``): O(n / 8) byte-table work instead of one
     Python-level comparison per bit.
@@ -502,48 +489,10 @@ def runs_of_value(value: int, length: int) -> List[Tuple[int, int]]:
         return []
     bit = (value >> (length - 1)) & 1
     runs: List[Tuple[int, int]] = []
-    for run_length in run_lengths_of_value(value, length):
+    for run_length in _run_lengths_of_value(value, length):
         runs.append((bit, run_length))
         bit ^= 1
     return runs
-
-
-def delete_positions_from_runs(
-    runs: Sequence[Tuple[int, int]], positions: Sequence[int]
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Remove the bits at sorted ``positions`` from a ``(bit, length)`` run list.
-
-    Returns ``(kept_runs, deleted_bits)``: the surviving runs -- normalised,
-    with empty runs dropped and adjacent equal-bit runs coalesced -- and the
-    value of every deleted bit, in position order.  ``positions`` must be
-    strictly increasing and within the run list's total length (a position
-    past the end raises :class:`ValueError`).  This is the O(r + k) run
-    surgery behind the dynamic RLE bitvector's bulk ``delete_many``: one
-    linear pass over the runs instead of ``k`` tree deletions.
-    """
-    deleted: List[int] = []
-    kept: List[Tuple[int, int]] = []
-    total = len(positions)
-    at = 0
-    end = 0
-    for bit, length in runs:
-        end += length
-        removed = 0
-        while at < total and positions[at] < end:
-            deleted.append(bit)
-            removed += 1
-            at += 1
-        new_length = length - removed
-        if new_length:
-            if kept and kept[-1][0] == bit:
-                kept[-1] = (bit, kept[-1][1] + new_length)
-            else:
-                kept.append((bit, new_length))
-    if at < total:
-        raise ValueError(
-            f"position {positions[at]} out of range for run length {end}"
-        )
-    return kept, deleted
 
 
 # ----------------------------------------------------------------------
@@ -618,7 +567,7 @@ def partition_by_pivot(symbols, pivot: int):
     whole-node construction primitive of the static wavelet structures: one
     pass over the node's subsequence, no per-element recursion.
     """
-    words, length = pack_iterable(
+    words, length = pack_bits(
         1 if symbol >= pivot else 0 for symbol in symbols
     )
     left = [symbol for symbol in symbols if symbol < pivot]

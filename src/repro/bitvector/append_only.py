@@ -62,11 +62,9 @@ class AppendOnlyBitVector(BitVector):
         ``offset_length`` copies of ``offset_bit`` (paper Theorem 4.3).
     freeze_blocks_per_append:
         De-amortisation budget: RRR blocks encoded from the staged payload per
-        ``append`` call.  Any value >= 1 keeps worst-case append latency
-        bounded (a stage of ``ceil(block_size / 63)`` RRR blocks always
-        completes long before the fresh tail refills).  ``0`` restores the
-        stop-the-world freeze (one O(block_size) pass when the tail fills) --
-        kept for the latency benchmark's seed replica.
+        ``append`` call, at least 1.  Any budget keeps worst-case append
+        latency bounded (a stage of ``ceil(block_size / 63)`` RRR blocks
+        always completes long before the fresh tail refills).
     """
 
     __slots__ = (
@@ -95,8 +93,8 @@ class AppendOnlyBitVector(BitVector):
             raise ValueError("block_size must be at least 64 bits")
         if offset_length < 0:
             raise ValueError("offset_length must be non-negative")
-        if freeze_blocks_per_append < 0:
-            raise ValueError("freeze_blocks_per_append must be non-negative")
+        if freeze_blocks_per_append < 1:
+            raise ValueError("freeze_blocks_per_append must be at least 1")
         self._block_size = block_size
         self._blocks: List[RRRBitVector] = []
         # _cum_length[i] / _cum_ones[i] / _cum_zeros[i] = bits / ones / zeros
@@ -169,8 +167,8 @@ class AppendOnlyBitVector(BitVector):
     def last_freeze_blocks(self) -> int:
         """RRR blocks encoded by the most recent ``append`` call.
 
-        Exposed for the de-amortisation regression test: with a positive
-        freeze budget this never exceeds the budget, i.e. no append pays the
+        Exposed for the de-amortisation regression test: this never
+        exceeds the freeze budget, i.e. no append pays the
         O(block_size / 63)-block stop-the-world freeze.
         """
         return self._last_freeze_blocks
@@ -188,8 +186,7 @@ class AppendOnlyBitVector(BitVector):
         encoding) only once the previous stage has drained; until then the
         tail transiently overshoots ``block_size`` by at most the stage's
         remaining block count, so *no* append ever pays a synchronous
-        O(block_size) freeze.  With a budget of 0 the freeze instead runs to
-        completion inside the filling append (stop-the-world).
+        O(block_size) freeze.
         """
         self._tail.append(1 if bit else 0)
         blocks = 0
@@ -204,15 +201,12 @@ class AppendOnlyBitVector(BitVector):
     def _advance_freeze(self) -> int:
         """Encode this append's share of the staged payload; returns blocks.
 
-        Budget > 0: at most that many blocks (commit when the stage drains).
-        Budget 0: the whole remaining stage, synchronously.
+        At most the budget's blocks; the stage commits once it drains.
         """
-        if self._freeze_budget:
-            blocks = self._stage.encode_blocks(self._freeze_budget)
-            if self._stage.done:
-                self._commit_stage()
-            return blocks
-        return self._finish_stage()
+        blocks = self._stage.encode_blocks(self._freeze_budget)
+        if self._stage.done:
+            self._commit_stage()
+        return blocks
 
     def extend(self, bits: Iterable[int]) -> None:
         """Append every bit of ``bits`` in order (bulk ``Append``).
@@ -270,15 +264,13 @@ class AppendOnlyBitVector(BitVector):
         )
         self._tail = BitBuffer()
 
-    def _finish_stage(self) -> int:
-        """Run the staged encode to completion; returns blocks encoded."""
+    def _finish_stage(self) -> None:
+        """Run the staged encode to completion."""
         if self._stage is None:
-            return 0
-        blocks = 0
+            return
         while not self._stage.done:
-            blocks += self._stage.encode_blocks(64)
+            self._stage.encode_blocks(64)
         self._commit_stage()
-        return blocks
 
     def _commit_stage(self) -> None:
         """Append the finished RRR block and its directory entries."""

@@ -20,13 +20,12 @@ from abc import ABC, abstractmethod
 from typing import Iterator, List, Tuple
 
 from repro.bits.kernel import as_int_list
-from repro.exceptions import DuplicatePositionError, OutOfBoundsError
+from repro.exceptions import OutOfBoundsError
 
 __all__ = [
     "BitVector",
     "StaticBitVector",
     "validate_select_indexes",
-    "validate_delete_positions",
 ]
 
 
@@ -58,38 +57,6 @@ def validate_select_indexes(indexes, total: int, label, keep_arrays=False):
             return indexes
         return as_int_list(indexes)
     return list(indexes)
-
-
-def validate_delete_positions(positions, length: int) -> List[int]:
-    """Normalise and validate a ``delete_many`` position batch.
-
-    Returns ``positions`` as a list of plain ints in the caller's input
-    order.  Every position must refer to the sequence *before* any deletion
-    (the batch deletes them as if simultaneously), so positions must be
-    distinct and in ``[0, length)``; duplicates raise
-    :class:`DuplicatePositionError` (a :class:`ValueError` inside the
-    :class:`ReproError` hierarchy -- the second deletion of the same
-    pre-delete position is meaningless) and out-of-range positions raise
-    :class:`OutOfBoundsError` before any mutation happens (all-or-nothing,
-    like the batch queries).  Shared by
-    every ``delete_many`` implementation so the batch-delete contract cannot
-    drift between layers.
-    """
-    out = [int(pos) for pos in normalize_batch(positions)]
-    if not out:
-        return out
-    if min(out) < 0 or max(out) >= length:
-        bad = next(pos for pos in out if not 0 <= pos < length)
-        raise OutOfBoundsError(
-            f"delete position {bad} out of range for length {length}"
-        )
-    if len(set(out)) != len(out):
-        seen = set()
-        bad = next(pos for pos in out if pos in seen or seen.add(pos))
-        raise DuplicatePositionError(
-            f"delete position {bad} appears more than once in the batch"
-        )
-    return out
 
 
 def normalize_batch(queries):
@@ -282,10 +249,6 @@ class BitVector(ABC):
 
 class StaticBitVector(BitVector):
     """Marker base class for immutable bitvectors built once from their bits."""
-
-    def is_static(self) -> bool:
-        """Static bitvectors never change after construction."""
-        return True
 
     def drop_batch_handle(self) -> None:
         """Forget the kernel batch handle a batch call prepared, if any; the

@@ -40,11 +40,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.bits import kernel
 from repro.bits.bitstring import Bits
 from repro.bits.codes import gamma_code_length
-from repro.bitvector.base import (
-    BitVector,
-    validate_delete_positions,
-    validate_select_indexes,
-)
+from repro.bitvector.base import BitVector, validate_select_indexes
 from repro.exceptions import OutOfBoundsError
 
 __all__ = ["DynamicBitVector", "runs_of"]
@@ -564,63 +560,6 @@ class DynamicBitVector(BitVector):
         bit = middle.bit
         self._root = self._coalesced_merge(left, right)
         return bit
-
-    def delete_range(self, start: int, stop: int) -> List[Tuple[int, int]]:
-        """Delete positions ``[start, stop)``; returns the removed runs in order.
-
-        Contiguous bulk ``Delete``: two O(log r) splits cut the range out in
-        one piece, the boundary runs of the remainder coalesce in the merge,
-        and the removed payload comes back as its maximal ``(bit, length)``
-        runs -- O(log r + r_removed) total, never one tree walk per bit.
-        """
-        self._check_range(start, stop)
-        if start == stop:
-            return []
-        left, rest = _split(self._root, start)
-        middle, right = _split(rest, stop - start)
-        removed = list(self._runs_from(middle))
-        self._root = self._coalesced_merge(left, right)
-        return removed
-
-    def delete_many(self, positions: Sequence[int]) -> List[int]:
-        """Delete the bits at ``positions``; returns their values in input order.
-
-        Bulk ``Delete`` at arbitrary (pre-delete) positions: the treap is
-        split twice around the affected span, the kernel's
-        :func:`~repro.bits.kernel.delete_positions_from_runs` does one O(r_span
-        + k) linear run surgery (dropping emptied runs and coalescing the
-        survivors), and an O(r) bulk rebuild plus two coalescing merges
-        reassemble the tree -- amortised O(log r + r_span + k log k) for k
-        deletions instead of k root-to-leaf walks costing O(k log r).  Small
-        batches on run-heavy vectors fall back to the scalar walks (see
-        :meth:`_batch_prefers_scalar`).
-        """
-        positions = validate_delete_positions(positions, len(self))
-        if not positions:
-            return []
-        if self._batch_prefers_scalar(len(positions)):
-            order = sorted(
-                range(len(positions)), key=positions.__getitem__, reverse=True
-            )
-            out = [0] * len(positions)
-            for index in order:
-                out[index] = self.delete(positions[index])
-            return out
-        order = sorted(range(len(positions)), key=positions.__getitem__)
-        start = positions[order[0]]
-        stop = positions[order[-1]] + 1
-        left, rest = _split(self._root, start)
-        middle, right = _split(rest, stop - start)
-        kept, deleted = kernel.delete_positions_from_runs(
-            list(self._runs_from(middle)),
-            [positions[index] - start for index in order],
-        )
-        merged = self._coalesced_merge(left, self._build_treap(kept))
-        self._root = self._coalesced_merge(merged, right)
-        out = [0] * len(positions)
-        for index, bit in zip(order, deleted):
-            out[index] = bit
-        return out
 
     def extend(self, bits: Union[Bits, Iterable[int]]) -> None:
         """Append every bit of ``bits`` (bulk ``Append``).

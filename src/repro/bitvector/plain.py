@@ -382,14 +382,6 @@ class PlainBitVector(StaticBitVector):
         """The payload as its kernel packed word list."""
         return kernel.as_int_list(self._words)
 
-    def extract_bits(self, start: int, stop: int) -> Bits:
-        """The sub-payload ``[start, stop)`` as :class:`Bits`, word-sliced."""
-        self._check_range(start, stop)
-        width = stop - start
-        if width == 0:
-            return Bits.empty()
-        return Bits(kernel.extract_bits_value(self._words, start, stop), width)
-
     def size_in_bits(self) -> int:
         payload = len(self._words) * WORD
         directory = (

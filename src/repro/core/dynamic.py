@@ -15,7 +15,6 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.bits.bitstring import Bits
 from repro.bits.kernel import runs_of_value
-from repro.bitvector.base import validate_delete_positions
 from repro.bitvector.dynamic import DynamicBitVector
 from repro.core.base import WaveletTrieBase
 from repro.core.growable import GrowableTopologyMixin
@@ -24,6 +23,10 @@ from repro.exceptions import OutOfBoundsError
 from repro.tries.binarize import StringCodec
 
 __all__ = ["DynamicWaveletTrie"]
+
+# One step of the treap-seed rotation (a 63-bit LCG); TieredWaveletTrie
+# seeds each new dynamic tail with the same step.
+_SEED_MULTIPLIER = 6364136223846793005
 
 
 class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
@@ -55,7 +58,7 @@ class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
 
     # ------------------------------------------------------------------
     def _rotate_seed(self) -> int:
-        self._next_seed = (self._next_seed * 6364136223846793005 + 1) % (1 << 63)
+        self._next_seed = (self._next_seed * _SEED_MULTIPLIER + 1) % (1 << 63)
         return self._next_seed
 
     def _new_constant_bitvector(self, bit: int, length: int) -> DynamicBitVector:
@@ -121,6 +124,8 @@ class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
         bulk build + merge) and one ``rank`` -- amortised
         O(d |s| + nodes_touched (log r + k_node)) for k elements over d
         distinct strings, instead of k per-element root-to-leaf walks.
+        All or nothing: a value the codec rejects, or one that breaks
+        prefix-freeness, raises with the trie unchanged.
         """
         if not 0 <= pos <= self._size:
             raise OutOfBoundsError(
@@ -129,11 +134,7 @@ class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
         keys = [self._codec.to_bits(value) for value in values]
         if not keys:
             return
-        ensured = set()
-        for key in keys:
-            if key not in ensured:
-                ensured.add(key)
-                self._ensure_key(key)
+        self._ensure_keys(keys)
         stack: List[Tuple[WaveletTrieNode, int, List[Bits], int]] = [
             (self._root, 0, keys, pos)
         ]
@@ -195,62 +196,3 @@ class DynamicWaveletTrie(GrowableTopologyMixin, WaveletTrieBase):
             parent, leaf_bit, _ = path[-1]
             self._remove_leaf_if_last(parent, leaf_bit)
         return value
-
-    def delete_many(self, positions) -> List[Any]:
-        """Delete the elements at ``positions``; values come back in input order.
-
-        Bulk paper ``Delete``: the (pre-delete, distinct) positions are
-        partitioned down the trie exactly once -- at every touched node one
-        :meth:`DynamicBitVector.rank_many` maps the group to child positions
-        and one :meth:`DynamicBitVector.delete_many` (treap split + O(r_span)
-        run surgery + coalescing merge) removes the group's bits and reports
-        which child each position routed to -- amortised
-        O(nodes_touched (log r + r_span + k_node log k_node)) for k
-        deletions over the touched paths, instead of k root-to-leaf walks.
-        Subtrees whose subsequence empties are pruned afterwards (the bulk
-        form of the Table 1 dagger merge), and deleting everything resets the
-        trie to the empty state, from which it regrows normally.
-        """
-        positions = validate_delete_positions(positions, self._size)
-        if not positions:
-            return []
-        order = sorted(range(len(positions)), key=positions.__getitem__)
-        results: List[Any] = [None] * len(positions)
-        prune: List[Tuple[WaveletTrieNode, int]] = []
-        # Stack items: (node, accumulated label bits, [(result slot, local pos)]).
-        stack: List[Tuple[WaveletTrieNode, Bits, List[Tuple[int, int]]]] = [
-            (
-                self._root,
-                Bits.empty(),
-                [(index, positions[index]) for index in order],
-            )
-        ]
-        while stack:
-            node, prefix, items = stack.pop()
-            current = prefix + node.label
-            if node.is_leaf:
-                value = self._codec.from_bits(current)
-                for slot, _ in items:
-                    results[slot] = value
-                continue
-            vector = node.bitvector
-            group_positions = [pos for _, pos in items]
-            zero_ranks = vector.rank_many(0, group_positions)
-            bits = vector.delete_many(group_positions)
-            groups: List[List[Tuple[int, int]]] = [[], []]
-            for (slot, pos), zero_rank, bit in zip(items, zero_ranks, bits):
-                groups[bit].append((slot, pos - zero_rank if bit else zero_rank))
-            for bit in (0, 1):
-                if vector.count(bit) == 0:
-                    prune.append((node, bit))
-                if groups[bit]:
-                    stack.append(
-                        (node.children[bit], current.appended(bit), groups[bit])
-                    )
-        self._size -= len(positions)
-        if self._size == 0:
-            self._reset_root()
-            return results
-        for node, bit in prune:
-            self._prune_empty_child(node, bit)
-        return results

@@ -94,6 +94,28 @@ class GrowableTopologyMixin:
             self._split_node(node, lcp, remaining)
             return True
 
+    def _ensure_keys(self, keys: List[Bits]) -> None:
+        """:meth:`_ensure_key` for every distinct key of ``keys``, all or nothing.
+
+        A key that breaks prefix-freeness raises after the earlier keys'
+        splits.  Their new leaves hold no rows, so each merges back
+        (:meth:`_remove_leaf_if_last`), latest first, and the topology is
+        the one before the call.
+        """
+        added: List[Bits] = []
+        try:
+            for key in dict.fromkeys(keys):
+                if self._ensure_key(key):
+                    added.append(key)
+        except BinarizationError:
+            for key in reversed(added):
+                path = list(self._walk_for_update(key))
+                if path:
+                    self._remove_leaf_if_last(*path[-1])
+                else:
+                    self._reset_root()
+            raise
+
     def _reset_root(self) -> None:
         """Empty the topology: no root, and no cached path into the old one."""
         self._root = None
@@ -148,21 +170,6 @@ class GrowableTopologyMixin:
             grandparent.attach(parent.parent_bit, sibling)
         self._path_cache.clear()
         return True
-
-    def _prune_empty_child(self, parent: WaveletTrieNode, bit: int) -> bool:
-        """After a batch delete: drop ``parent``'s ``bit`` subtree if it emptied.
-
-        The bulk-delete generalisation of :meth:`_remove_leaf_if_last`: the
-        emptied child may be a whole internal subtree, and ``parent`` itself
-        may sit inside a larger subtree that another prune candidate removes.
-        A parent whose own subsequence emptied (``len(bitvector) == 0``) is
-        skipped -- the invariant ``len(child bitvector) == parent count``
-        guarantees an ancestor candidate covers it -- so prune candidates can
-        be processed in any order.  Returns True if the topology changed.
-        """
-        if parent.bitvector is None or len(parent.bitvector) == 0:
-            return False
-        return self._remove_leaf_if_last(parent, bit)
 
     # ------------------------------------------------------------------
     def _binarise(self, values) -> List[Tuple[Any, Bits]]:

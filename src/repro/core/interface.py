@@ -22,13 +22,18 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Iterator, List
 
-from repro.bitvector.base import normalize_batch, validate_delete_positions
-from repro.exceptions import InvalidOperationError, OutOfBoundsError
+from repro.bitvector.base import normalize_batch
+from repro.exceptions import (
+    DuplicatePositionError,
+    InvalidOperationError,
+    OutOfBoundsError,
+)
 
 __all__ = [
     "IndexedStringSequence",
     "check_select_prefix_index",
     "check_top_k",
+    "validate_delete_positions",
     "validate_select_prefix_indexes",
 ]
 
@@ -65,6 +70,38 @@ def validate_select_prefix_indexes(indexes, matches: int, prefix: Any) -> List[i
     out = [int(idx) for idx in normalize_batch(indexes)]
     for idx in out:
         check_select_prefix_index(prefix, idx, matches)
+    return out
+
+
+def validate_delete_positions(positions, length: int) -> List[int]:
+    """Normalise and validate a ``delete_many`` position batch.
+
+    Returns ``positions`` as a list of plain ints in the caller's input
+    order.  Every position must refer to the sequence *before* any deletion
+    (the batch deletes them as if simultaneously), so positions must be
+    distinct and in ``[0, length)``; duplicates raise
+    :class:`DuplicatePositionError` (a :class:`ValueError` inside the
+    :class:`ReproError` hierarchy -- the second deletion of the same
+    pre-delete position is meaningless) and out-of-range positions raise
+    :class:`OutOfBoundsError` before any mutation happens (all-or-nothing,
+    like the batch queries).  Shared by
+    every ``delete_many`` implementation so the batch-delete contract cannot
+    drift between them.
+    """
+    out = [int(pos) for pos in normalize_batch(positions)]
+    if not out:
+        return out
+    if min(out) < 0 or max(out) >= length:
+        bad = next(pos for pos in out if not 0 <= pos < length)
+        raise OutOfBoundsError(
+            f"delete position {bad} out of range for length {length}"
+        )
+    if len(set(out)) != len(out):
+        seen = set()
+        bad = next(pos for pos in out if pos in seen or seen.add(pos))
+        raise DuplicatePositionError(
+            f"delete position {bad} appears more than once in the batch"
+        )
     return out
 
 
@@ -168,9 +205,9 @@ class IndexedStringSequence(ABC):
 
         ``positions`` refer to the sequence *before* any deletion (the batch
         deletes them as if simultaneously), must be distinct and are
-        validated all-or-nothing.  Default: k scalar ``delete`` calls in
-        descending position order, no amortisation; the dynamic structures
-        override it with one shared-descent batch deletion.
+        validated all-or-nothing.  Then k scalar ``delete`` calls run in
+        descending position order, no amortisation: the dynamic trie
+        inherits this loop, so each position pays the paper's Delete.
         """
         positions = validate_delete_positions(positions, len(self))
         order = sorted(

@@ -45,22 +45,19 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
-from repro.bitvector.base import (
-    normalize_batch,
-    validate_delete_positions,
-    validate_select_indexes,
-)
+from repro.bitvector.base import normalize_batch, validate_select_indexes
 from repro.bitvector.rrr import (
     _DEFAULT_BLOCK,
     _DEFAULT_SAMPLE,
     IncrementalRRRBuilder,
 )
 from repro.core.builder import StaticTrieLayout
-from repro.core.dynamic import DynamicWaveletTrie
+from repro.core.dynamic import _SEED_MULTIPLIER, DynamicWaveletTrie
 from repro.core.interface import (
     IndexedStringSequence,
     check_select_prefix_index,
     check_top_k,
+    validate_delete_positions,
     validate_select_prefix_indexes,
 )
 from repro.core.node import WaveletTrieNode
@@ -77,9 +74,6 @@ __all__ = ["TieredWaveletTrie", "TrieFreezer", "freeze_trie", "thaw"]
 # One extraction unit: 4096 bits = exactly 64 packed words, so consecutive
 # full chunks concatenate on word boundaries.
 _EXTRACT_CHUNK_BITS = 64 * 64
-
-# Seed rotation shared with DynamicWaveletTrie._new_constant_bitvector.
-_SEED_MULTIPLIER = 6364136223846793005
 
 
 # ----------------------------------------------------------------------
@@ -1011,11 +1005,11 @@ class TieredWaveletTrie(IndexedStringSequence):
         return value
 
     def delete_many(self, positions: Sequence[int]) -> List[Any]:
-        """Bulk delete inside the tail window, amortised, all-or-nothing.
+        """Bulk delete inside the tail window, all-or-nothing, no amortisation.
 
         Validates the whole batch (bounds, duplicates, window) before any
-        mutation, then delegates to the dynamic tier's batched
-        ``delete_many``; values return in input order.
+        mutation, then delegates to the dynamic tail's ``delete_many``, one
+        scalar ``delete`` per position; values return in input order.
         """
         positions = validate_delete_positions(positions, self._size)
         if not positions:

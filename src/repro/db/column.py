@@ -229,12 +229,13 @@ class CompressedColumn:
 
         This is how a persisted index (``repro.storage.load``) becomes
         servable: the CLI ``serve`` command loads the file and wraps it.
-        ``appendable`` defaults to whatever the index supports.
+        ``appendable`` defaults to False over a static :class:`WaveletTrie`
+        and to True over a growable one, the rule the image loader enforces.
         """
         column = cls.__new__(cls)
         column.name = name
         if appendable is None:
-            appendable = hasattr(index, "append")
+            appendable = not isinstance(index, WaveletTrie)
         column._appendable = bool(appendable)
         column._index = index
         return column

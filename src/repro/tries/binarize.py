@@ -49,10 +49,6 @@ class StringCodec(ABC):
     def prefix_to_bits(self, prefix: Any) -> Bits:
         """Binarise a *prefix* (no terminator) for RankPrefix/SelectPrefix."""
 
-    def value_length_in_bits(self, value: Any) -> int:
-        """Length in bits of the binarised value (used by analysis code)."""
-        return len(self.to_bits(value))
-
 
 class Utf8Codec(StringCodec):
     """Text codec: UTF-8 bytes, 8 bits per byte, NUL terminator.

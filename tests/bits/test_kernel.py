@@ -45,11 +45,11 @@ class TestPacking:
             assert words[-1] & ((1 << (64 - length % 64)) - 1) == 0
 
     @pytest.mark.parametrize("length", [0, 1, 7, 8, 63, 64, 65, 128, 257, 999])
-    def test_pack_iterable_matches_pack_value(self, length):
+    def test_pack_bits_matches_pack_value(self, length):
         rng = random.Random(length * 7 + 1)
         bits = [rng.randint(0, 1) for _ in range(length)]
         value = int("".join(map(str, bits)), 2) if bits else 0
-        words, got_length = kernel.pack_iterable(bits)
+        words, got_length = kernel.pack_bits(bits)
         assert got_length == length
         # The active backend may return its native word container (e.g. a
         # numpy array); values must match the canonical list packer.
@@ -164,7 +164,7 @@ class TestRangedOperations:
         assert kernel.one_positions(words) == reference
 
     @pytest.mark.parametrize("length", [0, 1, 2, 63, 64, 65, 257, 1000])
-    def test_run_lengths_of_value(self, length):
+    def test_runs_of_value(self, length):
         rng = random.Random(length + 17)
         for _ in range(10):
             value = random_payload(rng, length)
@@ -175,9 +175,9 @@ class TestRangedOperations:
                     expected[-1][1] += 1
                 else:
                     expected.append([bit, 1])
-            lengths = kernel.run_lengths_of_value(value, length)
-            assert lengths == [run_len for _, run_len in expected]
-            assert sum(lengths) == length
+            runs = kernel.runs_of_value(value, length)
+            assert runs == [(bit, run_len) for bit, run_len in expected]
+            assert sum(run_len for _, run_len in runs) == length
 
 
 class TestRankDirectory:

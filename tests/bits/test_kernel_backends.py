@@ -18,7 +18,9 @@ import random
 import pytest
 
 from repro.bits import kernel
+from repro.bits.bitstring import Bits
 from repro.bits.kernel import npkernel, pykernel
+from repro.bitvector.dynamic import DynamicBitVector
 
 requires_numpy = pytest.mark.skipif(
     not npkernel.HAVE_NUMPY, reason="numpy not installed"
@@ -95,53 +97,46 @@ def test_directories_agree(length):
 @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
 def test_runs_agree(length):
     for value, n in payloads(length):
-        assert norm(both("run_lengths_of_value", value, n)[0]) == norm(
-            both("run_lengths_of_value", value, n)[1]
-        )
         py_runs, np_runs = both("runs_of_value", value, n)
         assert py_runs == np_runs
 
 
 @requires_numpy
 @pytest.mark.parametrize("length", [l for l in BOUNDARY_LENGTHS if l])
-def test_delete_positions_from_runs_agrees(length):
-    """Run surgery under both backends: random and adversarial payloads
-    (all-zeros and all-ones collapse to one run; single-bit payloads and
-    word-boundary lengths stress the coalescing), with batch sizes on both
-    sides of the numpy backend's small-input delegation threshold."""
+def test_descending_deletes_keep_runs_maximal(length):
+    """A batch delete is one scalar ``delete`` per position, highest first
+    (the interface's ``delete_many`` loop), on a dynamic bitvector whose
+    runs come from each backend's ``runs_of_value``.  Random and adversarial
+    payloads (all-zeros and all-ones are one run; deleting a lone set bit
+    merges its two neighbour runs), with batches of 1, 31, 64, every set bit
+    and every bit: both backends must return the deleted bits, keep the
+    survivors in order, leave maximal runs, and agree."""
     rng = random.Random(length * 7 + 3)
     for value, n in payloads(length):
-        runs = pykernel.runs_of_value(value, n)
-        for count in {1, min(31, n), min(64, n), n}:
-            positions = sorted(rng.sample(range(n), count))
-            py_kept, py_deleted = pykernel.delete_positions_from_runs(
-                runs, positions
-            )
-            np_kept, np_deleted = npkernel.delete_positions_from_runs(
-                runs, positions
-            )
-            assert py_kept == np_kept
-            assert py_deleted == np_deleted
-            # The oracle of the oracle: reconstruct from the flat bit list.
-            bits = [(value >> (n - 1 - i)) & 1 for i in range(n)]
-            assert py_deleted == [bits[p] for p in positions]
-            survivors = [
-                bit for i, bit in enumerate(bits) if i not in set(positions)
-            ]
-            flattened = [
-                bit for bit, run_len in py_kept for _ in range(run_len)
-            ]
-            assert flattened == survivors
-            # Normalised output: no empty runs, no equal adjacent bits.
-            assert all(run_len > 0 for _, run_len in py_kept)
-            assert all(
-                py_kept[i][0] != py_kept[i + 1][0]
-                for i in range(len(py_kept) - 1)
-            )
-    with pytest.raises(ValueError):
-        npkernel.delete_positions_from_runs([(1, 4)], list(range(64)))
-    with pytest.raises(ValueError):
-        pykernel.delete_positions_from_runs([(1, 4)], [4])
+        bits = [(value >> (n - 1 - i)) & 1 for i in range(n)]
+        batches = [
+            sorted(rng.sample(range(n), count))
+            for count in {1, min(31, n), min(64, n), n}
+        ]
+        batches.append([i for i, bit in enumerate(bits) if bit])
+        for positions in filter(None, batches):
+            doomed = set(positions)
+            survivors = [bit for i, bit in enumerate(bits) if i not in doomed]
+            outcomes = []
+            for backend in ("python", "numpy"):
+                previous = kernel.use_backend(backend)
+                try:
+                    vector = DynamicBitVector.from_bits(Bits(value, n))
+                finally:
+                    kernel.use_backend(previous)
+                deleted = [vector.delete(p) for p in reversed(positions)]
+                outcomes.append((deleted[::-1], list(vector.runs())))
+            assert outcomes[0] == outcomes[1]
+            deleted, runs = outcomes[0]
+            assert deleted == [bits[p] for p in positions]
+            assert [bit for bit, run_len in runs for _ in range(run_len)] == survivors
+            assert all(run_len > 0 for _, run_len in runs)
+            assert all(runs[i][0] != runs[i + 1][0] for i in range(len(runs) - 1))
 
 
 @requires_numpy

@@ -8,6 +8,8 @@ append by the configured budget, while staying exactly correct mid-flight.
 
 import random
 
+import pytest
+
 from repro.bitvector.append_only import AppendOnlyBitVector
 from repro.bitvector.rrr import IncrementalRRRBuilder, RRRBitVector
 
@@ -71,15 +73,10 @@ class TestBoundedPerAppendWork:
         assert vector.pending_freeze_bits == 0  # drained within 2 appends
         assert vector.block_count == 1
 
-    def test_zero_budget_restores_stop_the_world(self):
-        vector = AppendOnlyBitVector(block_size=128, freeze_blocks_per_append=0)
-        for i in range(128):
-            vector.append(i & 1)
-        # The freeze happened synchronously inside the filling append, and
-        # last_freeze_blocks reports the full stop-the-world cost honestly.
-        assert vector.pending_freeze_bits == 0
-        assert vector.block_count == 1
-        assert vector.last_freeze_blocks == (128 + 62) // 63
+    def test_budget_must_be_at_least_one(self):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                AppendOnlyBitVector(freeze_blocks_per_append=budget)
 
     def test_queries_exact_while_stage_in_flight(self):
         rng = random.Random(31)

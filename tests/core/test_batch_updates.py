@@ -7,7 +7,8 @@ interleaved bulk inserts, scalar deletes (which shrink the Patricia topology)
 and batch queries, with previously unseen keys arriving mid-stream.  The
 bulk ``extend`` and every batched query must also equal the scalar loop
 they replace, structure included, and an ``extend`` holding a value the
-codec rejects must change nothing.
+codec rejects, or an ``insert_many`` holding one that breaks
+prefix-freeness, must change nothing.
 """
 
 import random
@@ -15,15 +16,17 @@ import random
 import pytest
 
 from repro.baselines.naive import NaiveIndexedSequence
+from repro.bits.bitstring import Bits
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.dynamic import DynamicWaveletTrie
-from repro.core.tiers import TieredWaveletTrie
+from repro.core.tiers import TieredWaveletTrie, freeze_trie
 from repro.exceptions import (
     BinarizationError,
     InvalidOperationError,
     OutOfBoundsError,
     ValueNotFoundError,
 )
+from repro.tries.binarize import StringCodec
 
 
 def check_against_oracle(trie, oracle, rng, probes=4):
@@ -165,3 +168,49 @@ class TestRejectedExtendChangesNothing:
         trie.extend(["a", "x", "b"])
         assert trie.to_list() == ["x", "x", "y", "a", "x", "b"]
         assert trie.select("b", 0) == 5
+
+
+class UnterminatedUtf8Codec(StringCodec):
+    """UTF-8 bytes with no terminator, so ``"a"`` is a prefix of ``"ab"``."""
+
+    def to_bits(self, value):
+        return Bits.from_bytes(value.encode("utf-8"))
+
+    def from_bits(self, bits):
+        return bits.to_bytes().decode("utf-8")
+
+    def prefix_to_bits(self, prefix):
+        return self.to_bits(prefix)
+
+
+class TestRejectedInsertManyChangesNothing:
+    """``insert_many`` splits a node for each new value before any row
+    lands; a later value that breaks prefix-freeness must undo them."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda values, codec: DynamicWaveletTrie(values, codec=codec),
+            lambda values, codec: TieredWaveletTrie(values, codec=codec),
+        ],
+        ids=["dynamic", "tiered"],
+    )
+    def test_a_value_breaking_prefix_freeness_changes_nothing(self, make):
+        trie = make(["b", "c"], UnterminatedUtf8Codec())
+        before = state_of(trie)
+        with pytest.raises(BinarizationError):
+            trie.insert_many(["d", "a", "ab"], 1)
+        assert state_of(trie) == before
+        assert trie.distinct_count() == 2
+        # The frozen snapshot an image saves: every leaf receives rows.
+        assert freeze_trie(trie).to_list() == ["b", "c"]
+        trie.insert_many(["d", "a"], 1)
+        assert trie.to_list() == ["b", "d", "a", "c"]
+
+    def test_an_empty_trie_stays_empty(self):
+        trie = DynamicWaveletTrie(codec=UnterminatedUtf8Codec())
+        with pytest.raises(BinarizationError):
+            trie.insert_many(["d", "a", "ab"], 0)
+        assert len(trie) == 0 and trie.root is None
+        trie.insert_many(["ab", "d"], 0)
+        assert trie.to_list() == ["ab", "d"]

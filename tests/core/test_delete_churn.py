@@ -7,8 +7,8 @@ canonical ``select_prefix`` out-of-range error cross-checked against
 :class:`~repro.baselines.naive.NaiveIndexedSequence` (whose own ``delete_many``
 is the interface's unamortised scalar loop) after every phase.  Every test
 runs under each available kernel backend -- parametrized like the
-kernel-crosscheck suites -- so the numpy run surgery and the pure-python
-oracle certify each other; with numpy absent the python run still covers
+kernel-crosscheck suites -- so the numpy and pure-python run extraction
+certify each other; with numpy absent the python run still covers
 everything.
 
 Deterministic regressions cover the structural corners by name:
@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines import NaiveIndexedSequence
 from repro.bits import kernel
+from repro.bits.bitstring import Bits
 from repro.bitvector.dynamic import DynamicBitVector
 from repro.core.dynamic import DynamicWaveletTrie
 from repro.core.static import WaveletTrie
@@ -369,37 +370,28 @@ class TestDynamicBitVectorDeleteChurn:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_delete_many_matches_list_oracle(self, backend, payload, seed):
+    def test_descending_deletes_match_list_oracle(self, backend, payload, seed):
+        """A node bitvector under the trie's delete batches: one scalar
+        ``delete`` per position, highest first, between bulk ``insert_many``
+        calls whose ``Bits`` payloads the active backend splits into runs.
+        Runs must stay maximal after every batch."""
         rng = random.Random(seed)
         with active_backend(backend):
-            vector = DynamicBitVector(payload)
+            vector = DynamicBitVector.from_bits(Bits.from_iterable(payload))
             reference = list(payload)
             while reference:
                 count = min(len(reference), 1 + rng.randrange(40))
                 positions = rng.sample(range(len(reference)), count)
-                expected = [reference[p] for p in positions]
-                assert vector.delete_many(positions) == expected
                 for position in sorted(positions, reverse=True):
-                    reference.pop(position)
+                    assert vector.delete(position) == reference.pop(position)
                 assert vector.to_list() == reference
                 runs = list(vector.runs())
                 assert all(length > 0 for _, length in runs)
                 assert all(
                     runs[i][0] != runs[i + 1][0] for i in range(len(runs) - 1)
-                ), "delete_many left uncoalesced adjacent runs"
+                ), "a delete batch left uncoalesced adjacent runs"
                 if reference and rng.random() < 0.5:
                     at = rng.randrange(len(reference) + 1)
                     bits = [rng.randint(0, 1) for _ in range(rng.randrange(1, 20))]
-                    vector.insert_many(at, bits)
+                    vector.insert_many(at, Bits.from_iterable(bits))
                     reference[at:at] = bits
-
-    def test_delete_range_returns_removed_runs(self, backend):
-        with active_backend(backend):
-            bits = [0] * 10 + [1] * 5 + [0] * 3 + [1] * 7
-            vector = DynamicBitVector(bits)
-            removed = vector.delete_range(8, 17)
-            assert removed == [(0, 2), (1, 5), (0, 2)]
-            assert vector.to_list() == bits[:8] + bits[17:]
-            assert vector.delete_range(3, 3) == []
-            with pytest.raises(OutOfBoundsError):
-                vector.delete_range(2, 100)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.static import WaveletTrie
 from repro.db.column import CompressedColumn
 from repro.serving import IndexServer, NDJSONClient, ServerConfig
 
@@ -149,6 +150,35 @@ class TestStatsPayload:
         shard = stats["shards"]["default"]
         assert shard["rows"] == 4 and shard["appendable"]
         assert stats["config"]["coalesce"] is True
+
+
+class TestStaticColumn:
+    def test_writes_to_a_static_column_are_invalid_operations(self, tmp_path):
+        """A column wrapped around a static trie is not appendable: ``stats``
+        says so, and a write answers ``invalid_operation``, not
+        ``internal``."""
+        path = str(tmp_path / "static.sock")
+        column = CompressedColumn.from_index("default", WaveletTrie(["/a", "/b", "/a"]))
+
+        async def main():
+            server = IndexServer(column, ServerConfig(unix_path=path))
+            await server.start()
+            client = await NDJSONClient.connect(path)
+            append = await client.call(op="append", value="/c")
+            extend = await client.call(op="extend", values=["/c", "/d"])
+            access = await client.call(op="access", pos=2)
+            stats = (await client.call(op="stats"))["result"]
+            await client.close()
+            await server.stop()
+            return append, extend, access, stats
+
+        append, extend, access, stats = asyncio.run(main())
+        assert append["error"]["code"] == "invalid_operation"
+        assert extend["error"]["code"] == "invalid_operation"
+        assert access["result"] == "/a"
+        shard = stats["shards"]["default"]
+        assert shard["appendable"] is False and shard["rows"] == 3
+        assert len(column) == 3
 
 
 class TestMultiShard:
