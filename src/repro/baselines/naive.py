@@ -13,6 +13,7 @@ from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.core.interface import (
     IndexedStringSequence,
+    check_select_index,
     check_select_prefix_index,
     check_top_k,
 )
@@ -46,9 +47,9 @@ class NaiveIndexedSequence(IndexedStringSequence):
                 if seen == idx:
                     return position
                 seen += 1
-        raise OutOfBoundsError(
-            f"select({value!r}, {idx}) out of range: only {seen} occurrences"
-        )
+        # The scan exhausted: ``seen`` is the total, ``idx`` out of range.
+        check_select_index(value, idx, seen)
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def rank_prefix(self, prefix: Any, pos: int) -> int:
         self._check_rank_pos(pos)
@@ -152,7 +153,7 @@ class NaiveIndexedSequence(IndexedStringSequence):
     def _check_rank_pos(self, pos: int) -> None:
         if not 0 <= pos <= len(self._values):
             raise OutOfBoundsError(
-                f"position {pos} out of range for length {len(self._values)}"
+                f"rank position {pos} out of range for length {len(self._values)}"
             )
 
     def _check_range(self, start: int, stop: int) -> None:

@@ -25,12 +25,13 @@ word-level primitives behind a documented backend contract:
   :func:`~repro.bits.kernel.pack_bits`).
 * **In-word queries**: ``select`` inside a word descends by ``bit_count``
   halves and finishes in one lookup of a precomputed 256-entry table
-  (:func:`~repro.bits.kernel.select_in_word`); ranks use a single shifted
-  ``bit_count`` (:func:`~repro.bits.kernel.rank_word_prefix`).  No query path
-  scans bit by bit.
+  (:func:`~repro.bits.kernel.select_in_word`); a rank inside a word is one
+  shifted ``bit_count``.  No query path scans bit by bit.
 * **Directories**: :func:`~repro.bits.kernel.build_rank_directory` produces
   the two-level superblock/word layout every bitvector shares: cumulative
-  counts per 8-word superblock plus per-word popcount bytes.
+  counts per superblock of
+  :data:`~repro.bits.kernel.SUPERBLOCK_WORDS` words plus per-word popcount
+  bytes.
 * **Sequential decoding**: :func:`~repro.bits.kernel.broadword_iter_words`
   and :func:`~repro.bits.kernel.iter_word_bits` emit eight bits per step from
   a byte-decode table; :func:`~repro.bits.kernel.one_positions` and

@@ -61,7 +61,6 @@ from repro.bits.kernel.pykernel import (  # noqa: F401  (re-exported API)
     iter_word_bits,
     pack_value,
     popcount_range,
-    rank_word_prefix,
     select_bit_in_words,
     select_in_word,
     unpack_value,
@@ -234,11 +233,6 @@ def one_positions(words: Sequence[int]):
 def runs_of_value(value: int, length: int):
     """Maximal ``(bit, length)`` runs of an MSB-first payload."""
     return _active.runs_of_value(value, length)
-
-
-def block_popcounts(words: Sequence[int], length: int, block_size: int):
-    """Popcount of each ``block_size``-bit block of the top ``length`` bits."""
-    return _active.block_popcounts(words, length, block_size)
 
 
 def select_in_word_many(word: int, ks: Sequence[int]) -> List[int]:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.bits.codes import BINOMIAL_COLUMNS, offset_width_table
 from repro.bits.kernel import pykernel
 
 # Shared scalar primitives: identical in both backends by construction.
@@ -49,7 +50,6 @@ from repro.bits.kernel.pykernel import (  # noqa: F401  (re-exported contract)
     iter_word_bits,
     pack_value,
     popcount_range,
-    rank_word_prefix,
     select_bit_in_words,
     select_in_word,
     unpack_value,
@@ -78,10 +78,10 @@ if HAVE_NUMPY:
     _SIXTY_FOUR = np.uint64(64)
     _ONE = np.uint64(1)
     # C(m, k) at flat index k * 65 + m for k, m <= 64 (every value fits
-    # int64): the vector twin of the python backend's binomial columns for
-    # RRR decoding.
+    # int64): the binomial columns of repro.bits.codes, flattened for
+    # vectorised RRR decoding.
     _BINOMIAL_STRIDE = WORD + 1
-    _BINOMIAL_FLAT = np.array(pykernel._BINOMIAL_COLUMNS, dtype=np.int64).ravel()
+    _BINOMIAL_FLAT = np.array(BINOMIAL_COLUMNS, dtype=np.int64).ravel()
     # Vector twins of the four-Russians tables: select-in-byte and per-byte
     # popcounts, both indexable by whole arrays at once.
     _SELECT_IN_BYTE_NP = np.frombuffer(
@@ -249,19 +249,6 @@ def cumulative_popcounts(word_pop: bytes, length: int):
     zero_cum = np.arange(n + 1, dtype=np.int64) * WORD - abs_cum
     zero_cum[n] = length - int(abs_cum[n])
     return abs_cum, zero_cum
-
-
-def block_popcounts(words: Sequence[int], length: int, block_size: int):
-    """Popcount of each ``block_size``-bit block of the top ``length`` bits.
-
-    One ``unpackbits`` plus ``np.add.reduceat`` over the block starts -- the
-    bulk class computation of RRR construction.  Returns an ``int64`` array.
-    """
-    if length <= 0:
-        return np.zeros(0, dtype=np.int64)
-    bits = _words_to_bit_array(words, length)
-    starts = np.arange(0, length, block_size, dtype=np.int64)
-    return np.add.reduceat(bits.astype(np.int64), starts)
 
 
 def one_positions(words: Sequence[int]):
@@ -558,7 +545,7 @@ def prepare_rrr(
     words = _as_word_array(offset_words)
     padded = np.zeros(words.size + 2, dtype=np.uint64)
     padded[: words.size] = words
-    widths = np.array(pykernel._rrr_offset_widths(block_size), dtype=np.int64)
+    widths = np.array(offset_width_table(block_size), dtype=np.int64)
     return _RRRArrays(
         np.asarray(classes, dtype=np.int64),
         padded,

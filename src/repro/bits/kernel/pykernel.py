@@ -39,8 +39,9 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from math import comb
 from typing import Iterable, Iterator, List, Sequence, Tuple
+
+from repro.bits.codes import combinatorial_unrank, offset_width_table
 
 __all__ = [
     "WORD",
@@ -51,7 +52,6 @@ __all__ = [
     "words_to_int",
     "unpack_value",
     "invert_word",
-    "rank_word_prefix",
     "select_in_word",
     "select_in_word_many",
     "popcount_words",
@@ -64,7 +64,6 @@ __all__ = [
     "select_bit_in_words",
     "one_positions",
     "runs_of_value",
-    "block_popcounts",
     "prepare_symbols",
     "partition_by_pivot",
     "prepare_rank_select",
@@ -201,7 +200,7 @@ def invert_word(word: int, width: int = WORD) -> int:
     return (~word) & ((WORD_MASK << (WORD - width)) & WORD_MASK)
 
 
-def rank_word_prefix(word: int, offset: int) -> int:
+def _rank_word_prefix(word: int, offset: int) -> int:
     """Ones among the top ``offset`` bits of a left-aligned 64-bit word."""
     if offset <= 0:
         return 0
@@ -401,7 +400,7 @@ def select_bit_in_words(
     remaining = idx
     for word_index, word in enumerate(words):
         width = min(WORD, length - (word_index << 6))
-        ones = rank_word_prefix(word, width)
+        ones = _rank_word_prefix(word, width)
         in_word = ones if bit else width - ones
         if remaining < in_word:
             target = word if bit else invert_word(word, width)
@@ -496,7 +495,7 @@ def runs_of_value(value: int, length: int) -> List[Tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# Directory-derived cumulatives and block popcounts
+# Directory-derived cumulatives
 # ----------------------------------------------------------------------
 def cumulative_popcounts(
     word_pop: bytes, length: int
@@ -520,25 +519,6 @@ def cumulative_popcounts(
     zero_cum = [(index << 6) - ones for index, ones in enumerate(abs_cum)]
     zero_cum[-1] = length - cum
     return abs_cum, zero_cum
-
-
-def block_popcounts(
-    words: Sequence[int], length: int, block_size: int
-) -> List[int]:
-    """Popcount of each ``block_size``-bit block of the top ``length`` bits.
-
-    The final partial block (if any) is zero-padded, matching the RRR
-    encoder's block layout; this is the bulk class-computation primitive of
-    RRR construction.
-    """
-    if length <= 0:
-        return []
-    out: List[int] = []
-    append = out.append
-    for start in range(0, length, block_size):
-        stop = min(start + block_size, length)
-        append(extract_bits_value(words, start, stop).bit_count())
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -727,49 +707,6 @@ def select_many_packed(handle, bit: int, indexes: Sequence[int]) -> List[int]:
 # ----------------------------------------------------------------------
 # Prepared batch rank over an RRR (class, offset) block encoding
 # ----------------------------------------------------------------------
-# Column ``k`` lists C(m, k) for m = 0..64: ascending in ``m`` (zeros below
-# ``k``), so one ``bisect`` finds the next set bit of an RRR block.
-_BINOMIAL_COLUMNS: Tuple[Tuple[int, ...], ...] = tuple(
-    tuple(comb(m, k) for m in range(WORD + 1)) for k in range(WORD + 1)
-)
-
-
-def _rrr_offset_widths(block_size: int) -> List[int]:
-    """Offset bits of each RRR block class: ``ceil(log2 C(B, k))``."""
-    return [
-        (_BINOMIAL_COLUMNS[cls][block_size] - 1).bit_length()
-        for cls in range(block_size + 1)
-    ]
-
-
-def _rrr_decode_block(offset: int, block_size: int, cls: int) -> int:
-    """The ``block_size``-bit block value with RRR ``(cls, offset)``.
-
-    The enumeration lists blocks in descending value order, so with
-    ``T = C(B, k) - offset`` the next set bit sits at ``B - 1 - m`` for the
-    largest ``m`` with ``C(m, k) < T`` -- the hockey-stick identity
-    ``sum_{m=a..b} C(m, k - 1) = C(b + 1, k) - C(a, k)`` sums away the run
-    of zeros before it in one step.  Each set bit is then one ``bisect``,
-    O(k log B) per block instead of a B-step descent.  Blocks denser than
-    half full decode their complement (class ``B - k``, offset
-    ``C(B, k) - 1 - offset``), so at most ``B / 2`` jumps run.
-    """
-    total = _BINOMIAL_COLUMNS[cls][block_size]
-    if 2 * cls > block_size:
-        full = (1 << block_size) - 1
-        return full ^ _rrr_decode_block(
-            total - 1 - offset, block_size, block_size - cls
-        )
-    remaining = total - offset
-    value = 0
-    for k in range(cls, 0, -1):
-        column = _BINOMIAL_COLUMNS[k]
-        m = bisect_left(column, remaining) - 1
-        value |= 1 << m
-        remaining -= column[m]
-    return value
-
-
 class _RRRDirectory:
     """Opaque python-backend handle behind :func:`rrr_rank_many`."""
 
@@ -794,7 +731,7 @@ class _RRRDirectory:
         self.length = length
         self.block_size = block_size
         self.sample_rate = sample_rate
-        self.widths = _rrr_offset_widths(block_size)
+        self.widths = offset_width_table(block_size)
         last = (len(classes) - 1) // sample_rate * sample_rate
         self.ones = (
             sample_rank[-1] + sum(classes[last:]) if len(classes) else 0
@@ -827,8 +764,9 @@ def rrr_decode_words(handle, first: int, stop: int) -> List[int]:
     """Packed MSB-first words of RRR blocks ``[first, stop)`` back to back.
 
     ``(stop - first) * B`` bits, the last block zero-padded as stored.  One
-    set-bit-jumping decode per block (:func:`_rrr_decode_block`); 64
-    blocks make exactly ``B`` words, so they are packed 64 at a time.
+    set-bit-jumping decode per block
+    (:func:`~repro.bits.codes.combinatorial_unrank`); 64 blocks make
+    exactly ``B`` words, so they are packed 64 at a time.
     """
     if first >= stop:
         return []
@@ -845,7 +783,7 @@ def rrr_decode_words(handle, first: int, stop: int) -> List[int]:
         width = widths[cls]
         offset = extract_bits_value(words, offset_pos, offset_pos + width)
         offset_pos += width
-        chunk = (chunk << block_size) | _rrr_decode_block(offset, block_size, cls)
+        chunk = (chunk << block_size) | combinatorial_unrank(offset, block_size, cls)
         blocks += 1
         if blocks == WORD:
             out.extend(pack_value(chunk, WORD * block_size))
@@ -897,7 +835,7 @@ def _rrr_scan(handle, positions, with_bits: bool):
                 walked += 1
             cls = classes[block]
             offset = extract_bits_value(words, offset_pos, offset_pos + widths[cls])
-            word = _rrr_decode_block(offset, block_size, cls) << (WORD - block_size)
+            word = combinatorial_unrank(offset, block_size, cls) << (WORD - block_size)
             current = block
         shifted = word >> (WORD - 1 - prefix)
         ones_out[index] = rank_before + (shifted >> 1).bit_count()

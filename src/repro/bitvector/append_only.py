@@ -205,7 +205,7 @@ class AppendOnlyBitVector(BitVector):
         """
         blocks = self._stage.encode_blocks(self._freeze_budget)
         if self._stage.done:
-            self._commit_stage()
+            self._finish_stage()
         return blocks
 
     def extend(self, bits: Iterable[int]) -> None:
@@ -265,15 +265,9 @@ class AppendOnlyBitVector(BitVector):
         self._tail = BitBuffer()
 
     def _finish_stage(self) -> None:
-        """Run the staged encode to completion."""
-        if self._stage is None:
-            return
-        while not self._stage.done:
-            self._stage.encode_blocks(64)
-        self._commit_stage()
-
-    def _commit_stage(self) -> None:
-        """Append the finished RRR block and its directory entries."""
+        """Run the staged encode to completion (the builder's ``finish``
+        encodes the blocks still pending) and append the RRR block and its
+        directory entries."""
         block = self._stage.finish()
         self._blocks.append(block)
         self._cum_length.append(self._cum_length[-1] + len(block))

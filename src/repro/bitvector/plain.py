@@ -36,6 +36,7 @@ from repro.bits import kernel
 from repro.bits.bitstring import Bits
 from repro.bits.kernel import (
     SMALL_BATCH,
+    SUPERBLOCK_WORDS,
     WORD,
     WORD_MASK,
     invert_word,
@@ -188,6 +189,16 @@ class PlainBitVector(StaticBitVector):
                 f"image meta for {prefix} says {self._length} bits, its "
                 f"sections hold {words} words"
             )
+        # One superblock sample per SUPERBLOCK_WORDS words, then the total
+        # that ``ones`` reads, which must be the flat cumulative's.
+        if (
+            len(self._super_cum) != -(-words // SUPERBLOCK_WORDS) + 1
+            or self._super_cum[-1] != self._word_abs_cum[-1]
+        ):
+            raise SerializationError(
+                f"image section {prefix}super does not match the vector's "
+                f"{words} words and {self._word_abs_cum[-1]} ones"
+            )
         self._batch_handle = None
         self._batch_backend = None
         return self
@@ -210,7 +221,7 @@ class PlainBitVector(StaticBitVector):
         offset = pos & 63
         # Two-level directory: superblock sample + in-superblock byte + one
         # shifted popcount.
-        ones = self._super_cum[index >> 3] + self._word_cum[index]
+        ones = self._super_cum[index // SUPERBLOCK_WORDS] + self._word_cum[index]
         if offset:
             ones += (self._words[index] >> (WORD - offset)).bit_count()
         return ones if bit else pos - ones

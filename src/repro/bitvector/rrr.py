@@ -91,7 +91,9 @@ class RRRBitVector(StaticBitVector):
         # Pack once into 64-bit words so per-block extraction is O(1) instead
         # of one O(n / 64) big-int slice per block.
         words = pack_value(bits.value, len(bits))
-        self._build_from_words(words, len(bits), block_size, sample_rate)
+        IncrementalRRRBuilder(
+            words, len(bits), block_size=block_size, sample_rate=sample_rate
+        ).finish(into=self)
 
     @classmethod
     def from_words(
@@ -107,43 +109,9 @@ class RRRBitVector(StaticBitVector):
         straight to the block encoder, skipping any big-int or per-bit
         round trip.
         """
-        self = cls.__new__(cls)
-        self._build_from_words(
-            kernel.as_int_list(words), length, block_size, sample_rate
-        )
-        return self
-
-    def _build_from_words(
-        self, words: List[int], length: int, block_size: int, sample_rate: int
-    ) -> None:
-        if block_size < 1 or block_size > 63:
-            raise ValueError("block_size must be between 1 and 63")
-        if sample_rate < 1:
-            raise ValueError("sample_rate must be positive")
-        # Bulk class computation through the kernel backend (one
-        # unpackbits + reduceat pass under numpy); the per-block offset
-        # encode below then only extracts blocks that carry an offset, so
-        # all-zero/all-one blocks never pay an extraction.
-        classes = kernel.as_int_list(
-            kernel.block_popcounts(words, length, block_size)
-        )
-        widths = offset_width_table(block_size)
-        offsets = BitBuffer()
-        for block_index, cls in enumerate(classes):
-            off_w = widths[cls]
-            if off_w:
-                start = block_index * block_size
-                stop = min(start + block_size, length)
-                # Right-pad the final partial block with zeros to full width
-                # so the class/offset maths always works on
-                # ``block_size``-bit blocks.
-                value = extract_bits_value(words, start, stop) << (
-                    block_size - (stop - start)
-                )
-                offsets.append_int(
-                    combinatorial_rank(value, block_size, cls), off_w
-                )
-        self._set_blocks(length, block_size, sample_rate, classes, offsets)
+        return IncrementalRRRBuilder(
+            kernel.as_int_list(words), length, block_size=block_size, sample_rate=sample_rate
+        ).finish()
 
     def _set_blocks(
         self,
@@ -153,10 +121,9 @@ class RRRBitVector(StaticBitVector):
         classes: List[int],
         offsets: BitBuffer,
     ) -> None:
-        """Take the per-block classes and the offset stream of a build and
-        sample the directories from the classes: O(blocks), no block encoded
-        or decoded.  Both builds end here, the one-shot one and
-        :class:`IncrementalRRRBuilder`'s."""
+        """Take the per-block classes and the offset stream of a finished
+        :class:`IncrementalRRRBuilder` and sample the directories from the
+        classes: O(blocks), no block encoded or decoded."""
         self._length = length
         self._block_size = block_size
         self._sample_rate = sample_rate
@@ -650,9 +617,11 @@ class RRRBitVector(StaticBitVector):
 
 
 class IncrementalRRRBuilder:
-    """De-amortised RRR construction over a fixed packed-word payload.
+    """The RRR encoder: de-amortised construction over a packed-word payload.
 
-    The paper de-amortises the append-only bitvector's tail freeze (Lemma 4.7
+    Every RRR vector is encoded here: :class:`RRRBitVector` and its
+    ``from_words`` run a builder to the end in one :meth:`finish` call.  The
+    paper de-amortises the append-only bitvector's tail freeze (Lemma 4.7
     -> Theorem 4.5 worst case) by running the compression of the previous
     tail *incrementally* while new bits accumulate in a fresh one.  This
     builder is that mechanism: it owns a frozen payload (kernel packed words)
@@ -661,7 +630,9 @@ class IncrementalRRRBuilder:
     instead of paying one O(payload) stop-the-world pass.
 
     While the build is in flight the raw payload stays queryable through
-    :attr:`words` / :attr:`length` / :attr:`ones`.
+    :attr:`words` / :attr:`length` / :attr:`ones`; the encoder never reads
+    :attr:`ones`, which only a caller that queries the payload mid-build
+    (the append-only bitvector's stage) needs to pass.
     """
 
     __slots__ = (
@@ -680,10 +651,14 @@ class IncrementalRRRBuilder:
         self,
         words: List[int],
         length: int,
-        ones: int,
+        ones: int = 0,
         block_size: int = _DEFAULT_BLOCK,
         sample_rate: int = _DEFAULT_SAMPLE,
     ) -> None:
+        if not 1 <= block_size <= 63:
+            raise ValueError("block_size must be between 1 and 63")
+        if sample_rate < 1:
+            raise ValueError("sample_rate must be positive")
         self.words = words
         self.length = length
         self.ones = ones
@@ -712,34 +687,29 @@ class IncrementalRRRBuilder:
         still filling :attr:`words` passes ``available``, the payload bits
         written so far: only blocks wholly inside it are encoded.
         """
-        encoded = 0
-        block_size = self._block_size
-        widths = self._width_by_class
-        limit = self.length if available is None else available - block_size
-        while encoded < max_blocks and self._cursor < self.length and self._cursor <= limit:
-            start = self._cursor
-            stop = min(start + block_size, self.length)
-            width = stop - start
-            value = extract_bits_value(self.words, start, stop) << (
-                block_size - width
-            )
+        block_size, length = self._block_size, self.length
+        end = length if available is None else min(length, available - block_size + 1)
+        starts = range(self._cursor, end, block_size)[: max(max_blocks, 0)]
+        words, widths = self.words, self._width_by_class
+        classes, offsets = self._classes, self._offsets
+        for start in starts:
+            stop = min(start + block_size, length)
+            # Right-pad the final partial block with zeros to full width.
+            value = extract_bits_value(words, start, stop) << (block_size + start - stop)
             block_class = value.bit_count()
-            self._classes.append(block_class)
-            offset_width = widths[block_class]
-            if offset_width:
-                self._offsets.append_int(
-                    combinatorial_rank(value, block_size, block_class),
-                    offset_width,
-                )
-            self._cursor = stop
-            encoded += 1
-        return encoded
+            classes.append(block_class)
+            width = widths[block_class]
+            if width:
+                offsets.append_int(combinatorial_rank(value, block_size, block_class), width)
+        if starts:
+            self._cursor = min(starts[-1] + block_size, length)
+        return len(starts)
 
-    def finish(self) -> RRRBitVector:
-        """Encode any remaining blocks and assemble the static block."""
-        while not self.done:
-            self.encode_blocks(64)
-        vector = RRRBitVector.__new__(RRRBitVector)
+    def finish(self, into: Optional[RRRBitVector] = None) -> RRRBitVector:
+        """Encode any remaining blocks and assemble the static vector: into
+        ``into`` when given (a vector under construction), else a new one."""
+        self.encode_blocks(-(-self.pending_bits // self._block_size))
+        vector = RRRBitVector.__new__(RRRBitVector) if into is None else into
         vector._set_blocks(
             self.length,
             self._block_size,

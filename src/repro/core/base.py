@@ -14,10 +14,12 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.bits.bitstring import Bits
-from repro.bitvector.base import normalize_batch, validate_select_indexes
+from repro.bitvector.base import normalize_batch
 from repro.core.interface import (
     IndexedStringSequence,
+    check_select_index,
     check_select_prefix_index,
+    validate_select_indexes,
     validate_select_prefix_indexes,
 )
 from repro.core.node import WaveletTrieNode
@@ -198,9 +200,7 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
                 f"value {shown!r} does not occur in the sequence"
             )
         leaf, ancestors = path
-        current = validate_select_indexes(
-            indexes, leaf.sequence_length(self._size), repr(shown)
-        )
+        current = validate_select_indexes(indexes, leaf.sequence_length(self._size), shown)
         for node, bit in reversed(ancestors):
             current = node.bitvector.select_many(bit, current)
         return current
@@ -318,22 +318,15 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
         return self._rank_along(self._path_of(key), pos) if pos else 0
 
     def select_bits(self, key: Bits, idx: int, label: Any = None) -> int:
-        """Select of a binarised value; raises when there are too few
-        occurrences, naming ``label`` (the value) when given, else the key."""
-        if idx < 0:
-            raise OutOfBoundsError("select index must be non-negative")
+        """Select of a binarised value; an absent value, then an index out
+        of range raise the canonical errors, naming ``label`` (the value)
+        when given, else the key."""
+        shown = key if label is None else label
         path = self._path_of(key)
         if path is None:
-            raise ValueNotFoundError(
-                f"value {(key if label is None else label)!r} does not occur "
-                "in the sequence"
-            )
+            raise ValueNotFoundError(f"value {shown!r} does not occur in the sequence")
         leaf, ancestors = path
-        available = leaf.sequence_length(self._size)
-        if idx >= available:
-            raise OutOfBoundsError(
-                f"select index {idx} out of range: only {available} occurrences"
-            )
+        check_select_index(shown, idx, leaf.sequence_length(self._size))
         for node, bit in reversed(ancestors):
             idx = node.bitvector.select(bit, idx)
         return idx

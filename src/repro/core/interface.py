@@ -31,9 +31,11 @@ from repro.exceptions import (
 
 __all__ = [
     "IndexedStringSequence",
+    "check_select_index",
     "check_select_prefix_index",
     "check_top_k",
     "validate_delete_positions",
+    "validate_select_indexes",
     "validate_select_prefix_indexes",
 ]
 
@@ -45,14 +47,26 @@ def check_top_k(k: int) -> None:
         raise OutOfBoundsError(f"top-k count must be non-negative, got {k}")
 
 
-def check_select_prefix_index(prefix: Any, idx: int, matches: int) -> None:
-    """Range-check a ``select_prefix`` index against the match count.
+def check_select_index(value: Any, idx: int, occurrences: int) -> None:
+    """Range-check a ``select`` index, a negative one included, against the
+    value's occurrence count.
 
     Raises the **canonical** out-of-range error -- one exception type
-    (:class:`OutOfBoundsError`) and one message format, shared by every
-    implementation (the Wavelet Tries and the oracle) so the
-    differential tests can assert them byte-for-byte.
+    (:class:`OutOfBoundsError`) and one message naming the value, shared by
+    every implementation (the Wavelet Tries, the column snapshots, the
+    oracle and the served frames), scalar and batch alike, so the
+    differential tests can assert them byte-for-byte.  Callers raise
+    :class:`~repro.exceptions.ValueNotFoundError` for an absent value first.
     """
+    if not 0 <= idx < occurrences:
+        raise OutOfBoundsError(
+            f"select({value!r}, {idx}) out of range: only {occurrences} occurrences"
+        )
+
+
+def check_select_prefix_index(prefix: Any, idx: int, matches: int) -> None:
+    """Range-check a ``select_prefix`` index against the match count: the
+    canonical error of :func:`check_select_index`, naming the prefix."""
     if not 0 <= idx < matches:
         raise OutOfBoundsError(
             f"select_prefix({prefix!r}, {idx}) out of range: "
@@ -60,13 +74,22 @@ def check_select_prefix_index(prefix: Any, idx: int, matches: int) -> None:
         )
 
 
-def validate_select_prefix_indexes(indexes, matches: int, prefix: Any) -> List[int]:
-    """Normalise and range-check a ``select_prefix_many`` index batch.
+def validate_select_indexes(indexes, occurrences: int, value: Any) -> List[int]:
+    """Normalise and range-check a ``select_many`` index batch.
 
-    All-or-nothing: every index must be in ``[0, matches)`` before any work
-    happens, and the first offender is reported with the canonical
-    :func:`check_select_prefix_index` error.
+    All-or-nothing: every index must be in ``[0, occurrences)`` before any
+    work happens, and the first offender is reported with the canonical
+    :func:`check_select_index` error.
     """
+    out = [int(idx) for idx in normalize_batch(indexes)]
+    for idx in out:
+        check_select_index(value, idx, occurrences)
+    return out
+
+
+def validate_select_prefix_indexes(indexes, matches: int, prefix: Any) -> List[int]:
+    """:func:`validate_select_indexes` for a ``select_prefix_many`` batch,
+    with the canonical :func:`check_select_prefix_index` error."""
     out = [int(idx) for idx in normalize_batch(indexes)]
     for idx in out:
         check_select_prefix_index(prefix, idx, matches)

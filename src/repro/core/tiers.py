@@ -45,19 +45,17 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
-from repro.bitvector.base import normalize_batch, validate_select_indexes
-from repro.bitvector.rrr import (
-    _DEFAULT_BLOCK,
-    _DEFAULT_SAMPLE,
-    IncrementalRRRBuilder,
-)
+from repro.bitvector.base import normalize_batch
+from repro.bitvector.rrr import _DEFAULT_BLOCK, IncrementalRRRBuilder
 from repro.core.builder import StaticTrieLayout
 from repro.core.dynamic import _SEED_MULTIPLIER, DynamicWaveletTrie
 from repro.core.interface import (
     IndexedStringSequence,
+    check_select_index,
     check_select_prefix_index,
     check_top_k,
     validate_delete_positions,
+    validate_select_indexes,
     validate_select_prefix_indexes,
 )
 from repro.core.node import WaveletTrieNode
@@ -100,21 +98,14 @@ class TrieFreezer:
     it does (an equal-length mutation is undetected -- callers own the
     sealing discipline, as :class:`TieredWaveletTrie` does).
 
-    With the default ``block_size``/``sample_rate`` the result is
-    structurally identical to the static builder's over the same content:
-    classes and offsets are deterministic functions of the payload.
+    The result is structurally identical to the static builder's over the
+    same content: both encode RRR's default blocks and samples, and classes
+    and offsets are deterministic functions of the payload.
     """
 
-    def __init__(
-        self,
-        trie,
-        block_size: int = _DEFAULT_BLOCK,
-        sample_rate: int = _DEFAULT_SAMPLE,
-    ) -> None:
+    def __init__(self, trie) -> None:
         self._source = trie
         self._expected_size = len(trie)
-        self._block_size = block_size
-        self._sample_rate = sample_rate
 
         # The topology's components, read off in preorder (0-child first:
         # the shared vector's order) with no payload work.
@@ -144,9 +135,6 @@ class TrieFreezer:
         self._builder = IncrementalRRRBuilder(
             self._buffer.full_words,  # grows as nodes are extracted
             sum(self._lengths),
-            0,  # the ones of the payload are never read while it fills
-            block_size=block_size,
-            sample_rate=sample_rate,
         )
         self._frozen: Optional[WaveletTrie] = None
         if not sources:
@@ -208,11 +196,11 @@ class TrieFreezer:
             self._ones[-1] += value.bit_count()
         self._extract_cursor = stop
         if stop >= length:
-            self._encode_due = -(-length // self._block_size)
+            self._encode_due = -(-length // _DEFAULT_BLOCK)
             if self._index == len(self._sources) - 1:
                 # The payload is complete: hand the builder its final words.
                 self._builder.words = self._buffer.words()
-        return max(1, width // self._block_size)
+        return max(1, width // _DEFAULT_BLOCK)
 
     def step(self, budget: int = 64) -> int:
         """Perform up to ``budget`` block-sized units of freeze work.
@@ -255,18 +243,15 @@ class TrieFreezer:
 
 
 def freeze_trie(trie) -> Any:
-    """The frozen snapshot of any trie tier (the one-shot freeze).
+    """The frozen snapshot of a trie tier (the one-shot freeze).
 
-    Static tries pass through unchanged; a
-    :class:`TieredWaveletTrie` returns its
-    :meth:`~TieredWaveletTrie.frozen_snapshot`; growable tries (dynamic,
+    Static tries pass through unchanged; growable tries (dynamic,
     append-only) are encoded by a :class:`TrieFreezer` into a static RRR
-    trie.
+    trie.  A :class:`TieredWaveletTrie` is not one tier: its
+    :meth:`~TieredWaveletTrie.compact` freezes it in place.
     """
     if isinstance(trie, WaveletTrie):
         return trie
-    if isinstance(trie, TieredWaveletTrie):
-        return trie.frozen_snapshot()
     if hasattr(trie, "root") and hasattr(trie, "codec"):
         return TrieFreezer(trie).finish()
     raise InvalidOperationError(
@@ -527,37 +512,6 @@ class TieredWaveletTrie(IndexedStringSequence):
                 combined.extend(tier.iter_range(0, len(tier)))
             self._frozen = [WaveletTrie(combined, codec=self._codec)]
 
-    def frozen_snapshot(self) -> "TieredWaveletTrie":
-        """A fully frozen copy: every tier static, an empty mutable tail.
-
-        Non-mutating: already-frozen tiers are shared with the copy; the
-        sealing and active tiers are freshly frozen.  This is what
-        :func:`freeze_trie` (and hence RWT2 image persistence) captures.
-        """
-        frozen = list(self._frozen)
-        if self._sealing is not None:
-            frozen.append(TrieFreezer(self._sealing[0]).finish())
-        if len(self._active):
-            frozen.append(TrieFreezer(self._active).finish())
-        return TieredWaveletTrie._from_parts(
-            frozen,
-            None,
-            self._codec,
-            self.active_capacity,
-            self.compact_budget,
-            self._seed,
-        )
-
-    def to_static(self) -> WaveletTrie:
-        """One static RRR trie over the full logical sequence (non-mutating)."""
-        tiers = self._tiers()
-        if len(tiers) == 1:
-            return freeze_trie(tiers[0])
-        combined: List[Any] = []
-        for tier in tiers:
-            combined.extend(tier.iter_range(0, len(tier)))
-        return WaveletTrie(combined, codec=self._codec)
-
     def size_in_bits(self) -> int:
         """Measured footprint: the sum over live tiers."""
         return sum(tier.size_in_bits() for tier in self._tiers())
@@ -636,18 +590,13 @@ class TieredWaveletTrie(IndexedStringSequence):
 
     def select(self, value: Any, idx: int) -> int:
         """Position of the ``idx``-th occurrence (binary search over tiers)."""
-        if idx < 0:
-            raise OutOfBoundsError("select index must be non-negative")
         key, tiers, offsets, cumulative = self._occurrences(value, prefix=False)
         total = cumulative[-1]
         if total == 0:
             raise ValueNotFoundError(
                 f"value {value!r} does not occur in the sequence"
             )
-        if idx >= total:
-            raise OutOfBoundsError(
-                f"select index {idx} out of range: only {total} occurrences"
-            )
+        check_select_index(value, idx, total)
         index = bisect_right(cumulative, idx) - 1
         return offsets[index] + tiers[index].select_bits(key, idx - cumulative[index])
 
@@ -728,7 +677,7 @@ class TieredWaveletTrie(IndexedStringSequence):
             raise ValueNotFoundError(
                 f"value {value!r} does not occur in the sequence"
             )
-        indexes = validate_select_indexes(indexes, total, repr(value))
+        indexes = validate_select_indexes(indexes, total, value)
         return self._select_scatter(
             tiers, offsets, cumulative, indexes,
             lambda tier, local: tier.select_many_bits(key, local),

@@ -17,7 +17,9 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.interface import (
     IndexedStringSequence,
+    check_select_index,
     check_select_prefix_index,
+    validate_select_indexes,
     validate_select_prefix_indexes,
 )
 from repro.core.static import WaveletTrie
@@ -48,7 +50,7 @@ class ColumnSnapshot(IndexedStringSequence):
     append-only mutation discipline; structures mutated in the middle
     (:class:`~repro.core.dynamic.DynamicWaveletTrie` used directly) shift
     positions and need a real frozen copy instead
-    (:meth:`~repro.core.tiers.TieredWaveletTrie.frozen_snapshot`).
+    (:func:`~repro.core.tiers.freeze_trie`).
     """
 
     def __init__(self, index: Any, version: Optional[int] = None) -> None:
@@ -101,17 +103,12 @@ class ColumnSnapshot(IndexedStringSequence):
 
     def select(self, value: Any, idx: int) -> int:
         """Position of the ``idx``-th occurrence within the pinned prefix."""
-        if idx < 0:
-            raise OutOfBoundsError("select index must be non-negative")
         total = self._index.rank(value, self._version)
         if total == 0:
             raise ValueNotFoundError(
                 f"value {value!r} does not occur in the sequence"
             )
-        if idx >= total:
-            raise OutOfBoundsError(
-                f"select index {idx} out of range: only {total} occurrences"
-            )
+        check_select_index(value, idx, total)
         return self._index.select(value, idx)
 
     def rank_prefix(self, prefix: Any, pos: int) -> int:
@@ -157,11 +154,7 @@ class ColumnSnapshot(IndexedStringSequence):
             raise ValueNotFoundError(
                 f"value {value!r} does not occur in the sequence"
             )
-        for idx in indexes:
-            if not 0 <= idx < total:
-                raise OutOfBoundsError(
-                    f"select index {idx} out of range: only {total} occurrences"
-                )
+        indexes = validate_select_indexes(indexes, total, value)
         return self._index.select_many(value, indexes)
 
     def rank_prefix_many(self, prefix: Any, positions: Sequence[int]) -> List[int]:
@@ -230,13 +223,18 @@ class CompressedColumn:
         This is how a persisted index (``repro.storage.load``) becomes
         servable: the CLI ``serve`` command loads the file and wraps it.
         ``appendable`` defaults to False over a static :class:`WaveletTrie`
-        and to True over a growable one, the rule the image loader enforces.
+        and to True over a growable one; a static index cannot be made
+        appendable (:class:`InvalidOperationError`), the rule the image
+        loader enforces.
         """
+        static = isinstance(index, WaveletTrie)
+        if appendable and static:
+            raise InvalidOperationError(
+                f"column {name!r} cannot be appendable over a static index"
+            )
         column = cls.__new__(cls)
         column.name = name
-        if appendable is None:
-            appendable = not isinstance(index, WaveletTrie)
-        column._appendable = bool(appendable)
+        column._appendable = not static if appendable is None else bool(appendable)
         column._index = index
         return column
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.interface import check_select_prefix_index
+from repro.core.interface import check_select_index, check_select_prefix_index
 from repro.exceptions import OutOfBoundsError
 from repro.serving.metrics import ServingMetrics
 from repro.serving.protocol import (
@@ -114,21 +114,13 @@ def _problem(op: str, key: Any, arg: int, bound: int) -> Optional[Tuple[str, str
             return None
         what = "position" if op == "access" else "rank position"
         return "out_of_bounds", f"{what} {arg} out of range for length {bound}"
-    if op == "select":
-        if arg < 0:
-            return "out_of_bounds", "select index must be non-negative"
-        if bound == 0:
-            return "value_not_found", f"value {key!r} does not occur in the sequence"
-        if arg >= bound:
-            return (
-                "out_of_bounds",
-                f"select index {arg} out of range: only {bound} occurrences",
-            )
-        return None
     if bound == 0:
+        if op == "select":
+            return "value_not_found", f"value {key!r} does not occur in the sequence"
         return "value_not_found", f"no element has prefix {key!r}"
+    check = check_select_index if op == "select" else check_select_prefix_index
     try:
-        check_select_prefix_index(key, arg, bound)
+        check(key, arg, bound)
     except OutOfBoundsError as error:
         return "out_of_bounds", str(error)
     return None

@@ -9,7 +9,7 @@ from repro.bits.codes import (
     combinatorial_rank,
     combinatorial_unrank,
     gamma_code_length,
-    offset_width,
+    offset_width_table,
 )
 from repro.exceptions import EncodingError
 
@@ -40,9 +40,9 @@ class TestCombinatorial:
         assert combinatorial_unrank(rank, width, ones) == value
 
     def test_offset_width_extremes(self):
-        assert offset_width(10, 0) == 0
-        assert offset_width(10, 10) == 0
-        assert offset_width(4, 2) == 3  # C(4,2)=6 -> 3 bits
+        assert offset_width_table(10)[0] == 0
+        assert offset_width_table(10)[10] == 0
+        assert offset_width_table(4)[2] == 3  # C(4,2)=6 -> 3 bits
 
     def test_rank_is_lexicographic(self):
         # All 3-bit blocks with two ones, in MSB-first numeric order:

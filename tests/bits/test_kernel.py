@@ -10,6 +10,7 @@ import random
 import pytest
 
 from repro.bits import kernel
+from repro.bits.kernel import pykernel
 from repro.bits.bitstring import Bits
 
 
@@ -93,7 +94,7 @@ class TestInWordPrimitives:
             word = rng.getrandbits(64)
             reference = naive_bits_of_word(word)
             for offset in range(65):
-                assert kernel.rank_word_prefix(word, offset) == sum(
+                assert pykernel._rank_word_prefix(word, offset) == sum(
                     reference[:offset]
                 )
 

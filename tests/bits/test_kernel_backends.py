@@ -88,9 +88,6 @@ def test_directories_agree(length):
         assert norm(py_dir[2]) == norm(np_dir[2])  # word_cum
         py_cum, np_cum = both("cumulative_popcounts", py_dir[1], n)
         assert norm(py_cum) == norm(np_cum)
-        for block_size in (1, 7, 63):
-            py_blocks, np_blocks = both("block_popcounts", words, n, block_size)
-            assert norm(py_blocks) == norm(np_blocks)
 
 
 @requires_numpy

@@ -222,16 +222,18 @@ def test_kernel_backends_agree_on_rrr_rank(block_size):
 
 
 def test_python_block_decode_matches_the_combinatorial_descent():
+    """The python backend decodes blocks with the one set-bit-jumping decode
+    of ``repro.bits.codes``, which inverts the encoder's offsets."""
     from repro.bits.codes import combinatorial_rank, combinatorial_unrank
 
+    assert pykernel.combinatorial_unrank is combinatorial_unrank
     rng = random.Random(8)
     for block_size in (1, 2, 5, 15, 63):
         for _ in range(200):
             value = rng.getrandbits(block_size)
             cls = value.bit_count()
             offset = combinatorial_rank(value, block_size, cls)
-            decoded = pykernel._rrr_decode_block(offset, block_size, cls)
-            assert decoded == value == combinatorial_unrank(offset, block_size, cls)
+            assert combinatorial_unrank(offset, block_size, cls) == value
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

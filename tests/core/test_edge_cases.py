@@ -292,11 +292,12 @@ def test_select_errors_name_the_value(flavour):
         trie.select("zz", 0)
     with pytest.raises(ValueNotFoundError, match=absent):
         trie.select_many("zz", [0])
-    with pytest.raises(
-        OutOfBoundsError,
-        match=re.escape("select('a', 5) out of range: only 2 occurrences"),
-    ):
-        trie.select_many("a", [5])
+    for index in (5, -1):
+        message = re.escape(f"select('a', {index}) out of range: only 2 occurrences")
+        with pytest.raises(OutOfBoundsError, match=message):
+            trie.select("a", index)
+        with pytest.raises(OutOfBoundsError, match=message):
+            trie.select_many("a", [index])
 
 
 # ----------------------------------------------------------------------

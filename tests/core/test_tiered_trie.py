@@ -213,27 +213,6 @@ class TestTieredLifecycle:
         assert tiered.mutable_start == len(values)
         assert tiered.to_list() == values
 
-    def test_frozen_snapshot_is_non_mutating(self, url_log):
-        values = url_log[:100]
-        tiered = TieredWaveletTrie(values, active_capacity=32)
-        before = [row["state"] for row in tiered.tier_info()]
-        snapshot = tiered.frozen_snapshot()
-        assert [row["state"] for row in tiered.tier_info()] == before
-        assert snapshot.to_list() == values
-        assert snapshot.mutable_start == len(values)
-        # The snapshot keeps absorbing writes independently.
-        snapshot.append("http://new.example/x")
-        assert len(snapshot) == len(values) + 1
-        assert len(tiered) == len(values)
-
-    def test_to_static_flattens_the_whole_sequence(self, url_log):
-        values = url_log[:120]
-        tiered = TieredWaveletTrie(values, active_capacity=40)
-        static = tiered.to_static()
-        assert isinstance(static, WaveletTrie)
-        assert static.to_list() == values
-        assert tiered.to_list() == values  # non-mutating
-
     def test_constructor_validates_parameters(self):
         with pytest.raises(ValueError, match="active_capacity"):
             TieredWaveletTrie(active_capacity=0)

@@ -30,7 +30,8 @@ ALL_FLAVOURS = [WaveletTrie, OpenedWaveletTrie, *GROWABLE, TieredWaveletTrie]
 def static_form(trie):
     """The static trie of any flavour: one static trie over its content."""
     if isinstance(trie, TieredWaveletTrie):
-        return trie.to_static()
+        trie.compact()  # merges every tier into one frozen tier
+        (trie,) = trie._frozen
     return freeze_trie(trie)
 
 
@@ -129,10 +130,11 @@ class TestTrieFreezer:
     def test_step_does_bounded_work(self, url_log):
         """A unit-budget step is bounded by one extraction chunk's worth of
         block units (extraction is chunk-atomic), never a whole-trie pass."""
+        from repro.bitvector.rrr import _DEFAULT_BLOCK
         from repro.core.tiers import _EXTRACT_CHUNK_BITS
 
         freezer = TrieFreezer(DynamicWaveletTrie(url_log[:200]))
-        ceiling = _EXTRACT_CHUNK_BITS // freezer._block_size + 1
+        ceiling = _EXTRACT_CHUNK_BITS // _DEFAULT_BLOCK + 1
         while not freezer.done:
             assert freezer.step(1) <= ceiling
         assert freezer.step(5) == 0  # done: no more work units
@@ -184,14 +186,6 @@ class TestFreezeTrie:
         frozen = freeze_trie(flavour(values))
         assert isinstance(frozen, WaveletTrie)
         assert frozen.to_list() == values
-
-    def test_tiered_freezes_to_frozen_snapshot(self, url_log):
-        tiered = TieredWaveletTrie(url_log[:90], active_capacity=32)
-        snapshot = freeze_trie(tiered)
-        assert isinstance(snapshot, TieredWaveletTrie)
-        assert snapshot.to_list() == tiered.to_list()
-        assert all(row["state"] != "mutable" or row["elements"] == 0
-                   for row in snapshot.tier_info())
 
     def test_non_tier_is_rejected(self):
         with pytest.raises(InvalidOperationError, match="not a Wavelet Trie tier"):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.static import WaveletTrie
 from repro.db.column import CompressedColumn
+from repro.exceptions import InvalidOperationError
 from repro.serving import IndexServer, NDJSONClient, ServerConfig
 
 
@@ -179,6 +180,13 @@ class TestStaticColumn:
         shard = stats["shards"]["default"]
         assert shard["appendable"] is False and shard["rows"] == 3
         assert len(column) == 3
+
+    def test_a_static_index_cannot_be_wrapped_as_appendable(self):
+        """An explicit ``appendable=True`` over a static trie is refused up
+        front, as the image loader refuses it, so no served write can reach
+        the trie and fail as ``internal``."""
+        with pytest.raises(InvalidOperationError, match="appendable over a static index"):
+            CompressedColumn.from_index("default", WaveletTrie(["/a", "/b"]), appendable=True)
 
 
 class TestMultiShard:

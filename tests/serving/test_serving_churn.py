@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines import NaiveIndexedSequence
 from repro.bits import kernel
-from repro.core.interface import check_select_prefix_index
+from repro.core.interface import check_select_index, check_select_prefix_index
 from repro.db.column import CompressedColumn
 from repro.exceptions import OutOfBoundsError, ValueNotFoundError
 from repro.serving import (
@@ -102,19 +102,13 @@ def expected_frame(request: Request, version: int, naive) -> bytes:
                 )
             result = naive.rank(args["value"], pos)
         elif request.op == "select":
-            idx = args["idx"]
-            if idx < 0:
-                raise OutOfBoundsError("select index must be non-negative")
             total = naive.rank(args["value"], version)
             if total == 0:
                 raise ValueNotFoundError(
                     f"value {args['value']!r} does not occur in the sequence"
                 )
-            if idx >= total:
-                raise OutOfBoundsError(
-                    f"select index {idx} out of range: only {total} occurrences"
-                )
-            result = naive.select(args["value"], idx)
+            check_select_index(args["value"], args["idx"], total)
+            result = naive.select(args["value"], args["idx"])
         elif request.op == "rank_prefix":
             pos = args["pos"]
             if not 0 <= pos <= version:

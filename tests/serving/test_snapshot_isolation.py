@@ -95,7 +95,7 @@ class TestColumnSnapshotPrimitive:
         assert snapshot.select("a", 0) == 0
         with pytest.raises(OutOfBoundsError, match="only 1 occurrences"):
             snapshot.select("a", 1)
-        with pytest.raises(OutOfBoundsError, match="non-negative"):
+        with pytest.raises(OutOfBoundsError, match=r"select\('a', -1\) out of range"):
             snapshot.select("a", -1)
         assert snapshot.select_many("a", [0]) == [0]
         with pytest.raises(OutOfBoundsError):

@@ -39,7 +39,7 @@ from repro.storage import (
     loads_image,
     open_image,
 )
-from repro.storage.image import SECTION_ALIGN, FrozenImage
+from repro.storage.image import SECTION_ALIGN, FrozenImage, ImageWriter, _write_entry
 from repro.text.fm_index import FMIndex
 from repro.wavelet.huffman import HuffmanWaveletTree
 from repro.workloads.urls import UrlLogGenerator
@@ -123,7 +123,8 @@ def _fingerprint(obj):
 def _tiered():
     trie = TieredWaveletTrie(active_capacity=64)
     trie.extend(VALUES)
-    return trie.frozen_snapshot()
+    trie.compact(merge=False)
+    return trie
 
 
 def _tiered_live():
@@ -435,6 +436,38 @@ class TestBitvectorMeta:
     def test_the_shared_block_size_must_match_its_block_count(self, block_size):
         with pytest.raises(SerializationError, match="block classes"):
             loads_image(_with_shared_meta("block_size", block_size))
+
+
+class _HalvedSuper(ImageWriter):
+    """Writes a node vector's ``bv.super`` directory with half its entries;
+    the section's CRC is the CRC of what it writes."""
+
+    def add_i64(self, name, values):
+        values = list(values)
+        if name.endswith("bv.super"):
+            values = values[: len(values) // 2]
+        super().add_i64(name, values)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: WaveletTrie(
+            ["/v%d/%d" % (i % 50, i % 7) for i in range(5000)], bitvector="plain"
+        ),
+        lambda: FMIndex("abracadabra banana " * 40),
+    ],
+    ids=["plain_trie", "fm_index"],
+)
+def test_a_plain_vector_needs_its_whole_super_directory(make):
+    """Every CRC of the image is valid, so only the check of a plain
+    vector's ``super`` against its word count and its ones stops the open
+    (else ``ones`` and every rank read the halved directory)."""
+    sink = _HalvedSuper()
+    entry = _write_entry(make(), sink, "")
+    data = sink.tobytes(entry["type"], entry["meta"])
+    with pytest.raises(SerializationError, match="super"):
+        loads_image(data, verify=True)
 
 
 # Images that name a node-bitvector kind, and the meta that holds it.

@@ -11,6 +11,7 @@ docs/API.md and docs/ARCHITECTURE.md cite must exist, as must every dotted
 docstring.
 """
 
+import ast
 import builtins
 import importlib
 import inspect
@@ -116,6 +117,27 @@ def test_kernel_backends_export_the_same_contract():
     # The façade itself must expose every contract name too.
     facade_missing = [name for name in contract if not hasattr(kernel, name)]
     assert not facade_missing, f"façade misses: {facade_missing}"
+
+
+def test_every_kernel_contract_name_has_a_caller():
+    """A contract name that no code outside the kernel reads is dead weight
+    both backends must carry: every ``KERNEL_CONTRACT`` name must appear as
+    a name or an attribute in the code of some ``repro`` module outside
+    ``repro.bits.kernel`` (docstrings and comments do not count)."""
+    from repro.bits import kernel
+
+    kernel_dir = REPO_ROOT / "src" / "repro" / "bits" / "kernel"
+    used = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        if kernel_dir in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = sorted(set(kernel.KERNEL_CONTRACT) - used)
+    assert not uncalled, f"kernel contract names no code outside the kernel uses: {uncalled}"
 
 
 def test_tier_lifecycle_section_matches_the_code():
