@@ -75,6 +75,7 @@ class AppendOnlyBitVector(BitVector):
         "_cum_zeros",
         "_tail",
         "_stage",
+        "_staged_ones",
         "_freeze_budget",
         "_last_freeze_blocks",
         "_offset_bit",
@@ -104,6 +105,7 @@ class AppendOnlyBitVector(BitVector):
         self._cum_zeros: List[int] = [0]
         self._tail = BitBuffer()
         self._stage: Optional[IncrementalRRRBuilder] = None
+        self._staged_ones = 0  # the ones of the staged payload, 0 when idle
         self._freeze_budget = freeze_blocks_per_append
         self._last_freeze_blocks = 0
         self._offset_bit = 1 if offset_bit else 0
@@ -153,10 +155,6 @@ class AppendOnlyBitVector(BitVector):
     @property
     def _staged_length(self) -> int:
         return self._stage.length if self._stage is not None else 0
-
-    @property
-    def _staged_ones(self) -> int:
-        return self._stage.ones if self._stage is not None else 0
 
     @property
     def pending_freeze_bits(self) -> int:
@@ -259,9 +257,8 @@ class AppendOnlyBitVector(BitVector):
         """
         if self._stage is not None:
             self._finish_stage()
-        self._stage = IncrementalRRRBuilder(
-            self._tail.words(), len(self._tail), self._tail.ones
-        )
+        self._stage = IncrementalRRRBuilder(self._tail.words(), len(self._tail))
+        self._staged_ones = self._tail.ones
         self._tail = BitBuffer()
 
     def _finish_stage(self) -> None:
@@ -274,6 +271,7 @@ class AppendOnlyBitVector(BitVector):
         self._cum_ones.append(self._cum_ones[-1] + block.ones)
         self._cum_zeros.append(self._cum_length[-1] - self._cum_ones[-1])
         self._stage = None
+        self._staged_ones = 0
 
     # ------------------------------------------------------------------
     # Staged-segment primitives (raw packed words, queried while in flight)

@@ -25,30 +25,49 @@ from repro.exceptions import OutOfBoundsError
 __all__ = [
     "BitVector",
     "StaticBitVector",
+    "check_select_index",
     "validate_select_indexes",
 ]
 
 
-def validate_select_indexes(indexes, total: int, label, keep_arrays=False):
-    """Normalise and range-check a ``select_many`` index batch.
+def check_select_index(value, idx: int, occurrences: int) -> None:
+    """Range-check a ``select`` index, a negative one included, against the
+    occurrence count of ``value``.
 
-    Returns ``indexes`` as a list of plain ints; raises
-    :class:`OutOfBoundsError` naming the first offending index if any falls
-    outside ``[0, total)``.  With ``keep_arrays=True`` a backend-native
-    index array passes through unchanged (vectorised validation only) --
-    reserved for callers whose batch path is array-aware, such as
-    ``PlainBitVector``.  Shared by every ``select_many`` implementation so
-    the batch contract (all-or-nothing validation, uniform error message)
-    cannot drift between encodings.
+    Raises the **canonical** out-of-range error -- one exception type
+    (:class:`OutOfBoundsError`) and one message naming the value -- of every
+    ``select`` and ``select_many``: the bitvectors' (whose values are the
+    bits), the Wavelet Tries', the column snapshots', the oracle's and the
+    served frames', so the differential tests can assert them
+    byte-for-byte.  Sequence callers raise
+    :class:`~repro.exceptions.ValueNotFoundError` for an absent value first;
+    :mod:`repro.core.interface` re-exports this check beside
+    ``check_select_prefix_index``.
+    """
+    if not 0 <= idx < occurrences:
+        raise OutOfBoundsError(
+            f"select({value!r}, {idx}) out of range: only {occurrences} occurrences"
+        )
+
+
+def validate_select_indexes(indexes, total: int, value, keep_arrays=False):
+    """Normalise and range-check a ``select_many`` index batch of ``value``.
+
+    Returns ``indexes`` as a list of plain ints; raises the canonical
+    :func:`check_select_index` error naming the first offending index, in
+    input order, if any falls outside ``[0, total)``.  With
+    ``keep_arrays=True`` a backend-native index array passes through
+    unchanged (vectorised validation only) -- reserved for callers whose
+    batch path is array-aware, such as ``PlainBitVector``.  Shared by every
+    ``select_many`` implementation so the batch contract (all-or-nothing
+    validation, uniform error message) cannot drift between encodings.
     """
     indexes = normalize_batch(indexes)
     if len(indexes):
         lo, hi = batch_min_max(indexes)
         if lo < 0 or hi >= total:
             bad = next(i for i in indexes if not 0 <= i < total)
-            raise OutOfBoundsError(
-                f"select({label}, {bad}) out of range: only {total} occurrences"
-            )
+            check_select_index(value, bad, total)
     if not isinstance(indexes, (list, tuple)):
         # A backend-native index array: keep it (read-only per the kernel
         # contract) only for callers whose batch path is array-aware;

@@ -91,9 +91,9 @@ class RRRBitVector(StaticBitVector):
         # Pack once into 64-bit words so per-block extraction is O(1) instead
         # of one O(n / 64) big-int slice per block.
         words = pack_value(bits.value, len(bits))
-        IncrementalRRRBuilder(
-            words, len(bits), block_size=block_size, sample_rate=sample_rate
-        ).finish(into=self)
+        IncrementalRRRBuilder(words, len(bits), block_size, sample_rate).finish(
+            into=self
+        )
 
     @classmethod
     def from_words(
@@ -110,7 +110,7 @@ class RRRBitVector(StaticBitVector):
         round trip.
         """
         return IncrementalRRRBuilder(
-            kernel.as_int_list(words), length, block_size=block_size, sample_rate=sample_rate
+            kernel.as_int_list(words), length, block_size, sample_rate
         ).finish()
 
     def _set_blocks(
@@ -630,15 +630,12 @@ class IncrementalRRRBuilder:
     instead of paying one O(payload) stop-the-world pass.
 
     While the build is in flight the raw payload stays queryable through
-    :attr:`words` / :attr:`length` / :attr:`ones`; the encoder never reads
-    :attr:`ones`, which only a caller that queries the payload mid-build
-    (the append-only bitvector's stage) needs to pass.
+    :attr:`words` / :attr:`length`.
     """
 
     __slots__ = (
         "words",
         "length",
-        "ones",
         "_block_size",
         "_sample_rate",
         "_cursor",
@@ -651,7 +648,6 @@ class IncrementalRRRBuilder:
         self,
         words: List[int],
         length: int,
-        ones: int = 0,
         block_size: int = _DEFAULT_BLOCK,
         sample_rate: int = _DEFAULT_SAMPLE,
     ) -> None:
@@ -661,7 +657,6 @@ class IncrementalRRRBuilder:
             raise ValueError("sample_rate must be positive")
         self.words = words
         self.length = length
-        self.ones = ones
         self._block_size = block_size
         self._sample_rate = sample_rate
         self._cursor = 0

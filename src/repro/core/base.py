@@ -14,12 +14,11 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.bits.bitstring import Bits
-from repro.bitvector.base import normalize_batch
+from repro.bitvector.base import normalize_batch, validate_select_indexes
 from repro.core.interface import (
     IndexedStringSequence,
     check_select_index,
     check_select_prefix_index,
-    validate_select_indexes,
     validate_select_prefix_indexes,
 )
 from repro.core.node import WaveletTrieNode
@@ -200,7 +199,9 @@ class WaveletTrieBase(RangeQueryMixin, IndexedStringSequence):
                 f"value {shown!r} does not occur in the sequence"
             )
         leaf, ancestors = path
-        current = validate_select_indexes(indexes, leaf.sequence_length(self._size), shown)
+        current = validate_select_indexes(
+            indexes, leaf.sequence_length(self._size), shown
+        )
         for node, bit in reversed(ancestors):
             current = node.bitvector.select_many(bit, current)
         return current

@@ -22,7 +22,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Iterator, List
 
-from repro.bitvector.base import normalize_batch
+from repro.bitvector.base import check_select_index, normalize_batch
 from repro.exceptions import (
     DuplicatePositionError,
     InvalidOperationError,
@@ -35,7 +35,6 @@ __all__ = [
     "check_select_prefix_index",
     "check_top_k",
     "validate_delete_positions",
-    "validate_select_indexes",
     "validate_select_prefix_indexes",
 ]
 
@@ -45,23 +44,6 @@ def check_top_k(k: int) -> None:
     shared by every implementation (callers check the range first)."""
     if k < 0:
         raise OutOfBoundsError(f"top-k count must be non-negative, got {k}")
-
-
-def check_select_index(value: Any, idx: int, occurrences: int) -> None:
-    """Range-check a ``select`` index, a negative one included, against the
-    value's occurrence count.
-
-    Raises the **canonical** out-of-range error -- one exception type
-    (:class:`OutOfBoundsError`) and one message naming the value, shared by
-    every implementation (the Wavelet Tries, the column snapshots, the
-    oracle and the served frames), scalar and batch alike, so the
-    differential tests can assert them byte-for-byte.  Callers raise
-    :class:`~repro.exceptions.ValueNotFoundError` for an absent value first.
-    """
-    if not 0 <= idx < occurrences:
-        raise OutOfBoundsError(
-            f"select({value!r}, {idx}) out of range: only {occurrences} occurrences"
-        )
 
 
 def check_select_prefix_index(prefix: Any, idx: int, matches: int) -> None:
@@ -74,22 +56,13 @@ def check_select_prefix_index(prefix: Any, idx: int, matches: int) -> None:
         )
 
 
-def validate_select_indexes(indexes, occurrences: int, value: Any) -> List[int]:
-    """Normalise and range-check a ``select_many`` index batch.
-
-    All-or-nothing: every index must be in ``[0, occurrences)`` before any
-    work happens, and the first offender is reported with the canonical
-    :func:`check_select_index` error.
-    """
-    out = [int(idx) for idx in normalize_batch(indexes)]
-    for idx in out:
-        check_select_index(value, idx, occurrences)
-    return out
-
-
 def validate_select_prefix_indexes(indexes, matches: int, prefix: Any) -> List[int]:
-    """:func:`validate_select_indexes` for a ``select_prefix_many`` batch,
-    with the canonical :func:`check_select_prefix_index` error."""
+    """Normalise and range-check a ``select_prefix_many`` index batch.
+
+    All-or-nothing: every index must be in ``[0, matches)`` before any work
+    happens, and the first offender is reported with the canonical
+    :func:`check_select_prefix_index` error.
+    """
     out = [int(idx) for idx in normalize_batch(indexes)]
     for idx in out:
         check_select_prefix_index(prefix, idx, matches)

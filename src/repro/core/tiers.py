@@ -45,7 +45,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 from repro.bits import kernel
 from repro.bits.bitbuffer import BitBuffer
 from repro.bits.bitstring import Bits
-from repro.bitvector.base import normalize_batch
+from repro.bitvector.base import normalize_batch, validate_select_indexes
 from repro.bitvector.rrr import _DEFAULT_BLOCK, IncrementalRRRBuilder
 from repro.core.builder import StaticTrieLayout
 from repro.core.dynamic import _SEED_MULTIPLIER, DynamicWaveletTrie
@@ -55,7 +55,6 @@ from repro.core.interface import (
     check_select_prefix_index,
     check_top_k,
     validate_delete_positions,
-    validate_select_indexes,
     validate_select_prefix_indexes,
 )
 from repro.core.node import WaveletTrieNode

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.bitvector.base import validate_select_indexes
 from repro.core.append_only import AppendOnlyWaveletTrie
 from repro.core.interface import (
     IndexedStringSequence,
     check_select_index,
     check_select_prefix_index,
-    validate_select_indexes,
     validate_select_prefix_indexes,
 )
 from repro.core.static import WaveletTrie

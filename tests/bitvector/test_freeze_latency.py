@@ -102,9 +102,7 @@ class TestBoundedPerAppendWork:
 
         payload = Bits.from_iterable(bits)
         builder = IncrementalRRRBuilder(
-            kernel.pack_value(payload.value, len(payload)),
-            len(payload),
-            payload.popcount(),
+            kernel.pack_value(payload.value, len(payload)), len(payload)
         )
         steps = 0
         while not builder.done:

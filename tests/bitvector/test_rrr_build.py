@@ -91,7 +91,6 @@ def build_incrementally(bits, step, **params):
     builder = IncrementalRRRBuilder(
         kernel.pack_value(payload.value, len(payload)),
         len(payload),
-        payload.popcount(),
         **params,
     )
     while not builder.done:
@@ -152,7 +151,7 @@ def test_a_payload_still_filling_encodes_only_whole_blocks(chunk):
     rng = random.Random(chunk)
     bits = random_bits(rng, 1500, 0.4)
     buffer = BitBuffer()
-    builder = IncrementalRRRBuilder(buffer.full_words, len(bits), 0)
+    builder = IncrementalRRRBuilder(buffer.full_words, len(bits))
     for start in range(0, len(bits), chunk):
         buffer.extend(bits[start : start + chunk])
         available = 64 * len(buffer.full_words)
